@@ -10,7 +10,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use fubar_core::{Allocation, Optimizer};
-use fubar_scenario::catalog;
+use fubar_scenario::{catalog, RunOptions};
 use fubar_topology::{generators, Bandwidth, Topology};
 use fubar_traffic::{workload, AggregateId, TrafficMatrix, WorkloadConfig};
 
@@ -72,7 +72,7 @@ fn bench_catalog_end_to_end(c: &mut Criterion) {
     let mut g = c.benchmark_group("scenario_engine");
     g.sample_size(10);
     g.bench_function("cascading_failure_80s", |b| {
-        b.iter(|| fubar_scenario::run(&spec, 13).expect("scenario runs"))
+        b.iter(|| fubar_scenario::run(&spec, 13, &RunOptions::default()).expect("scenario runs"))
     });
     g.finish();
 }

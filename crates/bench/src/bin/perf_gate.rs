@@ -13,15 +13,6 @@
 //!   bundle and re-runs full water-filling per candidate;
 //! * **fabric measurement**: `Fabric::peek` after a single churn event
 //!   versus the `Fabric::peek_full` oracle;
-//! * the **sharded loop** (hypergrowth-4096 and the 20,736-aggregate
-//!   planetary tier): the region-sharded optimizer
-//!   (`Sharding::Auto` — crossing-index candidate gathering over
-//!   per-shard subproblems) versus the flat incremental loop
-//!   (`Sharding::Off`), which re-scans every aggregate's path set per
-//!   congested-link visit. Measured on *flash-crowd* instances (quiet
-//!   fabric, a few surged pairs per region) — the localized-congestion
-//!   regime sharding exists for, where the flat O(instance) gather
-//!   dominates each step;
 //! * the **parallel fill** (hypergrowth and planetary deep-congestion
 //!   instances): `FlowModel::evaluate_traced_parallel` over disjoint
 //!   bottleneck components versus the serial `evaluate_traced`, at
@@ -33,11 +24,7 @@
 //! Because per-move cost is bound by the bottleneck *component*, not
 //! the instance, the incremental-vs-full speedup must **grow** with
 //! instance size: the gate fails if the hypergrowth tier's inner-loop
-//! speedup does not exceed the HE-961 one. The same criterion applies
-//! one tier up: the sharded-vs-flat speedup must grow from the 4,096-
-//! to the 20,736-aggregate flash-crowd instance, since the flat gather
-//! is O(instance) while the crossing index is O(entries on the
-//! congested link).
+//! speedup does not exceed the HE-961 one.
 //!
 //! While timing, it also cross-checks that the two modes agree (same
 //! committed moves, bitwise-identical reports) — a perf gate that
@@ -52,7 +39,7 @@
 //! perf_gate [--out BENCH_ci.json] [--thresholds ci/perf_thresholds.json]
 //! ```
 
-use fubar_core::{Optimizer, OptimizerConfig, Sharding};
+use fubar_core::{Optimizer, OptimizerConfig};
 use fubar_model::{BundleSpec, FlowModel, ParallelWorkspace};
 use fubar_sdn::Fabric;
 use fubar_topology::{generators, Bandwidth, Delay, Topology};
@@ -88,47 +75,6 @@ fn hypergrowth_instance() -> (Topology, TrafficMatrix) {
         },
         1,
     );
-    (topo, tm)
-}
-
-/// A flash-crowd instance for the sharded-loop entries: a quiet fabric
-/// (every aggregate zeroed) with a few surged intra-region pairs. This
-/// is the regime region sharding targets — localized congestion on a
-/// huge, mostly idle matrix. Here the flat loop's per-step
-/// `flow_paths_over` scan is O(all 20,736 aggregates) while the
-/// crossing index touches only the congested link's few entries, so
-/// the gather asymmetry dominates the measurement. (Under deep uniform
-/// congestion both modes spend their time in the *shared* per-candidate
-/// scoring and the ratio collapses to ~1 — that regime is covered by
-/// the optimizer_inner_loop entries instead.)
-fn flash_crowd_instance(
-    topo: Topology,
-    regions: usize,
-    pairs: &[(usize, usize)],
-) -> (Topology, TrafficMatrix) {
-    let mut tm = workload::generate(
-        &topo,
-        &WorkloadConfig {
-            flow_count: (1, 1),
-            large_probability: 0.0,
-            ..WorkloadConfig::default()
-        },
-        1,
-    );
-    let ids: Vec<AggregateId> = tm.iter().map(|a| a.id).collect();
-    for id in ids {
-        tm.set_flow_count(id, 0);
-    }
-    for r in 0..regions {
-        for &(a, b) in pairs {
-            let s = topo.node(&format!("pop{r}_{a}")).expect("POP exists");
-            let d = topo.node(&format!("pop{r}_{b}")).expect("POP exists");
-            let victim = tm.for_pair(s, d)[0];
-            // 24,000 real-time flows ≈ 1.2 Gbps against 400 Mbps metro
-            // links: enough moves per victim to exhaust the budget.
-            tm.set_flow_count(victim, 24_000);
-        }
-    }
     (topo, tm)
 }
 
@@ -216,76 +162,6 @@ fn measure_optimizer_on(name: &'static str, topo: &Topology, tm: &TrafficMatrix)
         name,
         full_s: (t_full - base_full).max(1e-9),
         incremental_s: (t_inc - base_inc).max(1e-9),
-    }
-}
-
-/// Sharded loop on one instance: a `commits`-commit budget through the
-/// region-sharded optimizer (`Sharding::Auto`) and the flat
-/// incremental loop (`Sharding::Off`), with the per-mode zero-commit
-/// baseline subtracted (which also cancels the sharded side's
-/// partition + crossing-index build). Each timing sample runs the
-/// optimizer five times — flash-crowd runs are milliseconds each, so
-/// single runs would be timer-noise-bound. `full_s` holds the flat
-/// time, so `speedup()` reads sharded-over-flat.
-fn measure_sharded_on(
-    name: &'static str,
-    topo: &Topology,
-    tm: &TrafficMatrix,
-    commits: usize,
-) -> Comparison {
-    let cfg = |sharding: Sharding, commits: usize| OptimizerConfig {
-        max_commits: commits,
-        incremental: true,
-        sharding,
-        threads: 1, // single-core CI runners; keeps the ratio honest
-        ..Default::default()
-    };
-
-    // Cross-check before timing: the sharded loop must replay the flat
-    // loop move for move, bitwise.
-    let sharded = Optimizer::new(topo, tm, cfg(Sharding::Auto, commits)).run();
-    let flat = Optimizer::new(topo, tm, cfg(Sharding::Off, commits)).run();
-    assert_eq!(sharded.moves, flat.moves, "sharded loop diverged on moves");
-    assert_eq!(
-        sharded.report.network_utility.to_bits(),
-        flat.report.network_utility.to_bits(),
-        "sharded loop diverged on utility"
-    );
-    assert!(
-        sharded.commits == commits,
-        "instance must exhaust the budget"
-    );
-    assert!(!sharded.shards.is_empty(), "sharded run must report shards");
-
-    const INNER: usize = 5;
-    let (base_sharded, base_flat) = min_secs_paired(
-        || {
-            for _ in 0..INNER {
-                Optimizer::new(topo, tm, cfg(Sharding::Auto, 0)).run();
-            }
-        },
-        || {
-            for _ in 0..INNER {
-                Optimizer::new(topo, tm, cfg(Sharding::Off, 0)).run();
-            }
-        },
-    );
-    let (t_sharded, t_flat) = min_secs_paired(
-        || {
-            for _ in 0..INNER {
-                Optimizer::new(topo, tm, cfg(Sharding::Auto, commits)).run();
-            }
-        },
-        || {
-            for _ in 0..INNER {
-                Optimizer::new(topo, tm, cfg(Sharding::Off, commits)).run();
-            }
-        },
-    );
-    Comparison {
-        name,
-        full_s: (t_flat - base_flat).max(1e-9),
-        incremental_s: (t_sharded - base_sharded).max(1e-9),
     }
 }
 
@@ -463,20 +339,6 @@ fn main() -> ExitCode {
 
     let (he_topo, he_tm) = he_instance();
     let (hg_topo, hg_tm) = hypergrowth_instance();
-    // Flash-crowd instances for the sharded entries: two surged pairs
-    // per region on hypergrowth (16 moves drain them), three on
-    // planetary (32 moves). The budgets are the largest each instance
-    // reliably exhausts.
-    let (fc_hg_topo, fc_hg_tm) = flash_crowd_instance(
-        generators::hypergrowth(8, 8, Bandwidth::from_mbps(400.0)),
-        8,
-        &[(1, 3), (5, 7)],
-    );
-    let (fc_pl_topo, fc_pl_tm) = flash_crowd_instance(
-        generators::planetary(12, 12, Bandwidth::from_mbps(400.0)),
-        12,
-        &[(1, 3), (5, 7), (9, 11)],
-    );
     // Deep-congestion instances for the parallel-fill entries: an
     // intra-region workload leaves every regional mesh an isolated,
     // structurally congested bottleneck component — the decomposition
@@ -502,8 +364,6 @@ fn main() -> ExitCode {
         measure_optimizer_on("optimizer_inner_loop", &he_topo, &he_tm),
         measure_optimizer_on("optimizer_inner_loop_hypergrowth", &hg_topo, &hg_tm),
         measure_peek(),
-        measure_sharded_on("sharded_loop_hypergrowth", &fc_hg_topo, &fc_hg_tm, 16),
-        measure_sharded_on("sharded_loop_planetary", &fc_pl_topo, &fc_pl_tm, 32),
         measure_parallel_fill_on(
             "parallel_fill_hypergrowth",
             &pf_hg_topo,
@@ -567,18 +427,6 @@ fn main() -> ExitCode {
         "speedup_grows_with_scale"
     );
     ok &= hg > he;
-    // One tier up: the sharded-vs-flat speedup must grow from
-    // hypergrowth-4096 to planetary-20736 — the flat gather re-scans
-    // the whole instance per congested-link visit, the crossing index
-    // touches only the link's entries.
-    let s_hg = comparisons[3].speedup();
-    let s_pl = comparisons[4].speedup();
-    let verdict = if s_pl > s_hg { "ok" } else { "REGRESSED" };
-    println!(
-        "gate {:<33} {s_pl:>6.2}x vs {s_hg:.2}x on hypergrowth .. {verdict}",
-        "sharded_speedup_grows_with_scale"
-    );
-    ok &= s_pl > s_hg;
 
     if ok {
         ExitCode::SUCCESS

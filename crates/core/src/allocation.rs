@@ -344,7 +344,9 @@ impl Allocation {
     }
 
     /// The (aggregate, path index, flows) triples whose path crosses
-    /// `link` — Listing 2's "all flow paths that go over link".
+    /// `link` — Listing 2's "all flow paths that go over link". A scan
+    /// of the whole matrix: the optimizer gathers through its crossing
+    /// index instead, and the tests hold that index to this reference.
     pub fn flow_paths_over(
         &self,
         tm: &TrafficMatrix,

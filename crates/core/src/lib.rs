@@ -64,4 +64,4 @@ pub use optimizer::{OptimizeResult, Optimizer, OptimizerConfig, Termination};
 pub use pathgen::PathPolicy;
 pub use pathset::PathSet;
 pub use recorder::{RunTrace, TracePoint};
-pub use shard::{RegionPartition, ShardRunStats, Sharding};
+pub use shard::{RegionPartition, ShardRunStats};

@@ -8,6 +8,12 @@
 //! (the paper's cheap stand-in for simulated annealing) until even
 //! whole-aggregate moves cannot help.
 //!
+//! There is one greedy loop (`Optimizer::greedy`) over one loop state.
+//! What varies between its calls is the *scope* — the whole instance, or
+//! one isolated region shard's congested links (a per-component pass,
+//! see [`crate::shard`]) — and, independently, the *scorer*: incremental
+//! deltas or the full-recompute oracle ([`OptimizerConfig::incremental`]).
+//!
 //! ### Incremental candidate scoring
 //!
 //! Each candidate move perturbs exactly one aggregate's path split, so
@@ -44,13 +50,13 @@ use crate::allocation::{Allocation, Move};
 use crate::objective::Objective;
 use crate::pathgen::{alternatives, PathPolicy};
 use crate::recorder::{RunTrace, TracePoint};
-use crate::shard::{self, ShardRunStats, Sharding};
+use crate::shard::{self, CrossingIndex, RegionPartition, ShardRunStats};
 use fubar_graph::Path;
 use fubar_graph::{LinkId, LinkSet};
 use fubar_model::{
     score_network_utility_delta, utility_report, utility_report_from, BundleDelta, BundleSpec,
-    DeltaScore, Evaluation, FlowModel, IncrementalEvaluation, ModelConfig, ModelOutcome,
-    ParallelWorkspace, ReportScratch, UtilityReport, Workspace, WorkspaceStats,
+    DeltaScore, Evaluation, FlowModel, ModelConfig, ModelOutcome, ParallelWorkspace, ReportScratch,
+    UtilityReport, Workspace, WorkspaceStats,
 };
 use fubar_topology::{Bandwidth, Topology};
 use fubar_traffic::{Aggregate, AggregateId, TrafficMatrix};
@@ -107,20 +113,12 @@ pub struct OptimizerConfig {
     /// operator knows are down). The initial allocation avoids them and
     /// the path generator never offers them.
     pub excluded_links: LinkSet,
-    /// Worker threads for candidate evaluation inside a step. Results
-    /// are identical at any thread count; 1 disables threading. The
-    /// default uses the available parallelism. Validated (≥ 1), never
-    /// silently clamped.
+    /// Worker threads, for candidate evaluation inside a step and for
+    /// running per-component passes side by side (see the module docs).
+    /// Results are identical at any thread count; 1 disables threading.
+    /// The default uses the available parallelism. Validated (≥ 1),
+    /// never silently clamped.
     pub threads: usize,
-    /// Hierarchical sharded execution (see [`crate::shard`]): partition
-    /// the instance by region, run the greedy loop over per-shard
-    /// sparse aggregate→link indices and scratch, stitch commits
-    /// globally. Results are **bitwise identical** to the flat loop at
-    /// any shard count; [`Sharding::Off`] selects the flat loop (the
-    /// `--oracle flat` mode the property tests compare against).
-    /// Sharding applies only to incremental scoring; the full-recompute
-    /// oracle is always flat.
-    pub sharding: Sharding,
     /// Incremental candidate scoring (the default): score each move as
     /// a one-aggregate bundle delta patched over the cached incumbent
     /// evaluation. When false, every candidate rebuilds all bundles and
@@ -133,23 +131,6 @@ pub struct OptimizerConfig {
     /// components fill concurrently. Results are **bitwise identical**
     /// at any count; 1 (the default) keeps the serial fill.
     pub fill_threads: usize,
-    /// Per-component optimizer passes (see
-    /// [`crate::shard`]): region shards whose aggregates and congested
-    /// links are *isolated* — no allocated path crosses their boundary —
-    /// run their own greedy pass concurrently, the commit sequences are
-    /// merged shard-ascending, and a global residual run finishes the
-    /// job. Results depend only on the configuration, **not** on
-    /// [`OptimizerConfig::pass_threads`] (bitwise invariant,
-    /// property-tested). Requires incremental scoring and the
-    /// [`Objective::NetworkUtility`] objective (the min-max objective
-    /// does not decompose across components); otherwise the regular
-    /// dispatch applies. `max_commits` bounds each pass and the
-    /// residual individually.
-    pub parallel_passes: bool,
-    /// Worker threads running per-component passes concurrently when
-    /// [`OptimizerConfig::parallel_passes`] is on. Never changes
-    /// results, only wall-clock. Validated (≥ 1).
-    pub pass_threads: usize,
 }
 
 impl Default for OptimizerConfig {
@@ -168,10 +149,7 @@ impl Default for OptimizerConfig {
             excluded_links: LinkSet::new(),
             threads: std::thread::available_parallelism().map_or(1, std::num::NonZero::get),
             incremental: true,
-            sharding: Sharding::Auto,
             fill_threads: 1,
-            parallel_passes: false,
-            pass_threads: 1,
         }
     }
 }
@@ -186,19 +164,16 @@ impl OptimizerConfig {
         assert!(self.improvement_eps >= 0.0);
         assert!(self.threads >= 1, "at least one evaluation thread");
         assert!(self.fill_threads >= 1, "at least one fill thread");
-        assert!(self.pass_threads >= 1, "at least one pass thread");
-        if let Sharding::Shards(n) = self.sharding {
-            assert!(n >= 1, "at least one shard");
-        }
     }
 }
 
 /// One tentative move under evaluation.
-pub(crate) struct Candidate {
-    pub(crate) aggregate: fubar_traffic::AggregateId,
-    pub(crate) from: usize,
-    pub(crate) count: u32,
-    pub(crate) alt: Path,
+#[derive(Clone)]
+struct Candidate {
+    aggregate: AggregateId,
+    from: usize,
+    count: u32,
+    alt: Path,
 }
 
 /// One evaluation thread's reusable scoring scratch: the flow-model
@@ -207,8 +182,8 @@ pub(crate) struct Candidate {
 /// nothing (enforced by the counting-allocator test in
 /// `tests/zero_alloc.rs`).
 #[derive(Default)]
-pub(crate) struct ScoreScratch {
-    pub(crate) model: Workspace,
+struct ScoreScratch {
+    model: Workspace,
     report: ReportScratch,
     segment: Vec<BundleSpec>,
 }
@@ -235,10 +210,9 @@ pub struct OptimizeResult {
     /// re-filled component, most links touched by one fill, deepest
     /// event heap) — `fubar-cli scenario run --stats` surfaces these.
     pub scratch: WorkspaceStats,
-    /// Per-shard execution statistics when the run used the sharded
-    /// loop ([`Sharding`]); empty for flat runs. The last entry is the
-    /// trunk-core shard. Wall-clock fields ride outside the
-    /// byte-exact replay surface, like `scratch`.
+    /// Per-shard execution statistics (see [`crate::shard`]). The last
+    /// entry is the trunk-core shard. Wall-clock fields ride outside
+    /// the byte-exact replay surface, like `scratch`.
     pub shards: Vec<ShardRunStats>,
 }
 
@@ -250,24 +224,86 @@ pub struct OptimizeResult {
 /// incumbent's measurement between commits. Cloneable so per-component
 /// passes can branch it (see [`crate::shard`]).
 #[derive(Clone)]
-pub(crate) struct Incumbent {
+struct Incumbent {
     bundles: Vec<BundleSpec>,
     spans: Vec<(u32, u32)>,
-    pub(crate) eval: Evaluation,
-    pub(crate) report: UtilityReport,
+    eval: Evaluation,
+    report: UtilityReport,
+}
+
+/// Everything one call of the greedy loop ([`Optimizer::greedy`]) reads
+/// and writes. Cloning the master state before its first commit
+/// branches a per-component pass, whose `commits` are then replayed
+/// verbatim onto the master.
+#[derive(Clone)]
+struct LoopState {
+    alloc: Allocation,
+    incumbent: Incumbent,
+    index: CrossingIndex,
+    /// The committed candidates in commit order, with the moves they
+    /// became.
+    commits: Vec<(Candidate, Move)>,
+    trace: RunTrace,
+    /// Per shard, the trunk core last: commits whose focus link the
+    /// shard owned and seconds spent on its candidates (the scratch
+    /// peaks are read off the pools when the run ends).
+    shards: Vec<ShardRunStats>,
+}
+
+/// What one call of the greedy loop may touch, and with what.
+#[derive(Clone, Copy)]
+struct Scope<'s> {
+    partition: &'s RegionPartition,
+    /// One scoring scratch pool per shard, one scratch per evaluation
+    /// thread — uncontended: concurrent passes own different shards, and
+    /// worker `i` of a step only ever locks scratch `i`.
+    pools: &'s [Vec<Mutex<ScoreScratch>>],
+    /// The run's start, which `time_limit` and the trace count from.
+    started: Instant,
+    /// `Some(s)`: a per-component pass, visiting only the congested
+    /// links shard `s` owns. `None`: every congested link.
+    shard: Option<usize>,
+    /// Links no alternative may use: the configured exclusions, which a
+    /// pass widens to every link outside its shard.
+    excluded: &'s LinkSet,
+    /// Scoring threads per step.
+    threads: usize,
+}
+
+/// Maps `work` over `items` cut into at most `workers` contiguous
+/// chunks — inline for one worker, else one scoped thread per chunk —
+/// and returns the results in item order. `work` also gets its chunk's
+/// number, so worker `i` can own scratch `i`; which thread ran what
+/// never shows in the result.
+fn map_chunks<T: Sync, R: Send>(
+    items: &[T],
+    workers: usize,
+    work: impl Fn(usize, &[T]) -> Vec<R> + Sync,
+) -> Vec<R> {
+    if workers <= 1 {
+        return work(0, items);
+    }
+    let (chunk, work) = (items.len().div_ceil(workers), &work);
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = items
+            .chunks(chunk)
+            .enumerate()
+            .map(|(i, part)| scope.spawn(move || work(i, part)))
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().expect("worker panicked"))
+            .collect()
+    })
 }
 
 /// The optimizer, bound to one topology and one traffic matrix.
 pub struct Optimizer<'a> {
-    pub(crate) topology: &'a Topology,
-    pub(crate) tm: &'a TrafficMatrix,
-    pub(crate) config: OptimizerConfig,
+    topology: &'a Topology,
+    tm: &'a TrafficMatrix,
+    config: OptimizerConfig,
     model: FlowModel<'a>,
     small_threshold: Bandwidth,
-    /// One scoring scratch per evaluation thread, reused across every
-    /// candidate of the whole run (uncontended: worker `i` only ever
-    /// locks scratch `i`).
-    scratch: Vec<Mutex<ScoreScratch>>,
     /// The parallel fill workspace for incumbent measurements when
     /// `config.fill_threads > 1` (bitwise identical to the serial
     /// fill, see `fubar-model`).
@@ -283,9 +319,6 @@ impl<'a> Optimizer<'a> {
             let links = topology.link_count().max(1) as f64;
             topology.total_capacity() / links * 0.02
         });
-        let scratch = (0..config.threads.max(1))
-            .map(|_| Mutex::new(ScoreScratch::default()))
-            .collect();
         let fill = (config.fill_threads > 1)
             .then(|| Mutex::new(ParallelWorkspace::new(config.fill_threads)));
         Optimizer {
@@ -294,7 +327,6 @@ impl<'a> Optimizer<'a> {
             config,
             model,
             small_threshold,
-            scratch,
             fill,
         }
     }
@@ -318,7 +350,7 @@ impl<'a> Optimizer<'a> {
 
     /// Measures `alloc` from scratch into an incumbent cache (run start
     /// and, in oracle mode, after every commit).
-    pub(crate) fn incumbent_for(&self, alloc: &Allocation) -> Incumbent {
+    fn incumbent_for(&self, alloc: &Allocation) -> Incumbent {
         let (bundles, spans) = alloc.bundles_with_spans(self.tm);
         let eval = match &self.fill {
             Some(pw) => {
@@ -338,15 +370,10 @@ impl<'a> Optimizer<'a> {
 
     /// Patches one aggregate's replacement bundle segment over the
     /// incumbent cache: one delta evaluation (water-filling re-runs only
-    /// on the affected bottleneck component) plus a utility refresh
-    /// restricted to the aggregates owning re-filled bundles. Shared by
-    /// candidate scoring and the winner's commit.
-    fn patch_incumbent(
-        &self,
-        inc: &Incumbent,
-        agg: AggregateId,
-        segment: &[BundleSpec],
-    ) -> (IncrementalEvaluation, UtilityReport) {
+    /// on the affected bottleneck component), a utility refresh
+    /// restricted to the aggregates owning re-filled bundles, and the
+    /// segment spliced into the bundle table.
+    fn patch_incumbent(&self, inc: &mut Incumbent, agg: AggregateId, segment: &[BundleSpec]) {
         let (start, len) = inc.spans[agg.index()];
         let delta = BundleDelta::new(&inc.bundles, start as usize, len as usize, segment);
         let patched = self.model.evaluate_delta(&inc.eval, &delta);
@@ -369,16 +396,20 @@ impl<'a> Optimizer<'a> {
             &inc.report,
             &affected,
         );
-        (patched, report)
+        inc.bundles = delta.materialize();
+        let shift = segment.len() as i64 - i64::from(len);
+        inc.spans[agg.index()].1 = segment.len() as u32;
+        if shift != 0 {
+            for s in &mut inc.spans[agg.index() + 1..] {
+                s.0 = (i64::from(s.0) + shift) as u32;
+            }
+        }
+        inc.eval = patched.evaluation;
+        inc.report = report;
     }
 
-    pub(crate) fn trace_point(
-        &self,
-        started: Instant,
-        commits: usize,
-        outcome: &ModelOutcome,
-        report: &UtilityReport,
-    ) -> TracePoint {
+    fn trace_point(&self, started: Instant, commits: usize, incumbent: &Incumbent) -> TracePoint {
+        let (outcome, report) = (&incumbent.eval.outcome, &incumbent.report);
         let util = outcome.utilization_summary();
         TracePoint {
             elapsed: started.elapsed(),
@@ -396,7 +427,7 @@ impl<'a> Optimizer<'a> {
     /// How many flows of `agg`'s flow path (currently `on_path` flows) to
     /// move at escape level `level` (Listing 2 line 3, plus the escape
     /// tweak). Small aggregates move whole.
-    pub(crate) fn flows_to_move(&self, agg: &Aggregate, on_path: u32, level: u32) -> u32 {
+    fn flows_to_move(&self, agg: &Aggregate, on_path: u32, level: u32) -> u32 {
         if agg.total_demand() <= self.small_threshold {
             return on_path;
         }
@@ -434,7 +465,7 @@ impl<'a> Optimizer<'a> {
     /// patch, min-max via the sparse link-demand overlay. Past scratch
     /// warm-up this path performs **zero heap allocations** per scored
     /// move. Bitwise identical to [`Optimizer::score_candidate_full`].
-    pub(crate) fn score_candidate_incremental(
+    fn score_candidate_incremental(
         &self,
         alloc: &Allocation,
         incumbent: &Incumbent,
@@ -511,21 +542,27 @@ impl<'a> Optimizer<'a> {
     }
 
     /// Listing 2's candidate enumeration: all (flow path × alternative)
-    /// moves off `link`, gathered without mutating the allocation.
-    /// `excluded` is normally the configured exclusion set; per-component
-    /// passes (see [`crate::shard`]) widen it so alternatives never
-    /// leave the pass's shard.
-    pub(crate) fn gather_candidates(
+    /// moves off `link`, gathered through the crossing index without
+    /// mutating the allocation — the same pairs, in the same order, as
+    /// the full-matrix `Allocation::flow_paths_over` scan, at O(entries
+    /// on the link).
+    fn gather(
         &self,
         alloc: &Allocation,
         incumbent: &Incumbent,
+        index: &CrossingIndex,
         link: LinkId,
         escape_level: u32,
         excluded: &LinkSet,
     ) -> Vec<Candidate> {
         let outcome = &incumbent.eval.outcome;
         let mut candidates: Vec<Candidate> = Vec::new();
-        for (agg_id, path_idx, on_path) in alloc.flow_paths_over(self.tm, link) {
+        for &(agg_raw, path_idx) in &index.per_link[link.index()] {
+            let (agg_id, path_idx) = (AggregateId(agg_raw), path_idx as usize);
+            let on_path = alloc.flows_on(agg_id, path_idx);
+            if on_path == 0 {
+                continue;
+            }
             let agg = self.tm.aggregate(agg_id);
             let count = self.flows_to_move(agg, on_path, escape_level);
             if count == 0 {
@@ -559,80 +596,53 @@ impl<'a> Optimizer<'a> {
     /// Listing 2: one step focused on `link`. Tries all (flow path ×
     /// alternative) moves and returns the best improving one, if any.
     ///
-    /// Candidate evaluations are independent, so with `threads > 1` they
-    /// run on scoped worker threads — sharing the read-only incumbent
-    /// cache (each with its own reusable scoring scratch) in incremental
-    /// mode, each over its own scratch clone of the allocation in oracle
-    /// mode. The reduction (max score, earliest candidate on ties) makes
-    /// the result identical to the sequential order at any thread count
-    /// and in both scoring modes.
+    /// Candidate evaluations are independent, so with `scope.threads >
+    /// 1` they run on worker threads ([`map_chunks`]) — sharing the
+    /// read-only incumbent cache (each with its own reusable scoring
+    /// scratch from `pool`) in incremental mode, each over its own
+    /// scratch clone of the allocation in oracle mode. The reduction (max score, earliest
+    /// candidate on ties) makes the result identical to the sequential
+    /// order at any thread count and in both scoring modes.
     fn step(
         &self,
-        alloc: &Allocation,
-        incumbent: &Incumbent,
+        state: &LoopState,
         link: LinkId,
         escape_level: u32,
+        scope: &Scope<'_>,
+        pool: &[Mutex<ScoreScratch>],
     ) -> Option<Candidate> {
+        let (alloc, incumbent) = (&state.alloc, &state.incumbent);
         let outcome = &incumbent.eval.outcome;
         let initial_score = self.config.objective.score(&incumbent.report, outcome);
 
-        let mut candidates = self.gather_candidates(
+        let mut candidates = self.gather(
             alloc,
             incumbent,
+            &state.index,
             link,
             escape_level,
-            &self.config.excluded_links,
+            scope.excluded,
         );
         if candidates.is_empty() {
             return None;
         }
 
-        let threads = self.config.threads.max(1).min(candidates.len());
-        let mut scores = vec![f64::NEG_INFINITY; candidates.len()];
-        match (self.config.incremental, threads) {
-            (true, 1) => {
-                let mut ws = self.scratch[0].lock().expect("scratch lock poisoned");
-                for (i, c) in candidates.iter().enumerate() {
-                    scores[i] = self.score_candidate_incremental(alloc, incumbent, c, &mut ws);
-                }
+        let threads = scope.threads.min(candidates.len());
+        let scores: Vec<f64> = map_chunks(&candidates, threads, |worker, cands| {
+            if self.config.incremental {
+                let mut ws = pool[worker].lock().expect("scratch lock poisoned");
+                cands
+                    .iter()
+                    .map(|c| self.score_candidate_incremental(alloc, incumbent, c, &mut ws))
+                    .collect()
+            } else {
+                let mut copy = alloc.clone();
+                cands
+                    .iter()
+                    .map(|c| self.score_candidate_full(&mut copy, c))
+                    .collect()
             }
-            (true, _) => {
-                let chunk = candidates.len().div_ceil(threads);
-                std::thread::scope(|scope| {
-                    for ((slot, cands), scratch) in scores
-                        .chunks_mut(chunk)
-                        .zip(candidates.chunks(chunk))
-                        .zip(&self.scratch)
-                    {
-                        scope.spawn(move || {
-                            let mut ws = scratch.lock().expect("scratch lock poisoned");
-                            for (s, c) in slot.iter_mut().zip(cands) {
-                                *s = self.score_candidate_incremental(alloc, incumbent, c, &mut ws);
-                            }
-                        });
-                    }
-                });
-            }
-            (false, 1) => {
-                let mut scratch = alloc.clone();
-                for (i, c) in candidates.iter().enumerate() {
-                    scores[i] = self.score_candidate_full(&mut scratch, c);
-                }
-            }
-            (false, _) => {
-                let chunk = candidates.len().div_ceil(threads);
-                std::thread::scope(|scope| {
-                    for (slot, cands) in scores.chunks_mut(chunk).zip(candidates.chunks(chunk)) {
-                        let mut scratch = alloc.clone();
-                        scope.spawn(move || {
-                            for (s, c) in slot.iter_mut().zip(cands) {
-                                *s = self.score_candidate_full(&mut scratch, c);
-                            }
-                        });
-                    }
-                });
-            }
-        }
+        });
 
         // Max score; ties keep the earliest candidate (the sequential
         // loop's strict-improvement rule).
@@ -649,32 +659,20 @@ impl<'a> Optimizer<'a> {
         }
     }
 
-    /// Commits the winning candidate: applies the move to the
-    /// allocation and refreshes the incumbent cache — one delta patch in
-    /// incremental mode, a full re-measurement in oracle mode.
-    pub(crate) fn commit(
-        &self,
-        alloc: &mut Allocation,
-        incumbent: &mut Incumbent,
-        c: &Candidate,
-    ) -> Move {
+    /// Commits a candidate onto `state`: applies the move to the
+    /// allocation, refreshes the incumbent cache — one delta patch in
+    /// incremental mode, a full re-measurement in oracle mode —
+    /// registers a brand-new path in the crossing index, and logs the
+    /// commit (attributed to `owner`, the shard owning the focus link)
+    /// with its trace point. Shared by the loop's winners and the replay
+    /// of a per-component pass.
+    fn commit(&self, state: &mut LoopState, c: Candidate, owner: usize, started: Instant) -> Move {
+        let (alloc, incumbent) = (&mut state.alloc, &mut state.incumbent);
         if self.config.incremental {
             let segment = alloc.bundles_after_move(self.tm, c.aggregate, c.from, &c.alt, c.count);
-            let (patched, report) = self.patch_incumbent(incumbent, c.aggregate, &segment);
-            let (start, len) = incumbent.spans[c.aggregate.index()];
-            incumbent.bundles =
-                BundleDelta::new(&incumbent.bundles, start as usize, len as usize, &segment)
-                    .materialize();
-            let shift = segment.len() as i64 - i64::from(len);
-            incumbent.spans[c.aggregate.index()].1 = segment.len() as u32;
-            if shift != 0 {
-                for s in &mut incumbent.spans[c.aggregate.index() + 1..] {
-                    s.0 = (i64::from(s.0) + shift) as u32;
-                }
-            }
-            incumbent.eval = patched.evaluation;
-            incumbent.report = report;
+            self.patch_incumbent(incumbent, c.aggregate, &segment);
         }
+        let known_paths = alloc.path_set(c.aggregate).len();
         let to = alloc.add_path(c.aggregate, c.alt.clone());
         let m = Move {
             aggregate: c.aggregate,
@@ -686,6 +684,15 @@ impl<'a> Optimizer<'a> {
         if !self.config.incremental {
             *incumbent = self.incumbent_for(alloc);
         }
+        if to == known_paths {
+            // The commit appended a brand-new path: register it on
+            // every link it crosses so future enumeration sees it.
+            state.index.insert(c.aggregate, to as u32, &c.alt);
+        }
+        state.shards[owner].commits += 1;
+        state.commits.push((c, m));
+        let point = self.trace_point(started, state.commits.len(), &state.incumbent);
+        state.trace.push(point);
         m
     }
 
@@ -707,11 +714,16 @@ impl<'a> Optimizer<'a> {
     /// assert!(result.trace.is_monotone());
     /// ```
     pub fn run(&self) -> OptimizeResult {
-        self.run_with(Allocation::all_on_shortest_paths_avoiding(
+        self.run_with(self.boot()).0
+    }
+
+    /// The shortest-path boot state a cold run starts from.
+    fn boot(&self) -> Allocation {
+        Allocation::all_on_shortest_paths_avoiding(
             self.topology,
             self.tm,
             &self.config.excluded_links,
-        ))
+        )
     }
 
     /// Warm start: seeds the greedy loop from a previous allocation
@@ -725,79 +737,205 @@ impl<'a> Optimizer<'a> {
     /// fewer commits are needed than from scratch — this is what makes
     /// per-event re-optimization affordable in the scenario engine.
     pub fn run_from(&self, previous: &Allocation) -> OptimizeResult {
-        self.run_with(previous.rebase(self.topology, self.tm, &self.config.excluded_links))
+        let rebased = previous.rebase(self.topology, self.tm, &self.config.excluded_links);
+        self.run_with(rebased).0
     }
 
-    /// The main loop from an explicit starting allocation (which must
-    /// already satisfy `validate` against this optimizer's matrix).
-    /// Dispatches to the hierarchical sharded loop when configured —
-    /// the sharded and flat loops are bitwise interchangeable, so the
-    /// dispatch never changes results, only data organization.
-    fn run_with(&self, initial: Allocation) -> OptimizeResult {
-        if self.config.incremental {
-            let regions = shard::region_count(self.topology);
-            let resolved = self.config.sharding.shard_count(regions);
-            if self.config.parallel_passes && self.config.objective == Objective::NetworkUtility {
-                // Per-component passes need a partition even when the
-                // residual runs flat (`Sharding::Off`).
-                let n = resolved.unwrap_or_else(|| regions.clamp(1, 16));
-                return shard::run_parallel_passes(self, initial, n);
-            }
-            if let Some(n) = resolved {
-                return shard::run_sharded(self, initial, n);
-            }
-        }
-        self.run_flat(initial)
-    }
-
-    /// The flat (unsharded) greedy loop — `--oracle flat` and the
-    /// full-recompute oracle both land here.
-    pub(crate) fn run_flat(&self, initial: Allocation) -> OptimizeResult {
+    /// The run from an explicit starting allocation (which must already
+    /// satisfy `validate` against this optimizer's matrix): per-component
+    /// passes where the instance decomposes, then the whole-instance
+    /// loop — every one a call of [`Optimizer::greedy`]. Also hands back
+    /// the crossing index the loop maintained, which the `indexed gather
+    /// ≡ scan` property test compares against a rebuilt one.
+    fn run_with(&self, initial: Allocation) -> (OptimizeResult, CrossingIndex) {
         let started = Instant::now(); // lint:allow(wall-clock): timing observability only; never feeds a decision
         debug_assert!(initial.validate(self.tm).is_ok());
-        let mut alloc = initial;
-        let mut incumbent = self.incumbent_for(&alloc);
+        let shard_count = shard::shard_count_for(self.topology);
+        let partition = RegionPartition::new(self.topology, self.tm, shard_count);
+        let pools: Vec<Vec<Mutex<ScoreScratch>>> = (0..=shard_count)
+            .map(|_| {
+                (0..self.config.threads)
+                    .map(|_| Mutex::new(ScoreScratch::default()))
+                    .collect()
+            })
+            .collect();
+        let incumbent = self.incumbent_for(&initial);
         let mut trace = RunTrace::new();
-        let mut commits = 0usize;
-        let mut moves: Vec<Move> = Vec::new();
-        trace.push(self.trace_point(started, commits, &incumbent.eval.outcome, &incumbent.report));
+        trace.push(self.trace_point(started, 0, &incumbent));
+        let mut master = LoopState {
+            index: CrossingIndex::build(self.topology, self.tm, &initial),
+            alloc: initial,
+            incumbent,
+            commits: Vec::new(),
+            trace,
+            shards: (0..=shard_count)
+                .map(|i| ShardRunStats {
+                    shard: i,
+                    aggregates: partition.aggregates_in(i),
+                    links: partition.links_in(i),
+                    ..Default::default()
+                })
+                .collect(),
+        };
+        let whole = Scope {
+            partition: &partition,
+            pools: &pools,
+            started,
+            shard: None,
+            excluded: &self.config.excluded_links,
+            threads: self.config.threads,
+        };
 
-        let mut escape_level: u32 = 0;
-        let termination = loop {
-            if !incumbent.eval.outcome.is_congested() {
-                break Termination::NoCongestion;
+        // The network utility is a weighted sum over aggregates, and an
+        // isolated component shares no links and no aggregates with the
+        // rest of the instance, so a pass's improvements carry over
+        // exactly to the merged state. The min-max objective does not
+        // decompose across components.
+        if self.config.objective == Objective::NetworkUtility {
+            self.run_passes(&mut master, &whole);
+        }
+        let termination = self.greedy(&mut master, &whole);
+        debug_assert!(master.alloc.validate(self.tm).is_ok());
+
+        let mut scratch = WorkspaceStats::default();
+        for (stats, pool) in master.shards.iter_mut().zip(&pools) {
+            for ws in pool {
+                let ws = ws.lock().expect("scratch lock poisoned");
+                stats.scratch.merge(&ws.model.stats());
             }
-            if commits >= self.config.max_commits {
-                break Termination::CommitLimit;
+            scratch.merge(&stats.scratch);
+        }
+        let Incumbent { eval, report, .. } = master.incumbent;
+        let result = OptimizeResult {
+            allocation: master.alloc,
+            trace: master.trace,
+            report,
+            outcome: eval.outcome,
+            commits: master.commits.len(),
+            moves: master.commits.into_iter().map(|(_, m)| m).collect(),
+            termination,
+            scratch,
+            shards: master.shards,
+        };
+        (result, master.index)
+    }
+
+    /// Per-component passes: every shard
+    /// [`shard::isolated_congested_shards`] names optimizes its own
+    /// congested links from a private branch of the initial state, side
+    /// by side on up to `threads` workers, and the commit sequences are
+    /// replayed onto `master` shard-ascending. A pass rescans only its
+    /// own component's stuck links, which is where the time goes on
+    /// deeply congested regional instances.
+    ///
+    /// Determinism: every pass depends only on `(config, initial state,
+    /// shard id)` and the merge order is fixed (ascending shard id,
+    /// commit order within a shard), so the result is **bitwise
+    /// identical at any thread count** — the worker assignment decides
+    /// only which thread runs which pass, never what a pass computes.
+    /// With no isolated congested shard this is one no-op scan.
+    fn run_passes(&self, master: &mut LoopState, whole: &Scope<'_>) {
+        let jobs = shard::isolated_congested_shards(
+            whole.partition,
+            &master.index,
+            &master.alloc,
+            &master.incumbent.eval.outcome.congested,
+        );
+        if jobs.is_empty() {
+            return;
+        }
+        let workers = whole.threads.min(jobs.len());
+        let run_pass = |shard: usize| {
+            // Widen the exclusion set to every link the shard does not
+            // own, so alternatives never leave the component.
+            let mut excluded = whole.excluded.clone();
+            for l in self.topology.links() {
+                if whole.partition.shard_of_link(l) != shard {
+                    excluded.insert(l);
+                }
+            }
+            let scope = Scope {
+                shard: Some(shard),
+                excluded: &excluded,
+                // Workers a short job list leaves idle score candidates.
+                threads: whole.threads / workers,
+                ..*whole
+            };
+            let mut state = master.clone();
+            self.greedy(&mut state, &scope);
+            // Only the log outlives the pass: a branch is O(instance),
+            // and keeping every pass's alive until the merge would
+            // multiply the run's peak memory by the shard count.
+            (state.commits, state.shards[shard].score_s)
+        };
+        let passes = map_chunks(&jobs, workers, |_, shards| {
+            shards.iter().map(|&s| run_pass(s)).collect()
+        });
+
+        // Merge: replay every pass's commit sequence onto the master
+        // state, shard-ascending, stopping at the global commit cap.
+        // Path-set growth per aggregate is confined to its owning
+        // shard's pass, so each replayed `add_path` lands on exactly
+        // the index the pass recorded.
+        for (&shard, (commits, score_s)) in jobs.iter().zip(passes) {
+            master.shards[shard].score_s += score_s;
+            for (c, recorded) in commits {
+                if master.commits.len() >= self.config.max_commits {
+                    return;
+                }
+                let m = self.commit(master, c, shard, whole.started);
+                debug_assert_eq!(m, recorded, "pass replay must reproduce the recorded move");
+            }
+        }
+    }
+
+    /// Listing 1: the one greedy loop. Visits the congested links in
+    /// `scope` from most to least oversubscribed, commits the best move
+    /// of the first link where progress is made, and escalates the move
+    /// size on a local optimum. `max_commits` and `time_limit` are read
+    /// against the state's whole commit log and the run's start, so
+    /// they cap the run, not the call.
+    fn greedy(&self, state: &mut LoopState, scope: &Scope<'_>) -> Termination {
+        let mut escape_level: u32 = 0;
+        loop {
+            let outcome = &state.incumbent.eval.outcome;
+            let in_scope = |l: &LinkId| {
+                scope
+                    .shard
+                    .is_none_or(|s| scope.partition.shard_of_link(*l) == s)
+            };
+            let congested: Vec<LinkId> =
+                outcome.congested.iter().copied().filter(in_scope).collect();
+            if congested.is_empty() {
+                return Termination::NoCongestion;
+            }
+            if state.commits.len() >= self.config.max_commits {
+                return Termination::CommitLimit;
             }
             if let Some(limit) = self.config.time_limit {
-                if started.elapsed() >= limit {
-                    break Termination::TimeLimit;
+                if scope.started.elapsed() >= limit {
+                    return Termination::TimeLimit;
                 }
             }
 
-            // Visit congested links from most to least oversubscribed;
-            // stop at the first link where progress is made (Listing 1
-            // lines 6-9).
-            let congested = incumbent.eval.outcome.congested.clone();
-            let mut winner: Option<Candidate> = None;
+            // Stop at the first link where progress is made (Listing 1
+            // lines 6-9); each link's work runs on its owning shard's
+            // scratch pool.
+            let mut winner: Option<(Candidate, usize)> = None;
             for link in congested {
-                if let Some(c) = self.step(&alloc, &incumbent, link, escape_level) {
-                    winner = Some(c);
+                let owner = scope.partition.shard_of_link(link);
+                // lint:allow(wall-clock): timing observability only; never feeds a decision
+                let t0 = Instant::now();
+                let found = self.step(state, link, escape_level, scope, &scope.pools[owner]);
+                state.shards[owner].score_s += t0.elapsed().as_secs_f64();
+                if let Some(c) = found {
+                    winner = Some((c, owner));
                     break;
                 }
             }
 
-            if let Some(c) = winner {
-                let m = self.commit(&mut alloc, &mut incumbent, &c);
-                commits += 1;
-                moves.push(m);
-                trace.push(self.trace_point(
-                    started,
-                    commits,
-                    &incumbent.eval.outcome,
-                    &incumbent.report,
-                ));
+            if let Some((c, owner)) = winner {
+                self.commit(state, c, owner, scope.started);
                 escape_level = 0;
                 continue;
             }
@@ -808,41 +946,39 @@ impl<'a> Optimizer<'a> {
                 * self.config.escape_growth.powi(escape_level as i32))
                 >= 1.0;
             if !self.config.escape || fraction_maxed {
-                break Termination::NoImprovement;
+                return Termination::NoImprovement;
             }
             escape_level += 1;
-        };
-
-        debug_assert!(alloc.validate(self.tm).is_ok());
-        let mut scratch = WorkspaceStats::default();
-        for ws in &self.scratch {
-            scratch.merge(&ws.lock().expect("scratch lock poisoned").model.stats());
-        }
-        let Incumbent { eval, report, .. } = incumbent;
-        OptimizeResult {
-            allocation: alloc,
-            trace,
-            report,
-            outcome: eval.outcome,
-            commits,
-            moves,
-            termination,
-            scratch,
-            shards: Vec::new(),
         }
     }
 }
 
-/// Internal scoring harness for the zero-allocation regression test
-/// (`tests/zero_alloc.rs`): builds an incumbent over a congested
-/// instance, gathers one step's candidates, and re-scores them on
-/// demand through the exact per-candidate path the inner loop uses.
-/// Not a public API — gated behind the `test-support`
-/// feature and hidden from docs.
+/// Internal hooks for this crate's integration tests and the
+/// benchmark's layer replay: the scoring harness of the zero-allocation
+/// regression test (`tests/zero_alloc.rs`), which builds an incumbent
+/// over a congested instance, gathers one step's candidates, and
+/// re-scores them on demand through the exact per-candidate path the
+/// inner loop uses; and the crossing-index view the `indexed gather ≡
+/// scan` property test reads. Not a public API — gated behind the
+/// `test-support` feature and hidden from docs.
 #[cfg(feature = "test-support")]
 #[doc(hidden)]
 pub mod test_support {
     use super::*;
+    use std::cell::RefCell;
+
+    /// A crossing index as plain data: per link, the sorted
+    /// `(aggregate, path index)` pairs whose path crosses it.
+    pub type IndexEntries = Vec<Vec<(u32, u32)>>;
+
+    /// Runs `optimizer` cold and returns the result with two crossing
+    /// indices: the one its loop maintained commit by commit, and one
+    /// rebuilt from scratch over the final allocation.
+    pub fn run_with_index(optimizer: &Optimizer<'_>) -> (OptimizeResult, [IndexEntries; 2]) {
+        let (result, maintained) = optimizer.run_with(optimizer.boot());
+        let rebuilt = CrossingIndex::build(optimizer.topology, optimizer.tm, &result.allocation);
+        (result, [maintained.per_link, rebuilt.per_link])
+    }
 
     /// See the module docs.
     pub struct ScoringHarness<'a> {
@@ -850,6 +986,7 @@ pub mod test_support {
         alloc: Allocation,
         incumbent: Incumbent,
         candidates: Vec<Candidate>,
+        scratch: RefCell<ScoreScratch>,
     }
 
     impl<'a> ScoringHarness<'a> {
@@ -878,9 +1015,10 @@ pub mod test_support {
                 .first()
                 .copied()
                 .expect("harness instance must be congested");
-            let candidates = optimizer.gather_candidates(
+            let candidates = optimizer.gather(
                 &alloc,
                 &incumbent,
+                &CrossingIndex::build(topology, tm, &alloc),
                 link,
                 0,
                 &optimizer.config.excluded_links,
@@ -891,6 +1029,7 @@ pub mod test_support {
                 alloc,
                 incumbent,
                 candidates,
+                scratch: RefCell::default(),
             }
         }
 
@@ -905,9 +1044,7 @@ pub mod test_support {
         /// scratch buffers, this performs zero heap allocations.
         pub fn score_all(&self) -> f64 {
             let mut best = f64::NEG_INFINITY;
-            let mut ws = self.optimizer.scratch[0]
-                .lock()
-                .expect("scratch lock poisoned");
+            let mut ws = self.scratch.borrow_mut();
             for c in &self.candidates {
                 let s = self.optimizer.score_candidate_incremental(
                     &self.alloc,

@@ -1,10 +1,8 @@
-//! Hierarchical sharded optimization — the planetary scale tier.
-//!
-//! Past hypergrowth-4096 the flat greedy loop stops being bounded by
-//! per-move scoring (which is O(component), see [`crate::optimizer`])
-//! and starts being bounded by *instance-sized bookkeeping*: candidate
-//! enumeration scanned every aggregate's every path per congested link.
-//! This module reorganizes the same computation hierarchically:
+//! Region shards and the crossing index — what keeps the bookkeeping of
+//! the greedy loop in [`crate::optimizer`] local. Past hypergrowth-4096
+//! the loop stops being bounded by per-move scoring (which is
+//! O(component)) and starts being bounded by enumerating candidates:
+//! scanning every aggregate's every path per congested link.
 //!
 //! * [`RegionPartition`] splits the instance by region (the node-name
 //!   prefix before `_`, e.g. `pop3_7` → region `pop3`). Regions map to
@@ -12,64 +10,24 @@
 //!   one shard belong to it, everything crossing shard boundaries —
 //!   inter-region trunks and cross-shard aggregates — is abstracted
 //!   into the **trunk core**, one extra shard holding the global
-//!   problem's backbone.
+//!   problem's backbone. Each shard owns a scoring scratch pool, so
+//!   shard-local work touches shard-local memory and per-shard peaks
+//!   are observable (`fubar-cli scenario run --stats`).
 //! * A sparse **aggregate→link crossing index** (per link: the sorted
-//!   `(aggregate, path)` pairs whose path crosses it) replaces the
-//!   full-matrix scan, making candidate enumeration O(paths on the
-//!   link) instead of O(instance).
-//! * Each shard owns its own scoring scratch pool
-//!   (`Workspace`/`ReportScratch`), so shard-local work touches
-//!   shard-local memory and per-shard peaks are observable
-//!   (`fubar-cli scenario run --stats`).
-//!
-//! The greedy *decision sequence* is untouched: congested links are
-//! still visited globally from most to least oversubscribed, candidate
-//! moves are gathered, scored and reduced exactly as the flat loop
-//! does, and each commit is stitched through the same fixed-shape
-//! summation tree. The repo's signature invariant therefore extends one
-//! level up — **sharded ≡ flat, move for move and bitwise** (allocation,
-//! traces, utility report), at any shard count, enforced by property
-//! tests in `tests/properties.rs` and selectable end to end via
-//! `fubar-cli scenario run --oracle flat`.
+//!   `(aggregate, path)` pairs whose path crosses it) is the loop's
+//!   only candidate gather: O(paths on the link) instead of
+//!   O(instance), enumerating exactly what the
+//!   `Allocation::flow_paths_over` scan would (property-tested in
+//!   `tests/properties.rs`).
+//! * `isolated_congested_shards` finds the shards whose congestion is
+//!   a component of its own; each gets a **per-component pass** of the
+//!   same loop before the whole-instance one.
 
-use crate::allocation::{Allocation, Move};
-use crate::optimizer::{Candidate, Incumbent, OptimizeResult, Optimizer, ScoreScratch};
-use crate::pathgen::alternatives;
-use crate::recorder::RunTrace;
+use crate::allocation::Allocation;
 use fubar_graph::{LinkId, Path};
 use fubar_model::WorkspaceStats;
 use fubar_topology::Topology;
 use fubar_traffic::{AggregateId, TrafficMatrix};
-use std::sync::Mutex;
-use std::time::Instant;
-
-/// How the optimizer organizes its data: hierarchically sharded (the
-/// default) or flat. Results are bitwise identical either way; this
-/// knob trades nothing but performance and observability.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Sharding {
-    /// One shard per detected region, capped at 16, plus the trunk
-    /// core. Topologies without region structure (no `_` in node
-    /// names) degrade gracefully: every node is its own region.
-    Auto,
-    /// The flat (unsharded) loop — the `--oracle flat` mode the
-    /// sharded path is property-tested against.
-    Off,
-    /// Exactly this many region shards (≥ 1), plus the trunk core.
-    Shards(usize),
-}
-
-impl Sharding {
-    /// Resolves the shard count against the topology's region count;
-    /// `None` means run flat.
-    pub(crate) fn shard_count(self, regions: usize) -> Option<usize> {
-        match self {
-            Sharding::Auto => Some(regions.clamp(1, 16)),
-            Sharding::Off => None,
-            Sharding::Shards(n) => Some(n.max(1)),
-        }
-    }
-}
 
 /// The region label of a node name: the prefix before the first `_`,
 /// or the whole name when there is none (every node its own region).
@@ -78,7 +36,7 @@ fn region_label(name: &str) -> &str {
 }
 
 /// Number of distinct regions in a topology (first-seen order over node
-/// ids; used to resolve [`Sharding::Auto`]).
+/// ids).
 pub fn region_count(topology: &Topology) -> usize {
     let mut seen: Vec<&str> = Vec::new();
     for n in topology.nodes() {
@@ -88,6 +46,14 @@ pub fn region_count(topology: &Topology) -> usize {
         }
     }
     seen.len()
+}
+
+/// How many region shards the optimizer partitions a topology into: one
+/// per detected region, capped at 16 (the trunk core is one more).
+/// Topologies without region structure (no `_` in node names) degrade
+/// gracefully: every node is its own region.
+pub(crate) fn shard_count_for(topology: &Topology) -> usize {
+    region_count(topology).clamp(1, 16)
 }
 
 /// A region-based partition of one `(topology, traffic matrix)`
@@ -269,12 +235,15 @@ pub fn merge_shard_stats(acc: &mut Vec<ShardRunStats>, run: &[ShardRunStats]) {
 /// (same pairs, same order) at O(paths on the link) instead of
 /// O(instance). Paths are only ever *added* to path sets, so the index
 /// grows monotonically: one insert per newly-committed alternative.
-struct CrossingIndex {
-    per_link: Vec<Vec<(u32, u32)>>,
+/// Cloneable so per-component passes can branch it with the rest of
+/// the loop state.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub(crate) struct CrossingIndex {
+    pub(crate) per_link: Vec<Vec<(u32, u32)>>,
 }
 
 impl CrossingIndex {
-    fn build(topology: &Topology, tm: &TrafficMatrix, alloc: &Allocation) -> Self {
+    pub(crate) fn build(topology: &Topology, tm: &TrafficMatrix, alloc: &Allocation) -> Self {
         let mut per_link = vec![Vec::new(); topology.link_count()];
         // Aggregates ascending, path indices ascending: each link's
         // entry list is born sorted.
@@ -291,7 +260,7 @@ impl CrossingIndex {
 
     /// Registers a newly added path (aggregate `agg`, path index `idx`)
     /// on every link it crosses, keeping each list sorted.
-    fn insert(&mut self, agg: AggregateId, idx: u32, path: &Path) {
+    pub(crate) fn insert(&mut self, agg: AggregateId, idx: u32, path: &Path) {
         for &l in path.links() {
             let list = &mut self.per_link[l.index()];
             let pos = list.partition_point(|&e| e < (agg.0, idx));
@@ -302,544 +271,52 @@ impl CrossingIndex {
     }
 }
 
-/// One shard's execution state: its scoring scratch pool (one scratch
-/// per evaluation thread, same discipline as the flat loop's) and its
-/// running counters.
-struct ShardState {
-    scratch: Vec<Mutex<ScoreScratch>>,
-    commits: usize,
-    score_s: f64,
-}
-
-/// Candidate enumeration through the crossing index — the sharded
-/// replacement for the flat loop's full-matrix
-/// `Allocation::flow_paths_over` scan. Must enumerate exactly the same
-/// candidates in exactly the same order.
-fn gather_indexed(
-    opt: &Optimizer<'_>,
-    alloc: &Allocation,
-    incumbent: &Incumbent,
-    index: &CrossingIndex,
-    link: LinkId,
-    escape_level: u32,
-) -> Vec<Candidate> {
-    let outcome = &incumbent.eval.outcome;
-    let mut candidates: Vec<Candidate> = Vec::new();
-    for &(agg_raw, path_idx) in &index.per_link[link.index()] {
-        let agg_id = AggregateId(agg_raw);
-        let on_path = alloc.flows_on(agg_id, path_idx as usize);
-        if on_path == 0 {
-            continue;
-        }
-        let agg = opt.tm.aggregate(agg_id);
-        let count = opt.flows_to_move(agg, on_path, escape_level);
-        if count == 0 {
-            continue;
-        }
-        let alts = alternatives(
-            opt.topology,
-            agg,
-            alloc,
-            outcome,
-            opt.config.path_policy,
-            &opt.config.excluded_links,
-        );
-        for alt in alts {
-            if alt.uses_link(link) || &alt == alloc.path_set(agg_id).path(path_idx as usize) {
-                continue;
-            }
-            candidates.push(Candidate {
-                aggregate: agg_id,
-                from: path_idx as usize,
-                count,
-                alt,
-            });
-        }
-    }
-    candidates
-}
-
-/// One sharded step focused on `link`: gathers candidates through the
-/// crossing index and scores them on the owning shard's scratch pool,
-/// with the flat loop's exact reduction (max score, earliest candidate
-/// on ties) at any thread count.
-fn step_sharded(
-    opt: &Optimizer<'_>,
-    shard: &ShardState,
-    alloc: &Allocation,
-    incumbent: &Incumbent,
-    index: &CrossingIndex,
-    link: LinkId,
-    escape_level: u32,
-) -> Option<Candidate> {
-    let initial_score = opt
-        .config
-        .objective
-        .score(&incumbent.report, &incumbent.eval.outcome);
-    let mut candidates = gather_indexed(opt, alloc, incumbent, index, link, escape_level);
-    if candidates.is_empty() {
-        return None;
-    }
-
-    let threads = opt.config.threads.min(candidates.len());
-    let mut scores = vec![f64::NEG_INFINITY; candidates.len()];
-    if threads == 1 {
-        let mut ws = shard.scratch[0].lock().expect("scratch lock poisoned");
-        for (i, c) in candidates.iter().enumerate() {
-            scores[i] = opt.score_candidate_incremental(alloc, incumbent, c, &mut ws);
-        }
-    } else {
-        let chunk = candidates.len().div_ceil(threads);
-        std::thread::scope(|scope| {
-            for ((slot, cands), scratch) in scores
-                .chunks_mut(chunk)
-                .zip(candidates.chunks(chunk))
-                .zip(&shard.scratch)
-            {
-                scope.spawn(move || {
-                    let mut ws = scratch.lock().expect("scratch lock poisoned");
-                    for (s, c) in slot.iter_mut().zip(cands) {
-                        *s = opt.score_candidate_incremental(alloc, incumbent, c, &mut ws);
-                    }
-                });
-            }
-        });
-    }
-
-    let (best_idx, &best_score) = scores
-        .iter()
-        .enumerate()
-        .max_by(|(ia, a), (ib, b)| a.total_cmp(b).then(ib.cmp(ia)))
-        .expect("candidates is non-empty");
-
-    if best_score > initial_score + opt.config.improvement_eps {
-        Some(candidates.swap_remove(best_idx))
-    } else {
-        None
-    }
-}
-
-/// The sharded main loop. Identical decision sequence to
-/// `Optimizer::run_flat` in incremental mode — same congested-link
-/// visit order, same candidates, same scores, same commits — over
-/// sharded data structures and scratch.
-pub(crate) fn run_sharded(
-    opt: &Optimizer<'_>,
-    initial: Allocation,
-    shard_count: usize,
-) -> OptimizeResult {
-    // lint:allow(wall-clock): timing observability only; never feeds a decision
-    let started = Instant::now();
-    debug_assert!(initial.validate(opt.tm).is_ok());
-    let partition = RegionPartition::new(opt.topology, opt.tm, shard_count);
-    let mut index = CrossingIndex::build(opt.topology, opt.tm, &initial);
-    let mut shards: Vec<ShardState> = (0..=shard_count)
-        .map(|_| ShardState {
-            scratch: (0..opt.config.threads)
-                .map(|_| Mutex::new(ScoreScratch::default()))
-                .collect(),
-            commits: 0,
-            score_s: 0.0,
-        })
-        .collect();
-
-    let mut alloc = initial;
-    let mut incumbent = opt.incumbent_for(&alloc);
-    let mut trace = RunTrace::new();
-    let mut commits = 0usize;
-    let mut moves: Vec<Move> = Vec::new();
-    trace.push(opt.trace_point(started, commits, &incumbent.eval.outcome, &incumbent.report));
-
-    let mut escape_level: u32 = 0;
-    let termination = loop {
-        if !incumbent.eval.outcome.is_congested() {
-            break crate::optimizer::Termination::NoCongestion;
-        }
-        if commits >= opt.config.max_commits {
-            break crate::optimizer::Termination::CommitLimit;
-        }
-        if let Some(limit) = opt.config.time_limit {
-            if started.elapsed() >= limit {
-                break crate::optimizer::Termination::TimeLimit;
-            }
-        }
-
-        // Visit congested links from most to least oversubscribed, as
-        // the flat loop does; each link's work runs on its owning
-        // shard.
-        let congested = incumbent.eval.outcome.congested.clone();
-        let mut winner: Option<(Candidate, usize)> = None;
-        for link in congested {
-            let owner = partition.shard_of_link(link);
-            // lint:allow(wall-clock): timing observability only; never feeds a decision
-            let t0 = Instant::now();
-            let found = step_sharded(
-                opt,
-                &shards[owner],
-                &alloc,
-                &incumbent,
-                &index,
-                link,
-                escape_level,
-            );
-            shards[owner].score_s += t0.elapsed().as_secs_f64();
-            if let Some(c) = found {
-                winner = Some((c, owner));
-                break;
-            }
-        }
-
-        if let Some((c, owner)) = winner {
-            let known_paths = alloc.path_set(c.aggregate).len();
-            let m = opt.commit(&mut alloc, &mut incumbent, &c);
-            if m.to == known_paths {
-                // The commit appended a brand-new path: register it on
-                // every link it crosses so future enumeration sees it.
-                index.insert(c.aggregate, m.to as u32, &c.alt);
-            }
-            shards[owner].commits += 1;
-            commits += 1;
-            moves.push(m);
-            trace.push(opt.trace_point(
-                started,
-                commits,
-                &incumbent.eval.outcome,
-                &incumbent.report,
-            ));
-            escape_level = 0;
-            continue;
-        }
-
-        let fraction_maxed =
-            (opt.config.move_fraction * opt.config.escape_growth.powi(escape_level as i32)) >= 1.0;
-        if !opt.config.escape || fraction_maxed {
-            break crate::optimizer::Termination::NoImprovement;
-        }
-        escape_level += 1;
-    };
-
-    debug_assert!(alloc.validate(opt.tm).is_ok());
-    let mut scratch = WorkspaceStats::default();
-    let shard_stats: Vec<ShardRunStats> = shards
-        .iter()
-        .enumerate()
-        .map(|(i, s)| {
-            let mut ws = WorkspaceStats::default();
-            for pool in &s.scratch {
-                ws.merge(&pool.lock().expect("scratch lock poisoned").model.stats());
-            }
-            scratch.merge(&ws);
-            ShardRunStats {
-                shard: i,
-                aggregates: partition.aggregates_in(i),
-                links: partition.links_in(i),
-                commits: s.commits,
-                score_s: s.score_s,
-                scratch: ws,
-            }
-        })
-        .collect();
-
-    let Incumbent { eval, report, .. } = incumbent;
-    OptimizeResult {
-        allocation: alloc,
-        trace,
-        report,
-        outcome: eval.outcome,
-        commits,
-        moves,
-        termination,
-        scratch,
-        shards: shard_stats,
-    }
-}
-
-/// One per-component pass's recorded outcome: the committed candidates
-/// in commit order (replayed verbatim onto the master state during the
-/// merge), plus the pass's observability counters.
-struct PassRecord {
-    shard: usize,
-    commits: Vec<(Candidate, Move)>,
-    score_s: f64,
-    scratch: WorkspaceStats,
-}
-
-/// Runs one isolated shard's greedy pass from a private clone of the
-/// initial state: only `shard`-owned congested links are visited (in
-/// the global most-oversubscribed-first order), and the exclusion set
-/// is widened to every link the shard does not own, so alternatives
-/// never leave the component. Scoring is single-threaded — the
-/// parallelism lives one level up, across passes — and the decision
-/// rule (strict improvement, earliest candidate on ties) is the flat
-/// loop's.
-fn run_pass(
-    opt: &Optimizer<'_>,
+/// The region shards a per-component pass may own: **isolated** — no
+/// allocated (flows > 0) path crosses a shard boundary involving them —
+/// and holding at least one of the `congested` links, since a pass is
+/// only worth launching where there is shard-local congestion to fix.
+/// Any allocated path on a link owned by a shard other than the
+/// aggregate's owner couples both shards to the rest of the instance;
+/// cross-shard aggregates (owner = core) likewise de-isolate every
+/// shard whose links they ride. Ascending shard order.
+pub(crate) fn isolated_congested_shards(
     partition: &RegionPartition,
-    shard: usize,
-    alloc0: &Allocation,
-    inc0: &Incumbent,
-    started: Instant,
-) -> PassRecord {
-    // lint:allow(wall-clock): timing observability only; never feeds a decision
-    let t0 = Instant::now();
-    let mut alloc = alloc0.clone();
-    let mut incumbent = inc0.clone();
-    let mut excluded = opt.config.excluded_links.clone();
-    for l in opt.topology.links() {
-        if partition.shard_of_link(l) != shard {
-            excluded.insert(l);
+    index: &CrossingIndex,
+    alloc: &Allocation,
+    congested: &[LinkId],
+) -> Vec<usize> {
+    let shard_count = partition.shard_count();
+    let mut wanted = vec![false; shard_count];
+    for &l in congested {
+        if let Some(w) = wanted.get_mut(partition.shard_of_link(l)) {
+            *w = true;
         }
     }
-    let mut ws = ScoreScratch::default();
-    let mut commits: Vec<(Candidate, Move)> = Vec::new();
-    let mut escape_level: u32 = 0;
-    loop {
-        if commits.len() >= opt.config.max_commits {
-            break;
-        }
-        if let Some(limit) = opt.config.time_limit {
-            if started.elapsed() >= limit {
-                break;
-            }
-        }
-        let congested: Vec<LinkId> = incumbent
-            .eval
-            .outcome
-            .congested
-            .iter()
-            .copied()
-            .filter(|&l| partition.shard_of_link(l) == shard)
-            .collect();
-        if congested.is_empty() {
-            break;
-        }
-
-        let mut winner: Option<Candidate> = None;
-        for link in congested {
-            let initial_score = opt
-                .config
-                .objective
-                .score(&incumbent.report, &incumbent.eval.outcome);
-            let mut candidates =
-                opt.gather_candidates(&alloc, &incumbent, link, escape_level, &excluded);
-            if candidates.is_empty() {
-                continue;
-            }
-            let mut best: Option<(usize, f64)> = None;
-            for (i, c) in candidates.iter().enumerate() {
-                let s = opt.score_candidate_incremental(&alloc, &incumbent, c, &mut ws);
-                // Strict `>` keeps the earliest candidate on ties, the
-                // flat reduction's rule.
-                if best.is_none_or(|(_, bs)| s > bs) {
-                    best = Some((i, s));
-                }
-            }
-            let (best_idx, best_score) = best.expect("candidates is non-empty");
-            if best_score > initial_score + opt.config.improvement_eps {
-                winner = Some(candidates.swap_remove(best_idx));
-                break;
-            }
-        }
-
-        if let Some(c) = winner {
-            let m = opt.commit(&mut alloc, &mut incumbent, &c);
-            commits.push((c, m));
-            escape_level = 0;
-            continue;
-        }
-        let fraction_maxed =
-            (opt.config.move_fraction * opt.config.escape_growth.powi(escape_level as i32)) >= 1.0;
-        if !opt.config.escape || fraction_maxed {
-            break;
-        }
-        escape_level += 1;
+    if !wanted.contains(&true) {
+        // Nothing shard-local to fix (the common warm re-optimization):
+        // skip the O(index) isolation scan.
+        return Vec::new();
     }
-    PassRecord {
-        shard,
-        commits,
-        score_s: t0.elapsed().as_secs_f64(),
-        scratch: ws.model.stats(),
-    }
-}
-
-/// Per-component optimizer passes
-/// ([`crate::optimizer::OptimizerConfig::parallel_passes`]): region
-/// shards that are **isolated** — no allocated flow path crosses a
-/// shard boundary involving them — optimize their own congested links
-/// concurrently from private clones of the initial state, their commit
-/// sequences are replayed onto the master state shard-ascending, and a
-/// global residual run (the regular sharded loop, or the flat loop
-/// under [`Sharding::Off`]) finishes whatever congestion remains.
-///
-/// Determinism: every pass depends only on `(config, initial state,
-/// shard id)` and the merge order is fixed (ascending shard id, commit
-/// order within a shard), so the result is **bitwise identical at any
-/// [`pass_threads`](crate::optimizer::OptimizerConfig::pass_threads)
-/// count** — the worker assignment decides only which thread runs which
-/// pass, never what a pass computes. Because isolated components share
-/// no links *and no aggregates* with the rest of the instance, a
-/// pass's network-utility improvements carry over exactly to the
-/// merged state (the utility objective is a weighted sum over
-/// aggregates), which is why this path requires that objective.
-///
-/// With no isolated congested shard, this degrades to exactly the
-/// regular dispatch plus one no-op scan.
-pub(crate) fn run_parallel_passes(
-    opt: &Optimizer<'_>,
-    initial: Allocation,
-    shard_count: usize,
-) -> OptimizeResult {
-    // lint:allow(wall-clock): timing observability only; never feeds a decision
-    let started = Instant::now();
-    debug_assert!(initial.validate(opt.tm).is_ok());
-    let partition = RegionPartition::new(opt.topology, opt.tm, shard_count);
-    let incumbent0 = opt.incumbent_for(&initial);
-
-    // Isolation scan: any allocated (flows > 0) path with a link owned
-    // by a shard other than the aggregate's owner couples both shards
-    // to the rest of the instance. Cross-shard aggregates (owner =
-    // core) likewise de-isolate every shard whose links they ride.
-    let mut isolated = vec![true; shard_count];
-    for a in opt.tm.iter() {
-        let owner = partition.shard_of_aggregate(a.id);
-        let ps = initial.path_set(a.id);
-        for idx in 0..ps.len() {
-            if initial.flows_on(a.id, idx) == 0 {
-                continue;
-            }
-            for &l in ps.path(idx).links() {
-                let ls = partition.shard_of_link(l);
-                if ls != owner {
-                    if owner < shard_count {
-                        isolated[owner] = false;
-                    }
-                    if ls < shard_count {
-                        isolated[ls] = false;
+    for (l, entries) in index.per_link.iter().enumerate() {
+        let link_shard = partition.link_shard[l] as usize;
+        for &(agg, idx) in entries {
+            let owner = partition.agg_shard[agg as usize] as usize;
+            if owner != link_shard && alloc.flows_on(AggregateId(agg), idx as usize) > 0 {
+                for s in [owner, link_shard] {
+                    if let Some(w) = wanted.get_mut(s) {
+                        *w = false;
                     }
                 }
             }
         }
     }
-
-    // A pass is only worth launching where there is shard-local
-    // congestion to fix.
-    let jobs: Vec<usize> = (0..shard_count)
-        .filter(|&s| {
-            isolated[s]
-                && incumbent0
-                    .eval
-                    .outcome
-                    .congested
-                    .iter()
-                    .any(|&l| partition.shard_of_link(l) == s)
-        })
-        .collect();
-
-    let mut records: Vec<Option<PassRecord>> = jobs.iter().map(|_| None).collect();
-    if !jobs.is_empty() {
-        let workers = opt.config.pass_threads.max(1).min(jobs.len());
-        if workers == 1 {
-            for (slot, &s) in records.iter_mut().zip(&jobs) {
-                *slot = Some(run_pass(opt, &partition, s, &initial, &incumbent0, started));
-            }
-        } else {
-            let chunk = jobs.len().div_ceil(workers);
-            let (partition_ref, initial_ref, inc_ref) = (&partition, &initial, &incumbent0);
-            std::thread::scope(|scope| {
-                for (slot, js) in records.chunks_mut(chunk).zip(jobs.chunks(chunk)) {
-                    scope.spawn(move || {
-                        for (r, &s) in slot.iter_mut().zip(js) {
-                            *r = Some(run_pass(
-                                opt,
-                                partition_ref,
-                                s,
-                                initial_ref,
-                                inc_ref,
-                                started,
-                            ));
-                        }
-                    });
-                }
-            });
-        }
-    }
-
-    // Merge: replay every pass's commit sequence onto the master state,
-    // shard-ascending. Path-set growth per aggregate is confined to its
-    // owning shard's pass, so each replayed `add_path` lands on exactly
-    // the index the pass recorded.
-    let mut alloc = initial;
-    let mut incumbent = incumbent0;
-    let mut trace = RunTrace::new();
-    let mut commits = 0usize;
-    let mut moves: Vec<Move> = Vec::new();
-    trace.push(opt.trace_point(started, commits, &incumbent.eval.outcome, &incumbent.report));
-
-    let mut shard_stats: Vec<ShardRunStats> = (0..=shard_count)
-        .map(|i| ShardRunStats {
-            shard: i,
-            aggregates: partition.aggregates_in(i),
-            links: partition.links_in(i),
-            ..Default::default()
-        })
-        .collect();
-    let mut scratch = WorkspaceStats::default();
-    for rec in records.into_iter().flatten() {
-        shard_stats[rec.shard].commits += rec.commits.len();
-        shard_stats[rec.shard].score_s += rec.score_s;
-        shard_stats[rec.shard].scratch.merge(&rec.scratch);
-        scratch.merge(&rec.scratch);
-        for (c, recorded) in rec.commits {
-            let m = opt.commit(&mut alloc, &mut incumbent, &c);
-            debug_assert_eq!(m, recorded, "pass replay must reproduce the recorded move");
-            commits += 1;
-            moves.push(m);
-            trace.push(opt.trace_point(
-                started,
-                commits,
-                &incumbent.eval.outcome,
-                &incumbent.report,
-            ));
-        }
-    }
-    drop(incumbent);
-
-    // Residual: whatever congestion the passes could not own — trunk
-    // links, coupled shards, cross-shard aggregates — is finished by
-    // the regular loop from the merged state.
-    let pass_commits = commits;
-    let residual = match opt.config.sharding.shard_count(partition.region_count()) {
-        Some(n) => run_sharded(opt, alloc, n),
-        None => opt.run_flat(alloc),
-    };
-    // The residual's initial trace point duplicates the merged state the
-    // replay already recorded; skip it and re-stamp commit counts.
-    for p in residual.trace.points().iter().skip(1) {
-        let mut p = *p;
-        p.commits += pass_commits;
-        trace.push(p);
-    }
-    moves.extend(residual.moves);
-    scratch.merge(&residual.scratch);
-    merge_shard_stats(&mut shard_stats, &residual.shards);
-
-    OptimizeResult {
-        allocation: residual.allocation,
-        trace,
-        report: residual.report,
-        outcome: residual.outcome,
-        commits: pass_commits + residual.commits,
-        moves,
-        termination: residual.termination,
-        scratch,
-        shards: shard_stats,
-    }
+    (0..shard_count).filter(|&s| wanted[s]).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::optimizer::OptimizerConfig;
+    use crate::optimizer::{OptimizeResult, Optimizer, OptimizerConfig};
     use fubar_topology::{generators, Bandwidth};
     use fubar_traffic::{workload, WorkloadConfig};
 
@@ -888,7 +365,7 @@ mod tests {
     /// A structurally congested hypergrowth instance whose traffic
     /// never leaves its region: every region is an isolated congestion
     /// component, the shape per-component passes exist for.
-    fn isolated_regions_instance() -> (fubar_topology::Topology, fubar_traffic::TrafficMatrix) {
+    fn isolated_regions_instance() -> (Topology, TrafficMatrix) {
         let topo = generators::hypergrowth(4, 4, Bandwidth::from_mbps(2.0));
         let tm = workload::generate(
             &topo,
@@ -901,17 +378,21 @@ mod tests {
         (topo, tm)
     }
 
-    fn run_with_passes(
-        topo: &fubar_topology::Topology,
-        tm: &fubar_traffic::TrafficMatrix,
-        pass_threads: usize,
-        sharding: Sharding,
-    ) -> OptimizeResult {
+    /// The shards `isolated_congested_shards` picks on the boot
+    /// allocation — the per-component passes a cold run launches.
+    fn pass_shards(topo: &Topology, tm: &TrafficMatrix) -> Vec<usize> {
+        let partition = RegionPartition::new(topo, tm, shard_count_for(topo));
+        let alloc = Allocation::all_on_shortest_paths(topo, tm);
+        let congested = fubar_model::FlowModel::with_defaults(topo)
+            .evaluate(&alloc.bundles(tm))
+            .congested;
+        let index = CrossingIndex::build(topo, tm, &alloc);
+        isolated_congested_shards(&partition, &index, &alloc, &congested)
+    }
+
+    fn run_at(topo: &Topology, tm: &TrafficMatrix, threads: usize) -> OptimizeResult {
         let cfg = OptimizerConfig {
-            parallel_passes: true,
-            pass_threads,
-            sharding,
-            threads: 1,
+            threads,
             ..Default::default()
         };
         Optimizer::new(topo, tm, cfg).run()
@@ -920,12 +401,15 @@ mod tests {
     #[test]
     fn parallel_passes_fire_on_isolated_regions() {
         let (topo, tm) = isolated_regions_instance();
-        // `Sharding::Off` makes the residual run flat, so every entry
-        // in `shards` with commits > 0 was written by a pass.
-        let result = run_with_passes(&topo, &tm, 2, Sharding::Off);
+        assert_eq!(
+            pass_shards(&topo, &tm),
+            vec![0, 1, 2, 3],
+            "every region is an isolated, congested component"
+        );
+        let result = run_at(&topo, &tm, 2);
         assert!(result.commits > 0, "instance must be optimizable");
-        let pass_commits: usize = result.shards.iter().map(|s| s.commits).sum();
-        assert!(pass_commits > 0, "isolated regions should run passes");
+        let shard_commits: usize = result.shards.iter().map(|s| s.commits).sum();
+        assert_eq!(shard_commits, result.commits, "commits attribute to shards");
         assert_eq!(
             result.shards[result.shards.len() - 1].commits,
             0,
@@ -939,10 +423,10 @@ mod tests {
     #[test]
     fn parallel_passes_are_invariant_under_pass_thread_count() {
         let (topo, tm) = isolated_regions_instance();
-        let base = run_with_passes(&topo, &tm, 1, Sharding::Auto);
-        for pass_threads in [2, 4] {
-            let run = run_with_passes(&topo, &tm, pass_threads, Sharding::Auto);
-            assert_eq!(run.moves, base.moves, "pass_threads={pass_threads}");
+        let base = run_at(&topo, &tm, 1);
+        for threads in [2, 4] {
+            let run = run_at(&topo, &tm, threads);
+            assert_eq!(run.moves, base.moves, "threads={threads}");
             assert_eq!(run.commits, base.commits);
             assert_eq!(
                 run.report.network_utility.to_bits(),
@@ -960,25 +444,16 @@ mod tests {
     #[test]
     fn parallel_passes_degrade_to_sharded_without_isolation() {
         // All-pairs traffic rides the trunks, so no shard is isolated
-        // and the pass layer must change nothing.
+        // and the run is the whole-instance loop alone.
         let topo = generators::hypergrowth(4, 4, Bandwidth::from_mbps(2.0));
         let tm = workload::generate(&topo, &WorkloadConfig::default(), 7);
-        let with_passes = run_with_passes(&topo, &tm, 4, Sharding::Auto);
-        let without = Optimizer::new(
-            &topo,
-            &tm,
-            OptimizerConfig {
-                threads: 1,
-                ..Default::default()
-            },
-        )
-        .run();
-        assert_eq!(with_passes.moves, without.moves);
-        assert_eq!(
-            with_passes.report.network_utility.to_bits(),
-            without.report.network_utility.to_bits()
+        assert!(pass_shards(&topo, &tm).is_empty());
+        let result = run_at(&topo, &tm, 4);
+        assert!(result.commits > 0, "instance must be optimizable");
+        assert!(
+            result.shards[result.shards.len() - 1].commits > 0,
+            "trunk congestion commits on the core shard"
         );
-        assert_eq!(with_passes.termination, without.termination);
     }
 
     #[test]

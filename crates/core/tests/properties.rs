@@ -5,11 +5,12 @@
 //! (`OptimizerConfig::incremental`, the default) must be
 //! **move-for-move, bitwise identical** to the full-recompute oracle.
 
+use fubar_core::optimizer::test_support::run_with_index;
 use fubar_core::{
-    Objective, OptimizeResult, Optimizer, OptimizerConfig, RegionPartition, Sharding, Termination,
+    Objective, OptimizeResult, Optimizer, OptimizerConfig, RegionPartition, Termination,
 };
 use fubar_topology::{generators, Bandwidth, Topology};
-use fubar_traffic::{workload, TrafficMatrix, WorkloadConfig};
+use fubar_traffic::{workload, AggregateId, TrafficMatrix, WorkloadConfig};
 use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
@@ -308,6 +309,49 @@ fn incremental_run_matches_oracle_on_abilene() {
     let (inc, full) = run_both(&topo, &tm, cfg);
     assert!(inc.commits > 0, "instance must exercise the inner loop");
     assert_runs_identical("abilene", &inc, &full, &tm);
+
+    // Per-component passes do not depend on the scoring mode: every
+    // region of this instance is an isolated congested component, so
+    // both runs are passes, replay, then the whole-instance loop.
+    let (topo, tm) = isolated_regions_instance();
+    let (inc, full) = run_both(&topo, &tm, OptimizerConfig::default());
+    assert!(inc.commits > 0, "instance must exercise the inner loop");
+    assert_runs_identical("isolated-regions", &inc, &full, &tm);
+}
+
+/// The commit cap is global: replayed pass commits and the
+/// whole-instance loop share one `max_commits`, at any thread count.
+#[test]
+fn commit_cap_spans_passes_and_the_whole_instance_loop() {
+    let (topo, tm) = isolated_regions_instance();
+    let run = |max_commits: usize, threads: usize| {
+        let cfg = OptimizerConfig {
+            max_commits,
+            threads,
+            ..Default::default()
+        };
+        Optimizer::new(&topo, &tm, cfg).run()
+    };
+    assert!(run(usize::MAX, 1).commits > 5, "the cap must bind");
+    let one = run(5, 1);
+    assert_eq!(one.commits, 5);
+    assert_eq!(one.termination, Termination::CommitLimit);
+    assert_eq!(run(5, 4).moves, one.moves);
+}
+
+/// `shard::tests::isolated_regions_instance`: a structurally congested
+/// hypergrowth instance whose traffic never leaves its region.
+fn isolated_regions_instance() -> (Topology, TrafficMatrix) {
+    let topo = generators::hypergrowth(4, 4, Bandwidth::from_mbps(2.0));
+    let tm = workload::generate(
+        &topo,
+        &WorkloadConfig {
+            intra_region_only: true,
+            ..Default::default()
+        },
+        7,
+    );
+    (topo, tm)
 }
 
 /// The min-max objective reads the outcome's link-demand arrays rather
@@ -366,52 +410,49 @@ fn incremental_run_matches_oracle_under_escape_pressure() {
 }
 
 // ---------------------------------------------------------------------
-// Hierarchical sharded execution ≡ flat, move for move, bitwise — the
-// signature invariant one level up: the sharded loop reorganizes the
-// same computation (sparse crossing indices, per-shard scratch) and
-// must never change a single decision or bit.
+// Indexed gather ≡ scan — the crossing index is the loop's only
+// candidate gather, so it must enumerate exactly what the full-matrix
+// `Allocation::flow_paths_over` scan would, and stay exact under the
+// loop's own incremental maintenance.
 // ---------------------------------------------------------------------
 
-/// Runs the same instance through the sharded loop and the flat
-/// (`--oracle flat`) loop, both with incremental scoring.
-fn run_sharded_and_flat(
+/// Runs the instance cold and checks, on the final state: the index the
+/// loop maintained commit by commit equals one rebuilt from the final
+/// allocation, and for every link its entries filtered by live flow
+/// count are `flow_paths_over` — same pairs, same order.
+fn assert_indexed_gather_matches_scan(
+    name: &str,
     topo: &Topology,
     tm: &TrafficMatrix,
     cfg: OptimizerConfig,
-    shards: usize,
-) -> (OptimizeResult, OptimizeResult) {
-    let sharded_cfg = OptimizerConfig {
-        sharding: Sharding::Shards(shards),
-        ..cfg.clone()
-    };
-    let flat_cfg = OptimizerConfig {
-        sharding: Sharding::Off,
-        ..cfg
-    };
-    (
-        Optimizer::new(topo, tm, sharded_cfg).run(),
-        Optimizer::new(topo, tm, flat_cfg).run(),
-    )
+) -> OptimizeResult {
+    let (result, [maintained, rebuilt]) = run_with_index(&Optimizer::new(topo, tm, cfg));
+    assert_eq!(maintained, rebuilt, "{name}: maintained vs rebuilt index");
+    for l in topo.links() {
+        let via_scan = result.allocation.flow_paths_over(tm, l);
+        let via_index: Vec<(AggregateId, usize, u32)> = maintained[l.index()]
+            .iter()
+            .filter_map(|&(a, idx)| {
+                let n = result.allocation.flows_on(AggregateId(a), idx as usize);
+                (n > 0).then_some((AggregateId(a), idx as usize, n))
+            })
+            .collect();
+        assert_eq!(via_scan, via_index, "{name}: link {l:?}");
+    }
+    result
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Whole optimization runs on random congested instances must agree
-    /// between the sharded and flat loops at any shard count.
+    /// On random congested instances the indexed enumeration equals the
+    /// scan after a whole run, and every commit lands on a shard.
     #[test]
-    fn sharded_run_matches_flat(i in instance(), shards in 1usize..6) {
+    fn indexed_gather_matches_scan(i in instance()) {
         let (topo, tm) = build(&i);
-        let (sharded, flat) = run_sharded_and_flat(&topo, &tm, bounded_config(), shards);
-        assert_runs_identical("sharded-waxman", &sharded, &flat, &tm);
-        prop_assert_eq!(
-            sharded.shards.len(),
-            shards + 1,
-            "one stats entry per shard plus the trunk core"
-        );
-        prop_assert!(flat.shards.is_empty(), "flat runs carry no shard stats");
-        let shard_commits: usize = sharded.shards.iter().map(|s| s.commits).sum();
-        prop_assert_eq!(shard_commits, sharded.commits, "commits attribute to shards");
+        let result = assert_indexed_gather_matches_scan("waxman", &topo, &tm, bounded_config());
+        let shard_commits: usize = result.shards.iter().map(|s| s.commits).sum();
+        prop_assert_eq!(shard_commits, result.commits, "commits attribute to shards");
     }
 
     /// The shard partitioner is a true partition on random
@@ -481,12 +522,12 @@ proptest! {
         prop_assert_eq!(link_total, (0..=core).map(|s| p.links_in(s)).sum::<usize>());
     }
 
-    /// Per-component parallel passes are bitwise invariant under the
-    /// pass-thread count: on random intra-region workloads (every
-    /// region an isolated bottleneck component) the full run — passes
-    /// plus residual — must be move-for-move, bit-for-bit identical at
-    /// 1, 2, and 4 workers. The fill-thread count must not matter
-    /// either, in any combination.
+    /// Thread-count invariance: on random intra-region workloads (every
+    /// region an isolated bottleneck component) the full run —
+    /// per-component passes plus the whole-instance loop — must be
+    /// move-for-move, bit-for-bit identical at 1, 2, and 4 `threads`
+    /// (which run the passes side by side and score candidates), at 1
+    /// and 4 `fill_threads`, in any combination.
     #[test]
     fn parallel_passes_invariant_under_thread_counts(
         regions in 3usize..5,
@@ -503,20 +544,18 @@ proptest! {
             },
             seed,
         );
-        let run = |pass_threads: usize, fill_threads: usize| {
+        let run = |threads: usize, fill_threads: usize| {
             Optimizer::new(&topo, &tm, OptimizerConfig {
-                parallel_passes: true,
-                pass_threads,
+                threads,
                 fill_threads,
-                threads: 1,
                 ..bounded_config()
             }).run()
         };
         let one = run(1, 1);
-        for (pass, fill) in [(2, 1), (4, 1), (1, 4), (4, 4)] {
-            let many = run(pass, fill);
+        for (threads, fill) in [(2, 1), (4, 1), (1, 4), (2, 4), (4, 4)] {
+            let many = run(threads, fill);
             assert_runs_identical(
-                &format!("parallel-passes pass_threads={pass} fill_threads={fill}"),
+                &format!("threads={threads} fill_threads={fill}"),
                 &one,
                 &many,
                 &tm,
@@ -525,13 +564,11 @@ proptest! {
     }
 }
 
-/// The acceptance-criteria instance: the full 4,096-aggregate
-/// hypergrowth tier (the largest size where the flat loop is still
-/// CI-feasible), bitwise across two different shard counts. The
-/// workload mirrors `perf_gate`'s hypergrowth entry so the instance is
-/// genuinely congested.
+/// The full 4,096-aggregate hypergrowth tier. The workload mirrors
+/// `perf_gate`'s hypergrowth entry so the instance is genuinely
+/// congested.
 #[test]
-fn sharded_matches_flat_on_hypergrowth_4096() {
+fn indexed_gather_matches_scan_on_hypergrowth_4096() {
     let topo = generators::hypergrowth(8, 8, Bandwidth::from_mbps(60.0));
     let tm = workload::generate(
         &topo,
@@ -544,15 +581,12 @@ fn sharded_matches_flat_on_hypergrowth_4096() {
     );
     assert_eq!(tm.len(), 4096, "the hypergrowth tier is 64^2 aggregates");
     let cfg = OptimizerConfig {
-        max_commits: 6, // debug-profile budget; every commit cross-checks
+        max_commits: 6, // debug-profile budget
         threads: 1,
         ..OptimizerConfig::default()
     };
-    for shards in [2usize, 8] {
-        let (sharded, flat) = run_sharded_and_flat(&topo, &tm, cfg.clone(), shards);
-        assert!(sharded.commits > 0, "instance must exercise the inner loop");
-        assert_runs_identical(&format!("hypergrowth-4096 x{shards}"), &sharded, &flat, &tm);
-    }
+    let result = assert_indexed_gather_matches_scan("hypergrowth-4096", &topo, &tm, cfg);
+    assert!(result.commits > 0, "instance must exercise the inner loop");
 }
 
 /// `Optimizer::run_from` with a previous allocation whose aggregate ids

@@ -11,7 +11,7 @@
 //! so `fubar-cli scenario search` re-finds a committed worst case from
 //! its seed, forever, and CI can hold it to that.
 
-use crate::driver::{inputs_at, run_at, BuildError};
+use crate::driver::{inputs_at, run, BuildError, RunOptions};
 use crate::log::ScenarioLog;
 use crate::spec::{Action, Scenario, TimelineEvent};
 use fubar_topology::Delay;
@@ -166,7 +166,7 @@ fn perturb(base: &Scenario, rng: &mut StdRng, duplex: &[(String, String)]) -> Sc
 /// Searches `candidates` seeded perturbations of `base` (plus the base
 /// itself as candidate 0) for the one that hurts most, and returns it
 /// renamed to `name`. `base_dir` resolves `topology file` paths, as in
-/// [`crate::driver::run_at`]. Deterministic given
+/// [`RunOptions::base`]. Deterministic given
 /// `(base, seed, candidates)`; see the module docs.
 pub fn search(
     base: &Scenario,
@@ -188,6 +188,10 @@ pub fn search(
         })
         .collect();
 
+    let options = RunOptions {
+        base: base_dir.map(Path::to_path_buf),
+        ..Default::default()
+    };
     let mut best: Option<(f64, usize, Scenario)> = None;
     let mut scores = Vec::with_capacity(candidates + 1);
     for i in 0..=candidates {
@@ -200,7 +204,7 @@ pub fn search(
                 StdRng::seed_from_u64(seed ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
             perturb(base, &mut rng, &duplex)
         };
-        let log = run_at(&cand, cand.seed, true, base_dir)?;
+        let (log, _) = run(&cand, cand.seed, &options)?;
         let score = score_log(&log);
         scores.push(score);
         // Strict >: ties break toward the lowest candidate index.
@@ -278,7 +282,7 @@ mod tests {
     fn scoring_prefers_deeper_longer_damage() {
         // A run that loses utility and limps should outscore the same
         // base undisturbed.
-        let calm = run_at(&base(), 4, true, None).unwrap();
+        let (calm, _) = run(&base(), 4, &RunOptions::default()).unwrap();
         let mut hurt_spec = base();
         hurt_spec.timeline.push(TimelineEvent {
             at: Delay::from_secs(25.0),
@@ -292,7 +296,7 @@ mod tests {
             .chaos
             .blackouts
             .push((Delay::from_secs(20.0), Delay::from_secs(70.0)));
-        let hurt = run_at(&hurt_spec, 4, true, None).unwrap();
+        let (hurt, _) = run(&hurt_spec, 4, &RunOptions::default()).unwrap();
         assert!(
             score_log(&hurt) > score_log(&calm),
             "{} vs {}",

@@ -5,14 +5,17 @@
 //! perturbation costs a handful of commits instead of a full run.
 //!
 //! [`build`] turns a declarative [`Scenario`] into a ready
-//! [`Engine`]; [`run`] goes all the way to a [`ScenarioLog`].
+//! [`Engine`]; [`run`] goes all the way to a [`ScenarioLog`] plus the
+//! run's [`RunStats`]. [`RunOptions`] is everything a caller can vary
+//! without changing a byte of that log.
 
 use crate::engine::{Engine, EventConsumer, Measure};
 use crate::event::{Event, EventKind};
 use crate::log::ScenarioLog;
 use crate::spec::{Action, ChaosSpec, Scenario, TopologySpec};
+use crate::stats::RunStats;
 use crate::stochastic::{ChurnSource, FailureSource};
-use fubar_core::{Allocation, ShardRunStats, Sharding};
+use fubar_core::{Allocation, ShardRunStats};
 use fubar_graph::LinkId;
 use fubar_model::WorkspaceStats;
 use fubar_sdn::{Estimator, Fabric, FubarController, GroupEntry, MeasurementConfig};
@@ -20,7 +23,7 @@ use fubar_topology::{catalog as topo_catalog, format as topo_format, generators,
 use fubar_traffic::{workload, AggregateId, TrafficMatrix, WorkloadConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 /// Runtime state behind the scenario's [`ChaosSpec`]. All of it is
 /// deterministic: the drop coin has its own directive-declared seed,
@@ -62,8 +65,8 @@ pub struct SdnConsumer {
     /// High-water marks of the optimizer scoring scratch across every
     /// re-optimization so far (`scenario run --stats`).
     scratch: WorkspaceStats,
-    /// Per-shard accumulators across every re-optimization (empty when
-    /// the optimizer ran flat) — `scenario run --stats`.
+    /// Per-shard accumulators across every re-optimization —
+    /// `scenario run --stats`.
     shards: Vec<ShardRunStats>,
     /// Control-plane fault injection (inert unless the scenario has
     /// chaos directives).
@@ -130,8 +133,7 @@ impl SdnConsumer {
     }
 
     /// Per-shard commit/score/scratch accumulators across the run's
-    /// re-optimizations (empty when the optimizer ran flat). The last
-    /// entry is the inter-region trunk core.
+    /// re-optimizations. The last entry is the inter-region trunk core.
     pub fn shard_stats(&self) -> &[ShardRunStats] {
         &self.shards
     }
@@ -523,132 +525,55 @@ pub fn inputs_at(
     Ok((topo, tm))
 }
 
-/// Which execution path drives a scenario run. All three modes produce
-/// byte-identical logs for the same `(spec, seed)` — that equality is
-/// the repo's standing whole-stack invariant, checked by the property
-/// tests and the CI cross-mode `cmp`.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum OracleMode {
-    /// Incremental measurement + incremental scoring through the
-    /// region-sharded optimizer (the default production path).
-    #[default]
-    Sharded,
-    /// Incremental measurement + incremental scoring through the flat
-    /// (unsharded) loop — the `sharded ≡ flat` oracle.
-    Flat,
-    /// Full-recompute measurement and scoring — the original oracle.
-    Full,
-}
-
-impl OracleMode {
-    fn incremental(self) -> bool {
-        self != OracleMode::Full
-    }
-
-    fn sharding(self) -> Sharding {
-        match self {
-            OracleMode::Sharded => Sharding::Auto,
-            OracleMode::Flat | OracleMode::Full => Sharding::Off,
-        }
-    }
-}
-
-/// Execution-parallelism knobs for a scenario run (`fubar-cli scenario
-/// run --fill-threads/--parallel-passes/--pass-threads`). These select
-/// *how* the work is scheduled, never *what* is computed: the parallel
-/// water-filling merge is bitwise identical to the serial fill, and
-/// per-component optimizer passes are bitwise invariant under
-/// `pass_threads` — so the log for a given `(spec, seed, oracle,
-/// parallel_passes)` is byte-identical at **any** thread count, an
-/// invariant the CI catalog replay `cmp`s end to end. (Turning
-/// `parallel_passes` itself on or off legitimately changes the commit
-/// sequence; the threads never do.)
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ParallelKnobs {
+/// How a scenario is run — nothing here changes a byte of the log for
+/// a given `(spec, seed)`: full-recompute runs are bitwise equal to
+/// incremental ones and the parallel water-filling merge is bitwise
+/// equal to the serial fill, invariants the property tests and the CI
+/// catalog replay `cmp` end to end.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct RunOptions {
+    /// Directory `topology file` paths resolve against first (the
+    /// `.scn` file's directory); see [`load_file_topology`].
+    pub base: Option<PathBuf>,
+    /// Full-recompute mode for *both* hot paths: fabric measurement
+    /// (every probe re-measures the world) and optimizer candidate
+    /// scoring (`OptimizerConfig::incremental = false`) — the oracle
+    /// the equality property tests and the CI cross-mode `cmp` compare
+    /// the default incremental run against.
+    pub full_recompute: bool,
     /// Worker threads for fabric measurement *and* optimizer incumbent
     /// water-filling; 1 keeps the serial fill.
     pub fill_threads: usize,
-    /// Run isolated region shards' optimizer passes concurrently
-    /// (requires incremental scoring and the network-utility
-    /// objective; see `fubar_core::OptimizerConfig::parallel_passes`).
-    pub parallel_passes: bool,
-    /// Worker threads for those passes; 1 runs them sequentially.
-    pub pass_threads: usize,
 }
 
-impl Default for ParallelKnobs {
+impl Default for RunOptions {
     fn default() -> Self {
-        ParallelKnobs {
+        RunOptions {
+            base: None,
+            full_recompute: false,
             fill_threads: 1,
-            parallel_passes: false,
-            pass_threads: 1,
         }
     }
 }
 
-/// Builds the engine for `scenario`, overriding its default seed with
-/// `seed`. Everything downstream (workload, measurement noise, churn,
-/// failures) derives deterministically from that one number.
+/// Builds the engine for `scenario` under the default [`RunOptions`],
+/// overriding its default seed with `seed`. Everything downstream
+/// (workload, measurement noise, churn, failures) derives
+/// deterministically from that one number.
 pub fn build(scenario: &Scenario, seed: u64) -> Result<Engine<SdnConsumer>, BuildError> {
-    build_with(scenario, seed, true)
+    build_with(scenario, seed, &RunOptions::default())
 }
 
-/// Like [`build`], but selecting the incremental/full-recompute mode
-/// for *both* hot paths: fabric measurement (every probe re-measures
-/// the world) and optimizer candidate scoring
-/// (`OptimizerConfig::incremental`). `false` is the oracle mode the
-/// equality property tests and the CI cross-mode `cmp` compare against.
-/// `true` maps to [`OracleMode::Sharded`] — legal because sharded and
-/// flat runs are bitwise identical.
+/// Like [`build`], under explicit [`RunOptions`]. The timeline is
+/// validated eagerly here, as soon as the topology is known — unknown
+/// `surge` / `fail` / `arrive` / `depart` endpoints fail the build with
+/// the offending `.scn` line number instead of an opaque late failure.
 pub fn build_with(
     scenario: &Scenario,
     seed: u64,
-    incremental: bool,
+    options: &RunOptions,
 ) -> Result<Engine<SdnConsumer>, BuildError> {
-    build_at(scenario, seed, incremental, None)
-}
-
-/// Like [`build_with`], resolving `topology file` paths relative to
-/// `base` (the `.scn` file's directory).
-pub fn build_at(
-    scenario: &Scenario,
-    seed: u64,
-    incremental: bool,
-    base: Option<&Path>,
-) -> Result<Engine<SdnConsumer>, BuildError> {
-    let mode = if incremental {
-        OracleMode::Sharded
-    } else {
-        OracleMode::Full
-    };
-    build_oracle_at(scenario, seed, mode, base)
-}
-
-/// Like [`build_at`], with the full three-way oracle selection. The
-/// timeline is validated eagerly here, as soon as the topology is
-/// known — unknown `surge` / `fail` / `arrive` / `depart` endpoints
-/// fail the build with the offending `.scn` line number instead of an
-/// opaque late failure.
-pub fn build_oracle_at(
-    scenario: &Scenario,
-    seed: u64,
-    mode: OracleMode,
-    base: Option<&Path>,
-) -> Result<Engine<SdnConsumer>, BuildError> {
-    build_oracle_knobs_at(scenario, seed, mode, base, ParallelKnobs::default())
-}
-
-/// Like [`build_oracle_at`], additionally applying execution
-/// [`ParallelKnobs`] to the fabric's measurement path and the
-/// optimizer.
-pub fn build_oracle_knobs_at(
-    scenario: &Scenario,
-    seed: u64,
-    mode: OracleMode,
-    base: Option<&Path>,
-    knobs: ParallelKnobs,
-) -> Result<Engine<SdnConsumer>, BuildError> {
-    let (topo, tm) = inputs_at(scenario, seed, base)?;
+    let (topo, tm) = inputs_at(scenario, seed, options.base.as_deref())?;
 
     // Resolve the timeline against the concrete topology and matrix
     // before anything is consumed by the fabric.
@@ -745,22 +670,17 @@ pub fn build_oracle_knobs_at(
     }
 
     let mut fabric = Fabric::new(topo, tm, scenario.epoch);
-    fabric.set_incremental(mode.incremental());
-    fabric.set_fill_threads(knobs.fill_threads);
+    fabric.set_incremental(!options.full_recompute);
+    fabric.set_fill_threads(options.fill_threads);
     let mut consumer = SdnConsumer::new(fabric, seed ^ 0x5eed, scenario.reoptimize.warm_start);
     // Oracle mode covers *both* incremental hot paths: full-recompute
     // fabric measurement and full-recompute candidate scoring in the
     // optimizer — a cross-mode log `cmp` therefore checks the whole
-    // stack of bitwise-equality invariants end to end. Sharding is a
-    // third axis on the scoring path only: `Sharded` routes the same
-    // greedy loop through per-region subproblems. The parallel knobs
-    // are a fourth: they reschedule the same computation across worker
-    // threads without changing a byte of the log.
-    consumer.controller.optimizer.incremental = mode.incremental();
-    consumer.controller.optimizer.sharding = mode.sharding();
-    consumer.controller.optimizer.fill_threads = knobs.fill_threads.max(1);
-    consumer.controller.optimizer.parallel_passes = knobs.parallel_passes;
-    consumer.controller.optimizer.pass_threads = knobs.pass_threads.max(1);
+    // stack of bitwise-equality invariants end to end. The fill threads
+    // reschedule the same computation across workers without changing
+    // a byte of the log.
+    consumer.controller.optimizer.incremental = !options.full_recompute;
+    consumer.controller.optimizer.fill_threads = options.fill_threads.max(1);
     // The anytime budget is a move-count deadline — the one optimizer
     // deadline that is bit-identical at any thread count — mapped
     // straight onto `OptimizerConfig::max_commits`.
@@ -793,110 +713,19 @@ pub fn build_oracle_knobs_at(
     ))
 }
 
-/// Runs `scenario` end to end with `seed` and returns the log.
-pub fn run(scenario: &Scenario, seed: u64) -> Result<ScenarioLog, BuildError> {
-    run_with(scenario, seed, true)
-}
-
-/// Like [`run`], but selecting the measurement + scoring mode (see
-/// [`build_with`]). Incremental and full runs of the same `(spec,
-/// seed)` must produce byte-identical logs.
-pub fn run_with(
+/// Runs `scenario` end to end with `seed` and returns the log with the
+/// run's performance statistics: per-event measurement and
+/// re-optimization timing percentiles, the optimizer's peak scratch
+/// sizes, per-shard commit counts and score timings (the last entry is
+/// the inter-region trunk core), and with `fill_threads > 1` the
+/// per-worker parallel-fill blocks (`fubar-cli scenario run --stats`).
+/// Wall-clock numbers never enter the log.
+pub fn run(
     scenario: &Scenario,
     seed: u64,
-    incremental: bool,
-) -> Result<ScenarioLog, BuildError> {
-    run_at(scenario, seed, incremental, None)
-}
-
-/// Like [`run_with`], resolving `topology file` paths relative to
-/// `base` (see [`build_at`]).
-pub fn run_at(
-    scenario: &Scenario,
-    seed: u64,
-    incremental: bool,
-    base: Option<&Path>,
-) -> Result<ScenarioLog, BuildError> {
-    Ok(build_at(scenario, seed, incremental, base)?.run(&scenario.name, seed))
-}
-
-/// Like [`run_at`], with the full three-way oracle selection
-/// (`fubar-cli scenario run --oracle sharded|flat|full`).
-pub fn run_oracle_at(
-    scenario: &Scenario,
-    seed: u64,
-    mode: OracleMode,
-    base: Option<&Path>,
-) -> Result<ScenarioLog, BuildError> {
-    Ok(build_oracle_at(scenario, seed, mode, base)?.run(&scenario.name, seed))
-}
-
-/// Like [`run_oracle_at`], additionally applying [`ParallelKnobs`].
-/// For a fixed `(spec, seed, mode, parallel_passes)` the log is
-/// byte-identical at any `fill_threads`/`pass_threads` count.
-pub fn run_oracle_knobs_at(
-    scenario: &Scenario,
-    seed: u64,
-    mode: OracleMode,
-    base: Option<&Path>,
-    knobs: ParallelKnobs,
-) -> Result<ScenarioLog, BuildError> {
-    Ok(build_oracle_knobs_at(scenario, seed, mode, base, knobs)?.run(&scenario.name, seed))
-}
-
-/// Like [`run_with`], but also returns the run's performance
-/// statistics: per-event measurement/re-optimization timing percentiles
-/// and the optimizer's peak scratch sizes (`fubar-cli scenario run
-/// --stats`). The log is identical to [`run_with`]'s.
-pub fn run_with_stats(
-    scenario: &Scenario,
-    seed: u64,
-    incremental: bool,
-) -> Result<(ScenarioLog, crate::stats::RunStats), BuildError> {
-    run_with_stats_at(scenario, seed, incremental, None)
-}
-
-/// Like [`run_with_stats`], resolving `topology file` paths relative
-/// to `base` (see [`build_at`]).
-pub fn run_with_stats_at(
-    scenario: &Scenario,
-    seed: u64,
-    incremental: bool,
-    base: Option<&Path>,
-) -> Result<(ScenarioLog, crate::stats::RunStats), BuildError> {
-    let mode = if incremental {
-        OracleMode::Sharded
-    } else {
-        OracleMode::Full
-    };
-    run_with_stats_oracle_at(scenario, seed, mode, base)
-}
-
-/// Like [`run_with_stats_at`], with the full three-way oracle
-/// selection. Under [`OracleMode::Sharded`] the returned stats carry
-/// per-shard commit counts, score timings, and scratch peaks (the last
-/// entry is the inter-region trunk core).
-pub fn run_with_stats_oracle_at(
-    scenario: &Scenario,
-    seed: u64,
-    mode: OracleMode,
-    base: Option<&Path>,
-) -> Result<(ScenarioLog, crate::stats::RunStats), BuildError> {
-    run_with_stats_oracle_knobs_at(scenario, seed, mode, base, ParallelKnobs::default())
-}
-
-/// Like [`run_with_stats_oracle_at`], additionally applying
-/// [`ParallelKnobs`]; with `fill_threads > 1` the stats carry
-/// per-worker parallel-fill blocks (fills run and peak component
-/// sizes per fill worker).
-pub fn run_with_stats_oracle_knobs_at(
-    scenario: &Scenario,
-    seed: u64,
-    mode: OracleMode,
-    base: Option<&Path>,
-    knobs: ParallelKnobs,
-) -> Result<(ScenarioLog, crate::stats::RunStats), BuildError> {
-    let engine = build_oracle_knobs_at(scenario, seed, mode, base, knobs)?;
+    options: &RunOptions,
+) -> Result<(ScenarioLog, RunStats), BuildError> {
+    let engine = build_with(scenario, seed, options)?;
     let (log, mut stats, consumer) = engine.run_instrumented(&scenario.name, seed);
     stats.scratch = consumer.scratch_stats();
     stats.shards = consumer.shard_stats().to_vec();
@@ -908,6 +737,18 @@ pub fn run_with_stats_oracle_knobs_at(
 mod tests {
     use super::*;
     use crate::spec::Scenario;
+
+    fn log_of(spec: &Scenario, seed: u64) -> ScenarioLog {
+        run(spec, seed, &RunOptions::default()).unwrap().0
+    }
+
+    fn full_log_of(spec: &Scenario, seed: u64) -> ScenarioLog {
+        let full = RunOptions {
+            full_recompute: true,
+            ..Default::default()
+        };
+        run(spec, seed, &full).unwrap().0
+    }
 
     fn ring_spec(extra: &str) -> Scenario {
         Scenario::parse(&format!(
@@ -925,17 +766,17 @@ mod tests {
     #[test]
     fn same_seed_is_byte_identical_different_seed_is_not() {
         let spec = ring_spec("arrivals rate 0.2 max-flows 30\ndepartures prob 0.2\n");
-        let a = run(&spec, 7).unwrap().to_text();
-        let b = run(&spec, 7).unwrap().to_text();
+        let a = log_of(&spec, 7).to_text();
+        let b = log_of(&spec, 7).to_text();
         assert_eq!(a, b);
-        let c = run(&spec, 8).unwrap().to_text();
+        let c = log_of(&spec, 8).to_text();
         assert_ne!(a, c);
     }
 
     #[test]
     fn timeline_failure_is_applied_and_survived() {
         let spec = ring_spec("at 25s fail n0 n1\nat 55s repair n0 n1\n");
-        let log = run(&spec, 3).unwrap();
+        let log = log_of(&spec, 3);
         let fail = log.records.iter().find(|r| r.what.starts_with("fail"));
         let repair = log.records.iter().find(|r| r.what.starts_with("repair"));
         assert!(fail.is_some() && repair.is_some());
@@ -949,7 +790,7 @@ mod tests {
     #[test]
     fn surge_and_relax_move_the_population() {
         let spec = ring_spec("at 20s surge n0 n2 x4\nat 60s relax n0 n2\n");
-        let log = run(&spec, 5).unwrap();
+        let log = log_of(&spec, 5);
         let surged = log
             .records
             .iter()
@@ -973,7 +814,7 @@ mod tests {
     #[test]
     fn reoptimizations_run_warm_after_the_first() {
         let spec = ring_spec("");
-        let log = run(&spec, 2).unwrap();
+        let log = log_of(&spec, 2);
         let reopts: Vec<_> = log.records.iter().filter(|r| r.commits.is_some()).collect();
         assert!(reopts.len() >= 2);
         assert!(!reopts[0].warm, "first run has nothing to warm from");
@@ -983,7 +824,7 @@ mod tests {
     #[test]
     fn aggregate_departure_and_arrival_round_trip() {
         let spec = ring_spec("at 20s depart n0 n2\nat 60s arrive n0 n2 8\n");
-        let log = run(&spec, 4).unwrap();
+        let log = log_of(&spec, 4);
         let first = log.records.first().unwrap().live_flows;
         let depart = log
             .records
@@ -1008,8 +849,36 @@ mod tests {
         );
         // The single-aggregate group plumbing upholds the whole-stack
         // bitwise invariant: the oracle run's log is byte-identical.
-        let full = run_with(&spec, 4, false).unwrap();
+        let full = full_log_of(&spec, 4);
         assert_eq!(log.to_text(), full.to_text());
+    }
+
+    /// The spec `optimize budget` and thread-count tests share: every
+    /// hypergrowth region an isolated, congested component, so each
+    /// re-optimization is per-component passes plus the whole-instance
+    /// loop.
+    fn deep_spec(extra: &str) -> Scenario {
+        Scenario::parse(&format!(
+            "scenario deep\n\
+             topology hypergrowth 1Mbps\n\
+             duration 30s\n\
+             epoch 10s\n\
+             workload flows 1 3 intra-region\n\
+             reoptimize every 15s warmup 5s\n\
+             {extra}"
+        ))
+        .unwrap()
+    }
+
+    /// A run's log with the optimizer pinned to `threads` workers.
+    fn log_at_threads(spec: &Scenario, seed: u64, threads: usize, fill_threads: usize) -> String {
+        let options = RunOptions {
+            fill_threads,
+            ..Default::default()
+        };
+        let mut engine = build_with(spec, seed, &options).unwrap();
+        engine.consumer_mut().controller.optimizer.threads = threads;
+        engine.run(&spec.name, seed).to_text()
     }
 
     #[test]
@@ -1017,63 +886,34 @@ mod tests {
         // Fill-thread count must never alter a log: the parallel fill
         // is bitwise-equal to the serial one, event by event.
         let spec = ring_spec("arrivals rate 0.2 max-flows 30\ndepartures prob 0.2\n");
-        let serial = run_oracle_knobs_at(&spec, 7, OracleMode::Sharded, None, Default::default())
-            .unwrap()
-            .to_text();
-        let filled = run_oracle_knobs_at(
-            &spec,
-            7,
-            OracleMode::Sharded,
-            None,
-            ParallelKnobs {
-                fill_threads: 4,
-                ..Default::default()
-            },
-        )
-        .unwrap()
-        .to_text();
-        assert_eq!(serial, filled);
+        let serial = log_of(&spec, 7).to_text();
+        let filled = RunOptions {
+            fill_threads: 4,
+            ..Default::default()
+        };
+        assert_eq!(serial, run(&spec, 7, &filled).unwrap().0.to_text());
 
-        // With per-component passes enabled, the pass-worker count must
-        // not matter either: same flag, different thread counts, same
-        // bytes. (Toggling the flag itself may legitimately change the
-        // commit sequence, so both runs keep it on.)
-        let spec = Scenario::parse(
-            "scenario deep\n\
-             topology hypergrowth 1Mbps\n\
-             duration 30s\n\
-             epoch 10s\n\
-             workload flows 1 3 intra-region\n\
-             reoptimize every 15s warmup 5s\n",
-        )
-        .unwrap();
-        let wide = run_oracle_knobs_at(
-            &spec,
-            11,
-            OracleMode::Sharded,
-            None,
-            ParallelKnobs {
-                fill_threads: 4,
-                parallel_passes: true,
-                pass_threads: 4,
-            },
-        )
-        .unwrap()
-        .to_text();
-        let narrow = run_oracle_knobs_at(
-            &spec,
-            11,
-            OracleMode::Sharded,
-            None,
-            ParallelKnobs {
-                fill_threads: 1,
-                parallel_passes: true,
-                pass_threads: 1,
-            },
-        )
-        .unwrap()
-        .to_text();
-        assert_eq!(wide, narrow);
+        // Nor may the optimizer's worker count, which runs the
+        // per-component passes side by side: same spec, different
+        // thread counts, same bytes.
+        let spec = deep_spec("");
+        assert_eq!(
+            log_at_threads(&spec, 11, 4, 4),
+            log_at_threads(&spec, 11, 1, 1)
+        );
+    }
+
+    #[test]
+    fn optimize_budget_caps_passes_and_the_whole_instance_loop_together() {
+        let spec = deep_spec("optimize budget 5\n");
+        let log = log_of(&spec, 11);
+        let reopts: Vec<_> = log.records.iter().filter_map(|r| r.commits).collect();
+        assert!(reopts.contains(&5), "the budget must bind");
+        assert!(reopts.iter().all(|&c| c <= 5), "{reopts:?}");
+        assert_eq!(
+            log_at_threads(&spec, 11, 1, 1),
+            log_at_threads(&spec, 11, 4, 1)
+        );
     }
 
     #[test]
@@ -1081,7 +921,7 @@ mod tests {
         // ring_spec's schedule fires at 15, 45, 75; the window swallows
         // 45 and 75 and a wake catch-up is appended at 80.
         let spec = ring_spec("controller blackout 40s 80s\n");
-        let log = run(&spec, 3).unwrap();
+        let log = log_of(&spec, 3);
         let skipped: Vec<_> = log
             .records
             .iter()
@@ -1100,14 +940,14 @@ mod tests {
             .collect();
         assert_eq!(executed, vec![15.0, 80.0], "warmup run, then the wake");
         // Chaos replays byte-identically and bitwise across oracles.
-        assert_eq!(log.to_text(), run(&spec, 3).unwrap().to_text());
-        assert_eq!(log.to_text(), run_with(&spec, 3, false).unwrap().to_text());
+        assert_eq!(log.to_text(), log_of(&spec, 3).to_text());
+        assert_eq!(log.to_text(), full_log_of(&spec, 3).to_text());
     }
 
     #[test]
     fn install_delay_defers_commits_and_drop_discards_them() {
         let spec = ring_spec("install delay 2s\n");
-        let log = run(&spec, 5).unwrap();
+        let log = log_of(&spec, 5);
         let commits: Vec<_> = log
             .records
             .iter()
@@ -1122,11 +962,11 @@ mod tests {
         {
             assert_eq!(commit.time_s, reopt.time_s + 2.0);
         }
-        assert_eq!(log.to_text(), run_with(&spec, 5, false).unwrap().to_text());
+        assert_eq!(log.to_text(), full_log_of(&spec, 5).to_text());
 
         // p=1: every install is lost; the boot rules serve forever.
         let spec = ring_spec("install delay 2s\ninstall drop 1 seed 9\n");
-        let log = run(&spec, 5).unwrap();
+        let log = log_of(&spec, 5);
         assert!(!log
             .records
             .iter()
@@ -1138,12 +978,12 @@ mod tests {
                 .count(),
             3
         );
-        assert_eq!(log.to_text(), run_with(&spec, 5, false).unwrap().to_text());
+        assert_eq!(log.to_text(), full_log_of(&spec, 5).to_text());
 
         // p=0 with only the coin configured: commits still fire (at the
         // same time as the reopt, strictly after it in event order).
         let spec = ring_spec("install drop 0 seed 9\n");
-        let log = run(&spec, 5).unwrap();
+        let log = log_of(&spec, 5);
         assert_eq!(
             log.records
                 .iter()
@@ -1156,7 +996,7 @@ mod tests {
     #[test]
     fn measure_stale_and_budget_run_bitwise_across_oracles() {
         let spec = ring_spec("measure stale 20s\noptimize budget 3\n");
-        let log = run(&spec, 6).unwrap();
+        let log = log_of(&spec, 6);
         for r in log.records.iter().filter(|r| r.commits.is_some()) {
             assert!(
                 r.commits.unwrap() <= 3,
@@ -1164,17 +1004,20 @@ mod tests {
                 r.to_line()
             );
         }
-        assert_eq!(log.to_text(), run(&spec, 6).unwrap().to_text());
-        assert_eq!(log.to_text(), run_with(&spec, 6, false).unwrap().to_text());
+        assert_eq!(log.to_text(), log_of(&spec, 6).to_text());
+        assert_eq!(log.to_text(), full_log_of(&spec, 6).to_text());
     }
 
     #[test]
     fn unknown_names_fail_the_build() {
         let spec = ring_spec("at 10s fail n0 nope\n");
-        let e = run(&spec, 1).unwrap_err();
+        let e = run(&spec, 1, &RunOptions::default()).unwrap_err();
         assert!(e.0.contains("nope"), "{e}");
         let spec = ring_spec("at 10s surge n0 n0 x2\n");
-        assert!(run(&spec, 1).is_err(), "intra-pop pair absent by default");
+        assert!(
+            run(&spec, 1, &RunOptions::default()).is_err(),
+            "intra-pop pair absent by default"
+        );
     }
 
     #[test]
@@ -1229,10 +1072,10 @@ mod tests {
              at 45s repair Frankfurt Zurich\n",
         )
         .unwrap();
-        let a = run(&spec, 9).unwrap();
-        let b = run(&spec, 9).unwrap();
+        let a = log_of(&spec, 9);
+        let b = log_of(&spec, 9);
         assert_eq!(a.to_text(), b.to_text());
-        let full = run_with(&spec, 9, false).unwrap();
+        let full = full_log_of(&spec, 9);
         assert_eq!(a.to_text(), full.to_text());
         assert!(a.records.iter().any(|r| r.what.starts_with("fail")));
 

@@ -216,6 +216,12 @@ impl<C: EventConsumer> Engine<C> {
         }
     }
 
+    /// The consumer, for tests that adjust it between build and run.
+    #[cfg(test)]
+    pub(crate) fn consumer_mut(&mut self) -> &mut C {
+        &mut self.consumer
+    }
+
     /// Runs to the configured horizon and returns the per-event log.
     pub fn run(self, scenario: &str, seed: u64) -> ScenarioLog {
         self.run_instrumented(scenario, seed).0

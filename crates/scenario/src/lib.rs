@@ -27,13 +27,13 @@
 //! [`ScenarioLog`]s.
 //!
 //! ```
-//! use fubar_scenario::{catalog, run};
+//! use fubar_scenario::{catalog, run, RunOptions};
 //!
 //! let spec = catalog::load("flash_crowd").unwrap();
 //! let mut short = spec.clone();
 //! short.duration = fubar_topology::Delay::from_secs(60.0);
-//! let a = run(&short, 7).unwrap();
-//! let b = run(&short, 7).unwrap();
+//! let (a, _stats) = run(&short, 7, &RunOptions::default()).unwrap();
+//! let (b, _stats) = run(&short, 7, &RunOptions::default()).unwrap();
 //! assert_eq!(a.to_text(), b.to_text());
 //! assert!(a.records.len() > 10);
 //! ```
@@ -50,12 +50,7 @@ pub mod stats;
 pub mod stochastic;
 
 pub use chaos::{score_log, search, SearchOutcome};
-pub use driver::{
-    build, build_at, build_oracle_at, build_oracle_knobs_at, build_with, load_file_topology, run,
-    run_at, run_oracle_at, run_oracle_knobs_at, run_with, run_with_stats, run_with_stats_at,
-    run_with_stats_oracle_at, run_with_stats_oracle_knobs_at, BuildError, OracleMode,
-    ParallelKnobs, SdnConsumer,
-};
+pub use driver::{build, build_with, load_file_topology, run, BuildError, RunOptions, SdnConsumer};
 pub use engine::{Engine, EventConsumer, Measure};
 pub use event::{Event, EventKind, EventQueue};
 pub use log::{EventRecord, ScenarioLog};

@@ -23,8 +23,7 @@ pub struct RunStats {
     /// Peak optimizer scoring-scratch sizes across the run.
     pub scratch: WorkspaceStats,
     /// Per-shard accumulators across the run's re-optimizations (empty
-    /// when the optimizer ran flat; the last entry is the inter-region
-    /// trunk core).
+    /// when none ran; the last entry is the inter-region trunk core).
     pub shards: Vec<ShardRunStats>,
     /// Per-worker parallel-fill counters (fills run, peak component
     /// sizes) when the run measured with `--fill-threads > 1`; empty

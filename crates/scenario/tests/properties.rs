@@ -10,11 +10,32 @@
 //!    recompute — at the fabric level after every single mutation, and
 //!    end to end as byte-identical scenario logs.
 
-use fubar_scenario::{catalog, driver, run, run_with, EventKind, EventQueue, Scenario};
+use fubar_scenario::{
+    catalog, driver, run, EventKind, EventQueue, RunOptions, Scenario, ScenarioLog,
+};
 use fubar_sdn::{EpochReport, Fabric, RuleSet};
 use fubar_topology::{Bandwidth, Delay};
 use fubar_traffic::AggregateId;
 use proptest::prelude::*;
+
+/// The log of a run under `options`.
+fn log_with(spec: &Scenario, seed: u64, options: &RunOptions) -> ScenarioLog {
+    run(spec, seed, options).unwrap().0
+}
+
+/// The log of a default (incremental, serial-fill) run.
+fn log_of(spec: &Scenario, seed: u64) -> ScenarioLog {
+    log_with(spec, seed, &RunOptions::default())
+}
+
+/// The log of a full-recompute oracle run.
+fn full_log_of(spec: &Scenario, seed: u64) -> ScenarioLog {
+    let full = RunOptions {
+        full_recompute: true,
+        ..Default::default()
+    };
+    log_with(spec, seed, &full)
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
@@ -70,10 +91,10 @@ proptest! {
              arrivals rate {rate} max-flows 30\n\
              departures prob {prob}\n"
         )).unwrap();
-        let a = run(&spec, seed).unwrap().to_text();
-        let b = run(&spec, seed).unwrap().to_text();
+        let a = log_of(&spec, seed).to_text();
+        let b = log_of(&spec, seed).to_text();
         prop_assert_eq!(&a, &b, "same seed must replay identically");
-        let c = run(&spec, seed ^ 0xDEAD_BEEF).unwrap().to_text();
+        let c = log_of(&spec, seed ^ 0xDEAD_BEEF).to_text();
         prop_assert_ne!(&a, &c, "different seeds must diverge");
     }
 
@@ -98,13 +119,10 @@ proptest! {
              arrivals rate {rate} max-flows 30\n\
              departures prob 0.2\n"
         )).unwrap();
-        let serial = driver::run_oracle_knobs_at(
-            &spec, seed, driver::OracleMode::Sharded, None, driver::ParallelKnobs::default(),
-        ).unwrap().to_text();
-        let parallel = driver::run_oracle_knobs_at(
-            &spec, seed, driver::OracleMode::Sharded, None,
-            driver::ParallelKnobs { fill_threads, ..Default::default() },
-        ).unwrap().to_text();
+        let serial = log_of(&spec, seed).to_text();
+        let parallel = log_with(
+            &spec, seed, &RunOptions { fill_threads, ..Default::default() },
+        ).to_text();
         prop_assert_eq!(&serial, &parallel, "fill_threads={} changed the log", fill_threads);
     }
 }
@@ -139,8 +157,8 @@ fn warm_start_matches_cold_start_on_the_catalog() {
         let mut cold_spec = spec;
         cold_spec.reoptimize.warm_start = false;
 
-        let warm = run(&warm_spec, warm_spec.seed).unwrap();
-        let cold = run(&cold_spec, cold_spec.seed).unwrap();
+        let warm = log_of(&warm_spec, warm_spec.seed);
+        let cold = log_of(&cold_spec, cold_spec.seed);
 
         // The stochastic sources never read controller state, so the
         // event streams must be identical...
@@ -316,8 +334,8 @@ fn incremental_and_full_measurement_logs_are_identical() {
             &[spec.seed, spec.seed ^ 0xBEEF]
         };
         for &seed in seeds {
-            let inc = run_with(&spec, seed, true).unwrap().to_text();
-            let full = run_with(&spec, seed, false).unwrap().to_text();
+            let inc = log_of(&spec, seed).to_text();
+            let full = full_log_of(&spec, seed).to_text();
             assert_eq!(
                 inc, full,
                 "{name} seed {seed}: incremental measurement diverged from the full-recompute oracle"
@@ -331,13 +349,13 @@ fn incremental_and_full_measurement_logs_are_identical() {
 #[test]
 fn flash_crowd_seed_7_is_a_deterministic_200_event_run() {
     let spec = catalog::load("flash_crowd").unwrap();
-    let a = run(&spec, 7).unwrap();
+    let a = log_of(&spec, 7);
     assert!(
         a.records.len() >= 200,
         "flash_crowd must be a >=200-event scenario, got {}",
         a.records.len()
     );
-    let b = run(&spec, 7).unwrap();
+    let b = log_of(&spec, 7);
     assert_eq!(a.to_text(), b.to_text(), "byte-identical replay");
     // The surge is visible: utility dips after t=100s relative to the
     // warmed-up steady state, then re-optimization claws some back.
@@ -465,8 +483,8 @@ proptest! {
         let dark_spec =
             Scenario::parse(&format!("{base_text}controller blackout {w1}s {w2}s\n")).unwrap();
 
-        let clean = run(&clean_spec, seed).unwrap();
-        let dark = run(&dark_spec, seed).unwrap();
+        let clean = log_of(&clean_spec, seed);
+        let dark = log_of(&dark_spec, seed);
 
         let epochs = |log: &fubar_scenario::ScenarioLog| {
             log.records
@@ -494,12 +512,10 @@ proptest! {
 
         prop_assert_eq!(
             dark.to_text(),
-            run(&dark_spec, seed).unwrap().to_text(),
+            log_of(&dark_spec, seed).to_text(),
             "blackout run must replay byte-identically"
         );
-        let full = driver::run_oracle_at(&dark_spec, seed, driver::OracleMode::Full, None)
-            .unwrap()
-            .to_text();
+        let full = full_log_of(&dark_spec, seed).to_text();
         prop_assert_eq!(dark.to_text(), full, "full oracle must agree bitwise");
     }
 }

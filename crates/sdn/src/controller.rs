@@ -64,9 +64,8 @@ pub struct Reoptimization {
     /// High-water marks of the optimizer's per-candidate scoring
     /// scratch during this run (`fubar-cli scenario run --stats`).
     pub scratch: WorkspaceStats,
-    /// Per-shard execution statistics when the optimizer ran the
-    /// hierarchical sharded loop (empty for flat runs); the last entry
-    /// is the trunk core.
+    /// Per-shard execution statistics of the run; the last entry is
+    /// the trunk core.
     pub shards: Vec<ShardRunStats>,
 }
 

@@ -9,7 +9,7 @@
 //! The same seed always produces a byte-identical event log — pipe it to
 //! a file and diff across runs or machines.
 
-use fubar::scenario::{catalog, run};
+use fubar::scenario::{catalog, run, RunOptions};
 
 fn main() {
     let spec = catalog::load("flash_crowd").expect("bundled scenario");
@@ -19,7 +19,8 @@ fn main() {
         .unwrap_or(spec.seed);
 
     println!("# spec\n{spec}");
-    let log = run(&spec, seed).expect("flash_crowd builds on its own topology");
+    let (log, _stats) =
+        run(&spec, seed, &RunOptions::default()).expect("flash_crowd builds on its own topology");
 
     // The headline trajectory: utility at every measurement epoch, with
     // markers where the interesting events landed.

@@ -39,31 +39,23 @@
 //!     Print a scenario spec (canonical serialization).
 //!
 //! fubar-cli scenario run <name|file.scn> [--seed N] [--out log.txt]
-//!                        [--oracle sharded|flat|full] [--stats]
-//!                        [--fill-threads N] [--parallel-passes] [--pass-threads N]
+//!                        [--oracle full] [--stats] [--fill-threads N]
 //!     Run a scenario and emit the per-event log on stdout (or to
 //!     --out). Same spec + same seed => byte-identical log. The
 //!     catalog scales up to `hypergrowth` (4,096 aggregates on the
 //!     64-POP tier) and `planetary` (65,536 aggregates on the 256-POP
 //!     tier): incremental fabric measurement and the region-sharded
-//!     optimizer keep whole runs tractable. `--oracle` picks the
-//!     execution path: `sharded` (default) routes candidate scoring
-//!     through per-region subproblems, `flat` runs the same
-//!     incremental loop unsharded (the `sharded ≡ flat` oracle), and
-//!     `full` forces full-recompute measurement *and* scoring on every
-//!     probe. All three produce byte-identical logs — CI cross-checks
-//!     them with `cmp`. (`incremental` is accepted as a legacy
-//!     spelling of `sharded`.) `--stats` prints per-event
+//!     optimizer keep whole runs tractable. `--oracle full` forces
+//!     full-recompute measurement *and* scoring on every probe; its
+//!     log is byte-identical to the default incremental run's — CI
+//!     cross-checks them with `cmp`. `--stats` prints per-event
 //!     measurement/re-optimization timing percentiles, the optimizer's
-//!     peak scratch sizes, and — under the sharded path — per-shard
-//!     commit/score/scratch accumulators to stderr (never into the
-//!     log, which stays byte-deterministic). `--fill-threads N` splits
-//!     every water-filling evaluation across N workers (bitwise-equal
-//!     to serial, so logs do not change; with `--stats` a per-worker
-//!     fill block is printed). `--parallel-passes` runs independent
-//!     greedy passes over isolated bottleneck components before the
-//!     global loop, on `--pass-threads N` workers: for a fixed flag
-//!     setting the log is byte-identical at any thread count.
+//!     peak scratch sizes, and per-shard commit/score/scratch
+//!     accumulators to stderr (never into the log, which stays
+//!     byte-deterministic). `--fill-threads N` splits every
+//!     water-filling evaluation across N workers (bitwise-equal to
+//!     serial, so logs do not change; with `--stats` a per-worker fill
+//!     block is printed).
 //!
 //! fubar-cli scenario search <name|file.scn> [--seed N] [--candidates K]
 //!                           [--name NAME] [--out file.scn]
@@ -172,8 +164,7 @@ fn usage() -> ExitCode {
          fubar-cli scenario list\n  \
          fubar-cli scenario show <name|file.scn>\n  \
          fubar-cli scenario run <name|file.scn> [--seed N] [--out log.txt] \
-         [--oracle sharded|flat|full] [--stats] \
-         [--fill-threads N] [--parallel-passes] [--pass-threads N]\n  \
+         [--oracle full] [--stats] [--fill-threads N]\n  \
          fubar-cli scenario search <name|file.scn> [--seed N] [--candidates K] \
          [--name NAME] [--out file.scn] [--check file.scn] [--smoke]\n  \
          fubar-cli lint [check|ledger] [--root DIR] [--format text|json] [--out FILE]"
@@ -435,16 +426,18 @@ fn load_scenario(what: &str) -> Result<(Scenario, Option<std::path::PathBuf>), C
 fn cmd_scenario_run(args: &[String]) -> CliResult {
     if args.len() < 2 {
         return Err(CliError::usage(
-            "run needs <name|file.scn> [--seed N] [--out file] [--oracle mode] [--stats] \
-             [--fill-threads N] [--parallel-passes] [--pass-threads N]",
+            "run needs <name|file.scn> [--seed N] [--out file] [--oracle full] [--stats] \
+             [--fill-threads N]",
         ));
     }
     let (spec, base) = load_scenario(&args[1])?;
     let mut seed = spec.seed;
     let mut out: Option<String> = None;
-    let mut mode = fubar::scenario::OracleMode::Sharded;
     let mut stats = false;
-    let mut knobs = fubar::scenario::ParallelKnobs::default();
+    let mut options = fubar::scenario::RunOptions {
+        base,
+        ..Default::default()
+    };
     let positive = |flag: &str, v: Option<&String>| -> Result<usize, CliError> {
         let n: usize = v
             .ok_or_else(|| CliError::usage(format!("{flag} needs a thread count")))?
@@ -459,14 +452,9 @@ fn cmd_scenario_run(args: &[String]) -> CliResult {
     while i < args.len() {
         match args[i].as_str() {
             "--stats" => stats = true,
-            "--parallel-passes" => knobs.parallel_passes = true,
             "--fill-threads" => {
                 i += 1;
-                knobs.fill_threads = positive("--fill-threads", args.get(i))?;
-            }
-            "--pass-threads" => {
-                i += 1;
-                knobs.pass_threads = positive("--pass-threads", args.get(i))?;
+                options.fill_threads = positive("--fill-threads", args.get(i))?;
             }
             "--seed" => {
                 i += 1;
@@ -486,41 +474,23 @@ fn cmd_scenario_run(args: &[String]) -> CliResult {
             }
             "--oracle" => {
                 i += 1;
-                mode = match args
-                    .get(i)
-                    .ok_or_else(|| CliError::usage("--oracle needs sharded|flat|full"))?
-                    .as_str()
-                {
-                    // "incremental" predates the sharded loop;
-                    // it keeps selecting the default
-                    // incremental path, which now shards.
-                    "sharded" | "incremental" => fubar::scenario::OracleMode::Sharded,
-                    "flat" => fubar::scenario::OracleMode::Flat,
-                    "full" => fubar::scenario::OracleMode::Full,
+                // The default incremental path has no spelling here:
+                // the flag only ever selects the one oracle.
+                match args.get(i).map(String::as_str) {
+                    Some("full") => options.full_recompute = true,
                     other => {
                         return Err(CliError::usage(format!(
-                            "--oracle must be sharded, flat, or full, not {other:?}"
+                            "--oracle takes full, not {other:?}"
                         )))
                     }
-                };
+                }
             }
             other => return Err(CliError::usage(format!("unknown flag {other:?}"))),
         }
         i += 1;
     }
-    let base = base.as_deref();
-    let (log, run_stats) = if stats {
-        let (log, s) =
-            fubar::scenario::run_with_stats_oracle_knobs_at(&spec, seed, mode, base, knobs)
-                .map_err(|e| CliError::data(e.to_string()))?;
-        (log, Some(s))
-    } else {
-        (
-            fubar::scenario::run_oracle_knobs_at(&spec, seed, mode, base, knobs)
-                .map_err(|e| CliError::data(e.to_string()))?,
-            None,
-        )
-    };
+    let (log, run_stats) =
+        fubar::scenario::run(&spec, seed, &options).map_err(|e| CliError::data(e.to_string()))?;
     match out {
         Some(path) => {
             write_file(&path, &log.to_text())?;
@@ -529,8 +499,8 @@ fn cmd_scenario_run(args: &[String]) -> CliResult {
         None => print!("{}", log.to_text()),
     }
     eprintln!("{}", log.summary());
-    if let Some(s) = run_stats {
-        eprintln!("{}", s.render());
+    if stats {
+        eprintln!("{}", run_stats.render());
     }
     Ok(())
 }

@@ -56,6 +56,23 @@ fn unknown_flags_and_subcommands_exit_2() {
     }
 }
 
+/// The sharded/flat oracle names and the pass flags are gone with the
+/// modes they selected; scripts still passing them must fail loudly,
+/// not silently run the default.
+#[test]
+fn removed_run_modes_exit_2() {
+    for mode in [
+        &["--oracle", "flat"][..],
+        &["--oracle", "sharded"][..],
+        &["--parallel-passes"][..],
+        &["--pass-threads", "2"][..],
+    ] {
+        let out = cli(&[&["scenario", "run", "flash_crowd"], mode].concat());
+        assert_eq!(code(&out), 2, "{mode:?}: {}", stderr(&out));
+        assert_one_line_error(&out);
+    }
+}
+
 #[test]
 fn unknown_names_and_missing_files_exit_66() {
     for args in [

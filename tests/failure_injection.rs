@@ -287,7 +287,7 @@ fn chaos_partition_scenario_survives_total_isolation_of_n5() {
     // partition, the partition hurts, and repairs revive the node.
     let mut spec = fubar::scenario::catalog::load("chaos_partition").unwrap();
     spec.duration = fubar::topology::Delay::from_secs(170.0);
-    let log = fubar::scenario::run(&spec, spec.seed).unwrap();
+    let (log, _) = fubar::scenario::run(&spec, spec.seed, &Default::default()).unwrap();
     let epochs: Vec<(f64, f64)> = log
         .records
         .iter()
