@@ -16,7 +16,7 @@ fn he_fabric() -> Fabric {
 fn bench_epoch(c: &mut Criterion) {
     let mut fabric = he_fabric();
     c.bench_function("fabric_epoch_he_961_aggregates", |b| {
-        b.iter(|| fabric.run_epoch())
+        b.iter(|| fabric.run_epoch().report.network_utility)
     });
 }
 
@@ -39,12 +39,12 @@ fn bench_peek(c: &mut Criterion) {
         b.iter(|| {
             bump = !bump;
             fabric.set_flow_count(victim, base + u32::from(bump));
-            fabric.peek()
+            fabric.peek().report.network_utility
         })
     });
 
     c.bench_function("peek_incremental_unchanged_he_961", |b| {
-        b.iter(|| fabric.peek())
+        b.iter(|| fabric.peek().report.network_utility)
     });
 }
 

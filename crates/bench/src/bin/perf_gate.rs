@@ -11,8 +11,10 @@
 //!   evaluation, splice-view demands, cached capacities, O(log n)
 //!   utility-fold patches) versus the oracle mode that rebuilds every
 //!   bundle and re-runs full water-filling per candidate;
-//! * **fabric measurement**: `Fabric::peek` after a single churn event
-//!   versus the `Fabric::peek_full` oracle;
+//! * **fabric measurement** (both tiers): `Fabric::peek` after a single
+//!   churn event — one aggregate's segment patched into the cached
+//!   table, evaluation and report in place — versus the
+//!   `Fabric::peek_full` oracle;
 //! * the **parallel fill** (hypergrowth and planetary deep-congestion
 //!   instances): `FlowModel::evaluate_traced_parallel` over disjoint
 //!   bottleneck components versus the serial `evaluate_traced`, at
@@ -21,10 +23,11 @@
 //!   single-core runners (where the parallel side is serial plus
 //!   partition overhead) while still catching overhead regressions.
 //!
-//! Because per-move cost is bound by the bottleneck *component*, not
-//! the instance, the incremental-vs-full speedup must **grow** with
-//! instance size: the gate fails if the hypergrowth tier's inner-loop
-//! speedup does not exceed the HE-961 one.
+//! Because per-move and per-event cost is bound by the bottleneck
+//! *component*, not the instance, the incremental-vs-full speedup must
+//! **grow** with instance size: the gate fails if the hypergrowth
+//! tier's inner-loop or one-churn-peek speedup does not exceed the
+//! HE-961 one.
 //!
 //! While timing, it also cross-checks that the two modes agree (same
 //! committed moves, bitwise-identical reports) — a perf gate that
@@ -244,11 +247,11 @@ fn measure_parallel_fill_on(
     }
 }
 
-/// Fabric measurement: `peek` after one churn event vs the
-/// `peek_full` oracle (the PR 2 hot path, kept under the same gate).
-fn measure_peek() -> Comparison {
-    let (topo, tm) = he_instance();
-    let mut fabric = Fabric::new(topo, tm, Delay::from_secs(30.0));
+/// Fabric measurement on one instance: `peek` after one churn event
+/// (the in-place patch of one aggregate's segment) vs the `peek_full`
+/// oracle.
+fn measure_peek_on(name: &'static str, topo: &Topology, tm: &TrafficMatrix) -> Comparison {
+    let mut fabric = Fabric::new(topo.clone(), tm.clone(), Delay::from_secs(30.0));
     fabric.peek(); // warm the measurement cache
 
     let victim = AggregateId(17);
@@ -256,30 +259,32 @@ fn measure_peek() -> Comparison {
 
     // Cross-check: one churn, incremental == full, bitwise.
     fabric.set_flow_count(victim, base + 1);
-    let inc = fabric.peek();
     let full = fabric.peek_full();
-    if let Some(field) = inc.bitwise_mismatch(&full) {
+    if let Some(field) = fabric.peek().bitwise_mismatch(&full) {
         panic!("peek modes diverged in {field}");
     }
     fabric.set_flow_count(victim, base);
     fabric.peek();
 
-    const ITERS: u32 = 100;
+    const FULL_ITERS: u32 = 20;
     let full_s = min_secs(|| {
-        for _ in 0..ITERS {
+        for _ in 0..FULL_ITERS {
             std::hint::black_box(fabric.peek_full());
         }
-    }) / f64::from(ITERS);
+    }) / f64::from(FULL_ITERS);
+    // An incremental probe is microseconds: batch more of them per
+    // timing sample than of the oracle.
+    const ITERS: u32 = 1000;
     let mut bump = false;
     let incremental_s = min_secs(|| {
         for _ in 0..ITERS {
             bump = !bump;
             fabric.set_flow_count(victim, base + u32::from(bump));
-            std::hint::black_box(fabric.peek());
+            std::hint::black_box(fabric.peek().report.network_utility);
         }
     }) / f64::from(ITERS);
     Comparison {
-        name: "peek_one_churn",
+        name,
         full_s,
         incremental_s,
     }
@@ -363,7 +368,8 @@ fn main() -> ExitCode {
     let comparisons = [
         measure_optimizer_on("optimizer_inner_loop", &he_topo, &he_tm),
         measure_optimizer_on("optimizer_inner_loop_hypergrowth", &hg_topo, &hg_tm),
-        measure_peek(),
+        measure_peek_on("peek_one_churn", &he_topo, &he_tm),
+        measure_peek_on("peek_one_churn_hypergrowth", &hg_topo, &hg_tm),
         measure_parallel_fill_on(
             "parallel_fill_hypergrowth",
             &pf_hg_topo,
@@ -381,7 +387,7 @@ fn main() -> ExitCode {
     let mut json = String::from("{\n");
     for (i, c) in comparisons.iter().enumerate() {
         json.push_str(&format!(
-            "  \"{}\": {{\"full_s\": {:.6}, \"incremental_s\": {:.6}, \"speedup\": {:.2}}}{}\n",
+            "  \"{}\": {{\"full_s\": {:.9}, \"incremental_s\": {:.9}, \"speedup\": {:.2}}}{}\n",
             c.name,
             c.full_s,
             c.incremental_s,
@@ -410,23 +416,24 @@ fn main() -> ExitCode {
             "REGRESSED"
         };
         println!(
-            "gate {:<24} speedup {:>6.2}x (min {min:.2}x) .. {verdict}",
+            "gate {:<33} speedup {:>6.2}x (min {min:.2}x) .. {verdict}",
             c.name,
             c.speedup()
         );
         ok &= c.speedup() >= min;
     }
-    // The scale-growth criterion: per-move cost is component-bound, so
-    // the incremental-vs-full speedup must be larger on the 4x bigger
-    // hypergrowth instance than on HE-961.
-    let he = comparisons[0].speedup();
-    let hg = comparisons[1].speedup();
-    let verdict = if hg > he { "ok" } else { "REGRESSED" };
-    println!(
-        "gate {:<33} {hg:>6.2}x vs {he:.2}x on HE-961 .. {verdict}",
-        "speedup_grows_with_scale"
-    );
-    ok &= hg > he;
+    // The scale-growth criterion: per-move and per-event cost is
+    // component-bound, so the incremental-vs-full speedup must be larger
+    // on the 4x bigger hypergrowth instance than on HE-961.
+    for (gate, small, large) in [
+        ("speedup_grows_with_scale", 0, 1),
+        ("peek_speedup_grows_with_scale", 2, 3),
+    ] {
+        let (he, hg) = (comparisons[small].speedup(), comparisons[large].speedup());
+        let verdict = if hg > he { "ok" } else { "REGRESSED" };
+        println!("gate {gate:<33} {hg:>6.2}x vs {he:.2}x on HE-961 .. {verdict}");
+        ok &= hg > he;
+    }
 
     if ok {
         ExitCode::SUCCESS

@@ -22,11 +22,13 @@
 //! per-aggregate spans), its traced flow-model evaluation, and its
 //! utility report, and scores a candidate by splicing the moved
 //! aggregate's new bundle segment over the cache as a
-//! [`BundleDelta`] and patching through
-//! [`FlowModel::evaluate_delta`] — water-filling re-runs only on the
-//! affected bottleneck component, utilities refresh only for affected
-//! aggregates. Rejected candidates never touch the cache; the winner is
-//! patched in once per commit. The invariant (mirroring the fabric's
+//! [`BundleDelta`] and scoring it through [`FlowModel::score_delta`] —
+//! water-filling re-runs only on the affected bottleneck component,
+//! utilities refresh only for affected aggregates. Rejected candidates
+//! never touch the cache; the winner is patched into it **in place**
+//! once per commit ([`FlowModel::apply_delta`] for the table and the
+//! evaluation, [`UtilityReport::patch`] for the report), so a commit
+//! costs the component too, not the instance. The invariant (mirroring the fabric's
 //! measurement invariant, enforced by property tests in
 //! `tests/properties.rs`): **incremental candidate scoring is bitwise
 //! identical to full-recompute scoring**, move for move, over whole
@@ -54,9 +56,9 @@ use crate::shard::{self, CrossingIndex, RegionPartition, ShardRunStats};
 use fubar_graph::Path;
 use fubar_graph::{LinkId, LinkSet};
 use fubar_model::{
-    score_network_utility_delta, utility_report, utility_report_from, BundleDelta, BundleSpec,
-    DeltaScore, Evaluation, FlowModel, ModelConfig, ModelOutcome, ParallelWorkspace, ReportScratch,
-    UtilityReport, Workspace, WorkspaceStats,
+    score_network_utility_delta, utility_report, BundleDelta, BundleSpec, DeltaScore, Evaluation,
+    FlowModel, ModelConfig, ModelOutcome, ParallelWorkspace, ReportScratch, Splice, UtilityReport,
+    Workspace, WorkspaceStats,
 };
 use fubar_topology::{Bandwidth, Topology};
 use fubar_traffic::{Aggregate, AggregateId, TrafficMatrix};
@@ -188,6 +190,16 @@ struct ScoreScratch {
     segment: Vec<BundleSpec>,
 }
 
+/// What a commit patches the incumbent cache with. One per optimizer,
+/// apart from the scoring scratch: the scoring workspaces' fill
+/// counters count scored candidates only.
+#[derive(Default)]
+struct CommitScratch {
+    model: Workspace,
+    report: ReportScratch,
+    splice: Splice,
+}
+
 /// The result of one optimization run.
 #[derive(Clone, Debug)]
 pub struct OptimizeResult {
@@ -308,6 +320,8 @@ pub struct Optimizer<'a> {
     /// `config.fill_threads > 1` (bitwise identical to the serial
     /// fill, see `fubar-model`).
     fill: Option<Mutex<ParallelWorkspace>>,
+    /// Shared by every commit of a run; concurrent passes take turns.
+    commit: Mutex<CommitScratch>,
 }
 
 impl<'a> Optimizer<'a> {
@@ -328,6 +342,7 @@ impl<'a> Optimizer<'a> {
             model,
             small_threshold,
             fill,
+            commit: Mutex::default(),
         }
     }
 
@@ -368,44 +383,44 @@ impl<'a> Optimizer<'a> {
         }
     }
 
-    /// Patches one aggregate's replacement bundle segment over the
-    /// incumbent cache: one delta evaluation (water-filling re-runs only
-    /// on the affected bottleneck component), a utility refresh
-    /// restricted to the aggregates owning re-filled bundles, and the
-    /// segment spliced into the bundle table.
-    fn patch_incumbent(&self, inc: &mut Incumbent, agg: AggregateId, segment: &[BundleSpec]) {
+    /// Patches one aggregate's replacement bundle segment into the
+    /// incumbent cache, in place: the model re-fills the affected
+    /// bottleneck component and splices table and evaluation, the
+    /// report refreshes the aggregates owning re-filled bundles, and the
+    /// spans behind the aggregate shift if its bundle count changed.
+    fn patch_incumbent(&self, inc: &mut Incumbent, agg: AggregateId, segment: Vec<BundleSpec>) {
+        let mut ws = self.commit.lock().expect("commit scratch lock poisoned");
+        let ws = &mut *ws;
         let (start, len) = inc.spans[agg.index()];
-        let delta = BundleDelta::new(&inc.bundles, start as usize, len as usize, segment);
-        let patched = self.model.evaluate_delta(&inc.eval, &delta);
-        // Touched aggregates in ascending id order, O(touched log
-        // touched) — a dense boolean mask over the whole matrix would
-        // make every commit O(instance), which dominates at planetary
-        // scale.
-        let mut touched: Vec<u32> = Vec::with_capacity(patched.affected.len() + 1);
-        touched.push(agg.index() as u32);
-        for &bi in &patched.affected {
-            touched.push(delta.get(bi as usize).aggregate.index() as u32);
-        }
-        touched.sort_unstable();
-        touched.dedup();
-        let affected: Vec<AggregateId> = touched.into_iter().map(AggregateId).collect();
-        let report = utility_report_from(
-            self.tm,
-            delta.iter(),
-            &patched.evaluation.outcome,
-            &inc.report,
-            &affected,
+        let new_len = segment.len() as u32;
+        ws.splice.push(start as usize, len as usize, segment);
+        let full_recompute = self.model.apply_delta(
+            &mut inc.eval,
+            &mut inc.bundles,
+            &mut ws.splice,
+            &[],
+            &mut ws.model,
+            None,
         );
-        inc.bundles = delta.materialize();
-        let shift = segment.len() as i64 - i64::from(len);
-        inc.spans[agg.index()].1 = segment.len() as u32;
-        if shift != 0 {
+        inc.spans[agg.index()].1 = new_len;
+        if new_len != len {
             for s in &mut inc.spans[agg.index() + 1..] {
-                s.0 = (i64::from(s.0) + shift) as u32;
+                s.0 = s.0 - len + new_len;
             }
         }
-        inc.eval = patched.evaluation;
-        inc.report = report;
+        if full_recompute {
+            inc.report = utility_report(self.tm, &inc.bundles, &inc.eval.outcome);
+        } else {
+            inc.report.patch(
+                self.tm,
+                &inc.bundles,
+                &inc.eval.outcome,
+                &inc.spans,
+                ws.model.affected(),
+                &[agg.index() as u32],
+                &mut ws.report,
+            );
+        }
     }
 
     fn trace_point(&self, started: Instant, commits: usize, incumbent: &Incumbent) -> TracePoint {
@@ -531,13 +546,9 @@ impl<'a> Optimizer<'a> {
                     )
                 }
             },
-            // Rare fallback (component ≈ whole instance): score exactly
-            // like the oracle over the full evaluation.
-            DeltaScore::Full(eval) => {
-                let bundles = delta.materialize();
-                let report = utility_report(self.tm, &bundles, &eval.outcome);
-                self.config.objective.score(&report, &eval.outcome)
-            }
+            // Rare fallback (component ≈ whole instance): score like the
+            // oracle does.
+            DeltaScore::Full => self.score_candidate_full(&mut alloc.clone(), c),
         }
     }
 
@@ -660,8 +671,8 @@ impl<'a> Optimizer<'a> {
     }
 
     /// Commits a candidate onto `state`: applies the move to the
-    /// allocation, refreshes the incumbent cache — one delta patch in
-    /// incremental mode, a full re-measurement in oracle mode —
+    /// allocation, refreshes the incumbent cache — one in-place delta
+    /// patch in incremental mode, a full re-measurement in oracle mode —
     /// registers a brand-new path in the crossing index, and logs the
     /// commit (attributed to `owner`, the shard owning the focus link)
     /// with its trace point. Shared by the loop's winners and the replay
@@ -670,7 +681,7 @@ impl<'a> Optimizer<'a> {
         let (alloc, incumbent) = (&mut state.alloc, &mut state.incumbent);
         if self.config.incremental {
             let segment = alloc.bundles_after_move(self.tm, c.aggregate, c.from, &c.alt, c.count);
-            self.patch_incumbent(incumbent, c.aggregate, &segment);
+            self.patch_incumbent(incumbent, c.aggregate, segment);
         }
         let known_paths = alloc.path_set(c.aggregate).len();
         let to = alloc.add_path(c.aggregate, c.alt.clone());

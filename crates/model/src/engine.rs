@@ -28,11 +28,27 @@
 //!
 //! ### Incremental re-evaluation
 //!
-//! [`FlowModel::evaluate_from`] patches a previous [`Evaluation`] after a
-//! small change instead of re-running everything; [`FlowModel::evaluate_delta`]
-//! does the same over a spliced [`BundleDelta`] view so per-candidate
-//! callers (the optimizer's inner loop) never materialize rejected
-//! inputs. Two observations bound the affected set:
+//! A small change to an evaluated bundle list is described as a
+//! *splice view* over it ([`BundleDelta`]): `k ≥ 1` ascending ranges of
+//! the previous list, each replaced by a new segment — one range per
+//! changed aggregate, since an aggregate's bundles are contiguous.
+//! Nobody materializes the changed list. [`FlowModel::score_delta`]
+//! fills the view just far enough to score it (the optimizer's
+//! per-candidate path); [`FlowModel::apply_delta`] lands an accepted
+//! change **in place**: it writes the re-filled bundles' rates, statuses
+//! and freeze keys into the existing [`Evaluation`], re-derives load,
+//! demand and saturation for dirty links only, patches the congested
+//! list and the touched links' crossing rows, and splices the cached
+//! bundle table with `Vec::splice`. While every segment keeps its
+//! length, that is all — O(changed segments + affected component +
+//! crossing rows of the dirty links: their demand and load sums are
+//! re-accumulated entry by entry, in the full run's order, to stay
+//! bitwise exact), no instance-sized pass. A segment that changes
+//! length shifts every later bundle's index, so the *tail renumber* is
+//! paid then, and only then: freeze keys and crossing entries behind
+//! the first resized segment are rewritten, and the per-bundle arrays
+//! move their tails.
+//! Two observations bound the affected set:
 //!
 //! 1. a link whose offered demand is strictly below its capacity can
 //!    never saturate (the load is bounded by the demand at every water
@@ -72,12 +88,15 @@
 //! loads only grow with the water level, the final load is the
 //! trajectory maximum, so a passed check proves the link never fires and
 //! the spliced trajectory is exactly the full run's. Per-bundle freeze
-//! records ([`FreezeKey`]) then let the patcher re-accumulate touched
+//! records ([`FreezeKey`]) then let the patcher re-accumulate dirty
 //! links' loads in exactly the order the full run would have used, so
-//! the patched outcome is bit-for-bit identical to a full recompute.
+//! the patched evaluation is bit-for-bit identical to a full recompute
+//! (multi-segment changes included: they are one joint fill, never `k`
+//! sequential ones).
 
 use crate::outcome::ModelOutcome;
 use crate::spec::{BundleSpec, BundleStatus};
+use crate::splice::{merge_row, splice_copy, BundleDelta, Seg, Splice, POOL};
 use fubar_graph::LinkId;
 use fubar_topology::{Bandwidth, Delay, Topology};
 use std::cmp::Ordering;
@@ -246,21 +265,24 @@ impl FreezeKey {
         }
     }
 
-    /// Total order matching the engine's event-processing order.
-    fn order(&self, other: &Self) -> Ordering {
-        self.time
-            .total_cmp(&other.time)
-            .then(self.kind.cmp(&other.kind))
-            .then(self.primary.cmp(&other.primary))
-            .then(self.secondary.cmp(&other.secondary))
+    /// The key's rank in the engine's event-processing order — water
+    /// level (in `f64::total_cmp` order), then kind, primary, secondary
+    /// — packed so that one integer comparison sorts by it.
+    fn rank(&self) -> u128 {
+        debug_assert!(self.kind <= 1 && self.primary < 1 << 31);
+        let bits = self.time.to_bits() as i64;
+        // `total_cmp`'s transform, shifted from signed to unsigned order.
+        let time = (bits ^ (((bits >> 63) as u64) >> 1) as i64) as u64 ^ (1 << 63);
+        let event =
+            u64::from(self.kind) << 63 | u64::from(self.primary) << 32 | u64::from(self.secondary);
+        u128::from(time) << 64 | u128::from(event)
     }
 }
 
 /// Indexed read access to a bundle list — a plain slice or a
-/// [`BundleDelta`] splice. Lets the engine fill and patch spliced views
-/// without the caller materializing them. `Sync` so the parallel fill
-/// can share one view across its scoped workers.
-trait BundleView: Sync {
+/// [`BundleDelta`] splice ([`Resolved`]). Lets the engine fill spliced
+/// views without the caller materializing them.
+trait BundleView {
     fn len(&self) -> usize;
     fn get(&self, i: usize) -> &BundleSpec;
 }
@@ -274,161 +296,24 @@ impl BundleView for [BundleSpec] {
     }
 }
 
-impl BundleView for BundleDelta<'_> {
+/// A [`BundleDelta`] read through the sources the core resolved for the
+/// affected set (`src[i]` is only valid for its members — all a fill
+/// asks for).
+struct Resolved<'a> {
+    delta: &'a BundleDelta<'a>,
+    src: &'a [u32],
+}
+
+impl BundleView for Resolved<'_> {
     fn len(&self) -> usize {
-        BundleDelta::len(self)
+        self.delta.len()
     }
     fn get(&self, i: usize) -> &BundleSpec {
-        BundleDelta::get(self, i)
+        self.delta.at(self.src[i])
     }
 }
 
-/// A one-segment splice over a previous bundle list: entries
-/// `[start, start + removed)` of `prev` are replaced by `replacement`,
-/// everything else is unchanged. [`FlowModel::evaluate_delta`] evaluates
-/// such a view directly, so a caller scoring many candidate changes
-/// (the optimizer: each candidate move perturbs exactly one aggregate's
-/// contiguous bundle segment) only materializes the winner.
-#[derive(Clone, Copy, Debug)]
-pub struct BundleDelta<'b> {
-    prev: &'b [BundleSpec],
-    start: usize,
-    removed: usize,
-    replacement: &'b [BundleSpec],
-}
-
-impl<'b> BundleDelta<'b> {
-    /// A splice replacing `prev[start..start + removed]` with
-    /// `replacement`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `start + removed` overruns `prev`.
-    pub fn new(
-        prev: &'b [BundleSpec],
-        start: usize,
-        removed: usize,
-        replacement: &'b [BundleSpec],
-    ) -> Self {
-        assert!(
-            start + removed <= prev.len(),
-            "spliced range {start}..{} overruns {} previous bundles",
-            start + removed,
-            prev.len()
-        );
-        BundleDelta {
-            prev,
-            start,
-            removed,
-            replacement,
-        }
-    }
-
-    /// Length of the spliced list.
-    pub fn len(&self) -> usize {
-        self.prev.len() - self.removed + self.replacement.len()
-    }
-
-    /// First index of the replaced range.
-    pub fn start(&self) -> usize {
-        self.start
-    }
-
-    /// How many previous bundles the splice removes.
-    pub fn removed(&self) -> usize {
-        self.removed
-    }
-
-    /// How many bundles the replacement segment holds.
-    pub fn replacement_len(&self) -> usize {
-        self.replacement.len()
-    }
-
-    /// True when the spliced list holds no bundles.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The bundle at position `i` of the spliced list.
-    pub fn get(&self, i: usize) -> &'b BundleSpec {
-        if i < self.start {
-            &self.prev[i]
-        } else if i < self.start + self.replacement.len() {
-            &self.replacement[i - self.start]
-        } else {
-            &self.prev[i - self.replacement.len() + self.removed]
-        }
-    }
-
-    /// Where bundle `i` of the spliced list sat in the previous list
-    /// (`None` across the replacement segment) — exactly the
-    /// `prev_index` mapping [`FlowModel::evaluate_from`] takes.
-    pub fn prev_index(&self, i: usize) -> Option<u32> {
-        if i < self.start {
-            Some(i as u32)
-        } else if i < self.start + self.replacement.len() {
-            None
-        } else {
-            Some((i - self.replacement.len() + self.removed) as u32)
-        }
-    }
-
-    /// Every link crossed by a removed or replacement bundle — the
-    /// touched set the model patcher must re-derive loads for.
-    pub fn touched_links(&self) -> Vec<LinkId> {
-        let mut out = Vec::new();
-        for b in &self.prev[self.start..self.start + self.removed] {
-            out.extend_from_slice(&b.links);
-        }
-        for b in self.replacement {
-            out.extend_from_slice(&b.links);
-        }
-        out
-    }
-
-    /// The spliced list as an owned vector (for committing a winner).
-    pub fn materialize(&self) -> Vec<BundleSpec> {
-        let mut out = Vec::with_capacity(self.len());
-        out.extend_from_slice(&self.prev[..self.start]);
-        out.extend_from_slice(self.replacement);
-        out.extend_from_slice(&self.prev[self.start + self.removed..]);
-        out
-    }
-
-    /// Iterates the spliced list in order (exact-size, so it plugs into
-    /// [`crate::utility_report_from`]).
-    pub fn iter(&self) -> BundleDeltaIter<'b> {
-        BundleDeltaIter { delta: *self, i: 0 }
-    }
-}
-
-/// Iterator over a [`BundleDelta`]'s spliced list.
-#[derive(Clone, Debug)]
-pub struct BundleDeltaIter<'b> {
-    delta: BundleDelta<'b>,
-    i: usize,
-}
-
-impl<'b> Iterator for BundleDeltaIter<'b> {
-    type Item = &'b BundleSpec;
-
-    fn next(&mut self) -> Option<&'b BundleSpec> {
-        if self.i >= self.delta.len() {
-            return None;
-        }
-        let b = self.delta.get(self.i);
-        self.i += 1;
-        Some(b)
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let left = self.delta.len() - self.i;
-        (left, Some(left))
-    }
-}
-
-impl ExactSizeIterator for BundleDeltaIter<'_> {}
-/// A model outcome plus the traces [`FlowModel::evaluate_from`] and
+/// A model outcome plus the traces [`FlowModel::apply_delta`] and
 /// [`FlowModel::score_delta`] need to patch it incrementally.
 #[derive(Clone, Debug)]
 pub struct Evaluation {
@@ -439,13 +324,12 @@ pub struct Evaluation {
     /// Per-bundle demands in bps — cached so delta scoring splices
     /// instead of recomputing O(bundles) demands per candidate.
     demands: Vec<f64>,
-    /// Crossing lists in CSR form: crossers of link `l`, ascending, at
-    /// `csr[csr_start[l]..csr_start[l + 1]]` — cached so delta scoring
-    /// merges per-link crossers lazily instead of rebuilding the whole
-    /// structure per candidate.
-    csr: Vec<u32>,
-    /// CSR row offsets, `link_count + 1` entries.
-    csr_start: Vec<u32>,
+    /// Crossing lists: `crossers[l]` holds the bundles crossing link
+    /// `l`, ascending — cached so delta scoring merges per-link
+    /// crossers lazily instead of rebuilding the structure per
+    /// candidate, and one row per link so an in-place patch rewrites
+    /// only the rows a change touches.
+    crossers: Vec<Vec<u32>>,
     /// Usable capacity per link in bps, exactly as the fill consumed it
     /// — cached so delta scoring borrows capacities from the incumbent
     /// instead of re-deriving (and re-allocating) them from the
@@ -459,45 +343,167 @@ pub struct Evaluation {
 }
 
 impl Evaluation {
-    /// Builds an evaluation, deriving the per-link saturation mask from
-    /// the outcome's congested list.
+    /// Builds an evaluation, deriving the crossing lists from the
+    /// bundles and the per-link saturation mask from the outcome's
+    /// congested list.
     fn assemble(
         outcome: ModelOutcome,
         freeze_keys: Vec<FreezeKey>,
         demands: Vec<f64>,
-        csr: Vec<u32>,
-        csr_start: Vec<u32>,
+        bundles: &[BundleSpec],
         caps: Vec<f64>,
     ) -> Evaluation {
         let mut saturated = vec![false; caps.len()];
         for l in &outcome.congested {
-            if l.index() < saturated.len() {
-                saturated[l.index()] = true;
-            }
+            saturated[l.index()] = true;
         }
         Evaluation {
             outcome,
             freeze_keys,
             demands,
-            csr,
-            csr_start,
+            crossers: build_crossers(bundles, caps.len()),
             caps,
             saturated,
         }
     }
-}
 
-/// What [`FlowModel::evaluate_from`] produced.
-#[derive(Clone, Debug)]
-pub struct IncrementalEvaluation {
-    /// The patched evaluation — bitwise identical to a full recompute.
-    pub evaluation: Evaluation,
-    /// Global indices of the bundles that were actually re-filled (the
-    /// affected bottleneck component, including every dirty bundle).
-    pub affected: Vec<u32>,
-    /// True when the affected component covered (most of) the input and
-    /// the engine fell back to a plain full evaluation.
-    pub full_recompute: bool,
+    /// The first *bitwise* difference against `other`, if any, traces
+    /// included — the oracle check behind the in-place patcher
+    /// ([`FlowModel::apply_delta`] ≡ [`FlowModel::evaluate_traced`]).
+    /// Hidden: a test helper, not a `PartialEq`.
+    #[doc(hidden)]
+    pub fn bitwise_mismatch(&self, other: &Self) -> Option<String> {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let key = |k: &FreezeKey| (k.time.to_bits(), k.kind, k.primary, k.secondary);
+        if let Some(field) = self.outcome.bitwise_mismatch(&other.outcome) {
+            return Some(field);
+        }
+        if !self
+            .freeze_keys
+            .iter()
+            .map(key)
+            .eq(other.freeze_keys.iter().map(key))
+        {
+            return Some("freeze keys".to_string());
+        }
+        if bits(&self.demands) != bits(&other.demands) {
+            return Some("bundle demands".to_string());
+        }
+        if self.crossers != other.crossers {
+            return Some("crossing lists".to_string());
+        }
+        if bits(&self.caps) != bits(&other.caps) {
+            return Some("capacities".to_string());
+        }
+        (self.saturated != other.saturated).then(|| "saturation mask".to_string())
+    }
+
+    /// Writes a partial delta fill (left in `ws` by
+    /// [`FlowModel::delta_fill_core`]) into this evaluation in place:
+    /// per-bundle arrays spliced, the re-filled subset's rates, statuses
+    /// and freeze keys written over them, crossing rows rewritten for
+    /// touched links, and load, demand, saturation and the congested
+    /// list re-derived for dirty links only. Bundles and crossing
+    /// entries behind the first length-changing segment are renumbered;
+    /// when every segment keeps its length nothing else moves.
+    fn patch(&mut self, segs: &[Seg], ws: &mut Workspace) {
+        let Evaluation {
+            outcome: o,
+            freeze_keys,
+            demands,
+            crossers,
+            caps,
+            saturated,
+        } = self;
+        splice_copy(&mut o.bundle_rates, segs, Bandwidth::ZERO);
+        splice_copy(&mut o.bundle_status, segs, BundleStatus::Satisfied);
+        splice_copy(freeze_keys, segs, FreezeKey::satisfied(0.0, 0));
+        splice_copy(demands, segs, 0.0);
+        for s in segs {
+            let repl = s.repl_start as usize..(s.repl_start + s.repl_len) as usize;
+            demands[s.new_start as usize..s.new_end()].copy_from_slice(&ws.seg_demand[repl]);
+        }
+        let resized = segs.iter().find(|s| s.resizes());
+        if let Some(s) = resized {
+            for (i, key) in freeze_keys.iter_mut().enumerate().skip(s.new_end()) {
+                *key = key.with_bundle(i as u32);
+            }
+        }
+        for (local, &gi) in ws.subset.iter().enumerate() {
+            o.bundle_rates[gi as usize] = Bandwidth::from_bps(ws.fill.rates[local]);
+            o.bundle_status[gi as usize] = ws.fill.status[local];
+            freeze_keys[gi as usize] = ws.fill.keys[local];
+        }
+
+        // Crossing rows: a row is re-merged from its old entries and the
+        // replacement bundles — every row (renumbering what lies behind
+        // the length change) when a segment changes length, else the
+        // touched links' rows, and none when every replacement rides its
+        // predecessor's links (plain flow churn).
+        let (repl, buf) = (&ws.repl_cross, &mut ws.cs_buf);
+        let remerge = |li: u32| {
+            let row = &mut crossers[li as usize];
+            buf.clear();
+            merge_row(row, segs, repl, li, |i, _| buf.push(i));
+            row.clear();
+            row.extend_from_slice(buf);
+        };
+        if resized.is_some() {
+            (0..caps.len() as u32).for_each(remerge);
+        } else if !ws.rows_kept {
+            ws.changed_links.iter().copied().for_each(remerge);
+        }
+
+        // Dirty links — touched by the change or crossed by the
+        // re-filled component: loads re-accumulate in freeze order (the
+        // exact order, and therefore the exact float sum, of a full
+        // run); the component's saturations replace theirs.
+        let fill_dirty = |ws: &Workspace, li: usize| ws.fill.link_stamp[li] == ws.fill.stamp;
+        let n_filled = ws.fill.touched_links.len();
+        for k in 0..n_filled + ws.changed_links.len() {
+            let li = match k.checked_sub(n_filled) {
+                None => ws.fill.touched_links[k] as usize,
+                Some(c) if fill_dirty(ws, ws.changed_links[c] as usize) => continue,
+                Some(c) => ws.changed_links[c] as usize,
+            };
+            if ws.touched_stamp[li] == ws.stamp {
+                o.link_demand[li] = Bandwidth::from_bps(ws.touched_demand[li]);
+            }
+            // A link whose every crosser re-filled (slot `k` of the fill
+            // holds its whole row — every previously saturated link of
+            // the component, by closure) was accumulated by the fill
+            // itself, in that order.
+            let covered = k < n_filled
+                && (ws.fill.cross_start[k + 1] - ws.fill.cross_start[k]) as usize
+                    == crossers[li].len();
+            let sum = if covered {
+                ws.fill.links[li].frozen_load
+            } else {
+                ws.entries.clear();
+                ws.entries.extend(crossers[li].iter().map(|&bi| {
+                    let rate = o.bundle_rates[bi as usize].bps();
+                    (freeze_keys[bi as usize].rank(), rate)
+                }));
+                // Keys of distinct bundles are distinct, so the unstable
+                // sort reaches the one sorted order without allocating.
+                ws.entries.sort_unstable_by_key(|e| e.0);
+                ws.entries.iter().fold(0.0, |sum, &(_, r)| sum + r)
+            };
+            o.link_load[li] = Bandwidth::from_bps(sum.min(caps[li]));
+            saturated[li] = false;
+        }
+        let (link_demand, congested) = (&o.link_demand, &mut o.congested);
+        congested.retain(|l| !fill_dirty(ws, l.index()) && ws.touched_stamp[l.index()] != ws.stamp);
+        // The survivors' sort keys did not move, so they are still in
+        // order; each new saturation is inserted at its place.
+        for &l in &ws.fill.saturated {
+            saturated[l.index()] = true;
+            let demand = |x: LinkId| link_demand[x.index()].bps();
+            let at = congested
+                .partition_point(|&c| congestion_order(c, l, &demand, caps) == Ordering::Less);
+            congested.insert(at, l);
+        }
+    }
 }
 
 /// High-water marks of a [`Workspace`] — how big the per-candidate
@@ -542,10 +548,12 @@ impl WorkspaceStats {
 /// one per evaluation thread.
 #[derive(Debug, Default)]
 pub struct Workspace {
-    /// Candidate stamp: bumped once per `score_delta`/`evaluate_from`.
+    /// Candidate stamp: bumped once per `score_delta`/`apply_delta`.
     stamp: u32,
-    /// Per bundle: membership stamp of the affected set.
+    /// Per bundle: membership stamp of the affected set, and each
+    /// member's source tag (see [`POOL`]).
     in_set: Vec<u32>,
+    src: Vec<u32>,
     /// Per bundle: growth weight (written for current-subset members
     /// before every fill; never read stale).
     weight: Vec<f64>,
@@ -559,20 +567,29 @@ pub struct Workspace {
     queue: Vec<u32>,
     /// The affected component (sorted ascending before each fill).
     subset: Vec<u32>,
-    /// Crosser-list scratch.
+    /// Crosser-list scratch: spliced indices, and parallel to them
+    /// each crosser's source tag.
     cs_buf: Vec<u32>,
+    cs_src: Vec<u32>,
     /// Demands of the replacement segment (splice path).
     seg_demand: Vec<f64>,
     /// Links touched by the change, as a list.
     changed_links: Vec<u32>,
+    /// Whether every replacement bundle rides the links of the bundle
+    /// it replaces, so that no crossing row changes.
+    rows_kept: bool,
     /// `(link, new offered demand)` pairs, ascending by link — the
     /// sparse overlay minmax scoring merges over the incumbent.
     changed_demand: Vec<(u32, f64)>,
+    /// `(link, spliced index, source tag)` per link crossing of a
+    /// replacement bundle, sorted — what [`Crossings`] merges over the
+    /// previous rows.
+    repl_cross: Vec<(u32, u32, u32)>,
+    /// `(freeze rank, rate)` scratch of the in-place patcher's per-link
+    /// load re-accumulation.
+    entries: Vec<(u128, f64)>,
     /// The fill's own scratch.
     fill: FillScratch,
-    /// The new list's CSR when the core built one (non-splice callers);
-    /// the assembly path takes it instead of building again.
-    built_csr: Option<(Vec<u32>, Vec<u32>)>,
 }
 
 impl Workspace {
@@ -584,12 +601,15 @@ impl Workspace {
 
     /// The high-water marks accumulated so far.
     pub fn stats(&self) -> WorkspaceStats {
-        WorkspaceStats {
-            peak_component: self.fill.peak_component,
-            peak_component_links: self.fill.peak_links,
-            peak_heap: self.fill.peak_heap,
-            fills: self.fill.fills,
-        }
+        self.fill.stats()
+    }
+
+    /// Indices (in the patched table) of the bundles the last
+    /// [`FlowModel::apply_delta`] re-filled — the affected bottleneck
+    /// component, every replacement bundle included; empty after a full
+    /// recompute.
+    pub fn affected(&self) -> &[u32] {
+        &self.subset
     }
 
     /// Starts a new candidate epoch, growing buffers if the instance
@@ -604,6 +624,7 @@ impl Workspace {
         self.stamp += 1;
         if self.in_set.len() < n_bundles {
             self.in_set.resize(n_bundles, 0);
+            self.src.resize(n_bundles, 0);
             self.weight.resize(n_bundles, 0.0);
         }
         if self.touched_stamp.len() < n_links {
@@ -616,7 +637,7 @@ impl Workspace {
         self.seg_demand.clear();
         self.changed_links.clear();
         self.changed_demand.clear();
-        self.built_csr = None;
+        self.repl_cross.clear();
         self.fill.ensure(n_bundles, n_links);
     }
 
@@ -638,10 +659,20 @@ impl Workspace {
         }
     }
 
-    /// Adds bundle `gi` to the affected set (idempotent).
-    fn absorb(&mut self, gi: u32) {
+    /// Adds every crosser [`Crossings::collect_into`] left in the
+    /// scratch lists to the affected set.
+    fn absorb_collected(&mut self) {
+        for idx in 0..self.cs_buf.len() {
+            self.absorb(self.cs_buf[idx], self.cs_src[idx]);
+        }
+    }
+
+    /// Adds bundle `gi`, which comes from `src`, to the affected set
+    /// (idempotent).
+    fn absorb(&mut self, gi: u32, src: u32) {
         if self.in_set[gi as usize] != self.stamp {
             self.in_set[gi as usize] = self.stamp;
+            self.src[gi as usize] = src;
             self.queue.push(gi);
             self.subset.push(gi);
         }
@@ -695,6 +726,15 @@ struct FillScratch {
 }
 
 impl FillScratch {
+    fn stats(&self) -> WorkspaceStats {
+        WorkspaceStats {
+            peak_component: self.peak_component,
+            peak_component_links: self.peak_links,
+            peak_heap: self.peak_heap,
+            fills: self.fills,
+        }
+    }
+
     fn ensure(&mut self, n_bundles: usize, n_links: usize) {
         if self.local_of.len() < n_bundles {
             self.local_of.resize(n_bundles, u32::MAX);
@@ -765,9 +805,9 @@ pub enum DeltaScore<'w> {
         /// demand. Capacities are unchanged by a candidate move.
         changed_link_demand: &'w [(u32, f64)],
     },
-    /// The component crossed the fallback bar and the engine ran a
-    /// plain full evaluation instead (rare; allocates).
-    Full(Box<Evaluation>),
+    /// The component crossed the fallback bar: the candidate is worth
+    /// a plain full evaluation, which the caller runs (rare).
+    Full,
 }
 
 /// One worker's slice of a parallel fill: its own [`FillScratch`] plus
@@ -783,17 +823,6 @@ struct FillWorker {
     /// `(link, frozen load, offered demand, saturated)` per link touched
     /// by this worker's components.
     out_links: Vec<(u32, f64, f64, bool)>,
-}
-
-impl FillWorker {
-    fn stats(&self) -> WorkspaceStats {
-        WorkspaceStats {
-            peak_component: self.fill.peak_component,
-            peak_component_links: self.fill.peak_links,
-            peak_heap: self.fill.peak_heap,
-            fills: self.fill.fills,
-        }
-    }
 }
 
 /// Reusable scratch for [`FlowModel::evaluate_traced_parallel`] — the
@@ -912,7 +941,7 @@ impl ParallelWorkspace {
     pub fn stats(&self) -> WorkspaceStats {
         let mut out = WorkspaceStats::default();
         for w in &self.workers {
-            out.merge(&w.stats());
+            out.merge(&w.fill.stats());
         }
         out
     }
@@ -920,7 +949,7 @@ impl ParallelWorkspace {
     /// Per-worker high-water marks, worker 0 first — `fubar-cli
     /// scenario run --stats` renders these as the per-worker fill block.
     pub fn worker_stats(&self) -> Vec<WorkspaceStats> {
-        self.workers.iter().map(FillWorker::stats).collect()
+        self.workers.iter().map(|w| w.fill.stats()).collect()
     }
 
     /// Merged per-bundle rates (bps) of the last fill, indexed globally.
@@ -941,13 +970,12 @@ impl ParallelWorkspace {
     /// links (two links crossed by one bundle are coupled), component
     /// ids normalized by first appearance over ascending bundle index.
     /// Bundles with no links are singleton components.
-    fn partition<V: BundleView + ?Sized>(&mut self, bundles: &V, n_links: usize) {
+    fn partition(&mut self, bundles: &[BundleSpec], n_links: usize) {
         let n = bundles.len();
         self.parent.clear();
         self.parent.extend(0..n_links as u32);
-        for bi in 0..n {
-            let links = &bundles.get(bi).links;
-            for w in links.windows(2) {
+        for b in bundles {
+            for w in b.links.windows(2) {
                 let ra = Self::find(&mut self.parent, w[0].index() as u32);
                 let rb = Self::find(&mut self.parent, w[1].index() as u32);
                 if ra != rb {
@@ -962,9 +990,8 @@ impl ParallelWorkspace {
         self.root_comp.resize(n_links, u32::MAX);
         self.comp_of.clear();
         let mut count = 0u32;
-        for bi in 0..n {
-            let links = &bundles.get(bi).links;
-            let id = match links.first() {
+        for b in bundles {
+            let id = match b.links.first() {
                 None => {
                     // Trivial path: crosses nothing, couples with
                     // nothing — its own component.
@@ -1012,11 +1039,11 @@ impl ParallelWorkspace {
 /// threads can borrow one worker mutably while sharing the read-only
 /// partition and input tables.
 #[allow(clippy::too_many_arguments)]
-fn run_fill_worker<V: BundleView + ?Sized>(
+fn run_fill_worker(
     w: &mut FillWorker,
     wi: usize,
     stride: usize,
-    bundles: &V,
+    bundles: &[BundleSpec],
     members: &[u32],
     member_start: &[u32],
     comp_count: usize,
@@ -1026,11 +1053,10 @@ fn run_fill_worker<V: BundleView + ?Sized>(
 ) {
     w.out_bundles.clear();
     w.out_links.clear();
-    let demand = |i: usize| demands[i];
     let mut c = wi;
     while c < comp_count {
         let subset = &members[member_start[c] as usize..member_start[c + 1] as usize];
-        fill(bundles, subset, weights, &demand, caps, &mut w.fill);
+        fill(bundles, subset, weights, &|i| demands[i], caps, &mut w.fill);
         for (local, &gi) in subset.iter().enumerate() {
             w.out_bundles.push((
                 gi,
@@ -1070,12 +1096,14 @@ impl<'a> FlowModel<'a> {
         self.config
     }
 
+    /// The usable capacity of one link in bps.
+    fn capacity(&self, l: LinkId) -> f64 {
+        self.topology.capacity(l).bps() * self.config.usable_capacity
+    }
+
     /// Per-link usable capacities, in the order full evaluation uses.
     fn capacities(&self) -> Vec<f64> {
-        let n_links = self.topology.link_count();
-        (0..n_links)
-            .map(|i| self.topology.capacity(LinkId(i as u32)).bps() * self.config.usable_capacity)
-            .collect()
+        self.topology.links().map(|l| self.capacity(l)).collect()
     }
 
     /// Runs progressive filling over `bundles` and returns the
@@ -1090,19 +1118,16 @@ impl<'a> FlowModel<'a> {
     }
 
     /// Like [`FlowModel::evaluate`], but also records the freeze trace
-    /// so a later [`FlowModel::evaluate_from`] can patch the result.
+    /// so a later [`FlowModel::apply_delta`] can patch the result.
     pub fn evaluate_traced(&self, bundles: &[BundleSpec]) -> Evaluation {
-        self.evaluate_traced_view(bundles)
-    }
-
-    fn evaluate_traced_view<V: BundleView + ?Sized>(&self, bundles: &V) -> Evaluation {
         let caps = self.capacities();
         let n = bundles.len();
         let n_links = caps.len();
-        let weights: Vec<f64> = (0..n)
-            .map(|i| bundles.get(i).weight(self.config.min_rtt))
+        let weights: Vec<f64> = bundles
+            .iter()
+            .map(|b| b.weight(self.config.min_rtt))
             .collect();
-        let demands: Vec<f64> = (0..n).map(|i| bundles.get(i).demand().bps()).collect();
+        let demands: Vec<f64> = bundles.iter().map(|b| b.demand().bps()).collect();
         let subset: Vec<u32> = (0..n as u32).collect();
         let mut ws = Workspace::new();
         ws.begin(n, n_links);
@@ -1124,27 +1149,17 @@ impl<'a> FlowModel<'a> {
             }
         }
         let mut congested = ws.fill.saturated.clone();
-        sort_congested(&mut congested, &link_demand, &caps);
-
-        let (csr, csr_start) = build_csr(bundles, n_links);
-        let outcome = ModelOutcome::new(
-            ws.fill
-                .rates
-                .iter()
-                .copied()
-                .map(Bandwidth::from_bps)
-                .collect(),
-            ws.fill.status.clone(),
-            link_frozen
-                .iter()
-                .zip(&caps)
-                .map(|(&f, &c)| Bandwidth::from_bps(f.min(c)))
-                .collect(),
-            link_demand.into_iter().map(Bandwidth::from_bps).collect(),
-            caps.iter().copied().map(Bandwidth::from_bps).collect(),
+        congested.sort_by(|&a, &b| congestion_order(a, b, &|l| link_demand[l.index()], &caps));
+        let fill = &ws.fill;
+        let outcome = outcome_of(
+            &fill.rates,
+            &fill.status,
+            &link_frozen,
+            &link_demand,
+            &caps,
             congested,
         );
-        Evaluation::assemble(outcome, ws.fill.keys.clone(), demands, csr, csr_start, caps)
+        Evaluation::assemble(outcome, fill.keys.clone(), demands, bundles, caps)
     }
 
     /// Like [`FlowModel::evaluate_traced`], but water-fills disjoint
@@ -1188,42 +1203,17 @@ impl<'a> FlowModel<'a> {
         bundles: &[BundleSpec],
         pw: &mut ParallelWorkspace,
     ) -> Evaluation {
-        self.evaluate_traced_parallel_view(bundles, pw)
-    }
-
-    fn evaluate_traced_parallel_view<V: BundleView + ?Sized>(
-        &self,
-        bundles: &V,
-        pw: &mut ParallelWorkspace,
-    ) -> Evaluation {
-        self.fill_parallel_view(bundles, pw);
-        let n_links = pw.caps.len();
-        let (csr, csr_start) = build_csr(bundles, n_links);
-        let caps = pw.caps.clone();
-        let outcome = ModelOutcome::new(
-            pw.rates.iter().copied().map(Bandwidth::from_bps).collect(),
-            pw.status.clone(),
-            pw.link_frozen
-                .iter()
-                .zip(&caps)
-                .map(|(&f, &c)| Bandwidth::from_bps(f.min(c)))
-                .collect(),
-            pw.link_demand
-                .iter()
-                .copied()
-                .map(Bandwidth::from_bps)
-                .collect(),
-            caps.iter().copied().map(Bandwidth::from_bps).collect(),
+        self.fill_parallel(bundles, pw);
+        let outcome = outcome_of(
+            &pw.rates,
+            &pw.status,
+            &pw.link_frozen,
+            &pw.link_demand,
+            &pw.caps,
             pw.congested.clone(),
         );
-        Evaluation::assemble(
-            outcome,
-            pw.keys.clone(),
-            pw.demands.clone(),
-            csr,
-            csr_start,
-            caps,
-        )
+        let (keys, demands, caps) = (pw.keys.clone(), pw.demands.clone(), pw.caps.clone());
+        Evaluation::assemble(outcome, keys, demands, bundles, caps)
     }
 
     /// The non-assembling parallel fill: partitions `bundles` into
@@ -1234,25 +1224,17 @@ impl<'a> FlowModel<'a> {
     /// `perf_gate`'s `parallel_fill_*` gates and the zero-allocation
     /// test drive directly.
     pub fn fill_parallel(&self, bundles: &[BundleSpec], pw: &mut ParallelWorkspace) {
-        self.fill_parallel_view(bundles, pw)
-    }
-
-    fn fill_parallel_view<V: BundleView + ?Sized>(&self, bundles: &V, pw: &mut ParallelWorkspace) {
         let n = bundles.len();
         let n_links = self.topology.link_count();
         // Global input tables, computed exactly as the serial path does.
         pw.caps.clear();
-        pw.caps.extend(
-            (0..n_links).map(|i| {
-                self.topology.capacity(LinkId(i as u32)).bps() * self.config.usable_capacity
-            }),
-        );
+        pw.caps
+            .extend(self.topology.links().map(|l| self.capacity(l)));
         pw.weights.clear();
         pw.weights
-            .extend((0..n).map(|i| bundles.get(i).weight(self.config.min_rtt)));
+            .extend(bundles.iter().map(|b| b.weight(self.config.min_rtt)));
         pw.demands.clear();
-        pw.demands
-            .extend((0..n).map(|i| bundles.get(i).demand().bps()));
+        pw.demands.extend(bundles.iter().map(|b| b.demand().bps()));
         pw.partition(bundles, n_links);
 
         let stride = pw.workers.len();
@@ -1345,138 +1327,95 @@ impl<'a> FlowModel<'a> {
         // of the concatenation reaches the same unique permutation —
         // independent of worker count, and allocation-free.
         let (link_demand, caps) = (&pw.link_demand, &pw.caps);
-        pw.congested.sort_unstable_by(|&a, &b| {
-            let oa = link_demand[a.index()] / caps[a.index()].max(1e-9);
-            let ob = link_demand[b.index()] / caps[b.index()].max(1e-9);
-            ob.total_cmp(&oa).then(a.0.cmp(&b.0))
-        });
+        pw.congested
+            .sort_unstable_by(|&a, &b| congestion_order(a, b, &|l| link_demand[l.index()], caps));
     }
 
-    /// Like [`FlowModel::evaluate_from`], but when the affected
-    /// component crosses the fallback bar and the engine re-evaluates
-    /// everything, the recompute runs through the parallel fill on
-    /// `pw`'s workers. Bitwise identical to [`FlowModel::evaluate_from`]
-    /// at any worker count; the incremental arm itself stays serial (a
-    /// component fill interleaved with border verification has no
-    /// disjoint sub-parts to split).
-    pub fn evaluate_from_parallel(
-        &self,
-        prev: &Evaluation,
-        bundles: &[BundleSpec],
-        prev_index: &[Option<u32>],
-        touched_links: &[LinkId],
-        pw: &mut ParallelWorkspace,
-    ) -> IncrementalEvaluation {
-        assert_eq!(
-            prev_index.len(),
-            bundles.len(),
-            "prev_index must cover every bundle"
-        );
-        let mut ws = Workspace::new();
-        self.evaluate_from_view(
-            prev,
-            bundles,
-            &|i| prev_index[i],
-            Some(touched_links),
-            None,
-            Some(pw),
-            &mut ws,
-        )
-    }
-
-    /// Patches `prev` into the evaluation of `bundles`, re-running
-    /// water-filling only on the affected bottleneck component.
+    /// Patches `eval` — the traced evaluation of `bundles` — and the
+    /// table itself **in place** into the evaluation of `splice`'s
+    /// spliced list, re-running water-filling only on the affected
+    /// bottleneck component. This is how an accepted change lands: the
+    /// fabric's dirty aggregates (one segment each) after every event,
+    /// the optimizer's winning move at every commit. `splice` is drained
+    /// into `bundles`; `touched_links` lists every link whose capacity
+    /// changed since `eval` was computed (links crossed by a removed or
+    /// replacement bundle are found from the splice).
     ///
-    /// `prev_index[i]` is the bundle's index in the previous input when
-    /// bundle `i` is *identical* to that previous bundle (same path,
-    /// flow count, delay, and demand), or `None` when it is new or
-    /// changed; previous bundles absent from the mapping count as
-    /// removed. `touched_links` must list every link whose capacity
-    /// changed plus every link crossed by a removed or changed previous
-    /// bundle. The result is bitwise identical to
-    /// `evaluate_traced(bundles)`.
+    /// The cost is O(changed segments + affected component + crossing
+    /// rows of the dirty links) when every segment keeps its length; a
+    /// segment that changes length
+    /// additionally renumbers what lies behind it — freeze keys, crossing
+    /// entries, and `Vec::splice`'s move of the per-bundle tails. Nothing
+    /// instance-sized is allocated either way: all scratch lives in `ws`.
+    ///
+    /// Returns `false` when the patch ran; [`Workspace::affected`] then
+    /// lists the re-filled bundles. Returns `true` when the affected
+    /// component covered (most of) the list and the engine re-evaluated
+    /// everything instead — on `par`'s workers if given. Either way the
+    /// result is bitwise identical to `evaluate_traced` of the spliced
+    /// list.
     ///
     /// # Panics
     ///
-    /// Panics when `prev` was computed for a different link population
-    /// or `prev_index` disagrees with the input lengths.
-    pub fn evaluate_from(
+    /// Panics when `eval` was not computed from `bundles` over this
+    /// model's link population.
+    pub fn apply_delta(
         &self,
-        prev: &Evaluation,
-        bundles: &[BundleSpec],
-        prev_index: &[Option<u32>],
+        eval: &mut Evaluation,
+        bundles: &mut Vec<BundleSpec>,
+        splice: &mut Splice,
         touched_links: &[LinkId],
-    ) -> IncrementalEvaluation {
+        ws: &mut Workspace,
+        par: Option<&mut ParallelWorkspace>,
+    ) -> bool {
         assert_eq!(
-            prev_index.len(),
-            bundles.len(),
-            "prev_index must cover every bundle"
+            eval.caps.len(),
+            self.topology.link_count(),
+            "previous evaluation is for a different topology shape"
         );
-        let mut ws = Workspace::new();
-        self.evaluate_from_view(
-            prev,
-            bundles,
-            &|i| prev_index[i],
-            Some(touched_links),
-            None,
-            None,
-            &mut ws,
-        )
-    }
-
-    /// Patches `prev` into the evaluation of `delta`'s spliced bundle
-    /// list *without materializing it* — the commit-time entry point for
-    /// callers whose candidates are one-segment changes against the same
-    /// incumbent (the optimizer: each candidate move replaces exactly
-    /// one aggregate's contiguous bundle segment). The result is bitwise
-    /// identical to `evaluate_from(prev, &delta.materialize(), ..)`,
-    /// which in turn is bitwise identical to a full recompute. The
-    /// topology must be unchanged since `prev` was computed.
-    pub fn evaluate_delta(
-        &self,
-        prev: &Evaluation,
-        delta: &BundleDelta<'_>,
-    ) -> IncrementalEvaluation {
-        let mut ws = Workspace::new();
-        self.evaluate_from_view(
-            prev,
-            delta,
-            &|i| delta.prev_index(i),
-            None,
-            Some(delta),
-            None,
-            &mut ws,
-        )
+        for &l in touched_links {
+            eval.caps[l.index()] = self.capacity(l);
+            eval.outcome.link_capacity[l.index()] = Bandwidth::from_bps(self.capacity(l));
+        }
+        debug_assert!(
+            self.topology
+                .links()
+                .all(|l| eval.caps[l.index()] == self.capacity(l)),
+            "a capacity changed on a link missing from `touched_links`"
+        );
+        if self.delta_fill_core(eval, &splice.over(bundles), touched_links, ws) {
+            splice.apply_to(bundles);
+            *eval = match par {
+                Some(pw) => self.evaluate_traced_parallel(bundles, pw),
+                None => self.evaluate_traced(bundles),
+            };
+            ws.subset.clear();
+            return true;
+        }
+        eval.patch(&splice.segs, ws);
+        splice.apply_to(bundles);
+        false
     }
 
     /// Evaluates `delta` just far enough to *score* it: the component
     /// fill runs (with the same closure, verification, and fallback
-    /// logic as [`FlowModel::evaluate_delta`]), but no spliced outcome,
-    /// link-load, or congestion list is assembled, and — past buffer
-    /// warm-up — nothing is heap-allocated: demands read through the
-    /// splice view, capacities come from the incumbent's cache, and all
-    /// scratch lives in `ws`. This is the optimizer's per-candidate fast
-    /// path — rejected candidates never pay for assembly; the winning
-    /// candidate is committed through [`FlowModel::evaluate_delta`].
-    /// Every value returned is bitwise identical to the corresponding
-    /// piece of a full recompute. The topology must be unchanged since
-    /// `prev` was computed.
+    /// logic as [`FlowModel::apply_delta`]), but nothing is patched or
+    /// assembled, and — past buffer warm-up — nothing is heap-allocated:
+    /// demands read through the splice view, capacities come from the
+    /// incumbent's cache, and all scratch lives in `ws`. This is the
+    /// optimizer's per-candidate fast path — rejected candidates never
+    /// pay for a patch; the winner is committed through
+    /// [`FlowModel::apply_delta`]. Every value returned is bitwise
+    /// identical to the corresponding piece of a full recompute. The
+    /// topology must be unchanged since `prev` was computed.
     pub fn score_delta<'w>(
         &self,
         prev: &Evaluation,
         delta: &BundleDelta<'_>,
         ws: &'w mut Workspace,
     ) -> DeltaScore<'w> {
-        if self.delta_fill_core(
-            prev,
-            delta,
-            &|i| delta.prev_index(i),
-            None,
-            Some(delta),
-            &prev.caps,
-            ws,
-        ) {
-            return DeltaScore::Full(Box::new(self.evaluate_traced_view(delta)));
+        if self.delta_fill_core(prev, delta, &[], ws) {
+            return DeltaScore::Full;
         }
         ws.changed_demand.clear();
         for k in 0..ws.changed_links.len() {
@@ -1492,302 +1431,128 @@ impl<'a> FlowModel<'a> {
         }
     }
 
-    /// The assembling incremental path behind [`FlowModel::evaluate_from`]
-    /// and [`FlowModel::evaluate_delta`]: runs the shared core, then
-    /// splices a full [`Evaluation`] together (this part allocates — it
-    /// runs once per accepted change, not per candidate).
-    #[allow(clippy::too_many_arguments)]
-    fn evaluate_from_view<V: BundleView + ?Sized>(
-        &self,
-        prev: &Evaluation,
-        bundles: &V,
-        prev_index: &dyn Fn(usize) -> Option<u32>,
-        touched_links: Option<&[LinkId]>,
-        splice: Option<&BundleDelta<'_>>,
-        par: Option<&mut ParallelWorkspace>,
-        ws: &mut Workspace,
-    ) -> IncrementalEvaluation {
-        let n = bundles.len();
-        let n_links = self.topology.link_count();
-        // A splice shares the incumbent's topology; other callers (the
-        // fabric) may have changed capacities, so re-derive.
-        let fresh_caps: Option<Vec<f64>> = if splice.is_some() {
-            None
-        } else {
-            Some(self.capacities())
-        };
-        let caps: &[f64] = fresh_caps.as_deref().unwrap_or(&prev.caps);
-        if self.delta_fill_core(prev, bundles, prev_index, touched_links, splice, caps, ws) {
-            let evaluation = match par {
-                Some(pw) => self.evaluate_traced_parallel_view(bundles, pw),
-                None => self.evaluate_traced_view(bundles),
-            };
-            return IncrementalEvaluation {
-                evaluation,
-                affected: (0..n as u32).collect(),
-                full_recompute: true,
-            };
-        }
-
-        let subset = ws.subset.clone();
-        // Full demand vector for the new evaluation.
-        let demands: Vec<f64> = match splice {
-            Some(d) => {
-                let mut v = Vec::with_capacity(n);
-                v.extend_from_slice(&prev.demands[..d.start]);
-                v.extend_from_slice(&ws.seg_demand);
-                v.extend_from_slice(&prev.demands[d.start + d.removed..]);
-                v
-            }
-            None => (0..n).map(|i| bundles.get(i).demand().bps()).collect(),
-        };
-        let (csr, csr_start) = ws
-            .built_csr
-            .take()
-            .unwrap_or_else(|| build_csr(bundles, n_links));
-        let crossers =
-            |li: usize| -> &[u32] { &csr[csr_start[li] as usize..csr_start[li + 1] as usize] };
-
-        // Splice per-bundle results: re-filled values for the affected
-        // component, previous values (with renumbered freeze keys) for
-        // everything else.
-        let mut in_set = vec![false; n];
-        for &gi in &subset {
-            in_set[gi as usize] = true;
-        }
-        let mut rates = vec![0.0_f64; n];
-        let mut status = vec![BundleStatus::Satisfied; n];
-        let mut keys = vec![FreezeKey::satisfied(0.0, 0); n];
-        for (local, &gi) in subset.iter().enumerate() {
-            rates[gi as usize] = ws.fill.rates[local];
-            status[gi as usize] = ws.fill.status[local];
-            keys[gi as usize] = ws.fill.keys[local];
-        }
-        for i in 0..n {
-            if in_set[i] {
-                continue;
-            }
-            let j = prev_index(i).expect("unaffected bundles are mapped") as usize;
-            rates[i] = prev.outcome.bundle_rates[j].bps();
-            status[i] = prev.outcome.bundle_status[j];
-            keys[i] = prev.freeze_keys[j].with_bundle(i as u32);
-        }
-
-        // Links whose load must be re-derived: touched ones plus every
-        // link the affected component crosses.
-        let mut load_dirty = vec![false; n_links];
-        for &li in &ws.changed_links {
-            load_dirty[li as usize] = true;
-        }
-        for &gi in &subset {
-            for l in &bundles.get(gi as usize).links {
-                load_dirty[l.index()] = true;
-            }
-        }
-        // New offered demand per link.
-        let link_demand: Vec<f64> = (0..n_links).map(|li| ws.link_demand(prev, li)).collect();
-        // Re-accumulate dirty links' loads in freeze order — the exact
-        // order (and therefore the exact float sum) of a full run.
-        let mut link_load = vec![0.0_f64; n_links];
-        let mut entries: Vec<(FreezeKey, f64)> = Vec::new();
-        for li in 0..n_links {
-            if !load_dirty[li] {
-                link_load[li] = prev.outcome.link_load[li].bps();
-                continue;
-            }
-            entries.clear();
-            entries.extend(
-                crossers(li)
-                    .iter()
-                    .map(|&bi| (keys[bi as usize], rates[bi as usize])),
-            );
-            entries.sort_by(|a, b| a.0.order(&b.0));
-            let mut sum = 0.0;
-            for &(_, r) in entries.iter() {
-                sum += r;
-            }
-            link_load[li] = sum.min(caps[li]);
-        }
-
-        // Congested links: unaffected components keep theirs, the
-        // re-filled component contributes its saturations; the global
-        // sort key (oversubscription, id) is recomputed from arrays that
-        // are bitwise identical to a full run's.
-        let mut congested: Vec<LinkId> = prev
-            .outcome
-            .congested
-            .iter()
-            .copied()
-            .filter(|l| !load_dirty[l.index()])
-            .collect();
-        congested.extend(ws.fill.saturated.iter().copied());
-        sort_congested(&mut congested, &link_demand, caps);
-
-        let outcome = ModelOutcome::new(
-            rates.into_iter().map(Bandwidth::from_bps).collect(),
-            status,
-            link_load.into_iter().map(Bandwidth::from_bps).collect(),
-            link_demand.into_iter().map(Bandwidth::from_bps).collect(),
-            caps.iter().copied().map(Bandwidth::from_bps).collect(),
-            congested,
-        );
-        IncrementalEvaluation {
-            evaluation: Evaluation::assemble(outcome, keys, demands, csr, csr_start, caps.to_vec()),
-            affected: subset,
-            full_recompute: false,
-        }
-    }
-
     /// The shared incremental core: seeds the affected set from the
-    /// change, closes it over previously-saturating links, and runs the
+    /// splice, closes it over previously-saturating links, and runs the
     /// optimistic component fill with border verification — all in
-    /// `ws`'s reusable, epoch-stamped scratch. Returns `true` when the
-    /// component crossed the fallback bar (the caller should run a full
-    /// evaluation); on `false` the results are left in `ws`: the sorted
-    /// `subset`, fill results parallel to it, the touched-link demand
-    /// overlay, the replacement demands (`seg_demand`, splice path), and
-    /// the freshly built CSR (non-splice path).
-    #[allow(clippy::too_many_arguments)]
-    fn delta_fill_core<V: BundleView + ?Sized>(
+    /// `ws`'s reusable, epoch-stamped scratch. `prev.caps` must already
+    /// hold the current capacities, with every changed link listed in
+    /// `touched_links`. Returns `true` when the component crossed the
+    /// fallback bar (the caller should run a full evaluation); on
+    /// `false` the results are left in `ws`: the sorted `subset`, fill
+    /// results parallel to it, the touched-link demand overlay, and the
+    /// replacement bundles' demands (`seg_demand`) and link crossings
+    /// (`repl_cross`).
+    fn delta_fill_core(
         &self,
         prev: &Evaluation,
-        bundles: &V,
-        prev_index: &dyn Fn(usize) -> Option<u32>,
-        touched_links: Option<&[LinkId]>,
-        splice: Option<&BundleDelta<'_>>,
-        caps: &[f64],
+        delta: &BundleDelta<'_>,
+        touched_links: &[LinkId],
         ws: &mut Workspace,
     ) -> bool {
         let n_links = self.topology.link_count();
-        let n = bundles.len();
-        assert_eq!(
-            prev.outcome.link_load.len(),
-            n_links,
-            "previous evaluation is for a different topology shape"
-        );
+        let n = delta.len();
+        let caps: &[f64] = &prev.caps;
         assert_eq!(caps.len(), n_links, "capacity table must cover every link");
+        assert_eq!(
+            prev.demands.len(),
+            delta.prev.len(),
+            "delta splices over a different bundle list than `prev` evaluated"
+        );
         ws.begin(n, n_links);
+        let segs = delta.segs();
 
-        #[cfg(debug_assertions)]
-        for bi in 0..n {
-            debug_assert!(
-                bundles.get(bi).links.iter().all(|l| l.index() < n_links),
-                "bundle {bi} references a link outside the topology"
-            );
-        }
-
-        // Per-bundle demands: read through a borrowed splice view (the
-        // previous evaluation's cache plus the replacement segment's
-        // demands) instead of materializing an O(bundles) vector per
-        // candidate; recomputed per access for non-splice callers
-        // (demand is a pure function of the bundle, so re-deriving it
-        // yields the same bits the cached value held).
-        if let Some(d) = splice {
-            assert_eq!(
-                prev.demands.len(),
-                d.prev.len(),
-                "delta splices over a different bundle list than `prev` evaluated"
-            );
-            for b in d.replacement {
+        // The replacement bundles' demands and link crossings; the
+        // latter doubles as the list of links they touch.
+        for s in segs {
+            for k in 0..s.repl_len {
+                let b = &delta.pool[(s.repl_start + k) as usize];
+                debug_assert!(
+                    b.links.iter().all(|l| l.index() < n_links),
+                    "replacement bundle references a link outside the topology"
+                );
                 ws.seg_demand.push(b.demand().bps());
+                for l in &b.links {
+                    ws.repl_cross
+                        .push((l.0, s.new_start + k, POOL | (s.repl_start + k)));
+                }
             }
         }
+        ws.repl_cross.sort_unstable();
+
+        // Per-bundle demands read through the splice view (the previous
+        // evaluation's cache plus the replacement demands) instead of
+        // materializing an O(bundles) vector per candidate.
         let seg_demand = std::mem::take(&mut ws.seg_demand);
-        let seg_ref: &[f64] = &seg_demand;
-        let spliced_demand = splice.map(|d| {
-            let (start, removed) = (d.start, d.removed);
-            let repl = seg_ref.len();
-            move |i: usize| -> f64 {
-                if i < start {
-                    prev.demands[i]
-                } else if i < start + repl {
-                    seg_ref[i - start]
-                } else {
-                    prev.demands[i - repl + removed]
-                }
-            }
-        });
-        let direct_demand = |i: usize| -> f64 { bundles.get(i).demand().bps() };
-        let demand: &dyn Fn(usize) -> f64 = match &spliced_demand {
-            Some(f) => f,
-            None => &direct_demand,
-        };
-
-        // Per-link crossers of the new list: merged lazily from the
-        // previous CSR for splices, built directly otherwise.
-        let crossings = match splice {
-            Some(d) => Crossings::Spliced { prev, delta: d },
-            None => {
-                let (csr, csr_start) = build_csr(bundles, n_links);
-                Crossings::Built { csr, csr_start }
+        let repl_cross = std::mem::take(&mut ws.repl_cross);
+        let demand = |src: u32| -> f64 {
+            if src & POOL != 0 {
+                seg_demand[(src ^ POOL) as usize]
+            } else {
+                prev.demands[src as usize]
             }
         };
+        // Per-link crossers of the spliced list, merged lazily from the
+        // previous rows.
+        let crossings = Crossings {
+            rows: &prev.crossers,
+            segs,
+            repl: &repl_cross,
+        };
 
-        // Touched links (capacity changes, links of removed/changed
-        // bundles) and their re-accumulated offered demand. Untouched
-        // links keep their previous sums verbatim (same crossers, same
-        // demands, same input order ⇒ the same float sum).
-        match touched_links {
-            Some(list) => {
-                for l in list {
-                    if l.index() < n_links {
-                        ws.touch_link(l.index());
-                    }
+        // Touched links (links of removed and replacement bundles,
+        // capacity changes) and their re-accumulated offered demand.
+        // Untouched links keep their previous sums verbatim (same
+        // crossers, same demands, same input order ⇒ the same float
+        // sum).
+        ws.rows_kept = true;
+        for s in segs {
+            let removed = &delta.prev[s.start as usize..s.prev_end()];
+            for b in removed {
+                for l in &b.links {
+                    ws.touch_link(l.index());
                 }
             }
-            None => {
-                let d = splice.expect("touched links derive from the splice");
-                for b in &d.prev[d.start..d.start + d.removed] {
-                    for l in &b.links {
-                        ws.touch_link(l.index());
-                    }
-                }
-                for b in d.replacement {
-                    for l in &b.links {
-                        ws.touch_link(l.index());
-                    }
-                }
-            }
+            let repl = &delta.pool[s.repl_start as usize..(s.repl_start + s.repl_len) as usize];
+            ws.rows_kept &= removed
+                .iter()
+                .map(|b| &b.links)
+                .eq(repl.iter().map(|b| &b.links));
+        }
+        for &(l, ..) in &repl_cross {
+            ws.touch_link(l as usize);
+        }
+        for l in touched_links {
+            ws.touch_link(l.index());
         }
         for k in 0..ws.changed_links.len() {
-            let li = ws.changed_links[k] as usize;
-            crossings.collect_into(li, &mut ws.cs_buf);
+            let li = ws.changed_links[k];
             let mut sum = 0.0;
-            for &bi in ws.cs_buf.iter() {
-                sum += demand(bi as usize);
-            }
-            ws.touched_demand[li] = sum;
+            merge_row(
+                &prev.crossers[li as usize],
+                segs,
+                &repl_cross,
+                li,
+                |_, src| sum += demand(src),
+            );
+            ws.touched_demand[li as usize] = sum;
         }
 
-        // Seed the affected set: changed bundles, plus the full crosser
-        // sets of touched links that saturated before (their frozen
-        // victims must re-fill to redistribute freed or re-claimed
-        // capacity).
-        match splice {
-            Some(d) => {
-                for i in d.start..d.start + d.replacement.len() {
-                    ws.absorb(i as u32);
-                }
-            }
-            None => {
-                for i in 0..n {
-                    if prev_index(i).is_none() {
-                        ws.absorb(i as u32);
-                    }
-                }
+        // Seed the affected set: the replacement bundles, plus the full
+        // crosser sets of touched links that saturated before (their
+        // frozen victims must re-fill to redistribute freed or
+        // re-claimed capacity).
+        for s in segs {
+            for k in 0..s.repl_len {
+                ws.absorb(s.new_start + k, POOL | (s.repl_start + k));
             }
         }
         for k in 0..ws.changed_links.len() {
             let li = ws.changed_links[k] as usize;
             if prev.saturated[li] {
-                crossings.collect_into(li, &mut ws.cs_buf);
-                for idx in 0..ws.cs_buf.len() {
-                    let c = ws.cs_buf[idx];
-                    ws.absorb(c);
-                }
+                crossings.absorb_crossers(li, ws);
             }
         }
-        close_component(bundles, prev, &crossings, ws);
+        close_component(delta, prev, &crossings, ws);
 
         // The optimistic fill + border-verification loop (see the
         // module docs for the correctness argument).
@@ -1798,9 +1563,17 @@ impl<'a> FlowModel<'a> {
             ws.subset.sort_unstable();
             for k in 0..ws.subset.len() {
                 let gi = ws.subset[k] as usize;
-                ws.weight[gi] = bundles.get(gi).weight(self.config.min_rtt);
+                ws.weight[gi] = delta.at(ws.src[gi]).weight(self.config.min_rtt);
             }
-            fill(bundles, &ws.subset, &ws.weight, demand, caps, &mut ws.fill);
+            let src = &ws.src;
+            fill(
+                &Resolved { delta, src },
+                &ws.subset,
+                &ws.weight,
+                &|gi| demand(src[gi]),
+                caps,
+                &mut ws.fill,
+            );
 
             // Border verification: every never-saturated binding link
             // that the delta could have pushed over — partially crossed
@@ -1808,77 +1581,64 @@ impl<'a> FlowModel<'a> {
             // strictly below capacity, or the optimism was wrong and the
             // component grows. Fully-covered links need no check.
             let mut expanded = false;
-            for k in 0..ws.subset.len() {
-                let gi = ws.subset[k] as usize;
-                for li_idx in 0..bundles.get(gi).links.len() {
-                    let li = bundles.get(gi).links[li_idx].index();
-                    self.verify_border(li, prev, prev_index, &crossings, caps, ws, &mut expanded);
-                }
+            for k in 0..ws.fill.touched_links.len() {
+                let li = ws.fill.touched_links[k] as usize;
+                verify_border(li, prev, &crossings, ws, &mut expanded);
             }
             for k in 0..ws.changed_links.len() {
                 let li = ws.changed_links[k] as usize;
-                self.verify_border(li, prev, prev_index, &crossings, caps, ws, &mut expanded);
+                verify_border(li, prev, &crossings, ws, &mut expanded);
             }
             if !expanded {
                 break false;
             }
-            close_component(bundles, prev, &crossings, ws);
+            close_component(delta, prev, &crossings, ws);
         };
 
         ws.seg_demand = seg_demand;
-        if let Crossings::Built { csr, csr_start } = crossings {
-            ws.built_csr = Some((csr, csr_start));
-        }
+        ws.repl_cross = repl_cross;
         fallback
     }
+}
 
-    /// One border-verification probe of link `li` (see
-    /// [`FlowModel::delta_fill_core`]): checks a never-saturated binding
-    /// link's true post-fill load and expands the component when the
-    /// optimistic assumption fails.
-    #[allow(clippy::too_many_arguments)]
-    fn verify_border(
-        &self,
-        li: usize,
-        prev: &Evaluation,
-        prev_index: &dyn Fn(usize) -> Option<u32>,
-        crossings: &Crossings<'_>,
-        caps: &[f64],
-        ws: &mut Workspace,
-        expanded: &mut bool,
-    ) {
-        // Stamped with the *fill* stamp so every re-fill re-verifies.
-        if ws.fill.border_seen[li] == ws.fill.stamp || prev.saturated[li] {
-            return;
-        }
-        ws.fill.border_seen[li] = ws.fill.stamp;
-        if !is_binding(ws.link_demand(prev, li), caps[li]) {
-            return;
-        }
-        crossings.collect_into(li, &mut ws.cs_buf);
-        if ws.cs_buf.iter().all(|&c| ws.in_set[c as usize] == ws.stamp) {
-            return;
-        }
-        let mut load = 0.0;
-        for idx in 0..ws.cs_buf.len() {
-            let ci = ws.cs_buf[idx] as usize;
-            // Bundles absorbed earlier in this same scan are in the set
-            // but not in this fill; they carried their previous rate
-            // through it.
-            load += match ws.fill.filled_rate(ci) {
-                Some(r) => r,
-                None => prev.outcome.bundle_rates
-                    [prev_index(ci).expect("unaffected bundles are mapped") as usize]
-                    .bps(),
-            };
-        }
-        if ws.fill.fill_saturated(li) || load >= caps[li] * (1.0 - BINDING_SLACK) {
-            *expanded = true;
-            for idx in 0..ws.cs_buf.len() {
-                let c = ws.cs_buf[idx];
-                ws.absorb(c);
-            }
-        }
+/// One border-verification probe of link `li` (see
+/// [`FlowModel::delta_fill_core`]): checks a never-saturated binding
+/// link's true post-fill load and expands the component when the
+/// optimistic assumption fails.
+fn verify_border(
+    li: usize,
+    prev: &Evaluation,
+    crossings: &Crossings<'_>,
+    ws: &mut Workspace,
+    expanded: &mut bool,
+) {
+    // Stamped with the *fill* stamp so every re-fill re-verifies.
+    if ws.fill.border_seen[li] == ws.fill.stamp || prev.saturated[li] {
+        return;
+    }
+    ws.fill.border_seen[li] = ws.fill.stamp;
+    if !is_binding(ws.link_demand(prev, li), prev.caps[li]) {
+        return;
+    }
+    crossings.collect_into(li, ws);
+    if ws.cs_buf.iter().all(|&c| ws.in_set[c as usize] == ws.stamp) {
+        return;
+    }
+    let mut load = 0.0;
+    for idx in 0..ws.cs_buf.len() {
+        let ci = ws.cs_buf[idx] as usize;
+        // Bundles absorbed earlier in this same scan are in the set
+        // but not in this fill; they carried their previous rate
+        // through it (replacement bundles are in every fill, so a
+        // bundle outside this one has a previous index for source).
+        load += match ws.fill.filled_rate(ci) {
+            Some(r) => r,
+            None => prev.outcome.bundle_rates[ws.cs_src[idx] as usize].bps(),
+        };
+    }
+    if ws.fill.fill_saturated(li) || load >= prev.caps[li] * (1.0 - BINDING_SLACK) {
+        *expanded = true;
+        ws.absorb_collected();
     }
 }
 
@@ -1886,113 +1646,111 @@ impl<'a> FlowModel<'a> {
 /// in the set pulls in every crosser of every previously-saturating
 /// link it rides (influence propagates only through links that actually
 /// froze somebody — see the module docs).
-fn close_component<V: BundleView + ?Sized>(
-    bundles: &V,
+fn close_component(
+    delta: &BundleDelta<'_>,
     prev: &Evaluation,
     crossings: &Crossings<'_>,
     ws: &mut Workspace,
 ) {
     while let Some(bi) = ws.queue.pop() {
-        for l in &bundles.get(bi as usize).links {
+        for l in &delta.at(ws.src[bi as usize]).links {
             let li = l.index();
             if prev.saturated[li] && ws.link_seen[li] != ws.stamp {
                 ws.link_seen[li] = ws.stamp;
-                crossings.collect_into(li, &mut ws.cs_buf);
-                for idx in 0..ws.cs_buf.len() {
-                    let c = ws.cs_buf[idx];
-                    ws.absorb(c);
-                }
+                crossings.absorb_crossers(li, ws);
             }
         }
     }
 }
 
-/// Per-link crosser lists for the *new* bundle list: built directly, or
-/// merged lazily from the previous evaluation's cached CSR and a
-/// one-segment splice.
-enum Crossings<'a> {
-    Built {
-        csr: Vec<u32>,
-        csr_start: Vec<u32>,
-    },
-    Spliced {
-        prev: &'a Evaluation,
-        delta: &'a BundleDelta<'a>,
-    },
+/// Per-link crosser lists of a *spliced* bundle list, merged lazily
+/// from the previous evaluation's rows and the replacement bundles.
+struct Crossings<'a> {
+    rows: &'a [Vec<u32>],
+    segs: &'a [Seg],
+    /// `(link, spliced index, source tag)` per link crossing of a
+    /// replacement bundle, sorted.
+    repl: &'a [(u32, u32, u32)],
 }
 
 impl Crossings<'_> {
-    /// Writes the crossers of link `li` into `buf`: new-list indices,
-    /// ascending, with exactly the multiplicity and order a direct
-    /// build over the new list would produce.
-    fn collect_into(&self, li: usize, buf: &mut Vec<u32>) {
-        buf.clear();
-        match self {
-            Crossings::Built { csr, csr_start } => {
-                buf.extend_from_slice(&csr[csr_start[li] as usize..csr_start[li + 1] as usize]);
-            }
-            Crossings::Spliced { prev, delta } => {
-                let start = delta.start;
-                let removed = delta.removed;
-                let shift = delta.replacement.len() as i64 - removed as i64;
-                let prev_cs =
-                    &prev.csr[prev.csr_start[li] as usize..prev.csr_start[li + 1] as usize];
-                let mut i = 0;
-                while i < prev_cs.len() && (prev_cs[i] as usize) < start {
-                    buf.push(prev_cs[i]);
-                    i += 1;
-                }
-                for (k, b) in delta.replacement.iter().enumerate() {
-                    for l in &b.links {
-                        if l.index() == li {
-                            buf.push((start + k) as u32);
-                        }
-                    }
-                }
-                while i < prev_cs.len() && (prev_cs[i] as usize) < start + removed {
-                    i += 1;
-                }
-                for &j in &prev_cs[i..] {
-                    buf.push((i64::from(j) + shift) as u32);
-                }
-            }
-        }
+    /// Writes the crossers of link `li` into `ws.cs_buf`: spliced-list
+    /// indices, ascending, with exactly the multiplicity and order a
+    /// direct build over the spliced list would produce — and, parallel
+    /// to them in `ws.cs_src`, each crosser's source tag.
+    fn collect_into(&self, li: usize, ws: &mut Workspace) {
+        ws.cs_buf.clear();
+        ws.cs_src.clear();
+        merge_row(&self.rows[li], self.segs, self.repl, li as u32, |i, src| {
+            ws.cs_buf.push(i);
+            ws.cs_src.push(src);
+        });
+    }
+
+    /// Adds every crosser of link `li` to the affected set.
+    fn absorb_crossers(&self, li: usize, ws: &mut Workspace) {
+        self.collect_into(li, ws);
+        ws.absorb_collected();
     }
 }
 
-/// Builds per-link crossing lists in CSR form (crossers of link `l`,
-/// ascending bundle order, at `csr[csr_start[l]..csr_start[l + 1]]`).
-fn build_csr<V: BundleView + ?Sized>(bundles: &V, n_links: usize) -> (Vec<u32>, Vec<u32>) {
-    let n = bundles.len();
-    let mut csr_start = vec![0u32; n_links + 1];
-    for bi in 0..n {
-        for l in &bundles.get(bi).links {
-            csr_start[l.index() + 1] += 1;
+/// Builds per-link crossing lists (`rows[l]`: the bundles crossing
+/// link `l`, ascending).
+fn build_crossers(bundles: &[BundleSpec], n_links: usize) -> Vec<Vec<u32>> {
+    let mut counts = vec![0u32; n_links];
+    for b in bundles {
+        for l in &b.links {
+            counts[l.index()] += 1;
         }
     }
-    for li in 0..n_links {
-        csr_start[li + 1] += csr_start[li];
-    }
-    let mut csr = vec![0u32; csr_start[n_links] as usize];
-    let mut pos: Vec<u32> = csr_start[..n_links].to_vec();
-    for bi in 0..n {
-        for l in &bundles.get(bi).links {
-            let p = &mut pos[l.index()];
-            csr[*p as usize] = bi as u32;
-            *p += 1;
+    let mut rows: Vec<Vec<u32>> = counts
+        .iter()
+        .map(|&c| Vec::with_capacity(c as usize))
+        .collect();
+    for (bi, b) in bundles.iter().enumerate() {
+        for l in &b.links {
+            rows[l.index()].push(bi as u32);
         }
     }
-    (csr, csr_start)
+    rows
 }
 
-/// Sorts congested links by oversubscription (descending), the order
-/// Listing 1 visits them in; ties break on link id.
-fn sort_congested(congested: &mut [LinkId], link_demand: &[f64], caps: &[f64]) {
-    congested.sort_by(|&a, &b| {
-        let oa = link_demand[a.index()] / caps[a.index()].max(1e-9);
-        let ob = link_demand[b.index()] / caps[b.index()].max(1e-9);
-        ob.total_cmp(&oa).then(a.0.cmp(&b.0))
-    });
+/// A full fill's raw tables (bps) as a [`ModelOutcome`]; carried load is
+/// the frozen load capped at capacity.
+fn outcome_of(
+    rates: &[f64],
+    status: &[BundleStatus],
+    link_frozen: &[f64],
+    link_demand: &[f64],
+    caps: &[f64],
+    congested: Vec<LinkId>,
+) -> ModelOutcome {
+    let bw = |v: &[f64]| v.iter().copied().map(Bandwidth::from_bps).collect();
+    ModelOutcome::new(
+        bw(rates),
+        status.to_vec(),
+        link_frozen
+            .iter()
+            .zip(caps)
+            .map(|(&f, &c)| Bandwidth::from_bps(f.min(c)))
+            .collect(),
+        bw(link_demand),
+        bw(caps),
+        congested,
+    )
+}
+
+/// The order Listing 1 visits congested links in: oversubscription
+/// descending, ties broken on link id.
+fn congestion_order(
+    a: LinkId,
+    b: LinkId,
+    link_demand: &dyn Fn(LinkId) -> f64,
+    caps: &[f64],
+) -> Ordering {
+    let oa = link_demand(a) / caps[a.index()].max(1e-9);
+    let ob = link_demand(b) / caps[b.index()].max(1e-9);
+    ob.total_cmp(&oa).then(a.0.cmp(&b.0))
 }
 
 /// Freezes bundle `gi` at water level `t` with the given status,
@@ -2001,7 +1759,7 @@ fn sort_congested(congested: &mut [LinkId], link_demand: &[f64], caps: &[f64]) {
 fn freeze_bundle<V: BundleView + ?Sized>(
     bundles: &V,
     weights: &[f64],
-    demand: &dyn Fn(usize) -> f64,
+    demand: &impl Fn(usize) -> f64,
     gi: u32,
     t: f64,
     st: BundleStatus,
@@ -2054,7 +1812,7 @@ fn fill<V: BundleView + ?Sized>(
     bundles: &V,
     subset: &[u32],
     weights: &[f64],
-    demand: &dyn Fn(usize) -> f64,
+    demand: &impl Fn(usize) -> f64,
     caps: &[f64],
     ws: &mut FillScratch,
 ) {
@@ -2488,18 +2246,7 @@ mod tests {
 
     #[test]
     fn he_core_full_matrix_runs_fast_and_sane() {
-        use fubar_traffic::{workload, WorkloadConfig};
-        let topo = generators::he_core(mbps(100.0));
-        let tm = workload::generate(&topo, &WorkloadConfig::default(), 7);
-        // All aggregates on their shortest paths.
-        let mut bundles = Vec::new();
-        for a in tm.iter() {
-            let path = topo
-                .graph()
-                .shortest_path(a.ingress, a.egress, &fubar_graph::LinkSet::new())
-                .expect("HE core is connected");
-            bundles.push(BundleSpec::new(a, &path, a.flow_count));
-        }
+        let (topo, bundles) = he_bundles(mbps(100.0), 7);
         let m = FlowModel::with_defaults(&topo);
         let out = m.evaluate(&bundles);
         // Conservation invariants.
@@ -2522,13 +2269,73 @@ mod tests {
         }
     }
 
+    /// What [`evaluate_from`] produced.
+    struct Patched {
+        evaluation: Evaluation,
+        affected: Vec<u32>,
+        full_recompute: bool,
+    }
+
+    /// Test wrapper over the in-place patcher: clones `prev` and `old`,
+    /// turns the `new` list into a splice (`prev_index[i]` is bundle
+    /// `i`'s index in `old` when it is unchanged, `None` when it is new
+    /// or changed; unmapped old bundles count as removed), applies it in
+    /// place, and checks the patched table is `new`.
+    fn evaluate_from(
+        m: &FlowModel<'_>,
+        prev: &Evaluation,
+        old: &[BundleSpec],
+        new: &[BundleSpec],
+        prev_index: &[Option<u32>],
+        touched: &[LinkId],
+        par: Option<&mut ParallelWorkspace>,
+    ) -> Patched {
+        assert_eq!(prev_index.len(), new.len());
+        let mut splice = Splice::new();
+        let mut at = 0usize; // next unconsumed old bundle
+        let mut run: Vec<BundleSpec> = Vec::new();
+        for (b, pi) in new.iter().zip(prev_index) {
+            match pi {
+                None => run.push(b.clone()),
+                Some(j) => {
+                    splice.push(at, *j as usize - at, run.drain(..));
+                    at = *j as usize + 1;
+                }
+            }
+        }
+        splice.push(at, old.len() - at, run.drain(..));
+        let mut evaluation = prev.clone();
+        let mut table = old.to_vec();
+        let mut ws = Workspace::new();
+        let full_recompute = m.apply_delta(
+            &mut evaluation,
+            &mut table,
+            &mut splice,
+            touched,
+            &mut ws,
+            par,
+        );
+        assert_eq!(table.len(), new.len());
+        for (a, b) in table.iter().zip(new) {
+            assert_eq!((&a.links, a.flow_count), (&b.links, b.flow_count));
+        }
+        if let Some(field) = evaluation.bitwise_mismatch(&m.evaluate_traced(new)) {
+            panic!("patched evaluation differs from a full one in {field}");
+        }
+        Patched {
+            evaluation,
+            affected: ws.affected().to_vec(),
+            full_recompute,
+        }
+    }
+
     #[test]
     fn evaluate_from_identity_touches_nothing() {
         let t = pipe(kbps(300.0), ms(5.0));
         let m = FlowModel::with_defaults(&t);
         let bundles = vec![bundle(0, 10, vec![LinkId(0)], ms(5.0), kbps(50.0))];
         let prev = m.evaluate_traced(&bundles);
-        let inc = m.evaluate_from(&prev, &bundles, &[Some(0)], &[]);
+        let inc = evaluate_from(&m, &prev, &bundles, &bundles, &[Some(0)], &[], None);
         assert!(!inc.full_recompute);
         assert!(inc.affected.is_empty(), "nothing was dirty");
         assert_outcomes_identical(&inc.evaluation.outcome, &prev.outcome);
@@ -2557,7 +2364,7 @@ mod tests {
             bundle(0, 10, vec![p1], ms(5.0), kbps(5.0)),
             bundle(1, 10, vec![p2], ms(5.0), kbps(50.0)),
         ];
-        let inc = m.evaluate_from(&prev, &new, &[None, Some(1)], &[p1]);
+        let inc = evaluate_from(&m, &prev, &old, &new, &[None, Some(1)], &[p1], None);
         assert!(!inc.full_recompute);
         assert_eq!(inc.affected, vec![0], "only the changed pipe re-fills");
         assert_outcomes_identical(&inc.evaluation.outcome, &m.evaluate(&new));
@@ -2589,7 +2396,15 @@ mod tests {
             bundle(1, 10, vec![shared], ms(5.0), kbps(30.0)),
             bundle(2, 10, vec![solo], ms(5.0), kbps(5.0)),
         ];
-        let inc = m.evaluate_from(&prev, &new, &[None, Some(1), Some(2)], &[shared]);
+        let inc = evaluate_from(
+            &m,
+            &prev,
+            &old,
+            &new,
+            &[None, Some(1), Some(2)],
+            &[shared],
+            None,
+        );
         assert!(!inc.full_recompute);
         assert_eq!(inc.affected, vec![0, 1], "sharer re-fills, loner survives");
         assert_outcomes_identical(&inc.evaluation.outcome, &m.evaluate(&new));
@@ -2616,7 +2431,7 @@ mod tests {
             bundle(1, 10, vec![p2], ms(5.0), kbps(50.0)),
             bundle(2, 3, vec![p2], ms(5.0), kbps(10.0)),
         ];
-        let inc = m.evaluate_from(&prev, &new, &[Some(1), None], &[p1, p2]);
+        let inc = evaluate_from(&m, &prev, &old, &new, &[Some(1), None], &[p1, p2], None);
         assert_outcomes_identical(&inc.evaluation.outcome, &m.evaluate(&new));
         // The vacated pipe carries nothing.
         assert_eq!(
@@ -2627,17 +2442,7 @@ mod tests {
 
     #[test]
     fn evaluate_from_matches_full_on_he_under_random_churn() {
-        use fubar_traffic::{workload, WorkloadConfig};
-        let topo = generators::he_core(mbps(5.0)); // scarce: real contention
-        let tm = workload::generate(&topo, &WorkloadConfig::default(), 3);
-        let mut bundles = Vec::new();
-        for a in tm.iter() {
-            let path = topo
-                .graph()
-                .shortest_path(a.ingress, a.egress, &fubar_graph::LinkSet::new())
-                .expect("HE core is connected");
-            bundles.push(BundleSpec::new(a, &path, a.flow_count));
-        }
+        let (topo, mut bundles) = he_bundles(mbps(5.0), 3); // scarce: real contention
         let m = FlowModel::with_defaults(&topo);
         let mut prev = m.evaluate_traced(&bundles);
         let mut x = 0x1234_5678_9abc_def0u64;
@@ -2657,7 +2462,7 @@ mod tests {
                 .map(|i| (i != victim).then_some(i as u32))
                 .collect();
             let touched: Vec<LinkId> = bundles[victim].links.clone();
-            let inc = m.evaluate_from(&prev, &changed, &prev_index, &touched);
+            let inc = evaluate_from(&m, &prev, &bundles, &changed, &prev_index, &touched, None);
             let full = m.evaluate_traced(&changed);
             assert_outcomes_identical(&inc.evaluation.outcome, &full.outcome);
             incremental_hits += usize::from(!inc.full_recompute);
@@ -2737,6 +2542,7 @@ mod tests {
         let (topo, mut bundles) = he_bundles(mbps(5.0), 5);
         let m = FlowModel::with_defaults(&topo);
         let prev = m.evaluate_traced(&bundles);
+        let old = bundles.clone();
         // Change every bundle: the affected set covers the input and the
         // engine falls back to a full recompute — the parallel arm.
         for b in &mut bundles {
@@ -2745,8 +2551,16 @@ mod tests {
         let prev_index: Vec<Option<u32>> = vec![None; bundles.len()];
         let touched: Vec<LinkId> = topo.links().collect();
         let mut pw = ParallelWorkspace::new(4);
-        let par = m.evaluate_from_parallel(&prev, &bundles, &prev_index, &touched, &mut pw);
-        let ser = m.evaluate_from(&prev, &bundles, &prev_index, &touched);
+        let par = evaluate_from(
+            &m,
+            &prev,
+            &old,
+            &bundles,
+            &prev_index,
+            &touched,
+            Some(&mut pw),
+        );
+        let ser = evaluate_from(&m, &prev, &old, &bundles, &prev_index, &touched, None);
         assert!(par.full_recompute, "all-dirty must fall back");
         assert_outcomes_identical(&par.evaluation.outcome, &ser.evaluation.outcome);
     }

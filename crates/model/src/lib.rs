@@ -13,21 +13,23 @@
 //! * [`BundleSpec`] — flows of one aggregate pinned to one path;
 //! * [`FlowModel::evaluate`] — run progressive filling, yielding a
 //!   [`ModelOutcome`] (rates, loads, congestion report);
-//! * [`FlowModel::evaluate_traced`] / [`FlowModel::evaluate_from`] —
-//!   the incremental path: a traced [`Evaluation`] can be patched after
-//!   a small change by re-filling only the affected bottleneck
-//!   component, bitwise identical to a full recompute;
+//! * [`FlowModel::evaluate_traced`] / [`FlowModel::apply_delta`] —
+//!   the incremental path: a traced [`Evaluation`] and its bundle table
+//!   are patched **in place** after a small change ([`Splice`]: one
+//!   replaced segment per changed aggregate) by re-filling only the
+//!   affected bottleneck component, bitwise identical to a full
+//!   recompute;
 //! * [`FlowModel::evaluate_traced_parallel`] / [`ParallelWorkspace`] —
 //!   the deterministic parallel path: disjoint bottleneck components
 //!   fill concurrently on a fixed-shape work split, bitwise identical
 //!   to the serial fill at any worker count;
-//! * [`FlowModel::evaluate_delta`] / [`BundleDelta`] — the same patcher
-//!   over a *spliced view* of the previous bundle list, so a caller
-//!   scoring many one-segment candidate changes (the optimizer's inner
-//!   loop) never materializes the candidates it rejects;
+//! * [`FlowModel::score_delta`] / [`BundleDelta`] — the same core over a
+//!   *spliced view* of the previous bundle list, so a caller scoring
+//!   many one-segment candidate changes (the optimizer's inner loop)
+//!   never materializes the candidates it rejects;
 //! * [`utility_report`] — fold an outcome into per-aggregate and
 //!   network-wide utilities (paper §3's "total average");
-//!   [`utility_report_from`] is its incremental twin.
+//!   [`UtilityReport::patch`] is its in-place incremental twin.
 #![forbid(unsafe_code)]
 
 mod engine;
@@ -35,14 +37,13 @@ mod outcome;
 pub mod queueing;
 mod report;
 mod spec;
+mod splice;
 
 pub use engine::{
-    BundleDelta, BundleDeltaIter, DeltaScore, Evaluation, FlowModel, IncrementalEvaluation,
-    ModelConfig, ParallelWorkspace, Workspace, WorkspaceStats,
+    DeltaScore, Evaluation, FlowModel, ModelConfig, ParallelWorkspace, Workspace, WorkspaceStats,
 };
 pub use outcome::{ModelOutcome, UtilizationSummary};
 pub use queueing::{queueing_report, QueueingConfig, QueueingReport};
-pub use report::{
-    score_network_utility_delta, utility_report, utility_report_from, ReportScratch, UtilityReport,
-};
+pub use report::{score_network_utility_delta, utility_report, ReportScratch, UtilityReport};
 pub use spec::{BundleSpec, BundleStatus};
+pub use splice::{BundleDelta, Splice};

@@ -5,7 +5,7 @@ use fubar_graph::LinkId;
 use fubar_topology::Bandwidth;
 
 /// The equilibrium the progressive-filling engine reached.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct ModelOutcome {
     /// Achieved rate per input bundle (same order as the input slice).
     pub bundle_rates: Vec<Bandwidth>,
@@ -115,7 +115,7 @@ impl ModelOutcome {
 
     /// The first *bitwise* difference against `other`, if any — the
     /// oracle check behind the incremental-evaluation invariant
-    /// (`evaluate_from` ≡ `evaluate`, bit for bit). Hidden: this is a
+    /// (`apply_delta` ≡ `evaluate`, bit for bit). Hidden: this is a
     /// test helper, not a `PartialEq` (float payloads are only
     /// meaningfully compared bit-for-bit in that context).
     #[doc(hidden)]

@@ -7,6 +7,7 @@
 
 use crate::outcome::ModelOutcome;
 use crate::spec::BundleSpec;
+use fubar_topology::Bandwidth;
 use fubar_traffic::{Aggregate, AggregateId, TrafficMatrix};
 
 /// One aggregate's contribution to the network-wide folds: the
@@ -87,6 +88,27 @@ impl FoldTree {
         self.nodes[1]
     }
 
+    /// Recombines the ancestors of the given (already rewritten) leaves
+    /// — each leaf-to-root path when few leaves changed, every internal
+    /// node when that is cheaper. Each ancestor is last recombined after
+    /// both its children are final, so the tree ends bitwise identical
+    /// to one built from scratch.
+    fn refold(&mut self, leaves: &[u32]) {
+        if leaves.len() * self.base.ilog2() as usize >= self.base {
+            for i in (1..self.base).rev() {
+                self.nodes[i] = FoldCell::combine(self.nodes[2 * i], self.nodes[2 * i + 1]);
+            }
+            return;
+        }
+        for &leaf in leaves {
+            let mut i = (self.base + leaf as usize) / 2;
+            while i >= 1 {
+                self.nodes[i] = FoldCell::combine(self.nodes[2 * i], self.nodes[2 * i + 1]);
+                i /= 2;
+            }
+        }
+    }
+
     /// The root after replacing the given leaves, computed *without*
     /// mutating the tree (candidate scoring shares the incumbent's tree
     /// across threads). `changed` holds `(node index, new value)` pairs,
@@ -145,17 +167,17 @@ pub struct UtilityReport {
     pub small_average: Option<f64>,
     /// The summation tree behind the averages — carried so candidate
     /// scoring can patch single aggregates into the root in O(log n).
-    /// Shared (`Arc`), because reports ride hot clone paths — every
-    /// `Fabric::peek` clones the cached report into its `EpochReport` —
-    /// and the tree is immutable once built.
+    /// Shared (`Arc`) so branching a report (an optimizer pass cloning
+    /// its incumbent, a caller keeping an epoch's record) is cheap;
+    /// [`UtilityReport::patch`] un-shares it on first write.
     sums: std::sync::Arc<FoldTree>,
 }
 
 impl UtilityReport {
     /// The first *bitwise* difference against `other`, if any — the
     /// oracle check behind the incremental-report invariant
-    /// (`utility_report_from` ≡ `utility_report`, bit for bit). Hidden:
-    /// a test helper, not a `PartialEq`.
+    /// ([`UtilityReport::patch`] ≡ [`utility_report`], bit for bit).
+    /// Hidden: a test helper, not a `PartialEq`.
     #[doc(hidden)]
     pub fn bitwise_mismatch(&self, other: &Self) -> Option<String> {
         if self.network_utility.to_bits() != other.network_utility.to_bits() {
@@ -173,6 +195,49 @@ impl UtilityReport {
         }
         None
     }
+}
+
+/// One bundle's term `flows_b · U_b` of its aggregate's flow-weighted
+/// utility sum.
+fn bundle_term(a: &Aggregate, b: &BundleSpec, rate: Bandwidth) -> f64 {
+    f64::from(b.flow_count) * a.utility.eval(rate / f64::from(b.flow_count), b.path_delay)
+}
+
+/// An aggregate's utility from its summed bundle terms: the sum divided
+/// by the aggregate's *full* flow count, so uncovered (black-holed)
+/// flows contribute zero. Idle aggregates (zero flows — dynamic
+/// scenarios park departed aggregates at zero instead of removing
+/// them) carry no traffic and no objective weight; they score 0 rather
+/// than 0/0.
+fn mean_utility(a: &Aggregate, weighted: f64, covered: u64) -> f64 {
+    debug_assert!(
+        covered <= u64::from(a.flow_count),
+        "aggregate {} has {covered} flows covered but only {} exist",
+        a.id,
+        a.flow_count
+    );
+    if a.flow_count == 0 {
+        0.0
+    } else {
+        weighted / f64::from(a.flow_count)
+    }
+}
+
+/// One aggregate's utility over its `(bundle, rate)` pairs in bundle
+/// order — the accumulation [`utility_report`] performs for it, so the
+/// patched and candidate-scoring paths agree with it bitwise.
+fn aggregate_utility<'b>(
+    a: &Aggregate,
+    bundles: impl Iterator<Item = (&'b BundleSpec, Bandwidth)>,
+) -> f64 {
+    let mut weighted = 0.0_f64;
+    let mut covered = 0u64;
+    for (b, rate) in bundles {
+        debug_assert_eq!(b.aggregate, a.id, "span owns a foreign bundle");
+        weighted += bundle_term(a, b, rate);
+        covered += u64::from(b.flow_count);
+    }
+    mean_utility(a, weighted, covered)
 }
 
 /// Computes utilities for `outcome`, which must have been produced by
@@ -196,107 +261,93 @@ pub fn utility_report(
     let n = tm.len();
     let mut weighted = vec![0.0_f64; n]; // Σ flows_b · U_b
     let mut covered = vec![0u64; n]; // Σ flows_b
-
-    for (i, b) in bundles.iter().enumerate() {
-        let a = tm.aggregate(b.aggregate);
-        let per_flow = outcome.bundle_rates[i] / f64::from(b.flow_count);
-        let u = a.utility.eval(per_flow, b.path_delay);
-        weighted[b.aggregate.index()] += f64::from(b.flow_count) * u;
+    for (b, &rate) in bundles.iter().zip(&outcome.bundle_rates) {
+        weighted[b.aggregate.index()] += bundle_term(tm.aggregate(b.aggregate), b, rate);
         covered[b.aggregate.index()] += u64::from(b.flow_count);
     }
-
-    let mut per_aggregate = vec![0.0_f64; n];
-    for a in tm.iter() {
-        debug_assert!(
-            covered[a.id.index()] <= u64::from(a.flow_count),
-            "aggregate {} has {} flows covered but only {} exist",
-            a.id,
-            covered[a.id.index()],
-            a.flow_count
-        );
-        // Uncovered (black-holed) flows contribute zero utility. Idle
-        // aggregates (zero flows — dynamic scenarios park departed
-        // aggregates at zero instead of removing them) carry no traffic
-        // and no objective weight; score them 0 rather than 0/0.
-        per_aggregate[a.id.index()] = if a.flow_count == 0 {
-            0.0
-        } else {
-            weighted[a.id.index()] / f64::from(a.flow_count)
-        };
-    }
-
-    finalize(tm, per_aggregate)
+    let per_aggregate: Vec<f64> = tm
+        .iter()
+        .map(|a| mean_utility(a, weighted[a.id.index()], covered[a.id.index()]))
+        .collect();
+    let sums = std::sync::Arc::new(FoldTree::build(tm, &per_aggregate));
+    let mut report = UtilityReport {
+        network_utility: 0.0,
+        per_aggregate,
+        large_average: None,
+        small_average: None,
+        sums,
+    };
+    report.read_root();
+    report
 }
 
-/// Like [`utility_report`], but re-evaluates utility curves only for the
-/// bundles of `affected` aggregates, carrying every other aggregate's
-/// utility over from `prev` — bitwise identical to a full
-/// [`utility_report`] when the unaffected aggregates' bundles and rates
-/// are unchanged (which the fabric's dirty tracking and the optimizer's
-/// one-aggregate candidate deltas guarantee). `bundles` is any
-/// exact-size iterable of bundle refs parallel to `outcome` — a slice,
-/// or a [`crate::BundleDelta`] splice via its `iter()`.
-pub fn utility_report_from<'a, I>(
-    tm: &TrafficMatrix,
-    bundles: I,
-    outcome: &ModelOutcome,
-    prev: &UtilityReport,
-    affected: &[fubar_traffic::AggregateId],
-) -> UtilityReport
-where
-    I: IntoIterator<Item = &'a BundleSpec>,
-    I::IntoIter: ExactSizeIterator,
-{
-    let bundles = bundles.into_iter();
-    assert_eq!(
-        bundles.len(),
-        outcome.bundle_rates.len(),
-        "outcome does not match bundle list"
-    );
-    let n = tm.len();
-    assert_eq!(
-        prev.per_aggregate.len(),
-        n,
-        "previous report covers a different aggregate population"
-    );
-    let mut mask = vec![false; n];
-    for &a in affected {
-        mask[a.index()] = true;
-    }
-
-    let mut weighted = vec![0.0_f64; n];
-    let mut covered = vec![0u64; n];
-    for (i, b) in bundles.enumerate() {
-        if !mask[b.aggregate.index()] {
-            continue;
-        }
-        let a = tm.aggregate(b.aggregate);
-        let per_flow = outcome.bundle_rates[i] / f64::from(b.flow_count);
-        let u = a.utility.eval(per_flow, b.path_delay);
-        weighted[b.aggregate.index()] += f64::from(b.flow_count) * u;
-        covered[b.aggregate.index()] += u64::from(b.flow_count);
-    }
-
-    let mut per_aggregate = prev.per_aggregate.clone();
-    for a in tm.iter() {
-        if !mask[a.id.index()] {
-            continue;
-        }
-        debug_assert!(
-            covered[a.id.index()] <= u64::from(a.flow_count),
-            "aggregate {} has {} flows covered but only {} exist",
-            a.id,
-            covered[a.id.index()],
-            a.flow_count
-        );
-        per_aggregate[a.id.index()] = if a.flow_count == 0 {
-            0.0
+impl UtilityReport {
+    /// Reads the network-wide averages off the fold tree's root — the
+    /// shared tail of the full and patched report paths.
+    fn read_root(&mut self) {
+        let r = self.sums.root();
+        self.network_utility = if r.obj_den > 0.0 {
+            r.obj_num / r.obj_den
         } else {
-            weighted[a.id.index()] / f64::from(a.flow_count)
+            0.0
         };
+        self.large_average = (r.large_den > 0.0).then(|| r.large_num / r.large_den);
+        self.small_average = (r.small_den > 0.0).then(|| r.small_num / r.small_den);
     }
 
-    finalize(tm, per_aggregate)
+    /// Brings the report up to date **in place** after an in-place
+    /// [`crate::FlowModel::apply_delta`]: utilities re-evaluate only for
+    /// the `dirty` aggregates (those whose flow count or bundle segment
+    /// changed) and the owners of the `refilled` bundles, and the fold
+    /// tree is recombined along their leaf-to-root paths. `spans[a]` is
+    /// aggregate `a`'s `(start, len)` bundle range in `bundles`. The
+    /// result is bitwise identical to [`utility_report`] of the same
+    /// inputs.
+    #[allow(clippy::too_many_arguments)]
+    pub fn patch(
+        &mut self,
+        tm: &TrafficMatrix,
+        bundles: &[BundleSpec],
+        outcome: &ModelOutcome,
+        spans: &[(u32, u32)],
+        refilled: &[u32],
+        dirty: &[u32],
+        ws: &mut ReportScratch,
+    ) {
+        let n = tm.len();
+        assert_eq!(
+            self.per_aggregate.len(),
+            n,
+            "report covers a different aggregate population"
+        );
+        assert_eq!(spans.len(), n, "spans must cover every aggregate");
+        assert_eq!(
+            bundles.len(),
+            outcome.bundle_rates.len(),
+            "outcome does not match bundle list"
+        );
+        ws.begin(n);
+        for &ai in dirty {
+            ws.mark(ai as usize);
+        }
+        for &bi in refilled {
+            ws.mark(bundles[bi as usize].aggregate.index());
+        }
+        let tree = std::sync::Arc::make_mut(&mut self.sums);
+        for &ai in &ws.affected_aggs {
+            let a = tm.aggregate(AggregateId(ai));
+            let (s, l) = spans[ai as usize];
+            let span = s as usize..(s + l) as usize;
+            let run = bundles[span.clone()]
+                .iter()
+                .zip(outcome.bundle_rates[span].iter().copied());
+            let u = aggregate_utility(a, run);
+            self.per_aggregate[ai as usize] = u;
+            tree.nodes[tree.base + ai as usize] = FoldCell::leaf(a, u);
+        }
+        tree.refold(&ws.affected_aggs);
+        self.read_root();
+    }
 }
 
 /// Reusable scratch for [`score_network_utility_delta`]: aggregate
@@ -409,39 +460,17 @@ pub fn score_network_utility_delta(
         // Flow-weighted utility over the span, in bundle order — the
         // exact accumulation a full report performs for this aggregate.
         let mut cursor = affected.partition_point(|&bi| (bi as usize) < s);
-        let mut weighted = 0.0_f64;
-        #[cfg(debug_assertions)]
-        let mut covered = 0u64;
-        for i in s..s + l {
-            let b = delta.get(i);
-            debug_assert_eq!(b.aggregate.index(), ai, "span owns foreign bundle");
+        let run = (s..s + l).map(|i| {
             let rate = if cursor < affected.len() && affected[cursor] as usize == i {
                 cursor += 1;
-                fubar_topology::Bandwidth::from_bps(rates[cursor - 1])
+                Bandwidth::from_bps(rates[cursor - 1])
             } else {
                 prev_outcome.bundle_rates
                     [delta.prev_index(i).expect("unaffected bundles are mapped") as usize]
             };
-            let per_flow = rate / f64::from(b.flow_count);
-            let u = a.utility.eval(per_flow, b.path_delay);
-            weighted += f64::from(b.flow_count) * u;
-            #[cfg(debug_assertions)]
-            {
-                covered += u64::from(b.flow_count);
-            }
-        }
-        #[cfg(debug_assertions)]
-        debug_assert!(
-            covered <= u64::from(a.flow_count),
-            "aggregate {} has {covered} flows covered but only {} exist",
-            a.id,
-            a.flow_count
-        );
-        let u_agg = if a.flow_count == 0 {
-            0.0
-        } else {
-            weighted / f64::from(a.flow_count)
-        };
+            (delta.get(i), rate)
+        });
+        let u_agg = aggregate_utility(a, run);
         ws.changed
             .push(((base + ai) as u32, FoldCell::leaf(a, u_agg)));
     }
@@ -453,27 +482,6 @@ pub fn score_network_utility_delta(
         root.obj_num / root.obj_den
     } else {
         0.0
-    }
-}
-
-/// Folds per-aggregate utilities into the network-wide averages — the
-/// shared tail of the full and incremental report paths. The averages
-/// are the root of a fixed-shape pairwise [`FoldTree`] (identical code
-/// and shape on every path, so full rebuilds and O(log n) patches stay
-/// bitwise interchangeable).
-fn finalize(tm: &TrafficMatrix, per_aggregate: Vec<f64>) -> UtilityReport {
-    let sums = std::sync::Arc::new(FoldTree::build(tm, &per_aggregate));
-    let r = sums.root();
-    UtilityReport {
-        network_utility: if r.obj_den > 0.0 {
-            r.obj_num / r.obj_den
-        } else {
-            0.0
-        },
-        per_aggregate,
-        large_average: (r.large_den > 0.0).then(|| r.large_num / r.large_den),
-        small_average: (r.small_den > 0.0).then(|| r.small_num / r.small_den),
-        sums,
     }
 }
 

@@ -8,7 +8,7 @@ use fubar_traffic::{Aggregate, AggregateId};
 /// path (paper §2.3: "we don't deal with individual flows, but with
 /// bundles of flows that share the same entry point, exit point, traffic
 /// class, and path through the network").
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct BundleSpec {
     /// The aggregate these flows belong to.
     pub aggregate: AggregateId,

@@ -1,13 +1,18 @@
 //! Property-based tests for the progressive-filling engine.
 //!
 //! Invariants checked on random topologies and random bundle sets:
-//! capacity conservation, demand capping, status consistency, and
-//! monotonicity of total carried load in capacity.
+//! capacity conservation, demand capping, status consistency,
+//! monotonicity of total carried load in capacity, and the in-place
+//! patcher (`apply_delta`, `UtilityReport::patch`) against the full
+//! recompute through chains of random k-segment splices.
 
-use fubar_graph::{LinkSet, NodeId};
-use fubar_model::{BundleSpec, FlowModel};
+use fubar_graph::{LinkId, LinkSet, NodeId};
+use fubar_model::{
+    utility_report, BundleSpec, FlowModel, ReportScratch, Splice, UtilityReport, Workspace,
+};
 use fubar_topology::{generators, Bandwidth, Delay, Topology};
-use fubar_traffic::AggregateId;
+use fubar_traffic::{Aggregate, AggregateId, TrafficMatrix};
+use fubar_utility::TrafficClass;
 use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
@@ -188,5 +193,168 @@ proptest! {
             prop_assert_eq!(&par.outcome.link_load, &serial.outcome.link_load);
             prop_assert_eq!(&par.outcome.bundle_status, &serial.outcome.bundle_status);
         }
+    }
+
+    /// The in-place patcher against the full recompute, on the shapes
+    /// that shift indices: a random table (each aggregate owning a
+    /// contiguous segment of 0–3 bundles) takes 20 chained k-segment
+    /// splices (k ∈ 1..=4; a segment is emptied, inserted into an empty
+    /// one, grown, shrunk, re-pathed at the same length, or re-counted
+    /// on the same links), some with a capacity change riding along.
+    /// After every step the patched table is the materialized one, the
+    /// patched evaluation equals `evaluate_traced` of it bit for bit —
+    /// freeze keys, crossing rows and the saturation mask included —
+    /// and the patched utility report equals a rebuilt one, while a
+    /// clone taken before the patch (sharing the fold tree) keeps its
+    /// old values.
+    #[test]
+    fn in_place_patch_matches_full_recompute_through_chained_splices(
+        w in workload(),
+        seed in any::<u64>(),
+    ) {
+        let cap = Bandwidth::from_kbps(w.capacity_kbps);
+        let mut topo = generators::waxman(w.nodes, 0.7, 0.4, cap, w.topo_seed);
+        let mut x = seed | 1;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+
+        // One aggregate per workload entry (padded so that segments lie
+        // on both sides of most splices).
+        let classes = [
+            TrafficClass::RealTime,
+            TrafficClass::BulkTransfer,
+            TrafficClass::LargeFile { peak_mbps: 1.0 },
+        ];
+        let aggregates: Vec<Aggregate> = (0..w.entries.len().max(12))
+            .map(|i| {
+                let (s, d, flows, _) = w.entries[i % w.entries.len()];
+                Aggregate::new(
+                    AggregateId(i as u32),
+                    NodeId(((s + i) % w.nodes) as u32),
+                    NodeId(((d + 2 * i) % w.nodes) as u32),
+                    classes[i % 3],
+                    flows,
+                )
+            })
+            .collect();
+        let mut tm = TrafficMatrix::new(aggregates);
+        let n = tm.len();
+
+        // A random segment for one aggregate: `len` bundles on paths that
+        // avoid a random link each (so same-length segments can differ
+        // in links), or the old segment re-counted on the same links.
+        let segment = |topo: &Topology, a: &Aggregate, len: usize, r: &mut dyn FnMut() -> u64| {
+            let mut out: Vec<BundleSpec> = Vec::new();
+            for _ in 0..len {
+                let mut avoid = LinkSet::new();
+                avoid.insert(LinkId((r() % topo.link_count() as u64) as u32));
+                let path = topo
+                    .graph()
+                    .shortest_path(a.ingress, a.egress, &avoid)
+                    .or_else(|| topo.graph().shortest_path(a.ingress, a.egress, &LinkSet::new()))
+                    .expect("waxman graphs are connected");
+                out.push(BundleSpec::new(a, &path, 1 + (r() % 9) as u32));
+            }
+            out
+        };
+        let mut segments: Vec<Vec<BundleSpec>> = Vec::new();
+        for i in 0..n {
+            let len = (next() % 4) as usize;
+            let seg = segment(&topo, tm.aggregate(AggregateId(i as u32)), len, &mut next);
+            segments.push(seg);
+        }
+        let flows_of = |seg: &[BundleSpec]| seg.iter().map(|b| b.flow_count).sum::<u32>();
+        for (i, seg) in segments.iter().enumerate() {
+            tm.set_flow_count(AggregateId(i as u32), flows_of(seg));
+        }
+        let spans_of = |segments: &[Vec<BundleSpec>]| {
+            let mut at = 0u32;
+            segments
+                .iter()
+                .map(|s| {
+                    at += s.len() as u32;
+                    (at - s.len() as u32, s.len() as u32)
+                })
+                .collect::<Vec<_>>()
+        };
+
+        let mut table: Vec<BundleSpec> = segments.concat();
+        let mut eval = FlowModel::with_defaults(&topo).evaluate_traced(&table);
+        let mut report = utility_report(&tm, &table, &eval.outcome);
+        let (mut ws, mut rws, mut splice) = (Workspace::new(), ReportScratch::new(), Splice::new());
+        let mut partial_steps = 0;
+
+        for step in 0..20 {
+            let spans = spans_of(&segments);
+            // k distinct aggregates, ascending.
+            let k = 1 + (next() % 4) as usize;
+            let mut picked: Vec<usize> = (0..k).map(|_| (next() % n as u64) as usize).collect();
+            picked.sort_unstable();
+            picked.dedup();
+            for &i in &picked {
+                let a = tm.aggregate(AggregateId(i as u32)).clone();
+                let old_len = segments[i].len();
+                let new = match next() % 6 {
+                    0 => Vec::new(),                                            // emptied
+                    1 => segment(&topo, &a, old_len + 1, &mut next),            // longer (or pure insert)
+                    2 => segment(&topo, &a, old_len.saturating_sub(1), &mut next), // shorter
+                    3 => segment(&topo, &a, old_len, &mut next),                // same length, new links
+                    4 => segment(&topo, &a, 1 + (next() % 3) as usize, &mut next),
+                    _ => {
+                        // Same length, same links, different counts.
+                        let mut seg = segments[i].clone();
+                        for b in &mut seg {
+                            b.flow_count = 1 + (next() % 9) as u32;
+                        }
+                        seg
+                    }
+                };
+                splice.push(spans[i].0 as usize, old_len, new.iter().cloned());
+                tm.set_flow_count(AggregateId(i as u32), flows_of(&new));
+                segments[i] = new;
+            }
+            // Every other step a capacity change rides along.
+            let mut touched: Vec<LinkId> = Vec::new();
+            if step % 2 == 1 {
+                let l = LinkId((next() % topo.link_count() as u64) as u32);
+                let factor = 0.4 + (next() % 120) as f64 / 100.0;
+                topo.set_capacity(l, cap * factor);
+                touched.push(l);
+            }
+
+            let before = report.clone();
+            let before_bits = before.network_utility.to_bits();
+            let model = FlowModel::with_defaults(&topo);
+            let full = model.apply_delta(&mut eval, &mut table, &mut splice, &touched, &mut ws, None);
+            partial_steps += usize::from(!full);
+
+            let expected = segments.concat();
+            prop_assert_eq!(table.len(), expected.len(), "step {}", step);
+            for (a, b) in table.iter().zip(&expected) {
+                prop_assert_eq!(a.aggregate, b.aggregate);
+                prop_assert_eq!(a.flow_count, b.flow_count);
+                prop_assert_eq!(&a.links, &b.links);
+            }
+            let oracle = model.evaluate_traced(&table);
+            prop_assert_eq!(eval.bitwise_mismatch(&oracle), None, "step {} (k = {})", step, picked.len());
+
+            let dirty: Vec<u32> = picked.iter().map(|&i| i as u32).collect();
+            if full {
+                report = utility_report(&tm, &table, &eval.outcome);
+            } else {
+                let spans = spans_of(&segments);
+                report.patch(&tm, &table, &eval.outcome, &spans, ws.affected(), &dirty, &mut rws);
+            }
+            let rebuilt: UtilityReport = utility_report(&tm, &table, &oracle.outcome);
+            prop_assert_eq!(report.bitwise_mismatch(&rebuilt), None, "step {}", step);
+            prop_assert_eq!(before.network_utility.to_bits(), before_bits);
+        }
+        // Tiny tables fall back to the full recompute; anything bigger
+        // must actually exercise the patcher.
+        prop_assert!(table.len() < 12 || partial_steps > 0, "the in-place arm never ran");
     }
 }

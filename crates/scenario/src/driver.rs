@@ -138,16 +138,23 @@ impl SdnConsumer {
         &self.shards
     }
 
-    fn total_flows(&self) -> u64 {
-        self.fabric.true_tm().total_flows()
-    }
-
-    fn measure_from(&self, report: &fubar_sdn::EpochReport) -> Measure {
+    /// The log record of the fabric's current state: the two scalars
+    /// read off its (borrowed) measurement — a [`Fabric::run_epoch`]
+    /// when `close_epoch`, else a [`Fabric::peek`] — plus the live
+    /// totals.
+    fn measure(&mut self, close_epoch: bool) -> Measure {
+        let live_flows = self.fabric.true_tm().total_flows();
+        let failed_links = self.fabric.failed_links().len();
+        let report = if close_epoch {
+            self.fabric.run_epoch()
+        } else {
+            self.fabric.peek()
+        };
         Measure {
             utility: report.report.network_utility,
             congested_links: report.outcome.congested.len(),
-            live_flows: self.total_flows(),
-            failed_links: self.fabric.failed_links().len(),
+            live_flows,
+            failed_links,
             commits: None,
             warm: false,
         }
@@ -295,12 +302,10 @@ impl EventConsumer for SdnConsumer {
                     // incumbent keeps serving. `commits` stays None, so
                     // the log line is visibly a skip.
                     self.chaos.skipped += 1;
-                    let report = self.fabric.peek();
-                    return self.measure_from(&report);
+                    return self.measure(false);
                 }
                 let (commits, warm) = self.reoptimize(event.time);
-                let report = self.fabric.peek();
-                let mut m = self.measure_from(&report);
+                let mut m = self.measure(false);
                 m.commits = Some(commits);
                 m.warm = warm;
                 return m;
@@ -317,7 +322,7 @@ impl EventConsumer for SdnConsumer {
                 // (the flow model used to be re-run here even when
                 // nothing had changed), the counters feed the estimator,
                 // and the same report becomes the log record.
-                let report = self.fabric.run_epoch();
+                let m = self.measure(true);
                 self.estimator
                     .observe(self.fabric.counters(), self.fabric.epoch_duration());
                 if self.chaos.spec.measure_stale.is_some() {
@@ -327,11 +332,10 @@ impl EventConsumer for SdnConsumer {
                     let snap = self.estimator.estimated_matrix(self.fabric.true_tm());
                     self.chaos.snapshots.push((event.time, snap));
                 }
-                return self.measure_from(&report);
+                return m;
             }
         }
-        let report = self.fabric.peek();
-        self.measure_from(&report)
+        self.measure(false)
     }
 
     fn describe(&self, event: &Event) -> String {

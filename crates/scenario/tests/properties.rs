@@ -253,7 +253,7 @@ fn incremental_peek_matches_full_recompute_across_catalog_inputs() {
             };
             let mut failed: Vec<fubar_graph::LinkId> = Vec::new();
             for step in 0..steps {
-                match next() % 12 {
+                match next() % 16 {
                     0..=4 => {
                         let id = AggregateId((next() % n) as u32);
                         fabric.set_flow_count(id, (next() % 16) as u32);
@@ -269,6 +269,8 @@ fn incremental_peek_matches_full_recompute_across_catalog_inputs() {
                     7 => {
                         let l = fubar_graph::LinkId((next() % n_links) as u32);
                         if !fabric.failed_links().contains(l) && failed.len() < 2 {
+                            // Fail while an idle aggregate exists.
+                            fabric.set_flow_count(AggregateId((next() % n) as u32), 0);
                             fabric.fail_link(l);
                             failed.push(l);
                         }
@@ -292,13 +294,61 @@ fn incremental_peek_matches_full_recompute_across_catalog_inputs() {
                         let rules = RuleSet::from_allocation(&alloc, fabric.true_tm());
                         fabric.install(rules);
                     }
+                    11 | 12 => {
+                        // Several aggregates dirtied before one probe —
+                        // one parked idle (its segment goes to zero
+                        // bundles), one revived — plus, every other
+                        // time, a capacity change in the same probe.
+                        for k in 0..2 + next() % 4 {
+                            let id = AggregateId((next() % n) as u32);
+                            fabric.set_flow_count(
+                                id,
+                                if k == 0 { 0 } else { 1 + (next() % 9) as u32 },
+                            );
+                        }
+                        if next() % 2 == 0 {
+                            let l = fubar_graph::LinkId((next() % n_links) as u32);
+                            fabric.set_capacity(l, base_caps[l.index()] * 0.75);
+                        }
+                    }
+                    13 => {
+                        // A 1:3 two-bucket group whose split drops a
+                        // bucket at one flow and regains it at five: the
+                        // segment shrinks and grows under later ones.
+                        let id = AggregateId((next() % n) as u32);
+                        let a = fabric.true_tm().aggregate(id);
+                        let g = fabric.topology().graph();
+                        let down = fabric.failed_links();
+                        if let Some(p0) = g.shortest_path(a.ingress, a.egress, down) {
+                            let mut avoid = down.clone();
+                            for &l in p0.links() {
+                                avoid.insert(l);
+                            }
+                            if let Some(p1) = g.shortest_path(a.ingress, a.egress, &avoid) {
+                                let group = fubar_sdn::GroupEntry {
+                                    buckets: vec![(p0, 1), (p1, 3)],
+                                };
+                                fabric.set_group(id, group);
+                                for flows in [1, 5] {
+                                    fabric.set_flow_count(id, flows);
+                                    let full = fabric.peek_full();
+                                    assert_reports_identical(name, step, fabric.peek(), &full);
+                                }
+                                fabric.set_flow_count(id, 1);
+                            }
+                        }
+                    }
                     _ => {
                         let _ = fabric.run_epoch();
                     }
                 }
-                let inc = fabric.peek();
                 let full = fabric.peek_full();
-                assert_reports_identical(&format!("{name} seed {seed}"), step, &inc, &full);
+                assert_reports_identical(
+                    &format!("{name} seed {seed}"),
+                    step,
+                    fabric.peek(),
+                    &full,
+                );
             }
         }
     }

@@ -285,7 +285,8 @@ impl ClosedLoop {
             self.apply_failures(epoch);
             self.apply_drift();
 
-            let report = self.fabric.run_epoch();
+            // Kept across the install below, so cloned out of the cache.
+            let report = self.fabric.run_epoch().clone();
             self.estimator
                 .observe(self.fabric.counters(), self.fabric.epoch_duration());
 

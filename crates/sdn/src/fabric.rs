@@ -12,20 +12,31 @@
 //!
 //! Event-driven callers probe the fabric after every single change
 //! ([`Fabric::peek`]), so the fabric keeps its last measurement — the
-//! bundle table, the traced flow-model evaluation, and the utility
-//! report — and tracks which aggregates and links each mutation dirties.
-//! The next `peek`/`run_epoch` re-derives bundles only for dirty
-//! aggregates and patches the evaluation through
-//! `FlowModel::evaluate_from`, which re-runs water-filling only on the
-//! affected bottleneck component. The invariant (enforced by property
-//! tests): the incremental measurement is **bitwise identical** to the
-//! full recompute [`Fabric::peek_full`] performs.
+//! bundle table with per-aggregate spans, the traced flow-model
+//! evaluation, and the epoch report — and tracks which aggregates and
+//! links each mutation dirties. The next `peek`/`run_epoch` re-routes
+//! only the dirty aggregates, describes their new bundle segments as
+//! one [`Splice`] over the cached table (one segment per dirty
+//! aggregate, however many an event dirtied — a failure's hundred
+//! aggregates are still *one* joint fill), and lets
+//! `FlowModel::apply_delta` patch table, evaluation and report **in
+//! place**: water-filling re-runs only on the affected bottleneck
+//! component, loads re-derive only for dirty links, utilities only for
+//! affected aggregates. When every dirty aggregate keeps its bundle
+//! count — all flow churn on single-path rules — a measurement costs
+//! O(dirty segments + component + crossing rows of the dirty links)
+//! and allocates nothing but the dirty aggregates' route vectors; an aggregate that gains or loses a
+//! bundle additionally renumbers what lies behind it (spans, freeze
+//! keys, crossing entries). Only [`Fabric::install`] and
+//! [`Fabric::set_true_tm`] rebuild the cache. The invariant (enforced
+//! by property tests): the incremental measurement is **bitwise
+//! identical** to the full recompute [`Fabric::peek_full`] performs.
 
 use crate::rules::{GroupEntry, RuleSet};
 use fubar_graph::{LinkSet, Path};
 use fubar_model::{
-    BundleSpec, Evaluation, FlowModel, ModelConfig, ModelOutcome, ParallelWorkspace, UtilityReport,
-    WorkspaceStats,
+    BundleSpec, Evaluation, FlowModel, ModelConfig, ModelOutcome, ParallelWorkspace, ReportScratch,
+    Splice, UtilityReport, Workspace, WorkspaceStats,
 };
 use fubar_topology::{Bandwidth, Delay, Topology};
 use fubar_traffic::{Aggregate, AggregateId, TrafficMatrix};
@@ -87,8 +98,6 @@ impl EpochReport {
 /// One aggregate's routed state inside the measurement cache.
 #[derive(Clone, Copy, Debug, Default)]
 struct AggRoute {
-    /// How many bundles the aggregate contributes to the bundle table.
-    len: u32,
     /// True when every installed bucket crossed a failed link and the
     /// aggregate rides a live shortest path instead.
     fallback: bool,
@@ -100,15 +109,18 @@ struct AggRoute {
 struct MeasureCache {
     /// Per-aggregate routing state, indexed by aggregate id.
     routes: Vec<AggRoute>,
+    /// Per aggregate, the `(start, len)` range of its bundles in
+    /// `bundles`.
+    spans: Vec<(u32, u32)>,
     /// The canonical bundle table: every aggregate's bundles
     /// concatenated in id order (the exact list a full rebuild yields).
     bundles: Vec<BundleSpec>,
-    /// Traced flow-model evaluation of `bundles`.
+    /// Traced flow-model evaluation of `bundles`. Between measurements
+    /// its `outcome` lives in `report.outcome`, where probes read it.
     eval: Evaluation,
-    /// Utility report of `eval` against the true matrix.
-    report: UtilityReport,
-    fallback_count: usize,
-    blackholed_flows: u64,
+    /// The epoch report probes borrow: outcome, utility report against
+    /// the true matrix, and the fallback/black-hole totals of `routes`.
+    report: EpochReport,
 }
 
 /// The simulated SDN data plane.
@@ -130,6 +142,10 @@ pub struct Fabric {
     /// concurrently — bitwise identical to the serial fill.
     fill: Option<ParallelWorkspace>,
     cache: Option<MeasureCache>,
+    /// Scratch the in-place patch reuses from probe to probe.
+    ws: Workspace,
+    report_ws: ReportScratch,
+    splice: Splice,
     dirty_aggs: Vec<bool>,
     dirty_list: Vec<u32>,
     dirty_links: Vec<fubar_graph::LinkId>,
@@ -165,6 +181,9 @@ impl Fabric {
             incremental: true,
             fill: None,
             cache: None,
+            ws: Workspace::new(),
+            report_ws: ReportScratch::new(),
+            splice: Splice::new(),
             dirty_aggs: vec![false; n],
             dirty_list: Vec::new(),
             dirty_links: Vec::new(),
@@ -233,6 +252,9 @@ impl Fabric {
     /// the aggregate as *idle*: it keeps its id, counters, and installed
     /// rules, but contributes no traffic until flows arrive again.
     pub fn set_flow_count(&mut self, id: AggregateId, flows: u32) {
+        if self.flow_count(id) == flows {
+            return; // a clamped departure, a relax of an un-surged pair
+        }
         self.true_tm.set_flow_count(id, flows);
         self.mark_aggregate(id);
     }
@@ -483,27 +505,30 @@ impl Fabric {
         (out, false, 0)
     }
 
-    /// Routes every aggregate from scratch (the full-recompute path).
-    fn build_all(&self) -> (Vec<AggRoute>, Vec<BundleSpec>, usize, u64) {
+    /// Routes every aggregate from scratch (the full-recompute path):
+    /// `(routes, spans, bundle table, fallback count, black-holed flows)`.
+    #[allow(clippy::type_complexity)]
+    fn build_all(&self) -> (Vec<AggRoute>, Vec<(u32, u32)>, Vec<BundleSpec>, usize, u64) {
         let mut routes = Vec::with_capacity(self.true_tm.len());
+        let mut spans = Vec::with_capacity(self.true_tm.len());
         let mut bundles = Vec::new();
         let mut fallback_count = 0usize;
         let mut blackholed = 0u64;
         for a in self.true_tm.iter() {
             let (bs, fallback, bh) = self.route_aggregate(a);
             routes.push(AggRoute {
-                len: bs.len() as u32,
                 fallback,
                 blackholed: bh,
             });
+            spans.push((bundles.len() as u32, bs.len() as u32));
             fallback_count += usize::from(fallback);
             blackholed += bh;
             bundles.extend(bs);
         }
-        (routes, bundles, fallback_count, blackholed)
+        (routes, spans, bundles, fallback_count, blackholed)
     }
 
-    /// Clears all dirtiness bookkeeping (after a full rebuild).
+    /// Clears all dirtiness bookkeeping (after a measurement).
     fn clear_dirt(&mut self) {
         for &i in &self.dirty_list {
             self.dirty_aggs[i as usize] = false;
@@ -514,130 +539,118 @@ impl Fabric {
     }
 
     /// Brings the measurement cache up to date — the single call site
-    /// both [`Fabric::peek`] and [`Fabric::run_epoch`] measure from.
-    fn measure(&mut self) {
-        let full = self.cache.is_none() || self.dirty_all || !self.incremental;
-        if full {
-            let (routes, bundles, fallback_count, blackholed_flows) = self.build_all();
-            let model = FlowModel::new(&self.topology, self.model);
-            let eval = match &mut self.fill {
-                Some(pw) => model.evaluate_traced_parallel(&bundles, pw),
-                None => model.evaluate_traced(&bundles),
-            };
-            let report = fubar_model::utility_report(&self.true_tm, &bundles, &eval.outcome);
-            self.cache = Some(MeasureCache {
-                routes,
-                bundles,
-                eval,
-                report,
-                fallback_count,
-                blackholed_flows,
-            });
-            self.clear_dirt();
-            return;
+    /// both [`Fabric::peek`] and [`Fabric::run_epoch`] measure from —
+    /// and hands out its report, stamped with the epoch in progress.
+    fn measure(&mut self) -> &EpochReport {
+        if self.cache.is_none() || self.dirty_all || !self.incremental {
+            self.measure_full();
+        } else if !(self.dirty_list.is_empty() && self.dirty_links.is_empty()) {
+            self.measure_dirty();
         }
-        if self.dirty_list.is_empty() && self.dirty_links.is_empty() {
-            return; // nothing changed since the last measurement
-        }
+        let report = &mut self.cache.as_mut().expect("measured above").report;
+        report.epoch = self.epoch;
+        report
+    }
 
-        let mut cache = self.cache.take().expect("checked above");
-        let mut touched = std::mem::take(&mut self.dirty_links);
-
-        // Rebuild the bundle table: dirty aggregates are re-routed, the
-        // rest move over untouched (so the table stays exactly what a
-        // full rebuild would produce). `prev_index` maps surviving
-        // bundles to their previous position for the model patcher, and
-        // `touched` collects every link an old or new dirty bundle
-        // crossed.
-        let old_bundles = std::mem::take(&mut cache.bundles);
-        let n_old = old_bundles.len();
-        let mut old_iter = old_bundles.into_iter();
-        let mut bundles: Vec<BundleSpec> = Vec::with_capacity(n_old + 4);
-        let mut prev_index: Vec<Option<u32>> = Vec::with_capacity(n_old + 4);
-        let mut old_pos: u32 = 0;
-        for a in self.true_tm.iter() {
-            let i = a.id.index();
-            let route = &mut cache.routes[i];
-            if self.dirty_aggs[i] {
-                for _ in 0..route.len {
-                    let b = old_iter.next().expect("cache covers every bundle");
-                    touched.extend_from_slice(&b.links);
-                }
-                old_pos += route.len;
-                let (bs, fallback, bh) = self.route_aggregate(a);
-                *route = AggRoute {
-                    len: bs.len() as u32,
-                    fallback,
-                    blackholed: bh,
-                };
-                for b in bs {
-                    touched.extend_from_slice(&b.links);
-                    prev_index.push(None);
-                    bundles.push(b);
-                }
-            } else {
-                for _ in 0..route.len {
-                    let b = old_iter.next().expect("cache covers every bundle");
-                    prev_index.push(Some(old_pos));
-                    old_pos += 1;
-                    bundles.push(b);
-                }
-            }
-        }
-        debug_assert!(old_iter.next().is_none(), "cache bundle count drifted");
-
+    /// Rebuilds the cache from scratch.
+    fn measure_full(&mut self) {
+        let (routes, spans, bundles, fallback_count, blackholed_flows) = self.build_all();
         let model = FlowModel::new(&self.topology, self.model);
-        let inc = match &mut self.fill {
-            Some(pw) => {
-                model.evaluate_from_parallel(&cache.eval, &bundles, &prev_index, &touched, pw)
-            }
-            None => model.evaluate_from(&cache.eval, &bundles, &prev_index, &touched),
+        let mut eval = match &mut self.fill {
+            Some(pw) => model.evaluate_traced_parallel(&bundles, pw),
+            None => model.evaluate_traced(&bundles),
         };
-        let report = if inc.full_recompute {
-            fubar_model::utility_report(&self.true_tm, &bundles, &inc.evaluation.outcome)
-        } else {
-            // Utilities to refresh: aggregates owning re-filled bundles
-            // plus every dirty aggregate (whose flow count or routing
-            // changed even if it contributes no bundles now).
-            let mut mask = vec![false; self.true_tm.len()];
-            for &bi in &inc.affected {
-                mask[bundles[bi as usize].aggregate.index()] = true;
-            }
-            for &i in &self.dirty_list {
-                mask[i as usize] = true;
-            }
-            let affected: Vec<AggregateId> = (0..mask.len())
-                .filter(|&i| mask[i])
-                .map(|i| AggregateId(i as u32))
-                .collect();
-            fubar_model::utility_report_from(
-                &self.true_tm,
-                &bundles,
-                &inc.evaluation.outcome,
-                &cache.report,
-                &affected,
-            )
+        let report = EpochReport {
+            epoch: self.epoch,
+            report: fubar_model::utility_report(&self.true_tm, &bundles, &eval.outcome),
+            outcome: std::mem::take(&mut eval.outcome),
+            fallback_count,
+            blackholed_flows,
         };
-
-        cache.bundles = bundles;
-        cache.eval = inc.evaluation;
-        cache.report = report;
-        cache.fallback_count = cache.routes.iter().filter(|r| r.fallback).count();
-        cache.blackholed_flows = cache.routes.iter().map(|r| r.blackholed).sum();
-        self.cache = Some(cache);
+        self.cache = Some(MeasureCache {
+            routes,
+            spans,
+            bundles,
+            eval,
+            report,
+        });
         self.clear_dirt();
     }
 
-    /// The epoch report matching the current cache.
-    fn report_from_cache(&self) -> EpochReport {
-        let c = self.cache.as_ref().expect("measure() populates the cache");
-        EpochReport {
-            epoch: self.epoch,
-            outcome: c.eval.outcome.clone(),
-            report: c.report.clone(),
-            fallback_count: c.fallback_count,
-            blackholed_flows: c.blackholed_flows,
+    /// Patches the cache in place: dirty aggregates are re-routed into
+    /// one splice over the cached table (one segment each, ascending),
+    /// and the model re-fills the affected component jointly.
+    fn measure_dirty(&mut self) {
+        let mut cache = self.cache.take().expect("incremental path has a cache");
+        let mut splice = std::mem::take(&mut self.splice);
+        self.dirty_list.sort_unstable();
+        let mut first_resized = None;
+        for &i in &self.dirty_list {
+            let i = i as usize;
+            let a = self.true_tm.aggregate(AggregateId(i as u32));
+            let (bs, fallback, blackholed) = self.route_aggregate(a);
+            let old = std::mem::replace(
+                &mut cache.routes[i],
+                AggRoute {
+                    fallback,
+                    blackholed,
+                },
+            );
+            let report = &mut cache.report;
+            report.fallback_count =
+                report.fallback_count - usize::from(old.fallback) + usize::from(fallback);
+            report.blackholed_flows = report.blackholed_flows - old.blackholed + blackholed;
+            let (start, len) = cache.spans[i];
+            let cached = start as usize..(start + len) as usize;
+            if bs == cache.bundles[cached.clone()] {
+                // Re-routed onto the very bundles it had (a fallback
+                // rider a link flip left alone): nothing to splice.
+                continue;
+            }
+            if bs.len() as u32 != len && first_resized.is_none() {
+                first_resized = Some(i);
+            }
+            cache.spans[i].1 = bs.len() as u32;
+            splice.push(cached.start, cached.len(), bs);
         }
+        // The spans' half of the tail renumber; `apply_delta` pays the
+        // table's and the evaluation's.
+        if let Some(i) = first_resized {
+            let mut at = cache.spans[i].0;
+            for span in &mut cache.spans[i..] {
+                span.0 = at;
+                at += span.1;
+            }
+        }
+
+        cache.eval.outcome = std::mem::take(&mut cache.report.outcome);
+        let model = FlowModel::new(&self.topology, self.model);
+        let full_recompute = model.apply_delta(
+            &mut cache.eval,
+            &mut cache.bundles,
+            &mut splice,
+            &self.dirty_links,
+            &mut self.ws,
+            self.fill.as_mut(),
+        );
+        if full_recompute {
+            cache.report.report =
+                fubar_model::utility_report(&self.true_tm, &cache.bundles, &cache.eval.outcome);
+        } else {
+            cache.report.report.patch(
+                &self.true_tm,
+                &cache.bundles,
+                &cache.eval.outcome,
+                &cache.spans,
+                self.ws.affected(),
+                &self.dirty_list,
+                &mut self.report_ws,
+            );
+        }
+        cache.report.outcome = std::mem::take(&mut cache.eval.outcome);
+        self.splice = splice;
+        self.cache = Some(cache);
+        self.clear_dirt();
     }
 
     /// Evaluates the current state (installed rules, live failures, true
@@ -645,23 +658,22 @@ impl Fabric {
     /// read-only probe for event-driven callers that need a utility
     /// measurement between epochs. Incremental: only aggregates dirtied
     /// since the last measurement are re-routed (no shortest-path or
-    /// split work for the rest), and the flow model re-runs
-    /// water-filling only on the affected bottleneck component; a few
-    /// linear passes over the bundle table (splice, demand sums, report
-    /// clone) remain, but with a constant ~10x smaller than a full
-    /// recompute on the 961-aggregate HE fabric — and an unprobed
-    /// fabric with nothing dirty returns the cache outright. The
-    /// returned report carries the index of the epoch in progress.
-    pub fn peek(&mut self) -> EpochReport {
-        self.measure();
-        self.report_from_cache()
+    /// split work for the rest), the flow model re-runs water-filling
+    /// only on the affected bottleneck component, and the cached table,
+    /// evaluation and report are patched in place (see the module docs
+    /// for what a probe costs) — an unprobed fabric with nothing dirty
+    /// returns the cache outright. The report is borrowed from the
+    /// cache and carries the index of the epoch in progress; clone it to
+    /// keep it across the next mutation.
+    pub fn peek(&mut self) -> &EpochReport {
+        self.measure()
     }
 
     /// Full-recompute probe: rebuilds every bundle and re-runs the whole
     /// flow model, ignoring (and not touching) the measurement cache.
     /// This is the oracle [`Fabric::peek`] must match bitwise.
     pub fn peek_full(&self) -> EpochReport {
-        let (_, bundles, fallback_count, blackholed_flows) = self.build_all();
+        let (_, _, bundles, fallback_count, blackholed_flows) = self.build_all();
         let model = FlowModel::new(&self.topology, self.model);
         let outcome = model.evaluate(&bundles);
         let report = fubar_model::utility_report(&self.true_tm, &bundles, &outcome);
@@ -675,13 +687,12 @@ impl Fabric {
     }
 
     /// Runs one epoch: route true traffic over installed rules, update
-    /// counters, return the epoch report. Shares the measurement with
-    /// [`Fabric::peek`] — when nothing changed since the last probe the
-    /// flow model is not re-evaluated at all (previously every epoch
-    /// close re-ran it even after an identical just-completed peek).
-    pub fn run_epoch(&mut self) -> EpochReport {
+    /// counters, return the epoch report (borrowed from the measurement
+    /// cache, like [`Fabric::peek`]'s). Shares the measurement with
+    /// `peek` — when nothing changed since the last probe the flow model
+    /// is not re-evaluated at all.
+    pub fn run_epoch(&mut self) -> &EpochReport {
         self.measure();
-        let report = self.report_from_cache();
 
         // Refresh counters.
         let dt = self.epoch_duration.secs();
@@ -691,17 +702,18 @@ impl Fabric {
             c.congested_last_epoch = false;
         }
         let cache = self.cache.as_ref().expect("measure() populates the cache");
+        let outcome = &cache.report.outcome;
         for (i, b) in cache.bundles.iter().enumerate() {
             let c = &mut self.counters[b.aggregate.index()];
-            let bytes = cache.eval.outcome.bundle_rates[i].bps() * dt / 8.0;
+            let bytes = outcome.bundle_rates[i].bps() * dt / 8.0;
             c.bytes_last_epoch += bytes;
             c.bytes_total += bytes;
             c.flows_last_epoch += b.flow_count;
-            c.congested_last_epoch |= cache.eval.outcome.bundle_status[i].is_congested();
+            c.congested_last_epoch |= outcome.bundle_status[i].is_congested();
         }
 
         self.epoch += 1;
-        report
+        &cache.report
     }
 
     /// The duration the counters integrate over.
@@ -770,7 +782,7 @@ mod tests {
     #[test]
     fn installing_optimized_rules_improves_true_utility() {
         let mut f = fixture();
-        let before = f.run_epoch();
+        let before = f.run_epoch().clone();
         // Run FUBAR against ground truth and install.
         let result = fubar_core::Optimizer::with_defaults(f.topology(), f.true_tm()).run();
         let rules = RuleSet::from_allocation(&result.allocation, f.true_tm());
@@ -787,7 +799,7 @@ mod tests {
     #[test]
     fn staged_installs_commit_drop_and_supersede() {
         let mut f = fixture();
-        let before = f.run_epoch();
+        let before = f.run_epoch().clone();
         let result = fubar_core::Optimizer::with_defaults(f.topology(), f.true_tm()).run();
         let optimized = RuleSet::from_allocation(&result.allocation, f.true_tm());
 
@@ -877,9 +889,8 @@ mod tests {
             20,
         )]);
         f.set_true_tm(tm2);
-        let r = f.run_epoch();
+        f.run_epoch();
         assert_eq!(f.counters()[0].flows_last_epoch, 20);
-        let _ = r;
     }
 
     #[test]
@@ -937,7 +948,7 @@ mod tests {
     #[test]
     fn group_mod_updates_routing_incrementally() {
         let mut f = fixture();
-        let before = f.peek();
+        let before = f.peek().clone();
         // Replace the group with the other way around the ring.
         let used: LinkSet = f.rules().group(AggregateId(0)).unwrap().buckets[0]
             .0
@@ -956,11 +967,12 @@ mod tests {
             before.outcome.link_load, after.outcome.link_load,
             "traffic must move to the new path"
         );
+        let after = after.clone();
         assert_reports_identical(&after, &f.peek_full());
         // Clearing the group drops to the live shortest path (the
         // original route), not a fallback.
         f.clear_group(AggregateId(0));
-        let cleared = f.peek();
+        let cleared = f.peek().clone();
         assert_eq!(cleared.fallback_count, 0);
         assert_reports_identical(&cleared, &f.peek_full());
     }
@@ -983,7 +995,7 @@ mod tests {
             .unwrap();
         f.set_group(AggregateId(0), GroupEntry::single(p.clone(), 2));
         f.fail_link(p.links()[0]);
-        let r = f.peek();
+        let r = f.peek().clone();
         assert_eq!(r.fallback_count, 1);
         assert_reports_identical(&r, &f.peek_full());
     }
@@ -1014,7 +1026,7 @@ mod tests {
         // Now fail the first bucket: the degenerate split must land on
         // the first *alive* bucket, not the dead bucket 0.
         f.fail_link(p0.links()[0]);
-        let r = f.peek();
+        let r = f.peek().clone();
         assert_eq!(r.fallback_count, 0, "second bucket is alive");
         assert_eq!(r.outcome.link_load[p0.links()[0].index()], Bandwidth::ZERO);
         assert!(r.outcome.link_load[p1.links()[0].index()] > Bandwidth::ZERO);
@@ -1048,13 +1060,32 @@ mod tests {
             let flows = (next() % 12) as u32;
             serial.set_flow_count(id, flows);
             parallel.set_flow_count(id, flows);
-            assert_reports_identical(&serial.peek(), &parallel.peek());
+            assert_reports_identical(serial.peek(), parallel.peek());
         }
         assert!(
             parallel.fill_worker_stats().iter().any(|s| s.fills > 0)
                 || parallel.fill_worker_stats().is_empty(),
             "worker stats surface when the parallel arm ran"
         );
+    }
+
+    #[test]
+    fn same_count_set_flow_count_leaves_the_cache_clean() {
+        let mut f = fixture();
+        let cached = f.peek().clone();
+        // A departure clamped at zero flows left, a relax of an
+        // un-surged pair, the churn guard's re-set: all land here.
+        f.set_flow_count(AggregateId(0), 2);
+        assert!(
+            f.dirty_list.is_empty(),
+            "an unchanged count dirties nothing"
+        );
+        assert_reports_identical(f.peek(), &cached);
+        // A real change still does.
+        f.set_flow_count(AggregateId(0), 3);
+        assert_eq!(f.dirty_list, vec![0]);
+        let full = f.peek_full();
+        assert_reports_identical(f.peek(), &full);
     }
 
     #[test]
@@ -1080,24 +1111,48 @@ mod tests {
             x ^= x << 17;
             x
         };
+        // Two-bucket groups over link-disjoint paths, for the split
+        // that drops and regains a bucket.
+        let two_buckets = |f: &Fabric, id: AggregateId| -> Option<GroupEntry> {
+            let a = f.true_tm().aggregate(id);
+            let g = f.topology().graph();
+            let p0 = g.shortest_path(a.ingress, a.egress, &LinkSet::new())?;
+            let used: LinkSet = p0.links().iter().copied().collect();
+            let p1 = g.shortest_path(a.ingress, a.egress, &used)?;
+            Some(GroupEntry {
+                buckets: vec![(p0, 1), (p1, 3)],
+            })
+        };
+        let check = |f: &mut Fabric| {
+            let full = f.peek_full();
+            assert_reports_identical(f.peek(), &full);
+        };
         let mut failed: Vec<fubar_graph::LinkId> = Vec::new();
-        for step in 0..200 {
-            match next() % 10 {
-                0..=4 => {
-                    let id = AggregateId((next() % u64::from(n)) as u32);
-                    let flows = (next() % 12) as u32;
+        for _ in 0..240 {
+            let id = AggregateId((next() % u64::from(n)) as u32);
+            let links = f.topology().link_count() as u64;
+            let l = fubar_graph::LinkId((next() % links) as u32);
+            match next() % 14 {
+                0..=3 => f.set_flow_count(id, (next() % 12) as u32),
+                4 => {
+                    // Idle and back: the segment goes 1 → 0 → 1 bundles,
+                    // shifting every later index twice.
+                    let flows = f.flow_count(id).max(1);
+                    f.set_flow_count(id, 0);
+                    check(&mut f);
                     f.set_flow_count(id, flows);
                 }
-                5 | 6 => {
-                    let links = f.topology().link_count() as u64;
-                    let l = fubar_graph::LinkId((next() % links) as u32);
-                    let kbps = 300.0 + (next() % 800) as f64;
-                    f.set_capacity(l, Bandwidth::from_kbps(kbps));
+                5 => f.set_capacity(l, Bandwidth::from_kbps(300.0 + (next() % 800) as f64)),
+                6 => {
+                    // Capacity change and churn in the same probe.
+                    f.set_capacity(l, Bandwidth::from_kbps(300.0 + (next() % 800) as f64));
+                    f.set_flow_count(id, 1 + (next() % 9) as u32);
                 }
                 7 => {
-                    let links = f.topology().link_count() as u64;
-                    let l = fubar_graph::LinkId((next() % links) as u32);
                     if !f.failed_links().contains(l) && failed.len() < 2 {
+                        // Fail with an idle aggregate around: it must
+                        // stay out of the dirty set and the table.
+                        f.set_flow_count(id, 0);
                         f.fail_link(l);
                         failed.push(l);
                     }
@@ -1107,14 +1162,39 @@ mod tests {
                         f.repair_link(l);
                     }
                 }
+                9 => {
+                    // A 1:3 split of one flow rides one bucket only; of
+                    // five, both: the segment drops and regains a bundle.
+                    if let Some(group) = two_buckets(&f, id) {
+                        f.set_group(id, group);
+                        let bundles = |f: &Fabric| f.cache.as_ref().unwrap().spans[id.index()].1;
+                        f.set_flow_count(id, 1);
+                        check(&mut f);
+                        assert!(bundles(&f) == 1 || !failed.is_empty());
+                        f.set_flow_count(id, 5);
+                        check(&mut f);
+                        assert!(bundles(&f) == 2 || !failed.is_empty());
+                        f.set_flow_count(id, 1);
+                    }
+                }
+                10 | 11 => {
+                    // Several aggregates dirtied before one probe: one
+                    // joint splice of growing, shrinking and unchanged
+                    // segments.
+                    for k in 0..2 + next() % 4 {
+                        let id = AggregateId((next() % u64::from(n)) as u32);
+                        f.set_flow_count(id, if k == 1 { 0 } else { (next() % 12) as u32 });
+                    }
+                    if let Some(group) = two_buckets(&f, id) {
+                        f.set_group(id, group);
+                    }
+                }
+                12 => f.clear_group(id),
                 _ => {
                     let _ = f.run_epoch();
                 }
             }
-            let inc = f.peek();
-            let full = f.peek_full();
-            assert_reports_identical(&inc, &full);
-            let _ = step;
+            check(&mut f);
         }
     }
 }

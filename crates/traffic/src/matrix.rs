@@ -14,6 +14,8 @@ use std::collections::BTreeMap;
 pub struct TrafficMatrix {
     aggregates: Vec<Aggregate>,
     by_pair: BTreeMap<(NodeId, NodeId), Vec<AggregateId>>,
+    /// Σ flow counts, kept current by [`TrafficMatrix::set_flow_count`].
+    total_flows: u64,
 }
 
 impl TrafficMatrix {
@@ -24,9 +26,11 @@ impl TrafficMatrix {
             a.id = AggregateId(i as u32);
             by_pair.entry((a.ingress, a.egress)).or_default().push(a.id);
         }
+        let total_flows = aggregates.iter().map(|a| u64::from(a.flow_count)).sum();
         TrafficMatrix {
             aggregates,
             by_pair,
+            total_flows,
         }
     }
 
@@ -72,12 +76,18 @@ impl TrafficMatrix {
         self.aggregates.iter().map(Aggregate::total_demand).sum()
     }
 
-    /// Total number of flows across all aggregates.
+    /// Total number of flows across all aggregates (a running total —
+    /// event-driven callers read it after every single change).
     pub fn total_flows(&self) -> u64 {
-        self.aggregates
-            .iter()
-            .map(|a| u64::from(a.flow_count))
-            .sum()
+        debug_assert_eq!(
+            self.total_flows,
+            self.aggregates
+                .iter()
+                .map(|a| u64::from(a.flow_count))
+                .sum::<u64>(),
+            "running flow total drifted from the aggregates"
+        );
+        self.total_flows
     }
 
     /// Ids of the "large flow" aggregates (heavy file transfers), whose
@@ -147,7 +157,9 @@ impl TrafficMatrix {
     ///
     /// Panics on an unknown id.
     pub fn set_flow_count(&mut self, id: AggregateId, flows: u32) {
-        self.aggregates[id.index()].flow_count = flows;
+        let count = &mut self.aggregates[id.index()].flow_count;
+        self.total_flows = self.total_flows - u64::from(*count) + u64::from(flows);
+        *count = flows;
     }
 
     /// Count of aggregates per class kind `(real-time, bulk, large)`.
