@@ -14,14 +14,7 @@
 //! * **fabric measurement** (both tiers): `Fabric::peek` after a single
 //!   churn event — one aggregate's segment patched into the cached
 //!   table, evaluation and report in place — versus the
-//!   `Fabric::peek_full` oracle;
-//! * the **parallel fill** (hypergrowth and planetary deep-congestion
-//!   instances): `FlowModel::evaluate_traced_parallel` over disjoint
-//!   bottleneck components versus the serial `evaluate_traced`, at
-//!   `min(4, available_parallelism)` workers. The two are proven
-//!   bitwise identical before timing; the stored floor tolerates
-//!   single-core runners (where the parallel side is serial plus
-//!   partition overhead) while still catching overhead regressions.
+//!   `Fabric::peek_full` oracle.
 //!
 //! Because per-move and per-event cost is bound by the bottleneck
 //! *component*, not the instance, the incremental-vs-full speedup must
@@ -43,7 +36,6 @@
 //! ```
 
 use fubar_core::{Optimizer, OptimizerConfig};
-use fubar_model::{BundleSpec, FlowModel, ParallelWorkspace};
 use fubar_sdn::Fabric;
 use fubar_topology::{generators, Bandwidth, Delay, Topology};
 use fubar_traffic::{workload, AggregateId, TrafficMatrix, WorkloadConfig};
@@ -168,85 +160,6 @@ fn measure_optimizer_on(name: &'static str, topo: &Topology, tm: &TrafficMatrix)
     }
 }
 
-/// Parallel water-filling vs the serial fill on an instance with many
-/// disjoint bottleneck components (an `intra_region_only` workload:
-/// every region's mesh is its own component, the trunks carry
-/// nothing). Times whole traced evaluations — the call the optimizer
-/// actually makes — serial vs `workers`-way parallel, after proving
-/// the two produce bitwise-identical rates. `workers` adapts to the
-/// runner: `min(4, available_parallelism)`; on a single hardware
-/// thread the parallel side degrades to the serial loop plus partition
-/// overhead, which is why the stored floor sits below 1x (the entry
-/// still gates against the overhead regressing, and scales up to a
-/// real speedup check on multi-core runners).
-fn measure_parallel_fill_on(
-    name: &'static str,
-    topo: &Topology,
-    tm: &TrafficMatrix,
-    workers: usize,
-) -> Comparison {
-    let mut bundles = Vec::new();
-    for a in tm.iter() {
-        let path = topo
-            .graph()
-            .shortest_path(a.ingress, a.egress, &fubar_graph::LinkSet::new())
-            .expect("instance topologies are connected");
-        bundles.push(BundleSpec::new(a, &path, a.flow_count));
-    }
-    let m = FlowModel::with_defaults(topo);
-
-    // Cross-check before timing: bitwise-identical rates and congestion.
-    let serial = m.evaluate_traced(&bundles);
-    let mut pw = ParallelWorkspace::new(workers);
-    let par = m.evaluate_traced_parallel(&bundles, &mut pw);
-    assert!(
-        serial.outcome.is_congested(),
-        "parallel-fill instance must contend"
-    );
-    assert!(
-        pw.component_count() > 1,
-        "parallel-fill instance must decompose"
-    );
-    for (i, (a, b)) in serial
-        .outcome
-        .bundle_rates
-        .iter()
-        .zip(&par.outcome.bundle_rates)
-        .enumerate()
-    {
-        assert_eq!(
-            a.bps().to_bits(),
-            b.bps().to_bits(),
-            "fill modes diverged on bundle {i}"
-        );
-    }
-    assert_eq!(
-        serial.outcome.congested, par.outcome.congested,
-        "fill modes diverged on congestion"
-    );
-
-    // Single evaluations are tens of microseconds; batch them so each
-    // timing sample is comfortably above timer resolution.
-    const ITERS: usize = 50;
-    let (serial_s, parallel_s) = min_secs_paired(
-        || {
-            for _ in 0..ITERS {
-                std::hint::black_box(m.evaluate_traced(&bundles));
-            }
-        },
-        || {
-            for _ in 0..ITERS {
-                std::hint::black_box(m.evaluate_traced_parallel(&bundles, &mut pw));
-            }
-        },
-    );
-    Comparison {
-        name,
-        full_s: (serial_s / ITERS as f64).max(1e-9),
-        incremental_s: (parallel_s / ITERS as f64).max(1e-9),
-    }
-}
-
 /// Fabric measurement on one instance: `peek` after one churn event
 /// (the in-place patch of one aggregate's segment) vs the `peek_full`
 /// oracle.
@@ -344,44 +257,11 @@ fn main() -> ExitCode {
 
     let (he_topo, he_tm) = he_instance();
     let (hg_topo, hg_tm) = hypergrowth_instance();
-    // Deep-congestion instances for the parallel-fill entries: an
-    // intra-region workload leaves every regional mesh an isolated,
-    // structurally congested bottleneck component — the decomposition
-    // the parallel fill splits across workers.
-    let deep_instance = |topo: Topology| {
-        let tm = workload::generate(
-            &topo,
-            &WorkloadConfig {
-                intra_region_only: true,
-                flow_count: (1, 3),
-                ..WorkloadConfig::default()
-            },
-            1,
-        );
-        (topo, tm)
-    };
-    let (pf_hg_topo, pf_hg_tm) =
-        deep_instance(generators::hypergrowth(8, 8, Bandwidth::from_mbps(8.0)));
-    let (pf_pl_topo, pf_pl_tm) =
-        deep_instance(generators::planetary(12, 12, Bandwidth::from_mbps(8.0)));
-    let fill_workers = std::thread::available_parallelism().map_or(1, |n| n.get().min(4));
     let comparisons = [
         measure_optimizer_on("optimizer_inner_loop", &he_topo, &he_tm),
         measure_optimizer_on("optimizer_inner_loop_hypergrowth", &hg_topo, &hg_tm),
         measure_peek_on("peek_one_churn", &he_topo, &he_tm),
         measure_peek_on("peek_one_churn_hypergrowth", &hg_topo, &hg_tm),
-        measure_parallel_fill_on(
-            "parallel_fill_hypergrowth",
-            &pf_hg_topo,
-            &pf_hg_tm,
-            fill_workers,
-        ),
-        measure_parallel_fill_on(
-            "parallel_fill_planetary",
-            &pf_pl_topo,
-            &pf_pl_tm,
-            fill_workers,
-        ),
     ];
 
     let mut json = String::from("{\n");

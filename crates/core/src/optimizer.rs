@@ -18,17 +18,17 @@
 //!
 //! Each candidate move perturbs exactly one aggregate's path split, so
 //! the inner loop does not rebuild the world per candidate: the
-//! optimizer caches the incumbent allocation's bundle table (with
-//! per-aggregate spans), its traced flow-model evaluation, and its
-//! utility report, and scores a candidate by splicing the moved
-//! aggregate's new bundle segment over the cache as a
-//! [`BundleDelta`] and scoring it through [`FlowModel::score_delta`] —
-//! water-filling re-runs only on the affected bottleneck component,
-//! utilities refresh only for affected aggregates. Rejected candidates
-//! never touch the cache; the winner is patched into it **in place**
-//! once per commit ([`FlowModel::apply_delta`] for the table and the
-//! evaluation, [`UtilityReport::patch`] for the report), so a commit
-//! costs the component too, not the instance. The invariant (mirroring the fabric's
+//! optimizer caches the incumbent allocation's measurement (an
+//! [`Incumbent`]: the bundle table with per-aggregate spans, its traced
+//! flow-model evaluation, and its utility report) and scores a
+//! candidate by splicing the moved aggregate's new bundle segment over
+//! the cache as a [`BundleDelta`] and scoring it through
+//! [`FlowModel::score_delta`] — water-filling re-runs only on the
+//! affected bottleneck component, utilities refresh only for affected
+//! aggregates. Rejected candidates never touch the cache; the winner is
+//! patched into it **in place** once per commit
+//! ([`Incumbent::replace`]), so a commit costs the component too, not
+//! the instance. The invariant (mirroring the fabric's
 //! measurement invariant, enforced by property tests in
 //! `tests/properties.rs`): **incremental candidate scoring is bitwise
 //! identical to full-recompute scoring**, move for move, over whole
@@ -56,9 +56,9 @@ use crate::shard::{self, CrossingIndex, RegionPartition, ShardRunStats};
 use fubar_graph::Path;
 use fubar_graph::{LinkId, LinkSet};
 use fubar_model::{
-    score_network_utility_delta, utility_report, BundleDelta, BundleSpec, DeltaScore, Evaluation,
-    FlowModel, ModelConfig, ModelOutcome, ParallelWorkspace, ReportScratch, Splice, UtilityReport,
-    Workspace, WorkspaceStats,
+    score_network_utility_delta, utility_report, BundleDelta, BundleSpec, DeltaScore, FlowModel,
+    Incumbent, ModelConfig, ModelOutcome, PatchScratch, ReportScratch, UtilityReport, Workspace,
+    WorkspaceStats,
 };
 use fubar_topology::{Bandwidth, Topology};
 use fubar_traffic::{Aggregate, AggregateId, TrafficMatrix};
@@ -128,11 +128,6 @@ pub struct OptimizerConfig {
     /// `Fabric::peek_full`) whose runs the incremental path must match
     /// move for move, bitwise.
     pub incremental: bool,
-    /// Worker threads for the incumbent's water-filling measurement
-    /// ([`ParallelWorkspace`], see `fubar-model`): disjoint bottleneck
-    /// components fill concurrently. Results are **bitwise identical**
-    /// at any count; 1 (the default) keeps the serial fill.
-    pub fill_threads: usize,
 }
 
 impl Default for OptimizerConfig {
@@ -151,7 +146,6 @@ impl Default for OptimizerConfig {
             excluded_links: LinkSet::new(),
             threads: std::thread::available_parallelism().map_or(1, std::num::NonZero::get),
             incremental: true,
-            fill_threads: 1,
         }
     }
 }
@@ -165,7 +159,6 @@ impl OptimizerConfig {
         assert!(self.escape_growth > 1.0, "escape growth must exceed 1");
         assert!(self.improvement_eps >= 0.0);
         assert!(self.threads >= 1, "at least one evaluation thread");
-        assert!(self.fill_threads >= 1, "at least one fill thread");
     }
 }
 
@@ -188,16 +181,6 @@ struct ScoreScratch {
     model: Workspace,
     report: ReportScratch,
     segment: Vec<BundleSpec>,
-}
-
-/// What a commit patches the incumbent cache with. One per optimizer,
-/// apart from the scoring scratch: the scoring workspaces' fill
-/// counters count scored candidates only.
-#[derive(Default)]
-struct CommitScratch {
-    model: Workspace,
-    report: ReportScratch,
-    splice: Splice,
 }
 
 /// The result of one optimization run.
@@ -228,21 +211,6 @@ pub struct OptimizeResult {
     pub shards: Vec<ShardRunStats>,
 }
 
-/// The cached state of the incumbent allocation during a run: the
-/// canonical bundle table with per-aggregate `(start, len)` spans, its
-/// traced flow-model evaluation, and its utility report. In incremental
-/// mode candidates are scored as one-aggregate [`BundleDelta`] splices
-/// against this cache; in full (oracle) mode it merely memoizes the
-/// incumbent's measurement between commits. Cloneable so per-component
-/// passes can branch it (see [`crate::shard`]).
-#[derive(Clone)]
-struct Incumbent {
-    bundles: Vec<BundleSpec>,
-    spans: Vec<(u32, u32)>,
-    eval: Evaluation,
-    report: UtilityReport,
-}
-
 /// Everything one call of the greedy loop ([`Optimizer::greedy`]) reads
 /// and writes. Cloning the master state before its first commit
 /// branches a per-component pass, whose `commits` are then replayed
@@ -250,6 +218,10 @@ struct Incumbent {
 #[derive(Clone)]
 struct LoopState {
     alloc: Allocation,
+    /// The measurement of `alloc`. In incremental mode candidates are
+    /// scored as one-aggregate [`BundleDelta`] splices against it; in
+    /// full (oracle) mode it merely memoizes the measurement between
+    /// commits.
     incumbent: Incumbent,
     index: CrossingIndex,
     /// The committed candidates in commit order, with the moves they
@@ -316,12 +288,11 @@ pub struct Optimizer<'a> {
     config: OptimizerConfig,
     model: FlowModel<'a>,
     small_threshold: Bandwidth,
-    /// The parallel fill workspace for incumbent measurements when
-    /// `config.fill_threads > 1` (bitwise identical to the serial
-    /// fill, see `fubar-model`).
-    fill: Option<Mutex<ParallelWorkspace>>,
-    /// Shared by every commit of a run; concurrent passes take turns.
-    commit: Mutex<CommitScratch>,
+    /// What a commit patches the incumbent with. Shared by every commit
+    /// of a run (concurrent passes take turns) and apart from the
+    /// scoring scratch, whose fill counters count scored candidates
+    /// only.
+    commit: Mutex<PatchScratch>,
 }
 
 impl<'a> Optimizer<'a> {
@@ -333,15 +304,12 @@ impl<'a> Optimizer<'a> {
             let links = topology.link_count().max(1) as f64;
             topology.total_capacity() / links * 0.02
         });
-        let fill = (config.fill_threads > 1)
-            .then(|| Mutex::new(ParallelWorkspace::new(config.fill_threads)));
         Optimizer {
             topology,
             tm,
             config,
             model,
             small_threshold,
-            fill,
             commit: Mutex::default(),
         }
     }
@@ -363,68 +331,15 @@ impl<'a> Optimizer<'a> {
         (outcome, report)
     }
 
-    /// Measures `alloc` from scratch into an incumbent cache (run start
-    /// and, in oracle mode, after every commit).
-    fn incumbent_for(&self, alloc: &Allocation) -> Incumbent {
+    /// Measures `alloc` from scratch (run start and, in oracle mode,
+    /// after every commit).
+    fn measure(&self, alloc: &Allocation) -> Incumbent {
         let (bundles, spans) = alloc.bundles_with_spans(self.tm);
-        let eval = match &self.fill {
-            Some(pw) => {
-                let mut pw = pw.lock().expect("fill workspace lock poisoned");
-                self.model.evaluate_traced_parallel(&bundles, &mut pw)
-            }
-            None => self.model.evaluate_traced(&bundles),
-        };
-        let report = utility_report(self.tm, &bundles, &eval.outcome);
-        Incumbent {
-            bundles,
-            spans,
-            eval,
-            report,
-        }
-    }
-
-    /// Patches one aggregate's replacement bundle segment into the
-    /// incumbent cache, in place: the model re-fills the affected
-    /// bottleneck component and splices table and evaluation, the
-    /// report refreshes the aggregates owning re-filled bundles, and the
-    /// spans behind the aggregate shift if its bundle count changed.
-    fn patch_incumbent(&self, inc: &mut Incumbent, agg: AggregateId, segment: Vec<BundleSpec>) {
-        let mut ws = self.commit.lock().expect("commit scratch lock poisoned");
-        let ws = &mut *ws;
-        let (start, len) = inc.spans[agg.index()];
-        let new_len = segment.len() as u32;
-        ws.splice.push(start as usize, len as usize, segment);
-        let full_recompute = self.model.apply_delta(
-            &mut inc.eval,
-            &mut inc.bundles,
-            &mut ws.splice,
-            &[],
-            &mut ws.model,
-            None,
-        );
-        inc.spans[agg.index()].1 = new_len;
-        if new_len != len {
-            for s in &mut inc.spans[agg.index() + 1..] {
-                s.0 = s.0 - len + new_len;
-            }
-        }
-        if full_recompute {
-            inc.report = utility_report(self.tm, &inc.bundles, &inc.eval.outcome);
-        } else {
-            inc.report.patch(
-                self.tm,
-                &inc.bundles,
-                &inc.eval.outcome,
-                &inc.spans,
-                ws.model.affected(),
-                &[agg.index() as u32],
-                &mut ws.report,
-            );
-        }
+        Incumbent::measure(&self.model, self.tm, bundles, spans)
     }
 
     fn trace_point(&self, started: Instant, commits: usize, incumbent: &Incumbent) -> TracePoint {
-        let (outcome, report) = (&incumbent.eval.outcome, &incumbent.report);
+        let (outcome, report) = (incumbent.outcome(), incumbent.report());
         let util = outcome.utilization_summary();
         TracePoint {
             elapsed: started.elapsed(),
@@ -495,16 +410,16 @@ impl<'a> Optimizer<'a> {
             c.count,
             &mut ws.segment,
         );
-        let (start, len) = incumbent.spans[c.aggregate.index()];
+        let (start, len) = incumbent.spans()[c.aggregate.index()];
         let delta = BundleDelta::new(
-            &incumbent.bundles,
+            incumbent.bundles(),
             start as usize,
             len as usize,
             &ws.segment[..seg_len],
         );
         match self
             .model
-            .score_delta(&incumbent.eval, &delta, &mut ws.model)
+            .score_delta(incumbent.eval(), &delta, &mut ws.model)
         {
             DeltaScore::Partial {
                 affected,
@@ -516,10 +431,10 @@ impl<'a> Optimizer<'a> {
                     &delta,
                     affected,
                     rates,
-                    &incumbent.eval.outcome,
-                    &incumbent.report,
+                    incumbent.outcome(),
+                    incumbent.report(),
                     c.aggregate,
-                    &incumbent.spans,
+                    incumbent.spans(),
                     &mut ws.report,
                 ),
                 Objective::MinMaxUtilization => {
@@ -527,11 +442,11 @@ impl<'a> Optimizer<'a> {
                     // per-link arrays — the same (demand, capacity) stream,
                     // in the same order, a materialized outcome would feed
                     // the objective.
-                    let prev_d = &incumbent.eval.outcome.link_demand;
-                    let prev_c = &incumbent.eval.outcome.link_capacity;
+                    let prev_d = &incumbent.outcome().link_demand;
+                    let prev_c = &incumbent.outcome().link_capacity;
                     let mut k = 0usize;
                     self.config.objective.score_with_links(
-                        &incumbent.report,
+                        incumbent.report(),
                         (0..prev_d.len()).map(|li| {
                             let d = if k < changed_link_demand.len()
                                 && changed_link_demand[k].0 as usize == li
@@ -566,7 +481,7 @@ impl<'a> Optimizer<'a> {
         escape_level: u32,
         excluded: &LinkSet,
     ) -> Vec<Candidate> {
-        let outcome = &incumbent.eval.outcome;
+        let outcome = incumbent.outcome();
         let mut candidates: Vec<Candidate> = Vec::new();
         for &(agg_raw, path_idx) in &index.per_link[link.index()] {
             let (agg_id, path_idx) = (AggregateId(agg_raw), path_idx as usize);
@@ -623,8 +538,10 @@ impl<'a> Optimizer<'a> {
         pool: &[Mutex<ScoreScratch>],
     ) -> Option<Candidate> {
         let (alloc, incumbent) = (&state.alloc, &state.incumbent);
-        let outcome = &incumbent.eval.outcome;
-        let initial_score = self.config.objective.score(&incumbent.report, outcome);
+        let initial_score = self
+            .config
+            .objective
+            .score(incumbent.report(), incumbent.outcome());
 
         let mut candidates = self.gather(
             alloc,
@@ -681,7 +598,13 @@ impl<'a> Optimizer<'a> {
         let (alloc, incumbent) = (&mut state.alloc, &mut state.incumbent);
         if self.config.incremental {
             let segment = alloc.bundles_after_move(self.tm, c.aggregate, c.from, &c.alt, c.count);
-            self.patch_incumbent(incumbent, c.aggregate, segment);
+            incumbent.replace(
+                &self.model,
+                self.tm,
+                [(c.aggregate, segment)],
+                &[],
+                &mut self.commit.lock().expect("commit scratch lock poisoned"),
+            );
         }
         let known_paths = alloc.path_set(c.aggregate).len();
         let to = alloc.add_path(c.aggregate, c.alt.clone());
@@ -693,7 +616,7 @@ impl<'a> Optimizer<'a> {
         };
         alloc.apply(m);
         if !self.config.incremental {
-            *incumbent = self.incumbent_for(alloc);
+            *incumbent = self.measure(alloc);
         }
         if to == known_paths {
             // The commit appended a brand-new path: register it on
@@ -770,7 +693,7 @@ impl<'a> Optimizer<'a> {
                     .collect()
             })
             .collect();
-        let incumbent = self.incumbent_for(&initial);
+        let incumbent = self.measure(&initial);
         let mut trace = RunTrace::new();
         trace.push(self.trace_point(started, 0, &incumbent));
         let mut master = LoopState {
@@ -816,12 +739,12 @@ impl<'a> Optimizer<'a> {
             }
             scratch.merge(&stats.scratch);
         }
-        let Incumbent { eval, report, .. } = master.incumbent;
+        let (outcome, report) = master.incumbent.into_measurement();
         let result = OptimizeResult {
             allocation: master.alloc,
             trace: master.trace,
             report,
-            outcome: eval.outcome,
+            outcome,
             commits: master.commits.len(),
             moves: master.commits.into_iter().map(|(_, m)| m).collect(),
             termination,
@@ -850,7 +773,7 @@ impl<'a> Optimizer<'a> {
             whole.partition,
             &master.index,
             &master.alloc,
-            &master.incumbent.eval.outcome.congested,
+            &master.incumbent.outcome().congested,
         );
         if jobs.is_empty() {
             return;
@@ -909,7 +832,7 @@ impl<'a> Optimizer<'a> {
     fn greedy(&self, state: &mut LoopState, scope: &Scope<'_>) -> Termination {
         let mut escape_level: u32 = 0;
         loop {
-            let outcome = &state.incumbent.eval.outcome;
+            let outcome = state.incumbent.outcome();
             let in_scope = |l: &LinkId| {
                 scope
                     .shard
@@ -1018,10 +941,9 @@ pub mod test_support {
                 },
             );
             let alloc = Allocation::all_on_shortest_paths(topology, tm);
-            let incumbent = optimizer.incumbent_for(&alloc);
+            let incumbent = optimizer.measure(&alloc);
             let link = incumbent
-                .eval
-                .outcome
+                .outcome()
                 .congested
                 .first()
                 .copied()

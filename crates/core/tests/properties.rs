@@ -526,8 +526,7 @@ proptest! {
     /// region an isolated bottleneck component) the full run —
     /// per-component passes plus the whole-instance loop — must be
     /// move-for-move, bit-for-bit identical at 1, 2, and 4 `threads`
-    /// (which run the passes side by side and score candidates), at 1
-    /// and 4 `fill_threads`, in any combination.
+    /// (which run the passes side by side and score candidates).
     #[test]
     fn parallel_passes_invariant_under_thread_counts(
         regions in 3usize..5,
@@ -544,22 +543,15 @@ proptest! {
             },
             seed,
         );
-        let run = |threads: usize, fill_threads: usize| {
+        let run = |threads: usize| {
             Optimizer::new(&topo, &tm, OptimizerConfig {
                 threads,
-                fill_threads,
                 ..bounded_config()
             }).run()
         };
-        let one = run(1, 1);
-        for (threads, fill) in [(2, 1), (4, 1), (1, 4), (2, 4), (4, 4)] {
-            let many = run(threads, fill);
-            assert_runs_identical(
-                &format!("threads={threads} fill_threads={fill}"),
-                &one,
-                &many,
-                &tm,
-            );
+        let one = run(1);
+        for threads in [2, 4] {
+            assert_runs_identical(&format!("threads={threads}"), &one, &run(threads), &tm);
         }
     }
 }

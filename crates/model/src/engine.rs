@@ -313,7 +313,7 @@ impl BundleView for Resolved<'_> {
     }
 }
 
-/// A model outcome plus the traces [`FlowModel::apply_delta`] and
+/// A model outcome plus the traces [`crate::Incumbent::replace`] and
 /// [`FlowModel::score_delta`] need to patch it incrementally.
 #[derive(Clone, Debug)]
 pub struct Evaluation {
@@ -369,7 +369,7 @@ impl Evaluation {
 
     /// The first *bitwise* difference against `other`, if any, traces
     /// included — the oracle check behind the in-place patcher
-    /// ([`FlowModel::apply_delta`] ≡ [`FlowModel::evaluate_traced`]).
+    /// ([`crate::Incumbent::replace`] ≡ [`FlowModel::evaluate_traced`]).
     /// Hidden: a test helper, not a `PartialEq`.
     #[doc(hidden)]
     pub fn bitwise_mismatch(&self, other: &Self) -> Option<String> {
@@ -608,7 +608,7 @@ impl Workspace {
     /// [`FlowModel::apply_delta`] re-filled — the affected bottleneck
     /// component, every replacement bundle included; empty after a full
     /// recompute.
-    pub fn affected(&self) -> &[u32] {
+    pub(crate) fn affected(&self) -> &[u32] {
         &self.subset
     }
 
@@ -946,12 +946,6 @@ impl ParallelWorkspace {
         out
     }
 
-    /// Per-worker high-water marks, worker 0 first — `fubar-cli
-    /// scenario run --stats` renders these as the per-worker fill block.
-    pub fn worker_stats(&self) -> Vec<WorkspaceStats> {
-        self.workers.iter().map(|w| w.fill.stats()).collect()
-    }
-
     /// Merged per-bundle rates (bps) of the last fill, indexed globally.
     pub fn rates(&self) -> &[f64] {
         &self.rates
@@ -1039,7 +1033,7 @@ impl ParallelWorkspace {
 /// threads can borrow one worker mutably while sharing the read-only
 /// partition and input tables.
 #[allow(clippy::too_many_arguments)]
-fn run_fill_worker(
+fn run_worker(
     w: &mut FillWorker,
     wi: usize,
     stride: usize,
@@ -1118,7 +1112,7 @@ impl<'a> FlowModel<'a> {
     }
 
     /// Like [`FlowModel::evaluate`], but also records the freeze trace
-    /// so a later [`FlowModel::apply_delta`] can patch the result.
+    /// so a later [`crate::Incumbent::replace`] can patch the result.
     pub fn evaluate_traced(&self, bundles: &[BundleSpec]) -> Evaluation {
         let caps = self.capacities();
         let n = bundles.len();
@@ -1220,9 +1214,8 @@ impl<'a> FlowModel<'a> {
     /// bottleneck components, fills them on `pw`'s workers, and leaves
     /// the merged results in `pw` (rates, statuses, freeze keys,
     /// per-link loads/demands, sorted congested list). Allocation-free
-    /// in steady state when `pw` runs inline — the timing kernel
-    /// `perf_gate`'s `parallel_fill_*` gates and the zero-allocation
-    /// test drive directly.
+    /// in steady state when `pw` runs inline — the kernel the
+    /// zero-allocation test drives directly.
     pub fn fill_parallel(&self, bundles: &[BundleSpec], pw: &mut ParallelWorkspace) {
         let n = bundles.len();
         let n_links = self.topology.link_count();
@@ -1260,7 +1253,7 @@ impl<'a> FlowModel<'a> {
                 std::thread::scope(|s| {
                     for (wi, w) in workers.iter_mut().enumerate() {
                         s.spawn(move || {
-                            run_fill_worker(
+                            run_worker(
                                 w,
                                 wi,
                                 stride,
@@ -1277,7 +1270,7 @@ impl<'a> FlowModel<'a> {
                 });
             } else {
                 for (wi, w) in workers.iter_mut().enumerate() {
-                    run_fill_worker(
+                    run_worker(
                         w,
                         wi,
                         stride,
@@ -1351,22 +1344,20 @@ impl<'a> FlowModel<'a> {
     /// Returns `false` when the patch ran; [`Workspace::affected`] then
     /// lists the re-filled bundles. Returns `true` when the affected
     /// component covered (most of) the list and the engine re-evaluated
-    /// everything instead — on `par`'s workers if given. Either way the
-    /// result is bitwise identical to `evaluate_traced` of the spliced
-    /// list.
+    /// everything instead. Either way the result is bitwise identical
+    /// to `evaluate_traced` of the spliced list.
     ///
     /// # Panics
     ///
     /// Panics when `eval` was not computed from `bundles` over this
     /// model's link population.
-    pub fn apply_delta(
+    pub(crate) fn apply_delta(
         &self,
         eval: &mut Evaluation,
         bundles: &mut Vec<BundleSpec>,
         splice: &mut Splice,
         touched_links: &[LinkId],
         ws: &mut Workspace,
-        par: Option<&mut ParallelWorkspace>,
     ) -> bool {
         assert_eq!(
             eval.caps.len(),
@@ -1385,10 +1376,7 @@ impl<'a> FlowModel<'a> {
         );
         if self.delta_fill_core(eval, &splice.over(bundles), touched_links, ws) {
             splice.apply_to(bundles);
-            *eval = match par {
-                Some(pw) => self.evaluate_traced_parallel(bundles, pw),
-                None => self.evaluate_traced(bundles),
-            };
+            *eval = self.evaluate_traced(bundles);
             ws.subset.clear();
             return true;
         }
@@ -1399,13 +1387,13 @@ impl<'a> FlowModel<'a> {
 
     /// Evaluates `delta` just far enough to *score* it: the component
     /// fill runs (with the same closure, verification, and fallback
-    /// logic as [`FlowModel::apply_delta`]), but nothing is patched or
+    /// logic as the in-place patch), but nothing is patched or
     /// assembled, and — past buffer warm-up — nothing is heap-allocated:
     /// demands read through the splice view, capacities come from the
     /// incumbent's cache, and all scratch lives in `ws`. This is the
     /// optimizer's per-candidate fast path — rejected candidates never
     /// pay for a patch; the winner is committed through
-    /// [`FlowModel::apply_delta`]. Every value returned is bitwise
+    /// [`crate::Incumbent::replace`]. Every value returned is bitwise
     /// identical to the corresponding piece of a full recompute. The
     /// topology must be unchanged since `prev` was computed.
     pub fn score_delta<'w>(
@@ -2288,10 +2276,9 @@ mod tests {
         new: &[BundleSpec],
         prev_index: &[Option<u32>],
         touched: &[LinkId],
-        par: Option<&mut ParallelWorkspace>,
     ) -> Patched {
         assert_eq!(prev_index.len(), new.len());
-        let mut splice = Splice::new();
+        let mut splice = Splice::default();
         let mut at = 0usize; // next unconsumed old bundle
         let mut run: Vec<BundleSpec> = Vec::new();
         for (b, pi) in new.iter().zip(prev_index) {
@@ -2307,14 +2294,8 @@ mod tests {
         let mut evaluation = prev.clone();
         let mut table = old.to_vec();
         let mut ws = Workspace::new();
-        let full_recompute = m.apply_delta(
-            &mut evaluation,
-            &mut table,
-            &mut splice,
-            touched,
-            &mut ws,
-            par,
-        );
+        let full_recompute =
+            m.apply_delta(&mut evaluation, &mut table, &mut splice, touched, &mut ws);
         assert_eq!(table.len(), new.len());
         for (a, b) in table.iter().zip(new) {
             assert_eq!((&a.links, a.flow_count), (&b.links, b.flow_count));
@@ -2335,7 +2316,7 @@ mod tests {
         let m = FlowModel::with_defaults(&t);
         let bundles = vec![bundle(0, 10, vec![LinkId(0)], ms(5.0), kbps(50.0))];
         let prev = m.evaluate_traced(&bundles);
-        let inc = evaluate_from(&m, &prev, &bundles, &bundles, &[Some(0)], &[], None);
+        let inc = evaluate_from(&m, &prev, &bundles, &bundles, &[Some(0)], &[]);
         assert!(!inc.full_recompute);
         assert!(inc.affected.is_empty(), "nothing was dirty");
         assert_outcomes_identical(&inc.evaluation.outcome, &prev.outcome);
@@ -2364,7 +2345,7 @@ mod tests {
             bundle(0, 10, vec![p1], ms(5.0), kbps(5.0)),
             bundle(1, 10, vec![p2], ms(5.0), kbps(50.0)),
         ];
-        let inc = evaluate_from(&m, &prev, &old, &new, &[None, Some(1)], &[p1], None);
+        let inc = evaluate_from(&m, &prev, &old, &new, &[None, Some(1)], &[p1]);
         assert!(!inc.full_recompute);
         assert_eq!(inc.affected, vec![0], "only the changed pipe re-fills");
         assert_outcomes_identical(&inc.evaluation.outcome, &m.evaluate(&new));
@@ -2396,15 +2377,7 @@ mod tests {
             bundle(1, 10, vec![shared], ms(5.0), kbps(30.0)),
             bundle(2, 10, vec![solo], ms(5.0), kbps(5.0)),
         ];
-        let inc = evaluate_from(
-            &m,
-            &prev,
-            &old,
-            &new,
-            &[None, Some(1), Some(2)],
-            &[shared],
-            None,
-        );
+        let inc = evaluate_from(&m, &prev, &old, &new, &[None, Some(1), Some(2)], &[shared]);
         assert!(!inc.full_recompute);
         assert_eq!(inc.affected, vec![0, 1], "sharer re-fills, loner survives");
         assert_outcomes_identical(&inc.evaluation.outcome, &m.evaluate(&new));
@@ -2431,7 +2404,7 @@ mod tests {
             bundle(1, 10, vec![p2], ms(5.0), kbps(50.0)),
             bundle(2, 3, vec![p2], ms(5.0), kbps(10.0)),
         ];
-        let inc = evaluate_from(&m, &prev, &old, &new, &[Some(1), None], &[p1, p2], None);
+        let inc = evaluate_from(&m, &prev, &old, &new, &[Some(1), None], &[p1, p2]);
         assert_outcomes_identical(&inc.evaluation.outcome, &m.evaluate(&new));
         // The vacated pipe carries nothing.
         assert_eq!(
@@ -2462,7 +2435,7 @@ mod tests {
                 .map(|i| (i != victim).then_some(i as u32))
                 .collect();
             let touched: Vec<LinkId> = bundles[victim].links.clone();
-            let inc = evaluate_from(&m, &prev, &bundles, &changed, &prev_index, &touched, None);
+            let inc = evaluate_from(&m, &prev, &bundles, &changed, &prev_index, &touched);
             let full = m.evaluate_traced(&changed);
             assert_outcomes_identical(&inc.evaluation.outcome, &full.outcome);
             incremental_hits += usize::from(!inc.full_recompute);
@@ -2544,25 +2517,16 @@ mod tests {
         let prev = m.evaluate_traced(&bundles);
         let old = bundles.clone();
         // Change every bundle: the affected set covers the input and the
-        // engine falls back to a full recompute — the parallel arm.
+        // engine falls back to a full recompute, which `evaluate_from`
+        // checks against `evaluate_traced` like any other patch.
         for b in &mut bundles {
             b.flow_count += 1;
         }
         let prev_index: Vec<Option<u32>> = vec![None; bundles.len()];
         let touched: Vec<LinkId> = topo.links().collect();
-        let mut pw = ParallelWorkspace::new(4);
-        let par = evaluate_from(
-            &m,
-            &prev,
-            &old,
-            &bundles,
-            &prev_index,
-            &touched,
-            Some(&mut pw),
-        );
-        let ser = evaluate_from(&m, &prev, &old, &bundles, &prev_index, &touched, None);
-        assert!(par.full_recompute, "all-dirty must fall back");
-        assert_outcomes_identical(&par.evaluation.outcome, &ser.evaluation.outcome);
+        let inc = evaluate_from(&m, &prev, &old, &bundles, &prev_index, &touched);
+        assert!(inc.full_recompute, "all-dirty must fall back");
+        assert!(inc.affected.is_empty(), "a full recompute names no subset");
     }
 
     #[test]

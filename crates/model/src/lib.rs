@@ -13,26 +13,28 @@
 //! * [`BundleSpec`] — flows of one aggregate pinned to one path;
 //! * [`FlowModel::evaluate`] — run progressive filling, yielding a
 //!   [`ModelOutcome`] (rates, loads, congestion report);
-//! * [`FlowModel::evaluate_traced`] / [`FlowModel::apply_delta`] —
-//!   the incremental path: a traced [`Evaluation`] and its bundle table
-//!   are patched **in place** after a small change ([`Splice`]: one
-//!   replaced segment per changed aggregate) by re-filling only the
-//!   affected bottleneck component, bitwise identical to a full
-//!   recompute;
-//! * [`FlowModel::evaluate_traced_parallel`] / [`ParallelWorkspace`] —
-//!   the deterministic parallel path: disjoint bottleneck components
-//!   fill concurrently on a fixed-shape work split, bitwise identical
-//!   to the serial fill at any worker count;
-//! * [`FlowModel::score_delta`] / [`BundleDelta`] — the same core over a
-//!   *spliced view* of the previous bundle list, so a caller scoring
-//!   many one-segment candidate changes (the optimizer's inner loop)
-//!   never materializes the candidates it rejects;
 //! * [`utility_report`] — fold an outcome into per-aggregate and
 //!   network-wide utilities (paper §3's "total average");
-//!   [`UtilityReport::patch`] is its in-place incremental twin.
+//! * [`Incumbent`] — the incremental path: a bundle table with its
+//!   traced [`Evaluation`] and [`UtilityReport`], measured once
+//!   ([`Incumbent::measure`]) and then patched **in place** after a
+//!   small change ([`Incumbent::replace`]: one new segment per changed
+//!   aggregate) by re-filling only the affected bottleneck component
+//!   and re-folding only the affected aggregates, bitwise identical to
+//!   a full recompute;
+//! * [`FlowModel::score_delta`] / [`BundleDelta`] — the same core over a
+//!   *spliced view* of the incumbent's table, so a caller scoring many
+//!   one-segment candidate changes (the optimizer's inner loop) never
+//!   materializes the candidates it rejects;
+//! * [`FlowModel::evaluate_traced_parallel`] / [`ParallelWorkspace`] —
+//!   a component-partitioned full fill, bitwise identical to the serial
+//!   one at any worker count. No run selects it: every full evaluation
+//!   above this crate is [`FlowModel::evaluate_traced`]; the kernel
+//!   stays because the repository benchmark's layer replay times it.
 #![forbid(unsafe_code)]
 
 mod engine;
+mod incumbent;
 mod outcome;
 pub mod queueing;
 mod report;
@@ -42,8 +44,9 @@ mod splice;
 pub use engine::{
     DeltaScore, Evaluation, FlowModel, ModelConfig, ParallelWorkspace, Workspace, WorkspaceStats,
 };
+pub use incumbent::{Incumbent, PatchScratch};
 pub use outcome::{ModelOutcome, UtilizationSummary};
 pub use queueing::{queueing_report, QueueingConfig, QueueingReport};
 pub use report::{score_network_utility_delta, utility_report, ReportScratch, UtilityReport};
 pub use spec::{BundleSpec, BundleStatus};
-pub use splice::{BundleDelta, Splice};
+pub use splice::BundleDelta;

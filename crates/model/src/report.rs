@@ -296,7 +296,7 @@ impl UtilityReport {
     }
 
     /// Brings the report up to date **in place** after an in-place
-    /// [`crate::FlowModel::apply_delta`]: utilities re-evaluate only for
+    /// `FlowModel::apply_delta`: utilities re-evaluate only for
     /// the `dirty` aggregates (those whose flow count or bundle segment
     /// changed) and the owners of the `refilled` bundles, and the fold
     /// tree is recombined along their leaf-to-root paths. `spans[a]` is
@@ -304,7 +304,7 @@ impl UtilityReport {
     /// result is bitwise identical to [`utility_report`] of the same
     /// inputs.
     #[allow(clippy::too_many_arguments)]
-    pub fn patch(
+    pub(crate) fn patch(
         &mut self,
         tm: &TrafficMatrix,
         bundles: &[BundleSpec],
@@ -363,11 +363,6 @@ pub struct ReportScratch {
 }
 
 impl ReportScratch {
-    /// An empty scratch; buffers grow on first use.
-    pub fn new() -> Self {
-        ReportScratch::default()
-    }
-
     fn begin(&mut self, n: usize) {
         if self.stamp == u32::MAX {
             self.agg_stamp.iter_mut().for_each(|s| *s = 0);

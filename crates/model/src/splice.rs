@@ -7,10 +7,10 @@
 //! bundles. This module owns that representation: [`BundleDelta`], the
 //! borrowed view the engine fills and scores without materializing the
 //! changed table; [`Splice`], its reusable owned form, which
-//! [`crate::FlowModel::apply_delta`] drains into the cached table; and
-//! the index arithmetic both need — where a bundle of the spliced table
-//! comes from, where a kept bundle lands, how a per-bundle array and a
-//! per-link crossing row follow.
+//! [`crate::Incumbent::replace`] fills and drains into the cached table;
+//! and the index arithmetic both need — where a bundle of the spliced
+//! table comes from, where a kept bundle lands, how a per-bundle array
+//! and a per-link crossing row follow.
 
 use crate::spec::BundleSpec;
 
@@ -85,7 +85,7 @@ pub(crate) const POOL: u32 = 1 << 31;
 /// nobody materializes a changed list: the optimizer scores thousands
 /// of one-segment candidates against one incumbent, and an accepted
 /// change — a commit, or the fabric's dirty aggregates — is written
-/// into the cached table in place by [`crate::FlowModel::apply_delta`].
+/// into the cached table in place by [`crate::Incumbent::replace`].
 #[derive(Clone, Copy, Debug)]
 pub struct BundleDelta<'b> {
     pub(crate) prev: &'b [BundleSpec],
@@ -201,23 +201,16 @@ impl<'b> BundleDelta<'b> {
 }
 
 /// A reusable, owned description of a `k`-segment splice: the replaced
-/// ranges plus the pool of replacement bundles. Callers that *commit*
-/// changes (the fabric's measurement cache, the optimizer's incumbent)
-/// fill one per change and hand it to
-/// [`crate::FlowModel::apply_delta`], which drains it into the cached
-/// table.
+/// ranges plus the pool of replacement bundles.
+/// [`crate::Incumbent::replace`] fills one per accepted change and
+/// `FlowModel::apply_delta` drains it into the cached table.
 #[derive(Debug, Default)]
-pub struct Splice {
+pub(crate) struct Splice {
     pub(crate) segs: Vec<Seg>,
     pool: Vec<BundleSpec>,
 }
 
 impl Splice {
-    /// An empty splice; buffers grow on first use and are reused.
-    pub fn new() -> Self {
-        Splice::default()
-    }
-
     /// Replaces `prev[start..start + removed]` with `replacement`.
     /// Ranges must arrive ascending and non-overlapping (a range that
     /// removes and adds nothing is dropped).
@@ -225,7 +218,7 @@ impl Splice {
     /// # Panics
     ///
     /// Panics when `start` lies before the end of the previous range.
-    pub fn push(
+    pub(crate) fn push(
         &mut self,
         start: usize,
         removed: usize,

@@ -3,13 +3,11 @@
 //! Invariants checked on random topologies and random bundle sets:
 //! capacity conservation, demand capping, status consistency,
 //! monotonicity of total carried load in capacity, and the in-place
-//! patcher (`apply_delta`, `UtilityReport::patch`) against the full
-//! recompute through chains of random k-segment splices.
+//! patcher (`Incumbent::replace`) against the full recompute through
+//! chains of random k-segment splices.
 
 use fubar_graph::{LinkId, LinkSet, NodeId};
-use fubar_model::{
-    utility_report, BundleSpec, FlowModel, ReportScratch, Splice, UtilityReport, Workspace,
-};
+use fubar_model::{utility_report, BundleSpec, FlowModel, Incumbent, PatchScratch};
 use fubar_topology::{generators, Bandwidth, Delay, Topology};
 use fubar_traffic::{Aggregate, AggregateId, TrafficMatrix};
 use fubar_utility::TrafficClass;
@@ -202,11 +200,12 @@ proptest! {
     /// one, grown, shrunk, re-pathed at the same length, or re-counted
     /// on the same links), some with a capacity change riding along.
     /// After every step the patched table is the materialized one, the
-    /// patched evaluation equals `evaluate_traced` of it bit for bit —
-    /// freeze keys, crossing rows and the saturation mask included —
-    /// and the patched utility report equals a rebuilt one, while a
-    /// clone taken before the patch (sharing the fold tree) keeps its
-    /// old values.
+    /// renumbered spans are the ones rebuilt from the segments, the
+    /// patched evaluation equals `evaluate_traced` of the table bit for
+    /// bit — freeze keys, crossing rows and the saturation mask
+    /// included — and the patched utility report equals a rebuilt one,
+    /// while a clone taken before the patch (sharing the fold tree)
+    /// keeps its old values.
     #[test]
     fn in_place_patch_matches_full_recompute_through_chained_splices(
         w in workload(),
@@ -282,19 +281,22 @@ proptest! {
                 .collect::<Vec<_>>()
         };
 
-        let mut table: Vec<BundleSpec> = segments.concat();
-        let mut eval = FlowModel::with_defaults(&topo).evaluate_traced(&table);
-        let mut report = utility_report(&tm, &table, &eval.outcome);
-        let (mut ws, mut rws, mut splice) = (Workspace::new(), ReportScratch::new(), Splice::new());
+        let mut incumbent = Incumbent::measure(
+            &FlowModel::with_defaults(&topo),
+            &tm,
+            segments.concat(),
+            spans_of(&segments),
+        );
+        let mut scratch = PatchScratch::default();
         let mut partial_steps = 0;
 
         for step in 0..20 {
-            let spans = spans_of(&segments);
             // k distinct aggregates, ascending.
             let k = 1 + (next() % 4) as usize;
             let mut picked: Vec<usize> = (0..k).map(|_| (next() % n as u64) as usize).collect();
             picked.sort_unstable();
             picked.dedup();
+            let mut changes: Vec<(AggregateId, Vec<BundleSpec>)> = Vec::new();
             for &i in &picked {
                 let a = tm.aggregate(AggregateId(i as u32)).clone();
                 let old_len = segments[i].len();
@@ -313,8 +315,8 @@ proptest! {
                         seg
                     }
                 };
-                splice.push(spans[i].0 as usize, old_len, new.iter().cloned());
                 tm.set_flow_count(AggregateId(i as u32), flows_of(&new));
+                changes.push((AggregateId(i as u32), new.clone()));
                 segments[i] = new;
             }
             // Every other step a capacity change rides along.
@@ -326,35 +328,35 @@ proptest! {
                 touched.push(l);
             }
 
-            let before = report.clone();
-            let before_bits = before.network_utility.to_bits();
+            let before = incumbent.clone();
+            let before_bits = before.report().network_utility.to_bits();
             let model = FlowModel::with_defaults(&topo);
-            let full = model.apply_delta(&mut eval, &mut table, &mut splice, &touched, &mut ws, None);
+            let full = incumbent.replace(&model, &tm, changes, &touched, &mut scratch);
             partial_steps += usize::from(!full);
 
             let expected = segments.concat();
+            let table = incumbent.bundles();
             prop_assert_eq!(table.len(), expected.len(), "step {}", step);
             for (a, b) in table.iter().zip(&expected) {
                 prop_assert_eq!(a.aggregate, b.aggregate);
                 prop_assert_eq!(a.flow_count, b.flow_count);
                 prop_assert_eq!(&a.links, &b.links);
             }
-            let oracle = model.evaluate_traced(&table);
-            prop_assert_eq!(eval.bitwise_mismatch(&oracle), None, "step {} (k = {})", step, picked.len());
-
-            let dirty: Vec<u32> = picked.iter().map(|&i| i as u32).collect();
-            if full {
-                report = utility_report(&tm, &table, &eval.outcome);
-            } else {
-                let spans = spans_of(&segments);
-                report.patch(&tm, &table, &eval.outcome, &spans, ws.affected(), &dirty, &mut rws);
-            }
-            let rebuilt: UtilityReport = utility_report(&tm, &table, &oracle.outcome);
-            prop_assert_eq!(report.bitwise_mismatch(&rebuilt), None, "step {}", step);
-            prop_assert_eq!(before.network_utility.to_bits(), before_bits);
+            prop_assert_eq!(incumbent.spans(), &spans_of(&segments)[..], "step {}", step);
+            let oracle = model.evaluate_traced(table);
+            prop_assert_eq!(
+                incumbent.eval().bitwise_mismatch(&oracle), None,
+                "step {} (k = {})", step, picked.len()
+            );
+            let rebuilt = utility_report(&tm, table, &oracle.outcome);
+            prop_assert_eq!(incumbent.report().bitwise_mismatch(&rebuilt), None, "step {}", step);
+            prop_assert_eq!(before.report().network_utility.to_bits(), before_bits);
         }
         // Tiny tables fall back to the full recompute; anything bigger
         // must actually exercise the patcher.
-        prop_assert!(table.len() < 12 || partial_steps > 0, "the in-place arm never ran");
+        prop_assert!(
+            incumbent.bundles().len() < 12 || partial_steps > 0,
+            "the in-place arm never ran"
+        );
     }
 }

@@ -43,8 +43,6 @@ struct ChaosState {
     /// Follow-up events (staged install commits/drops) handed to the
     /// engine after the current event.
     followups: Vec<(Delay, EventKind)>,
-    /// Re-optimizations suppressed by blackout windows.
-    skipped: usize,
 }
 
 /// The fabric-driving consumer.
@@ -109,21 +107,6 @@ impl SdnConsumer {
             self.chaos.snapshots.push((Delay::ZERO, boot));
         }
         self.chaos.spec = spec;
-    }
-
-    /// Re-optimizations suppressed by controller blackout windows.
-    pub fn skipped_reoptimizations(&self) -> usize {
-        self.chaos.skipped
-    }
-
-    /// The fabric, for post-run inspection.
-    pub fn fabric(&self) -> &Fabric {
-        &self.fabric
-    }
-
-    /// The last installed allocation, if any re-optimization ran.
-    pub fn previous_allocation(&self) -> Option<&Allocation> {
-        self.previous.as_ref()
     }
 
     /// Peak optimizer scoring-scratch sizes across the run's
@@ -301,7 +284,6 @@ impl EventConsumer for SdnConsumer {
                     // optimizer call, no RNG draws — and the stale
                     // incumbent keeps serving. `commits` stays None, so
                     // the log line is visibly a skip.
-                    self.chaos.skipped += 1;
                     return self.measure(false);
                 }
                 let (commits, warm) = self.reoptimize(event.time);
@@ -531,10 +513,9 @@ pub fn inputs_at(
 
 /// How a scenario is run — nothing here changes a byte of the log for
 /// a given `(spec, seed)`: full-recompute runs are bitwise equal to
-/// incremental ones and the parallel water-filling merge is bitwise
-/// equal to the serial fill, invariants the property tests and the CI
+/// incremental ones, an invariant the property tests and the CI
 /// catalog replay `cmp` end to end.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct RunOptions {
     /// Directory `topology file` paths resolve against first (the
     /// `.scn` file's directory); see [`load_file_topology`].
@@ -545,19 +526,6 @@ pub struct RunOptions {
     /// the equality property tests and the CI cross-mode `cmp` compare
     /// the default incremental run against.
     pub full_recompute: bool,
-    /// Worker threads for fabric measurement *and* optimizer incumbent
-    /// water-filling; 1 keeps the serial fill.
-    pub fill_threads: usize,
-}
-
-impl Default for RunOptions {
-    fn default() -> Self {
-        RunOptions {
-            base: None,
-            full_recompute: false,
-            fill_threads: 1,
-        }
-    }
 }
 
 /// Builds the engine for `scenario` under the default [`RunOptions`],
@@ -675,16 +643,12 @@ pub fn build_with(
 
     let mut fabric = Fabric::new(topo, tm, scenario.epoch);
     fabric.set_incremental(!options.full_recompute);
-    fabric.set_fill_threads(options.fill_threads);
     let mut consumer = SdnConsumer::new(fabric, seed ^ 0x5eed, scenario.reoptimize.warm_start);
     // Oracle mode covers *both* incremental hot paths: full-recompute
     // fabric measurement and full-recompute candidate scoring in the
     // optimizer — a cross-mode log `cmp` therefore checks the whole
-    // stack of bitwise-equality invariants end to end. The fill threads
-    // reschedule the same computation across workers without changing
-    // a byte of the log.
+    // stack of bitwise-equality invariants end to end.
     consumer.controller.optimizer.incremental = !options.full_recompute;
-    consumer.controller.optimizer.fill_threads = options.fill_threads.max(1);
     // The anytime budget is a move-count deadline — the one optimizer
     // deadline that is bit-identical at any thread count — mapped
     // straight onto `OptimizerConfig::max_commits`.
@@ -720,10 +684,9 @@ pub fn build_with(
 /// Runs `scenario` end to end with `seed` and returns the log with the
 /// run's performance statistics: per-event measurement and
 /// re-optimization timing percentiles, the optimizer's peak scratch
-/// sizes, per-shard commit counts and score timings (the last entry is
-/// the inter-region trunk core), and with `fill_threads > 1` the
-/// per-worker parallel-fill blocks (`fubar-cli scenario run --stats`).
-/// Wall-clock numbers never enter the log.
+/// sizes, and per-shard commit counts and score timings (the last
+/// entry is the inter-region trunk core) — what `fubar-cli scenario run
+/// --stats` prints. Wall-clock numbers never enter the log.
 pub fn run(
     scenario: &Scenario,
     seed: u64,
@@ -733,7 +696,6 @@ pub fn run(
     let (log, mut stats, consumer) = engine.run_instrumented(&scenario.name, seed);
     stats.scratch = consumer.scratch_stats();
     stats.shards = consumer.shard_stats().to_vec();
-    stats.fill_workers = consumer.fabric().fill_worker_stats();
     Ok((log, stats))
 }
 
@@ -875,36 +837,22 @@ mod tests {
     }
 
     /// A run's log with the optimizer pinned to `threads` workers.
-    fn log_at_threads(spec: &Scenario, seed: u64, threads: usize, fill_threads: usize) -> String {
-        let options = RunOptions {
-            fill_threads,
-            ..Default::default()
-        };
-        let mut engine = build_with(spec, seed, &options).unwrap();
+    fn log_at_threads(spec: &Scenario, seed: u64, threads: usize) -> String {
+        let mut engine = build(spec, seed).unwrap();
         engine.consumer_mut().controller.optimizer.threads = threads;
         engine.run(&spec.name, seed).to_text()
     }
 
     #[test]
     fn parallel_knobs_leave_the_log_byte_identical() {
-        // Fill-thread count must never alter a log: the parallel fill
-        // is bitwise-equal to the serial one, event by event.
-        let spec = ring_spec("arrivals rate 0.2 max-flows 30\ndepartures prob 0.2\n");
-        let serial = log_of(&spec, 7).to_text();
-        let filled = RunOptions {
-            fill_threads: 4,
-            ..Default::default()
-        };
-        assert_eq!(serial, run(&spec, 7, &filled).unwrap().0.to_text());
-
-        // Nor may the optimizer's worker count, which runs the
-        // per-component passes side by side: same spec, different
-        // thread counts, same bytes.
+        // The optimizer's worker count scores candidates and runs the
+        // per-component passes side by side; it must never alter a
+        // log: same spec, different thread counts, same bytes.
         let spec = deep_spec("");
-        assert_eq!(
-            log_at_threads(&spec, 11, 4, 4),
-            log_at_threads(&spec, 11, 1, 1)
-        );
+        let serial = log_at_threads(&spec, 11, 1);
+        for threads in [2, 4] {
+            assert_eq!(log_at_threads(&spec, 11, threads), serial, "{threads}");
+        }
     }
 
     #[test]
@@ -914,10 +862,7 @@ mod tests {
         let reopts: Vec<_> = log.records.iter().filter_map(|r| r.commits).collect();
         assert!(reopts.contains(&5), "the budget must bind");
         assert!(reopts.iter().all(|&c| c <= 5), "{reopts:?}");
-        assert_eq!(
-            log_at_threads(&spec, 11, 1, 1),
-            log_at_threads(&spec, 11, 4, 1)
-        );
+        assert_eq!(log_at_threads(&spec, 11, 1), log_at_threads(&spec, 11, 4));
     }
 
     #[test]

@@ -25,10 +25,6 @@ pub struct RunStats {
     /// Per-shard accumulators across the run's re-optimizations (empty
     /// when none ran; the last entry is the inter-region trunk core).
     pub shards: Vec<ShardRunStats>,
-    /// Per-worker parallel-fill counters (fills run, peak component
-    /// sizes) when the run measured with `--fill-threads > 1`; empty
-    /// for serial fills.
-    pub fill_workers: Vec<WorkspaceStats>,
 }
 
 /// Percentiles of a sample set (nearest-rank).
@@ -106,16 +102,6 @@ impl RunStats {
             self.scratch.peak_component_links,
             self.scratch.peak_heap,
         );
-        if !self.fill_workers.is_empty() {
-            out.push_str("\n# per-worker parallel fill");
-            for (i, w) in self.fill_workers.iter().enumerate() {
-                out.push_str(&format!(
-                    "\nfill worker {i:>3}: fills={} peak-component={} \
-                     peak-component-links={} peak-heap={}",
-                    w.fills, w.peak_component, w.peak_component_links, w.peak_heap,
-                ));
-            }
-        }
         if !self.shards.is_empty() {
             let score_s: Vec<f64> = self.shards.iter().map(|s| s.score_s).collect();
             let p = percentiles(&score_s);
@@ -178,33 +164,6 @@ mod tests {
             !text.contains("per-shard"),
             "flat runs must not print a shard block: {text}"
         );
-        assert!(
-            !text.contains("parallel fill"),
-            "serial runs must not print a fill block: {text}"
-        );
-    }
-
-    #[test]
-    fn fill_worker_block_renders_when_present() {
-        let s = RunStats {
-            fill_workers: vec![
-                WorkspaceStats {
-                    fills: 12,
-                    peak_component: 7,
-                    ..Default::default()
-                },
-                WorkspaceStats {
-                    fills: 9,
-                    peak_component: 4,
-                    ..Default::default()
-                },
-            ],
-            ..Default::default()
-        };
-        let text = s.render();
-        assert!(text.contains("per-worker parallel fill"), "{text}");
-        assert!(text.contains("fill worker   0: fills=12"), "{text}");
-        assert!(text.contains("fill worker   1: fills=9"), "{text}");
     }
 
     #[test]

@@ -18,14 +18,9 @@ use fubar_topology::{Bandwidth, Delay};
 use fubar_traffic::AggregateId;
 use proptest::prelude::*;
 
-/// The log of a run under `options`.
-fn log_with(spec: &Scenario, seed: u64, options: &RunOptions) -> ScenarioLog {
-    run(spec, seed, options).unwrap().0
-}
-
-/// The log of a default (incremental, serial-fill) run.
+/// The log of a default (incremental) run.
 fn log_of(spec: &Scenario, seed: u64) -> ScenarioLog {
-    log_with(spec, seed, &RunOptions::default())
+    run(spec, seed, &RunOptions::default()).unwrap().0
 }
 
 /// The log of a full-recompute oracle run.
@@ -34,7 +29,7 @@ fn full_log_of(spec: &Scenario, seed: u64) -> ScenarioLog {
         full_recompute: true,
         ..Default::default()
     };
-    log_with(spec, seed, &full)
+    run(spec, seed, &full).unwrap().0
 }
 
 proptest! {
@@ -96,34 +91,6 @@ proptest! {
         prop_assert_eq!(&a, &b, "same seed must replay identically");
         let c = log_of(&spec, seed ^ 0xDEAD_BEEF).to_text();
         prop_assert_ne!(&a, &c, "different seeds must diverge");
-    }
-
-    /// The fill-thread knob never changes a log: on any well-formed
-    /// ring scenario, a run with the parallel fill enabled (at any
-    /// worker count) is byte-identical to the serial default — the
-    /// whole-stack `parallel ≡ serial` invariant.
-    #[test]
-    fn fill_threads_leave_any_log_byte_identical(
-        seed in any::<u64>(),
-        rate in 0.05f64..0.5,
-        nodes in 4usize..7,
-        fill_threads in 2usize..6,
-    ) {
-        let spec = Scenario::parse(&format!(
-            "scenario prop_fill\n\
-             topology ring {nodes} 600kbps 2ms\n\
-             duration 60s\n\
-             epoch 10s\n\
-             workload flows 2 5\n\
-             reoptimize every 30s warmup 15s\n\
-             arrivals rate {rate} max-flows 30\n\
-             departures prob 0.2\n"
-        )).unwrap();
-        let serial = log_of(&spec, seed).to_text();
-        let parallel = log_with(
-            &spec, seed, &RunOptions { fill_threads, ..Default::default() },
-        ).to_text();
-        prop_assert_eq!(&serial, &parallel, "fill_threads={} changed the log", fill_threads);
     }
 }
 
@@ -332,7 +299,7 @@ fn incremental_peek_matches_full_recompute_across_catalog_inputs() {
                                 for flows in [1, 5] {
                                     fabric.set_flow_count(id, flows);
                                     let full = fabric.peek_full();
-                                    assert_reports_identical(name, step, fabric.peek(), &full);
+                                    assert_reports_identical(name, step, &fabric.peek(), &full);
                                 }
                                 fabric.set_flow_count(id, 1);
                             }
@@ -346,7 +313,7 @@ fn incremental_peek_matches_full_recompute_across_catalog_inputs() {
                 assert_reports_identical(
                     &format!("{name} seed {seed}"),
                     step,
-                    fabric.peek(),
+                    &fabric.peek(),
                     &full,
                 );
             }

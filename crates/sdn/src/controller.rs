@@ -168,7 +168,7 @@ impl Default for ClosedLoopConfig {
 #[derive(Clone, Debug)]
 pub struct LoopRecord {
     /// The fabric's epoch report (true utilities, congestion).
-    pub epoch: EpochReport,
+    pub epoch: EpochReport<'static>,
     /// Whether the controller re-optimized after this epoch.
     pub reoptimized: bool,
     /// Moves the optimizer committed, when it ran this epoch.
@@ -286,7 +286,7 @@ impl ClosedLoop {
             self.apply_drift();
 
             // Kept across the install below, so cloned out of the cache.
-            let report = self.fabric.run_epoch().clone();
+            let report = self.fabric.run_epoch().into_owned();
             self.estimator
                 .observe(self.fabric.counters(), self.fabric.epoch_duration());
 

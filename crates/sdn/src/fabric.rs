@@ -11,21 +11,21 @@
 //! ### Incremental measurement
 //!
 //! Event-driven callers probe the fabric after every single change
-//! ([`Fabric::peek`]), so the fabric keeps its last measurement — the
-//! bundle table with per-aggregate spans, the traced flow-model
-//! evaluation, and the epoch report — and tracks which aggregates and
-//! links each mutation dirties. The next `peek`/`run_epoch` re-routes
-//! only the dirty aggregates, describes their new bundle segments as
-//! one [`Splice`] over the cached table (one segment per dirty
-//! aggregate, however many an event dirtied — a failure's hundred
-//! aggregates are still *one* joint fill), and lets
-//! `FlowModel::apply_delta` patch table, evaluation and report **in
-//! place**: water-filling re-runs only on the affected bottleneck
-//! component, loads re-derive only for dirty links, utilities only for
-//! affected aggregates. When every dirty aggregate keeps its bundle
-//! count — all flow churn on single-path rules — a measurement costs
-//! O(dirty segments + component + crossing rows of the dirty links)
-//! and allocates nothing but the dirty aggregates' route vectors; an aggregate that gains or loses a
+//! ([`Fabric::peek`]), so the fabric keeps its last measurement — an
+//! [`Incumbent`]: the bundle table with per-aggregate spans, the traced
+//! flow-model evaluation, and the utility report — and tracks which
+//! aggregates and links each mutation dirties. The next
+//! `peek`/`run_epoch` re-routes only the dirty aggregates and hands
+//! their new bundle segments to [`Incumbent::replace`] (one segment per
+//! dirty aggregate, however many an event dirtied — a failure's hundred
+//! aggregates are still *one* joint fill), which patches table,
+//! evaluation and report **in place**: water-filling re-runs only on
+//! the affected bottleneck component, loads re-derive only for dirty
+//! links, utilities only for affected aggregates. When every dirty
+//! aggregate keeps its bundle count — all flow churn on single-path
+//! rules — a measurement costs O(dirty segments + component + crossing
+//! rows of the dirty links) and allocates nothing but the dirty
+//! aggregates' route vectors; an aggregate that gains or loses a
 //! bundle additionally renumbers what lies behind it (spans, freeze
 //! keys, crossing entries). Only [`Fabric::install`] and
 //! [`Fabric::set_true_tm`] rebuild the cache. The invariant (enforced
@@ -35,11 +35,11 @@
 use crate::rules::{GroupEntry, RuleSet};
 use fubar_graph::{LinkSet, Path};
 use fubar_model::{
-    BundleSpec, Evaluation, FlowModel, ModelConfig, ModelOutcome, ParallelWorkspace, ReportScratch,
-    Splice, UtilityReport, Workspace, WorkspaceStats,
+    BundleSpec, FlowModel, Incumbent, ModelConfig, ModelOutcome, PatchScratch, UtilityReport,
 };
 use fubar_topology::{Bandwidth, Delay, Topology};
 use fubar_traffic::{Aggregate, AggregateId, TrafficMatrix};
+use std::borrow::Cow;
 
 /// Per-aggregate counters, as an SDN controller would read from
 /// ingress-switch flow rules.
@@ -56,15 +56,18 @@ pub struct AggregateCounter {
     pub congested_last_epoch: bool,
 }
 
-/// What one epoch of the data plane produced.
+/// What one epoch of the data plane produced. A probe
+/// ([`Fabric::peek`], [`Fabric::run_epoch`]) lends the equilibrium and
+/// the utilities from the measurement cache; the full-recompute oracle
+/// [`Fabric::peek_full`] owns them.
 #[derive(Clone, Debug)]
-pub struct EpochReport {
+pub struct EpochReport<'a> {
     /// Epoch index (0-based).
     pub epoch: usize,
     /// The model equilibrium of the installed routing under true load.
-    pub outcome: ModelOutcome,
+    pub outcome: Cow<'a, ModelOutcome>,
     /// True utilities achieved (computed against the true matrix).
-    pub report: UtilityReport,
+    pub report: Cow<'a, UtilityReport>,
     /// Number of aggregates whose installed rules had to fall back to a
     /// live shortest path because every bucket crossed a failed link.
     pub fallback_count: usize,
@@ -73,13 +76,25 @@ pub struct EpochReport {
     pub blackholed_flows: u64,
 }
 
-impl EpochReport {
+impl EpochReport<'_> {
+    /// Detaches the report from the measurement cache, to keep it
+    /// across the fabric's next mutation.
+    pub fn into_owned(self) -> EpochReport<'static> {
+        EpochReport {
+            epoch: self.epoch,
+            outcome: Cow::Owned(self.outcome.into_owned()),
+            report: Cow::Owned(self.report.into_owned()),
+            fallback_count: self.fallback_count,
+            blackholed_flows: self.blackholed_flows,
+        }
+    }
+
     /// The first *bitwise* difference against `other`, if any — the
     /// oracle check behind the incremental-measurement invariant
     /// ([`Fabric::peek`] ≡ [`Fabric::peek_full`], bit for bit). Hidden:
     /// a test helper, not a `PartialEq`.
     #[doc(hidden)]
-    pub fn bitwise_mismatch(&self, other: &Self) -> Option<String> {
+    pub fn bitwise_mismatch(&self, other: &EpochReport<'_>) -> Option<String> {
         if self.epoch != other.epoch {
             return Some("epoch".to_string());
         }
@@ -105,22 +120,18 @@ struct AggRoute {
     blackholed: u64,
 }
 
-/// The cached measurement: bundle table + traced evaluation + report.
+/// The cached measurement.
 struct MeasureCache {
     /// Per-aggregate routing state, indexed by aggregate id.
     routes: Vec<AggRoute>,
-    /// Per aggregate, the `(start, len)` range of its bundles in
-    /// `bundles`.
-    spans: Vec<(u32, u32)>,
-    /// The canonical bundle table: every aggregate's bundles
-    /// concatenated in id order (the exact list a full rebuild yields).
-    bundles: Vec<BundleSpec>,
-    /// Traced flow-model evaluation of `bundles`. Between measurements
-    /// its `outcome` lives in `report.outcome`, where probes read it.
-    eval: Evaluation,
-    /// The epoch report probes borrow: outcome, utility report against
-    /// the true matrix, and the fallback/black-hole totals of `routes`.
-    report: EpochReport,
+    /// The canonical bundle table (every aggregate's bundles
+    /// concatenated in id order, the exact list a full rebuild yields)
+    /// with its evaluation and its utility report against the true
+    /// matrix.
+    incumbent: Incumbent,
+    /// The fallback and black-hole totals of `routes`.
+    fallback_count: usize,
+    blackholed_flows: u64,
 }
 
 /// The simulated SDN data plane.
@@ -136,16 +147,9 @@ pub struct Fabric {
     /// When false, every measurement recomputes from scratch (the
     /// oracle mode the equality property tests compare against).
     incremental: bool,
-    /// Parallel fill workspace, present when more than one fill worker
-    /// is configured. Full recomputes (and the incremental path's
-    /// fallback arm) then water-fill disjoint bottleneck components
-    /// concurrently — bitwise identical to the serial fill.
-    fill: Option<ParallelWorkspace>,
     cache: Option<MeasureCache>,
     /// Scratch the in-place patch reuses from probe to probe.
-    ws: Workspace,
-    report_ws: ReportScratch,
-    splice: Splice,
+    scratch: PatchScratch,
     dirty_aggs: Vec<bool>,
     dirty_list: Vec<u32>,
     dirty_links: Vec<fubar_graph::LinkId>,
@@ -179,11 +183,8 @@ impl Fabric {
             epoch_duration,
             model: ModelConfig::default(),
             incremental: true,
-            fill: None,
             cache: None,
-            ws: Workspace::new(),
-            report_ws: ReportScratch::new(),
-            splice: Splice::new(),
+            scratch: PatchScratch::default(),
             dirty_aggs: vec![false; n],
             dirty_list: Vec::new(),
             dirty_links: Vec::new(),
@@ -212,23 +213,6 @@ impl Fabric {
         if !on {
             self.cache = None;
         }
-    }
-
-    /// Sets how many workers full-recompute measurements water-fill
-    /// with (1 = the serial path). Any count yields bitwise-identical
-    /// measurements — see [`fubar_model::ParallelWorkspace`] — so this
-    /// is purely a wall-clock knob.
-    pub fn set_fill_threads(&mut self, threads: usize) {
-        self.fill = (threads > 1).then(|| ParallelWorkspace::new(threads));
-    }
-
-    /// Per-worker fill statistics, when parallel fill is configured
-    /// (worker 0 first) — `scenario run --stats` renders these.
-    pub fn fill_worker_stats(&self) -> Vec<WorkspaceStats> {
-        self.fill
-            .as_ref()
-            .map(ParallelWorkspace::worker_stats)
-            .unwrap_or_default()
     }
 
     /// Replaces the ground-truth traffic matrix (demand drift).
@@ -471,13 +455,20 @@ impl Fabric {
 
     /// Maps one aggregate's true traffic onto its installed group,
     /// honouring failures: `(bundles, used_fallback, blackholed_flows)`.
-    fn route_aggregate(&self, a: &Aggregate) -> (Vec<BundleSpec>, bool, u64) {
+    /// Takes the fields it reads, not `&self`, so the measurement can
+    /// route while it patches the cache.
+    fn route_aggregate(
+        topology: &Topology,
+        rules: &RuleSet,
+        down: &LinkSet,
+        a: &Aggregate,
+    ) -> (Vec<BundleSpec>, bool, u64) {
         if a.flow_count == 0 {
             // Idle aggregate: keeps its rules but sends nothing.
             return (Vec::new(), false, 0);
         }
-        let group = self.rules.group(a.id).expect("rules cover every aggregate");
-        let alive = group.alive_buckets(&self.down);
+        let group = rules.group(a.id).expect("rules cover every aggregate");
+        let alive = group.alive_buckets(down);
         if alive.is_empty() {
             // Data-plane protection: fall back to the live shortest
             // path (what an IGP underlay would do). If the network is
@@ -485,11 +476,7 @@ impl Fabric {
             // utility. An empty group (nothing installed yet) is not a
             // *fallback* — there was no rule to fail.
             let fallback = !group.buckets.is_empty();
-            return match self
-                .topology
-                .graph()
-                .shortest_path(a.ingress, a.egress, &self.down)
-            {
+            return match topology.graph().shortest_path(a.ingress, a.egress, down) {
                 Some(p) => (vec![BundleSpec::new(a, &p, a.flow_count)], fallback, 0),
                 None => (Vec::new(), fallback, u64::from(a.flow_count)),
             };
@@ -515,7 +502,8 @@ impl Fabric {
         let mut fallback_count = 0usize;
         let mut blackholed = 0u64;
         for a in self.true_tm.iter() {
-            let (bs, fallback, bh) = self.route_aggregate(a);
+            let (bs, fallback, bh) =
+                Self::route_aggregate(&self.topology, &self.rules, &self.down, a);
             routes.push(AggRoute {
                 fallback,
                 blackholed: bh,
@@ -539,117 +527,77 @@ impl Fabric {
     }
 
     /// Brings the measurement cache up to date — the single call site
-    /// both [`Fabric::peek`] and [`Fabric::run_epoch`] measure from —
-    /// and hands out its report, stamped with the epoch in progress.
-    fn measure(&mut self) -> &EpochReport {
+    /// both [`Fabric::peek`] and [`Fabric::run_epoch`] measure from.
+    fn measure(&mut self) {
         if self.cache.is_none() || self.dirty_all || !self.incremental {
             self.measure_full();
         } else if !(self.dirty_list.is_empty() && self.dirty_links.is_empty()) {
             self.measure_dirty();
         }
-        let report = &mut self.cache.as_mut().expect("measured above").report;
-        report.epoch = self.epoch;
-        report
+    }
+
+    /// The cached measurement as the report of epoch `epoch`.
+    fn cached_report(&self, epoch: usize) -> EpochReport<'_> {
+        let cache = self.cache.as_ref().expect("measure() populates the cache");
+        EpochReport {
+            epoch,
+            outcome: Cow::Borrowed(cache.incumbent.outcome()),
+            report: Cow::Borrowed(cache.incumbent.report()),
+            fallback_count: cache.fallback_count,
+            blackholed_flows: cache.blackholed_flows,
+        }
     }
 
     /// Rebuilds the cache from scratch.
     fn measure_full(&mut self) {
         let (routes, spans, bundles, fallback_count, blackholed_flows) = self.build_all();
         let model = FlowModel::new(&self.topology, self.model);
-        let mut eval = match &mut self.fill {
-            Some(pw) => model.evaluate_traced_parallel(&bundles, pw),
-            None => model.evaluate_traced(&bundles),
-        };
-        let report = EpochReport {
-            epoch: self.epoch,
-            report: fubar_model::utility_report(&self.true_tm, &bundles, &eval.outcome),
-            outcome: std::mem::take(&mut eval.outcome),
-            fallback_count,
-            blackholed_flows,
-        };
         self.cache = Some(MeasureCache {
             routes,
-            spans,
-            bundles,
-            eval,
-            report,
+            incumbent: Incumbent::measure(&model, &self.true_tm, bundles, spans),
+            fallback_count,
+            blackholed_flows,
         });
         self.clear_dirt();
     }
 
-    /// Patches the cache in place: dirty aggregates are re-routed into
-    /// one splice over the cached table (one segment each, ascending),
-    /// and the model re-fills the affected component jointly.
+    /// Patches the cache in place: every dirty aggregate is re-routed
+    /// (ascending) and its new segment replaces the cached one; the
+    /// model re-fills the affected component jointly. An aggregate
+    /// re-routed onto the very bundles it had (a fallback rider a link
+    /// flip left alone, a black-holed pair whose flow count moved) is
+    /// still named: its utility and its totals may have changed.
     fn measure_dirty(&mut self) {
-        let mut cache = self.cache.take().expect("incremental path has a cache");
-        let mut splice = std::mem::take(&mut self.splice);
+        let cache = self.cache.as_mut().expect("incremental path has a cache");
         self.dirty_list.sort_unstable();
-        let mut first_resized = None;
-        for &i in &self.dirty_list {
-            let i = i as usize;
-            let a = self.true_tm.aggregate(AggregateId(i as u32));
-            let (bs, fallback, blackholed) = self.route_aggregate(a);
+        let changes = self.dirty_list.iter().map(|&i| {
+            let id = AggregateId(i);
+            let (bs, fallback, blackholed) = Self::route_aggregate(
+                &self.topology,
+                &self.rules,
+                &self.down,
+                self.true_tm.aggregate(id),
+            );
             let old = std::mem::replace(
-                &mut cache.routes[i],
+                &mut cache.routes[id.index()],
                 AggRoute {
                     fallback,
                     blackholed,
                 },
             );
-            let report = &mut cache.report;
-            report.fallback_count =
-                report.fallback_count - usize::from(old.fallback) + usize::from(fallback);
-            report.blackholed_flows = report.blackholed_flows - old.blackholed + blackholed;
-            let (start, len) = cache.spans[i];
-            let cached = start as usize..(start + len) as usize;
-            if bs == cache.bundles[cached.clone()] {
-                // Re-routed onto the very bundles it had (a fallback
-                // rider a link flip left alone): nothing to splice.
-                continue;
-            }
-            if bs.len() as u32 != len && first_resized.is_none() {
-                first_resized = Some(i);
-            }
-            cache.spans[i].1 = bs.len() as u32;
-            splice.push(cached.start, cached.len(), bs);
-        }
-        // The spans' half of the tail renumber; `apply_delta` pays the
-        // table's and the evaluation's.
-        if let Some(i) = first_resized {
-            let mut at = cache.spans[i].0;
-            for span in &mut cache.spans[i..] {
-                span.0 = at;
-                at += span.1;
-            }
-        }
-
-        cache.eval.outcome = std::mem::take(&mut cache.report.outcome);
+            cache.fallback_count =
+                cache.fallback_count - usize::from(old.fallback) + usize::from(fallback);
+            cache.blackholed_flows = cache.blackholed_flows - old.blackholed + blackholed;
+            (id, bs)
+        });
         let model = FlowModel::new(&self.topology, self.model);
-        let full_recompute = model.apply_delta(
-            &mut cache.eval,
-            &mut cache.bundles,
-            &mut splice,
+        cache.incumbent.replace(
+            &model,
+            &self.true_tm,
+            changes,
             &self.dirty_links,
-            &mut self.ws,
-            self.fill.as_mut(),
+            &mut self.scratch,
         );
-        if full_recompute {
-            cache.report.report =
-                fubar_model::utility_report(&self.true_tm, &cache.bundles, &cache.eval.outcome);
-        } else {
-            cache.report.report.patch(
-                &self.true_tm,
-                &cache.bundles,
-                &cache.eval.outcome,
-                &cache.spans,
-                self.ws.affected(),
-                &self.dirty_list,
-                &mut self.report_ws,
-            );
-        }
-        cache.report.outcome = std::mem::take(&mut cache.eval.outcome);
-        self.splice = splice;
-        self.cache = Some(cache);
         self.clear_dirt();
     }
 
@@ -662,25 +610,26 @@ impl Fabric {
     /// only on the affected bottleneck component, and the cached table,
     /// evaluation and report are patched in place (see the module docs
     /// for what a probe costs) — an unprobed fabric with nothing dirty
-    /// returns the cache outright. The report is borrowed from the
-    /// cache and carries the index of the epoch in progress; clone it to
-    /// keep it across the next mutation.
-    pub fn peek(&mut self) -> &EpochReport {
-        self.measure()
+    /// returns the cache outright. The report borrows from the cache
+    /// and carries the index of the epoch in progress;
+    /// [`EpochReport::into_owned`] keeps it across the next mutation.
+    pub fn peek(&mut self) -> EpochReport<'_> {
+        self.measure();
+        self.cached_report(self.epoch)
     }
 
     /// Full-recompute probe: rebuilds every bundle and re-runs the whole
     /// flow model, ignoring (and not touching) the measurement cache.
     /// This is the oracle [`Fabric::peek`] must match bitwise.
-    pub fn peek_full(&self) -> EpochReport {
+    pub fn peek_full(&self) -> EpochReport<'static> {
         let (_, _, bundles, fallback_count, blackholed_flows) = self.build_all();
         let model = FlowModel::new(&self.topology, self.model);
         let outcome = model.evaluate(&bundles);
         let report = fubar_model::utility_report(&self.true_tm, &bundles, &outcome);
         EpochReport {
             epoch: self.epoch,
-            outcome,
-            report,
+            outcome: Cow::Owned(outcome),
+            report: Cow::Owned(report),
             fallback_count,
             blackholed_flows,
         }
@@ -691,7 +640,7 @@ impl Fabric {
     /// cache, like [`Fabric::peek`]'s). Shares the measurement with
     /// `peek` — when nothing changed since the last probe the flow model
     /// is not re-evaluated at all.
-    pub fn run_epoch(&mut self) -> &EpochReport {
+    pub fn run_epoch(&mut self) -> EpochReport<'_> {
         self.measure();
 
         // Refresh counters.
@@ -701,9 +650,9 @@ impl Fabric {
             c.flows_last_epoch = 0;
             c.congested_last_epoch = false;
         }
-        let cache = self.cache.as_ref().expect("measure() populates the cache");
-        let outcome = &cache.report.outcome;
-        for (i, b) in cache.bundles.iter().enumerate() {
+        let incumbent = &self.cache.as_ref().expect("measured above").incumbent;
+        let outcome = incumbent.outcome();
+        for (i, b) in incumbent.bundles().iter().enumerate() {
             let c = &mut self.counters[b.aggregate.index()];
             let bytes = outcome.bundle_rates[i].bps() * dt / 8.0;
             c.bytes_last_epoch += bytes;
@@ -713,7 +662,7 @@ impl Fabric {
         }
 
         self.epoch += 1;
-        &cache.report
+        self.cached_report(self.epoch - 1)
     }
 
     /// The duration the counters integrate over.
@@ -782,7 +731,7 @@ mod tests {
     #[test]
     fn installing_optimized_rules_improves_true_utility() {
         let mut f = fixture();
-        let before = f.run_epoch().clone();
+        let before = f.run_epoch().into_owned();
         // Run FUBAR against ground truth and install.
         let result = fubar_core::Optimizer::with_defaults(f.topology(), f.true_tm()).run();
         let rules = RuleSet::from_allocation(&result.allocation, f.true_tm());
@@ -799,7 +748,7 @@ mod tests {
     #[test]
     fn staged_installs_commit_drop_and_supersede() {
         let mut f = fixture();
-        let before = f.run_epoch().clone();
+        let before = f.run_epoch().into_owned();
         let result = fubar_core::Optimizer::with_defaults(f.topology(), f.true_tm()).run();
         let optimized = RuleSet::from_allocation(&result.allocation, f.true_tm());
 
@@ -948,7 +897,7 @@ mod tests {
     #[test]
     fn group_mod_updates_routing_incrementally() {
         let mut f = fixture();
-        let before = f.peek().clone();
+        let before = f.peek().into_owned();
         // Replace the group with the other way around the ring.
         let used: LinkSet = f.rules().group(AggregateId(0)).unwrap().buckets[0]
             .0
@@ -967,12 +916,12 @@ mod tests {
             before.outcome.link_load, after.outcome.link_load,
             "traffic must move to the new path"
         );
-        let after = after.clone();
+        let after = after.into_owned();
         assert_reports_identical(&after, &f.peek_full());
         // Clearing the group drops to the live shortest path (the
         // original route), not a fallback.
         f.clear_group(AggregateId(0));
-        let cleared = f.peek().clone();
+        let cleared = f.peek().into_owned();
         assert_eq!(cleared.fallback_count, 0);
         assert_reports_identical(&cleared, &f.peek_full());
     }
@@ -995,7 +944,7 @@ mod tests {
             .unwrap();
         f.set_group(AggregateId(0), GroupEntry::single(p.clone(), 2));
         f.fail_link(p.links()[0]);
-        let r = f.peek().clone();
+        let r = f.peek().into_owned();
         assert_eq!(r.fallback_count, 1);
         assert_reports_identical(&r, &f.peek_full());
     }
@@ -1026,7 +975,7 @@ mod tests {
         // Now fail the first bucket: the degenerate split must land on
         // the first *alive* bucket, not the dead bucket 0.
         f.fail_link(p0.links()[0]);
-        let r = f.peek().clone();
+        let r = f.peek().into_owned();
         assert_eq!(r.fallback_count, 0, "second bucket is alive");
         assert_eq!(r.outcome.link_load[p0.links()[0].index()], Bandwidth::ZERO);
         assert!(r.outcome.link_load[p1.links()[0].index()] > Bandwidth::ZERO);
@@ -1034,45 +983,9 @@ mod tests {
     }
 
     #[test]
-    fn parallel_fill_measurement_matches_serial_bitwise() {
-        let build = || {
-            let topo = generators::he_core(Bandwidth::from_mbps(5.0));
-            let tm = fubar_traffic::workload::generate(
-                &topo,
-                &fubar_traffic::WorkloadConfig::default(),
-                3,
-            );
-            Fabric::new(topo, tm, Delay::from_secs(10.0))
-        };
-        let mut serial = build();
-        let mut parallel = build();
-        parallel.set_fill_threads(4);
-        let mut x = 0x9e37_79b9_7f4a_7c15u64;
-        let mut next = || {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            x
-        };
-        let n = u64::from(serial.true_tm().len() as u32);
-        for _ in 0..30 {
-            let id = AggregateId((next() % n) as u32);
-            let flows = (next() % 12) as u32;
-            serial.set_flow_count(id, flows);
-            parallel.set_flow_count(id, flows);
-            assert_reports_identical(serial.peek(), parallel.peek());
-        }
-        assert!(
-            parallel.fill_worker_stats().iter().any(|s| s.fills > 0)
-                || parallel.fill_worker_stats().is_empty(),
-            "worker stats surface when the parallel arm ran"
-        );
-    }
-
-    #[test]
     fn same_count_set_flow_count_leaves_the_cache_clean() {
         let mut f = fixture();
-        let cached = f.peek().clone();
+        let cached = f.peek().into_owned();
         // A departure clamped at zero flows left, a relax of an
         // un-surged pair, the churn guard's re-set: all land here.
         f.set_flow_count(AggregateId(0), 2);
@@ -1080,12 +993,12 @@ mod tests {
             f.dirty_list.is_empty(),
             "an unchanged count dirties nothing"
         );
-        assert_reports_identical(f.peek(), &cached);
+        assert_reports_identical(&f.peek(), &cached);
         // A real change still does.
         f.set_flow_count(AggregateId(0), 3);
         assert_eq!(f.dirty_list, vec![0]);
         let full = f.peek_full();
-        assert_reports_identical(f.peek(), &full);
+        assert_reports_identical(&f.peek(), &full);
     }
 
     #[test]
@@ -1125,7 +1038,7 @@ mod tests {
         };
         let check = |f: &mut Fabric| {
             let full = f.peek_full();
-            assert_reports_identical(f.peek(), &full);
+            assert_reports_identical(&f.peek(), &full);
         };
         let mut failed: Vec<fubar_graph::LinkId> = Vec::new();
         for _ in 0..240 {
@@ -1167,7 +1080,8 @@ mod tests {
                     // five, both: the segment drops and regains a bundle.
                     if let Some(group) = two_buckets(&f, id) {
                         f.set_group(id, group);
-                        let bundles = |f: &Fabric| f.cache.as_ref().unwrap().spans[id.index()].1;
+                        let bundles =
+                            |f: &Fabric| f.cache.as_ref().unwrap().incumbent.spans()[id.index()].1;
                         f.set_flow_count(id, 1);
                         check(&mut f);
                         assert!(bundles(&f) == 1 || !failed.is_empty());
@@ -1196,5 +1110,27 @@ mod tests {
             }
             check(&mut f);
         }
+
+        // A partitioned POP: an aggregate black-holed behind the cut
+        // owns no bundles before or after its flow count changes, yet
+        // its weight in the averages moves — the report's dirty set is
+        // the changed aggregates, not the changed segments.
+        let island = NodeId(0);
+        for l in f.topology().graph().out_links(island).to_vec() {
+            f.fail_link(l);
+        }
+        let id = f
+            .true_tm()
+            .iter()
+            .find(|a| a.ingress == island)
+            .expect("the island sources traffic")
+            .id;
+        f.set_flow_count(id, 3);
+        check(&mut f);
+        f.set_flow_count(id, 9);
+        check(&mut f);
+        assert!(f.peek().blackholed_flows >= 9);
+        let spans = f.cache.as_ref().unwrap().incumbent.spans();
+        assert_eq!(spans[id.index()].1, 0, "black-holed: no bundles");
     }
 }

@@ -37,14 +37,14 @@ fn file_loaded_he_core_measures_bitwise_like_the_generator() {
     let a = fabric_gen.peek();
     let b = fabric_file.peek();
     assert_eq!(
-        a.bitwise_mismatch(b),
+        a.bitwise_mismatch(&b),
         None,
         "file-loaded HE core must measure bitwise like the generator"
     );
     // And through an epoch run (counters, cache reuse) as well.
     let a = fabric_gen.run_epoch();
     let b = fabric_file.run_epoch();
-    assert_eq!(a.bitwise_mismatch(b), None);
+    assert_eq!(a.bitwise_mismatch(&b), None);
 }
 
 /// The same fidelity holds for a serialize → parse round trip done in
@@ -64,7 +64,7 @@ fn in_memory_export_import_preserves_fabric_measurement() {
     let tm_a = workload::generate(&original, &cfg, 7);
     let tm_b = workload::generate(&reloaded, &cfg, 7);
     let epoch = Delay::from_secs(5.0);
-    let a = Fabric::new(original, tm_a, epoch).peek().clone();
-    let b = Fabric::new(reloaded, tm_b, epoch).peek().clone();
+    let a = Fabric::new(original, tm_a, epoch).peek().into_owned();
+    let b = Fabric::new(reloaded, tm_b, epoch).peek().into_owned();
     assert_eq!(a.bitwise_mismatch(&b), None);
 }

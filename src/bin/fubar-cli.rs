@@ -39,7 +39,7 @@
 //!     Print a scenario spec (canonical serialization).
 //!
 //! fubar-cli scenario run <name|file.scn> [--seed N] [--out log.txt]
-//!                        [--oracle full] [--stats] [--fill-threads N]
+//!                        [--oracle full] [--stats]
 //!     Run a scenario and emit the per-event log on stdout (or to
 //!     --out). Same spec + same seed => byte-identical log. The
 //!     catalog scales up to `hypergrowth` (4,096 aggregates on the
@@ -52,10 +52,7 @@
 //!     measurement/re-optimization timing percentiles, the optimizer's
 //!     peak scratch sizes, and per-shard commit/score/scratch
 //!     accumulators to stderr (never into the log, which stays
-//!     byte-deterministic). `--fill-threads N` splits every
-//!     water-filling evaluation across N workers (bitwise-equal to
-//!     serial, so logs do not change; with `--stats` a per-worker fill
-//!     block is printed).
+//!     byte-deterministic).
 //!
 //! fubar-cli scenario search <name|file.scn> [--seed N] [--candidates K]
 //!                           [--name NAME] [--out file.scn]
@@ -164,7 +161,7 @@ fn usage() -> ExitCode {
          fubar-cli scenario list\n  \
          fubar-cli scenario show <name|file.scn>\n  \
          fubar-cli scenario run <name|file.scn> [--seed N] [--out log.txt] \
-         [--oracle full] [--stats] [--fill-threads N]\n  \
+         [--oracle full] [--stats]\n  \
          fubar-cli scenario search <name|file.scn> [--seed N] [--candidates K] \
          [--name NAME] [--out file.scn] [--check file.scn] [--smoke]\n  \
          fubar-cli lint [check|ledger] [--root DIR] [--format text|json] [--out FILE]"
@@ -426,8 +423,7 @@ fn load_scenario(what: &str) -> Result<(Scenario, Option<std::path::PathBuf>), C
 fn cmd_scenario_run(args: &[String]) -> CliResult {
     if args.len() < 2 {
         return Err(CliError::usage(
-            "run needs <name|file.scn> [--seed N] [--out file] [--oracle full] [--stats] \
-             [--fill-threads N]",
+            "run needs <name|file.scn> [--seed N] [--out file] [--oracle full] [--stats]",
         ));
     }
     let (spec, base) = load_scenario(&args[1])?;
@@ -438,24 +434,10 @@ fn cmd_scenario_run(args: &[String]) -> CliResult {
         base,
         ..Default::default()
     };
-    let positive = |flag: &str, v: Option<&String>| -> Result<usize, CliError> {
-        let n: usize = v
-            .ok_or_else(|| CliError::usage(format!("{flag} needs a thread count")))?
-            .parse()
-            .map_err(|e| CliError::usage(format!("bad {flag}: {e}")))?;
-        if n == 0 {
-            return Err(CliError::usage(format!("{flag} must be >= 1")));
-        }
-        Ok(n)
-    };
     let mut i = 2;
     while i < args.len() {
         match args[i].as_str() {
             "--stats" => stats = true,
-            "--fill-threads" => {
-                i += 1;
-                options.fill_threads = positive("--fill-threads", args.get(i))?;
-            }
             "--seed" => {
                 i += 1;
                 seed = args

@@ -66,6 +66,7 @@ fn removed_run_modes_exit_2() {
         &["--oracle", "sharded"][..],
         &["--parallel-passes"][..],
         &["--pass-threads", "2"][..],
+        &["--fill-threads", "4"][..],
     ] {
         let out = cli(&[&["scenario", "run", "flash_crowd"], mode].concat());
         assert_eq!(code(&out), 2, "{mode:?}: {}", stderr(&out));
