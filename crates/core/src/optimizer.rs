@@ -63,7 +63,7 @@ use fubar_model::{
 use fubar_topology::{Bandwidth, Topology};
 use fubar_traffic::{Aggregate, AggregateId, TrafficMatrix};
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Why an optimization run stopped.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -76,8 +76,6 @@ pub enum Termination {
     NoImprovement,
     /// The configured commit budget was exhausted.
     CommitLimit,
-    /// The configured wall-clock budget was exhausted.
-    TimeLimit,
 }
 
 /// Optimizer tunables. Defaults reproduce the paper's setup.
@@ -95,22 +93,15 @@ pub struct OptimizerConfig {
     pub small_demand_threshold: Option<Bandwidth>,
     /// Enable the local-optimum escape (progressively larger moves).
     pub escape: bool,
-    /// Multiplier applied to the move fraction per escape level.
-    pub escape_growth: f64,
     /// Hard cap on committed moves (safety valve; effectively unlimited
     /// by default).
     pub max_commits: usize,
-    /// Minimum objective improvement for a move to count as progress.
-    pub improvement_eps: f64,
     /// Which alternative paths the generator offers.
     pub path_policy: PathPolicy,
     /// What the greedy steps maximize.
     pub objective: Objective,
     /// Flow-model configuration.
     pub model: ModelConfig,
-    /// Optional wall-clock budget ("within the five minute limit for an
-    /// offline system", §3).
-    pub time_limit: Option<Duration>,
     /// Links the optimizer must never route onto (e.g. links the
     /// operator knows are down). The initial allocation avoids them and
     /// the path generator never offers them.
@@ -136,13 +127,10 @@ impl Default for OptimizerConfig {
             move_fraction: 0.25,
             small_demand_threshold: None,
             escape: true,
-            escape_growth: 2.0,
             max_commits: usize::MAX,
-            improvement_eps: 1e-9,
             path_policy: PathPolicy::ThreePaths,
             objective: Objective::NetworkUtility,
             model: ModelConfig::default(),
-            time_limit: None,
             excluded_links: LinkSet::new(),
             threads: std::thread::available_parallelism().map_or(1, std::num::NonZero::get),
             incremental: true,
@@ -156,8 +144,6 @@ impl OptimizerConfig {
             self.move_fraction > 0.0 && self.move_fraction <= 1.0,
             "move_fraction must be in (0, 1]"
         );
-        assert!(self.escape_growth > 1.0, "escape growth must exceed 1");
-        assert!(self.improvement_eps >= 0.0);
         assert!(self.threads >= 1, "at least one evaluation thread");
     }
 }
@@ -242,7 +228,7 @@ struct Scope<'s> {
     /// thread — uncontended: concurrent passes own different shards, and
     /// worker `i` of a step only ever locks scratch `i`.
     pools: &'s [Vec<Mutex<ScoreScratch>>],
-    /// The run's start, which `time_limit` and the trace count from.
+    /// The run's start, which the trace counts from.
     started: Instant,
     /// `Some(s)`: a per-component pass, visiting only the congested
     /// links shard `s` owns. `None`: every congested link.
@@ -354,6 +340,13 @@ impl<'a> Optimizer<'a> {
         }
     }
 
+    /// The (unclamped) fraction of an aggregate moved per step at escape
+    /// level `level`: the move fraction doubles per level.
+    fn move_fraction_at(&self, level: u32) -> f64 {
+        const ESCAPE_GROWTH: f64 = 2.0;
+        self.config.move_fraction * ESCAPE_GROWTH.powi(level as i32)
+    }
+
     /// How many flows of `agg`'s flow path (currently `on_path` flows) to
     /// move at escape level `level` (Listing 2 line 3, plus the escape
     /// tweak). Small aggregates move whole.
@@ -361,8 +354,7 @@ impl<'a> Optimizer<'a> {
         if agg.total_demand() <= self.small_threshold {
             return on_path;
         }
-        let fraction =
-            (self.config.move_fraction * self.config.escape_growth.powi(level as i32)).min(1.0);
+        let fraction = self.move_fraction_at(level).min(1.0);
         let n = (fraction * f64::from(agg.flow_count)).round().max(1.0) as u32;
         n.min(on_path)
     }
@@ -580,7 +572,9 @@ impl<'a> Optimizer<'a> {
             .max_by(|(ia, a), (ib, b)| a.total_cmp(b).then(ib.cmp(ia)))
             .expect("candidates is non-empty");
 
-        if best_score > initial_score + self.config.improvement_eps {
+        // Minimum objective improvement for a move to count as progress.
+        const IMPROVEMENT_EPS: f64 = 1e-9;
+        if best_score > initial_score + IMPROVEMENT_EPS {
             Some(candidates.swap_remove(best_idx))
         } else {
             None
@@ -826,9 +820,8 @@ impl<'a> Optimizer<'a> {
     /// Listing 1: the one greedy loop. Visits the congested links in
     /// `scope` from most to least oversubscribed, commits the best move
     /// of the first link where progress is made, and escalates the move
-    /// size on a local optimum. `max_commits` and `time_limit` are read
-    /// against the state's whole commit log and the run's start, so
-    /// they cap the run, not the call.
+    /// size on a local optimum. `max_commits` is read against the state's
+    /// whole commit log, so it caps the run, not the call.
     fn greedy(&self, state: &mut LoopState, scope: &Scope<'_>) -> Termination {
         let mut escape_level: u32 = 0;
         loop {
@@ -845,11 +838,6 @@ impl<'a> Optimizer<'a> {
             }
             if state.commits.len() >= self.config.max_commits {
                 return Termination::CommitLimit;
-            }
-            if let Some(limit) = self.config.time_limit {
-                if scope.started.elapsed() >= limit {
-                    return Termination::TimeLimit;
-                }
             }
 
             // Stop at the first link where progress is made (Listing 1
@@ -876,9 +864,7 @@ impl<'a> Optimizer<'a> {
 
             // Local optimum: escalate or give up (§2.5 "Escaping local
             // optima").
-            let fraction_maxed = (self.config.move_fraction
-                * self.config.escape_growth.powi(escape_level as i32))
-                >= 1.0;
+            let fraction_maxed = self.move_fraction_at(escape_level) >= 1.0;
             if !self.config.escape || fraction_maxed {
                 return Termination::NoImprovement;
             }
@@ -1101,18 +1087,6 @@ mod tests {
         if result.commits == 1 && result.outcome.is_congested() {
             assert_eq!(result.termination, Termination::CommitLimit);
         }
-    }
-
-    #[test]
-    fn time_limit_respected() {
-        let (topo, tm) = diamond(300.0);
-        let cfg = OptimizerConfig {
-            time_limit: Some(Duration::ZERO),
-            ..Default::default()
-        };
-        let result = Optimizer::new(&topo, &tm, cfg).run();
-        assert_eq!(result.termination, Termination::TimeLimit);
-        assert_eq!(result.commits, 0);
     }
 
     #[test]

@@ -99,7 +99,7 @@ proptest! {
             Termination::CommitLimit => {
                 prop_assert!(result.commits >= 40);
             }
-            Termination::NoImprovement | Termination::TimeLimit => {}
+            Termination::NoImprovement => {}
         }
     }
 

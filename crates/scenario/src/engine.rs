@@ -288,7 +288,7 @@ impl<C: EventConsumer> Engine<C> {
             // lint:allow(wall-clock): timing observability only; never feeds a decision
             let applied_at = std::time::Instant::now();
             let m = self.consumer.on_event(&event);
-            stats.record(&event.kind, applied_at.elapsed().as_secs_f64());
+            stats.record(m.commits.is_some(), applied_at.elapsed().as_secs_f64());
             // Consumer-requested follow-ups (staged install commits and
             // drops): scheduled here so they get queue sequence numbers
             // in a deterministic order.

@@ -14,8 +14,8 @@
 //! * **[`event`]** — typed events and a binary-heap [`EventQueue`]
 //!   totally ordered by `(time, seq)`;
 //! * **[`stochastic`]** — seeded sources: Poisson flow arrivals and
-//!   Binomial departures (reusing `fubar_sdn`'s samplers), Weibull
-//!   failure/repair processes, and diurnal demand modulation;
+//!   Binomial departures, Weibull failure/repair processes, and
+//!   diurnal demand modulation;
 //! * **[`engine`] + [`driver`]** — the engine pops events and drives an
 //!   [`EventConsumer`]; the bundled [`SdnConsumer`] applies them to a
 //!   `fubar_sdn::Fabric` with a periodically re-optimizing controller

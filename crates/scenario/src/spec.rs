@@ -576,6 +576,12 @@ impl Scenario {
                         (Some("max-flows"), Some(v)) => parse_num(lineno, v, "max-flows")?,
                         _ => return Err(err(lineno, "usage: arrivals rate <r> [max-flows <n>]")),
                     };
+                    // The per-aggregate Poisson mean is rate × target
+                    // flows; a rate that overflows against its own
+                    // ceiling can only abort the sampler.
+                    if !(rate * f64::from(max_flows)).is_finite() {
+                        return Err(err(lineno, "arrival rate times max-flows must be finite"));
+                    }
                     s.arrivals = Some(ArrivalSpec { rate, max_flows });
                 }
                 "departures" => {

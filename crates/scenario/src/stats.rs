@@ -2,23 +2,23 @@
 //!
 //! The engine times every applied event; this module buckets the
 //! samples into the two cost classes that matter for controller-scale
-//! operation — *measurement* (every non-reoptimization event triggers
-//! an incremental fabric probe) and *re-optimization* — and renders
+//! operation — *measurement* (every event that ran no optimizer ends
+//! in an incremental fabric probe) and *re-optimization* — and renders
 //! timing percentiles plus the optimizer's peak scratch sizes. The
 //! statistics ride **outside** the scenario log: logs stay byte-exact
 //! per (spec, seed), wall-clock numbers do not.
 
-use crate::event::EventKind;
 use fubar_core::ShardRunStats;
 use fubar_model::WorkspaceStats;
 
 /// Timing and scratch statistics for one scenario run.
 #[derive(Clone, Debug, Default)]
 pub struct RunStats {
-    /// Seconds spent applying each non-reoptimization event (churn,
-    /// failures, epochs — each ends in an incremental measurement).
+    /// Seconds spent applying each event that ran no optimizer (churn,
+    /// failures, epochs, a re-optimization swallowed by a blackout —
+    /// each ends in an incremental measurement).
     measurement_s: Vec<f64>,
-    /// Seconds spent in each re-optimization event.
+    /// Seconds spent in each event that ran the optimizer.
     reoptimize_s: Vec<f64>,
     /// Peak optimizer scoring-scratch sizes across the run.
     pub scratch: WorkspaceStats,
@@ -62,11 +62,14 @@ fn percentiles(samples: &[f64]) -> Percentiles {
 }
 
 impl RunStats {
-    /// Records one applied event's wall-clock cost.
-    pub fn record(&mut self, kind: &EventKind, secs: f64) {
-        match kind {
-            EventKind::Reoptimize => self.reoptimize_s.push(secs),
-            _ => self.measurement_s.push(secs),
+    /// Records one applied event's wall-clock cost, bucketed by what
+    /// happened (`reoptimized`: the optimizer ran) rather than by what
+    /// was scheduled.
+    pub fn record(&mut self, reoptimized: bool, secs: f64) {
+        if reoptimized {
+            self.reoptimize_s.push(secs);
+        } else {
+            self.measurement_s.push(secs);
         }
     }
 
@@ -130,7 +133,6 @@ impl RunStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fubar_traffic::AggregateId;
 
     #[test]
     fn percentiles_are_nearest_rank() {
@@ -145,15 +147,9 @@ mod tests {
     #[test]
     fn record_buckets_by_event_class() {
         let mut s = RunStats::default();
-        s.record(&EventKind::Reoptimize, 1.0);
-        s.record(&EventKind::MeasurementEpoch, 0.5);
-        s.record(
-            &EventKind::FlowArrival {
-                aggregate: AggregateId(0),
-                count: 1,
-            },
-            0.25,
-        );
+        s.record(true, 1.0);
+        s.record(false, 0.5);
+        s.record(false, 0.25);
         assert_eq!(s.reoptimize().count, 1);
         assert_eq!(s.measurement().count, 2);
         let text = s.render();

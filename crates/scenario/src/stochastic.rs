@@ -6,16 +6,13 @@
 //!
 //! * **flow churn** — per aggregate and epoch, Poisson arrivals with
 //!   mean `rate · baseline · diurnal(t)` and Binomial departures, each
-//!   event placed uniformly at random inside the epoch (reusing
-//!   `fubar_sdn`'s arrival-process samplers rather than reimplementing
-//!   them);
+//!   event placed uniformly at random inside the epoch;
 //! * **link failures** — Weibull inter-failure and repair times, victims
 //!   drawn uniformly among currently healthy duplex links;
 //! * **diurnal modulation** — a deterministic sinusoid scaling the
 //!   arrival mean (no RNG of its own).
 
 use crate::spec::{ArrivalSpec, DepartureSpec, DiurnalSpec, FailureSpec};
-use fubar_sdn::{sample_departures, sample_poisson};
 use fubar_topology::Delay;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -37,6 +34,56 @@ pub fn diurnal_factor(spec: Option<&DiurnalSpec>, t: Delay) -> f64 {
             1.0 + d.amplitude * (2.0 * std::f64::consts::PI * t.secs() / d.period.secs()).sin()
         }
     }
+}
+
+/// Largest mean [`sample_poisson`] hands to one run of Knuth's product
+/// method. `exp(-mean)` underflows to zero past mean ≈ 745 and the draw
+/// would saturate there; 500 keeps the limit a normal float.
+const POISSON_CHUNK: f64 = 500.0;
+
+/// Draws a Poisson variate with the given mean — the memoryless law of
+/// flow arrivals. Knuth's product method, exact; a mean above
+/// [`POISSON_CHUNK`] is drawn as a sum of chunk-sized variates (Poisson
+/// additivity), so a mean at or below it consumes exactly one run's
+/// draws. Stops between chunks once the total reaches `cap`: the
+/// caller turns away everything beyond it, and cost stays O(cap)
+/// however large the mean.
+///
+/// # Panics
+///
+/// Panics on a negative or non-finite mean.
+fn sample_poisson<R: Rng>(rng: &mut R, mean: f64, cap: u64) -> u64 {
+    assert!(mean >= 0.0 && mean.is_finite(), "mean must be non-negative");
+    let mut k = 0u64;
+    let mut rest = mean;
+    loop {
+        let step = rest.min(POISSON_CHUNK);
+        let limit = (-step).exp();
+        let mut product = rng.gen::<f64>();
+        while product > limit {
+            k += 1;
+            product *= rng.gen::<f64>();
+        }
+        rest -= step;
+        if rest <= 0.0 || k >= cap {
+            return k;
+        }
+    }
+}
+
+/// Draws how many of `live` flows depart, each independently with
+/// probability `prob` — Binomial(live, prob) as explicit Bernoulli
+/// trials, one draw per live flow.
+///
+/// # Panics
+///
+/// Panics when `prob` is outside `[0, 1]`.
+fn sample_departures<R: Rng>(rng: &mut R, live: u64, prob: f64) -> u64 {
+    assert!(
+        (0.0..=1.0).contains(&prob),
+        "departure probability must be in [0,1]"
+    );
+    (0..live).filter(|_| rng.gen::<f64>() < prob).count() as u64
 }
 
 /// One sampled churn event, relative to nothing — the engine schedules
@@ -104,12 +151,20 @@ impl ChurnSource {
                 }
             }
             if let Some(a) = &self.arrivals {
+                // A surge factor can push the product past f64::MAX (or
+                // to NaN against a zero rate, which draws nothing);
+                // the ceiling below decides either way, so hand the
+                // sampler a finite mean.
                 let mean = a.rate * base * diurnal;
-                let n = sample_poisson(&mut self.rng, mean.max(0.0));
+                let mean = if mean.is_nan() {
+                    0.0
+                } else {
+                    mean.clamp(0.0, f64::MAX)
+                };
                 // Cap at the configured ceiling (arrivals beyond it are
                 // turned away by admission control).
                 let room = u64::from(a.max_flows.saturating_sub(cur));
-                let n = n.min(room);
+                let n = sample_poisson(&mut self.rng, mean, room).min(room);
                 if n > 0 {
                     let offset = epoch * self.rng.gen::<f64>();
                     draws.push(ChurnDraw {
@@ -213,6 +268,40 @@ mod tests {
     }
 
     #[test]
+    fn poisson_sampler_has_the_right_mean() {
+        let mut rng = StdRng::seed_from_u64(9);
+        // 2,000 is past exp(-mean)'s underflow, where the single-run
+        // method saturated near 745; the chunked sum must not.
+        for (mean, n, tolerance) in [
+            (0.5, 20_000, 0.15),
+            (2.0, 20_000, 0.3),
+            (8.0, 20_000, 1.2),
+            (2_000.0, 200, 100.0),
+        ] {
+            let total: u64 = (0..n)
+                .map(|_| sample_poisson(&mut rng, mean, u64::MAX))
+                .sum();
+            let observed = total as f64 / f64::from(n);
+            assert!(
+                (observed - mean).abs() < tolerance,
+                "poisson mean {mean}: observed {observed}"
+            );
+        }
+        assert_eq!(sample_poisson(&mut rng, 0.0, u64::MAX), 0);
+    }
+
+    #[test]
+    fn departure_sampler_is_binomial_shaped() {
+        let mut rng = StdRng::seed_from_u64(11);
+        let n = 5_000;
+        let total: u64 = (0..n).map(|_| sample_departures(&mut rng, 40, 0.25)).sum();
+        let observed = total as f64 / n as f64;
+        assert!((observed - 10.0).abs() < 0.5, "observed {observed}");
+        assert_eq!(sample_departures(&mut rng, 0, 0.5), 0);
+        assert_eq!(sample_departures(&mut rng, 17, 1.0), 17);
+    }
+
+    #[test]
     fn churn_respects_max_flows_and_determinism() {
         let arr = ArrivalSpec {
             rate: 2.0,
@@ -241,6 +330,12 @@ mod tests {
                 assert_ne!(agg, 1, "arrivals above max-flows must be dropped");
             }
         }
+        // An overflowing target (`surge x1e308`) fills to the ceiling
+        // instead of tripping the sampler's finite-mean assert.
+        let mut src = ChurnSource::new(3, Some(arr), None, None);
+        let draws = src.epoch_events(Delay::ZERO, Delay::from_secs(10.0), &[f64::INFINITY], &[4]);
+        assert_eq!(draws.len(), 1);
+        assert_eq!(draws[0].delta, 6);
     }
 
     #[test]

@@ -27,9 +27,8 @@
 //! rows of the dirty links) and allocates nothing but the dirty
 //! aggregates' route vectors; an aggregate that gains or loses a
 //! bundle additionally renumbers what lies behind it (spans, freeze
-//! keys, crossing entries). Only [`Fabric::install`] and
-//! [`Fabric::set_true_tm`] rebuild the cache. The invariant (enforced
-//! by property tests): the incremental measurement is **bitwise
+//! keys, crossing entries). Only [`Fabric::install`] rebuilds the
+//! cache. The invariant (enforced by property tests): the incremental measurement is **bitwise
 //! identical** to the full recompute [`Fabric::peek_full`] performs.
 
 use crate::rules::{GroupEntry, RuleSet};
@@ -215,25 +214,8 @@ impl Fabric {
         }
     }
 
-    /// Replaces the ground-truth traffic matrix (demand drift).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the new matrix has a different aggregate count — the
-    /// fabric's counters and rules are indexed by aggregate id.
-    pub fn set_true_tm(&mut self, tm: TrafficMatrix) {
-        assert_eq!(
-            tm.len(),
-            self.true_tm.len(),
-            "aggregate population must be stable across drift"
-        );
-        self.true_tm = tm;
-        self.dirty_all = true;
-    }
-
-    /// Sets one aggregate's live flow count (a single churn event, as
-    /// opposed to the whole-matrix [`Fabric::set_true_tm`]). Zero parks
-    /// the aggregate as *idle*: it keeps its id, counters, and installed
+    /// Sets one aggregate's live flow count (a single churn event). Zero
+    /// parks the aggregate as *idle*: it keeps its id, counters, and installed
     /// rules, but contributes no traffic until flows arrive again.
     pub fn set_flow_count(&mut self, id: AggregateId, flows: u32) {
         if self.flow_count(id) == flows {
@@ -825,28 +807,6 @@ mod tests {
             .shortest_path(l.src, l.dst, &LinkSet::new())
             .unwrap();
         assert!(!p.uses_link(link));
-    }
-
-    #[test]
-    fn drift_requires_stable_population() {
-        let mut f = fixture();
-        let tm2 = TrafficMatrix::new(vec![Aggregate::new(
-            AggregateId(0),
-            NodeId(0),
-            NodeId(2),
-            TrafficClass::BulkTransfer,
-            20,
-        )]);
-        f.set_true_tm(tm2);
-        f.run_epoch();
-        assert_eq!(f.counters()[0].flows_last_epoch, 20);
-    }
-
-    #[test]
-    #[should_panic(expected = "stable")]
-    fn population_change_rejected() {
-        let mut f = fixture();
-        f.set_true_tm(TrafficMatrix::new(vec![]));
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! periodically adjust the distribution of traffic on paths", with an
 //! online component admitting flows to the computed paths.
 //!
-//! This crate simulates that environment end to end so the closed loop
-//! can be exercised and failure-injected without hardware:
+//! This crate simulates that environment so the control loop can be
+//! exercised and failure-injected without hardware:
 //!
 //! * [`RuleSet`] — installed forwarding state: weighted path buckets per
 //!   aggregate (OpenFlow group-table style);
@@ -15,12 +15,17 @@
 //!   fallback, evaluates the shared flow model, accumulates counters;
 //! * [`Estimator`] — the measurement pipeline: noisy counters, EWMA
 //!   smoothing, and demand-peak inference (paper §2.2);
-//! * [`FubarController`] / [`ClosedLoop`] — periodic re-optimization
-//!   with drift and scheduled failures; each run warm-starts from the
-//!   previously installed allocation so path sets carry across epochs.
+//! * [`FubarController`] — one re-optimization: optimizer run on the
+//!   failure-aware view, warm-started from the previously installed
+//!   allocation so path sets carry across runs;
+//! * [`AdmissionController`] — the online component admitting flows to
+//!   the computed paths (§5).
+//!
+//! Nothing here steps time: `fubar_scenario::Engine` drives a
+//! [`Fabric`] through a run. One measure → optimize → install turn:
 //!
 //! ```
-//! use fubar_sdn::{ClosedLoop, ClosedLoopConfig, Fabric};
+//! use fubar_sdn::{Fabric, FubarController};
 //! use fubar_topology::{generators, Bandwidth, Delay};
 //! use fubar_traffic::{workload, WorkloadConfig};
 //!
@@ -30,28 +35,22 @@
 //!     flow_count: (2, 6),
 //!     ..Default::default()
 //! }, 7);
-//! let fabric = Fabric::new(topo, tm, Delay::from_secs(30.0));
-//! let mut sim = ClosedLoop::new(fabric, ClosedLoopConfig::default());
-//! let log = sim.run(4);
-//! assert_eq!(log.len(), 4);
+//! let mut fabric = Fabric::new(topo, tm.clone(), Delay::from_secs(30.0));
+//! let boot = fabric.peek().report.network_utility;
+//! let r = FubarController::default().reoptimize(&fabric, &tm, None);
+//! fabric.install(r.rules);
+//! assert!(fabric.peek().report.network_utility >= boot);
 //! ```
 #![forbid(unsafe_code)]
 
 pub mod admission;
-pub mod arrivals;
 mod controller;
 mod fabric;
 mod measurement;
 mod rules;
 
 pub use admission::{AdmissionController, FlowAssignment};
-pub use arrivals::{
-    sample_departures, sample_geometric, sample_poisson, ChurnConfig, ChurnRecord, ChurnSimulation,
-};
-pub use controller::{
-    ClosedLoop, ClosedLoopConfig, DriftConfig, FailureEvent, FubarController, LoopRecord,
-    Reoptimization,
-};
+pub use controller::{FubarController, Reoptimization};
 pub use fabric::{AggregateCounter, EpochReport, Fabric};
 pub use measurement::{AggregateEstimate, Estimator, MeasurementConfig};
 pub use rules::{GroupEntry, RuleSet};

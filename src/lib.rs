@@ -17,7 +17,7 @@
 //! | [`traffic`] | aggregates, traffic matrices, the §3 workload |
 //! | [`model`] | the TCP-like progressive-filling flow model (§2.3) |
 //! | [`core`] | the FUBAR optimizer, baselines, experiment drivers (§2.4–2.5) |
-//! | [`sdn`] | simulated SDN deployment: fabric, measurement, closed loop |
+//! | [`sdn`] | simulated SDN deployment: fabric, measurement, controller, admission |
 //! | [`scenario`] | deterministic discrete-event scenarios: churn, failures, drift |
 //! | [`lint`] | workspace determinism linter + invariant-ledger conformance |
 //!
@@ -58,7 +58,7 @@ pub mod prelude {
     pub use fubar_graph::{LinkId, LinkSet, NodeId, Path};
     pub use fubar_model::{BundleSpec, FlowModel, ModelConfig, UtilityReport};
     pub use fubar_scenario::{Scenario, ScenarioLog};
-    pub use fubar_sdn::{ClosedLoop, ClosedLoopConfig, Fabric, FubarController, RuleSet};
+    pub use fubar_sdn::{Fabric, FubarController, RuleSet};
     pub use fubar_topology::{Bandwidth, Delay, Topology, TopologyBuilder};
     pub use fubar_traffic::{Aggregate, AggregateId, TrafficMatrix, WorkloadConfig};
     pub use fubar_utility::{TrafficClass, UtilityFunction};

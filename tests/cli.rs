@@ -94,9 +94,18 @@ fn parse_errors_exit_65() {
     let topo = dir.join("fubar_cli_test_corrupt.topo");
     std::fs::write(&scn, "scenario broken\nduration -5s\n").unwrap();
     std::fs::write(&topo, "topology broken\nnode a\nlink a a 1e308Gbps 2ms\n").unwrap();
+    // Parses as a number, overflows the Poisson mean: must be refused
+    // here, not abort the sampler mid-run.
+    let overflow = dir.join("fubar_cli_test_overflow.scn");
+    std::fs::write(
+        &overflow,
+        "scenario big\ntopology ring 5 600kbps 2ms\narrivals rate 1e308\n",
+    )
+    .unwrap();
     for args in [
         &["scenario", "show", scn.to_str().unwrap()][..],
         &["topology", "validate", topo.to_str().unwrap()][..],
+        &["scenario", "run", overflow.to_str().unwrap()][..],
     ] {
         let out = cli(args);
         assert_eq!(code(&out), 65, "{args:?}: {}", stderr(&out));
@@ -104,6 +113,7 @@ fn parse_errors_exit_65() {
     }
     let _ = std::fs::remove_file(scn);
     let _ = std::fs::remove_file(topo);
+    let _ = std::fs::remove_file(overflow);
 }
 
 #[test]

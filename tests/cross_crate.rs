@@ -133,7 +133,6 @@ fn prelude_surface_is_usable() {
     let _obj = Objective::NetworkUtility;
     let _mc = ModelConfig::default();
     let _wc = WorkloadConfig::default();
-    let _cl = ClosedLoopConfig::default();
     let _fc = FubarController::default();
     let _b = Bandwidth::from_mbps(1.0);
     let _d = Delay::from_ms(1.0);

@@ -1,8 +1,13 @@
-//! Failure-injection integration tests: the closed loop under fiber
-//! cuts, measurement noise, and demand churn — all at once.
+//! Failure-injection integration tests: the control loop under fiber
+//! cuts, measurement noise, and demand churn, stepped by the scenario
+//! engine.
 
 use fubar::prelude::*;
-use fubar::sdn::{DriftConfig, FailureEvent, MeasurementConfig};
+use fubar::scenario::{
+    ArrivalSpec, ChurnSource, DepartureSpec, Engine, EventKind, EventRecord, ScenarioLog,
+    SdnConsumer,
+};
+use fubar::sdn::{Estimator, MeasurementConfig};
 use fubar::topology::generators;
 use fubar::traffic::workload;
 
@@ -20,94 +25,97 @@ fn build_fabric(seed: u64) -> Fabric {
     Fabric::new(topo, tm, Delay::from_secs(30.0))
 }
 
+/// Steps `fabric` through `epochs` measurement epochs on the scenario
+/// engine. Epoch `k` closes at `k` epoch lengths; the controller
+/// re-plans (warm) half-way through every epoch from the first close
+/// on, so a cut at epoch `k` is routed around by the close of `k + 1`.
+/// `cuts` are `(link, fail epoch, repair epoch)`.
+fn drive(
+    fabric: Fabric,
+    epochs: usize,
+    cuts: &[(LinkId, usize, Option<usize>)],
+    churn: Option<ChurnSource>,
+) -> ScenarioLog {
+    let epoch = fabric.epoch_duration();
+    let mut timeline = Vec::new();
+    for &(link, fail, repair) in cuts {
+        timeline.push((epoch * fail as f64, EventKind::LinkFailure { link }));
+        if let Some(repair) = repair {
+            timeline.push((epoch * repair as f64, EventKind::LinkRecovery { link }));
+        }
+    }
+    Engine::new(
+        SdnConsumer::new(fabric, 1, true),
+        epoch * epochs as f64,
+        epoch,
+        Some((epoch * 1.5, epoch)),
+        timeline,
+        churn,
+        None,
+    )
+    .run("failure_injection", 1)
+}
+
+/// The record of the measurement epoch closing at `k` epoch lengths.
+fn epoch_record(log: &ScenarioLog, k: usize) -> &EventRecord {
+    log.records
+        .iter()
+        .filter(|r| r.what.starts_with("epoch"))
+        .nth(k - 1)
+        .expect("the run covers epoch k")
+}
+
+fn duplex(topo: &Topology, a: &str, b: &str) -> LinkId {
+    topo.graph()
+        .find_link(topo.node(a).unwrap(), topo.node(b).unwrap())
+        .unwrap()
+}
+
 #[test]
 fn controller_routes_around_a_cut_within_one_cycle() {
-    let fabric = build_fabric(11);
-    let cut = fabric
-        .topology()
-        .graph()
-        .find_link(
-            fabric.topology().node("Denver").unwrap(),
-            fabric.topology().node("KansasCity").unwrap(),
-        )
-        .unwrap();
-    let mut sim = ClosedLoop::new(
-        fabric,
-        ClosedLoopConfig {
-            controller: FubarController {
-                reoptimize_every: 1,
-                warmup_epochs: 0,
-                ..Default::default()
-            },
-            failures: vec![FailureEvent {
-                fail_epoch: 3,
-                repair_epoch: None,
-                link: cut,
-            }],
-            ..Default::default()
-        },
-    );
-    let log = sim.run(6);
-    // Epoch 3 sees the cut with old rules -> fallbacks. Epoch 4 runs
-    // with post-cut rules -> no fallbacks, nothing crosses the dead link.
-    assert!(log[3].epoch.fallback_count > 0);
-    assert_eq!(log[4].epoch.fallback_count, 0);
+    let mut fabric = build_fabric(11);
+    let cut = duplex(fabric.topology(), "Denver", "KansasCity");
+    let log = drive(build_fabric(11), 5, &[(cut, 3, None)], None);
+    assert_eq!(epoch_record(&log, 2).failed_links, 0);
+    assert_eq!(epoch_record(&log, 4).failed_links, 2, "the duplex pair");
+    // Utility stays strictly positive throughout (no black-holing).
+    for r in &log.records {
+        assert!(r.utility > 0.2, "{}", r.to_line());
+    }
+
+    // What the log cannot show: the cut with the old rules falls back;
+    // one re-plan later nothing falls back and nothing crosses the
+    // dead link.
+    fabric.fail_link(cut);
+    assert!(fabric.peek().fallback_count > 0);
+    let tm = fabric.true_tm().clone();
+    let r = FubarController::default().reoptimize(&fabric, &tm, None);
+    fabric.install(r.rules);
+    let after = fabric.peek();
+    assert_eq!(after.fallback_count, 0);
     assert_eq!(
-        log[4].epoch.outcome.link_load[cut.index()],
+        after.outcome.link_load[cut.index()],
         Bandwidth::ZERO,
         "no traffic on the failed link after reoptimization"
     );
-    // Utility stays strictly positive throughout (no black-holing).
-    for r in &log {
-        assert!(r.epoch.report.network_utility > 0.2);
-    }
 }
 
 #[test]
 fn double_failure_still_converges() {
     let fabric = build_fabric(13);
-    let topo = fabric.topology();
-    let cut1 = topo
-        .graph()
-        .find_link(
-            topo.node("Denver").unwrap(),
-            topo.node("KansasCity").unwrap(),
-        )
-        .unwrap();
-    let cut2 = topo
-        .graph()
-        .find_link(topo.node("Chicago").unwrap(), topo.node("NewYork").unwrap())
-        .unwrap();
-    let mut sim = ClosedLoop::new(
-        fabric,
-        ClosedLoopConfig {
-            controller: FubarController {
-                reoptimize_every: 1,
-                warmup_epochs: 0,
-                ..Default::default()
-            },
-            failures: vec![
-                FailureEvent {
-                    fail_epoch: 2,
-                    repair_epoch: Some(8),
-                    link: cut1,
-                },
-                FailureEvent {
-                    fail_epoch: 4,
-                    repair_epoch: Some(8),
-                    link: cut2,
-                },
-            ],
-            ..Default::default()
-        },
+    let cut1 = duplex(fabric.topology(), "Denver", "KansasCity");
+    let cut2 = duplex(fabric.topology(), "Chicago", "NewYork");
+    let log = drive(fabric, 9, &[(cut1, 2, Some(8)), (cut2, 4, Some(8))], None);
+    assert_eq!(
+        epoch_record(&log, 5).failed_links,
+        4,
+        "two duplex pairs down"
     );
-    let log = sim.run(10);
-    assert_eq!(log[5].failed_links, 4, "two duplex pairs down");
-    assert_eq!(log[9].failed_links, 0, "both repaired");
+    assert_eq!(epoch_record(&log, 9).failed_links, 0, "both repaired");
     // After both repairs and a reoptimization, utility returns to the
     // healthy neighbourhood.
-    let healthy = log[1].epoch.report.network_utility;
-    let recovered = log[9].epoch.report.network_utility;
+    let healthy = epoch_record(&log, 1).utility;
+    let recovered = epoch_record(&log, 9).utility;
     assert!(
         recovered > healthy * 0.9,
         "recovery: healthy {healthy}, recovered {recovered}"
@@ -116,47 +124,58 @@ fn double_failure_still_converges() {
 
 #[test]
 fn noise_and_drift_do_not_break_the_loop() {
-    let fabric = build_fabric(17);
-    let mut sim = ClosedLoop::new(
-        fabric,
-        ClosedLoopConfig {
-            measurement: MeasurementConfig {
-                noise_rel_std: 0.15, // very noisy counters
-                ..Default::default()
-            },
-            controller: FubarController {
-                reoptimize_every: 2,
-                warmup_epochs: 1,
-                ..Default::default()
-            },
-            drift: Some(DriftConfig {
-                max_step: 2,
-                min_flows: 1,
-                max_flows: 16,
-            }),
-            seed: 23,
-            ..Default::default()
-        },
+    // Drift: every aggregate's population wanders under seeded churn.
+    let churn = ChurnSource::new(
+        23,
+        Some(ArrivalSpec {
+            rate: 0.2,
+            max_flows: 16,
+        }),
+        Some(DepartureSpec { probability: 0.2 }),
+        None,
     );
-    let log = sim.run(12);
-    for r in &log {
-        let u = r.epoch.report.network_utility;
-        assert!((0.0..=1.0).contains(&u));
+    let log = drive(build_fabric(17), 12, &[], Some(churn));
+    assert!(log.records.iter().any(|r| r.what.starts_with("arrive")));
+    assert!(log.records.iter().any(|r| r.what.starts_with("depart")));
+    for r in &log.records {
+        assert!((0.0..=1.0).contains(&r.utility), "{}", r.to_line());
     }
     // The controller should still, on average, beat the boot state.
-    let early: f64 = log[..3]
-        .iter()
-        .map(|r| r.epoch.report.network_utility)
-        .sum::<f64>()
-        / 3.0;
-    let late: f64 = log[9..]
-        .iter()
-        .map(|r| r.epoch.report.network_utility)
-        .sum::<f64>()
-        / 3.0;
+    let mean = |ks: [usize; 3]| {
+        ks.iter()
+            .map(|&k| epoch_record(&log, k).utility)
+            .sum::<f64>()
+            / 3.0
+    };
+    let (early, late) = (mean([1, 2, 3]), mean([10, 11, 12]));
     assert!(
         late >= early - 0.05,
-        "noisy control must not regress badly: early {early}, late {late}"
+        "control under drift must not regress badly: early {early}, late {late}"
+    );
+
+    // Noise acts in the estimator: plan from very noisy counters, and
+    // the installed rules must still not lose to the boot state.
+    let mut fabric = build_fabric(17);
+    let mut estimator = Estimator::new(
+        fabric.true_tm().len(),
+        MeasurementConfig {
+            noise_rel_std: 0.15,
+            ..Default::default()
+        },
+        23,
+    );
+    let mut boot = 0.0;
+    for _ in 0..3 {
+        boot = fabric.run_epoch().report.network_utility;
+        estimator.observe(fabric.counters(), fabric.epoch_duration());
+    }
+    let estimated = estimator.estimated_matrix(fabric.true_tm());
+    let r = FubarController::default().reoptimize(&fabric, &estimated, None);
+    fabric.install(r.rules);
+    let installed = fabric.peek().report.network_utility;
+    assert!(
+        installed >= boot - 0.05,
+        "noisy control must not regress badly: boot {boot}, installed {installed}"
     );
 }
 
@@ -175,31 +194,12 @@ fn partitioning_failure_degrades_gracefully() {
         },
         3,
     );
-    let middle = topo
-        .graph()
-        .find_link(topo.node("n1").unwrap(), topo.node("n2").unwrap())
-        .unwrap();
+    let middle = duplex(&topo, "n1", "n2");
     let fabric = Fabric::new(topo, tm, Delay::from_secs(10.0));
-    let mut sim = ClosedLoop::new(
-        fabric,
-        ClosedLoopConfig {
-            controller: FubarController {
-                reoptimize_every: 1,
-                warmup_epochs: 0,
-                ..Default::default()
-            },
-            failures: vec![FailureEvent {
-                fail_epoch: 2,
-                repair_epoch: Some(5),
-                link: middle,
-            }],
-            ..Default::default()
-        },
-    );
-    let log = sim.run(7);
-    let before = log[1].epoch.report.network_utility;
-    let during = log[3].epoch.report.network_utility;
-    let after = log[6].epoch.report.network_utility;
+    let log = drive(fabric, 6, &[(middle, 2, Some(5))], None);
+    let before = epoch_record(&log, 1).utility;
+    let during = epoch_record(&log, 3).utility;
+    let after = epoch_record(&log, 6).utility;
     assert!(during < before, "partition must hurt");
     assert!(during > 0.0, "intra-side traffic still flows");
     assert!(after > during, "repair restores utility");
@@ -222,50 +222,25 @@ fn total_partition_carries_zero_utility_aggregates_and_revives() {
         },
         5,
     );
-    let cut_a = topo
-        .graph()
-        .find_link(topo.node("n5").unwrap(), topo.node("n0").unwrap())
-        .unwrap();
-    let cut_b = topo
-        .graph()
-        .find_link(topo.node("n0").unwrap(), topo.node("n1").unwrap())
-        .unwrap();
+    let cut_a = duplex(&topo, "n5", "n0");
+    let cut_b = duplex(&topo, "n0", "n1");
     let fabric = Fabric::new(topo, tm, Delay::from_secs(10.0));
-    let mut sim = ClosedLoop::new(
-        fabric,
-        ClosedLoopConfig {
-            controller: FubarController {
-                reoptimize_every: 1,
-                warmup_epochs: 0,
-                ..Default::default()
-            },
-            failures: vec![
-                FailureEvent {
-                    fail_epoch: 2,
-                    repair_epoch: Some(6),
-                    link: cut_a,
-                },
-                FailureEvent {
-                    fail_epoch: 2,
-                    repair_epoch: Some(6),
-                    link: cut_b,
-                },
-            ],
-            ..Default::default()
-        },
-    );
-    let log = sim.run(9);
-    for (i, r) in log.iter().enumerate() {
-        let u = r.epoch.report.network_utility;
+    let log = drive(fabric, 8, &[(cut_a, 2, Some(6)), (cut_b, 2, Some(6))], None);
+    for r in &log.records {
         assert!(
-            u.is_finite(),
-            "epoch {i}: total partition must never produce NaN/inf utility, got {u}"
+            r.utility.is_finite(),
+            "total partition must never produce NaN/inf utility: {}",
+            r.to_line()
         );
     }
-    assert_eq!(log[3].failed_links, 4, "both duplex pairs down");
-    let before = log[1].epoch.report.network_utility;
-    let during = log[4].epoch.report.network_utility;
-    let after = log[8].epoch.report.network_utility;
+    assert_eq!(
+        epoch_record(&log, 3).failed_links,
+        4,
+        "both duplex pairs down"
+    );
+    let before = epoch_record(&log, 1).utility;
+    let during = epoch_record(&log, 4).utility;
+    let after = epoch_record(&log, 8).utility;
     assert!(during < before, "isolation must hurt: {during} vs {before}");
     assert!(during > 0.0, "the surviving arc still carries traffic");
     assert!(
