@@ -47,13 +47,8 @@ fn main() {
     let n = normal.fubar.trace.last().unwrap();
     let r = relaxed.fubar.trace.last().unwrap();
     println!(
-        "# T2 relaxation effect: utility {:.4} -> {:.4}, actual_utilization {:.4} -> {:.4}, \
-         elapsed_s {:.1} -> {:.1} (paper: both rise a little; runtime up slightly)",
-        n.network_utility,
-        r.network_utility,
-        n.actual_utilization,
-        r.actual_utilization,
-        n.elapsed.as_secs_f64(),
-        r.elapsed.as_secs_f64()
+        "# T2 relaxation effect: utility {:.4} -> {:.4}, actual_utilization {:.4} -> {:.4} \
+         (paper: both rise a little)",
+        n.network_utility, r.network_utility, n.actual_utilization, r.actual_utilization
     );
 }

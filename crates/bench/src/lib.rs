@@ -1,9 +1,10 @@
 //! # fubar-bench
 //!
 //! Shared plumbing for the figure-regeneration binaries (one per figure
-//! of the paper's §3) and the Criterion benchmark suite. The binaries
-//! print self-describing CSV/markdown to stdout so the series can be
-//! diffed against the paper's plots; EXPERIMENTS.md records a snapshot.
+//! of the paper's §3). The binaries print self-describing CSV/markdown
+//! to stdout so the series can be diffed against the paper's plots; CI
+//! runs them and compares their `#` summary lines — pure functions of
+//! the seed — to `ci/figures.expected`.
 #![forbid(unsafe_code)]
 
 use fubar_core::experiments::CaseReport;
@@ -43,12 +44,11 @@ pub fn print_summary(figure: &str, report: &CaseReport) {
         .expect("a finished run has a trace");
     println!(
         "# summary fig={figure} final_utility={:.6} sp_utility={:.6} upper_bound={:.6} \
-         commits={} elapsed_s={:.3} congested_links={} termination={:?}",
+         commits={} congested_links={} termination={:?}",
         last.network_utility,
         report.shortest_path_utility,
         report.upper_bound.mean,
         report.fubar.commits,
-        last.elapsed.as_secs_f64(),
         last.congested_links,
         report.fubar.termination,
     );

@@ -20,7 +20,7 @@ use crate::allocation::Allocation;
 use fubar_graph::{yen, LinkId, LinkSet, Path};
 use fubar_model::ModelOutcome;
 use fubar_topology::Topology;
-use fubar_traffic::{Aggregate, AggregateId};
+use fubar_traffic::Aggregate;
 
 /// Which alternative paths the optimizer may request.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -112,25 +112,13 @@ fn most_congested_used(outcome: &ModelOutcome, used: &LinkSet) -> Option<LinkId>
         .find(|&l| used.contains(l))
 }
 
-/// Convenience: the aggregate's most congested used link, exposed for
-/// diagnostics and tests.
-pub fn most_congested_link_of(
-    allocation: &Allocation,
-    aggregate: AggregateId,
-    outcome: &ModelOutcome,
-) -> Option<LinkId> {
-    let all: LinkSet = outcome.congested.iter().copied().collect();
-    let used = allocation.congested_links_used_by(aggregate, &all);
-    most_congested_used(outcome, &used)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use fubar_graph::NodeId;
     use fubar_model::FlowModel;
     use fubar_topology::{Bandwidth, Delay, TopologyBuilder};
-    use fubar_traffic::TrafficMatrix;
+    use fubar_traffic::{AggregateId, TrafficMatrix};
     use fubar_utility::TrafficClass;
 
     fn kb(v: f64) -> Bandwidth {
@@ -247,8 +235,6 @@ mod tests {
         let (alloc, out) = run(&topo, &tm);
         assert!(out.is_congested());
         let st = tm.aggregate(AggregateId(0));
-        // The s->t aggregate uses no congested link.
-        assert_eq!(most_congested_link_of(&alloc, AggregateId(0), &out), None);
         let alts = alternatives(
             &topo,
             st,

@@ -1,6 +1,5 @@
 //! `fubar-lint` — the workspace determinism linter and invariant-ledger
-//! conformance checker, as a standalone binary (also reachable as
-//! `fubar-cli lint`).
+//! conformance checker, as a standalone binary.
 //!
 //! ```text
 //! fubar-lint [check] [--root DIR] [--format text|json] [--out FILE]

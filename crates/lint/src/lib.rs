@@ -6,7 +6,7 @@
 //! parallel ≡ serial, bitwise* — and this crate is the machine that
 //! keeps convention from being the only thing guarding it.
 //!
-//! Two passes, exposed as `fubar-lint` (and `fubar-cli lint`):
+//! Two passes, exposed as the `fubar-lint` binary:
 //!
 //! * [`check_workspace`] — a static-analysis pass over all non-vendor
 //!   workspace sources. A hand-rolled [`lexer`] (the build environment

@@ -401,6 +401,17 @@ where
         .map_err(|e| err(line, format!("bad {what} {token:?}: {e}")))
 }
 
+/// A link capacity: zero parses as a [`Bandwidth`] but the generators
+/// and `Fabric::set_capacity` assert against it, so reject it here.
+fn parse_capacity(line: usize, token: &str) -> Result<Bandwidth, ParseError> {
+    let capacity: Bandwidth = parse_num(line, token, "capacity")?;
+    if capacity.bps() > 0.0 {
+        Ok(capacity)
+    } else {
+        Err(err(line, "capacity must be positive"))
+    }
+}
+
 impl Scenario {
     /// Parses the text format described in the module docs.
     pub fn parse(text: &str) -> Result<Scenario, ParseError> {
@@ -446,21 +457,21 @@ impl Scenario {
                 "topology" => {
                     s.topology = match t.get(1).copied() {
                         Some("he") if t.len() == 3 => TopologySpec::He {
-                            capacity: parse_num(lineno, t[2], "capacity")?,
+                            capacity: parse_capacity(lineno, t[2])?,
                         },
                         Some("abilene") if t.len() == 3 => TopologySpec::Abilene {
-                            capacity: parse_num(lineno, t[2], "capacity")?,
+                            capacity: parse_capacity(lineno, t[2])?,
                         },
                         Some("ring") if t.len() == 5 => TopologySpec::Ring {
                             nodes: parse_num(lineno, t[2], "node count")?,
-                            capacity: parse_num(lineno, t[3], "capacity")?,
+                            capacity: parse_capacity(lineno, t[3])?,
                             hop_delay: parse_num(lineno, t[4], "delay")?,
                         },
                         Some("hypergrowth") if t.len() == 3 => TopologySpec::Hypergrowth {
-                            capacity: parse_num(lineno, t[2], "capacity")?,
+                            capacity: parse_capacity(lineno, t[2])?,
                         },
                         Some("planetary") if t.len() == 3 => TopologySpec::Planetary {
-                            capacity: parse_num(lineno, t[2], "capacity")?,
+                            capacity: parse_capacity(lineno, t[2])?,
                         },
                         Some("file") if t.len() == 3 => TopologySpec::File {
                             path: t[2].to_string(),
@@ -722,7 +733,7 @@ impl Scenario {
                         ("capacity", 6) => Action::Capacity {
                             a: t[3].to_string(),
                             b: t[4].to_string(),
-                            capacity: parse_num(lineno, t[5], "capacity")?,
+                            capacity: parse_capacity(lineno, t[5])?,
                         },
                         ("surge", 6) => {
                             let f = t[5]
@@ -1118,6 +1129,21 @@ at 90s reoptimize
 
         let e = Scenario::parse("").unwrap_err();
         assert!(e.message.contains("missing"));
+
+        for line in [
+            "at 5s capacity n0 n1 0bps",
+            "topology ring 6 0bps 2ms",
+            "topology he 0bps",
+            "topology abilene 0bps",
+            "topology hypergrowth 0bps",
+            "topology planetary 0bps",
+        ] {
+            let e = Scenario::parse(&format!("scenario a\n{line}\n")).unwrap_err();
+            assert_eq!(
+                (e.line, e.message.as_str()),
+                (2, "capacity must be positive")
+            );
+        }
     }
 
     #[test]

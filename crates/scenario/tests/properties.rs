@@ -101,9 +101,8 @@ fn warm_start_matches_cold_start_on_the_catalog() {
     for name in catalog::names() {
         // planetary's 65,536-aggregate runs — and planetary_deep's
         // structurally congested optimizer work — belong to the release
-        // profile: CI replays both scenarios (and cross-checks the flat
-        // path and the parallel knobs with `cmp`) on the release binary
-        // instead.
+        // profile: CI replays both scenarios twice on the release
+        // binary and `cmp`s the logs instead.
         if name == "planetary" || name == "planetary_deep" {
             continue;
         }
@@ -192,8 +191,10 @@ fn assert_reports_identical(name: &str, step: usize, a: &EpochReport, b: &EpochR
 fn incremental_peek_matches_full_recompute_across_catalog_inputs() {
     for name in catalog::names() {
         // peek_full over planetary's 65,536 aggregates (and
-        // planetary_deep's 3,840 deeply congested ones) is a
-        // release-profile job; CI's release replay covers that tier.
+        // planetary_deep's 3,840 deeply congested ones) is out of
+        // debug-profile reach, and CI's release replay skips
+        // `--oracle full` for these two: it replays each twice and
+        // `cmp`s the logs.
         if name == "planetary" || name == "planetary_deep" {
             continue;
         }
@@ -329,8 +330,9 @@ fn incremental_peek_matches_full_recompute_across_catalog_inputs() {
 fn incremental_and_full_measurement_logs_are_identical() {
     for name in catalog::names() {
         // One full-recompute probe per event over the planetary tiers
-        // is out of debug-profile reach; the release-mode CI replay
-        // cross-checks their oracles (and parallel knobs) by cmp.
+        // is out of debug-profile reach. The release-mode CI replay
+        // skips `--oracle full` for these two as well: it replays each
+        // twice and `cmp`s the logs.
         if name == "planetary" || name == "planetary_deep" {
             continue;
         }

@@ -9,9 +9,9 @@
 //! delays. See DESIGN.md §1 for the substitution rationale.
 //!
 //! The remaining generators produce the small regular topologies used by
-//! tests, examples and benchmarks: [`line()`], [`ring`], [`star`], [`grid`],
-//! [`full_mesh`], [`dumbbell`], the [`abilene`] research backbone, and
-//! seeded random [`waxman`] graphs.
+//! tests, examples and benchmarks: [`line()`], [`ring`], [`grid`],
+//! [`dumbbell`], the [`abilene`] research backbone, and seeded random
+//! [`waxman`] graphs.
 
 use crate::geo::GeoPoint;
 use crate::topology::{Topology, TopologyBuilder};
@@ -388,23 +388,6 @@ pub fn ring(n: usize, capacity: Bandwidth, hop_delay: Delay) -> Topology {
     b.build()
 }
 
-/// A star: one `hub` connected to `leaves` leaf nodes.
-///
-/// # Panics
-///
-/// Panics when `leaves < 1`.
-pub fn star(leaves: usize, capacity: Bandwidth, hop_delay: Delay) -> Topology {
-    assert!(leaves >= 1, "a star needs at least one leaf");
-    let mut b = TopologyBuilder::new(format!("star-{leaves}"));
-    b.add_node("hub").unwrap();
-    for i in 0..leaves {
-        b.add_node(numbered("leaf", i)).unwrap();
-        b.add_duplex_link("hub", &numbered("leaf", i), capacity, hop_delay)
-            .unwrap();
-    }
-    b.build()
-}
-
 /// A `w × h` grid with nearest-neighbour links.
 ///
 /// # Panics
@@ -429,26 +412,6 @@ pub fn grid(w: usize, h: usize, capacity: Bandwidth, hop_delay: Delay) -> Topolo
                 b.add_duplex_link(&name(x, y), &name(x, y + 1), capacity, hop_delay)
                     .unwrap();
             }
-        }
-    }
-    b.build()
-}
-
-/// A complete graph on `n` nodes.
-///
-/// # Panics
-///
-/// Panics when `n < 2`.
-pub fn full_mesh(n: usize, capacity: Bandwidth, hop_delay: Delay) -> Topology {
-    assert!(n >= 2, "a mesh needs at least two nodes");
-    let mut b = TopologyBuilder::new(format!("mesh-{n}"));
-    for i in 0..n {
-        b.add_node(numbered("n", i)).unwrap();
-    }
-    for i in 0..n {
-        for j in i + 1..n {
-            b.add_duplex_link(&numbered("n", i), &numbered("n", j), capacity, hop_delay)
-                .unwrap();
         }
     }
     b.build()
@@ -709,11 +672,6 @@ mod tests {
         let r = ring(6, cap(), ms(1.0));
         assert_eq!(r.duplex_count(), 6);
         assert!(r.is_connected());
-
-        let s = star(4, cap(), ms(1.0));
-        assert_eq!(s.node_count(), 5);
-        assert_eq!(s.duplex_count(), 4);
-        assert!(s.is_connected());
     }
 
     #[test]
@@ -723,13 +681,6 @@ mod tests {
         // 3x4 grid: horizontal 2*4=8, vertical 3*3=9 -> 17.
         assert_eq!(g.duplex_count(), 17);
         assert!(g.is_connected());
-    }
-
-    #[test]
-    fn full_mesh_shape() {
-        let m = full_mesh(5, cap(), ms(1.0));
-        assert_eq!(m.duplex_count(), 10);
-        assert!(m.is_connected());
     }
 
     #[test]

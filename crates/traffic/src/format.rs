@@ -61,8 +61,9 @@ fn parse_class(token: &str, line: usize) -> Result<TrafficClass, ParseError> {
             let mbps: f64 = peak
                 .parse()
                 .map_err(|e| err(line, format!("bad large peak: {e}")))?;
-            if mbps <= 0.0 || !mbps.is_finite() {
-                return Err(err(line, "large peak must be positive"));
+            // The peak becomes a `Bandwidth` in bits per second.
+            if mbps <= 0.0 || !(mbps * 1e6).is_finite() {
+                return Err(err(line, "large peak must be positive and finite in bps"));
             }
             Ok(TrafficClass::LargeFile { peak_mbps: mbps })
         }
@@ -214,6 +215,9 @@ aggregate Denver Houston large:2 3 priority 4.5
 
         let e = parse("aggregate Seattle NewYork large:-1 3\n", &t).unwrap_err();
         assert!(e.message.contains("positive"));
+
+        let e = parse("aggregate Seattle Denver large:1e308 5\n", &t).unwrap_err();
+        assert!(e.message.contains("finite"));
 
         let e = parse("aggregate Seattle NewYork bulk 3 weight 2\n", &t).unwrap_err();
         assert!(e.message.contains("priority"));

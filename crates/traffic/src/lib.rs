@@ -1,9 +1,9 @@
 //! # fubar-traffic
 //!
 //! Traffic-matrix machinery for the FUBAR reproduction: aggregates (the
-//! unit FUBAR routes — paper §2.4), the [`TrafficMatrix`] container, a
-//! deterministic generator for the paper's §3 evaluation workload, and
-//! the crude-heuristics-plus-operator-knowledge [`Classifier`] of §1.
+//! unit FUBAR routes — paper §2.4), the [`TrafficMatrix`] container, the
+//! `.tm` text [`mod@format`], and a deterministic generator for the paper's
+//! §3 evaluation workload.
 //!
 //! ```
 //! use fubar_topology::{generators, Bandwidth};
@@ -16,12 +16,10 @@
 #![forbid(unsafe_code)]
 
 mod aggregate;
-mod classifier;
 pub mod format;
 mod matrix;
 pub mod workload;
 
 pub use aggregate::{Aggregate, AggregateId};
-pub use classifier::{Classifier, FlowFeatures, OperatorRule, Protocol};
 pub use matrix::TrafficMatrix;
-pub use workload::{GravityConfig, WorkloadConfig};
+pub use workload::WorkloadConfig;

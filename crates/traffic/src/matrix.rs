@@ -136,14 +136,6 @@ impl TrafficMatrix {
         m
     }
 
-    /// A copy with one aggregate's utility function replaced (used when
-    /// inflection inference updates a demand peak).
-    pub fn with_utility(&self, id: AggregateId, utility: fubar_utility::UtilityFunction) -> Self {
-        let mut m = self.clone();
-        m.aggregates[id.index()].utility = utility;
-        m
-    }
-
     /// Sets one aggregate's live flow count in place.
     ///
     /// Unlike [`Aggregate::new`], zero is allowed here: a zero-flow

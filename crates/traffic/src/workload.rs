@@ -142,87 +142,6 @@ pub fn generate(topology: &Topology, config: &WorkloadConfig, seed: u64) -> Traf
     TrafficMatrix::new(aggregates)
 }
 
-/// Tunables for [`generate_gravity`].
-#[derive(Clone, Debug)]
-pub struct GravityConfig {
-    /// Target total offered demand across the whole matrix.
-    pub total_demand: fubar_topology::Bandwidth,
-    /// Probability a (non-large) aggregate is real-time rather than bulk.
-    pub real_time_fraction: f64,
-    /// Probability an aggregate is a heavy file-transfer one.
-    pub large_probability: f64,
-    /// Candidate per-flow demand peaks for large aggregates, Mb/s.
-    pub large_peaks_mbps: Vec<f64>,
-}
-
-impl Default for GravityConfig {
-    fn default() -> Self {
-        GravityConfig {
-            total_demand: fubar_topology::Bandwidth::from_gbps(1.0),
-            real_time_fraction: 0.5,
-            large_probability: 0.02,
-            large_peaks_mbps: vec![1.0, 2.0],
-        }
-    }
-}
-
-/// Generates a gravity-model traffic matrix: demand between two POPs is
-/// proportional to the product of their "masses" (their degree in the
-/// topology — a standard proxy when population data is unavailable),
-/// normalized so the matrix offers `config.total_demand` in aggregate.
-///
-/// Compared to [`generate`], which draws every pair identically (the
-/// paper's §3 workload), gravity matrices concentrate demand between
-/// well-connected hubs — a more realistic stress pattern for the
-/// optimizer and the default for the workspace's non-paper experiments.
-pub fn generate_gravity(topology: &Topology, config: &GravityConfig, seed: u64) -> TrafficMatrix {
-    assert!(
-        (0.0..=1.0).contains(&config.real_time_fraction),
-        "real_time_fraction must be a probability"
-    );
-    assert!(
-        (0.0..=1.0).contains(&config.large_probability),
-        "large_probability must be a probability"
-    );
-    assert!(
-        !config.large_peaks_mbps.is_empty() && config.large_peaks_mbps.iter().all(|&p| p > 0.0),
-        "need at least one positive large peak"
-    );
-    let mut rng = StdRng::seed_from_u64(seed);
-    // Masses: out-degree (duplex topologies are symmetric anyway).
-    let masses: Vec<f64> = topology
-        .nodes()
-        .map(|n| topology.graph().out_links(n).len().max(1) as f64)
-        .collect();
-    let mut weights = Vec::new();
-    let mut pairs = Vec::new();
-    for (i, src) in topology.nodes().enumerate() {
-        for (j, dst) in topology.nodes().enumerate() {
-            if src == dst {
-                continue;
-            }
-            pairs.push((src, dst));
-            weights.push(masses[i] * masses[j]);
-        }
-    }
-    let total_w: f64 = weights.iter().sum();
-    let mut aggregates = Vec::with_capacity(pairs.len());
-    for (k, &(src, dst)) in pairs.iter().enumerate() {
-        let demand_bps = config.total_demand.bps() * weights[k] / total_w;
-        let (class, per_flow) = if rng.gen::<f64>() < config.large_probability {
-            let peak = config.large_peaks_mbps[rng.gen_range(0..config.large_peaks_mbps.len())];
-            (TrafficClass::LargeFile { peak_mbps: peak }, peak * 1e6)
-        } else if rng.gen::<f64>() < config.real_time_fraction {
-            (TrafficClass::RealTime, 50e3)
-        } else {
-            (TrafficClass::BulkTransfer, 120e3)
-        };
-        let flows = ((demand_bps / per_flow).round() as u32).max(1);
-        aggregates.push(Aggregate::new(AggregateId(0), src, dst, class, flows));
-    }
-    TrafficMatrix::new(aggregates)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -351,65 +270,5 @@ mod tests {
             ..Default::default()
         };
         generate(&he(), &cfg, 0);
-    }
-
-    #[test]
-    fn gravity_matches_target_demand_roughly() {
-        let t = he();
-        let cfg = GravityConfig::default();
-        let m = generate_gravity(&t, &cfg, 3);
-        assert_eq!(m.len(), 930, "all ordered pairs, no intra-POP");
-        let total = m.total_demand().bps();
-        let target = cfg.total_demand.bps();
-        // Flow-count rounding perturbs the total; it must stay close.
-        assert!(
-            (total - target).abs() / target < 0.15,
-            "total {total} vs target {target}"
-        );
-    }
-
-    #[test]
-    fn gravity_concentrates_on_hubs() {
-        let t = he();
-        let m = generate_gravity(&t, &GravityConfig::default(), 3);
-        // Frankfurt (degree 7) pairs should out-demand Singapore (degree
-        // 2) pairs on average.
-        let hub = t.node("Frankfurt").unwrap();
-        let leaf = t.node("Singapore").unwrap();
-        let mean_demand = |n: fubar_graph::NodeId| {
-            let (sum, count) = m
-                .iter()
-                .filter(|a| a.ingress == n)
-                .fold((0.0, 0usize), |(s, c), a| {
-                    (s + a.total_demand().bps(), c + 1)
-                });
-            sum / count as f64
-        };
-        assert!(
-            mean_demand(hub) > 2.0 * mean_demand(leaf),
-            "hub demand should dominate leaf demand"
-        );
-    }
-
-    #[test]
-    fn gravity_is_deterministic() {
-        let t = he();
-        let a = generate_gravity(&t, &GravityConfig::default(), 11);
-        let b = generate_gravity(&t, &GravityConfig::default(), 11);
-        for (x, y) in a.iter().zip(b.iter()) {
-            assert_eq!(x.flow_count, y.flow_count);
-            assert_eq!(x.class, y.class);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "probability")]
-    fn gravity_rejects_bad_config() {
-        let t = he();
-        let cfg = GravityConfig {
-            real_time_fraction: -0.5,
-            ..Default::default()
-        };
-        generate_gravity(&t, &cfg, 0);
     }
 }

@@ -67,14 +67,6 @@
 //!     committed spec in FILE (CI holds the chaos catalog to this).
 //!     --smoke bounds the run (few candidates, capped duration) for
 //!     quick pipeline checks.
-//!
-//! fubar-cli lint [check|ledger] [--root DIR] [--format text|json] [--out FILE]
-//!     The workspace determinism linter (also shipped standalone as
-//!     `fubar-lint`). `check` (the default) runs the determinism rules
-//!     over every non-vendor source file; `ledger` cross-checks the
-//!     ARCHITECTURE.md invariant ledger against the tree and CI, and
-//!     the scenario/topology catalogs against the replay loop. Exit 0
-//!     when clean (warnings allowed), 65 on any error-severity finding.
 //! ```
 //!
 //! Exit codes are distinct and scriptable: `0` success, `2` usage
@@ -163,8 +155,7 @@ fn usage() -> ExitCode {
          fubar-cli scenario run <name|file.scn> [--seed N] [--out log.txt] \
          [--oracle full] [--stats]\n  \
          fubar-cli scenario search <name|file.scn> [--seed N] [--candidates K] \
-         [--name NAME] [--out file.scn] [--check file.scn] [--smoke]\n  \
-         fubar-cli lint [check|ledger] [--root DIR] [--format text|json] [--out FILE]"
+         [--name NAME] [--out file.scn] [--check file.scn] [--smoke]"
     );
     ExitCode::from(2)
 }
@@ -179,21 +170,30 @@ fn load(topo_path: &str, tm_path: &str) -> Result<(Topology, TrafficMatrix), Cli
     Ok((topo, tm))
 }
 
+/// A `<capacity_mbps>` argument: the generators assert on a zero
+/// capacity and `Bandwidth` on a non-finite one, so refuse both here.
+fn parse_capacity_mbps(token: &str) -> Result<Bandwidth, CliError> {
+    match token.parse::<f64>() {
+        Ok(mbps) if mbps > 0.0 && (mbps * 1e6).is_finite() => Ok(Bandwidth::from_mbps(mbps)),
+        _ => Err(CliError::usage(format!(
+            "bad capacity {token:?}: need a positive number of Mb/s"
+        ))),
+    }
+}
+
 fn cmd_generate(args: &[String]) -> CliResult {
     let [kind, mbps, seed] = args else {
         return Err(CliError::usage(
             "generate needs <he|abilene> <capacity_mbps> <seed>",
         ));
     };
-    let mbps: f64 = mbps
-        .parse()
-        .map_err(|e| CliError::usage(format!("bad capacity: {e}")))?;
+    let cap = parse_capacity_mbps(mbps)?;
     let seed: u64 = seed
         .parse()
         .map_err(|e| CliError::usage(format!("bad seed: {e}")))?;
     let topo = match kind.as_str() {
-        "he" => generators::he_core(Bandwidth::from_mbps(mbps)),
-        "abilene" => generators::abilene(Bandwidth::from_mbps(mbps)),
+        "he" => generators::he_core(cap),
+        "abilene" => generators::abilene(cap),
         other => return Err(CliError::usage(format!("unknown topology kind {other:?}"))),
     };
     let tm = workload::generate(&topo, &WorkloadConfig::default(), seed);
@@ -345,10 +345,7 @@ fn cmd_topology(args: &[String]) -> CliResult {
                     ))
                 }
             };
-            let mbps: f64 = mbps
-                .parse()
-                .map_err(|e| CliError::usage(format!("bad capacity: {e}")))?;
-            let cap = Bandwidth::from_mbps(mbps);
+            let cap = parse_capacity_mbps(mbps)?;
             let topo = match kind.as_str() {
                 "he" => generators::he_core(cap),
                 "abilene" => generators::abilene(cap),
@@ -632,74 +629,6 @@ fn cmd_scenario(args: &[String]) -> CliResult {
     }
 }
 
-fn cmd_lint(args: &[String]) -> CliResult {
-    use fubar::lint::{check_ledger, check_workspace, LintError};
-
-    let mut mode = "check";
-    let mut root = String::from(".");
-    let mut format = "text";
-    let mut out: Option<String> = None;
-    let mut i = 0usize;
-    while i < args.len() {
-        match args[i].as_str() {
-            "check" if i == 0 => mode = "check",
-            "ledger" if i == 0 => mode = "ledger",
-            "--root" => {
-                i += 1;
-                root = args
-                    .get(i)
-                    .ok_or_else(|| CliError::usage("--root needs a directory"))?
-                    .clone();
-            }
-            "--format" => {
-                i += 1;
-                match args.get(i).map(String::as_str) {
-                    Some("text") => format = "text",
-                    Some("json") => format = "json",
-                    _ => return Err(CliError::usage("--format must be text or json")),
-                }
-            }
-            "--out" => {
-                i += 1;
-                out = Some(
-                    args.get(i)
-                        .ok_or_else(|| CliError::usage("--out needs a file"))?
-                        .clone(),
-                );
-            }
-            other => return Err(CliError::usage(format!("unknown lint argument {other:?}"))),
-        }
-        i += 1;
-    }
-
-    let root = std::path::PathBuf::from(root);
-    let report = match mode {
-        "ledger" => check_ledger(&root),
-        _ => check_workspace(&root),
-    }
-    .map_err(|e| match e {
-        LintError::BadRoot(m) => CliError::not_found(m),
-        LintError::Io(m) => CliError::not_found(m),
-    })?;
-
-    let rendered = match format {
-        "json" => report.to_json(),
-        _ => report.render_text(),
-    };
-    match &out {
-        Some(path) => write_file(path, &rendered)?,
-        None => print!("{rendered}"),
-    }
-    if report.errors() > 0 {
-        return Err(CliError::data(format!(
-            "lint {}: {} error-severity finding(s)",
-            report.mode,
-            report.errors()
-        )));
-    }
-    Ok(())
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(cmd) = args.first() else {
@@ -711,7 +640,6 @@ fn main() -> ExitCode {
         "optimize" => cmd_optimize(&args[1..]),
         "topology" => cmd_topology(&args[1..]),
         "scenario" => cmd_scenario(&args[1..]),
-        "lint" => cmd_lint(&args[1..]),
         _ => return usage(),
     };
     match result {

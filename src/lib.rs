@@ -19,7 +19,6 @@
 //! | [`core`] | the FUBAR optimizer, baselines, experiment drivers (§2.4–2.5) |
 //! | [`sdn`] | simulated SDN deployment: fabric, measurement, controller, admission |
 //! | [`scenario`] | deterministic discrete-event scenarios: churn, failures, drift |
-//! | [`lint`] | workspace determinism linter + invariant-ledger conformance |
 //!
 //! ## Quickstart
 //!
@@ -42,7 +41,6 @@
 
 pub use fubar_core as core;
 pub use fubar_graph as graph;
-pub use fubar_lint as lint;
 pub use fubar_model as model;
 pub use fubar_scenario as scenario;
 pub use fubar_sdn as sdn;

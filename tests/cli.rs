@@ -49,6 +49,8 @@ fn unknown_flags_and_subcommands_exit_2() {
         &["scenario", "run", "flash_crowd", "--bogus"][..],
         &["scenario", "search", "flash_crowd", "--candidates", "0"][..],
         &["generate", "he", "not-a-number", "1"][..],
+        &["generate", "abilene", "0", "1"][..],
+        &["topology", "export", "he", "1e308"][..],
     ] {
         let out = cli(args);
         assert_eq!(code(&out), 2, "{args:?}: {}", stderr(&out));
@@ -111,9 +113,32 @@ fn parse_errors_exit_65() {
         assert_eq!(code(&out), 65, "{args:?}: {}", stderr(&out));
         assert_one_line_error(&out);
     }
+    // A zero capacity parses as a bandwidth; the generators and the
+    // fabric assert against it, so the spec parser must refuse it.
+    for line in [
+        "at 5s capacity n0 n1 0bps",
+        "topology ring 6 0bps 2ms",
+        "topology he 0bps",
+        "topology abilene 0bps",
+        "topology hypergrowth 0bps",
+        "topology planetary 0bps",
+    ] {
+        std::fs::write(&scn, format!("scenario zero\n{line}\n")).unwrap();
+        let out = cli(&["scenario", "run", scn.to_str().unwrap()]);
+        assert_eq!(code(&out), 65, "{line:?}: {}", stderr(&out));
+        assert_one_line_error(&out);
+    }
+    // A large peak that is finite in Mb/s but not in bits per second.
+    let tm = dir.join("fubar_cli_test_overflow.tm");
+    std::fs::write(&topo, "topology t\nnode a\nnode b\nlink a b 1Mbps 2ms\n").unwrap();
+    std::fs::write(&tm, "aggregate a b large:1e308 5\n").unwrap();
+    let out = cli(&["optimize", topo.to_str().unwrap(), tm.to_str().unwrap()]);
+    assert_eq!(code(&out), 65, "{}", stderr(&out));
+    assert_one_line_error(&out);
     let _ = std::fs::remove_file(scn);
     let _ = std::fs::remove_file(topo);
     let _ = std::fs::remove_file(overflow);
+    let _ = std::fs::remove_file(tm);
 }
 
 #[test]
@@ -151,47 +176,6 @@ fn success_paths_exit_0_and_round_trip() {
         "canonical serialization must be a fixed point"
     );
     let _ = std::fs::remove_file(path);
-}
-
-#[test]
-fn lint_subcommand_honors_the_exit_code_contract() {
-    // Clean repo: exit 0 on both passes (the workspace integration
-    // tests in crates/lint assert the "clean" part; here we assert the
-    // CLI plumbing and codes).
-    let root = env!("CARGO_MANIFEST_DIR");
-    let out = cli(&["lint", "check", "--root", root]);
-    assert_eq!(code(&out), 0, "{}", stderr(&out));
-    let out = cli(&["lint", "ledger", "--root", root]);
-    assert_eq!(code(&out), 0, "{}", stderr(&out));
-    // A directory that is not the workspace: not-found (66).
-    let out = cli(&[
-        "lint",
-        "check",
-        "--root",
-        std::env::temp_dir().to_str().unwrap(),
-    ]);
-    assert_eq!(code(&out), 66, "{}", stderr(&out));
-    assert_one_line_error(&out);
-    // Bad flags: usage (2).
-    let out = cli(&["lint", "--format", "yaml"]);
-    assert_eq!(code(&out), 2, "{}", stderr(&out));
-    assert_one_line_error(&out);
-    // JSON report lands on disk with the schema header.
-    let report = std::env::temp_dir().join("fubar_cli_test_lint_report.json");
-    let out = cli(&[
-        "lint",
-        "ledger",
-        "--root",
-        root,
-        "--format",
-        "json",
-        "--out",
-        report.to_str().unwrap(),
-    ]);
-    assert_eq!(code(&out), 0, "{}", stderr(&out));
-    let json = std::fs::read_to_string(&report).unwrap();
-    assert!(json.contains("\"schema\": \"fubar-lint/1\""), "{json}");
-    let _ = std::fs::remove_file(report);
 }
 
 #[test]

@@ -1,11 +1,9 @@
 //! Cross-crate integration: serialization round trips feeding the
-//! optimizer, classifier-driven matrices, rule-set installation, and the
-//! public prelude surface.
+//! optimizer, rule-set installation, and the public prelude surface.
 
 use fubar::prelude::*;
 use fubar::topology::{format, generators};
 use fubar::traffic::workload;
-use fubar::traffic::{Classifier, FlowFeatures, OperatorRule, Protocol};
 
 #[test]
 fn topology_survives_text_round_trip_through_the_optimizer() {
@@ -28,43 +26,6 @@ fn topology_survives_text_round_trip_through_the_optimizer() {
         "identical topologies must optimize identically"
     );
     assert_eq!(a.commits, b.commits);
-}
-
-#[test]
-fn classifier_builds_a_matrix_the_optimizer_accepts() {
-    // Simulate an operator classifying observed flows into aggregates.
-    let topo = generators::ring(5, Bandwidth::from_mbps(1.0), Delay::from_ms(2.0));
-    let classifier = Classifier::with_rules([OperatorRule {
-        protocol: Protocol::Udp,
-        dst_port: 4500,
-        class: TrafficClass::RealTime,
-    }]);
-    let observed = [
-        (Protocol::Udp, 4500u16, None, 0u32, 2u32, 12u32), // operator rule
-        (Protocol::Tcp, 443, Some(90_000.0), 1, 3, 8),
-        (Protocol::Tcp, 443, Some(1_600_000.0), 2, 4, 3), // fast -> large
-        (Protocol::Udp, 20_000, None, 3, 0, 6),           // RTP range
-    ];
-    let mut aggregates = Vec::new();
-    for &(proto, port, rate, src, dst, flows) in &observed {
-        let class = classifier.classify(&FlowFeatures {
-            protocol: proto,
-            dst_port: port,
-            rate_estimate_bps: rate,
-        });
-        aggregates.push(Aggregate::new(
-            AggregateId(0),
-            NodeId(src),
-            NodeId(dst),
-            class,
-            flows,
-        ));
-    }
-    let tm = TrafficMatrix::new(aggregates);
-    assert_eq!(tm.class_census().0, 2, "two real-time aggregates");
-    assert_eq!(tm.large_ids().len(), 1, "one large aggregate");
-    let result = Optimizer::with_defaults(&topo, &tm).run();
-    result.allocation.validate(&tm).unwrap();
 }
 
 #[test]

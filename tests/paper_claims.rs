@@ -153,10 +153,12 @@ fn relaxing_delay_lengthens_paths_and_helps_utility() {
         normal.report.network_utility,
         relaxed.report.network_utility
     );
-    // The paper's directional claim (delays lengthen) holds at scale
-    // (see the fig6 bench output on the full HE case); on this small
-    // instance the greedy search adds jitter, so allow a 10% tolerance
-    // rather than strict monotonicity per percentile.
+    // The paper's delay shift (median ~+10 ms, tail ~+50 ms) is *not*
+    // reproduced: on the full HE case `fig6_delay_cdf` (pinned in
+    // `ci/figures.expected`) prints median 48.44 -> 48.44 ms and p95
+    // 130.90 -> 130.90 ms while utility rises 0.7631 -> 0.8751. On this
+    // small instance the greedy search adds jitter, so only require
+    // that the tail does not collapse (10% tolerance).
     let cdf_n = delay_cdf(&normal, &tm);
     let cdf_r = delay_cdf(&relaxed, &relaxed_tm);
     let p95_n = percentile(&cdf_n, 95.0).unwrap();
