@@ -14,43 +14,65 @@
 //! see [`crate::shard`]) — and, independently, the *scorer*: incremental
 //! deltas or the full-recompute oracle ([`OptimizerConfig::incremental`]).
 //!
-//! ### Incremental candidate scoring
+//! ### What a step costs
 //!
-//! Each candidate move perturbs exactly one aggregate's path split, so
-//! the inner loop does not rebuild the world per candidate: the
-//! optimizer caches the incumbent allocation's measurement (an
-//! [`Incumbent`]: the bundle table with per-aggregate spans, its traced
-//! flow-model evaluation, and its utility report) and scores a
-//! candidate by splicing the moved aggregate's new bundle segment over
-//! the cache as a [`BundleDelta`] and scoring it through
-//! [`FlowModel::score_delta`] — water-filling re-runs only on the
-//! affected bottleneck component, utilities refresh only for affected
-//! aggregates. Rejected candidates never touch the cache; the winner is
-//! patched into it **in place** once per commit
-//! ([`Incumbent::replace`]), so a commit costs the component too, not
-//! the instance. The invariant (mirroring the fabric's
-//! measurement invariant, enforced by property tests in
-//! `tests/properties.rs`): **incremental candidate scoring is bitwise
-//! identical to full-recompute scoring**, move for move, over whole
-//! optimization runs. [`OptimizerConfig::incremental`] selects the
-//! full-recompute oracle the tests compare against.
+//! A step (`Optimizer::step`, Listing 2) scores every move off one
+//! congested link and is where a run's time goes. Three things keep it
+//! from repeating work; none of them can change a result bit.
 //!
-//! Scoring is also **O(component) in memory**: each evaluation thread
-//! owns a reusable scratch (the flow model's epoch-stamped
-//! [`Workspace`], the report fold scratch, and the candidate segment
-//! buffer), the candidate's network utility is folded through an
-//! O(log n) patch of the incumbent report's summation tree rather than
-//! a full re-fold, and the min-max objective reads a sparse
-//! changed-link overlay instead of a rebuilt link array. Past buffer
-//! warm-up, a scored move performs zero heap allocations
-//! (`tests/zero_alloc.rs` enforces it with a counting allocator), which
-//! is what keeps per-move cost flat as instances grow past HE-961 — the
-//! CI perf gate requires the incremental-vs-full speedup on the
-//! 4,096-aggregate hypergrowth tier to *exceed* the HE-961 one.
+//! **A candidate is a delta, not a world.** Each move perturbs exactly
+//! one aggregate's path split, so the optimizer caches the incumbent
+//! allocation's measurement (an [`Incumbent`]: the bundle table with
+//! per-aggregate spans, its traced flow-model evaluation, and its
+//! utility report) and scores a candidate by splicing the moved
+//! aggregate's new bundle segment over the cache as a [`BundleDelta`]
+//! and scoring it through [`FlowModel::score_delta`] — water-filling
+//! re-runs only on the affected bottleneck component, and utilities
+//! refresh only for the aggregates whose rates came out different.
+//! Rejected candidates never touch the cache; the winner is patched into
+//! it **in place** once per commit ([`Incumbent::replace`]), so a commit
+//! costs the component too, not the instance. Each evaluation thread
+//! owns a reusable scratch (the flow model's epoch-stamped [`Workspace`],
+//! the report fold scratch, and the candidate segment buffer), the
+//! candidate's network utility is folded through an O(log n) patch of
+//! the incumbent report's summation tree, and the min-max objective
+//! reads a sparse changed-link overlay — so, past buffer warm-up, a
+//! scored move performs zero heap allocations (`tests/zero_alloc.rs`
+//! enforces it with a counting allocator), which is what keeps per-move
+//! cost flat as instances grow past HE-961: the CI perf gate requires
+//! the incremental-vs-full speedup on the 4,096-aggregate hypergrowth
+//! tier to *exceed* the HE-961 one.
+//!
+//! **Nothing changes between two commits.** The incumbent is frozen
+//! until the next commit, so an aggregate's alternative paths and the
+//! score of a move `(aggregate, from, count, alternative)` are functions
+//! of the incumbent alone — not of the focus link, not of the escape
+//! level. The loop state keeps both in a per-incumbent memo: the same
+//! move reached again from a second congested link its path crosses, or
+//! re-gathered at the next escape level with an unchanged `count`, is
+//! looked up instead of re-filled, and an aggregate's three Dijkstras
+//! run once per incumbent. `commit` empties the memo.
+//!
+//! **Workers claim, they are not dealt.** A step's work items are the
+//! focus link's crossing-index entries, one run of entries per
+//! aggregate; up to [`OptimizerConfig::threads`] workers — the calling
+//! thread is one of them — each claim the next unclaimed run from a
+//! shared counter, generate that aggregate's alternatives if the memo
+//! lacks them, and score its moves (`map_claimed`). Results are placed
+//! by run, so the candidate order — and with it the tie-break, the
+//! winner and the memo — is the sequential one at any thread count.
+//!
+//! The invariant (mirroring the fabric's measurement invariant, enforced
+//! by property tests in `tests/properties.rs`): **a default run is
+//! bitwise identical to a full-recompute run**, move for move.
+//! [`OptimizerConfig::incremental`] selects that oracle: it rebuilds
+//! every bundle and re-runs full water-filling for every candidate of
+//! every step and neither reads nor writes the memo, so it audits the
+//! delta scoring and the memo alike.
 
 use crate::allocation::{Allocation, Move};
 use crate::objective::Objective;
-use crate::pathgen::{alternatives, PathPolicy};
+use crate::pathgen::{self, PathPolicy};
 use crate::recorder::{RunTrace, TracePoint};
 use crate::shard::{self, CrossingIndex, RegionPartition, ShardRunStats};
 use fubar_graph::Path;
@@ -62,7 +84,9 @@ use fubar_model::{
 };
 use fubar_topology::{Bandwidth, Topology};
 use fubar_traffic::{Aggregate, AggregateId, TrafficMatrix};
-use std::sync::Mutex;
+use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard};
 use std::time::Instant;
 
 /// Why an optimization run stopped.
@@ -106,18 +130,19 @@ pub struct OptimizerConfig {
     /// operator knows are down). The initial allocation avoids them and
     /// the path generator never offers them.
     pub excluded_links: LinkSet,
-    /// Worker threads, for candidate evaluation inside a step and for
-    /// running per-component passes side by side (see the module docs).
-    /// Results are identical at any thread count; 1 disables threading.
-    /// The default uses the available parallelism. Validated (≥ 1),
-    /// never silently clamped.
+    /// Workers, the calling thread included, that claim a step's work
+    /// — path generation and candidate scoring, one aggregate at a time
+    /// — and run per-component passes side by side (see the module
+    /// docs). Results are identical at any count; at 1 nothing is
+    /// spawned. The default uses the available parallelism. Validated
+    /// (≥ 1), never silently clamped.
     pub threads: usize,
     /// Incremental candidate scoring (the default): score each move as
     /// a one-aggregate bundle delta patched over the cached incumbent
-    /// evaluation. When false, every candidate rebuilds all bundles and
-    /// re-runs full water-filling — the oracle mode (mirroring
-    /// `Fabric::peek_full`) whose runs the incremental path must match
-    /// move for move, bitwise.
+    /// evaluation, once per incumbent. When false, every candidate of
+    /// every step rebuilds all bundles and re-runs full water-filling —
+    /// the oracle mode (mirroring `Fabric::peek_full`) whose runs the
+    /// default must match move for move, bitwise.
     pub incremental: bool,
 }
 
@@ -148,13 +173,61 @@ impl OptimizerConfig {
     }
 }
 
-/// One tentative move under evaluation.
-#[derive(Clone)]
-struct Candidate {
+/// One tentative move: `count` flows of `aggregate` off its path `from`
+/// onto `alt`. Scoring borrows the path from wherever the alternatives
+/// live (`Candidate<&Path>`); a step's winner owns it.
+#[derive(Clone, Copy)]
+struct Candidate<P = Path> {
     aggregate: AggregateId,
     from: usize,
     count: u32,
-    alt: Path,
+    alt: P,
+}
+
+/// What the loop has worked out against the current incumbent and need
+/// not work out again before the next commit (see the module docs).
+/// Looked up by key only, never iterated.
+#[derive(Clone, Default)]
+struct Memo {
+    /// Per aggregate, its generated alternatives.
+    alts: BTreeMap<u32, Vec<Path>>,
+    /// Score of the move `(aggregate, from, count, index into the
+    /// aggregate's alternatives)`.
+    scores: BTreeMap<(u32, u32, u32, u32), f64>,
+}
+
+/// What every worker of one step reads.
+struct Focus<'s> {
+    alloc: &'s Allocation,
+    incumbent: &'s Incumbent,
+    memo: &'s Memo,
+    /// The congested link the step moves flows off.
+    link: LinkId,
+    escape_level: u32,
+    /// Links no alternative may use.
+    excluded: &'s LinkSet,
+    /// `pathgen::congested_or_forbidden` of the incumbent and
+    /// `excluded`: the same for every aggregate, so built once.
+    avoid: LinkSet,
+}
+
+/// What one worker of a step owns while it claims work: its scoring
+/// scratch and, in oracle mode, its scratch copy of the allocation.
+struct Worker<'p> {
+    ws: MutexGuard<'p, ScoreScratch>,
+    copy: Option<Allocation>,
+}
+
+/// One aggregate's part of a step.
+struct Probed {
+    aggregate: u32,
+    /// Its alternatives, when the memo lacked them.
+    fresh: Option<Vec<Path>>,
+    /// `(from, count, alternative index, score)` per move, in Listing
+    /// 2's enumeration order.
+    scored: Vec<(u32, u32, u32, f64)>,
+    /// How many of `scored` the memo answered.
+    hits: usize,
 }
 
 /// One evaluation thread's reusable scoring scratch: the flow-model
@@ -210,6 +283,9 @@ struct LoopState {
     /// commits.
     incumbent: Incumbent,
     index: CrossingIndex,
+    /// Valid for `incumbent` under one scope's exclusions: emptied by
+    /// every commit and whenever the greedy loop is entered.
+    memo: Memo,
     /// The committed candidates in commit order, with the moves they
     /// became.
     commits: Vec<(Candidate, Move)>,
@@ -236,35 +312,67 @@ struct Scope<'s> {
     /// Links no alternative may use: the configured exclusions, which a
     /// pass widens to every link outside its shard.
     excluded: &'s LinkSet,
-    /// Scoring threads per step.
+    /// Workers per step.
     threads: usize,
 }
 
-/// Maps `work` over `items` cut into at most `workers` contiguous
-/// chunks — inline for one worker, else one scoped thread per chunk —
-/// and returns the results in item order. `work` also gets its chunk's
-/// number, so worker `i` can own scratch `i`; which thread ran what
-/// never shows in the result.
-fn map_chunks<T: Sync, R: Send>(
+/// Maps `work` over `items` on at most `workers` workers and returns the
+/// results in item order. The calling thread is worker 0 and the rest
+/// are scoped threads; each builds its own state with `init` (handed its
+/// worker number, so worker `i` can own scratch `i`) and then claims the
+/// next unclaimed item until none is left, so an expensive item delays
+/// one worker, not the items dealt after it. Results are placed by item
+/// index: which worker ran what never shows in the result. A worker's
+/// panic resurfaces on the caller with its own payload.
+fn map_claimed<T: Sync, S, R: Send>(
     items: &[T],
     workers: usize,
-    work: impl Fn(usize, &[T]) -> Vec<R> + Sync,
+    init: impl Fn(usize) -> S + Sync,
+    work: impl Fn(&mut S, &T) -> R + Sync,
 ) -> Vec<R> {
+    // Relaxed: the counter only hands out indices. The items were
+    // shared before any thread started and results travel through
+    // `join`.
+    let next = AtomicUsize::new(0);
+    let run = |worker: usize| {
+        let mut state = init(worker);
+        let mut done: Vec<(usize, R)> = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some(item) = items.get(i) else {
+                return done;
+            };
+            done.push((i, work(&mut state, item)));
+        }
+    };
+    let workers = workers.min(items.len());
     if workers <= 1 {
-        return work(0, items);
+        return run(0).into_iter().map(|(_, r)| r).collect();
     }
-    let (chunk, work) = (items.len().div_ceil(workers), &work);
+    let mut slots: Vec<Option<R>> = items.iter().map(|_| None).collect();
+    let mut place = |done: Vec<(usize, R)>| {
+        for (i, r) in done {
+            slots[i] = Some(r);
+        }
+    };
     std::thread::scope(|scope| {
-        let handles: Vec<_> = items
-            .chunks(chunk)
-            .enumerate()
-            .map(|(i, part)| scope.spawn(move || work(i, part)))
+        let run = &run;
+        let spawned: Vec<_> = (1..workers)
+            .map(|worker| scope.spawn(move || run(worker)))
             .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("worker panicked"))
-            .collect()
-    })
+        place(run(0));
+        for handle in spawned {
+            place(
+                handle
+                    .join()
+                    .unwrap_or_else(|payload| std::panic::resume_unwind(payload)),
+            );
+        }
+    });
+    slots
+        .into_iter()
+        .map(|r| r.expect("every item is claimed exactly once"))
+        .collect()
 }
 
 /// The optimizer, bound to one topology and one traffic matrix.
@@ -279,6 +387,9 @@ pub struct Optimizer<'a> {
     /// scoring scratch, whose fill counters count scored candidates
     /// only.
     commit: Mutex<PatchScratch>,
+    /// Scores the memo answered over this optimizer's runs (a
+    /// statistic, read by `test_support::memo_hits`).
+    memo_hits: AtomicUsize,
 }
 
 impl<'a> Optimizer<'a> {
@@ -297,6 +408,7 @@ impl<'a> Optimizer<'a> {
             model,
             small_threshold,
             commit: Mutex::default(),
+            memo_hits: AtomicUsize::new(0),
         }
     }
 
@@ -363,7 +475,7 @@ impl<'a> Optimizer<'a> {
     /// rebuilds every bundle, re-runs full water-filling and the full
     /// utility report, then reverts (the scratch's path set may grow,
     /// which is harmless).
-    fn score_candidate_full(&self, scratch: &mut Allocation, c: &Candidate) -> f64 {
+    fn score_candidate_full(&self, scratch: &mut Allocation, c: Candidate<&Path>) -> f64 {
         let to = scratch.add_path(c.aggregate, c.alt.clone());
         let m = Move {
             aggregate: c.aggregate,
@@ -391,14 +503,14 @@ impl<'a> Optimizer<'a> {
         &self,
         alloc: &Allocation,
         incumbent: &Incumbent,
-        c: &Candidate,
+        c: Candidate<&Path>,
         ws: &mut ScoreScratch,
     ) -> f64 {
         let seg_len = alloc.bundles_after_move_into(
             self.tm,
             c.aggregate,
             c.from,
-            &c.alt,
+            c.alt,
             c.count,
             &mut ws.segment,
         );
@@ -459,126 +571,180 @@ impl<'a> Optimizer<'a> {
         }
     }
 
-    /// Listing 2's candidate enumeration: all (flow path × alternative)
-    /// moves off `link`, gathered through the crossing index without
-    /// mutating the allocation — the same pairs, in the same order, as
-    /// the full-matrix `Allocation::flow_paths_over` scan, at O(entries
-    /// on the link).
-    fn gather(
-        &self,
-        alloc: &Allocation,
-        incumbent: &Incumbent,
-        index: &CrossingIndex,
-        link: LinkId,
-        escape_level: u32,
-        excluded: &LinkSet,
-    ) -> Vec<Candidate> {
-        let outcome = incumbent.outcome();
-        let mut candidates: Vec<Candidate> = Vec::new();
-        for &(agg_raw, path_idx) in &index.per_link[link.index()] {
-            let (agg_id, path_idx) = (AggregateId(agg_raw), path_idx as usize);
-            let on_path = alloc.flows_on(agg_id, path_idx);
+    /// One aggregate's part of Listing 2's candidate enumeration: every
+    /// (flow path × alternative) move off `focus.link` for the
+    /// aggregate owning `run` — its run of the link's crossing-index
+    /// entries — scored. The same moves, in the same order, as the
+    /// full-matrix `Allocation::flow_paths_over` scan yields for the
+    /// aggregate, found without mutating the allocation. Alternatives
+    /// and scores the memo holds are read from it; the rest are
+    /// generated and scored here, on `worker`'s scratch.
+    fn probe(&self, focus: &Focus<'_>, run: &[(u32, u32)], worker: &mut Worker<'_>) -> Probed {
+        let aggregate = run[0].0;
+        let agg_id = AggregateId(aggregate);
+        let agg = self.tm.aggregate(agg_id);
+        let known = focus.memo.alts.get(&aggregate);
+        let mut probed = Probed {
+            aggregate,
+            fresh: None,
+            scored: Vec::new(),
+            hits: 0,
+        };
+        for &(_, from) in run {
+            let on_path = focus.alloc.flows_on(agg_id, from as usize);
             if on_path == 0 {
                 continue;
             }
-            let agg = self.tm.aggregate(agg_id);
-            let count = self.flows_to_move(agg, on_path, escape_level);
+            let count = self.flows_to_move(agg, on_path, focus.escape_level);
             if count == 0 {
                 continue;
             }
-            let alts = alternatives(
-                self.topology,
-                agg,
-                alloc,
-                outcome,
-                self.config.path_policy,
-                excluded,
-            );
-            for alt in alts {
+            let alts = known.unwrap_or_else(|| {
+                probed.fresh.get_or_insert_with(|| {
+                    pathgen::alternatives_avoiding(
+                        self.topology,
+                        agg,
+                        focus.alloc,
+                        focus.incumbent.outcome(),
+                        self.config.path_policy,
+                        focus.excluded,
+                        &focus.avoid,
+                    )
+                })
+            });
+            for (alt_idx, alt) in alts.iter().enumerate() {
                 // The alternate path must exclude the congested link and
                 // differ from the source path.
-                if alt.uses_link(link) || &alt == alloc.path_set(agg_id).path(path_idx) {
+                if alt.uses_link(focus.link)
+                    || alt == focus.alloc.path_set(agg_id).path(from as usize)
+                {
                     continue;
                 }
-                candidates.push(Candidate {
-                    aggregate: agg_id,
-                    from: path_idx,
-                    count,
-                    alt,
-                });
+                let alt_idx = alt_idx as u32;
+                let score = match focus.memo.scores.get(&(aggregate, from, count, alt_idx)) {
+                    Some(&score) => {
+                        probed.hits += 1;
+                        score
+                    }
+                    None => {
+                        let c = Candidate {
+                            aggregate: agg_id,
+                            from: from as usize,
+                            count,
+                            alt,
+                        };
+                        if self.config.incremental {
+                            self.score_candidate_incremental(
+                                focus.alloc,
+                                focus.incumbent,
+                                c,
+                                &mut worker.ws,
+                            )
+                        } else {
+                            let copy = worker.copy.get_or_insert_with(|| focus.alloc.clone());
+                            self.score_candidate_full(copy, c)
+                        }
+                    }
+                };
+                probed.scored.push((from, count, alt_idx, score));
             }
         }
-        candidates
+        probed
     }
 
     /// Listing 2: one step focused on `link`. Tries all (flow path ×
     /// alternative) moves and returns the best improving one, if any.
     ///
-    /// Candidate evaluations are independent, so with `scope.threads >
-    /// 1` they run on worker threads ([`map_chunks`]) — sharing the
-    /// read-only incumbent cache (each with its own reusable scoring
-    /// scratch from `pool`) in incremental mode, each over its own
-    /// scratch clone of the allocation in oracle mode. The reduction (max score, earliest
-    /// candidate on ties) makes the result identical to the sequential
-    /// order at any thread count and in both scoring modes.
+    /// The aggregates crossing `link` are independent work items, so
+    /// with `scope.threads > 1` workers claim them ([`map_claimed`]) —
+    /// sharing the read-only incumbent cache and memo, each with its own
+    /// reusable scoring scratch from `pool` and, in oracle mode, its own
+    /// scratch clone of the allocation. Their results come back in
+    /// crossing-index order, and the reduction (max score, earliest
+    /// candidate on ties) makes the winner the sequential loop's at any
+    /// thread count and in both scoring modes. What the workers found
+    /// out then joins the memo, unless this is the oracle.
     fn step(
         &self,
-        state: &LoopState,
+        state: &mut LoopState,
         link: LinkId,
         escape_level: u32,
         scope: &Scope<'_>,
         pool: &[Mutex<ScoreScratch>],
     ) -> Option<Candidate> {
-        let (alloc, incumbent) = (&state.alloc, &state.incumbent);
-        let initial_score = self
-            .config
-            .objective
-            .score(incumbent.report(), incumbent.outcome());
-
-        let mut candidates = self.gather(
+        let LoopState {
             alloc,
             incumbent,
-            &state.index,
+            index,
+            memo,
+            ..
+        } = state;
+        let outcome = incumbent.outcome();
+        let initial_score = self.config.objective.score(incumbent.report(), outcome);
+        let focus = Focus {
+            alloc,
+            incumbent,
+            memo,
             link,
             escape_level,
-            scope.excluded,
+            excluded: scope.excluded,
+            avoid: pathgen::congested_or_forbidden(outcome, scope.excluded),
+        };
+        // One work item per aggregate is one `alternatives` call per
+        // aggregate.
+        let runs: Vec<&[(u32, u32)]> = index.runs(link).collect();
+        let probed = map_claimed(
+            &runs,
+            scope.threads,
+            |worker| Worker {
+                ws: pool[worker].lock().expect("scratch lock poisoned"),
+                copy: None,
+            },
+            |worker, run| self.probe(&focus, run, worker),
         );
-        if candidates.is_empty() {
-            return None;
-        }
 
-        let threads = scope.threads.min(candidates.len());
-        let scores: Vec<f64> = map_chunks(&candidates, threads, |worker, cands| {
-            if self.config.incremental {
-                let mut ws = pool[worker].lock().expect("scratch lock poisoned");
-                cands
-                    .iter()
-                    .map(|c| self.score_candidate_incremental(alloc, incumbent, c, &mut ws))
-                    .collect()
-            } else {
-                let mut copy = alloc.clone();
-                cands
-                    .iter()
-                    .map(|c| self.score_candidate_full(&mut copy, c))
-                    .collect()
-            }
-        });
-
-        // Max score; ties keep the earliest candidate (the sequential
+        // Max score; only a strictly better score displaces the best so
+        // far, so ties keep the earliest candidate (the sequential
         // loop's strict-improvement rule).
-        let (best_idx, &best_score) = scores
-            .iter()
-            .enumerate()
-            .max_by(|(ia, a), (ib, b)| a.total_cmp(b).then(ib.cmp(ia)))
-            .expect("candidates is non-empty");
-
+        let mut best: Option<(f64, &Probed, usize)> = None;
+        for p in &probed {
+            for (i, &(.., score)) in p.scored.iter().enumerate() {
+                if best.is_none_or(|(b, ..)| score.total_cmp(&b).is_gt()) {
+                    best = Some((score, p, i));
+                }
+            }
+        }
         // Minimum objective improvement for a move to count as progress.
         const IMPROVEMENT_EPS: f64 = 1e-9;
-        if best_score > initial_score + IMPROVEMENT_EPS {
-            Some(candidates.swap_remove(best_idx))
-        } else {
-            None
+        let winner = best
+            .filter(|&(score, ..)| score > initial_score + IMPROVEMENT_EPS)
+            .map(|(_, p, i)| {
+                let (from, count, alt_idx, _) = p.scored[i];
+                let alts = p
+                    .fresh
+                    .as_ref()
+                    .unwrap_or_else(|| &focus.memo.alts[&p.aggregate]);
+                Candidate {
+                    aggregate: AggregateId(p.aggregate),
+                    from: from as usize,
+                    count,
+                    alt: alts[alt_idx as usize].clone(),
+                }
+            });
+
+        if self.config.incremental {
+            for p in probed {
+                self.memo_hits.fetch_add(p.hits, Ordering::Relaxed);
+                for (from, count, alt_idx, score) in p.scored {
+                    memo.scores
+                        .insert((p.aggregate, from, count, alt_idx), score);
+                }
+                if let Some(alts) = p.fresh {
+                    memo.alts.insert(p.aggregate, alts);
+                }
+            }
         }
+        winner
     }
 
     /// Commits a candidate onto `state`: applies the move to the
@@ -589,6 +755,7 @@ impl<'a> Optimizer<'a> {
     /// with its trace point. Shared by the loop's winners and the replay
     /// of a per-component pass.
     fn commit(&self, state: &mut LoopState, c: Candidate, owner: usize, started: Instant) -> Move {
+        state.memo = Memo::default();
         let (alloc, incumbent) = (&mut state.alloc, &mut state.incumbent);
         if self.config.incremental {
             let segment = alloc.bundles_after_move(self.tm, c.aggregate, c.from, &c.alt, c.count);
@@ -694,6 +861,7 @@ impl<'a> Optimizer<'a> {
             index: CrossingIndex::build(self.topology, self.tm, &initial),
             alloc: initial,
             incumbent,
+            memo: Memo::default(),
             commits: Vec::new(),
             trace,
             shards: (0..=shard_count)
@@ -796,9 +964,7 @@ impl<'a> Optimizer<'a> {
             // multiply the run's peak memory by the shard count.
             (state.commits, state.shards[shard].score_s)
         };
-        let passes = map_chunks(&jobs, workers, |_, shards| {
-            shards.iter().map(|&s| run_pass(s)).collect()
-        });
+        let passes = map_claimed(&jobs, workers, |_| (), |(), &shard| run_pass(shard));
 
         // Merge: replay every pass's commit sequence onto the master
         // state, shard-ascending, stopping at the global commit cap.
@@ -823,6 +989,8 @@ impl<'a> Optimizer<'a> {
     /// size on a local optimum. `max_commits` is read against the state's
     /// whole commit log, so it caps the run, not the call.
     fn greedy(&self, state: &mut LoopState, scope: &Scope<'_>) -> Termination {
+        // Alternatives depend on the scope's exclusions.
+        state.memo = Memo::default();
         let mut escape_level: u32 = 0;
         loop {
             let outcome = state.incumbent.outcome();
@@ -876,16 +1044,15 @@ impl<'a> Optimizer<'a> {
 /// Internal hooks for this crate's integration tests and the
 /// benchmark's layer replay: the scoring harness of the zero-allocation
 /// regression test (`tests/zero_alloc.rs`), which builds an incumbent
-/// over a congested instance, gathers one step's candidates, and
+/// over a congested instance, enumerates one step's candidates, and
 /// re-scores them on demand through the exact per-candidate path the
-/// inner loop uses; and the crossing-index view the `indexed gather ≡
-/// scan` property test reads. Not a public API — gated behind the
-/// `test-support` feature and hidden from docs.
+/// inner loop uses; the crossing-index view the `indexed gather ≡
+/// scan` property test reads; and the memo's hit count. Not a public
+/// API — gated behind the `test-support` feature and hidden from docs.
 #[cfg(feature = "test-support")]
 #[doc(hidden)]
 pub mod test_support {
     use super::*;
-    use std::cell::RefCell;
 
     /// A crossing index as plain data: per link, the sorted
     /// `(aggregate, path index)` pairs whose path crosses it.
@@ -900,13 +1067,19 @@ pub mod test_support {
         (result, [maintained.per_link, rebuilt.per_link])
     }
 
+    /// How many candidate scores the per-incumbent memo has answered
+    /// over every run of `optimizer` so far (always 0 in oracle mode).
+    pub fn memo_hits(optimizer: &Optimizer<'_>) -> usize {
+        optimizer.memo_hits.load(Ordering::Relaxed)
+    }
+
     /// See the module docs.
     pub struct ScoringHarness<'a> {
         optimizer: Optimizer<'a>,
         alloc: Allocation,
         incumbent: Incumbent,
         candidates: Vec<Candidate>,
-        scratch: RefCell<ScoreScratch>,
+        scratch: Mutex<ScoreScratch>,
     }
 
     impl<'a> ScoringHarness<'a> {
@@ -934,21 +1107,44 @@ pub mod test_support {
                 .first()
                 .copied()
                 .expect("harness instance must be congested");
-            let candidates = optimizer.gather(
-                &alloc,
-                &incumbent,
-                &CrossingIndex::build(topology, tm, &alloc),
+            // The step's own enumeration, against an empty memo.
+            let excluded = &optimizer.config.excluded_links;
+            let focus = Focus {
+                alloc: &alloc,
+                incumbent: &incumbent,
+                memo: &Memo::default(),
                 link,
-                0,
-                &optimizer.config.excluded_links,
-            );
+                escape_level: 0,
+                excluded,
+                avoid: pathgen::congested_or_forbidden(incumbent.outcome(), excluded),
+            };
+            let scratch = Mutex::new(ScoreScratch::default());
+            let mut worker = Worker {
+                ws: scratch.lock().expect("fresh lock"),
+                copy: None,
+            };
+            let index = CrossingIndex::build(topology, tm, &alloc);
+            let mut candidates = Vec::new();
+            for run in index.runs(link) {
+                let probed = optimizer.probe(&focus, run, &mut worker);
+                let alts = probed.fresh.unwrap_or_default();
+                for (from, count, alt_idx, _) in probed.scored {
+                    candidates.push(Candidate {
+                        aggregate: AggregateId(probed.aggregate),
+                        from: from as usize,
+                        count,
+                        alt: alts[alt_idx as usize].clone(),
+                    });
+                }
+            }
+            drop(worker);
             assert!(!candidates.is_empty(), "harness needs candidate moves");
             ScoringHarness {
                 optimizer,
                 alloc,
                 incumbent,
                 candidates,
-                scratch: RefCell::default(),
+                scratch,
             }
         }
 
@@ -963,8 +1159,14 @@ pub mod test_support {
         /// scratch buffers, this performs zero heap allocations.
         pub fn score_all(&self) -> f64 {
             let mut best = f64::NEG_INFINITY;
-            let mut ws = self.scratch.borrow_mut();
+            let mut ws = self.scratch.lock().expect("scratch lock poisoned");
             for c in &self.candidates {
+                let c = Candidate {
+                    aggregate: c.aggregate,
+                    from: c.from,
+                    count: c.count,
+                    alt: &c.alt,
+                };
                 let s = self.optimizer.score_candidate_incremental(
                     &self.alloc,
                     &self.incumbent,
@@ -1165,6 +1367,84 @@ mod tests {
             "warm start must stay within 1%: {} vs {}",
             warm.report.network_utility,
             cold2.report.network_utility
+        );
+    }
+
+    /// A deterministic stand-in for an item of uneven cost.
+    fn grind(item: u64) -> u64 {
+        (0..(item % 7) * 2_000).fold(item, |x, k| x.rotate_left(5) ^ k)
+    }
+
+    #[test]
+    fn map_claimed_returns_results_in_item_order() {
+        let expected = |items: &[u64]| items.iter().map(|&i| grind(i)).collect::<Vec<_>>();
+        let many: Vec<u64> = (0..41).map(|i| i * 2_654_435_761 % 97).collect();
+        for workers in [1, 2, 3, 8] {
+            for items in [&many[..], &many[..2], &many[..0]] {
+                let got = map_claimed(items, workers, |_| (), |(), &i| grind(i));
+                assert_eq!(got, expected(items), "workers={workers}");
+            }
+        }
+        // Completion order forced against item order: whoever claims
+        // item 0 holds its result back until item 1's is in.
+        let second_done = std::sync::atomic::AtomicBool::new(false);
+        let got = map_claimed(
+            &[0u64, 1],
+            2,
+            |_| (),
+            |(), &i| {
+                if i == 0 {
+                    while !second_done.load(Ordering::Acquire) {
+                        std::thread::yield_now();
+                    }
+                } else {
+                    second_done.store(true, Ordering::Release);
+                }
+                i
+            },
+        );
+        assert_eq!(got, [0, 1]);
+    }
+
+    #[test]
+    fn map_claimed_builds_each_workers_state_once() {
+        let built = AtomicUsize::new(0);
+        let items: Vec<u64> = (0..64).collect();
+        let got = map_claimed(
+            &items,
+            3,
+            |worker| {
+                built.fetch_add(1, Ordering::Relaxed);
+                worker
+            },
+            |&mut worker, &i| (worker, i),
+        );
+        assert!(got.iter().all(|&(worker, _)| worker < 3));
+        assert!(got.iter().map(|&(_, i)| i).eq(0..64));
+        assert_eq!(built.load(Ordering::Relaxed), 3, "one state per worker");
+    }
+
+    /// A spawned worker's panic reaches the caller with the message it
+    /// was raised with. Worker 0 (the caller) is held until worker 1 has
+    /// claimed an item, so the panic cannot come from the calling thread.
+    #[test]
+    #[should_panic(expected = "span check failed on worker 1")]
+    fn map_claimed_resurfaces_a_workers_own_panic() {
+        let claimed = std::sync::atomic::AtomicBool::new(false);
+        map_claimed(
+            &[(), ()],
+            2,
+            |worker| worker,
+            |&mut worker, ()| {
+                if worker == 0 {
+                    while !claimed.load(Ordering::Acquire) {
+                        std::thread::yield_now();
+                    }
+                } else {
+                    claimed.store(true, Ordering::Release);
+                    panic!("span check failed on worker {worker}");
+                }
+            },
         );
     }
 

@@ -54,6 +54,33 @@ pub fn alternatives(
     policy: PathPolicy,
     forbidden: &LinkSet,
 ) -> Vec<Path> {
+    let avoid = congested_or_forbidden(outcome, forbidden);
+    alternatives_avoiding(
+        topology, aggregate, allocation, outcome, policy, forbidden, &avoid,
+    )
+}
+
+/// The global path's exclusion set: every congested link of `outcome`
+/// plus the `forbidden` ones. It is the same for every aggregate, so the
+/// optimizer builds it once per step and hands it to
+/// [`alternatives_avoiding`].
+pub(crate) fn congested_or_forbidden(outcome: &ModelOutcome, forbidden: &LinkSet) -> LinkSet {
+    let mut all: LinkSet = outcome.congested.iter().copied().collect();
+    all.union_with(forbidden);
+    all
+}
+
+/// [`alternatives`] with `all_congested` — [`congested_or_forbidden`] of
+/// the same `outcome` and `forbidden` — supplied by the caller.
+pub(crate) fn alternatives_avoiding(
+    topology: &Topology,
+    aggregate: &Aggregate,
+    allocation: &Allocation,
+    outcome: &ModelOutcome,
+    policy: PathPolicy,
+    forbidden: &LinkSet,
+    all_congested: &LinkSet,
+) -> Vec<Path> {
     let src = aggregate.ingress;
     let dst = aggregate.egress;
     if src == dst {
@@ -76,14 +103,12 @@ pub fn alternatives(
         PathPolicy::ThreePaths | PathPolicy::GlobalOnly | PathPolicy::LinkLocalOnly => {}
     }
 
-    let mut all_congested: LinkSet = outcome.congested.iter().copied().collect();
-    all_congested.union_with(forbidden);
-    let mut used_congested = allocation.congested_links_used_by(aggregate.id, &all_congested);
+    let mut used_congested = allocation.congested_links_used_by(aggregate.id, all_congested);
     used_congested.union_with(forbidden);
 
     if matches!(policy, PathPolicy::ThreePaths | PathPolicy::GlobalOnly) {
         // Global: avoid every congested link in the network.
-        push(g.shortest_path(src, dst, &all_congested), &mut out);
+        push(g.shortest_path(src, dst, all_congested), &mut out);
     }
     if matches!(policy, PathPolicy::ThreePaths) {
         // Local: avoid the congested links this aggregate touches.

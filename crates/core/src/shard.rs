@@ -258,6 +258,12 @@ impl CrossingIndex {
         CrossingIndex { per_link }
     }
 
+    /// `link`'s entries, one run per aggregate (an aggregate's entries
+    /// are adjacent, since the list is sorted).
+    pub(crate) fn runs(&self, link: LinkId) -> impl Iterator<Item = &[(u32, u32)]> {
+        self.per_link[link.index()].chunk_by(|a, b| a.0 == b.0)
+    }
+
     /// Registers a newly added path (aggregate `agg`, path index `idx`)
     /// on every link it crosses, keeping each list sorted.
     pub(crate) fn insert(&mut self, agg: AggregateId, idx: u32, path: &Path) {

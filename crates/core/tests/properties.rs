@@ -5,9 +5,9 @@
 //! (`OptimizerConfig::incremental`, the default) must be
 //! **move-for-move, bitwise identical** to the full-recompute oracle.
 
-use fubar_core::optimizer::test_support::run_with_index;
+use fubar_core::optimizer::test_support::{memo_hits, run_with_index};
 use fubar_core::{
-    Objective, OptimizeResult, Optimizer, OptimizerConfig, RegionPartition, Termination,
+    Allocation, Objective, OptimizeResult, Optimizer, OptimizerConfig, RegionPartition, Termination,
 };
 use fubar_topology::{generators, Bandwidth, Topology};
 use fubar_traffic::{workload, AggregateId, TrafficMatrix, WorkloadConfig};
@@ -383,8 +383,7 @@ fn incremental_run_matches_oracle_with_minmax_objective() {
 
 /// Tiny move fractions force the local-optimum escape ladder, where a
 /// long tail of rejected candidates stresses the patched scoring.
-#[test]
-fn incremental_run_matches_oracle_under_escape_pressure() {
+fn escape_pressure_instance() -> (Topology, TrafficMatrix, OptimizerConfig) {
     let topo = generators::ring(
         5,
         Bandwidth::from_kbps(400.0),
@@ -405,8 +404,69 @@ fn incremental_run_matches_oracle_under_escape_pressure() {
         max_commits: 80,
         ..Default::default()
     };
+    (topo, tm, cfg)
+}
+
+#[test]
+fn incremental_run_matches_oracle_under_escape_pressure() {
+    let (topo, tm, cfg) = escape_pressure_instance();
     let (inc, full) = run_both(&topo, &tm, cfg);
     assert_runs_identical("escape", &inc, &full, &tm);
+}
+
+/// The per-incumbent score memo changes no result: where it provably
+/// answers candidates — a move reached from a second congested link its
+/// path crosses, a move re-gathered up the escape ladder with an
+/// unchanged count — the default run still equals the oracle run, which
+/// scores every candidate of every step afresh, move for move.
+#[test]
+fn score_memo_is_transparent() {
+    let transparent = |name: &str, topo: &Topology, tm: &TrafficMatrix, cfg: OptimizerConfig| {
+        let default = Optimizer::new(topo, tm, cfg.clone());
+        let oracle = Optimizer::new(
+            topo,
+            tm,
+            OptimizerConfig {
+                incremental: false,
+                ..cfg
+            },
+        );
+        assert_runs_identical(name, &default.run(), &oracle.run(), tm);
+        assert!(
+            memo_hits(&default) >= 1,
+            "{name}: the memo answered nothing"
+        );
+        assert_eq!(memo_hits(&oracle), 0, "{name}: the oracle read the memo");
+    };
+
+    // A generated instance whose boot state routes some aggregate over
+    // two congested links: once the first link's step finds no improving
+    // move, the second link's step meets that aggregate's moves again.
+    // With the escape ladder off, nothing else can produce a hit.
+    let (topo, tm) = build(&Instance {
+        nodes: 8,
+        topo_seed: 11,
+        tm_seed: 5,
+        capacity_kbps: 300.0,
+        flows: (2, 7),
+    });
+    let boot = Allocation::all_on_shortest_paths(&topo, &tm);
+    let congested = fubar_model::FlowModel::with_defaults(&topo)
+        .evaluate(&boot.bundles(&tm))
+        .congested;
+    let crosses_two = tm.iter().any(|a| {
+        let path = boot.path_set(a.id).path(0);
+        congested.iter().filter(|&&l| path.uses_link(l)).count() >= 2
+    });
+    assert!(crosses_two, "no aggregate crosses two congested links");
+    let no_escape = OptimizerConfig {
+        escape: false,
+        ..Default::default()
+    };
+    transparent("two-links", &topo, &tm, no_escape);
+
+    let (topo, tm, cfg) = escape_pressure_instance();
+    transparent("escape", &topo, &tm, cfg);
 }
 
 // ---------------------------------------------------------------------
@@ -525,8 +585,9 @@ proptest! {
     /// Thread-count invariance: on random intra-region workloads (every
     /// region an isolated bottleneck component) the full run —
     /// per-component passes plus the whole-instance loop — must be
-    /// move-for-move, bit-for-bit identical at 1, 2, and 4 `threads`
-    /// (which run the passes side by side and score candidates).
+    /// move-for-move, bit-for-bit identical at 1, 2, 3, 4 and 8
+    /// `threads` (which run the passes side by side and claim each
+    /// step's path generation and scoring).
     #[test]
     fn parallel_passes_invariant_under_thread_counts(
         regions in 3usize..5,
@@ -550,7 +611,7 @@ proptest! {
             }).run()
         };
         let one = run(1);
-        for threads in [2, 4] {
+        for threads in [2, 3, 4, 8] {
             assert_runs_identical(&format!("threads={threads}"), &one, &run(threads), &tm);
         }
     }

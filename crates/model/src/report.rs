@@ -386,11 +386,12 @@ impl ReportScratch {
 
 /// Scores a candidate delta's **network utility** without materializing
 /// the spliced list, its outcome, or a report — and, past scratch
-/// warm-up, without allocating. Utility curves re-evaluate only for the
-/// bundles of aggregates owning a re-filled bundle (plus `moved`);
-/// every other aggregate's fold-tree leaf carries over from
-/// `prev_report`, and the patched root is bitwise identical to the one
-/// a full [`utility_report`] of the materialized list would compute.
+/// warm-up, without allocating. Utility curves re-evaluate only for
+/// `moved` and the aggregates owning a re-filled bundle whose rate came
+/// out different from the incumbent's; every other aggregate's
+/// fold-tree leaf carries over from `prev_report`, and the patched root
+/// is bitwise identical to the one a full [`utility_report`] of the
+/// materialized list would compute.
 ///
 /// `affected`/`rates` are the partial fill's product (ascending spliced
 /// indices and their new rates, from
@@ -432,9 +433,19 @@ pub fn score_network_utility_delta(
     );
     ws.begin(n);
 
+    // Only a changed rate changes a leaf: an aggregate other than
+    // `moved` keeps its bundles, so when every re-filled bundle of it
+    // came out at its previous rate bit for bit, re-evaluating it would
+    // reproduce the `FoldCell` the tree already holds.
     ws.mark(moved.index());
-    for &bi in affected {
-        ws.mark(delta.get(bi as usize).aggregate.index());
+    for (&bi, &rate) in affected.iter().zip(rates) {
+        // A replacement bundle is `moved`'s own.
+        let Some(pi) = delta.prev_index(bi as usize) else {
+            continue;
+        };
+        if prev_outcome.bundle_rates[pi as usize].bps().to_bits() != rate.to_bits() {
+            ws.mark(delta.prev[pi as usize].aggregate.index());
+        }
     }
 
     let shift = delta.replacement_len() as i64 - delta.removed() as i64;

@@ -2,12 +2,17 @@
 //!
 //! Invariants checked on random topologies and random bundle sets:
 //! capacity conservation, demand capping, status consistency,
-//! monotonicity of total carried load in capacity, and the in-place
+//! monotonicity of total carried load in capacity, the in-place
 //! patcher (`Incumbent::replace`) against the full recompute through
-//! chains of random k-segment splices.
+//! chains of random k-segment splices, and the candidate utility delta
+//! (`score_network_utility_delta`) against the report of the spliced
+//! table.
 
 use fubar_graph::{LinkId, LinkSet, NodeId};
-use fubar_model::{utility_report, BundleSpec, FlowModel, Incumbent, PatchScratch};
+use fubar_model::{
+    score_network_utility_delta, utility_report, BundleDelta, BundleSpec, DeltaScore, FlowModel,
+    Incumbent, PatchScratch, ReportScratch, Workspace,
+};
 use fubar_topology::{generators, Bandwidth, Delay, Topology};
 use fubar_traffic::{Aggregate, AggregateId, TrafficMatrix};
 use fubar_utility::TrafficClass;
@@ -359,4 +364,122 @@ proptest! {
             "the in-place arm never ran"
         );
     }
+}
+
+/// `score_network_utility_delta` re-evaluates only the moved aggregate
+/// and the aggregates whose re-filled rates differ from the incumbent's;
+/// its root must still be the `utility_report` of the materialized
+/// spliced table, bit for bit. Random one-aggregate candidates on the
+/// underprovisioned HE-961 instance — a whole move onto a detour (same
+/// span length) or a split over both paths (`replacement_len !=
+/// removed`, so every later span shifts) — and the three shapes the
+/// changed-rate rule distinguishes must all occur: nothing but the
+/// moved aggregate changed, a re-filled bundle of another aggregate
+/// kept its rate (the leaf that is no longer recomputed), and a changed
+/// rate behind a length-changing splice.
+#[test]
+fn utility_delta_matches_report_of_spliced_table_on_he_candidates() {
+    let topo = generators::he_core(Bandwidth::from_mbps(75.0));
+    let tm = fubar_traffic::workload::generate(&topo, &Default::default(), 1);
+    let g = topo.graph();
+    let shortest = |a: &Aggregate, avoid: &LinkSet| g.shortest_path(a.ingress, a.egress, avoid);
+    let bundles: Vec<BundleSpec> = tm
+        .iter()
+        .map(|a| {
+            let path = shortest(a, &LinkSet::new()).expect("HE core is connected");
+            BundleSpec::new(a, &path, a.flow_count)
+        })
+        .collect();
+    let spans: Vec<(u32, u32)> = (0..bundles.len() as u32).map(|i| (i, 1)).collect();
+    let model = FlowModel::with_defaults(&topo);
+    let incumbent = Incumbent::measure(&model, &tm, bundles, spans);
+    assert!(incumbent.outcome().is_congested(), "instance must congest");
+
+    let mut x = 0x9E37_79B9_7F4A_7C15_u64;
+    let mut next = move || {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        x
+    };
+    let (mut ws, mut rs) = (Workspace::new(), ReportScratch::default());
+    let (mut only_moved, mut kept_rate, mut shifted_change) = (0, 0, 0);
+    for _ in 0..120 {
+        let a = tm.aggregate(AggregateId((next() % tm.len() as u64) as u32));
+        let (start, _) = incumbent.spans()[a.id.index()];
+        let old = &incumbent.bundles()[start as usize];
+        if old.links.is_empty() {
+            continue; // intra-POP: nowhere to move
+        }
+        let mut avoid = LinkSet::new();
+        avoid.insert(old.links[(next() % old.links.len() as u64) as usize]);
+        let Some(detour) = shortest(a, &avoid) else {
+            continue;
+        };
+        let replacement = if a.flow_count >= 2 && next() % 2 == 0 {
+            let moved = 1 + (next() % u64::from(a.flow_count - 1)) as u32;
+            let mut stay = old.clone();
+            stay.flow_count -= moved;
+            vec![stay, BundleSpec::new(a, &detour, moved)]
+        } else {
+            vec![BundleSpec::new(a, &detour, a.flow_count)]
+        };
+        let delta = BundleDelta::new(incumbent.bundles(), start as usize, 1, &replacement);
+        let DeltaScore::Partial {
+            affected, rates, ..
+        } = model.score_delta(incumbent.eval(), &delta, &mut ws)
+        else {
+            continue; // the component was the instance: nothing to patch
+        };
+        let fast = score_network_utility_delta(
+            &tm,
+            &delta,
+            affected,
+            rates,
+            incumbent.outcome(),
+            incumbent.report(),
+            a.id,
+            incumbent.spans(),
+            &mut rs,
+        );
+
+        let spliced: Vec<BundleSpec> = (0..delta.len()).map(|i| delta.get(i).clone()).collect();
+        let outcome = model.evaluate(&spliced);
+        let slow = utility_report(&tm, &spliced, &outcome).network_utility;
+        assert_eq!(
+            fast.to_bits(),
+            slow.to_bits(),
+            "aggregate {}: delta {fast} vs spliced report {slow}",
+            a.id
+        );
+
+        // Which shape was this?
+        let same_rate = |i: usize| {
+            delta.prev_index(i).is_some_and(|pi| {
+                incumbent.outcome().bundle_rates[pi as usize]
+                    .bps()
+                    .to_bits()
+                    == outcome.bundle_rates[i].bps().to_bits()
+            })
+        };
+        let others_changed = (0..spliced.len())
+            .filter(|&i| spliced[i].aggregate != a.id && !same_rate(i))
+            .count();
+        only_moved += usize::from(others_changed == 0);
+        kept_rate += usize::from(
+            affected
+                .iter()
+                .any(|&bi| spliced[bi as usize].aggregate != a.id && same_rate(bi as usize)),
+        );
+        shifted_change += usize::from(
+            replacement.len() != 1
+                && (start as usize + replacement.len()..spliced.len()).any(|i| !same_rate(i)),
+        );
+    }
+    assert!(
+        only_moved > 0,
+        "no candidate left every other aggregate alone"
+    );
+    assert!(kept_rate > 0, "no re-filled bundle kept its rate");
+    assert!(shifted_change > 0, "no rate changed behind a shifted span");
 }
