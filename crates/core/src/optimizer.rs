@@ -17,7 +17,7 @@
 //! ### What a step costs
 //!
 //! A step (`Optimizer::step`, Listing 2) scores every move off one
-//! congested link and is where a run's time goes. Three things keep it
+//! congested link and is where a run's time goes. Four things keep it
 //! from repeating work; none of them can change a result bit.
 //!
 //! **A candidate is a delta, not a world.** Each move perturbs exactly
@@ -62,13 +62,29 @@
 //! by run, so the candidate order — and with it the tie-break, the
 //! winner and the memo — is the sequential one at any thread count.
 //!
+//! **One bottleneck component per focus link.** Every move off a link
+//! takes flows off it, so every candidate of a step re-fills the same
+//! set: the link's crossers closed over the incumbent's saturated
+//! links, give or take the moved aggregate's own bundles. The step has
+//! the incumbent compile that component once before fanning out
+//! ([`Incumbent::prepare_component`]: closure, link sums, crossing rows,
+//! and the members' satisfaction events already in event order), and
+//! [`FlowModel::score_delta`] fills each candidate by patching it —
+//! removed bundles frozen from the start, replacement bundles appended,
+//! the few links either crosses re-summed — instead of closing, summing
+//! and heap-sorting a component of its own. A candidate that changes a
+//! saturated link outside the component, and any re-fill after a border
+//! expansion, is scored as before. The component lives in the
+//! incumbent, so the commit that changes the incumbent drops it.
+//!
 //! The invariant (mirroring the fabric's measurement invariant, enforced
 //! by property tests in `tests/properties.rs`): **a default run is
 //! bitwise identical to a full-recompute run**, move for move.
 //! [`OptimizerConfig::incremental`] selects that oracle: it rebuilds
 //! every bundle and re-runs full water-filling for every candidate of
-//! every step and neither reads nor writes the memo, so it audits the
-//! delta scoring and the memo alike.
+//! every step, neither reads nor writes the memo and never prepares a
+//! component, so it audits the delta scoring, the memo and the patched
+//! fills alike.
 
 use crate::allocation::{Allocation, Move};
 use crate::objective::Objective;
@@ -679,6 +695,10 @@ impl<'a> Optimizer<'a> {
             memo,
             ..
         } = state;
+        if self.config.incremental {
+            incumbent.prepare_component(&self.model, link);
+        }
+        let incumbent = &*incumbent;
         let outcome = incumbent.outcome();
         let initial_score = self.config.objective.score(incumbent.report(), outcome);
         let focus = Focus {
@@ -1100,14 +1120,16 @@ pub mod test_support {
                 },
             );
             let alloc = Allocation::all_on_shortest_paths(topology, tm);
-            let incumbent = optimizer.measure(&alloc);
+            let mut incumbent = optimizer.measure(&alloc);
             let link = incumbent
                 .outcome()
                 .congested
                 .first()
                 .copied()
                 .expect("harness instance must be congested");
-            // The step's own enumeration, against an empty memo.
+            // What a step does first, then its own enumeration against
+            // an empty memo.
+            incumbent.prepare_component(&optimizer.model, link);
             let excluded = &optimizer.config.excluded_links;
             let focus = Focus {
                 alloc: &alloc,

@@ -19,12 +19,20 @@
 //!   reaches its capacity — a time that only changes when one of its
 //!   crossing bundles freezes.
 //!
-//! Both event kinds go through one lazy min-heap; stale link events are
-//! detected with per-link version counters. Each event freezes at least
-//! one bundle or deactivates one link, so the loop runs at most
-//! `bundles + links` times, and the whole evaluation is
-//! `O((B + Σ path length) log B)` — fast enough for the optimizer to call
-//! thousands of times per run.
+//! Events are processed in one total order — water level, satisfaction
+//! before saturation, then bundle index or link id — by one loop
+//! (`FillState::run` in `component.rs`). Link events, whose times move,
+//! go through a lazy min-heap; stale ones are detected with per-link
+//! version counters. Bundle events never move: they go through the same
+//! heap, or, for a component compiled once and filled many times (see
+//! *Compiled components* below), come presorted and are merged with it.
+//! Each event freezes at least one bundle or deactivates one link, so
+//! the loop runs at most `bundles + links` times, and the whole
+//! evaluation is `O((B + Σ path length) log B)` — fast enough for the
+//! optimizer to call thousands of times per run. What the loop fills is
+//! always a `Component`: the bundles in question *compiled* into local
+//! indices — per-bundle link lists over compact link slots, per-slot
+//! crossing rows and initial sums — by every caller alike.
 //!
 //! ### Incremental re-evaluation
 //!
@@ -93,14 +101,56 @@
 //! the patched evaluation is bit-for-bit identical to a full recompute
 //! (multi-segment changes included: they are one joint fill, never `k`
 //! sequential ones).
+//!
+//! ### Compiled components
+//!
+//! Between two changes of an [`Evaluation`] every candidate moving
+//! flows off one congested link re-derives the same affected set: the
+//! link's crossers closed over previously-saturating links.
+//! [`FlowModel::prepare_component`] derives it once — members
+//! ascending, compiled as above, satisfaction events presorted — and
+//! keeps it inside the evaluation it describes; [`FlowModel::apply_delta`]
+//! forgets it, so it cannot outlive that evaluation.
+//! [`FlowModel::score_delta`] then treats a one-segment candidate whose
+//! changed previously-saturated links (at least one) all lie in one
+//! compiled component as a `Patch` of it: the members inside the
+//! replaced span start frozen, the replacement bundles are appended,
+//! and only the links either crosses get new sums and a row of their
+//! own. The result is the unprepared call's, bit for bit:
+//!
+//! 1. *Same set.* The compiled set is closed under
+//!    previously-saturating links and, by the condition above, holds
+//!    every changed saturated link. The unprepared closure starts from
+//!    exactly those links' crossers and the replacement bundles, and
+//!    cannot leave the set; and it reaches every kept member, because a
+//!    path of shared saturated links from a changed one to that member
+//!    that runs through a removed bundle re-enters the seeds at that
+//!    bundle's next link. So (members − removed) ∪ replacement *is* the
+//!    unprepared affected set, which fills to the full run's bits by the
+//!    argument above.
+//! 2. *Same sums.* A link no removed or replacement bundle crosses has
+//!    the same crossers in the same order in both fills, hence the same
+//!    initial weight and demand sums; the others are re-summed walking
+//!    the compiled row below the span, the replacement bundles, then the
+//!    row above it — the spliced list's order, which is the order the
+//!    unprepared fill accumulates in.
+//! 3. *Same event sequence.* The event order is total on (time, kind,
+//!    index), and a kept member's index in the spliced list is its old
+//!    one plus a constant behind the span — monotone — so the presorted
+//!    members are still in event order, and merging them with a heap
+//!    that holds the link events and the replacement bundles' pops
+//!    exactly what one heap holding everything pops.
+//!
+//! Border verification then runs on the patched fill's results as on any
+//! other, and a component that has to grow re-fills the unprepared way.
 
+use crate::component::{Component, FillState, Patch, NONE};
 use crate::outcome::ModelOutcome;
 use crate::spec::{BundleSpec, BundleStatus};
 use crate::splice::{merge_row, splice_copy, BundleDelta, Seg, Splice, POOL};
 use fubar_graph::LinkId;
 use fubar_topology::{Bandwidth, Delay, Topology};
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 
 /// Tunables of the flow model.
 #[derive(Clone, Copy, Debug)]
@@ -142,62 +192,6 @@ pub struct FlowModel<'a> {
     config: ModelConfig,
 }
 
-/// Heap entry: earliest event first; bundle-satisfaction events beat
-/// link-saturation events at equal times (a flow that exactly meets its
-/// demand as the pipe fills is satisfied, not congested).
-#[derive(Clone, Copy, Debug)]
-struct Event {
-    time: f64,
-    /// 0 = bundle satisfied, 1 = link saturated.
-    kind: u8,
-    idx: u32,
-    /// For link events: the link version this event was computed against.
-    version: u32,
-}
-
-impl PartialEq for Event {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
-}
-impl Eq for Event {}
-impl PartialOrd for Event {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Event {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed: BinaryHeap is a max-heap, we want the min.
-        other
-            .time
-            .total_cmp(&self.time)
-            .then(other.kind.cmp(&self.kind))
-            .then(other.idx.cmp(&self.idx))
-    }
-}
-
-#[derive(Clone, Copy, Debug)]
-struct LinkState {
-    capacity: f64,
-    frozen_load: f64,
-    active_weight: f64,
-    version: u32,
-    saturated: bool,
-    /// Sum of unconstrained demands of crossing bundles.
-    demand: f64,
-}
-
-impl LinkState {
-    /// Time at which this link saturates if nothing else changes.
-    fn saturation_time(&self) -> Option<f64> {
-        if self.saturated || self.active_weight <= 0.0 {
-            return None;
-        }
-        Some(((self.capacity - self.frozen_load) / self.active_weight).max(0.0))
-    }
-}
-
 /// Relative binding slack: a link counts as *binding* (able to
 /// saturate) when its offered demand reaches `capacity · (1 − SLACK)`.
 /// The theoretical condition is `demand ≥ capacity`; the slack absorbs
@@ -231,7 +225,7 @@ pub struct FreezeKey {
 }
 
 impl FreezeKey {
-    fn satisfied(time: f64, bundle: u32) -> Self {
+    pub(crate) fn satisfied(time: f64, bundle: u32) -> Self {
         FreezeKey {
             time,
             kind: 0,
@@ -240,7 +234,7 @@ impl FreezeKey {
         }
     }
 
-    fn congested(time: f64, link: u32, bundle: u32) -> Self {
+    pub(crate) fn congested(time: f64, link: u32, bundle: u32) -> Self {
         FreezeKey {
             time,
             kind: 1,
@@ -279,40 +273,6 @@ impl FreezeKey {
     }
 }
 
-/// Indexed read access to a bundle list — a plain slice or a
-/// [`BundleDelta`] splice ([`Resolved`]). Lets the engine fill spliced
-/// views without the caller materializing them.
-trait BundleView {
-    fn len(&self) -> usize;
-    fn get(&self, i: usize) -> &BundleSpec;
-}
-
-impl BundleView for [BundleSpec] {
-    fn len(&self) -> usize {
-        <[BundleSpec]>::len(self)
-    }
-    fn get(&self, i: usize) -> &BundleSpec {
-        &self[i]
-    }
-}
-
-/// A [`BundleDelta`] read through the sources the core resolved for the
-/// affected set (`src[i]` is only valid for its members — all a fill
-/// asks for).
-struct Resolved<'a> {
-    delta: &'a BundleDelta<'a>,
-    src: &'a [u32],
-}
-
-impl BundleView for Resolved<'_> {
-    fn len(&self) -> usize {
-        self.delta.len()
-    }
-    fn get(&self, i: usize) -> &BundleSpec {
-        self.delta.at(self.src[i])
-    }
-}
-
 /// A model outcome plus the traces [`crate::Incumbent::replace`] and
 /// [`FlowModel::score_delta`] need to patch it incrementally.
 #[derive(Clone, Debug)]
@@ -340,6 +300,55 @@ pub struct Evaluation {
     /// core reads it per link instead of re-building a mask per
     /// candidate.
     saturated: Vec<bool>,
+    /// Bottleneck components of this equilibrium compiled for candidate
+    /// scoring ([`FlowModel::prepare_component`]). They describe the
+    /// arrays above and live exactly as long as those stand: every
+    /// in-place patch forgets them.
+    compiled: Compiled,
+}
+
+/// The components compiled from one [`Evaluation`] since it last
+/// changed. Forgetting them keeps their buffers, so a run compiles into
+/// the same memory commit after commit.
+#[derive(Clone, Debug, Default)]
+struct Compiled {
+    /// Per previously-saturated link: the live component whose closure
+    /// holds it, or [`NONE`].
+    of_link: Vec<u32>,
+    /// The first `live` are valid.
+    comps: Vec<Component>,
+    live: usize,
+    /// Closure work list.
+    queue: Vec<u32>,
+}
+
+impl Compiled {
+    fn forget(&mut self) {
+        for comp in &self.comps[..self.live] {
+            for &li in &comp.slot_link {
+                self.of_link[li as usize] = NONE;
+            }
+        }
+        self.live = 0;
+    }
+
+    /// The component a one-segment candidate can be filled through: the
+    /// one whose closure holds every previously-saturated link among
+    /// `changed_links` — at least one, or there is no closure to
+    /// share.
+    fn covering(&self, changed_links: &[u32], saturated: &[bool]) -> Option<&Component> {
+        if self.live == 0 {
+            return None;
+        }
+        let mut changed = changed_links
+            .iter()
+            .filter(|&&li| saturated[li as usize])
+            .map(|&li| self.of_link[li as usize]);
+        let id = changed.next().filter(|&id| id != NONE)?;
+        changed
+            .all(|other| other == id)
+            .then(|| &self.comps[id as usize])
+    }
 }
 
 impl Evaluation {
@@ -364,6 +373,7 @@ impl Evaluation {
             crossers: build_crossers(bundles, caps.len()),
             caps,
             saturated,
+            compiled: Compiled::default(),
         }
     }
 
@@ -414,7 +424,10 @@ impl Evaluation {
             crossers,
             caps,
             saturated,
+            compiled,
         } = self;
+        debug_assert_eq!(compiled.live, 0, "a patch must forget compiled components");
+        let fill = &ws.fill.state;
         splice_copy(&mut o.bundle_rates, segs, Bandwidth::ZERO);
         splice_copy(&mut o.bundle_status, segs, BundleStatus::Satisfied);
         splice_copy(freeze_keys, segs, FreezeKey::satisfied(0.0, 0));
@@ -430,9 +443,9 @@ impl Evaluation {
             }
         }
         for (local, &gi) in ws.subset.iter().enumerate() {
-            o.bundle_rates[gi as usize] = Bandwidth::from_bps(ws.fill.rates[local]);
-            o.bundle_status[gi as usize] = ws.fill.status[local];
-            freeze_keys[gi as usize] = ws.fill.keys[local];
+            o.bundle_rates[gi as usize] = Bandwidth::from_bps(fill.rates[local]);
+            o.bundle_status[gi as usize] = fill.status[local];
+            freeze_keys[gi as usize] = fill.keys[local];
         }
 
         // Crossing rows: a row is re-merged from its old entries and the
@@ -458,12 +471,13 @@ impl Evaluation {
         // re-filled component: loads re-accumulate in freeze order (the
         // exact order, and therefore the exact float sum, of a full
         // run); the component's saturations replace theirs.
-        let fill_dirty = |ws: &Workspace, li: usize| ws.fill.link_stamp[li] == ws.fill.stamp;
-        let n_filled = ws.fill.touched_links.len();
+        let comp = &ws.fill.comp;
+        let fill_dirty = |li: usize| comp.slot_of[li] != NONE;
+        let n_filled = fill.touched_links.len();
         for k in 0..n_filled + ws.changed_links.len() {
             let li = match k.checked_sub(n_filled) {
-                None => ws.fill.touched_links[k] as usize,
-                Some(c) if fill_dirty(ws, ws.changed_links[c] as usize) => continue,
+                None => fill.touched_links[k] as usize,
+                Some(c) if fill_dirty(ws.changed_links[c] as usize) => continue,
                 Some(c) => ws.changed_links[c] as usize,
             };
             if ws.touched_stamp[li] == ws.stamp {
@@ -473,11 +487,9 @@ impl Evaluation {
             // holds its whole row — every previously saturated link of
             // the component, by closure) was accumulated by the fill
             // itself, in that order.
-            let covered = k < n_filled
-                && (ws.fill.cross_start[k + 1] - ws.fill.cross_start[k]) as usize
-                    == crossers[li].len();
+            let covered = k < n_filled && comp.row_len(k) == crossers[li].len();
             let sum = if covered {
-                ws.fill.links[li].frozen_load
+                fill.links[k].frozen_load
             } else {
                 ws.entries.clear();
                 ws.entries.extend(crossers[li].iter().map(|&bi| {
@@ -493,10 +505,10 @@ impl Evaluation {
             saturated[li] = false;
         }
         let (link_demand, congested) = (&o.link_demand, &mut o.congested);
-        congested.retain(|l| !fill_dirty(ws, l.index()) && ws.touched_stamp[l.index()] != ws.stamp);
+        congested.retain(|l| !fill_dirty(l.index()) && ws.touched_stamp[l.index()] != ws.stamp);
         // The survivors' sort keys did not move, so they are still in
         // order; each new saturation is inserted at its place.
-        for &l in &ws.fill.saturated {
+        for &l in &fill.saturated {
             saturated[l.index()] = true;
             let demand = |x: LinkId| link_demand[x.index()].bps();
             let at = congested
@@ -522,6 +534,10 @@ pub struct WorkspaceStats {
     /// merging sums it, so per-shard fill totals expose load imbalance
     /// in the sharded optimizer.
     pub fills: usize,
+    /// How many of `fills` patched a component compiled once for the
+    /// incumbent ([`crate::Incumbent::prepare_component`]) instead of
+    /// compiling the candidate's own.
+    pub compiled_fills: usize,
 }
 
 impl WorkspaceStats {
@@ -532,6 +548,7 @@ impl WorkspaceStats {
         self.peak_component_links = self.peak_component_links.max(other.peak_component_links);
         self.peak_heap = self.peak_heap.max(other.peak_heap);
         self.fills += other.fills;
+        self.compiled_fills += other.compiled_fills;
     }
 }
 
@@ -554,23 +571,29 @@ pub struct Workspace {
     /// member's source tag (see [`POOL`]).
     in_set: Vec<u32>,
     src: Vec<u32>,
-    /// Per bundle: growth weight (written for current-subset members
-    /// before every fill; never read stale).
-    weight: Vec<f64>,
+    /// Per member of the affected set: its position in the last fill,
+    /// [`NONE`] when it was absorbed since.
+    filled_at: Vec<u32>,
     /// Per link: stamp marking links touched by the change, and their
     /// re-accumulated offered demand.
     touched_stamp: Vec<u32>,
     touched_demand: Vec<f64>,
     /// Per link: closure already expanded through this link.
     link_seen: Vec<u32>,
+    /// Fill stamp — bumped once per fill, several times per candidate
+    /// when border verification expands the component — and per link
+    /// the fill border verification last ran against, so every re-fill
+    /// re-verifies.
+    fill_stamp: u32,
+    border_seen: Vec<u32>,
     /// Closure work list.
     queue: Vec<u32>,
     /// The affected component (sorted ascending before each fill).
     subset: Vec<u32>,
-    /// Crosser-list scratch: spliced indices, and parallel to them
-    /// each crosser's source tag.
+    /// Crossing-row scratch of the in-place patcher.
     cs_buf: Vec<u32>,
-    cs_src: Vec<u32>,
+    /// Rate scratch of a patched fill's hand-over.
+    cs_rates: Vec<f64>,
     /// Demands of the replacement segment (splice path).
     seg_demand: Vec<f64>,
     /// Links touched by the change, as a list.
@@ -625,12 +648,13 @@ impl Workspace {
         if self.in_set.len() < n_bundles {
             self.in_set.resize(n_bundles, 0);
             self.src.resize(n_bundles, 0);
-            self.weight.resize(n_bundles, 0.0);
+            self.filled_at.resize(n_bundles, NONE);
         }
         if self.touched_stamp.len() < n_links {
             self.touched_stamp.resize(n_links, 0);
             self.touched_demand.resize(n_links, 0.0);
             self.link_seen.resize(n_links, 0);
+            self.border_seen.resize(n_links, 0);
         }
         self.queue.clear();
         self.subset.clear();
@@ -638,7 +662,19 @@ impl Workspace {
         self.changed_links.clear();
         self.changed_demand.clear();
         self.repl_cross.clear();
-        self.fill.ensure(n_bundles, n_links);
+    }
+
+    /// Opens border verification of a fill of `subset`: a new fill
+    /// epoch, and every member's position in it.
+    fn begin_verification(&mut self) {
+        if self.fill_stamp == u32::MAX {
+            self.border_seen.iter_mut().for_each(|s| *s = 0);
+            self.fill_stamp = 0;
+        }
+        self.fill_stamp += 1;
+        for (at, &gi) in self.subset.iter().enumerate() {
+            self.filled_at[gi as usize] = at as u32;
+        }
     }
 
     /// Marks link `li` as touched by the change (idempotent).
@@ -659,12 +695,24 @@ impl Workspace {
         }
     }
 
-    /// Adds every crosser [`Crossings::collect_into`] left in the
-    /// scratch lists to the affected set.
-    fn absorb_collected(&mut self) {
-        for idx in 0..self.cs_buf.len() {
-            self.absorb(self.cs_buf[idx], self.cs_src[idx]);
+    /// Takes the bundles the last fill filled — `comp` under
+    /// `self.fill.patch` — for affected set, exactly as if they had
+    /// been absorbed one by one and filled in list order: members with
+    /// their sources, `subset` ascending, the fill's rates parallel to
+    /// it.
+    fn adopt_patched_fill(&mut self, comp: &Component) {
+        let FillScratch { patch, state, .. } = &mut self.fill;
+        self.cs_rates.clear();
+        for (gi, local) in patch.filled(comp) {
+            self.in_set[gi as usize] = self.stamp;
+            self.src[gi as usize] = match local.checked_sub(comp.len()) {
+                None => comp.members[local],
+                Some(r) => POOL | r as u32,
+            };
+            self.subset.push(gi);
+            self.cs_rates.push(state.rates[local]);
         }
+        std::mem::swap(&mut state.rates, &mut self.cs_rates);
     }
 
     /// Adds bundle `gi`, which comes from `src`, to the affected set
@@ -673,114 +721,49 @@ impl Workspace {
         if self.in_set[gi as usize] != self.stamp {
             self.in_set[gi as usize] = self.stamp;
             self.src[gi as usize] = src;
+            self.filled_at[gi as usize] = NONE;
             self.queue.push(gi);
             self.subset.push(gi);
         }
     }
 }
 
-/// Scratch owned by the progressive-filling procedure itself: per-link
-/// state and the component-local result arrays, all stamped per fill so
-/// nothing O(links) is cleared between candidates.
+/// What a fill needs besides its input: the component a subset met
+/// once compiles into, the patch a candidate lays over a component
+/// compiled for its incumbent, and the fill's state and results.
 #[derive(Debug, Default)]
 struct FillScratch {
-    /// Fill stamp: bumped once per `fill` run (several per candidate
-    /// when border verification expands the component).
-    stamp: u32,
-    /// Per bundle: position in the current subset (valid when
-    /// `local_stamp` matches).
-    local_of: Vec<u32>,
-    local_stamp: Vec<u32>,
-    /// Per link: lazily initialized water-filling state.
-    link_stamp: Vec<u32>,
-    links: Vec<LinkState>,
-    /// Per link: compact slot index into the fill's crossing CSR.
-    slot_of: Vec<u32>,
-    /// Per link: border verification already ran against this fill
-    /// (stamped with the fill stamp, so every re-fill re-verifies).
-    border_seen: Vec<u32>,
-    /// Links initialized by this fill, in first-touch order.
-    touched_links: Vec<u32>,
-    /// Component results, parallel to the subset.
-    rates: Vec<f64>,
-    status: Vec<BundleStatus>,
-    keys: Vec<FreezeKey>,
-    active: Vec<bool>,
-    /// The event heap (capacity reused across fills).
-    heap: BinaryHeap<Event>,
-    /// Links that saturated while starving a bundle, in saturation
-    /// order.
-    saturated: Vec<LinkId>,
-    /// Victim scratch for one saturation event.
-    victims: Vec<u32>,
-    /// Subset crossing lists in slot-CSR form.
-    cross_start: Vec<u32>,
-    cross_pos: Vec<u32>,
-    cross: Vec<u32>,
-    /// High-water marks (see [`WorkspaceStats`]).
-    peak_component: usize,
-    peak_links: usize,
-    peak_heap: usize,
-    /// Fill counter (see [`WorkspaceStats::fills`]).
-    fills: usize,
+    comp: Component,
+    patch: Patch,
+    state: FillState,
 }
 
 impl FillScratch {
     fn stats(&self) -> WorkspaceStats {
         WorkspaceStats {
-            peak_component: self.peak_component,
-            peak_component_links: self.peak_links,
-            peak_heap: self.peak_heap,
-            fills: self.fills,
+            peak_component: self.state.peak_component,
+            peak_component_links: self.state.peak_links,
+            peak_heap: self.state.peak_heap,
+            fills: self.state.fills,
+            compiled_fills: self.state.compiled_fills,
         }
     }
 
-    fn ensure(&mut self, n_bundles: usize, n_links: usize) {
-        if self.local_of.len() < n_bundles {
-            self.local_of.resize(n_bundles, u32::MAX);
-            self.local_stamp.resize(n_bundles, 0);
-        }
-        if self.link_stamp.len() < n_links {
-            self.link_stamp.resize(n_links, 0);
-            self.links.resize(
-                n_links,
-                LinkState {
-                    capacity: 0.0,
-                    frozen_load: 0.0,
-                    active_weight: 0.0,
-                    version: 0,
-                    saturated: false,
-                    demand: 0.0,
-                },
-            );
-            self.slot_of.resize(n_links, 0);
-            self.border_seen.resize(n_links, 0);
-        }
-    }
-
-    fn begin_fill(&mut self) -> u32 {
-        if self.stamp == u32::MAX {
-            self.local_stamp.iter_mut().for_each(|s| *s = 0);
-            self.link_stamp.iter_mut().for_each(|s| *s = 0);
-            self.border_seen.iter_mut().for_each(|s| *s = 0);
-            self.stamp = 0;
-        }
-        self.stamp += 1;
-        self.fills += 1;
-        self.touched_links.clear();
-        self.saturated.clear();
-        self.heap.clear();
-        self.stamp
-    }
-
-    /// Whether `li` saturated in the current fill.
-    fn fill_saturated(&self, li: usize) -> bool {
-        self.link_stamp[li] == self.stamp && self.links[li].saturated
-    }
-
-    /// The just-filled rate of bundle `gi`, if it was in the subset.
-    fn filled_rate(&self, gi: usize) -> Option<f64> {
-        (self.local_stamp[gi] == self.stamp).then(|| self.rates[self.local_of[gi] as usize])
+    /// Progressive filling over `subset` — ascending indices into the
+    /// list `bundle` reads: compiles it and fills it as it stands.
+    /// Results are left in `self.state`, parallel to `subset` and to
+    /// `state.touched_links`.
+    fn fill<'b>(
+        &mut self,
+        bundle: impl Fn(u32) -> &'b BundleSpec,
+        subset: &[u32],
+        min_rtt: Delay,
+        caps: &[f64],
+    ) {
+        self.comp.members.clear();
+        self.comp.members.extend_from_slice(subset);
+        self.comp.compile(bundle, min_rtt, caps);
+        self.state.run(&self.comp, &Patch::EMPTY);
     }
 }
 
@@ -872,7 +855,6 @@ pub struct ParallelWorkspace {
     member_start: Vec<u32>,
     member_pos: Vec<u32>,
     /// Global input tables, identical to the serial path's.
-    weights: Vec<f64>,
     demands: Vec<f64>,
     caps: Vec<f64>,
     /// Merged outputs (indexed globally).
@@ -914,7 +896,6 @@ impl ParallelWorkspace {
             members: Vec::new(),
             member_start: Vec::new(),
             member_pos: Vec::new(),
-            weights: Vec::new(),
             demands: Vec::new(),
             caps: Vec::new(),
             rates: Vec::new(),
@@ -1041,8 +1022,7 @@ fn run_worker(
     members: &[u32],
     member_start: &[u32],
     comp_count: usize,
-    weights: &[f64],
-    demands: &[f64],
+    min_rtt: Delay,
     caps: &[f64],
 ) {
     w.out_bundles.clear();
@@ -1050,17 +1030,14 @@ fn run_worker(
     let mut c = wi;
     while c < comp_count {
         let subset = &members[member_start[c] as usize..member_start[c + 1] as usize];
-        fill(bundles, subset, weights, &|i| demands[i], caps, &mut w.fill);
+        w.fill
+            .fill(|gi| &bundles[gi as usize], subset, min_rtt, caps);
+        let fill = &w.fill.state;
         for (local, &gi) in subset.iter().enumerate() {
-            w.out_bundles.push((
-                gi,
-                w.fill.rates[local],
-                w.fill.status[local],
-                w.fill.keys[local],
-            ));
+            w.out_bundles
+                .push((gi, fill.rates[local], fill.status[local], fill.keys[local]));
         }
-        for &li in &w.fill.touched_links {
-            let ls = &w.fill.links[li as usize];
+        for (&li, ls) in fill.touched_links.iter().zip(&fill.links) {
             w.out_links
                 .push((li, ls.frozen_load, ls.demand, ls.saturated));
         }
@@ -1115,36 +1092,22 @@ impl<'a> FlowModel<'a> {
     /// so a later [`crate::Incumbent::replace`] can patch the result.
     pub fn evaluate_traced(&self, bundles: &[BundleSpec]) -> Evaluation {
         let caps = self.capacities();
-        let n = bundles.len();
         let n_links = caps.len();
-        let weights: Vec<f64> = bundles
-            .iter()
-            .map(|b| b.weight(self.config.min_rtt))
-            .collect();
         let demands: Vec<f64> = bundles.iter().map(|b| b.demand().bps()).collect();
-        let subset: Vec<u32> = (0..n as u32).collect();
-        let mut ws = Workspace::new();
-        ws.begin(n, n_links);
-        fill(
-            bundles,
-            &subset,
-            &weights,
-            &|i| demands[i],
-            &caps,
-            &mut ws.fill,
-        );
+        let subset: Vec<u32> = (0..bundles.len() as u32).collect();
+        let mut scratch = FillScratch::default();
+        let bundle = |gi: u32| &bundles[gi as usize];
+        scratch.fill(bundle, &subset, self.config.min_rtt, &caps);
+        let fill = &scratch.state;
 
         let mut link_frozen = vec![0.0_f64; n_links];
         let mut link_demand = vec![0.0_f64; n_links];
-        for li in 0..n_links {
-            if ws.fill.link_stamp[li] == ws.fill.stamp {
-                link_frozen[li] = ws.fill.links[li].frozen_load;
-                link_demand[li] = ws.fill.links[li].demand;
-            }
+        for (&li, ls) in fill.touched_links.iter().zip(&fill.links) {
+            link_frozen[li as usize] = ls.frozen_load;
+            link_demand[li as usize] = ls.demand;
         }
-        let mut congested = ws.fill.saturated.clone();
+        let mut congested = fill.saturated.clone();
         congested.sort_by(|&a, &b| congestion_order(a, b, &|l| link_demand[l.index()], &caps));
-        let fill = &ws.fill;
         let outcome = outcome_of(
             &fill.rates,
             &fill.status,
@@ -1223,9 +1186,6 @@ impl<'a> FlowModel<'a> {
         pw.caps.clear();
         pw.caps
             .extend(self.topology.links().map(|l| self.capacity(l)));
-        pw.weights.clear();
-        pw.weights
-            .extend(bundles.iter().map(|b| b.weight(self.config.min_rtt)));
         pw.demands.clear();
         pw.demands.extend(bundles.iter().map(|b| b.demand().bps()));
         pw.partition(bundles, n_links);
@@ -1241,14 +1201,11 @@ impl<'a> FlowModel<'a> {
                 members,
                 member_start,
                 comp_count,
-                weights,
-                demands,
                 caps,
                 ..
             } = &mut *pw;
-            let (members, member_start) = (&*members, &*member_start);
-            let (weights, demands, caps) = (&*weights, &*demands, &*caps);
-            let comp_count = *comp_count;
+            let (members, member_start, caps) = (&*members, &*member_start, &*caps);
+            let (comp_count, min_rtt) = (*comp_count, self.config.min_rtt);
             if threaded {
                 std::thread::scope(|s| {
                     for (wi, w) in workers.iter_mut().enumerate() {
@@ -1261,8 +1218,7 @@ impl<'a> FlowModel<'a> {
                                 members,
                                 member_start,
                                 comp_count,
-                                weights,
-                                demands,
+                                min_rtt,
                                 caps,
                             )
                         });
@@ -1278,8 +1234,7 @@ impl<'a> FlowModel<'a> {
                         members,
                         member_start,
                         comp_count,
-                        weights,
-                        demands,
+                        min_rtt,
                         caps,
                     );
                 }
@@ -1364,6 +1319,7 @@ impl<'a> FlowModel<'a> {
             self.topology.link_count(),
             "previous evaluation is for a different topology shape"
         );
+        eval.compiled.forget();
         for &l in touched_links {
             eval.caps[l.index()] = self.capacity(l);
             eval.outcome.link_capacity[l.index()] = Bandwidth::from_bps(self.capacity(l));
@@ -1414,9 +1370,68 @@ impl<'a> FlowModel<'a> {
         let ws = &*ws;
         DeltaScore::Partial {
             affected: &ws.subset,
-            rates: &ws.fill.rates,
+            rates: &ws.fill.state.rates,
             changed_link_demand: &ws.changed_demand,
         }
+    }
+
+    /// Compiles, once for `eval`, the bottleneck component around
+    /// `link`: the closure of its crossers over the links that saturated
+    /// in `eval` — the affected set of any change to `bundles` that
+    /// touches one of those links and no saturated link outside them.
+    /// [`FlowModel::score_delta`] then fills such a candidate by
+    /// patching the compiled component instead of closing, summing and
+    /// sorting its own (see the module docs); every other candidate is
+    /// scored as if nothing had been prepared, and either way to the
+    /// same bits. A no-op when `link` did not saturate or a prepared
+    /// component already holds it. `bundles` must be the list `eval`
+    /// evaluates.
+    pub(crate) fn prepare_component(
+        &self,
+        eval: &mut Evaluation,
+        bundles: &[BundleSpec],
+        link: LinkId,
+    ) {
+        assert_eq!(
+            eval.demands.len(),
+            bundles.len(),
+            "`eval` evaluates a different bundle list"
+        );
+        let Evaluation {
+            crossers,
+            caps,
+            saturated,
+            compiled,
+            ..
+        } = eval;
+        compiled.of_link.resize(caps.len(), NONE);
+        if !saturated[link.index()] || compiled.of_link[link.index()] != NONE {
+            return;
+        }
+        let id = compiled.live;
+        if compiled.comps.len() == id {
+            compiled.comps.push(Component::default());
+        }
+        let comp = &mut compiled.comps[id];
+        comp.members.clear();
+        compiled.of_link[link.index()] = id as u32;
+        compiled.queue.push(link.0);
+        while let Some(li) = compiled.queue.pop() {
+            for &bi in &crossers[li as usize] {
+                comp.members.push(bi);
+                for l in &bundles[bi as usize].links {
+                    if saturated[l.index()] && compiled.of_link[l.index()] == NONE {
+                        compiled.of_link[l.index()] = id as u32;
+                        compiled.queue.push(l.0);
+                    }
+                }
+            }
+        }
+        comp.members.sort_unstable();
+        comp.members.dedup();
+        comp.compile(|gi| &bundles[gi as usize], self.config.min_rtt, caps);
+        comp.presort();
+        compiled.live += 1;
     }
 
     /// The shared incremental core: seeds the affected set from the
@@ -1525,43 +1540,72 @@ impl<'a> FlowModel<'a> {
             ws.touched_demand[li as usize] = sum;
         }
 
-        // Seed the affected set: the replacement bundles, plus the full
-        // crosser sets of touched links that saturated before (their
-        // frozen victims must re-fill to redistribute freed or
-        // re-claimed capacity).
-        for s in segs {
-            for k in 0..s.repl_len {
-                ws.absorb(s.new_start + k, POOL | (s.repl_start + k));
+        // A one-segment change whose previously-saturated links all lie
+        // in one component compiled for `prev` has that component,
+        // spliced, for affected set: its first fill patches the
+        // compiled form. Anything else seeds the affected set — the
+        // replacement bundles, plus the full crosser sets of touched
+        // links that saturated before (their frozen victims must
+        // re-fill to redistribute freed or re-claimed capacity) — and
+        // closes it.
+        let mut compiled = match segs {
+            [_] => prev.compiled.covering(&ws.changed_links, &prev.saturated),
+            _ => None,
+        };
+        if compiled.is_none() {
+            for s in segs {
+                for k in 0..s.repl_len {
+                    ws.absorb(s.new_start + k, POOL | (s.repl_start + k));
+                }
             }
-        }
-        for k in 0..ws.changed_links.len() {
-            let li = ws.changed_links[k] as usize;
-            if prev.saturated[li] {
-                crossings.absorb_crossers(li, ws);
+            for k in 0..ws.changed_links.len() {
+                let li = ws.changed_links[k] as usize;
+                if prev.saturated[li] {
+                    crossings.absorb_crossers(li, ws);
+                }
             }
+            close_component(delta, prev, &crossings, ws);
         }
-        close_component(delta, prev, &crossings, ws);
 
         // The optimistic fill + border-verification loop (see the
         // module docs for the correctness argument).
+        let min_rtt = self.config.min_rtt;
         let fallback = loop {
-            if ws.subset.len() * 10 >= n.max(1) * 9 {
+            // The first fill only; a component that had to grow
+            // re-fills as a subset of its own.
+            let patched = compiled.take();
+            let fill = &mut ws.fill;
+            let filled = match patched {
+                Some(comp) => {
+                    let s = &segs[0];
+                    debug_assert_eq!((s.new_start, s.repl_start), (s.start, 0));
+                    debug_assert!(
+                        comp.describes(&prev.demands),
+                        "component compiled from another evaluation"
+                    );
+                    fill.patch
+                        .build(comp, s.start, s.removed, delta.pool, min_rtt, caps);
+                    fill.patch.filled_len(comp)
+                }
+                None => ws.subset.len(),
+            };
+            if filled * 10 >= n.max(1) * 9 {
                 break true;
             }
-            ws.subset.sort_unstable();
-            for k in 0..ws.subset.len() {
-                let gi = ws.subset[k] as usize;
-                ws.weight[gi] = delta.at(ws.src[gi]).weight(self.config.min_rtt);
+            match patched {
+                Some(comp) => {
+                    fill.state.run(comp, &fill.patch);
+                    ws.adopt_patched_fill(comp);
+                }
+                None => {
+                    ws.subset.sort_unstable();
+                    // Sources were resolved when the members joined the
+                    // set, so no fill ever searches the segment list.
+                    let src = &ws.src;
+                    fill.fill(|gi| delta.at(src[gi as usize]), &ws.subset, min_rtt, caps);
+                }
             }
-            let src = &ws.src;
-            fill(
-                &Resolved { delta, src },
-                &ws.subset,
-                &ws.weight,
-                &|gi| demand(src[gi]),
-                caps,
-                &mut ws.fill,
-            );
+            ws.begin_verification();
 
             // Border verification: every never-saturated binding link
             // that the delta could have pushed over — partially crossed
@@ -1569,8 +1613,8 @@ impl<'a> FlowModel<'a> {
             // strictly below capacity, or the optimism was wrong and the
             // component grows. Fully-covered links need no check.
             let mut expanded = false;
-            for k in 0..ws.fill.touched_links.len() {
-                let li = ws.fill.touched_links[k] as usize;
+            for k in 0..ws.fill.state.touched_links.len() {
+                let li = ws.fill.state.touched_links[k] as usize;
                 verify_border(li, prev, &crossings, ws, &mut expanded);
             }
             for k in 0..ws.changed_links.len() {
@@ -1601,32 +1645,40 @@ fn verify_border(
     expanded: &mut bool,
 ) {
     // Stamped with the *fill* stamp so every re-fill re-verifies.
-    if ws.fill.border_seen[li] == ws.fill.stamp || prev.saturated[li] {
+    if ws.border_seen[li] == ws.fill_stamp || prev.saturated[li] {
         return;
     }
-    ws.fill.border_seen[li] = ws.fill.stamp;
+    ws.border_seen[li] = ws.fill_stamp;
     if !is_binding(ws.link_demand(prev, li), prev.caps[li]) {
         return;
     }
-    crossings.collect_into(li, ws);
-    if ws.cs_buf.iter().all(|&c| ws.in_set[c as usize] == ws.stamp) {
+    // One walk of the link's crossers: whether any lies outside the
+    // affected set, and the load they end with. Bundles absorbed
+    // earlier in this same scan are in the set but not in this fill;
+    // they carried their previous rate through it (replacement bundles
+    // are in every fill, so a bundle outside this one has a previous
+    // index for source).
+    let (mut load, mut partial) = (0.0, false);
+    let rates = &ws.fill.state.rates;
+    crossings.walk(li, |i, src| {
+        let at = if ws.in_set[i as usize] == ws.stamp {
+            ws.filled_at[i as usize]
+        } else {
+            partial = true;
+            NONE
+        };
+        load += match rates.get(at as usize) {
+            Some(&rate) => rate,
+            None => prev.outcome.bundle_rates[src as usize].bps(),
+        };
+    });
+    if !partial {
         return;
     }
-    let mut load = 0.0;
-    for idx in 0..ws.cs_buf.len() {
-        let ci = ws.cs_buf[idx] as usize;
-        // Bundles absorbed earlier in this same scan are in the set
-        // but not in this fill; they carried their previous rate
-        // through it (replacement bundles are in every fill, so a
-        // bundle outside this one has a previous index for source).
-        load += match ws.fill.filled_rate(ci) {
-            Some(r) => r,
-            None => prev.outcome.bundle_rates[ws.cs_src[idx] as usize].bps(),
-        };
-    }
-    if ws.fill.fill_saturated(li) || load >= prev.caps[li] * (1.0 - BINDING_SLACK) {
+    let saturated = ws.fill.state.saturated.contains(&LinkId(li as u32));
+    if saturated || load >= prev.caps[li] * (1.0 - BINDING_SLACK) {
         *expanded = true;
-        ws.absorb_collected();
+        crossings.absorb_crossers(li, ws);
     }
 }
 
@@ -1662,23 +1714,16 @@ struct Crossings<'a> {
 }
 
 impl Crossings<'_> {
-    /// Writes the crossers of link `li` into `ws.cs_buf`: spliced-list
-    /// indices, ascending, with exactly the multiplicity and order a
-    /// direct build over the spliced list would produce — and, parallel
-    /// to them in `ws.cs_src`, each crosser's source tag.
-    fn collect_into(&self, li: usize, ws: &mut Workspace) {
-        ws.cs_buf.clear();
-        ws.cs_src.clear();
-        merge_row(&self.rows[li], self.segs, self.repl, li as u32, |i, src| {
-            ws.cs_buf.push(i);
-            ws.cs_src.push(src);
-        });
+    /// Visits the crossers of link `li` as `(spliced index, source
+    /// tag)`, ascending, with exactly the multiplicity and order a
+    /// direct build over the spliced list would produce.
+    fn walk(&self, li: usize, visit: impl FnMut(u32, u32)) {
+        merge_row(&self.rows[li], self.segs, self.repl, li as u32, visit);
     }
 
     /// Adds every crosser of link `li` to the affected set.
     fn absorb_crossers(&self, li: usize, ws: &mut Workspace) {
-        self.collect_into(li, ws);
-        ws.absorb_collected();
+        self.walk(li, |i, src| ws.absorb(i, src));
     }
 }
 
@@ -1739,259 +1784,6 @@ fn congestion_order(
     let oa = link_demand(a) / caps[a.index()].max(1e-9);
     let ob = link_demand(b) / caps[b.index()].max(1e-9);
     ob.total_cmp(&oa).then(a.0.cmp(&b.0))
-}
-
-/// Freezes bundle `gi` at water level `t` with the given status,
-/// updating all links it crosses (their events re-arm lazily on pop).
-#[allow(clippy::too_many_arguments)]
-fn freeze_bundle<V: BundleView + ?Sized>(
-    bundles: &V,
-    weights: &[f64],
-    demand: &impl Fn(usize) -> f64,
-    gi: u32,
-    t: f64,
-    st: BundleStatus,
-    local_of: &[u32],
-    rates: &mut [f64],
-    status: &mut [BundleStatus],
-    keys: &mut [FreezeKey],
-    active: &mut [bool],
-    links: &mut [LinkState],
-) {
-    let bi = gi as usize;
-    let local = local_of[bi] as usize;
-    let rate = match st {
-        BundleStatus::Satisfied => demand(bi),
-        BundleStatus::Congested(_) => (weights[bi] * t).min(demand(bi)),
-    };
-    rates[local] = rate;
-    status[local] = st;
-    keys[local] = match st {
-        BundleStatus::Satisfied => FreezeKey::satisfied(t, gi),
-        BundleStatus::Congested(l) => FreezeKey::congested(t, l.0, gi),
-    };
-    active[local] = false;
-    for l in &bundles.get(bi).links {
-        let ls = &mut links[l.index()];
-        ls.frozen_load += rate;
-        ls.active_weight -= weights[bi];
-        if ls.active_weight < 1e-9 {
-            ls.active_weight = 0.0;
-        }
-        // Lazily re-armed: the link's stale heap entry is a lower
-        // bound on its true saturation time (each freeze lowers the
-        // load slope, so saturation only moves later), and the pop
-        // loop re-computes and re-pushes it when it surfaces. This
-        // keeps heap traffic at O(links + stale pops) instead of
-        // one push per (freeze × crossed link).
-        ls.version += 1;
-    }
-}
-
-/// Progressive filling over `subset` (ascending global bundle indices).
-/// Event tie-breaking uses global indices throughout, so filling a
-/// subset whose members don't share a binding link with the rest
-/// reproduces exactly what a full run computes for those bundles.
-///
-/// All state lives in `ws` (epoch-stamped per-link tables, reused
-/// component arrays, the event heap), so steady-state fills allocate
-/// nothing and touch only the links the subset actually crosses.
-fn fill<V: BundleView + ?Sized>(
-    bundles: &V,
-    subset: &[u32],
-    weights: &[f64],
-    demand: &impl Fn(usize) -> f64,
-    caps: &[f64],
-    ws: &mut FillScratch,
-) {
-    let m = subset.len();
-    ws.ensure(bundles.len(), caps.len());
-    let stamp = ws.begin_fill();
-
-    ws.rates.clear();
-    ws.rates.resize(m, 0.0);
-    ws.status.clear();
-    ws.status.resize(m, BundleStatus::Satisfied);
-    ws.keys.clear();
-    ws.keys.resize(m, FreezeKey::satisfied(0.0, 0));
-    ws.active.clear();
-    ws.active.resize(m, true);
-
-    // Global index -> position in `subset`.
-    for (local, &gi) in subset.iter().enumerate() {
-        ws.local_of[gi as usize] = local as u32;
-        ws.local_stamp[gi as usize] = stamp;
-    }
-
-    // Per-link state, initialized lazily on first touch; accumulation
-    // runs in subset (= ascending input) order, reproducing a full
-    // run's float sums exactly.
-    for &gi in subset {
-        let bi = gi as usize;
-        debug_assert!(
-            bundles.get(bi).links.iter().all(|l| l.index() < caps.len()),
-            "bundle {bi} references a link outside the topology"
-        );
-        for l in &bundles.get(bi).links {
-            let li = l.index();
-            if ws.link_stamp[li] != stamp {
-                ws.link_stamp[li] = stamp;
-                ws.links[li] = LinkState {
-                    capacity: caps[li],
-                    frozen_load: 0.0,
-                    active_weight: 0.0,
-                    version: 0,
-                    saturated: false,
-                    demand: 0.0,
-                };
-                ws.slot_of[li] = ws.touched_links.len() as u32;
-                ws.touched_links.push(li as u32);
-            }
-            let ls = &mut ws.links[li];
-            ls.active_weight += weights[bi];
-            ls.demand += demand(bi);
-        }
-    }
-    let n_slots = ws.touched_links.len();
-
-    // Subset crossing lists in slot-CSR form (sized by the component's
-    // links, not the topology): crossers of the link in slot `s`,
-    // ascending, at `cross[cross_start[s]..cross_start[s + 1]]`.
-    ws.cross_start.clear();
-    ws.cross_start.resize(n_slots + 1, 0);
-    for &gi in subset {
-        for l in &bundles.get(gi as usize).links {
-            ws.cross_start[ws.slot_of[l.index()] as usize + 1] += 1;
-        }
-    }
-    for s in 0..n_slots {
-        ws.cross_start[s + 1] += ws.cross_start[s];
-    }
-    ws.cross.clear();
-    ws.cross.resize(ws.cross_start[n_slots] as usize, 0);
-    ws.cross_pos.clear();
-    ws.cross_pos.extend_from_slice(&ws.cross_start[..n_slots]);
-    for &gi in subset {
-        for l in &bundles.get(gi as usize).links {
-            let slot = ws.slot_of[l.index()] as usize;
-            let p = ws.cross_pos[slot] as usize;
-            ws.cross[p] = gi;
-            ws.cross_pos[slot] += 1;
-        }
-    }
-
-    for &gi in subset {
-        let bi = gi as usize;
-        debug_assert!(weights[bi] > 0.0 && demand(bi) > 0.0);
-        ws.heap.push(Event {
-            time: demand(bi) / weights[bi],
-            kind: 0,
-            idx: gi,
-            version: 0,
-        });
-    }
-    for k in 0..n_slots {
-        let li = ws.touched_links[k] as usize;
-        if let Some(t) = ws.links[li].saturation_time() {
-            ws.heap.push(Event {
-                time: t,
-                kind: 1,
-                idx: li as u32,
-                version: ws.links[li].version,
-            });
-        }
-    }
-
-    ws.peak_component = ws.peak_component.max(m);
-    ws.peak_links = ws.peak_links.max(n_slots);
-    ws.peak_heap = ws.peak_heap.max(ws.heap.len());
-
-    let mut remaining = m;
-    while let Some(ev) = ws.heap.pop() {
-        if remaining == 0 {
-            break;
-        }
-        match ev.kind {
-            0 => {
-                let local = ws.local_of[ev.idx as usize] as usize;
-                if !ws.active[local] {
-                    continue; // frozen by an earlier link saturation
-                }
-                freeze_bundle(
-                    bundles,
-                    weights,
-                    demand,
-                    ev.idx,
-                    ev.time,
-                    BundleStatus::Satisfied,
-                    &ws.local_of,
-                    &mut ws.rates,
-                    &mut ws.status,
-                    &mut ws.keys,
-                    &mut ws.active,
-                    &mut ws.links,
-                );
-                remaining -= 1;
-            }
-            _ => {
-                let li = ev.idx as usize;
-                if ws.links[li].saturated || ws.links[li].active_weight <= 0.0 {
-                    continue; // dead: no active crossers left to freeze
-                }
-                if ws.links[li].version != ev.version {
-                    // Stale lower bound surfaced: re-arm at the current
-                    // saturation time (clamped to the frontier so
-                    // processing stays monotone in time).
-                    if let Some(nt) = ws.links[li].saturation_time() {
-                        ws.heap.push(Event {
-                            time: nt.max(ev.time),
-                            kind: 1,
-                            idx: ev.idx,
-                            version: ws.links[li].version,
-                        });
-                    }
-                    continue;
-                }
-                ws.links[li].saturated = true;
-                let slot = ws.slot_of[li] as usize;
-                let (s, e) = (
-                    ws.cross_start[slot] as usize,
-                    ws.cross_start[slot + 1] as usize,
-                );
-                ws.victims.clear();
-                for idx in s..e {
-                    let gi = ws.cross[idx];
-                    if ws.active[ws.local_of[gi as usize] as usize] {
-                        ws.victims.push(gi);
-                    }
-                }
-                debug_assert!(
-                    !ws.victims.is_empty(),
-                    "a saturating link must have active crossers"
-                );
-                ws.saturated.push(LinkId(li as u32));
-                for k in 0..ws.victims.len() {
-                    let gi = ws.victims[k];
-                    freeze_bundle(
-                        bundles,
-                        weights,
-                        demand,
-                        gi,
-                        ev.time,
-                        BundleStatus::Congested(LinkId(li as u32)),
-                        &ws.local_of,
-                        &mut ws.rates,
-                        &mut ws.status,
-                        &mut ws.keys,
-                        &mut ws.active,
-                        &mut ws.links,
-                    );
-                    remaining -= 1;
-                }
-            }
-        }
-    }
-    debug_assert_eq!(remaining, 0, "every bundle must terminate");
 }
 
 #[cfg(test)]

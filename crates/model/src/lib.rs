@@ -25,7 +25,10 @@
 //! * [`FlowModel::score_delta`] / [`BundleDelta`] — the same core over a
 //!   *spliced view* of the incumbent's table, so a caller scoring many
 //!   one-segment candidate changes (the optimizer's inner loop) never
-//!   materializes the candidates it rejects;
+//!   materializes the candidates it rejects — and, after
+//!   [`Incumbent::prepare_component`] has compiled the bottleneck
+//!   component around the congested link they all move flows off, fills
+//!   each one by patching that component instead of deriving its own;
 //! * [`FlowModel::evaluate_traced_parallel`] / [`ParallelWorkspace`] —
 //!   a component-partitioned full fill, bitwise identical to the serial
 //!   one at any worker count. No run selects it: every full evaluation
@@ -33,6 +36,7 @@
 //!   stays because the repository benchmark's layer replay times it.
 #![forbid(unsafe_code)]
 
+mod component;
 mod engine;
 mod incumbent;
 mod outcome;

@@ -483,3 +483,188 @@ fn utility_delta_matches_report_of_spliced_table_on_he_candidates() {
     assert!(kept_rate > 0, "no re-filled bundle kept its rate");
     assert!(shifted_change > 0, "no rate changed behind a shifted span");
 }
+
+/// A candidate filled through a component compiled for its incumbent
+/// ([`Incumbent::prepare_component`]) must score exactly like the same
+/// candidate against the unprepared incumbent, and both like a full
+/// evaluation of the materialized table: the same affected bundles, the
+/// same rates, the same link demands, bit for bit. Seeded candidates on
+/// the underprovisioned HE-961 instance after a few committed splits (so
+/// spans of one and of two bundles exist): a whole move onto a detour
+/// or a 1 → 2 split, half of them off the prepared link. Every shape
+/// the patch distinguishes must occur among the candidates that took
+/// it — a segment that grew, one that shrank, one that kept its
+/// length, a replacement bundle on a link no member of the component
+/// crosses — and so must a candidate the component does not cover.
+#[test]
+fn compiled_fill_matches_adhoc_fill() {
+    let topo = generators::he_core(Bandwidth::from_mbps(75.0));
+    let tm = fubar_traffic::workload::generate(&topo, &Default::default(), 1);
+    let g = topo.graph();
+    let shortest = |a: &Aggregate, avoid: &LinkSet| g.shortest_path(a.ingress, a.egress, avoid);
+    let bundles: Vec<BundleSpec> = tm
+        .iter()
+        .map(|a| {
+            let path = shortest(a, &LinkSet::new()).expect("HE core is connected");
+            BundleSpec::new(a, &path, a.flow_count)
+        })
+        .collect();
+    let spans: Vec<(u32, u32)> = (0..bundles.len() as u32).map(|i| (i, 1)).collect();
+    let model = FlowModel::with_defaults(&topo);
+    let mut plain = Incumbent::measure(&model, &tm, bundles, spans);
+    let link = plain.outcome().congested[0];
+    let avoid_link = LinkSet::from_iter([link]);
+
+    // Split the first few aggregates crossing `link` over two paths.
+    let splits: Vec<(AggregateId, Vec<BundleSpec>)> = plain
+        .bundles()
+        .iter()
+        .filter(|b| b.links.contains(&link) && b.flow_count >= 2)
+        .filter_map(|b| {
+            let a = tm.aggregate(b.aggregate);
+            let detour = shortest(a, &avoid_link)?;
+            let mut stay = b.clone();
+            stay.flow_count -= 1;
+            Some((a.id, vec![stay, BundleSpec::new(a, &detour, 1)]))
+        })
+        .take(6)
+        .collect();
+    assert_eq!(splits.len(), 6);
+    plain.replace(&model, &tm, splits, &[], &mut PatchScratch::default());
+    assert!(plain.outcome().congested.contains(&link));
+    let mut prepared = plain.clone();
+    prepared.prepare_component(&model, link);
+
+    // The links the component's members cross, found the slow way.
+    let saturated = |l: &LinkId| plain.outcome().congested.contains(l);
+    let mut member = vec![false; plain.bundles().len()];
+    let mut reached = vec![link];
+    while let Some(l) = reached.pop() {
+        for (i, b) in plain.bundles().iter().enumerate() {
+            if !member[i] && b.links.contains(&l) {
+                member[i] = true;
+                reached.extend(b.links.iter().filter(|l| saturated(l)));
+            }
+        }
+    }
+    let crossed: LinkSet = (plain.bundles().iter().zip(&member))
+        .filter(|(_, &m)| m)
+        .flat_map(|(b, _)| b.links.iter().copied())
+        .collect();
+    let crossers: Vec<AggregateId> = (plain.bundles().iter())
+        .filter(|b| b.links.contains(&link))
+        .map(|b| b.aggregate)
+        .collect();
+
+    let mut x = 0x2545_F491_4F6C_DD1D_u64;
+    let mut next = move || {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        x
+    };
+    let bits = |v: &[f64]| v.iter().map(|r| r.to_bits()).collect::<Vec<_>>();
+    let (mut fast_ws, mut slow_ws) = (Workspace::new(), Workspace::new());
+    let (mut grew, mut shrank, mut kept, mut outside, mut uncovered) = (0, 0, 0, 0, 0);
+    for round in 0..240 {
+        let id = if round % 2 == 0 {
+            crossers[(next() % crossers.len() as u64) as usize]
+        } else {
+            AggregateId((next() % tm.len() as u64) as u32)
+        };
+        let a = tm.aggregate(id);
+        let (start, len) = plain.spans()[id.index()];
+        let old = &plain.bundles()[start as usize..(start + len) as usize];
+        let from = &old[(next() % old.len() as u64) as usize];
+        if from.links.is_empty() {
+            continue; // intra-POP: nowhere to move
+        }
+        let mut avoid = LinkSet::new();
+        avoid.insert(from.links[(next() % from.links.len() as u64) as usize]);
+        let Some(detour) = shortest(a, &avoid) else {
+            continue;
+        };
+        let replacement = if len == 1 && a.flow_count >= 2 && next() % 2 == 0 {
+            let moved = 1 + (next() % u64::from(a.flow_count - 1)) as u32;
+            let mut stay = from.clone();
+            stay.flow_count -= moved;
+            vec![stay, BundleSpec::new(a, &detour, moved)]
+        } else {
+            vec![BundleSpec::new(a, &detour, a.flow_count)]
+        };
+
+        let fills_before = fast_ws.stats().compiled_fills;
+        let (at, len) = (start as usize, len as usize);
+        let delta = BundleDelta::new(prepared.bundles(), at, len, &replacement);
+        let slow_delta = BundleDelta::new(plain.bundles(), at, len, &replacement);
+        let fast = model.score_delta(prepared.eval(), &delta, &mut fast_ws);
+        let slow = model.score_delta(plain.eval(), &slow_delta, &mut slow_ws);
+        let (
+            DeltaScore::Partial {
+                affected,
+                rates,
+                changed_link_demand,
+            },
+            DeltaScore::Partial {
+                affected: slow_affected,
+                rates: slow_rates,
+                changed_link_demand: slow_changed,
+            },
+        ) = (fast, slow)
+        else {
+            panic!("round {round}: the component was the instance");
+        };
+        assert_eq!(affected, slow_affected, "round {round}");
+        assert_eq!(bits(rates), bits(slow_rates), "round {round}");
+        assert_eq!(changed_link_demand, slow_changed, "round {round}");
+
+        let spliced: Vec<BundleSpec> = (0..delta.len()).map(|i| delta.get(i).clone()).collect();
+        let full = model.evaluate_traced(&spliced).outcome;
+        let mut refilled = affected.iter().zip(rates).peekable();
+        for (i, rate) in full.bundle_rates.iter().enumerate() {
+            let expected = match refilled.next_if(|(&gi, _)| gi as usize == i) {
+                Some((_, &rate)) => rate,
+                None => {
+                    let pi = delta.prev_index(i).expect("replacement bundles re-fill");
+                    plain.outcome().bundle_rates[pi as usize].bps()
+                }
+            };
+            assert_eq!(
+                rate.bps().to_bits(),
+                expected.to_bits(),
+                "round {round}: bundle {i}"
+            );
+        }
+        let mut changed = changed_link_demand.iter().peekable();
+        for (li, demand) in full.link_demand.iter().enumerate() {
+            let expected = match changed.next_if(|&&(l, _)| l as usize == li) {
+                Some(&(_, demand)) => demand,
+                None => plain.outcome().link_demand[li].bps(),
+            };
+            assert_eq!(
+                demand.bps().to_bits(),
+                expected.to_bits(),
+                "round {round}: link {li}"
+            );
+        }
+
+        // Which shape was this?
+        if fast_ws.stats().compiled_fills == fills_before {
+            uncovered += 1;
+            continue;
+        }
+        grew += usize::from(replacement.len() > old.len());
+        shrank += usize::from(replacement.len() < old.len());
+        kept += usize::from(replacement.len() == old.len());
+        let leaves = |b: &BundleSpec| b.links.iter().any(|l| !crossed.contains(*l));
+        outside += usize::from(replacement.iter().any(leaves));
+    }
+    assert!(grew > 0, "no patched segment grew");
+    assert!(shrank > 0, "no patched segment shrank");
+    assert!(kept > 0, "no patched segment kept its length");
+    assert!(
+        outside > 0,
+        "no replacement bundle left the component's links"
+    );
+    assert!(uncovered > 0, "the component covered every candidate");
+}

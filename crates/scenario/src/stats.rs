@@ -105,23 +105,32 @@ impl RunStats {
             self.scratch.peak_component_links,
             self.scratch.peak_heap,
         );
-        if !self.shards.is_empty() {
-            let score_s: Vec<f64> = self.shards.iter().map(|s| s.score_s).collect();
-            let p = percentiles(&score_s);
+        // Only shards that filled something, plus the trunk core (the
+        // last entry): a single-shard instance would otherwise list a
+        // row of zeros per empty region and take its percentiles over
+        // them.
+        let last = self.shards.len().saturating_sub(1);
+        let shown: Vec<&ShardRunStats> = (self.shards.iter().enumerate())
+            .filter(|(i, s)| s.scratch.fills > 0 || *i == last)
+            .map(|(_, s)| s)
+            .collect();
+        if !shown.is_empty() {
+            let score_s: Vec<f64> = shown.iter().map(|s| s.score_s).collect();
             out.push_str(&format!(
                 "\n# per-shard (last = trunk core)\n{}",
-                line("shard score", p)
+                line("shard score", percentiles(&score_s))
             ));
-            for s in &self.shards {
+            for s in shown {
                 out.push_str(&format!(
                     "\nshard {:>3}: aggregates={} links={} commits={} score={:.3}ms \
-                     fills={} peak-component={}",
+                     fills={} compiled-fills={} peak-component={}",
                     s.shard,
                     s.aggregates,
                     s.links,
                     s.commits,
                     s.score_s * 1e3,
                     s.scratch.fills,
+                    s.scratch.compiled_fills,
                     s.scratch.peak_component,
                 ));
             }
@@ -164,6 +173,11 @@ mod tests {
 
     #[test]
     fn shard_block_renders_when_present() {
+        let filled = |fills, compiled_fills| WorkspaceStats {
+            fills,
+            compiled_fills,
+            ..Default::default()
+        };
         let s = RunStats {
             shards: vec![
                 ShardRunStats {
@@ -172,10 +186,16 @@ mod tests {
                     links: 4,
                     commits: 3,
                     score_s: 0.002,
-                    ..Default::default()
+                    scratch: filled(40, 25),
                 },
                 ShardRunStats {
                     shard: 1,
+                    aggregates: 7,
+                    links: 3,
+                    ..Default::default()
+                },
+                ShardRunStats {
+                    shard: 2,
                     aggregates: 2,
                     links: 1,
                     commits: 1,
@@ -187,8 +207,16 @@ mod tests {
         };
         let text = s.render();
         assert!(text.contains("per-shard"), "{text}");
-        assert!(text.contains("shard score"), "{text}");
+        assert!(text.contains("shard score    n=2 "), "{text}");
         assert!(text.contains("shard   0: aggregates=10"), "{text}");
-        assert!(text.contains("shard   1: aggregates=2"), "{text}");
+        assert!(text.contains("fills=40 compiled-fills=25"), "{text}");
+        assert!(
+            !text.contains("shard   1:"),
+            "a shard that filled nothing is not listed: {text}"
+        );
+        assert!(
+            text.contains("shard   2: aggregates=2"),
+            "trunk core: {text}"
+        );
     }
 }
