@@ -2,10 +2,10 @@
 //! aggregate ride each path of its path set.
 
 use crate::pathset::PathSet;
-use fubar_graph::{LinkId, LinkSet, Path};
+use fubar_graph::{LinkId, LinkSet, Path, SpTree};
 use fubar_model::BundleSpec;
 use fubar_topology::Topology;
-use fubar_traffic::{AggregateId, TrafficMatrix};
+use fubar_traffic::{Aggregate, AggregateId, TrafficMatrix};
 
 /// A complete flow-to-path assignment for every aggregate.
 ///
@@ -30,6 +30,54 @@ pub struct Move {
     pub to: usize,
     /// Number of flows to move.
     pub count: u32,
+}
+
+/// Where the boot state and [`Allocation::rebase`] take an aggregate's
+/// default path from: the lowest-delay path avoiding `excluded`, else
+/// the unconstrained one. A path depends on the aggregate only through
+/// its endpoints, so each ingress gets one on-demand search per
+/// exclusion set ([`SpTree`], started at the ingress's first aggregate
+/// and advanced as far as its farthest egress), not a Dijkstra per
+/// aggregate — and each path is bit for bit the per-pair one.
+struct DefaultPaths<'a> {
+    topology: &'a Topology,
+    /// The two exclusion sets, `excluded` first, the empty one second.
+    avoiding: [&'a LinkSet; 2],
+    /// Per ingress node, the search under each of `avoiding`.
+    searches: Vec<[Option<SpTree<'a>>; 2]>,
+}
+
+impl<'a> DefaultPaths<'a> {
+    fn new(topology: &'a Topology, excluded: &'a LinkSet, nothing: &'a LinkSet) -> Self {
+        DefaultPaths {
+            topology,
+            avoiding: [excluded, nothing],
+            searches: (0..topology.node_count()).map(|_| [None, None]).collect(),
+        }
+    }
+
+    /// # Panics
+    ///
+    /// Panics if `a`'s endpoints are disconnected on the full topology.
+    fn path(&mut self, a: &Aggregate) -> Path {
+        let graph = self.topology.graph();
+        self.searches[a.ingress.index()]
+            .iter_mut()
+            .zip(self.avoiding)
+            .find_map(|(search, avoiding)| {
+                search
+                    .get_or_insert_with(|| graph.shortest_path_tree(a.ingress, avoiding))
+                    .path_to(a.egress)
+            })
+            .unwrap_or_else(|| {
+                panic!(
+                    "aggregate {} endpoints {}->{} are disconnected",
+                    a.id,
+                    self.topology.node_name(a.ingress),
+                    self.topology.node_name(a.egress)
+                )
+            })
+    }
 }
 
 impl Allocation {
@@ -60,23 +108,12 @@ impl Allocation {
         tm: &TrafficMatrix,
         excluded: &LinkSet,
     ) -> Self {
-        let empty = LinkSet::new();
+        let nothing = LinkSet::new();
+        let mut shortest = DefaultPaths::new(topology, excluded, &nothing);
         let mut path_sets = Vec::with_capacity(tm.len());
         let mut flows = Vec::with_capacity(tm.len());
         for a in tm.iter() {
-            let path = topology
-                .graph()
-                .shortest_path(a.ingress, a.egress, excluded)
-                .or_else(|| topology.graph().shortest_path(a.ingress, a.egress, &empty))
-                .unwrap_or_else(|| {
-                    panic!(
-                        "aggregate {} endpoints {}->{} are disconnected",
-                        a.id,
-                        topology.node_name(a.ingress),
-                        topology.node_name(a.egress)
-                    )
-                });
-            path_sets.push(PathSet::with_default(path));
+            path_sets.push(PathSet::with_default(shortest.path(a)));
             flows.push(vec![a.flow_count]);
         }
         Allocation { path_sets, flows }
@@ -106,21 +143,8 @@ impl Allocation {
     /// Panics if some aggregate's endpoints are disconnected even on the
     /// full topology.
     pub fn rebase(&self, topology: &Topology, tm: &TrafficMatrix, excluded: &LinkSet) -> Self {
-        let empty = LinkSet::new();
-        let shortest = |a: &fubar_traffic::Aggregate| -> Path {
-            topology
-                .graph()
-                .shortest_path(a.ingress, a.egress, excluded)
-                .or_else(|| topology.graph().shortest_path(a.ingress, a.egress, &empty))
-                .unwrap_or_else(|| {
-                    panic!(
-                        "aggregate {} endpoints {}->{} are disconnected",
-                        a.id,
-                        topology.node_name(a.ingress),
-                        topology.node_name(a.egress)
-                    )
-                })
-        };
+        let nothing = LinkSet::new();
+        let mut shortest = DefaultPaths::new(topology, excluded, &nothing);
 
         let mut path_sets = Vec::with_capacity(tm.len());
         let mut flows = Vec::with_capacity(tm.len());
@@ -142,7 +166,7 @@ impl Allocation {
             };
             let old_total: u64 = survivors.iter().map(|&(_, n)| u64::from(n)).sum();
             if old_total == 0 {
-                path_sets.push(PathSet::with_default(shortest(a)));
+                path_sets.push(PathSet::with_default(shortest.path(a)));
                 flows.push(vec![a.flow_count]);
                 continue;
             }
@@ -572,6 +596,78 @@ mod tests {
             to: 1,
             count: 99,
         });
+    }
+
+    /// What boot and rebase did before they shared searches: a
+    /// Dijkstra per aggregate, constrained first, unconstrained second.
+    fn per_aggregate_default(topo: &Topology, a: &Aggregate, excluded: &LinkSet) -> Path {
+        let g = topo.graph();
+        g.shortest_path(a.ingress, a.egress, excluded)
+            .or_else(|| g.shortest_path(a.ingress, a.egress, &LinkSet::new()))
+            .expect("connected on the full topology")
+    }
+
+    /// HE-961 and a small planetary instance, each with an exclusion
+    /// set that cuts one node's every out-link (its aggregates take the
+    /// unconstrained fallback) plus a few links elsewhere.
+    fn default_path_instances() -> Vec<(Topology, TrafficMatrix, LinkSet)> {
+        [
+            generators::he_core(Bandwidth::from_mbps(100.0)),
+            generators::planetary(4, 4, Bandwidth::from_mbps(100.0)),
+        ]
+        .into_iter()
+        .map(|topo| {
+            let tm = fubar_traffic::workload::generate(&topo, &Default::default(), 5);
+            let excluded: LinkSet = (topo.graph().out_links(NodeId(3)).iter().copied())
+                .chain(topo.links().filter(|l| l.index() % 7 == 0))
+                .collect();
+            (topo, tm, excluded)
+        })
+        .collect()
+    }
+
+    fn assert_same_path(got: &Path, want: &Path, a: &Aggregate) {
+        assert_eq!(got, want, "aggregate {}", a.id);
+        assert_eq!(got.cost().to_bits(), want.cost().to_bits());
+    }
+
+    #[test]
+    fn boot_matches_a_dijkstra_per_aggregate() {
+        for (topo, tm, excluded) in default_path_instances() {
+            let mut fell_back = 0;
+            for excluded in [&excluded, &LinkSet::new()] {
+                let boot = Allocation::all_on_shortest_paths_avoiding(&topo, &tm, excluded);
+                boot.validate(&tm).unwrap();
+                for a in tm.iter() {
+                    let want = per_aggregate_default(&topo, a, excluded);
+                    assert_same_path(boot.path_set(a.id).path(0), &want, a);
+                    fell_back += usize::from(want.links().iter().any(|&l| excluded.contains(l)));
+                }
+            }
+            assert!(fell_back > 0, "{}: nobody took the fallback", topo.name());
+        }
+    }
+
+    #[test]
+    fn rebase_matches_a_dijkstra_per_aggregate() {
+        for (topo, tm, excluded) in default_path_instances() {
+            let boot = Allocation::all_on_shortest_paths(&topo, &tm);
+            let rebased = boot.rebase(&topo, &tm, &excluded);
+            rebased.validate(&tm).unwrap();
+            let mut evacuated = 0;
+            for a in tm.iter() {
+                let old = boot.path_set(a.id).path(0);
+                let survives = old.links().iter().all(|&l| !excluded.contains(l));
+                let want = match survives {
+                    true => old.clone(),
+                    false => per_aggregate_default(&topo, a, &excluded),
+                };
+                evacuated += usize::from(!survives);
+                assert_eq!(rebased.path_set(a.id).len(), 1);
+                assert_same_path(rebased.path_set(a.id).path(0), &want, a);
+            }
+            assert!(evacuated > 0, "{}: nothing to evacuate", topo.name());
+        }
     }
 
     #[test]

@@ -43,22 +43,35 @@
 //! the incremental-vs-full speedup on the 4,096-aggregate hypergrowth
 //! tier to *exceed* the HE-961 one.
 //!
-//! **Nothing changes between two commits.** The incumbent is frozen
-//! until the next commit, so an aggregate's alternative paths and the
-//! score of a move `(aggregate, from, count, alternative)` are functions
+//! **Nothing is worked out twice while what it depends on stands.**
+//! The greedy loop keeps a memo with two kinds of entry, each dropped
+//! when — and only when — one of its inputs moves. *Scores are per
+//! incumbent*: the incumbent is frozen until the next commit, so the
+//! score of a move `(aggregate, from, count, alternative)` is a function
 //! of the incumbent alone — not of the focus link, not of the escape
-//! level. The loop state keeps both in a per-incumbent memo: the same
-//! move reached again from a second congested link its path crosses, or
-//! re-gathered at the next escape level with an unchanged `count`, is
-//! looked up instead of re-filled, and an aggregate's three Dijkstras
-//! run once per incumbent. `commit` empties the memo.
+//! level — and the same move reached again from a second congested link
+//! its path crosses, or re-gathered at the next escape level with an
+//! unchanged `count`, is looked up instead of re-filled; a commit
+//! changes rates everywhere in a component, so it empties the scores.
+//! *Alternatives are per input triple*: an aggregate's three paths
+//! depend on the set of congested-or-excluded links, on the congested
+//! links its own live paths use, and on which of those is the most
+//! oversubscribed (the dependency list is derived in
+//! [`crate::pathgen`]) — and most commits move flows without flipping
+//! any link's congestion status. The memo remembers the set its
+//! alternatives were generated under and each entry carries the other
+//! two inputs: a step that finds a different set drops every entry, and
+//! a probe recomputes the aggregate's two inputs — a walk of its own
+//! path links — and runs the three searches again only if they differ.
+//! The memo lives as long as one call of the loop, because a scope's
+//! exclusions are an input too.
 //!
 //! **Workers claim, they are not dealt.** A step's work items are the
 //! focus link's crossing-index entries, one run of entries per
 //! aggregate; up to [`OptimizerConfig::threads`] workers — the calling
 //! thread is one of them — each claim the next unclaimed run from a
-//! shared counter, generate that aggregate's alternatives if the memo
-//! lacks them, and score its moves (`map_claimed`). Results are placed
+//! shared counter, generate that aggregate's alternatives unless the
+//! memo's still stand, and score its moves (`map_claimed`). Results are placed
 //! by run, so the candidate order — and with it the tie-break, the
 //! winner and the memo — is the sequential one at any thread count.
 //!
@@ -82,9 +95,10 @@
 //! bitwise identical to a full-recompute run**, move for move.
 //! [`OptimizerConfig::incremental`] selects that oracle: it rebuilds
 //! every bundle and re-runs full water-filling for every candidate of
-//! every step, neither reads nor writes the memo and never prepares a
-//! component, so it audits the delta scoring, the memo and the patched
-//! fills alike.
+//! every step, generates every aggregate's alternatives in every step
+//! that meets it, never writes the memo (so never finds anything in it)
+//! and never prepares a component, so it audits the delta scoring, both
+//! halves of the memo and the patched fills alike.
 
 use crate::allocation::{Allocation, Move};
 use crate::objective::Objective;
@@ -200,16 +214,28 @@ struct Candidate<P = Path> {
     alt: P,
 }
 
-/// What the loop has worked out against the current incumbent and need
-/// not work out again before the next commit (see the module docs).
-/// Looked up by key only, never iterated.
-#[derive(Clone, Default)]
+/// What the loop has worked out and need not work out again while what
+/// it depends on stands (see the module docs): scores until the next
+/// commit, alternatives until their inputs change. Looked up by key
+/// only, never iterated.
+#[derive(Default)]
 struct Memo {
+    /// The `pathgen::congested_or_forbidden` set every entry of `alts`
+    /// was generated under; a step that finds another drops them all.
+    avoid: LinkSet,
     /// Per aggregate, its generated alternatives.
-    alts: BTreeMap<u32, Vec<Path>>,
+    alts: BTreeMap<u32, Alternatives>,
     /// Score of the move `(aggregate, from, count, index into the
-    /// aggregate's alternatives)`.
+    /// aggregate's alternatives)` against the current incumbent.
     scores: BTreeMap<(u32, u32, u32, u32), f64>,
+}
+
+/// One aggregate's generated alternatives with the per-aggregate inputs
+/// they were generated from: valid for as long as a recomputation of the
+/// inputs compares equal (and `Memo::avoid` stands).
+struct Alternatives {
+    inputs: pathgen::AltInputs,
+    paths: Vec<Path>,
 }
 
 /// What every worker of one step reads.
@@ -224,7 +250,7 @@ struct Focus<'s> {
     excluded: &'s LinkSet,
     /// `pathgen::congested_or_forbidden` of the incumbent and
     /// `excluded`: the same for every aggregate, so built once.
-    avoid: LinkSet,
+    avoid: &'s LinkSet,
 }
 
 /// What one worker of a step owns while it claims work: its scoring
@@ -237,8 +263,11 @@ struct Worker<'p> {
 /// One aggregate's part of a step.
 struct Probed {
     aggregate: u32,
-    /// Its alternatives, when the memo lacked them.
-    fresh: Option<Vec<Path>>,
+    /// Its alternatives, when they were generated here: the memo had
+    /// none, or had them for other inputs.
+    fresh: Option<Alternatives>,
+    /// Whether the memo's alternatives were found valid and used.
+    reused: bool,
     /// `(from, count, alternative index, score)` per move, in Listing
     /// 2's enumeration order.
     scored: Vec<(u32, u32, u32, f64)>,
@@ -299,9 +328,6 @@ struct LoopState {
     /// commits.
     incumbent: Incumbent,
     index: CrossingIndex,
-    /// Valid for `incumbent` under one scope's exclusions: emptied by
-    /// every commit and whenever the greedy loop is entered.
-    memo: Memo,
     /// The committed candidates in commit order, with the moves they
     /// became.
     commits: Vec<(Candidate, Move)>,
@@ -599,36 +625,57 @@ impl<'a> Optimizer<'a> {
         let aggregate = run[0].0;
         let agg_id = AggregateId(aggregate);
         let agg = self.tm.aggregate(agg_id);
-        let known = focus.memo.alts.get(&aggregate);
         let mut probed = Probed {
             aggregate,
             fresh: None,
+            reused: false,
             scored: Vec::new(),
             hits: 0,
         };
-        for &(_, from) in run {
-            let on_path = focus.alloc.flows_on(agg_id, from as usize);
-            if on_path == 0 {
-                continue;
-            }
-            let count = self.flows_to_move(agg, on_path, focus.escape_level);
-            if count == 0 {
-                continue;
-            }
-            let alts = known.unwrap_or_else(|| {
-                probed.fresh.get_or_insert_with(|| {
-                    pathgen::alternatives_avoiding(
-                        self.topology,
-                        agg,
-                        focus.alloc,
-                        focus.incumbent.outcome(),
-                        self.config.path_policy,
-                        focus.excluded,
-                        &focus.avoid,
-                    )
-                })
-            });
-            for (alt_idx, alt) in alts.iter().enumerate() {
+        // The aggregate's live flow paths over the link, each with how
+        // many flows a move takes off it.
+        let mut live = (run.iter())
+            .filter_map(|&(_, from)| {
+                let on_path = focus.alloc.flows_on(agg_id, from as usize);
+                let count = match on_path {
+                    0 => 0,
+                    _ => self.flows_to_move(agg, on_path, focus.escape_level),
+                };
+                (count > 0).then_some((from, count))
+            })
+            .peekable();
+        if live.peek().is_none() {
+            return probed;
+        }
+
+        // The memo's alternatives stand if the inputs they were
+        // generated from still do.
+        let inputs = pathgen::alt_inputs(
+            agg,
+            focus.alloc,
+            focus.incumbent.outcome(),
+            focus.excluded,
+            focus.avoid,
+        );
+        let known = (focus.memo.alts.get(&aggregate)).filter(|known| known.inputs == inputs);
+        probed.reused = known.is_some();
+        let alts = match known {
+            Some(known) => known,
+            None => probed.fresh.insert(Alternatives {
+                paths: pathgen::alternatives_from(
+                    self.topology,
+                    agg,
+                    self.config.path_policy,
+                    focus.excluded,
+                    focus.avoid,
+                    &inputs,
+                ),
+                inputs,
+            }),
+        };
+
+        for (from, count) in live {
+            for (alt_idx, alt) in alts.paths.iter().enumerate() {
                 // The alternate path must exclude the congested link and
                 // differ from the source path.
                 if alt.uses_link(focus.link)
@@ -674,8 +721,8 @@ impl<'a> Optimizer<'a> {
     /// The aggregates crossing `link` are independent work items, so
     /// with `scope.threads > 1` workers claim them ([`map_claimed`]) —
     /// sharing the read-only incumbent cache and memo, each with its own
-    /// reusable scoring scratch from `pool` and, in oracle mode, its own
-    /// scratch clone of the allocation. Their results come back in
+    /// reusable scoring scratch from shard `owner`'s pool and, in oracle
+    /// mode, its own scratch clone of the allocation. Their results come back in
     /// crossing-index order, and the reduction (max score, earliest
     /// candidate on ties) makes the winner the sequential loop's at any
     /// thread count and in both scoring modes. What the workers found
@@ -683,16 +730,17 @@ impl<'a> Optimizer<'a> {
     fn step(
         &self,
         state: &mut LoopState,
+        memo: &mut Memo,
         link: LinkId,
         escape_level: u32,
         scope: &Scope<'_>,
-        pool: &[Mutex<ScoreScratch>],
+        owner: usize,
     ) -> Option<Candidate> {
         let LoopState {
             alloc,
             incumbent,
             index,
-            memo,
+            shards,
             ..
         } = state;
         if self.config.incremental {
@@ -701,6 +749,12 @@ impl<'a> Optimizer<'a> {
         let incumbent = &*incumbent;
         let outcome = incumbent.outcome();
         let initial_score = self.config.objective.score(incumbent.report(), outcome);
+        let avoid = pathgen::congested_or_forbidden(outcome, scope.excluded);
+        if self.config.incremental && memo.avoid != avoid {
+            // Every kept global path avoided the other set.
+            memo.alts.clear();
+            memo.avoid.clone_from(&avoid);
+        }
         let focus = Focus {
             alloc,
             incumbent,
@@ -708,8 +762,9 @@ impl<'a> Optimizer<'a> {
             link,
             escape_level,
             excluded: scope.excluded,
-            avoid: pathgen::congested_or_forbidden(outcome, scope.excluded),
+            avoid: &avoid,
         };
+        let pool = &scope.pools[owner];
         // One work item per aggregate is one `alternatives` call per
         // aggregate.
         let runs: Vec<&[(u32, u32)]> = index.runs(link).collect();
@@ -748,20 +803,23 @@ impl<'a> Optimizer<'a> {
                     aggregate: AggregateId(p.aggregate),
                     from: from as usize,
                     count,
-                    alt: alts[alt_idx as usize].clone(),
+                    alt: alts.paths[alt_idx as usize].clone(),
                 }
             });
 
-        if self.config.incremental {
-            for p in probed {
-                self.memo_hits.fetch_add(p.hits, Ordering::Relaxed);
-                for (from, count, alt_idx, score) in p.scored {
-                    memo.scores
-                        .insert((p.aggregate, from, count, alt_idx), score);
-                }
-                if let Some(alts) = p.fresh {
-                    memo.alts.insert(p.aggregate, alts);
-                }
+        for p in probed {
+            shards[owner].paths_generated += usize::from(p.fresh.is_some());
+            shards[owner].paths_reused += usize::from(p.reused);
+            if !self.config.incremental {
+                continue;
+            }
+            self.memo_hits.fetch_add(p.hits, Ordering::Relaxed);
+            for (from, count, alt_idx, score) in p.scored {
+                memo.scores
+                    .insert((p.aggregate, from, count, alt_idx), score);
+            }
+            if let Some(alts) = p.fresh {
+                memo.alts.insert(p.aggregate, alts);
             }
         }
         winner
@@ -775,7 +833,6 @@ impl<'a> Optimizer<'a> {
     /// with its trace point. Shared by the loop's winners and the replay
     /// of a per-component pass.
     fn commit(&self, state: &mut LoopState, c: Candidate, owner: usize, started: Instant) -> Move {
-        state.memo = Memo::default();
         let (alloc, incumbent) = (&mut state.alloc, &mut state.incumbent);
         if self.config.incremental {
             let segment = alloc.bundles_after_move(self.tm, c.aggregate, c.from, &c.alt, c.count);
@@ -881,7 +938,6 @@ impl<'a> Optimizer<'a> {
             index: CrossingIndex::build(self.topology, self.tm, &initial),
             alloc: initial,
             incumbent,
-            memo: Memo::default(),
             commits: Vec::new(),
             trace,
             shards: (0..=shard_count)
@@ -979,10 +1035,11 @@ impl<'a> Optimizer<'a> {
             };
             let mut state = master.clone();
             self.greedy(&mut state, &scope);
-            // Only the log outlives the pass: a branch is O(instance),
-            // and keeping every pass's alive until the merge would
-            // multiply the run's peak memory by the shard count.
-            (state.commits, state.shards[shard].score_s)
+            // Only the log and the shard's counters outlive the pass: a
+            // branch is O(instance), and keeping every pass's alive
+            // until the merge would multiply the run's peak memory by
+            // the shard count.
+            (state.commits, state.shards.swap_remove(shard))
         };
         let passes = map_claimed(&jobs, workers, |_| (), |(), &shard| run_pass(shard));
 
@@ -991,8 +1048,12 @@ impl<'a> Optimizer<'a> {
         // Path-set growth per aggregate is confined to its owning
         // shard's pass, so each replayed `add_path` lands on exactly
         // the index the pass recorded.
-        for (&shard, (commits, score_s)) in jobs.iter().zip(passes) {
-            master.shards[shard].score_s += score_s;
+        for (&shard, (commits, pass)) in jobs.iter().zip(passes) {
+            // Not `commits`: the replay below counts them again.
+            let stats = &mut master.shards[shard];
+            stats.score_s += pass.score_s;
+            stats.paths_generated += pass.paths_generated;
+            stats.paths_reused += pass.paths_reused;
             for (c, recorded) in commits {
                 if master.commits.len() >= self.config.max_commits {
                     return;
@@ -1009,8 +1070,9 @@ impl<'a> Optimizer<'a> {
     /// size on a local optimum. `max_commits` is read against the state's
     /// whole commit log, so it caps the run, not the call.
     fn greedy(&self, state: &mut LoopState, scope: &Scope<'_>) -> Termination {
-        // Alternatives depend on the scope's exclusions.
-        state.memo = Memo::default();
+        // Alternatives depend on the scope's exclusions, so the memo
+        // lives as long as this call.
+        let mut memo = Memo::default();
         let mut escape_level: u32 = 0;
         loop {
             let outcome = state.incumbent.outcome();
@@ -1036,7 +1098,7 @@ impl<'a> Optimizer<'a> {
                 let owner = scope.partition.shard_of_link(link);
                 // lint:allow(wall-clock): timing observability only; never feeds a decision
                 let t0 = Instant::now();
-                let found = self.step(state, link, escape_level, scope, &scope.pools[owner]);
+                let found = self.step(state, &mut memo, link, escape_level, scope, owner);
                 state.shards[owner].score_s += t0.elapsed().as_secs_f64();
                 if let Some(c) = found {
                     winner = Some((c, owner));
@@ -1046,6 +1108,9 @@ impl<'a> Optimizer<'a> {
 
             if let Some((c, owner)) = winner {
                 self.commit(state, c, owner, scope.started);
+                // The scores were against the incumbent this replaced;
+                // the alternatives answer for their own validity.
+                memo.scores.clear();
                 escape_level = 0;
                 continue;
             }
@@ -1138,7 +1203,7 @@ pub mod test_support {
                 link,
                 escape_level: 0,
                 excluded,
-                avoid: pathgen::congested_or_forbidden(incumbent.outcome(), excluded),
+                avoid: &pathgen::congested_or_forbidden(incumbent.outcome(), excluded),
             };
             let scratch = Mutex::new(ScoreScratch::default());
             let mut worker = Worker {
@@ -1149,7 +1214,7 @@ pub mod test_support {
             let mut candidates = Vec::new();
             for run in index.runs(link) {
                 let probed = optimizer.probe(&focus, run, &mut worker);
-                let alts = probed.fresh.unwrap_or_default();
+                let alts = probed.fresh.map_or(Vec::new(), |alts| alts.paths);
                 for (from, count, alt_idx, _) in probed.scored {
                     candidates.push(Candidate {
                         aggregate: AggregateId(probed.aggregate),

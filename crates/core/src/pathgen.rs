@@ -15,6 +15,27 @@
 //! The ablation experiment A1 additionally exercises degenerate policies
 //! (global-only, link-local-only) and a plain K-shortest generator, which
 //! the paper says it tried before settling on the three-path design.
+//!
+//! ### What the alternatives depend on
+//!
+//! Read off the three definitions: for a fixed topology, policy and
+//! `forbidden` set, an aggregate's alternatives are a pure function of
+//!
+//! 1. the **set** of congested-or-forbidden links (the global path) —
+//!    the same for every aggregate;
+//! 2. the congested links the aggregate's own live paths use (the local
+//!    path);
+//! 3. which of those is the most oversubscribed (the link-local path) —
+//!    the one place the *order* of congestion enters;
+//!
+//! and of nothing else: not the flow counts, not the rates, not the
+//! other aggregates' paths. `alt_inputs` computes 2 and 3,
+//! `alternatives_from` maps the triple to paths. A commit that leaves
+//! all three as they were — most commits move some flows and change no
+//! link's congested/uncongested status — leaves the paths as they were,
+//! so the optimizer keeps an aggregate's alternatives together with the
+//! inputs they came from and searches again only when one differs (see
+//! [`crate::optimizer`]).
 
 use crate::allocation::Allocation;
 use fubar_graph::{yen, LinkId, LinkSet, Path};
@@ -55,31 +76,62 @@ pub fn alternatives(
     forbidden: &LinkSet,
 ) -> Vec<Path> {
     let avoid = congested_or_forbidden(outcome, forbidden);
-    alternatives_avoiding(
-        topology, aggregate, allocation, outcome, policy, forbidden, &avoid,
-    )
+    let inputs = alt_inputs(aggregate, allocation, outcome, forbidden, &avoid);
+    alternatives_from(topology, aggregate, policy, forbidden, &avoid, &inputs)
 }
 
 /// The global path's exclusion set: every congested link of `outcome`
 /// plus the `forbidden` ones. It is the same for every aggregate, so the
-/// optimizer builds it once per step and hands it to
-/// [`alternatives_avoiding`].
+/// optimizer builds it once per step.
 pub(crate) fn congested_or_forbidden(outcome: &ModelOutcome, forbidden: &LinkSet) -> LinkSet {
     let mut all: LinkSet = outcome.congested.iter().copied().collect();
     all.union_with(forbidden);
     all
 }
 
-/// [`alternatives`] with `all_congested` — [`congested_or_forbidden`] of
-/// the same `outcome` and `forbidden` — supplied by the caller.
-pub(crate) fn alternatives_avoiding(
-    topology: &Topology,
+/// What an aggregate's alternatives depend on besides the network-wide
+/// `congested_or_forbidden` set (see the module docs): a walk of the
+/// aggregate's own live paths, cheap next to the searches it may spare.
+#[derive(PartialEq)]
+pub(crate) struct AltInputs {
+    /// The congested links the aggregate's live paths use, plus the
+    /// forbidden ones: what the local path avoids.
+    used_congested: LinkSet,
+    /// The most oversubscribed of them: what the link-local path avoids.
+    most_congested_used: Option<LinkId>,
+}
+
+/// `aggregate`'s [`AltInputs`] under `allocation` and `outcome`;
+/// `all_congested` is [`congested_or_forbidden`] of the same `outcome`
+/// and `forbidden`.
+pub(crate) fn alt_inputs(
     aggregate: &Aggregate,
     allocation: &Allocation,
     outcome: &ModelOutcome,
+    forbidden: &LinkSet,
+    all_congested: &LinkSet,
+) -> AltInputs {
+    let mut used_congested = allocation.congested_links_used_by(aggregate.id, all_congested);
+    used_congested.union_with(forbidden);
+    // `outcome.congested` is sorted by oversubscription, descending.
+    let most_congested_used =
+        (outcome.congested.iter().copied()).find(|&l| used_congested.contains(l));
+    AltInputs {
+        used_congested,
+        most_congested_used,
+    }
+}
+
+/// The alternatives themselves: a function of the arguments alone — no
+/// allocation, no outcome — which is what lets the optimizer keep them
+/// for as long as the arguments compare equal.
+pub(crate) fn alternatives_from(
+    topology: &Topology,
+    aggregate: &Aggregate,
     policy: PathPolicy,
     forbidden: &LinkSet,
     all_congested: &LinkSet,
+    inputs: &AltInputs,
 ) -> Vec<Path> {
     let src = aggregate.ingress;
     let dst = aggregate.egress;
@@ -103,38 +155,24 @@ pub(crate) fn alternatives_avoiding(
         PathPolicy::ThreePaths | PathPolicy::GlobalOnly | PathPolicy::LinkLocalOnly => {}
     }
 
-    let mut used_congested = allocation.congested_links_used_by(aggregate.id, all_congested);
-    used_congested.union_with(forbidden);
-
     if matches!(policy, PathPolicy::ThreePaths | PathPolicy::GlobalOnly) {
         // Global: avoid every congested link in the network.
         push(g.shortest_path(src, dst, all_congested), &mut out);
     }
     if matches!(policy, PathPolicy::ThreePaths) {
         // Local: avoid the congested links this aggregate touches.
-        push(g.shortest_path(src, dst, &used_congested), &mut out);
+        push(g.shortest_path(src, dst, &inputs.used_congested), &mut out);
     }
     if matches!(policy, PathPolicy::ThreePaths | PathPolicy::LinkLocalOnly) {
         // Link-local: avoid only the most congested link the aggregate
-        // uses (outcome.congested is sorted by oversubscription).
-        let most = most_congested_used(outcome, &used_congested);
-        if let Some(link) = most {
+        // uses.
+        if let Some(link) = inputs.most_congested_used {
             let mut only: LinkSet = forbidden.clone();
             only.insert(link);
             push(g.shortest_path(src, dst, &only), &mut out);
         }
     }
     out
-}
-
-/// The most-congested link in `used` (by the outcome's descending
-/// oversubscription order).
-fn most_congested_used(outcome: &ModelOutcome, used: &LinkSet) -> Option<LinkId> {
-    outcome
-        .congested
-        .iter()
-        .copied()
-        .find(|&l| used.contains(l))
 }
 
 #[cfg(test)]

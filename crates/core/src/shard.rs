@@ -199,6 +199,15 @@ pub struct ShardRunStats {
     pub commits: usize,
     /// Seconds spent gathering and scoring this shard's candidates.
     pub score_s: f64,
+    /// Aggregates whose alternative paths a step of this shard had to
+    /// generate (three shortest-path searches each under the default
+    /// policy). Like the fill counts, a pure function of the instance
+    /// at any thread count.
+    pub paths_generated: usize,
+    /// Aggregates whose alternatives a step found already generated
+    /// from the same inputs and took as they were (always 0 under the
+    /// full-recompute oracle, which keeps none).
+    pub paths_reused: usize,
     /// Peak scoring-scratch sizes of this shard's workspace pool.
     pub scratch: WorkspaceStats,
 }
@@ -212,6 +221,8 @@ impl ShardRunStats {
         self.links = self.links.max(other.links);
         self.commits += other.commits;
         self.score_s += other.score_s;
+        self.paths_generated += other.paths_generated;
+        self.paths_reused += other.paths_reused;
         self.scratch.merge(&other.scratch);
     }
 }

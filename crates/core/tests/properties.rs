@@ -698,3 +698,87 @@ fn run_from_handles_permuted_and_reassigned_aggregates() {
     .run_from(&cold.allocation);
     assert_runs_identical("permuted", &warm, &oracle, &tm2);
 }
+
+/// The congested set after every commit of `result` (index 0: the boot
+/// state), re-derived by replaying its moves over its final path sets.
+fn congested_sets_along(
+    topo: &Topology,
+    tm: &TrafficMatrix,
+    result: &OptimizeResult,
+) -> Vec<fubar_graph::LinkSet> {
+    let mut replay = Allocation::all_on_shortest_paths(topo, tm);
+    for a in tm.iter() {
+        for path in result.allocation.path_set(a.id).iter() {
+            replay.add_path(a.id, path.clone());
+        }
+    }
+    let model = fubar_model::FlowModel::with_defaults(topo);
+    let congested = |alloc: &Allocation| -> fubar_graph::LinkSet {
+        (model.evaluate(&alloc.bundles(tm)).congested.iter().copied()).collect()
+    };
+    let mut sets = vec![congested(&replay)];
+    for &m in &result.moves {
+        replay.apply(m);
+        sets.push(congested(&replay));
+    }
+    sets
+}
+
+/// **Path memo transparency.** An aggregate's alternatives outlive a
+/// commit exactly when their inputs do. On an instance whose run has
+/// commits of both kinds — some keep the congested set (most entries
+/// survive, re-validated against each aggregate's own congested links
+/// and its most congested one), some change it (every entry goes) — the
+/// default run equals, move for move, the oracle run, which generates
+/// every aggregate's alternatives in every step it meets it. Measured
+/// against mutants of the memo on this instance: comparing an entry's
+/// congested links but not its most congested one diverges from the
+/// oracle, and so does keeping the entries across a changed set.
+#[test]
+fn path_memo_is_transparent() {
+    let (topo, tm) = build(&Instance {
+        nodes: 6,
+        topo_seed: 8,
+        tm_seed: 11,
+        capacity_kbps: 300.0,
+        flows: (2, 7),
+    });
+    let cfg = OptimizerConfig {
+        max_commits: 60,
+        ..Default::default()
+    };
+    let (default, oracle) = run_both(&topo, &tm, cfg);
+    assert_runs_identical("path-memo", &default, &oracle, &tm);
+
+    let sets = congested_sets_along(&topo, &tm, &default);
+    let kept = sets.windows(2).filter(|w| w[0] == w[1]).count();
+    assert!(kept >= 1, "no commit kept the congested set");
+    assert!(
+        kept < default.commits,
+        "no commit changed the congested set"
+    );
+
+    let paths = |r: &OptimizeResult| -> (usize, usize) {
+        let sum = |f: fn(&fubar_core::ShardRunStats) -> usize| r.shards.iter().map(f).sum();
+        (sum(|s| s.paths_generated), sum(|s| s.paths_reused))
+    };
+    let (generated, reused) = paths(&default);
+    let (oracle_generated, oracle_reused) = paths(&oracle);
+    assert!(reused >= 1, "the memo kept nothing");
+    assert_eq!(oracle_reused, 0, "the oracle read the memo");
+    assert_eq!(
+        generated + reused,
+        oracle_generated,
+        "both modes resolve alternatives for the same (step, aggregate) pairs"
+    );
+    // The counters are work counts, exact at any thread count.
+    for threads in [1, 3] {
+        let cfg = OptimizerConfig {
+            max_commits: 60,
+            threads,
+            ..Default::default()
+        };
+        let run = Optimizer::new(&topo, &tm, cfg).run();
+        assert_eq!(paths(&run), (generated, reused), "threads={threads}");
+    }
+}

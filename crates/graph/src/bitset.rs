@@ -10,7 +10,7 @@ use crate::graph::{LinkId, NodeId};
 macro_rules! id_set {
     ($(#[$doc:meta])* $name:ident, $id:ty) => {
         $(#[$doc])*
-        #[derive(Clone, Debug, Default, PartialEq, Eq)]
+        #[derive(Clone, Debug, Default)]
         pub struct $name {
             words: Vec<u64>,
             len: usize,
@@ -110,6 +110,19 @@ macro_rules! id_set {
             }
         }
 
+        /// Equality of *members*: allocated-but-empty trailing words
+        /// (a `with_capacity`, an `insert` later `remove`d) do not
+        /// distinguish two sets.
+        impl PartialEq for $name {
+            fn eq(&self, other: &Self) -> bool {
+                // Equal counts and an equal common prefix leave no
+                // member for the longer vector's remaining words.
+                let common = self.words.len().min(other.words.len());
+                self.len == other.len && self.words[..common] == other.words[..common]
+            }
+        }
+        impl Eq for $name {}
+
         impl FromIterator<$id> for $name {
             fn from_iter<I: IntoIterator<Item = $id>>(iter: I) -> Self {
                 let mut s = Self::new();
@@ -195,6 +208,33 @@ mod tests {
         assert_eq!(b.len(), 3);
         assert!(b.contains(LinkId(1)));
         assert!(b.contains(LinkId(70)));
+    }
+
+    #[test]
+    fn equality_ignores_allocated_capacity() {
+        assert_eq!(LinkSet::with_capacity(128), LinkSet::new());
+        let mut a = LinkSet::with_capacity(256);
+        let mut b = LinkSet::new();
+        a.insert(LinkId(7));
+        b.insert(LinkId(7));
+        assert_eq!(a, b);
+        assert_eq!(b, a);
+        b.insert(LinkId(130));
+        assert_ne!(a, b);
+        assert_ne!(b, a);
+    }
+
+    #[test]
+    fn equality_survives_insert_then_remove() {
+        let base: NodeSet = [NodeId(1), NodeId(40)].into_iter().collect();
+        let mut grown = base.clone();
+        grown.insert(NodeId(100));
+        assert_ne!(grown, base);
+        grown.remove(NodeId(100));
+        assert_eq!(grown, base, "a removed member leaves no trace");
+        // Same length, different members: the words decide.
+        let other: NodeSet = [NodeId(1), NodeId(41)].into_iter().collect();
+        assert_ne!(other, base);
     }
 
     #[test]

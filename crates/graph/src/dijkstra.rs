@@ -3,7 +3,12 @@
 //! This is the workhorse behind FUBAR's path generator (paper §2.4): the
 //! *global*, *local* and *link-local* alternative paths are all "lowest
 //! delay path avoiding set X of links", which is exactly
-//! [`DiGraph::shortest_path_constrained`] with a different `X`.
+//! [`DiGraph::shortest_path`] with a different `X`.
+//!
+//! The relax-and-settle loop exists once, in [`SpTree`]: a search kept
+//! between queries and advanced only as far as the targets asked of it
+//! need. A per-pair query, a node-constrained query and the one-to-all
+//! distances are that search asked for one target, or for everything.
 //!
 //! Determinism: when two tentative paths to a node tie on cost, the one
 //! with fewer hops wins; a remaining tie is broken by the incoming link id.
@@ -85,6 +90,156 @@ fn better(cand_cost: f64, cand_hops: u32, cand_via: Option<LinkId>, cur: &Label)
     }
 }
 
+/// A single-source shortest-path search that settles nodes **on
+/// demand** ([`DiGraph::shortest_path_tree`]): it keeps the labels and
+/// the heap of one Dijkstra run between queries, and a query for a
+/// target not settled yet resumes popping where the last one stopped.
+/// Many targets from one source — every aggregate of one ingress — then
+/// cost one search between them, and a near target still costs only the
+/// few pops an early-exit run would have spent on it.
+///
+/// Why every answer is bit-for-bit [`DiGraph::shortest_path`]'s, in any
+/// query order: that function is this loop stopped at the pop that
+/// settles its target, and stopping changes nothing before it — the heap
+/// order and the `better` tie-break do not depend on the target, and a
+/// settled label is never written again. So an early-exit run is a
+/// *prefix* of the full run, every query here reads a label of that one
+/// full run, and so does the per-pair call.
+pub struct SpTree<'g> {
+    graph: &'g DiGraph,
+    src: NodeId,
+    excluded_links: &'g LinkSet,
+    excluded_nodes: Option<&'g NodeSet>,
+    labels: Vec<Label>,
+    heap: BinaryHeap<QueueEntry>,
+}
+
+impl<'g> SpTree<'g> {
+    fn new(
+        graph: &'g DiGraph,
+        src: NodeId,
+        excluded_links: &'g LinkSet,
+        excluded_nodes: Option<&'g NodeSet>,
+    ) -> Self {
+        let mut labels = vec![UNREACHED; graph.node_count()];
+        labels[src.index()] = Label {
+            cost: 0.0,
+            hops: 0,
+            pred: None,
+            settled: false,
+        };
+        let mut heap = BinaryHeap::new();
+        heap.push(QueueEntry {
+            cost: 0.0,
+            hops: 0,
+            node: src,
+            via: None,
+        });
+        SpTree {
+            graph,
+            src,
+            excluded_links,
+            excluded_nodes,
+            labels,
+            heap,
+        }
+    }
+
+    fn node_excluded(&self, node: NodeId) -> bool {
+        self.excluded_nodes.is_some_and(|set| set.contains(node))
+    }
+
+    /// The one relax-and-settle loop: pops until `target` has been
+    /// settled *and relaxed* (so the search can resume behind it), or,
+    /// without a target, until the heap runs dry.
+    fn settle(&mut self, target: Option<NodeId>) {
+        if target.is_some_and(|t| self.labels[t.index()].settled) {
+            return;
+        }
+        while let Some(entry) = self.heap.pop() {
+            let label = &mut self.labels[entry.node.index()];
+            if label.settled {
+                continue;
+            }
+            // Stale heap entry (a better label was pushed later).
+            if entry.cost.total_cmp(&label.cost) == Ordering::Greater
+                || (entry.cost == label.cost && entry.hops > label.hops)
+            {
+                continue;
+            }
+            label.settled = true;
+            let (cost_here, hops_here) = (label.cost, label.hops);
+            for &lid in self.graph.out_links(entry.node) {
+                if self.excluded_links.contains(lid) {
+                    continue;
+                }
+                let link = self.graph.link(lid);
+                if self.node_excluded(link.dst) {
+                    continue;
+                }
+                let next = &mut self.labels[link.dst.index()];
+                if next.settled {
+                    continue;
+                }
+                let cand_cost = cost_here + link.cost;
+                let cand_hops = hops_here + 1;
+                if better(cand_cost, cand_hops, Some(lid), next) {
+                    next.cost = cand_cost;
+                    next.hops = cand_hops;
+                    next.pred = Some(lid);
+                    self.heap.push(QueueEntry {
+                        cost: cand_cost,
+                        hops: cand_hops,
+                        node: link.dst,
+                        via: Some(lid),
+                    });
+                }
+            }
+            if target == Some(entry.node) {
+                return;
+            }
+        }
+    }
+
+    /// The lowest-cost path from the search's source to `dst` under its
+    /// exclusions — exactly what [`DiGraph::shortest_path`] returns for
+    /// the pair — or `None` when there is none. Settles only as much of
+    /// the graph as this and the earlier queries needed.
+    pub fn path_to(&mut self, dst: NodeId) -> Option<Path> {
+        let src = self.src;
+        if self.node_excluded(src) || self.node_excluded(dst) {
+            return None;
+        }
+        if src == dst {
+            return Some(Path::trivial(src));
+        }
+        self.settle(Some(dst));
+        if !self.labels[dst.index()].settled {
+            return None;
+        }
+        let mut links = Vec::new();
+        let mut at = dst;
+        while at != src {
+            let lid = self.labels[at.index()]
+                .pred
+                .expect("settled non-source has pred");
+            links.push(lid);
+            at = self.graph.link(lid).src;
+        }
+        links.reverse();
+        let mut nodes = Vec::with_capacity(links.len() + 1);
+        nodes.push(src);
+        for &l in &links {
+            nodes.push(self.graph.link(l).dst);
+        }
+        Some(Path::from_parts_unchecked(
+            links,
+            nodes,
+            self.labels[dst.index()].cost,
+        ))
+    }
+}
+
 impl DiGraph {
     /// Lowest-cost path from `src` to `dst` that avoids every link in
     /// `excluded_links`. Returns `None` when no such path exists.
@@ -98,7 +253,19 @@ impl DiGraph {
         dst: NodeId,
         excluded_links: &LinkSet,
     ) -> Option<Path> {
-        self.shortest_path_constrained(src, dst, excluded_links, &NodeSet::new())
+        self.shortest_path_tree(src, excluded_links).path_to(dst)
+    }
+
+    /// An on-demand search from `src` avoiding `excluded_links`: ask it
+    /// for as many destinations as needed ([`SpTree::path_to`]); each
+    /// answer is [`DiGraph::shortest_path`]'s for that pair, and the
+    /// graph is searched once between them.
+    pub fn shortest_path_tree<'g>(
+        &'g self,
+        src: NodeId,
+        excluded_links: &'g LinkSet,
+    ) -> SpTree<'g> {
+        SpTree::new(self, src, excluded_links, None)
     }
 
     /// Like [`DiGraph::shortest_path`] but additionally avoiding the nodes
@@ -111,139 +278,15 @@ impl DiGraph {
         excluded_links: &LinkSet,
         excluded_nodes: &NodeSet,
     ) -> Option<Path> {
-        if excluded_nodes.contains(src) || excluded_nodes.contains(dst) {
-            return None;
-        }
-        if src == dst {
-            return Some(Path::trivial(src));
-        }
-        let mut labels = vec![UNREACHED; self.node_count()];
-        let mut heap = BinaryHeap::new();
-        labels[src.index()] = Label {
-            cost: 0.0,
-            hops: 0,
-            pred: None,
-            settled: false,
-        };
-        heap.push(QueueEntry {
-            cost: 0.0,
-            hops: 0,
-            node: src,
-            via: None,
-        });
-        while let Some(entry) = heap.pop() {
-            let label = &mut labels[entry.node.index()];
-            if label.settled {
-                continue;
-            }
-            // Stale heap entry (a better label was pushed later).
-            if entry.cost.total_cmp(&label.cost) == Ordering::Greater
-                || (entry.cost == label.cost && entry.hops > label.hops)
-            {
-                continue;
-            }
-            label.settled = true;
-            if entry.node == dst {
-                break;
-            }
-            let (cost_here, hops_here) = (label.cost, label.hops);
-            for &lid in self.out_links(entry.node) {
-                if excluded_links.contains(lid) {
-                    continue;
-                }
-                let link = self.link(lid);
-                if excluded_nodes.contains(link.dst) {
-                    continue;
-                }
-                let next = &mut labels[link.dst.index()];
-                if next.settled {
-                    continue;
-                }
-                let cand_cost = cost_here + link.cost;
-                let cand_hops = hops_here + 1;
-                if better(cand_cost, cand_hops, Some(lid), next) {
-                    next.cost = cand_cost;
-                    next.hops = cand_hops;
-                    next.pred = Some(lid);
-                    heap.push(QueueEntry {
-                        cost: cand_cost,
-                        hops: cand_hops,
-                        node: link.dst,
-                        via: Some(lid),
-                    });
-                }
-            }
-        }
-        if !labels[dst.index()].settled {
-            return None;
-        }
-        // Reconstruct.
-        let mut links = Vec::new();
-        let mut at = dst;
-        while at != src {
-            let lid = labels[at.index()]
-                .pred
-                .expect("settled non-source has pred");
-            links.push(lid);
-            at = self.link(lid).src;
-        }
-        links.reverse();
-        let mut nodes = Vec::with_capacity(links.len() + 1);
-        nodes.push(src);
-        for &l in &links {
-            nodes.push(self.link(l).dst);
-        }
-        Some(Path::from_parts_unchecked(
-            links,
-            nodes,
-            labels[dst.index()].cost,
-        ))
+        SpTree::new(self, src, excluded_links, Some(excluded_nodes)).path_to(dst)
     }
 
     /// One-to-all lowest costs from `src`, avoiding `excluded_links`.
     /// Unreachable nodes get `f64::INFINITY`.
     pub fn distances(&self, src: NodeId, excluded_links: &LinkSet) -> Vec<f64> {
-        let mut labels = vec![UNREACHED; self.node_count()];
-        let mut heap = BinaryHeap::new();
-        labels[src.index()].cost = 0.0;
-        labels[src.index()].hops = 0;
-        heap.push(QueueEntry {
-            cost: 0.0,
-            hops: 0,
-            node: src,
-            via: None,
-        });
-        while let Some(entry) = heap.pop() {
-            let label = &mut labels[entry.node.index()];
-            if label.settled {
-                continue;
-            }
-            label.settled = true;
-            let (cost_here, hops_here) = (label.cost, label.hops);
-            for &lid in self.out_links(entry.node) {
-                if excluded_links.contains(lid) {
-                    continue;
-                }
-                let link = self.link(lid);
-                let next = &mut labels[link.dst.index()];
-                if next.settled {
-                    continue;
-                }
-                let cand = cost_here + link.cost;
-                if better(cand, hops_here + 1, Some(lid), next) {
-                    next.cost = cand;
-                    next.hops = hops_here + 1;
-                    next.pred = Some(lid);
-                    heap.push(QueueEntry {
-                        cost: cand,
-                        hops: hops_here + 1,
-                        node: link.dst,
-                        via: Some(lid),
-                    });
-                }
-            }
-        }
-        labels.into_iter().map(|l| l.cost).collect()
+        let mut tree = self.shortest_path_tree(src, excluded_links);
+        tree.settle(None);
+        tree.labels.into_iter().map(|l| l.cost).collect()
     }
 }
 

@@ -9,7 +9,9 @@
 //!   ([`DiGraph`]), where the cost is the propagation delay of a link;
 //! * lowest-cost path queries that can *exclude* arbitrary sets of links
 //!   and nodes ([`DiGraph::shortest_path`], used for the paper's
-//!   *global* / *local* / *link-local* alternative paths);
+//!   *global* / *local* / *link-local* alternative paths), one pair at a
+//!   time or many destinations of one source from a single on-demand
+//!   search ([`DiGraph::shortest_path_tree`]);
 //! * K-shortest *simple* path enumeration ([`yen::k_shortest_paths`]),
 //!   used by the path-set ablation experiments and as a building block
 //!   for policy-compliant path generation.
@@ -52,6 +54,7 @@ mod path;
 pub mod yen;
 
 pub use bitset::{LinkSet, NodeSet};
+pub use dijkstra::SpTree;
 pub use graph::{DiGraph, Link, LinkId, NodeId};
 pub use maxflow::{max_flow, MaxFlowResult};
 pub use path::{Path, PathError};

@@ -117,6 +117,66 @@ proptest! {
         }
     }
 
+    /// **tree ≡ per-pair Dijkstra**: one on-demand search answers every
+    /// destination with bit-for-bit the path a fresh `shortest_path` call
+    /// returns — links, nodes and cost bits — whatever the order of the
+    /// queries and however often one repeats, unreachable destinations
+    /// and `src == dst` included. Half the cases round the costs to
+    /// {0, 1, 2} so that equal-cost and equal-hop ties decide most paths.
+    #[test]
+    fn tree_matches_per_pair_dijkstra_in_any_query_order(
+        rg in random_graph(),
+        src_raw in 0usize..12,
+        excl_bits in proptest::collection::vec(any::<bool>(), 60),
+        tie_heavy in any::<bool>(),
+        shuffle_seed in any::<u64>(),
+    ) {
+        let mut rg = rg;
+        if tie_heavy {
+            for e in &mut rg.edges {
+                e.2 = (e.2 as u64 % 3) as f64;
+            }
+        }
+        let g = build(&rg);
+        let src = NodeId((src_raw % rg.nodes) as u32);
+        // Every third set bit: most pairs stay connected, some do not.
+        let excl: LinkSet = (0..g.link_count())
+            .filter(|&i| i % 3 == 0 && excl_bits[i])
+            .map(|i| LinkId(i as u32))
+            .collect();
+        let per_pair: Vec<Option<Path>> = (0..rg.nodes)
+            .map(|d| g.shortest_path(src, NodeId(d as u32), &excl))
+            .collect();
+
+        let ascending: Vec<usize> = (0..rg.nodes).collect();
+        let descending: Vec<usize> = (0..rg.nodes).rev().collect();
+        let mut x = shuffle_seed | 1;
+        let shuffled: Vec<usize> = (0..3 * rg.nodes)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                (x % rg.nodes as u64) as usize
+            })
+            .collect();
+        for order in [ascending, descending, shuffled] {
+            let mut tree = g.shortest_path_tree(src, &excl);
+            for &d in &order {
+                let got = tree.path_to(NodeId(d as u32));
+                match (&got, &per_pair[d]) {
+                    (None, None) => {}
+                    (Some(a), Some(b)) => {
+                        prop_assert_eq!(a.links(), b.links(), "dst {}", d);
+                        prop_assert_eq!(a.nodes(), b.nodes(), "dst {}", d);
+                        prop_assert_eq!(a.cost().to_bits(), b.cost().to_bits(), "dst {}", d);
+                    }
+                    _ => prop_assert!(false, "dst {d}: tree {got:?} vs per-pair {:?}", per_pair[d]),
+                }
+            }
+        }
+        prop_assert!(per_pair[src.index()].as_ref().is_some_and(Path::is_trivial));
+    }
+
     /// Excluding the links of the best path forces a strictly different
     /// (or no) path, never a cheaper one.
     #[test]

@@ -123,7 +123,8 @@ impl RunStats {
             for s in shown {
                 out.push_str(&format!(
                     "\nshard {:>3}: aggregates={} links={} commits={} score={:.3}ms \
-                     fills={} compiled-fills={} peak-component={}",
+                     fills={} compiled-fills={} paths generated={} reused={} \
+                     peak-component={}",
                     s.shard,
                     s.aggregates,
                     s.links,
@@ -131,6 +132,8 @@ impl RunStats {
                     s.score_s * 1e3,
                     s.scratch.fills,
                     s.scratch.compiled_fills,
+                    s.paths_generated,
+                    s.paths_reused,
                     s.scratch.peak_component,
                 ));
             }
@@ -186,6 +189,8 @@ mod tests {
                     links: 4,
                     commits: 3,
                     score_s: 0.002,
+                    paths_generated: 12,
+                    paths_reused: 30,
                     scratch: filled(40, 25),
                 },
                 ShardRunStats {
@@ -209,7 +214,10 @@ mod tests {
         assert!(text.contains("per-shard"), "{text}");
         assert!(text.contains("shard score    n=2 "), "{text}");
         assert!(text.contains("shard   0: aggregates=10"), "{text}");
-        assert!(text.contains("fills=40 compiled-fills=25"), "{text}");
+        assert!(
+            text.contains("fills=40 compiled-fills=25 paths generated=12 reused=30"),
+            "{text}"
+        );
         assert!(
             !text.contains("shard   1:"),
             "a shard that filled nothing is not listed: {text}"

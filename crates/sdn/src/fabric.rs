@@ -27,8 +27,10 @@
 //! rows of the dirty links) and allocates nothing but the dirty
 //! aggregates' route vectors; an aggregate that gains or loses a
 //! bundle additionally renumbers what lies behind it (spans, freeze
-//! keys, crossing entries). Only [`Fabric::install`] rebuilds the
-//! cache. The invariant (enforced by property tests): the incremental measurement is **bitwise
+//! keys, crossing entries). [`Fabric::install`] dirties the aggregates
+//! whose buckets it changed, like any other mutation; only the first
+//! measurement builds the cache from nothing. The invariant (enforced
+//! by property tests): the incremental measurement is **bitwise
 //! identical** to the full recompute [`Fabric::peek_full`] performs.
 
 use crate::rules::{GroupEntry, RuleSet};
@@ -152,7 +154,6 @@ pub struct Fabric {
     dirty_aggs: Vec<bool>,
     dirty_list: Vec<u32>,
     dirty_links: Vec<fubar_graph::LinkId>,
-    dirty_all: bool,
     /// Rule sets staged by [`Fabric::stage`] but not yet committed —
     /// in-flight installs under `install delay` / `install drop` chaos.
     /// Tickets are handed out monotonically; the queue stays in ticket
@@ -187,7 +188,6 @@ impl Fabric {
             dirty_aggs: vec![false; n],
             dirty_list: Vec::new(),
             dirty_links: Vec::new(),
-            dirty_all: false,
             staged: Vec::new(),
             next_ticket: 0,
         }
@@ -251,15 +251,29 @@ impl Fabric {
         }
     }
 
-    /// Installs a new rule set (the controller's output).
+    /// Installs a new rule set (the controller's output). Against a
+    /// live measurement cache only the aggregates whose buckets differ
+    /// from the installed ones are dirtied — a re-optimization that
+    /// moved a handful of aggregates costs the next probe that handful,
+    /// not the instance. `Path` equality includes the cost, so a path
+    /// re-costed on another topology view counts as changed.
     pub fn install(&mut self, rules: RuleSet) {
         assert_eq!(
             rules.len(),
             self.true_tm.len(),
             "rules must cover every aggregate"
         );
-        self.rules = rules;
-        self.dirty_all = true;
+        let previous = std::mem::replace(&mut self.rules, rules);
+        if self.cache.is_none() {
+            return; // the first measurement routes everything anyway
+        }
+        for i in 0..previous.len() {
+            let id = AggregateId(i as u32);
+            let (old, new) = (previous.group(id), self.rules.group(id));
+            if old.map(|g| &g.buckets) != new.map(|g| &g.buckets) {
+                self.mark_aggregate(id);
+            }
+        }
     }
 
     /// Currently installed rules.
@@ -413,7 +427,7 @@ impl Fabric {
         if let Some(r) = rev {
             self.dirty_links.push(r);
         }
-        if self.cache.is_none() || self.dirty_all {
+        if self.cache.is_none() {
             return;
         }
         let mut stale: Vec<AggregateId> = Vec::new();
@@ -505,13 +519,12 @@ impl Fabric {
         }
         self.dirty_list.clear();
         self.dirty_links.clear();
-        self.dirty_all = false;
     }
 
     /// Brings the measurement cache up to date — the single call site
     /// both [`Fabric::peek`] and [`Fabric::run_epoch`] measure from.
     fn measure(&mut self) {
-        if self.cache.is_none() || self.dirty_all || !self.incremental {
+        if self.cache.is_none() || !self.incremental {
             self.measure_full();
         } else if !(self.dirty_list.is_empty() && self.dirty_links.is_empty()) {
             self.measure_dirty();
@@ -940,6 +953,74 @@ mod tests {
         assert_eq!(r.outcome.link_load[p0.links()[0].index()], Bandwidth::ZERO);
         assert!(r.outcome.link_load[p1.links()[0].index()] > Bandwidth::ZERO);
         assert_reports_identical(&r, &f.peek_full());
+    }
+
+    #[test]
+    fn install_dirties_exactly_the_groups_it_changed() {
+        let topo = generators::ring(6, Bandwidth::from_kbps(700.0), Delay::from_ms(2.0));
+        let tm = fubar_traffic::workload::generate(
+            &topo,
+            &fubar_traffic::WorkloadConfig {
+                include_intra_pop: false,
+                flow_count: (2, 6),
+                ..Default::default()
+            },
+            11,
+        );
+        let mut f = Fabric::new(topo, tm, Delay::from_secs(10.0));
+
+        // No cache yet: nothing to diff against, the first probe routes
+        // everything.
+        f.install(f.rules().clone());
+        assert!(f.dirty_list.is_empty());
+        let booted = f.peek().into_owned();
+
+        // The live rules again: nothing is dirty, the probe is the cache.
+        f.install(f.rules().clone());
+        assert!(f.dirty_list.is_empty(), "re-installing changes no group");
+        assert_reports_identical(&f.peek(), &booted);
+        assert_reports_identical(&booted, &f.peek_full());
+
+        // Rules differing in three groups: a detour, a re-weighting of
+        // nothing but the weight, and the same links at another cost.
+        let mut rules = f.rules().clone();
+        let bucket =
+            |rules: &RuleSet, i: u32| rules.group(AggregateId(i)).unwrap().buckets[0].clone();
+        let (p2, w2) = bucket(&rules, 2);
+        let detour = f
+            .topology()
+            .graph()
+            .shortest_path(
+                p2.source(),
+                p2.destination(),
+                &p2.links().iter().copied().collect(),
+            )
+            .unwrap();
+        rules.set_group(AggregateId(2), GroupEntry::single(detour, w2));
+        let (p5, w5) = bucket(&rules, 5);
+        rules.set_group(AggregateId(5), GroupEntry::single(p5, w5 + 1));
+        let (p9, w9) = bucket(&rules, 9);
+        let mut slower = f.topology().clone();
+        slower.set_delay(p9.links()[0], Delay::from_ms(3.0));
+        let recosted = Path::new(slower.graph(), p9.source(), p9.links().to_vec()).unwrap();
+        assert_ne!(recosted, p9, "path equality includes the cost");
+        rules.set_group(AggregateId(9), GroupEntry::single(recosted, w9));
+        f.install(rules);
+        f.dirty_list.sort_unstable();
+        assert_eq!(f.dirty_list, vec![2, 5, 9]);
+        let full = f.peek_full();
+        assert_reports_identical(&f.peek(), &full);
+        assert_ne!(full.outcome.link_load, booted.outcome.link_load);
+
+        // A staged install commits through the same diff.
+        let mut rules = f.rules().clone();
+        rules.clear_group(AggregateId(4));
+        let ticket = f.stage(rules);
+        assert!(f.dirty_list.is_empty(), "staging touches nothing live");
+        assert!(f.commit_staged(ticket));
+        assert_eq!(f.dirty_list, vec![4]);
+        let full = f.peek_full();
+        assert_reports_identical(&f.peek(), &full);
     }
 
     #[test]
