@@ -538,9 +538,11 @@ impl<'a> Optimizer<'a> {
     /// as a [`BundleDelta`], runs the component-bound
     /// [`FlowModel::score_delta`], and folds the objective from the
     /// partial result — the network utility via an O(log n) fold-tree
-    /// patch, min-max via the sparse link-demand overlay. Past scratch
-    /// warm-up this path performs **zero heap allocations** per scored
-    /// move. Bitwise identical to [`Optimizer::score_candidate_full`].
+    /// patch, min-max via the sparse link-demand overlay, which only
+    /// that arm asks for ([`FlowModel::changed_link_demand`]). Past
+    /// scratch warm-up this path performs **zero heap allocations** per
+    /// scored move. Bitwise identical to
+    /// [`Optimizer::score_candidate_full`].
     fn score_candidate_incremental(
         &self,
         alloc: &Allocation,
@@ -567,11 +569,7 @@ impl<'a> Optimizer<'a> {
             .model
             .score_delta(incumbent.eval(), &delta, &mut ws.model)
         {
-            DeltaScore::Partial {
-                affected,
-                rates,
-                changed_link_demand,
-            } => match self.config.objective {
+            DeltaScore::Partial { affected, rates } => match self.config.objective {
                 Objective::NetworkUtility => score_network_utility_delta(
                     self.tm,
                     &delta,
@@ -588,6 +586,9 @@ impl<'a> Optimizer<'a> {
                     // per-link arrays — the same (demand, capacity) stream,
                     // in the same order, a materialized outcome would feed
                     // the objective.
+                    let changed_link_demand =
+                        self.model
+                            .changed_link_demand(incumbent.eval(), &delta, &mut ws.model);
                     let prev_d = &incumbent.outcome().link_demand;
                     let prev_c = &incumbent.outcome().link_capacity;
                     let mut k = 0usize;

@@ -151,13 +151,8 @@ impl Component {
     }
 
     /// The members crossing the link in `slot`.
-    fn row(&self, slot: usize) -> &[u32] {
+    pub(crate) fn row(&self, slot: usize) -> &[u32] {
         &self.rows[self.row_start[slot] as usize..self.row_start[slot + 1] as usize]
-    }
-
-    /// How many members cross the link in `slot`.
-    pub(crate) fn row_len(&self, slot: usize) -> usize {
-        self.row(slot).len()
     }
 
     /// Whether the members' demands are the ones `demands` lists for

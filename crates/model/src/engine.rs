@@ -49,9 +49,12 @@
 //! list and the touched links' crossing rows, and splices the cached
 //! bundle table with `Vec::splice`. While every segment keeps its
 //! length, that is all — O(changed segments + affected component +
-//! crossing rows of the dirty links: their demand and load sums are
-//! re-accumulated entry by entry, in the full run's order, to stay
-//! bitwise exact), no instance-sized pass. A segment that changes
+//! crossing rows of the links the change touches, whose demand is
+//! re-summed entry by entry in the full run's order, + crossing rows of
+//! the dirty links whose load is re-summed), no instance-sized pass.
+//! Scoring sums no touched row it can avoid (*Bounded binding filter*
+//! below), and a dirty link none of whose crossers froze differently
+//! keeps its load (*Kept loads*). A segment that changes
 //! length shifts every later bundle's index, so the *tail renumber* is
 //! paid then, and only then: freeze keys and crossing entries behind
 //! the first resized segment are rewritten, and the per-bundle arrays
@@ -102,6 +105,54 @@
 //! (multi-segment changes included: they are one joint fill, never `k`
 //! sequential ones).
 //!
+//! ### Bounded binding filter
+//!
+//! Border verification needs a touched link's new offered demand for
+//! one decision only: whether the link is binding, and so has to be
+//! walked. The exact value is a fold over the link's whole spliced
+//! crossing row — thousands of entries on an inter-region trunk — so
+//! the core first bounds it from above, in O(replacement crossings):
+//!
+//! ```text
+//! D_new ≤ B = (D_prev + Σ demands of the replacement bundles crossing l) · (1 + 2nε),
+//!         n = |previous row| + |replacement crossings| + 1
+//! ```
+//!
+//! Removed bundles only lower the true sum. With `u = ε/2` and
+//! `γ_k = ku / (1 − ku)`, a recursive sum of `k` non-negative terms
+//! lies within a factor `1 ± γ_{k−1}` of the true one (Higham, *Accuracy
+//! and Stability of Numerical Algorithms*, §4.2), so, with `p` and `r`
+//! the two counts: the true previous sum is at most `D_prev / (1 −
+//! γ_p)`, the folded sum `A` under-runs its terms by at most `1 − γ_r`,
+//! and `D_new` over-runs its true value by at most `1 + γ_{p+r}`. Their
+//! ratio is `1 + (p + r)ε` to first order; `2nε` leaves `(p + r + 2)ε`
+//! more, which covers the rounding of the product (`ε/2`) and the
+//! second-order terms (`O((nε)²)`, a vanishing share of `nε` for any
+//! row a computer holds), and the factor itself is exact (`2n` is an
+//! integer, `ε` a power of two). [`is_binding`] is monotone in the
+//! demand, so a bound that is not binding proves the exact sum is not:
+//! the link is skipped exactly where the exact sum would skip it, and
+//! only a bound that says "binding" pays for the fold. Every walk,
+//! expansion and bit is therefore the exact filter's. Where the value
+//! itself is consumed — the in-place patch's link demands, the congested
+//! order, the min-max objective's overlay
+//! ([`FlowModel::changed_link_demand`]) — every touched link is settled
+//! exactly first; network-utility scoring never asks.
+//!
+//! ### Kept loads
+//!
+//! A dirty link's load is the fold of its crossers' rates in freeze
+//! order. The in-place patch keeps the previous load, unsorted and
+//! unsummed, when the re-filled component crosses the link, no removed
+//! or replacement bundle (and no capacity change) touches it, and every
+//! re-filled crosser came out with the same rate bits and the same
+//! [`FreezeKey`] rank as before. The link's crossers are then the same
+//! bundles; the tail renumber shifts indices monotonically, so it keeps
+//! their rank order; hence the `(rank, rate)` sequence the fold walks is
+//! the previous one, entry for entry, and so is its sum. Every other
+//! dirty link re-sorts and re-sums; saturation and the congested list
+//! are re-derived for all of them alike.
+//!
 //! ### Compiled components
 //!
 //! Between two changes of an [`Evaluation`] every candidate moving
@@ -147,7 +198,7 @@
 use crate::component::{Component, FillState, Patch, NONE};
 use crate::outcome::ModelOutcome;
 use crate::spec::{BundleSpec, BundleStatus};
-use crate::splice::{merge_row, splice_copy, BundleDelta, Seg, Splice, POOL};
+use crate::splice::{merge_row, repl_row, splice_copy, BundleDelta, Seg, Splice, POOL};
 use fubar_graph::LinkId;
 use fubar_topology::{Bandwidth, Delay, Topology};
 use std::cmp::Ordering;
@@ -203,6 +254,27 @@ const BINDING_SLACK: f64 = 1e-9;
 
 fn is_binding(demand: f64, capacity: f64) -> bool {
     demand >= capacity * (1.0 - BINDING_SLACK)
+}
+
+/// An upper bound on a link's offered demand after a splice:
+/// `prev_demand` is the link's previous demand, the recursive sum of
+/// `prev_crossers` non-negative terms, and `added` the demands of the
+/// replacement bundles crossing it. Removed crossers are left in, and
+/// the sum is widened by `1 + 2nε` to cover every rounding of both
+/// folds (see *Bounded binding filter* in the module docs). Hidden: the
+/// scoring core's, exposed for its property test.
+#[doc(hidden)]
+pub fn spliced_demand_bound(
+    prev_demand: f64,
+    prev_crossers: usize,
+    added: impl IntoIterator<Item = f64>,
+) -> f64 {
+    let (mut sum, mut n) = (prev_demand, prev_crossers + 1);
+    for d in added {
+        sum += d;
+        n += 1;
+    }
+    sum * (1.0 + 2.0 * n as f64 * f64::EPSILON)
 }
 
 /// Where in the global freeze sequence a bundle froze — enough to
@@ -415,7 +487,8 @@ impl Evaluation {
     /// touched links, and load, demand, saturation and the congested
     /// list re-derived for dirty links only. Bundles and crossing
     /// entries behind the first length-changing segment are renumbered;
-    /// when every segment keeps its length nothing else moves.
+    /// when every segment keeps its length nothing else moves. Every
+    /// touched link's demand must be settled ([`Workspace::settle`]).
     fn patch(&mut self, segs: &[Seg], ws: &mut Workspace) {
         let Evaluation {
             outcome: o,
@@ -442,10 +515,20 @@ impl Evaluation {
                 *key = key.with_bundle(i as u32);
             }
         }
+        // Per re-filled bundle: whether it is new or froze differently —
+        // at another rate, or at another place in the freeze order
+        // (against its key as the tail renumber left it).
+        ws.moved.clear();
         for (local, &gi) in ws.subset.iter().enumerate() {
-            o.bundle_rates[gi as usize] = Bandwidth::from_bps(fill.rates[local]);
-            o.bundle_status[gi as usize] = fill.status[local];
-            freeze_keys[gi as usize] = fill.keys[local];
+            let (g, rate, key) = (gi as usize, fill.rates[local], fill.keys[local]);
+            ws.moved.push(
+                ws.src[g] & POOL != 0
+                    || o.bundle_rates[g].bps().to_bits() != rate.to_bits()
+                    || freeze_keys[g].rank() != key.rank(),
+            );
+            o.bundle_rates[g] = Bandwidth::from_bps(rate);
+            o.bundle_status[g] = fill.status[local];
+            freeze_keys[g] = key;
         }
 
         // Crossing rows: a row is re-merged from its old entries and the
@@ -470,7 +553,8 @@ impl Evaluation {
         // Dirty links — touched by the change or crossed by the
         // re-filled component: loads re-accumulate in freeze order (the
         // exact order, and therefore the exact float sum, of a full
-        // run); the component's saturations replace theirs.
+        // run), unless the previous sum provably stands; the
+        // component's saturations replace theirs.
         let comp = &ws.fill.comp;
         let fill_dirty = |li: usize| comp.slot_of[li] != NONE;
         let n_filled = fill.touched_links.len();
@@ -480,16 +564,28 @@ impl Evaluation {
                 Some(c) if fill_dirty(ws.changed_links[c] as usize) => continue,
                 Some(c) => ws.changed_links[c] as usize,
             };
-            if ws.touched_stamp[li] == ws.stamp {
+            let touched = ws.touched_stamp[li] == ws.stamp;
+            if touched {
+                debug_assert_eq!(ws.summed[li], ws.stamp, "unsettled demand");
                 o.link_demand[li] = Bandwidth::from_bps(ws.touched_demand[li]);
             }
+            saturated[li] = false;
             // A link whose every crosser re-filled (slot `k` of the fill
             // holds its whole row — every previously saturated link of
             // the component, by closure) was accumulated by the fill
             // itself, in that order.
-            let covered = k < n_filled && comp.row_len(k) == crossers[li].len();
+            let covered = k < n_filled && comp.row(k).len() == crossers[li].len();
             let sum = if covered {
                 fill.links[k].frozen_load
+            } else if k < n_filled && !touched && comp.row(k).iter().all(|&b| !ws.moved[b as usize])
+            {
+                // Same crossers, same (rank, rate) sequence: the same
+                // fold (see *Kept loads* in the module docs).
+                #[cfg(test)]
+                {
+                    ws.probe.loads_kept += 1;
+                }
+                continue;
             } else {
                 ws.entries.clear();
                 ws.entries.extend(crossers[li].iter().map(|&bi| {
@@ -502,7 +598,6 @@ impl Evaluation {
                 ws.entries.iter().fold(0.0, |sum, &(_, r)| sum + r)
             };
             o.link_load[li] = Bandwidth::from_bps(sum.min(caps[li]));
-            saturated[li] = false;
         }
         let (link_demand, congested) = (&o.link_demand, &mut o.congested);
         congested.retain(|l| !fill_dirty(l.index()) && ws.touched_stamp[l.index()] != ws.stamp);
@@ -575,9 +670,11 @@ pub struct Workspace {
     /// [`NONE`] when it was absorbed since.
     filled_at: Vec<u32>,
     /// Per link: stamp marking links touched by the change, and their
-    /// re-accumulated offered demand.
+    /// new offered demand — an upper bound until the `summed` stamp
+    /// marks it as the exact, re-accumulated sum.
     touched_stamp: Vec<u32>,
     touched_demand: Vec<f64>,
+    summed: Vec<u32>,
     /// Per link: closure already expanded through this link.
     link_seen: Vec<u32>,
     /// Fill stamp — bumped once per fill, several times per candidate
@@ -611,8 +708,13 @@ pub struct Workspace {
     /// `(freeze rank, rate)` scratch of the in-place patcher's per-link
     /// load re-accumulation.
     entries: Vec<(u128, f64)>,
+    /// Per member of the patched fill: whether it is new or froze
+    /// differently (the in-place patcher's kept-load test).
+    moved: Vec<bool>,
     /// The fill's own scratch.
     fill: FillScratch,
+    #[cfg(test)]
+    probe: tests::Probe,
 }
 
 impl Workspace {
@@ -641,6 +743,7 @@ impl Workspace {
         if self.stamp == u32::MAX {
             self.in_set.iter_mut().for_each(|s| *s = 0);
             self.touched_stamp.iter_mut().for_each(|s| *s = 0);
+            self.summed.iter_mut().for_each(|s| *s = 0);
             self.link_seen.iter_mut().for_each(|s| *s = 0);
             self.stamp = 0;
         }
@@ -653,6 +756,7 @@ impl Workspace {
         if self.touched_stamp.len() < n_links {
             self.touched_stamp.resize(n_links, 0);
             self.touched_demand.resize(n_links, 0.0);
+            self.summed.resize(n_links, 0);
             self.link_seen.resize(n_links, 0);
             self.border_seen.resize(n_links, 0);
         }
@@ -685,14 +789,54 @@ impl Workspace {
         }
     }
 
-    /// The new offered demand of link `li` (touched links carry their
-    /// re-accumulated sum, everything else the previous value).
-    fn link_demand(&self, prev: &Evaluation, li: usize) -> f64 {
-        if self.touched_stamp[li] == self.stamp {
-            self.touched_demand[li]
-        } else {
-            prev.outcome.link_demand[li].bps()
+    /// Whether link `li` is binding under its new offered demand: an
+    /// untouched link by its previous demand, a touched one by its
+    /// upper bound where that suffices and by the exact sum otherwise
+    /// (see *Bounded binding filter* in the module docs).
+    fn binding(&mut self, li: usize, prev: &Evaluation, crossings: &Crossings<'_>) -> bool {
+        let cap = prev.caps[li];
+        if self.touched_stamp[li] != self.stamp {
+            return is_binding(prev.outcome.link_demand[li].bps(), cap);
         }
+        #[cfg(test)]
+        let bounded = !self.probe.exact_only;
+        #[cfg(not(test))]
+        let bounded = true;
+        if bounded && self.summed[li] != self.stamp {
+            let decided = !is_binding(self.touched_demand[li], cap);
+            #[cfg(test)]
+            self.probe.count_bound(decided);
+            if decided {
+                return false;
+            }
+        }
+        is_binding(self.exact_demand(li, crossings), cap)
+    }
+
+    /// The exact new offered demand of touched link `li`, summed over
+    /// its spliced crossing row on first request.
+    fn exact_demand(&mut self, li: usize, crossings: &Crossings<'_>) -> f64 {
+        if self.summed[li] != self.stamp {
+            self.summed[li] = self.stamp;
+            let mut sum = 0.0;
+            crossings.walk(li, |_, src| sum += crossings.demand(src));
+            self.touched_demand[li] = sum;
+        }
+        self.touched_demand[li]
+    }
+
+    /// Settles every touched link's new offered demand to its exact
+    /// sum, for the splice `segs` of `prev` that the last candidate
+    /// fill on this workspace filled.
+    fn settle(&mut self, prev: &Evaluation, segs: &[Seg]) {
+        let seg_demand = std::mem::take(&mut self.seg_demand);
+        let repl_cross = std::mem::take(&mut self.repl_cross);
+        let crossings = Crossings::new(prev, segs, &repl_cross, &seg_demand);
+        for k in 0..self.changed_links.len() {
+            self.exact_demand(self.changed_links[k] as usize, &crossings);
+        }
+        self.seg_demand = seg_demand;
+        self.repl_cross = repl_cross;
     }
 
     /// Takes the bundles the last fill filled — `comp` under
@@ -768,12 +912,13 @@ impl FillScratch {
 }
 
 /// The minimal product of a delta evaluation, for scoring: the
-/// re-filled component, its rates, and the sparse per-link demand
-/// overlay — no spliced per-bundle outcome, no link loads, no
-/// congestion list, and (on the partial arm) no allocation: the slices
-/// borrow the caller's [`Workspace`]. Produced by
-/// [`FlowModel::score_delta`]; every value is bitwise identical to the
-/// corresponding piece of a full recompute.
+/// re-filled component and its rates — no spliced per-bundle outcome,
+/// no link loads or demands (the min-max objective asks
+/// [`FlowModel::changed_link_demand`] for the latter), no congestion
+/// list, and (on the partial arm) no allocation: the slices borrow the
+/// caller's [`Workspace`]. Produced by [`FlowModel::score_delta`];
+/// every value is bitwise identical to the corresponding piece of a
+/// full recompute.
 #[derive(Debug)]
 pub enum DeltaScore<'w> {
     /// The common case: only the affected component re-filled.
@@ -783,10 +928,6 @@ pub enum DeltaScore<'w> {
         affected: &'w [u32],
         /// New rates in bps, parallel to `affected`.
         rates: &'w [f64],
-        /// `(link, new offered demand)` for links whose demand changed,
-        /// ascending by link id; every other link keeps the incumbent's
-        /// demand. Capacities are unchanged by a candidate move.
-        changed_link_demand: &'w [(u32, f64)],
     },
     /// The component crossed the fallback bar: the candidate is worth
     /// a plain full evaluation, which the caller runs (rare).
@@ -1336,6 +1477,7 @@ impl<'a> FlowModel<'a> {
             ws.subset.clear();
             return true;
         }
+        ws.settle(eval, &splice.segs);
         eval.patch(&splice.segs, ws);
         splice.apply_to(bundles);
         false
@@ -1361,18 +1503,38 @@ impl<'a> FlowModel<'a> {
         if self.delta_fill_core(prev, delta, &[], ws) {
             return DeltaScore::Full;
         }
-        ws.changed_demand.clear();
-        for k in 0..ws.changed_links.len() {
-            let li = ws.changed_links[k] as usize;
-            ws.changed_demand.push((li as u32, ws.touched_demand[li]));
-        }
-        ws.changed_demand.sort_unstable_by_key(|&(l, _)| l);
         let ws = &*ws;
         DeltaScore::Partial {
             affected: &ws.subset,
             rates: &ws.fill.state.rates,
-            changed_link_demand: &ws.changed_demand,
         }
+    }
+
+    /// The sparse per-link demand overlay of the candidate the last
+    /// [`FlowModel::score_delta`] on `ws` scored as
+    /// [`DeltaScore::Partial`] — called with the same `prev` and
+    /// `delta`: `(link, new offered demand)` for every link a removed or
+    /// replacement bundle crosses, ascending by link id; every other
+    /// link keeps `prev`'s demand, and capacities are unchanged by a
+    /// candidate move. Each value is bitwise what a full recompute
+    /// sums. Scoring itself only bounds these demands, so an objective
+    /// that reads no link demand never pays for the sums; the min-max
+    /// objective asks for them here. Allocation-free past warm-up.
+    pub fn changed_link_demand<'w>(
+        &self,
+        prev: &Evaluation,
+        delta: &BundleDelta<'_>,
+        ws: &'w mut Workspace,
+    ) -> &'w [(u32, f64)] {
+        debug_assert_eq!(prev.demands.len(), delta.prev.len());
+        ws.settle(prev, delta.segs());
+        ws.changed_demand.clear();
+        for k in 0..ws.changed_links.len() {
+            let li = ws.changed_links[k];
+            ws.changed_demand.push((li, ws.touched_demand[li as usize]));
+        }
+        ws.changed_demand.sort_unstable_by_key(|&(l, _)| l);
+        &ws.changed_demand
     }
 
     /// Compiles, once for `eval`, the bottleneck component around
@@ -1442,8 +1604,9 @@ impl<'a> FlowModel<'a> {
     /// `touched_links`. Returns `true` when the component crossed the
     /// fallback bar (the caller should run a full evaluation); on
     /// `false` the results are left in `ws`: the sorted `subset`, fill
-    /// results parallel to it, the touched-link demand overlay, and the
-    /// replacement bundles' demands (`seg_demand`) and link crossings
+    /// results parallel to it, the touched links with their demands
+    /// (bounds until [`Workspace::settle`]), and the replacement
+    /// bundles' demands (`seg_demand`) and link crossings
     /// (`repl_cross`).
     fn delta_fill_core(
         &self,
@@ -1482,31 +1645,20 @@ impl<'a> FlowModel<'a> {
         }
         ws.repl_cross.sort_unstable();
 
-        // Per-bundle demands read through the splice view (the previous
-        // evaluation's cache plus the replacement demands) instead of
-        // materializing an O(bundles) vector per candidate.
+        // Per-link crossers of the spliced list, merged lazily from the
+        // previous rows, and per-bundle demands read through the splice
+        // view instead of materializing an O(bundles) vector per
+        // candidate.
         let seg_demand = std::mem::take(&mut ws.seg_demand);
         let repl_cross = std::mem::take(&mut ws.repl_cross);
-        let demand = |src: u32| -> f64 {
-            if src & POOL != 0 {
-                seg_demand[(src ^ POOL) as usize]
-            } else {
-                prev.demands[src as usize]
-            }
-        };
-        // Per-link crossers of the spliced list, merged lazily from the
-        // previous rows.
-        let crossings = Crossings {
-            rows: &prev.crossers,
-            segs,
-            repl: &repl_cross,
-        };
+        let crossings = Crossings::new(prev, segs, &repl_cross, &seg_demand);
 
         // Touched links (links of removed and replacement bundles,
-        // capacity changes) and their re-accumulated offered demand.
-        // Untouched links keep their previous sums verbatim (same
-        // crossers, same demands, same input order ⇒ the same float
-        // sum).
+        // capacity changes) and an upper bound on their new offered
+        // demand; the exact sum waits until something needs it (see
+        // *Bounded binding filter* in the module docs). Untouched links
+        // keep their previous sums verbatim (same crossers, same
+        // demands, same input order ⇒ the same float sum).
         ws.rows_kept = true;
         for s in segs {
             let removed = &delta.prev[s.start as usize..s.prev_end()];
@@ -1528,16 +1680,13 @@ impl<'a> FlowModel<'a> {
             ws.touch_link(l.index());
         }
         for k in 0..ws.changed_links.len() {
-            let li = ws.changed_links[k];
-            let mut sum = 0.0;
-            merge_row(
-                &prev.crossers[li as usize],
-                segs,
-                &repl_cross,
-                li,
-                |_, src| sum += demand(src),
+            let li = ws.changed_links[k] as usize;
+            let added = repl_row(&repl_cross, li as u32).iter();
+            ws.touched_demand[li] = spliced_demand_bound(
+                prev.outcome.link_demand[li].bps(),
+                prev.crossers[li].len(),
+                added.map(|&(.., src)| crossings.demand(src)),
             );
-            ws.touched_demand[li as usize] = sum;
         }
 
         // A one-segment change whose previously-saturated links all lie
@@ -1649,7 +1798,7 @@ fn verify_border(
         return;
     }
     ws.border_seen[li] = ws.fill_stamp;
-    if !is_binding(ws.link_demand(prev, li), prev.caps[li]) {
+    if !ws.binding(li, prev, crossings) {
         return;
     }
     // One walk of the link's crossers: whether any lies outside the
@@ -1704,16 +1853,44 @@ fn close_component(
 }
 
 /// Per-link crosser lists of a *spliced* bundle list, merged lazily
-/// from the previous evaluation's rows and the replacement bundles.
+/// from the previous evaluation's rows and the replacement bundles, and
+/// the demands of the bundles in them.
 struct Crossings<'a> {
     rows: &'a [Vec<u32>],
     segs: &'a [Seg],
     /// `(link, spliced index, source tag)` per link crossing of a
     /// replacement bundle, sorted.
     repl: &'a [(u32, u32, u32)],
+    /// Per-bundle demands of the previous list and of the replacement
+    /// bundles.
+    demands: &'a [f64],
+    seg_demand: &'a [f64],
 }
 
-impl Crossings<'_> {
+impl<'a> Crossings<'a> {
+    fn new(
+        prev: &'a Evaluation,
+        segs: &'a [Seg],
+        repl: &'a [(u32, u32, u32)],
+        seg_demand: &'a [f64],
+    ) -> Self {
+        Crossings {
+            rows: &prev.crossers,
+            segs,
+            repl,
+            demands: &prev.demands,
+            seg_demand,
+        }
+    }
+
+    /// The demand of the bundle a source tag names.
+    fn demand(&self, src: u32) -> f64 {
+        if src & POOL != 0 {
+            self.seg_demand[(src ^ POOL) as usize]
+        } else {
+            self.demands[src as usize]
+        }
+    }
     /// Visits the crossers of link `li` as `(spliced index, source
     /// tag)`, ascending, with exactly the multiplicity and order a
     /// direct build over the spliced list would produce.
@@ -1792,7 +1969,7 @@ mod tests {
     use crate::spec::BundleSpec;
     use fubar_graph::NodeId;
     use fubar_topology::{generators, TopologyBuilder};
-    use fubar_traffic::{Aggregate, AggregateId};
+    use fubar_traffic::{Aggregate, AggregateId, TrafficMatrix};
     use fubar_utility::TrafficClass;
 
     fn mbps(v: f64) -> Bandwidth {
@@ -2351,5 +2528,330 @@ mod tests {
             (total - 100.0).abs() < 1e-6,
             "pipe fully shared, got {total}"
         );
+    }
+
+    /// What the bounded binding filter and the kept-load rule did,
+    /// observed through a workspace's private state.
+    #[derive(Debug, Default)]
+    pub(super) struct Probe {
+        /// Test every touched binding link by its exact demand.
+        pub(super) exact_only: bool,
+        /// Touched-link binding tests the bound settled, and those it
+        /// passed on to the exact sum.
+        pub(super) bound_decided: usize,
+        pub(super) bound_passed: usize,
+        /// Dirty links whose load an in-place patch kept.
+        pub(super) loads_kept: usize,
+    }
+
+    impl Probe {
+        pub(super) fn count_bound(&mut self, decided: bool) {
+            if decided {
+                self.bound_decided += 1;
+            } else {
+                self.bound_passed += 1;
+            }
+        }
+    }
+
+    fn xorshift(seed: u64) -> impl FnMut() -> u64 {
+        let mut x = seed | 1;
+        move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        }
+    }
+
+    /// A traffic matrix on `topo` and one bundle per aggregate on its
+    /// shortest path (bundle `i` is aggregate `i`'s).
+    fn shortest_path_instance(topo: &Topology, seed: u64) -> (TrafficMatrix, Vec<BundleSpec>) {
+        use fubar_traffic::{workload, WorkloadConfig};
+        let tm = workload::generate(topo, &WorkloadConfig::default(), seed);
+        let none = fubar_graph::LinkSet::new();
+        let bundles = (tm.iter())
+            .map(|a| {
+                let path = topo.graph().shortest_path(a.ingress, a.egress, &none);
+                BundleSpec::new(a, &path.expect("connected"), a.flow_count)
+            })
+            .collect();
+        (tm, bundles)
+    }
+
+    /// HE-961 and `planetary(4, 4)`, both congested.
+    fn congested_instances() -> Vec<(Topology, TrafficMatrix, Vec<BundleSpec>)> {
+        [
+            (generators::he_core(mbps(75.0)), 1),
+            (generators::planetary(4, 4, mbps(20.0)), 5),
+        ]
+        .into_iter()
+        .map(|(topo, seed)| {
+            let (tm, bundles) = shortest_path_instance(&topo, seed);
+            (topo, tm, bundles)
+        })
+        .collect()
+    }
+
+    /// A new segment for aggregate `a`, whose bundles are `segment`: a
+    /// random bundle's path with one random link avoided carries the
+    /// whole aggregate (a move, or a merge of a split), or — for a
+    /// one-bundle segment with flows to spare, half the time — some of
+    /// its flows beside the old path (a 1 → 2 split).
+    fn reroute(
+        topo: &Topology,
+        a: &Aggregate,
+        segment: &[BundleSpec],
+        r: &mut impl FnMut() -> u64,
+    ) -> Option<Vec<BundleSpec>> {
+        let from = segment.get((r() % segment.len().max(1) as u64) as usize)?;
+        if from.links.is_empty() {
+            return None;
+        }
+        let mut avoid = fubar_graph::LinkSet::new();
+        avoid.insert(from.links[(r() % from.links.len() as u64) as usize]);
+        let detour = topo.graph().shortest_path(a.ingress, a.egress, &avoid)?;
+        let flows: u32 = segment.iter().map(|b| b.flow_count).sum();
+        Some(
+            if segment.len() == 1 && flows >= 2 && r().is_multiple_of(2) {
+                let moved = 1 + (r() % u64::from(flows - 1)) as u32;
+                let mut stay = from.clone();
+                stay.flow_count -= moved;
+                vec![stay, BundleSpec::new(a, &detour, moved)]
+            } else {
+                vec![BundleSpec::new(a, &detour, flows)]
+            },
+        )
+    }
+
+    /// A scored candidate, bit for bit: affected set, rates, and the
+    /// min-max overlay; `None` when it fell back to a full evaluation.
+    type Scored = Option<(Vec<u32>, Vec<u64>, Vec<(u32, u64)>)>;
+
+    fn score(
+        m: &FlowModel<'_>,
+        prev: &Evaluation,
+        delta: &BundleDelta<'_>,
+        ws: &mut Workspace,
+    ) -> Scored {
+        let DeltaScore::Partial { affected, rates } = m.score_delta(prev, delta, ws) else {
+            return None;
+        };
+        let bits = rates.iter().map(|r| r.to_bits()).collect();
+        let affected = affected.to_vec();
+        let overlay = m.changed_link_demand(prev, delta, ws);
+        let overlay = overlay.iter().map(|&(l, d)| (l, d.to_bits())).collect();
+        Some((affected, bits, overlay))
+    }
+
+    /// The bounded binding filter is transparent: every candidate — on
+    /// HE-961 and on `planetary(4, 4)`, whose trunks carry many
+    /// aggregates; whole moves and 1 → 2 splits; filled through a
+    /// compiled component or ad hoc — scores to the same affected set,
+    /// rates and min-max overlay as with every touched link tested by
+    /// its exact demand. On each instance the bound must have settled
+    /// some test and passed some on to the exact sum.
+    #[test]
+    fn bounded_binding_filter_scores_like_the_exact_one() {
+        for (topo, tm, bundles) in congested_instances() {
+            let m = FlowModel::with_defaults(&topo);
+            let mut eval = m.evaluate_traced(&bundles);
+            assert!(eval.outcome.is_congested(), "{} must congest", topo.name());
+            for l in eval.outcome.congested.clone().into_iter().take(2) {
+                m.prepare_component(&mut eval, &bundles, l);
+            }
+            let (mut bounded, mut exact) = (Workspace::new(), Workspace::new());
+            exact.probe.exact_only = true;
+            let mut r = xorshift(0x51AB_0BE5);
+            let mut scored = 0;
+            for round in 0..300 {
+                let i = (r() % bundles.len() as u64) as usize;
+                let a = tm.aggregate(AggregateId(i as u32));
+                let Some(repl) = reroute(&topo, a, &bundles[i..=i], &mut r) else {
+                    continue;
+                };
+                let delta = BundleDelta::new(&bundles, i, 1, &repl);
+                let fast = score(&m, &eval, &delta, &mut bounded);
+                let slow = score(&m, &eval, &delta, &mut exact);
+                assert_eq!(fast, slow, "{} round {round}", topo.name());
+                scored += usize::from(fast.is_some());
+            }
+            let p = &bounded.probe;
+            assert!(scored > 100, "{}: {scored} partial scores", topo.name());
+            assert!(
+                p.bound_decided > 0,
+                "{}: the bound never decided",
+                topo.name()
+            );
+            assert!(
+                p.bound_passed > 0,
+                "{}: the bound never fell back",
+                topo.name()
+            );
+            assert_eq!(exact.probe.bound_decided + exact.probe.bound_passed, 0);
+        }
+    }
+
+    /// The kept-load rule is transparent: through commit sequences on
+    /// `planetary(4, 4)` — moves, 1 → 2 splits and 2 → 1 merges (so
+    /// segments change length and the tail renumbers), one or two
+    /// aggregates per commit, every third commit with a capacity change
+    /// riding along — the in-place patch equals `evaluate_traced` of the
+    /// spliced table bit for bit, and some dirty link kept its load.
+    /// Keeping a touched link fails it; comparing rates but not freeze
+    /// ranks does not (see `kept_loads_require_the_same_freeze_rank`).
+    #[test]
+    fn kept_loads_match_a_full_evaluation_through_commit_sequences() {
+        let mut topo = generators::planetary(4, 4, mbps(20.0));
+        let (tm, bundles) = shortest_path_instance(&topo, 5);
+        let mut segments: Vec<Vec<BundleSpec>> = bundles.into_iter().map(|b| vec![b]).collect();
+        let mut table = segments.concat();
+        let mut eval = FlowModel::with_defaults(&topo).evaluate_traced(&table);
+        let mut ws = Workspace::new();
+        let mut r = xorshift(0x0C0F_FEE5);
+        let (mut patched, mut resized) = (0, 0);
+        for commit in 0..60 {
+            // One or two aggregates crossing the most congested link.
+            let hot = eval.outcome.congested.first().copied();
+            let crossers: Vec<usize> = (0..segments.len())
+                .filter(|&i| {
+                    segments[i]
+                        .iter()
+                        .any(|b| hot.is_some_and(|l| b.links.contains(&l)))
+                })
+                .collect();
+            let mut picked: Vec<usize> = (0..1 + r() % 2)
+                .map(|_| match crossers.len() {
+                    0 => (r() % segments.len() as u64) as usize,
+                    n => crossers[(r() % n as u64) as usize],
+                })
+                .collect();
+            picked.sort_unstable();
+            picked.dedup();
+            let mut touched = Vec::new();
+            if commit % 3 == 2 {
+                let l = LinkId((r() % topo.link_count() as u64) as u32);
+                topo.set_capacity(l, mbps(10.0 + (r() % 60) as f64));
+                touched.push(l);
+            }
+            let mut splice = Splice::default();
+            for &i in &picked {
+                let a = tm.aggregate(AggregateId(i as u32));
+                let Some(new) = reroute(&topo, a, &segments[i], &mut r) else {
+                    continue;
+                };
+                // Splice ranges index the table as it was.
+                let start = table.iter().take_while(|b| b.aggregate.index() < i).count();
+                resized += usize::from(new.len() != segments[i].len());
+                splice.push(start, segments[i].len(), new.clone());
+                segments[i] = new;
+            }
+            let m = FlowModel::with_defaults(&topo);
+            patched +=
+                usize::from(!m.apply_delta(&mut eval, &mut table, &mut splice, &touched, &mut ws));
+            let expected = segments.concat();
+            assert_eq!(table, expected, "commit {commit}");
+            if let Some(field) = eval.bitwise_mismatch(&m.evaluate_traced(&table)) {
+                panic!("commit {commit}: patched evaluation differs in {field}");
+            }
+        }
+        assert!(patched > 40, "only {patched} commits patched in place");
+        assert!(resized > 0, "no segment changed length");
+        assert!(ws.probe.loads_kept > 0, "no dirty link kept its load");
+    }
+
+    /// A re-filled crosser that keeps its rate but freezes at another
+    /// place in the freeze order moves the link's load. Links `a`, `c`
+    /// and `b` (ids ascending) all saturate at one water level `t`;
+    /// bundle X rides `a`, `b` and the roomy link `l`, which Q
+    /// (satisfied early, outside the component) and P (frozen by `c`
+    /// at `t`, outside it too) also cross. Before the change `a`
+    /// freezes X ahead of P; after Z on `a` sheds a flow, `b` freezes
+    /// X at the same `t` — same rate bits, later rank — so `l`'s load
+    /// folds `q + p + x` instead of `q + x + p`, which differ in the
+    /// last bit. The patch must re-sum `l`, and does.
+    #[test]
+    fn kept_loads_require_the_same_freeze_rank() {
+        let mut tb = TopologyBuilder::new("tie");
+        for n in ["u", "v"] {
+            tb.add_node(n).unwrap();
+        }
+        let bps = Bandwidth::from_bps;
+        let mut link = |cap| tb.add_duplex_link("u", "v", bps(cap), ms(1.0)).unwrap().0;
+        let (a, c, b, l) = (link(10.0), link(10.0), link(10.0), link(1e6));
+        let topo = tb.build();
+        let m = FlowModel::with_defaults(&topo);
+        let rtt_1s = Delay::from_secs(0.5);
+        let old = vec![
+            bundle(0, 1, vec![l], rtt_1s, bps(0.3)),       // Q
+            bundle(1, 1, vec![a, b, l], rtt_1s, bps(1e3)), // X
+            bundle(2, 2, vec![a], rtt_1s, bps(1e3)),       // Z
+            bundle(3, 2, vec![b], rtt_1s, bps(1e3)),       // W
+            bundle(4, 3, vec![c, l], rtt_1s, bps(1e3)),    // P
+        ];
+        let prev = m.evaluate_traced(&old);
+        let mut new = old.clone();
+        new[2].flow_count = 1;
+        let full = m.evaluate_traced(&new);
+        let (before, after) = (prev.freeze_keys[1], full.freeze_keys[1]);
+        assert_eq!((before.kind, before.primary), (1, a.0));
+        assert_eq!((after.kind, after.primary), (1, b.0));
+        assert_eq!(
+            prev.outcome.bundle_rates[1].bps().to_bits(),
+            full.outcome.bundle_rates[1].bps().to_bits(),
+            "X keeps its rate"
+        );
+        assert_ne!(
+            prev.outcome.link_load[l.index()].bps().to_bits(),
+            full.outcome.link_load[l.index()].bps().to_bits(),
+            "the fixture must move `l`'s load"
+        );
+        let prev_index = [Some(0), Some(1), None, Some(3), Some(4)];
+        let inc = evaluate_from(&m, &prev, &old, &new, &prev_index, &[]);
+        assert!(!inc.full_recompute);
+        assert_eq!(inc.affected, vec![1, 2, 3], "X, Z and W re-fill");
+    }
+
+    /// `Workspace::begin` clears every stamped array when the candidate
+    /// stamp wraps. A workspace warmed up at low stamps and then moved
+    /// to `u32::MAX - 2` scores candidates across the wrap — the ones
+    /// it scored at the stamps the wrap reuses among them — exactly as
+    /// a fresh workspace does: affected set, rates and min-max overlay
+    /// (which reads the "exact demand summed" stamp), bit for bit.
+    #[test]
+    fn workspace_scores_alike_across_a_stamp_wrap() {
+        let topo = generators::he_core(mbps(75.0));
+        let (tm, bundles) = shortest_path_instance(&topo, 1);
+        let m = FlowModel::with_defaults(&topo);
+        let eval = m.evaluate_traced(&bundles);
+        let mut r = xorshift(0x57A3_9E11);
+        let mut candidates: Vec<(usize, Vec<BundleSpec>)> = Vec::new();
+        while candidates.len() < 8 {
+            let i = (r() % bundles.len() as u64) as usize;
+            let a = tm.aggregate(AggregateId(i as u32));
+            if let Some(repl) = reroute(&topo, a, &bundles[i..=i], &mut r) {
+                candidates.push((i, repl));
+            }
+        }
+        let delta = |c: usize| BundleDelta::new(&bundles, candidates[c].0, 1, &candidates[c].1);
+
+        let mut ws = Workspace::new();
+        for c in 0..6 {
+            score(&m, &eval, &delta(c), &mut ws);
+        }
+        ws.stamp = u32::MAX - 2;
+        ws.fill_stamp = u32::MAX - 2;
+        // Stamps u32::MAX - 1 and u32::MAX, then 1, 2, … again.
+        let order = [6, 7, 0, 1, 2, 3, 4, 5];
+        for (k, &c) in order.iter().enumerate() {
+            let d = delta(c);
+            let fresh = score(&m, &eval, &d, &mut Workspace::new());
+            assert_eq!(
+                score(&m, &eval, &d, &mut ws),
+                fresh,
+                "candidate {k} after the jump"
+            );
+        }
+        assert_eq!(ws.stamp, 6, "the stamp wrapped");
     }
 }

@@ -237,16 +237,15 @@ mod tests {
             let delta =
                 BundleDelta::new(incumbent.bundles(), start as usize, len as usize, segment);
             let mut ws = Workspace::new();
-            let DeltaScore::Partial {
-                affected,
-                rates,
-                changed_link_demand,
-            } = model.score_delta(incumbent.eval(), &delta, &mut ws)
+            let DeltaScore::Partial { affected, rates } =
+                model.score_delta(incumbent.eval(), &delta, &mut ws)
             else {
                 panic!("the component was the instance");
             };
             let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            let scored = (affected.to_vec(), bits(rates), changed_link_demand.to_vec());
+            let (affected, rates) = (affected.to_vec(), bits(rates));
+            let changed = model.changed_link_demand(incumbent.eval(), &delta, &mut ws);
+            let scored = (affected, rates, changed.to_vec());
             (scored, ws.stats().compiled_fills)
         };
         assert_eq!(score(&incumbent, &second).1, 1, "prepared: patched fill");

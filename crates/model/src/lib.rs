@@ -45,6 +45,8 @@ mod report;
 mod spec;
 mod splice;
 
+#[doc(hidden)]
+pub use engine::spliced_demand_bound;
 pub use engine::{
     DeltaScore, Evaluation, FlowModel, ModelConfig, ParallelWorkspace, Workspace, WorkspaceStats,
 };

@@ -321,6 +321,14 @@ pub(crate) fn splice_copy<T: Copy>(v: &mut Vec<T>, segs: &[Seg], filler: T) {
     v.truncate(new_len);
 }
 
+/// The replacement bundles crossing link `li`: its run of `repl`, the
+/// sorted `(link, spliced index, source tag)` triples of a splice.
+pub(crate) fn repl_row(repl: &[(u32, u32, u32)], li: u32) -> &[(u32, u32, u32)] {
+    let start = repl.partition_point(|&(l, ..)| l < li);
+    let len = repl[start..].partition_point(|&(l, ..)| l == li);
+    &repl[start..start + len]
+}
+
 /// Merges link `li`'s previous crossing row with the replacement
 /// bundles crossing it (`repl`, sorted `(link, spliced index, source
 /// tag)` triples): previous entries inside a removed range drop out,
@@ -333,10 +341,7 @@ pub(crate) fn merge_row(
     li: u32,
     mut emit: impl FnMut(u32, u32),
 ) {
-    let mut added = repl[repl.partition_point(|&(l, ..)| l < li)..]
-        .iter()
-        .take_while(|&&(l, ..)| l == li)
-        .peekable();
+    let mut added = repl_row(repl, li).iter().peekable();
     let mut k = 0;
     for &j in prev_row {
         k = segs_before(segs, k, j);

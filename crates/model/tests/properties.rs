@@ -10,8 +10,8 @@
 
 use fubar_graph::{LinkId, LinkSet, NodeId};
 use fubar_model::{
-    score_network_utility_delta, utility_report, BundleDelta, BundleSpec, DeltaScore, FlowModel,
-    Incumbent, PatchScratch, ReportScratch, Workspace,
+    score_network_utility_delta, spliced_demand_bound, utility_report, BundleDelta, BundleSpec,
+    DeltaScore, FlowModel, Incumbent, PatchScratch, ReportScratch, Workspace,
 };
 use fubar_topology::{generators, Bandwidth, Delay, Topology};
 use fubar_traffic::{Aggregate, AggregateId, TrafficMatrix};
@@ -364,6 +364,55 @@ proptest! {
             "the in-place arm never ran"
         );
     }
+
+    /// The scoring core's touched-link demand bound is an upper bound on
+    /// the exact spliced fold. A random crossing row — 1 to 20,000
+    /// demands from 1 bps to 1 Pbps over a random span of decades,
+    /// sorted, reversed or shuffled — is folded as a full run folds it;
+    /// a one-segment splice then removes up to three entries (none about half
+    /// the time, so only rounding separates the two sums) and inserts up
+    /// to three. `spliced_demand_bound` of the previous fold, the row
+    /// length and the inserted demands must be at least the fold of the
+    /// spliced row (`to_bits`-compared: both are non-negative). Dropping
+    /// the `1 + 2nε` widening, or the inserted demands, fails it.
+    #[test]
+    fn spliced_demand_bound_is_an_upper_bound(
+        len in 1usize..20_000,
+        seed in any::<u64>(),
+        decades in 0.0f64..15.0,
+        order in 0u32..3,
+        splice in (0.0f64..1.0, 0usize..7, 0usize..4),
+    ) {
+        let mut x = seed | 1;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let floor = (next() % 1000) as f64 / 1000.0 * (15.0 - decades);
+        let mut demand = || 10f64.powf(floor + decades * (next() % (1 << 20)) as f64 / (1 << 20) as f64);
+        let mut row: Vec<f64> = (0..len).map(|_| demand()).collect();
+        match order {
+            0 => row.sort_by(f64::total_cmp),
+            1 => row.sort_by(|a, b| b.total_cmp(a)),
+            _ => {}
+        }
+        let (at, removed, added) = splice;
+        let start = (at * len as f64) as usize;
+        let removed = removed.saturating_sub(3).min(len - start);
+        let added: Vec<f64> = (0..added).map(|_| demand()).collect();
+
+        let fold = |v: &mut dyn Iterator<Item = &f64>| v.fold(0.0, |s, &d| s + d);
+        let prev = fold(&mut row.iter());
+        let exact = fold(&mut row[..start].iter().chain(&added).chain(&row[start + removed..]));
+        let bound = spliced_demand_bound(prev, len, added.iter().copied());
+        prop_assert!(
+            bound.to_bits() >= exact.to_bits(),
+            "bound {bound:e} below the exact sum {exact:e} (len {len}, -{removed} +{})",
+            added.len()
+        );
+    }
 }
 
 /// `score_network_utility_delta` re-evaluates only the moved aggregate
@@ -600,15 +649,10 @@ fn compiled_fill_matches_adhoc_fill() {
         let fast = model.score_delta(prepared.eval(), &delta, &mut fast_ws);
         let slow = model.score_delta(plain.eval(), &slow_delta, &mut slow_ws);
         let (
-            DeltaScore::Partial {
-                affected,
-                rates,
-                changed_link_demand,
-            },
+            DeltaScore::Partial { affected, rates },
             DeltaScore::Partial {
                 affected: slow_affected,
                 rates: slow_rates,
-                changed_link_demand: slow_changed,
             },
         ) = (fast, slow)
         else {
@@ -616,11 +660,14 @@ fn compiled_fill_matches_adhoc_fill() {
         };
         assert_eq!(affected, slow_affected, "round {round}");
         assert_eq!(bits(rates), bits(slow_rates), "round {round}");
+        let (affected, rates) = (affected.to_vec(), rates.to_vec());
+        let changed_link_demand = model.changed_link_demand(prepared.eval(), &delta, &mut fast_ws);
+        let slow_changed = model.changed_link_demand(plain.eval(), &slow_delta, &mut slow_ws);
         assert_eq!(changed_link_demand, slow_changed, "round {round}");
 
         let spliced: Vec<BundleSpec> = (0..delta.len()).map(|i| delta.get(i).clone()).collect();
         let full = model.evaluate_traced(&spliced).outcome;
-        let mut refilled = affected.iter().zip(rates).peekable();
+        let mut refilled = affected.iter().zip(&rates).peekable();
         for (i, rate) in full.bundle_rates.iter().enumerate() {
             let expected = match refilled.next_if(|(&gi, _)| gi as usize == i) {
                 Some((_, &rate)) => rate,
