@@ -8,11 +8,13 @@
 //! (the paper's cheap stand-in for simulated annealing) until even
 //! whole-aggregate moves cannot help.
 //!
-//! There is one greedy loop (`Optimizer::greedy`) over one loop state.
-//! What varies between its calls is the *scope* — the whole instance, or
-//! one isolated region shard's congested links (a per-component pass,
-//! see [`crate::shard`]) — and, independently, the *scorer*: incremental
-//! deltas or the full-recompute oracle ([`OptimizerConfig::incremental`]).
+//! There is one greedy loop (`Optimizer::greedy`) over one loop state,
+//! which every call of it changes in place. What varies between its
+//! calls is the *scope* — the whole instance, or one isolated region
+//! shard's congested links (a per-component pass, see [`crate::shard`]),
+//! run one after the other — and, independently, the *scorer*:
+//! incremental deltas or the full-recompute oracle
+//! ([`OptimizerConfig::incremental`]).
 //!
 //! ### What a step costs
 //!
@@ -162,10 +164,10 @@ pub struct OptimizerConfig {
     pub excluded_links: LinkSet,
     /// Workers, the calling thread included, that claim a step's work
     /// — path generation and candidate scoring, one aggregate at a time
-    /// — and run per-component passes side by side (see the module
-    /// docs). Results are identical at any count; at 1 nothing is
-    /// spawned. The default uses the available parallelism. Validated
-    /// (≥ 1), never silently clamped.
+    /// (see the module docs) — each with its own scoring scratch.
+    /// Results are identical at any count; at 1 nothing is spawned. The
+    /// default uses the available parallelism. Validated (≥ 1), never
+    /// silently clamped.
     pub threads: usize,
     /// Incremental candidate scoring (the default): score each move as
     /// a one-aggregate bundle delta patched over the cached incumbent
@@ -206,7 +208,6 @@ impl OptimizerConfig {
 /// One tentative move: `count` flows of `aggregate` off its path `from`
 /// onto `alt`. Scoring borrows the path from wherever the alternatives
 /// live (`Candidate<&Path>`); a step's winner owns it.
-#[derive(Clone, Copy)]
 struct Candidate<P = Path> {
     aggregate: AggregateId,
     from: usize,
@@ -305,9 +306,11 @@ pub struct OptimizeResult {
     pub moves: Vec<Move>,
     /// Why the run stopped.
     pub termination: Termination,
-    /// High-water marks of the per-candidate scoring scratch (largest
-    /// re-filled component, most links touched by one fill, deepest
-    /// event heap) — `fubar-cli scenario run --stats` surfaces these.
+    /// High-water marks of the run's per-candidate scoring scratches
+    /// (largest re-filled component, most links touched by one fill,
+    /// deepest event heap) and the fills they ran, which the shards'
+    /// fill counts add up to — `fubar-cli scenario run --stats`
+    /// surfaces these.
     pub scratch: WorkspaceStats,
     /// Per-shard execution statistics (see [`crate::shard`]). The last
     /// entry is the trunk-core shard. Wall-clock fields ride outside
@@ -315,11 +318,8 @@ pub struct OptimizeResult {
     pub shards: Vec<ShardRunStats>,
 }
 
-/// Everything one call of the greedy loop ([`Optimizer::greedy`]) reads
-/// and writes. Cloning the master state before its first commit
-/// branches a per-component pass, whose `commits` are then replayed
-/// verbatim onto the master.
-#[derive(Clone)]
+/// Everything the greedy loop ([`Optimizer::greedy`]) reads and writes:
+/// one per run, changed in place by every call.
 struct LoopState {
     alloc: Allocation,
     /// The measurement of `alloc`. In incremental mode candidates are
@@ -327,14 +327,17 @@ struct LoopState {
     /// full (oracle) mode it merely memoizes the measurement between
     /// commits.
     incumbent: Incumbent,
+    /// What a commit patches the incumbent with — apart from the
+    /// scoring scratch, whose fill counters count scored candidates
+    /// only.
+    patch: PatchScratch,
     index: CrossingIndex,
-    /// The committed candidates in commit order, with the moves they
-    /// became.
-    commits: Vec<(Candidate, Move)>,
+    /// The committed moves in commit order.
+    commits: Vec<Move>,
     trace: RunTrace,
     /// Per shard, the trunk core last: commits whose focus link the
-    /// shard owned and seconds spent on its candidates (the scratch
-    /// peaks are read off the pools when the run ends).
+    /// shard owned, seconds spent on its candidates and the fills they
+    /// took.
     shards: Vec<ShardRunStats>,
 }
 
@@ -342,10 +345,9 @@ struct LoopState {
 #[derive(Clone, Copy)]
 struct Scope<'s> {
     partition: &'s RegionPartition,
-    /// One scoring scratch pool per shard, one scratch per evaluation
-    /// thread — uncontended: concurrent passes own different shards, and
-    /// worker `i` of a step only ever locks scratch `i`.
-    pools: &'s [Vec<Mutex<ScoreScratch>>],
+    /// The run's scoring scratches, one per evaluation thread —
+    /// uncontended: worker `i` of a step only ever locks scratch `i`.
+    pool: &'s [Mutex<ScoreScratch>],
     /// The run's start, which the trace counts from.
     started: Instant,
     /// `Some(s)`: a per-component pass, visiting only the congested
@@ -354,8 +356,16 @@ struct Scope<'s> {
     /// Links no alternative may use: the configured exclusions, which a
     /// pass widens to every link outside its shard.
     excluded: &'s LinkSet,
-    /// Workers per step.
-    threads: usize,
+}
+
+/// The summed statistics of a scratch pool: fill counts added up, peaks
+/// maxed.
+fn pool_stats(pool: &[Mutex<ScoreScratch>]) -> WorkspaceStats {
+    let mut stats = WorkspaceStats::default();
+    for ws in pool {
+        stats.merge(&ws.lock().expect("scratch lock poisoned").model.stats());
+    }
+    stats
 }
 
 /// Maps `work` over `items` on at most `workers` workers and returns the
@@ -424,11 +434,6 @@ pub struct Optimizer<'a> {
     config: OptimizerConfig,
     model: FlowModel<'a>,
     small_threshold: Bandwidth,
-    /// What a commit patches the incumbent with. Shared by every commit
-    /// of a run (concurrent passes take turns) and apart from the
-    /// scoring scratch, whose fill counters count scored candidates
-    /// only.
-    commit: Mutex<PatchScratch>,
     /// Scores the memo answered over this optimizer's runs (a
     /// statistic, read by `test_support::memo_hits`).
     memo_hits: AtomicUsize,
@@ -449,7 +454,6 @@ impl<'a> Optimizer<'a> {
             config,
             model,
             small_threshold,
-            commit: Mutex::default(),
             memo_hits: AtomicUsize::new(0),
         }
     }
@@ -720,14 +724,15 @@ impl<'a> Optimizer<'a> {
     /// alternative) moves and returns the best improving one, if any.
     ///
     /// The aggregates crossing `link` are independent work items, so
-    /// with `scope.threads > 1` workers claim them ([`map_claimed`]) —
+    /// with more than one thread workers claim them ([`map_claimed`]) —
     /// sharing the read-only incumbent cache and memo, each with its own
-    /// reusable scoring scratch from shard `owner`'s pool and, in oracle
-    /// mode, its own scratch clone of the allocation. Their results come back in
-    /// crossing-index order, and the reduction (max score, earliest
+    /// reusable scoring scratch from the run's pool and, in oracle mode,
+    /// its own scratch clone of the allocation. Their results come back
+    /// in crossing-index order, and the reduction (max score, earliest
     /// candidate on ties) makes the winner the sequential loop's at any
     /// thread count and in both scoring modes. What the workers found
-    /// out then joins the memo, unless this is the oracle.
+    /// out then joins the memo, unless this is the oracle, and the fills
+    /// they ran are credited to shard `owner`.
     fn step(
         &self,
         state: &mut LoopState,
@@ -765,19 +770,23 @@ impl<'a> Optimizer<'a> {
             excluded: scope.excluded,
             avoid: &avoid,
         };
-        let pool = &scope.pools[owner];
+        let filled = pool_stats(scope.pool);
         // One work item per aggregate is one `alternatives` call per
         // aggregate.
         let runs: Vec<&[(u32, u32)]> = index.runs(link).collect();
         let probed = map_claimed(
             &runs,
-            scope.threads,
+            scope.pool.len(),
             |worker| Worker {
-                ws: pool[worker].lock().expect("scratch lock poisoned"),
+                ws: scope.pool[worker].lock().expect("scratch lock poisoned"),
                 copy: None,
             },
             |worker, run| self.probe(&focus, run, worker),
         );
+        let now = pool_stats(scope.pool);
+        let stats = &mut shards[owner];
+        stats.scratch.fills += now.fills - filled.fills;
+        stats.scratch.compiled_fills += now.compiled_fills - filled.compiled_fills;
 
         // Max score; only a strictly better score displaces the best so
         // far, so ties keep the earliest candidate (the sequential
@@ -809,8 +818,8 @@ impl<'a> Optimizer<'a> {
             });
 
         for p in probed {
-            shards[owner].paths_generated += usize::from(p.fresh.is_some());
-            shards[owner].paths_reused += usize::from(p.reused);
+            stats.paths_generated += usize::from(p.fresh.is_some());
+            stats.paths_reused += usize::from(p.reused);
             if !self.config.incremental {
                 continue;
             }
@@ -831,9 +840,8 @@ impl<'a> Optimizer<'a> {
     /// patch in incremental mode, a full re-measurement in oracle mode —
     /// registers a brand-new path in the crossing index, and logs the
     /// commit (attributed to `owner`, the shard owning the focus link)
-    /// with its trace point. Shared by the loop's winners and the replay
-    /// of a per-component pass.
-    fn commit(&self, state: &mut LoopState, c: Candidate, owner: usize, started: Instant) -> Move {
+    /// with its trace point.
+    fn commit(&self, state: &mut LoopState, c: Candidate, owner: usize, started: Instant) {
         let (alloc, incumbent) = (&mut state.alloc, &mut state.incumbent);
         if self.config.incremental {
             let segment = alloc.bundles_after_move(self.tm, c.aggregate, c.from, &c.alt, c.count);
@@ -842,7 +850,7 @@ impl<'a> Optimizer<'a> {
                 self.tm,
                 [(c.aggregate, segment)],
                 &[],
-                &mut self.commit.lock().expect("commit scratch lock poisoned"),
+                &mut state.patch,
             );
         }
         let known_paths = alloc.path_set(c.aggregate).len();
@@ -863,10 +871,9 @@ impl<'a> Optimizer<'a> {
             state.index.insert(c.aggregate, to as u32, &c.alt);
         }
         state.shards[owner].commits += 1;
-        state.commits.push((c, m));
+        state.commits.push(m);
         let point = self.trace_point(started, state.commits.len(), &state.incumbent);
         state.trace.push(point);
-        m
     }
 
     /// Listing 1: the main loop. Runs to termination and returns the
@@ -917,28 +924,26 @@ impl<'a> Optimizer<'a> {
     /// The run from an explicit starting allocation (which must already
     /// satisfy `validate` against this optimizer's matrix): per-component
     /// passes where the instance decomposes, then the whole-instance
-    /// loop — every one a call of [`Optimizer::greedy`]. Also hands back
-    /// the crossing index the loop maintained, which the `indexed gather
-    /// ≡ scan` property test compares against a rebuilt one.
+    /// loop — every one a call of [`Optimizer::greedy`] on the same
+    /// state. Also hands back the crossing index the loop maintained,
+    /// which the `indexed gather ≡ scan` property test compares against
+    /// a rebuilt one.
     fn run_with(&self, initial: Allocation) -> (OptimizeResult, CrossingIndex) {
         let started = Instant::now(); // lint:allow(wall-clock): timing observability only; never feeds a decision
         debug_assert!(initial.validate(self.tm).is_ok());
         let shard_count = shard::shard_count_for(self.topology);
         let partition = RegionPartition::new(self.topology, self.tm, shard_count);
-        let pools: Vec<Vec<Mutex<ScoreScratch>>> = (0..=shard_count)
-            .map(|_| {
-                (0..self.config.threads)
-                    .map(|_| Mutex::new(ScoreScratch::default()))
-                    .collect()
-            })
+        let pool: Vec<Mutex<ScoreScratch>> = (0..self.config.threads)
+            .map(|_| Mutex::new(ScoreScratch::default()))
             .collect();
         let incumbent = self.measure(&initial);
         let mut trace = RunTrace::new();
         trace.push(self.trace_point(started, 0, &incumbent));
-        let mut master = LoopState {
+        let mut state = LoopState {
             index: CrossingIndex::build(self.topology, self.tm, &initial),
             alloc: initial,
             incumbent,
+            patch: PatchScratch::default(),
             commits: Vec::new(),
             trace,
             shards: (0..=shard_count)
@@ -952,73 +957,57 @@ impl<'a> Optimizer<'a> {
         };
         let whole = Scope {
             partition: &partition,
-            pools: &pools,
+            pool: &pool,
             started,
             shard: None,
             excluded: &self.config.excluded_links,
-            threads: self.config.threads,
         };
 
         // The network utility is a weighted sum over aggregates, and an
         // isolated component shares no links and no aggregates with the
-        // rest of the instance, so a pass's improvements carry over
-        // exactly to the merged state. The min-max objective does not
-        // decompose across components.
+        // rest of the instance, so a pass leaves every other component's
+        // rates, utilities and candidates as they were. The min-max
+        // objective does not decompose across components.
         if self.config.objective == Objective::NetworkUtility {
-            self.run_passes(&mut master, &whole);
+            self.run_passes(&mut state, &whole);
         }
-        let termination = self.greedy(&mut master, &whole);
-        debug_assert!(master.alloc.validate(self.tm).is_ok());
+        let termination = self.greedy(&mut state, &whole);
+        debug_assert!(state.alloc.validate(self.tm).is_ok());
 
-        let mut scratch = WorkspaceStats::default();
-        for (stats, pool) in master.shards.iter_mut().zip(&pools) {
-            for ws in pool {
-                let ws = ws.lock().expect("scratch lock poisoned");
-                stats.scratch.merge(&ws.model.stats());
-            }
-            scratch.merge(&stats.scratch);
-        }
-        let (outcome, report) = master.incumbent.into_measurement();
+        let (outcome, report) = state.incumbent.into_measurement();
         let result = OptimizeResult {
-            allocation: master.alloc,
-            trace: master.trace,
+            allocation: state.alloc,
+            trace: state.trace,
             report,
             outcome,
-            commits: master.commits.len(),
-            moves: master.commits.into_iter().map(|(_, m)| m).collect(),
+            commits: state.commits.len(),
+            moves: state.commits,
             termination,
-            scratch,
-            shards: master.shards,
+            scratch: pool_stats(&pool),
+            shards: state.shards,
         };
-        (result, master.index)
+        (result, state.index)
     }
 
     /// Per-component passes: every shard
-    /// [`shard::isolated_congested_shards`] names optimizes its own
-    /// congested links from a private branch of the initial state, side
-    /// by side on up to `threads` workers, and the commit sequences are
-    /// replayed onto `master` shard-ascending. A pass rescans only its
-    /// own component's stuck links, which is where the time goes on
-    /// deeply congested regional instances.
-    ///
-    /// Determinism: every pass depends only on `(config, initial state,
-    /// shard id)` and the merge order is fixed (ascending shard id,
-    /// commit order within a shard), so the result is **bitwise
-    /// identical at any thread count** — the worker assignment decides
-    /// only which thread runs which pass, never what a pass computes.
-    /// With no isolated congested shard this is one no-op scan.
-    fn run_passes(&self, master: &mut LoopState, whole: &Scope<'_>) {
-        let jobs = shard::isolated_congested_shards(
+    /// [`shard::isolated_congested_shards`] names on the starting state
+    /// optimizes its own congested links, in ascending shard order, each
+    /// pass starting where the one before it stopped. A pass rescans
+    /// only its own component's stuck links, which is where the time
+    /// goes on deeply congested regional instances. A pass never leaves
+    /// its shard, so the shards after it stay isolated; what it reads of
+    /// them is the congestion the passes before it left (an aggregate's
+    /// link-local alternative avoids the most congested of its used or
+    /// excluded links, and a pass excludes every link outside its
+    /// shard). With no isolated congested shard this is one no-op scan.
+    fn run_passes(&self, state: &mut LoopState, whole: &Scope<'_>) {
+        let shards = shard::isolated_congested_shards(
             whole.partition,
-            &master.index,
-            &master.alloc,
-            &master.incumbent.outcome().congested,
+            &state.index,
+            &state.alloc,
+            &state.incumbent.outcome().congested,
         );
-        if jobs.is_empty() {
-            return;
-        }
-        let workers = whole.threads.min(jobs.len());
-        let run_pass = |shard: usize| {
+        for shard in shards {
             // Widen the exclusion set to every link the shard does not
             // own, so alternatives never leave the component.
             let mut excluded = whole.excluded.clone();
@@ -1030,38 +1019,9 @@ impl<'a> Optimizer<'a> {
             let scope = Scope {
                 shard: Some(shard),
                 excluded: &excluded,
-                // Workers a short job list leaves idle score candidates.
-                threads: whole.threads / workers,
                 ..*whole
             };
-            let mut state = master.clone();
-            self.greedy(&mut state, &scope);
-            // Only the log and the shard's counters outlive the pass: a
-            // branch is O(instance), and keeping every pass's alive
-            // until the merge would multiply the run's peak memory by
-            // the shard count.
-            (state.commits, state.shards.swap_remove(shard))
-        };
-        let passes = map_claimed(&jobs, workers, |_| (), |(), &shard| run_pass(shard));
-
-        // Merge: replay every pass's commit sequence onto the master
-        // state, shard-ascending, stopping at the global commit cap.
-        // Path-set growth per aggregate is confined to its owning
-        // shard's pass, so each replayed `add_path` lands on exactly
-        // the index the pass recorded.
-        for (&shard, (commits, pass)) in jobs.iter().zip(passes) {
-            // Not `commits`: the replay below counts them again.
-            let stats = &mut master.shards[shard];
-            stats.score_s += pass.score_s;
-            stats.paths_generated += pass.paths_generated;
-            stats.paths_reused += pass.paths_reused;
-            for (c, recorded) in commits {
-                if master.commits.len() >= self.config.max_commits {
-                    return;
-                }
-                let m = self.commit(master, c, shard, whole.started);
-                debug_assert_eq!(m, recorded, "pass replay must reproduce the recorded move");
-            }
+            self.greedy(state, &scope);
         }
     }
 
@@ -1092,8 +1052,8 @@ impl<'a> Optimizer<'a> {
             }
 
             // Stop at the first link where progress is made (Listing 1
-            // lines 6-9); each link's work runs on its owning shard's
-            // scratch pool.
+            // lines 6-9); each link's work is credited to the shard
+            // owning it.
             let mut winner: Option<(Candidate, usize)> = None;
             for link in congested {
                 let owner = scope.partition.shard_of_link(link);

@@ -10,9 +10,9 @@
 //!   one shard belong to it, everything crossing shard boundaries —
 //!   inter-region trunks and cross-shard aggregates — is abstracted
 //!   into the **trunk core**, one extra shard holding the global
-//!   problem's backbone. Each shard owns a scoring scratch pool, so
-//!   shard-local work touches shard-local memory and per-shard peaks
-//!   are observable (`fubar-cli scenario run --stats`).
+//!   problem's backbone. Every step is credited to the shard owning
+//!   its focus link, so per-shard commits, score time, fills and path
+//!   searches are observable (`fubar-cli scenario run --stats`).
 //! * A sparse **aggregate→link crossing index** (per link: the sorted
 //!   `(aggregate, path)` pairs whose path crosses it) is the loop's
 //!   only candidate gather: O(paths on the link) instead of
@@ -208,7 +208,10 @@ pub struct ShardRunStats {
     /// from the same inputs and took as they were (always 0 under the
     /// full-recompute oracle, which keeps none).
     pub paths_reused: usize,
-    /// Peak scoring-scratch sizes of this shard's workspace pool.
+    /// Fills and compiled fills the steps focused on this shard's links
+    /// ran. The peaks are left at zero: the scoring scratches serve
+    /// every shard, so their peaks are the run's
+    /// (`OptimizeResult::scratch`).
     pub scratch: WorkspaceStats,
 }
 
@@ -246,9 +249,7 @@ pub fn merge_shard_stats(acc: &mut Vec<ShardRunStats>, run: &[ShardRunStats]) {
 /// (same pairs, same order) at O(paths on the link) instead of
 /// O(instance). Paths are only ever *added* to path sets, so the index
 /// grows monotonically: one insert per newly-committed alternative.
-/// Cloneable so per-component passes can branch it with the rest of
-/// the loop state.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 pub(crate) struct CrossingIndex {
     pub(crate) per_link: Vec<Vec<(u32, u32)>>,
 }
@@ -415,6 +416,9 @@ mod tests {
         Optimizer::new(topo, tm, cfg).run()
     }
 
+    /// Every region of the isolated instance gets a pass, each pass's
+    /// commits are credited to its own shard, and none to the trunk
+    /// core.
     #[test]
     fn parallel_passes_fire_on_isolated_regions() {
         let (topo, tm) = isolated_regions_instance();
@@ -437,13 +441,39 @@ mod tests {
         assert_eq!(result.commits, result.moves.len());
     }
 
+    /// The passes run one after the other on the run's state, and only
+    /// each step fans out over `threads` workers: the run, and what it
+    /// credits to each shard (commits, fills, compiled fills, paths
+    /// generated and reused), is the same at 1, 2 and 4 threads. The
+    /// shards' fills add up to the run's, and a shard that committed
+    /// was credited fills of its own.
     #[test]
     fn parallel_passes_are_invariant_under_pass_thread_count() {
         let (topo, tm) = isolated_regions_instance();
+        let per_shard = |r: &OptimizeResult| -> Vec<[usize; 5]> {
+            let sum = |f: fn(&ShardRunStats) -> usize| r.shards.iter().map(f).sum::<usize>();
+            assert_eq!(sum(|s| s.scratch.fills), r.scratch.fills);
+            assert_eq!(sum(|s| s.scratch.compiled_fills), r.scratch.compiled_fills);
+            (r.shards.iter())
+                .map(|s| {
+                    assert!(s.commits == 0 || s.scratch.fills > 0, "shard {}", s.shard);
+                    [
+                        s.commits,
+                        s.scratch.fills,
+                        s.scratch.compiled_fills,
+                        s.paths_generated,
+                        s.paths_reused,
+                    ]
+                })
+                .collect()
+        };
         let base = run_at(&topo, &tm, 1);
+        let base_shards = per_shard(&base);
+        assert!(base.scratch.fills > 0, "the passes must score something");
         for threads in [2, 4] {
             let run = run_at(&topo, &tm, threads);
             assert_eq!(run.moves, base.moves, "threads={threads}");
+            assert_eq!(per_shard(&run), base_shards, "threads={threads}");
             assert_eq!(run.commits, base.commits);
             assert_eq!(
                 run.report.network_utility.to_bits(),
@@ -458,10 +488,10 @@ mod tests {
         }
     }
 
+    /// All-pairs traffic rides the trunks, so no shard is isolated, no
+    /// pass runs, and the run is the whole-instance loop alone.
     #[test]
     fn parallel_passes_degrade_to_sharded_without_isolation() {
-        // All-pairs traffic rides the trunks, so no shard is isolated
-        // and the run is the whole-instance loop alone.
         let topo = generators::hypergrowth(4, 4, Bandwidth::from_mbps(2.0));
         let tm = workload::generate(&topo, &WorkloadConfig::default(), 7);
         assert!(pass_shards(&topo, &tm).is_empty());

@@ -312,14 +312,14 @@ fn incremental_run_matches_oracle_on_abilene() {
 
     // Per-component passes do not depend on the scoring mode: every
     // region of this instance is an isolated congested component, so
-    // both runs are passes, replay, then the whole-instance loop.
+    // both runs are passes, then the whole-instance loop.
     let (topo, tm) = isolated_regions_instance();
     let (inc, full) = run_both(&topo, &tm, OptimizerConfig::default());
     assert!(inc.commits > 0, "instance must exercise the inner loop");
     assert_runs_identical("isolated-regions", &inc, &full, &tm);
 }
 
-/// The commit cap is global: replayed pass commits and the
+/// The commit cap is global: the passes' commits and the
 /// whole-instance loop share one `max_commits`, at any thread count.
 #[test]
 fn commit_cap_spans_passes_and_the_whole_instance_loop() {
@@ -586,8 +586,8 @@ proptest! {
     /// region an isolated bottleneck component) the full run —
     /// per-component passes plus the whole-instance loop — must be
     /// move-for-move, bit-for-bit identical at 1, 2, 3, 4 and 8
-    /// `threads` (which run the passes side by side and claim each
-    /// step's path generation and scoring).
+    /// `threads` (which claim each step's path generation and scoring,
+    /// in the passes and in the whole-instance loop alike).
     #[test]
     fn parallel_passes_invariant_under_thread_counts(
         regions in 3usize..5,

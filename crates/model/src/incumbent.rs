@@ -19,9 +19,9 @@ use fubar_traffic::{AggregateId, TrafficMatrix};
 
 /// Reusable scratch for [`Incumbent::replace`]; starts empty
 /// (`default()`) and grows on first use. Caller-owned, so the fabric
-/// keeps its buffers warm from probe to probe and concurrent optimizer
-/// passes share one behind a lock; past warm-up a replace allocates
-/// nothing instance-sized.
+/// keeps its buffers warm from probe to probe and the optimizer from
+/// commit to commit; past warm-up a replace allocates nothing
+/// instance-sized.
 #[derive(Debug, Default)]
 pub struct PatchScratch {
     model: Workspace,
@@ -33,9 +33,9 @@ pub struct PatchScratch {
 
 /// A bundle table — every aggregate's bundles concatenated in id order,
 /// with `spans[a]` aggregate `a`'s `(start, len)` range — its traced
-/// flow-model evaluation, and its utility report. Cloneable, so an
-/// optimizer pass can branch it (the report's fold tree is shared until
-/// first write).
+/// flow-model evaluation, and its utility report. Cloneable, so a
+/// caller can keep an epoch's record (the report's fold tree is shared
+/// until first write).
 #[derive(Clone, Debug)]
 pub struct Incumbent {
     bundles: Vec<BundleSpec>,

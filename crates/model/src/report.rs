@@ -167,8 +167,8 @@ pub struct UtilityReport {
     pub small_average: Option<f64>,
     /// The summation tree behind the averages — carried so candidate
     /// scoring can patch single aggregates into the root in O(log n).
-    /// Shared (`Arc`) so branching a report (an optimizer pass cloning
-    /// its incumbent, a caller keeping an epoch's record) is cheap;
+    /// Shared (`Arc`) so cloning a report (a caller keeping an epoch's
+    /// record) is cheap;
     /// [`UtilityReport::patch`] un-shares it on first write.
     sums: std::sync::Arc<FoldTree>,
 }

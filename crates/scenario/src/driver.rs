@@ -113,7 +113,7 @@ impl SdnConsumer {
         self.scratch
     }
 
-    /// Per-shard commit/score/scratch accumulators across the run's
+    /// Per-shard commit/score/fill accumulators across the run's
     /// re-optimizations. The last entry is the inter-region trunk core.
     pub fn shard_stats(&self) -> &[ShardRunStats] {
         &self.shards
@@ -843,9 +843,9 @@ mod tests {
 
     #[test]
     fn parallel_knobs_leave_the_log_byte_identical() {
-        // The optimizer's worker count scores candidates and runs the
-        // per-component passes side by side; it must never alter a
-        // log: same spec, different thread counts, same bytes.
+        // The optimizer's worker count fans out each step's path
+        // generation and scoring, passes included; it must never alter
+        // a log: same spec, different thread counts, same bytes.
         let spec = deep_spec("");
         let serial = log_at_threads(&spec, 11, 1);
         for threads in [2, 4] {

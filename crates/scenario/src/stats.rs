@@ -123,8 +123,7 @@ impl RunStats {
             for s in shown {
                 out.push_str(&format!(
                     "\nshard {:>3}: aggregates={} links={} commits={} score={:.3}ms \
-                     fills={} compiled-fills={} paths generated={} reused={} \
-                     peak-component={}",
+                     fills={} compiled-fills={} paths generated={} reused={}",
                     s.shard,
                     s.aggregates,
                     s.links,
@@ -134,7 +133,6 @@ impl RunStats {
                     s.scratch.compiled_fills,
                     s.paths_generated,
                     s.paths_reused,
-                    s.scratch.peak_component,
                 ));
             }
         }

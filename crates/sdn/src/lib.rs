@@ -6,7 +6,9 @@
 //! online component admitting flows to the computed paths.
 //!
 //! This crate simulates that environment so the control loop can be
-//! exercised and failure-injected without hardware:
+//! exercised and failure-injected without hardware. Flows are not
+//! admitted one by one: the fabric spreads each aggregate's traffic over
+//! its installed paths by weight.
 //!
 //! * [`RuleSet`] — installed forwarding state: weighted path buckets per
 //!   aggregate (OpenFlow group-table style);
@@ -17,9 +19,7 @@
 //!   smoothing, and demand-peak inference (paper §2.2);
 //! * [`FubarController`] — one re-optimization: optimizer run on the
 //!   failure-aware view, warm-started from the previously installed
-//!   allocation so path sets carry across runs;
-//! * [`AdmissionController`] — the online component admitting flows to
-//!   the computed paths (§5).
+//!   allocation so path sets carry across runs.
 //!
 //! Nothing here steps time: `fubar_scenario::Engine` drives a
 //! [`Fabric`] through a run. One measure → optimize → install turn:
@@ -43,13 +43,11 @@
 //! ```
 #![forbid(unsafe_code)]
 
-pub mod admission;
 mod controller;
 mod fabric;
 mod measurement;
 mod rules;
 
-pub use admission::{AdmissionController, FlowAssignment};
 pub use controller::{FubarController, Reoptimization};
 pub use fabric::{AggregateCounter, EpochReport, Fabric};
 pub use measurement::{AggregateEstimate, Estimator, MeasurementConfig};

@@ -17,7 +17,7 @@
 //! | [`traffic`] | aggregates, traffic matrices, the §3 workload |
 //! | [`model`] | the TCP-like progressive-filling flow model (§2.3) |
 //! | [`core`] | the FUBAR optimizer, baselines, experiment drivers (§2.4–2.5) |
-//! | [`sdn`] | simulated SDN deployment: fabric, measurement, controller, admission |
+//! | [`sdn`] | simulated SDN deployment: fabric, measurement, controller |
 //! | [`scenario`] | deterministic discrete-event scenarios: churn, failures, drift |
 //!
 //! ## Quickstart
