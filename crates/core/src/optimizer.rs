@@ -569,52 +569,47 @@ impl<'a> Optimizer<'a> {
             len as usize,
             &ws.segment[..seg_len],
         );
-        match self
-            .model
-            .score_delta(incumbent.eval(), &delta, &mut ws.model)
-        {
-            DeltaScore::Partial { affected, rates } => match self.config.objective {
-                Objective::NetworkUtility => score_network_utility_delta(
-                    self.tm,
-                    &delta,
-                    affected,
-                    rates,
-                    incumbent.outcome(),
+        let DeltaScore { affected, rates } =
+            self.model
+                .score_delta(incumbent.eval(), &delta, &mut ws.model);
+        match self.config.objective {
+            Objective::NetworkUtility => score_network_utility_delta(
+                self.tm,
+                &delta,
+                affected,
+                rates,
+                incumbent.outcome(),
+                incumbent.report(),
+                c.aggregate,
+                incumbent.spans(),
+                &mut ws.report,
+            ),
+            Objective::MinMaxUtilization => {
+                // Merge the sparse demand overlay over the incumbent's
+                // per-link arrays — the same (demand, capacity) stream,
+                // in the same order, a materialized outcome would feed
+                // the objective.
+                let changed_link_demand =
+                    self.model
+                        .changed_link_demand(incumbent.eval(), &delta, &mut ws.model);
+                let prev_d = &incumbent.outcome().link_demand;
+                let prev_c = &incumbent.outcome().link_capacity;
+                let mut k = 0usize;
+                self.config.objective.score_with_links(
                     incumbent.report(),
-                    c.aggregate,
-                    incumbent.spans(),
-                    &mut ws.report,
-                ),
-                Objective::MinMaxUtilization => {
-                    // Merge the sparse demand overlay over the incumbent's
-                    // per-link arrays — the same (demand, capacity) stream,
-                    // in the same order, a materialized outcome would feed
-                    // the objective.
-                    let changed_link_demand =
-                        self.model
-                            .changed_link_demand(incumbent.eval(), &delta, &mut ws.model);
-                    let prev_d = &incumbent.outcome().link_demand;
-                    let prev_c = &incumbent.outcome().link_capacity;
-                    let mut k = 0usize;
-                    self.config.objective.score_with_links(
-                        incumbent.report(),
-                        (0..prev_d.len()).map(|li| {
-                            let d = if k < changed_link_demand.len()
-                                && changed_link_demand[k].0 as usize == li
-                            {
-                                k += 1;
-                                changed_link_demand[k - 1].1
-                            } else {
-                                prev_d[li].bps()
-                            };
-                            (d, prev_c[li].bps())
-                        }),
-                    )
-                }
-            },
-            // Rare fallback (component ≈ whole instance): score like the
-            // oracle does.
-            DeltaScore::Full => self.score_candidate_full(&mut alloc.clone(), c),
+                    (0..prev_d.len()).map(|li| {
+                        let d = if k < changed_link_demand.len()
+                            && changed_link_demand[k].0 as usize == li
+                        {
+                            k += 1;
+                            changed_link_demand[k - 1].1
+                        } else {
+                            prev_d[li].bps()
+                        };
+                        (d, prev_c[li].bps())
+                    }),
+                )
+            }
         }
     }
 

@@ -379,6 +379,9 @@ fn incremental_run_matches_oracle_with_minmax_objective() {
     };
     let (inc, full) = run_both(&topo, &tm, cfg);
     assert_runs_identical("minmax", &inc, &full, &tm);
+    // The overlay merge ran: candidates were scored by delta fills, not
+    // by the oracle's own path.
+    assert!(inc.scratch.fills > 0, "minmax: no delta fill ran");
 }
 
 /// Tiny move fractions force the local-optimum escape ladder, where a
@@ -412,6 +415,7 @@ fn incremental_run_matches_oracle_under_escape_pressure() {
     let (topo, tm, cfg) = escape_pressure_instance();
     let (inc, full) = run_both(&topo, &tm, cfg);
     assert_runs_identical("escape", &inc, &full, &tm);
+    assert!(inc.scratch.fills > 0, "escape: no delta fill ran");
 }
 
 /// The per-incumbent score memo changes no result: where it provably

@@ -915,23 +915,16 @@ impl FillScratch {
 /// re-filled component and its rates — no spliced per-bundle outcome,
 /// no link loads or demands (the min-max objective asks
 /// [`FlowModel::changed_link_demand`] for the latter), no congestion
-/// list, and (on the partial arm) no allocation: the slices borrow the
-/// caller's [`Workspace`]. Produced by [`FlowModel::score_delta`];
-/// every value is bitwise identical to the corresponding piece of a
-/// full recompute.
+/// list, and no allocation: the slices borrow the caller's
+/// [`Workspace`]. Produced by [`FlowModel::score_delta`] at any
+/// component size; every value is bitwise identical to the
+/// corresponding piece of a full recompute.
 #[derive(Debug)]
-pub enum DeltaScore<'w> {
-    /// The common case: only the affected component re-filled.
-    Partial {
-        /// Global (spliced-list) indices of re-filled bundles,
-        /// ascending.
-        affected: &'w [u32],
-        /// New rates in bps, parallel to `affected`.
-        rates: &'w [f64],
-    },
-    /// The component crossed the fallback bar: the candidate is worth
-    /// a plain full evaluation, which the caller runs (rare).
-    Full,
+pub struct DeltaScore<'w> {
+    /// Global (spliced-list) indices of re-filled bundles, ascending.
+    pub affected: &'w [u32],
+    /// New rates in bps, parallel to `affected`.
+    pub rates: &'w [f64],
 }
 
 /// One worker's slice of a parallel fill: its own [`FillScratch`] plus
@@ -1437,11 +1430,10 @@ impl<'a> FlowModel<'a> {
     /// entries, and `Vec::splice`'s move of the per-bundle tails. Nothing
     /// instance-sized is allocated either way: all scratch lives in `ws`.
     ///
-    /// Returns `false` when the patch ran; [`Workspace::affected`] then
-    /// lists the re-filled bundles. Returns `true` when the affected
-    /// component covered (most of) the list and the engine re-evaluated
-    /// everything instead. Either way the result is bitwise identical
-    /// to `evaluate_traced` of the spliced list.
+    /// [`Workspace::affected`] then lists the re-filled bundles — all
+    /// of them when the affected component is the whole list. The
+    /// result is bitwise identical to `evaluate_traced` of the spliced
+    /// list.
     ///
     /// # Panics
     ///
@@ -1454,7 +1446,7 @@ impl<'a> FlowModel<'a> {
         splice: &mut Splice,
         touched_links: &[LinkId],
         ws: &mut Workspace,
-    ) -> bool {
+    ) {
         assert_eq!(
             eval.caps.len(),
             self.topology.link_count(),
@@ -1471,22 +1463,16 @@ impl<'a> FlowModel<'a> {
                 .all(|l| eval.caps[l.index()] == self.capacity(l)),
             "a capacity changed on a link missing from `touched_links`"
         );
-        if self.delta_fill_core(eval, &splice.over(bundles), touched_links, ws) {
-            splice.apply_to(bundles);
-            *eval = self.evaluate_traced(bundles);
-            ws.subset.clear();
-            return true;
-        }
+        self.delta_fill_core(eval, &splice.over(bundles), touched_links, ws);
         ws.settle(eval, &splice.segs);
         eval.patch(&splice.segs, ws);
         splice.apply_to(bundles);
-        false
     }
 
     /// Evaluates `delta` just far enough to *score* it: the component
-    /// fill runs (with the same closure, verification, and fallback
-    /// logic as the in-place patch), but nothing is patched or
-    /// assembled, and — past buffer warm-up — nothing is heap-allocated:
+    /// fill runs (with the same closure and verification as the
+    /// in-place patch), but nothing is patched or assembled, and —
+    /// past buffer warm-up — nothing is heap-allocated:
     /// demands read through the splice view, capacities come from the
     /// incumbent's cache, and all scratch lives in `ws`. This is the
     /// optimizer's per-candidate fast path — rejected candidates never
@@ -1500,23 +1486,19 @@ impl<'a> FlowModel<'a> {
         delta: &BundleDelta<'_>,
         ws: &'w mut Workspace,
     ) -> DeltaScore<'w> {
-        if self.delta_fill_core(prev, delta, &[], ws) {
-            return DeltaScore::Full;
-        }
-        let ws = &*ws;
-        DeltaScore::Partial {
+        self.delta_fill_core(prev, delta, &[], ws);
+        DeltaScore {
             affected: &ws.subset,
             rates: &ws.fill.state.rates,
         }
     }
 
     /// The sparse per-link demand overlay of the candidate the last
-    /// [`FlowModel::score_delta`] on `ws` scored as
-    /// [`DeltaScore::Partial`] — called with the same `prev` and
-    /// `delta`: `(link, new offered demand)` for every link a removed or
-    /// replacement bundle crosses, ascending by link id; every other
-    /// link keeps `prev`'s demand, and capacities are unchanged by a
-    /// candidate move. Each value is bitwise what a full recompute
+    /// [`FlowModel::score_delta`] on `ws` scored — called with the same
+    /// `prev` and `delta`: `(link, new offered demand)` for every link a
+    /// removed or replacement bundle crosses, ascending by link id; every
+    /// other link keeps `prev`'s demand, and capacities are unchanged by
+    /// a candidate move. Each value is bitwise what a full recompute
     /// sums. Scoring itself only bounds these demands, so an objective
     /// that reads no link demand never pays for the sums; the min-max
     /// objective asks for them here. Allocation-free past warm-up.
@@ -1601,20 +1583,18 @@ impl<'a> FlowModel<'a> {
     /// optimistic component fill with border verification — all in
     /// `ws`'s reusable, epoch-stamped scratch. `prev.caps` must already
     /// hold the current capacities, with every changed link listed in
-    /// `touched_links`. Returns `true` when the component crossed the
-    /// fallback bar (the caller should run a full evaluation); on
-    /// `false` the results are left in `ws`: the sorted `subset`, fill
-    /// results parallel to it, the touched links with their demands
-    /// (bounds until [`Workspace::settle`]), and the replacement
-    /// bundles' demands (`seg_demand`) and link crossings
-    /// (`repl_cross`).
+    /// `touched_links`. The results are left in `ws`, whatever the
+    /// component's size: the sorted `subset`, fill results parallel to
+    /// it, the touched links with their demands (bounds until
+    /// [`Workspace::settle`]), and the replacement bundles' demands
+    /// (`seg_demand`) and link crossings (`repl_cross`).
     fn delta_fill_core(
         &self,
         prev: &Evaluation,
         delta: &BundleDelta<'_>,
         touched_links: &[LinkId],
         ws: &mut Workspace,
-    ) -> bool {
+    ) {
         let n_links = self.topology.link_count();
         let n = delta.len();
         let caps: &[f64] = &prev.caps;
@@ -1719,12 +1699,11 @@ impl<'a> FlowModel<'a> {
         // The optimistic fill + border-verification loop (see the
         // module docs for the correctness argument).
         let min_rtt = self.config.min_rtt;
-        let fallback = loop {
+        loop {
+            let fill = &mut ws.fill;
             // The first fill only; a component that had to grow
             // re-fills as a subset of its own.
-            let patched = compiled.take();
-            let fill = &mut ws.fill;
-            let filled = match patched {
+            match compiled.take() {
                 Some(comp) => {
                     let s = &segs[0];
                     debug_assert_eq!((s.new_start, s.repl_start), (s.start, 0));
@@ -1734,15 +1713,6 @@ impl<'a> FlowModel<'a> {
                     );
                     fill.patch
                         .build(comp, s.start, s.removed, delta.pool, min_rtt, caps);
-                    fill.patch.filled_len(comp)
-                }
-                None => ws.subset.len(),
-            };
-            if filled * 10 >= n.max(1) * 9 {
-                break true;
-            }
-            match patched {
-                Some(comp) => {
                     fill.state.run(comp, &fill.patch);
                     ws.adopt_patched_fill(comp);
                 }
@@ -1771,14 +1741,13 @@ impl<'a> FlowModel<'a> {
                 verify_border(li, prev, &crossings, ws, &mut expanded);
             }
             if !expanded {
-                break false;
+                break;
             }
             close_component(delta, prev, &crossings, ws);
-        };
+        }
 
         ws.seg_demand = seg_demand;
         ws.repl_cross = repl_cross;
-        fallback
     }
 }
 
@@ -2230,7 +2199,6 @@ mod tests {
     struct Patched {
         evaluation: Evaluation,
         affected: Vec<u32>,
-        full_recompute: bool,
     }
 
     /// Test wrapper over the in-place patcher: clones `prev` and `old`,
@@ -2263,8 +2231,7 @@ mod tests {
         let mut evaluation = prev.clone();
         let mut table = old.to_vec();
         let mut ws = Workspace::new();
-        let full_recompute =
-            m.apply_delta(&mut evaluation, &mut table, &mut splice, touched, &mut ws);
+        m.apply_delta(&mut evaluation, &mut table, &mut splice, touched, &mut ws);
         assert_eq!(table.len(), new.len());
         for (a, b) in table.iter().zip(new) {
             assert_eq!((&a.links, a.flow_count), (&b.links, b.flow_count));
@@ -2275,7 +2242,6 @@ mod tests {
         Patched {
             evaluation,
             affected: ws.affected().to_vec(),
-            full_recompute,
         }
     }
 
@@ -2286,7 +2252,6 @@ mod tests {
         let bundles = vec![bundle(0, 10, vec![LinkId(0)], ms(5.0), kbps(50.0))];
         let prev = m.evaluate_traced(&bundles);
         let inc = evaluate_from(&m, &prev, &bundles, &bundles, &[Some(0)], &[]);
-        assert!(!inc.full_recompute);
         assert!(inc.affected.is_empty(), "nothing was dirty");
         assert_outcomes_identical(&inc.evaluation.outcome, &prev.outcome);
     }
@@ -2315,7 +2280,6 @@ mod tests {
             bundle(1, 10, vec![p2], ms(5.0), kbps(50.0)),
         ];
         let inc = evaluate_from(&m, &prev, &old, &new, &[None, Some(1)], &[p1]);
-        assert!(!inc.full_recompute);
         assert_eq!(inc.affected, vec![0], "only the changed pipe re-fills");
         assert_outcomes_identical(&inc.evaluation.outcome, &m.evaluate(&new));
         assert_eq!(inc.evaluation.outcome.congested, vec![p2]);
@@ -2347,7 +2311,6 @@ mod tests {
             bundle(2, 10, vec![solo], ms(5.0), kbps(5.0)),
         ];
         let inc = evaluate_from(&m, &prev, &old, &new, &[None, Some(1), Some(2)], &[shared]);
-        assert!(!inc.full_recompute);
         assert_eq!(inc.affected, vec![0, 1], "sharer re-fills, loner survives");
         assert_outcomes_identical(&inc.evaluation.outcome, &m.evaluate(&new));
     }
@@ -2394,7 +2357,7 @@ mod tests {
             x ^= x << 17;
             x
         };
-        let mut incremental_hits = 0usize;
+        let mut bounded = 0usize;
         for _ in 0..40 {
             // Churn one bundle's flow count.
             let victim = (next() % bundles.len() as u64) as usize;
@@ -2407,14 +2370,11 @@ mod tests {
             let inc = evaluate_from(&m, &prev, &bundles, &changed, &prev_index, &touched);
             let full = m.evaluate_traced(&changed);
             assert_outcomes_identical(&inc.evaluation.outcome, &full.outcome);
-            incremental_hits += usize::from(!inc.full_recompute);
+            bounded += usize::from(inc.affected.len() < changed.len());
             bundles = changed;
             prev = inc.evaluation;
         }
-        assert!(
-            incremental_hits > 0,
-            "the incremental path must actually run on HE"
-        );
+        assert!(bounded > 0, "no churn re-filled less than the whole table");
     }
 
     /// HE-core bundle table on shortest paths — the shared parallel-fill
@@ -2485,17 +2445,21 @@ mod tests {
         let m = FlowModel::with_defaults(&topo);
         let prev = m.evaluate_traced(&bundles);
         let old = bundles.clone();
-        // Change every bundle: the affected set covers the input and the
-        // engine falls back to a full recompute, which `evaluate_from`
-        // checks against `evaluate_traced` like any other patch.
+        // Change every bundle: the affected set is the whole input, and
+        // the engine patches it in place all the same, which
+        // `evaluate_from` checks against `evaluate_traced` like any
+        // other patch.
         for b in &mut bundles {
             b.flow_count += 1;
         }
         let prev_index: Vec<Option<u32>> = vec![None; bundles.len()];
         let touched: Vec<LinkId> = topo.links().collect();
         let inc = evaluate_from(&m, &prev, &old, &bundles, &prev_index, &touched);
-        assert!(inc.full_recompute, "all-dirty must fall back");
-        assert!(inc.affected.is_empty(), "a full recompute names no subset");
+        let every: Vec<u32> = (0..bundles.len() as u32).collect();
+        assert_eq!(
+            inc.affected, every,
+            "an all-dirty splice re-fills every bundle"
+        );
     }
 
     #[test]
@@ -2625,8 +2589,8 @@ mod tests {
     }
 
     /// A scored candidate, bit for bit: affected set, rates, and the
-    /// min-max overlay; `None` when it fell back to a full evaluation.
-    type Scored = Option<(Vec<u32>, Vec<u64>, Vec<(u32, u64)>)>;
+    /// min-max overlay.
+    type Scored = (Vec<u32>, Vec<u64>, Vec<(u32, u64)>);
 
     fn score(
         m: &FlowModel<'_>,
@@ -2634,14 +2598,12 @@ mod tests {
         delta: &BundleDelta<'_>,
         ws: &mut Workspace,
     ) -> Scored {
-        let DeltaScore::Partial { affected, rates } = m.score_delta(prev, delta, ws) else {
-            return None;
-        };
+        let DeltaScore { affected, rates } = m.score_delta(prev, delta, ws);
         let bits = rates.iter().map(|r| r.to_bits()).collect();
         let affected = affected.to_vec();
         let overlay = m.changed_link_demand(prev, delta, ws);
         let overlay = overlay.iter().map(|&(l, d)| (l, d.to_bits())).collect();
-        Some((affected, bits, overlay))
+        (affected, bits, overlay)
     }
 
     /// The bounded binding filter is transparent: every candidate — on
@@ -2674,10 +2636,10 @@ mod tests {
                 let fast = score(&m, &eval, &delta, &mut bounded);
                 let slow = score(&m, &eval, &delta, &mut exact);
                 assert_eq!(fast, slow, "{} round {round}", topo.name());
-                scored += usize::from(fast.is_some());
+                scored += 1;
             }
             let p = &bounded.probe;
-            assert!(scored > 100, "{}: {scored} partial scores", topo.name());
+            assert!(scored > 100, "{}: {scored} candidates scored", topo.name());
             assert!(
                 p.bound_decided > 0,
                 "{}: the bound never decided",
@@ -2709,7 +2671,7 @@ mod tests {
         let mut eval = FlowModel::with_defaults(&topo).evaluate_traced(&table);
         let mut ws = Workspace::new();
         let mut r = xorshift(0x0C0F_FEE5);
-        let (mut patched, mut resized) = (0, 0);
+        let mut resized = 0;
         for commit in 0..60 {
             // One or two aggregates crossing the most congested link.
             let hot = eval.outcome.congested.first().copied();
@@ -2747,15 +2709,13 @@ mod tests {
                 segments[i] = new;
             }
             let m = FlowModel::with_defaults(&topo);
-            patched +=
-                usize::from(!m.apply_delta(&mut eval, &mut table, &mut splice, &touched, &mut ws));
+            m.apply_delta(&mut eval, &mut table, &mut splice, &touched, &mut ws);
             let expected = segments.concat();
             assert_eq!(table, expected, "commit {commit}");
             if let Some(field) = eval.bitwise_mismatch(&m.evaluate_traced(&table)) {
                 panic!("commit {commit}: patched evaluation differs in {field}");
             }
         }
-        assert!(patched > 40, "only {patched} commits patched in place");
         assert!(resized > 0, "no segment changed length");
         assert!(ws.probe.loads_kept > 0, "no dirty link kept its load");
     }
@@ -2808,7 +2768,6 @@ mod tests {
         );
         let prev_index = [Some(0), Some(1), None, Some(3), Some(4)];
         let inc = evaluate_from(&m, &prev, &old, &new, &prev_index, &[]);
-        assert!(!inc.full_recompute);
         assert_eq!(inc.affected, vec![1, 2, 3], "X, Z and W re-fill");
     }
 

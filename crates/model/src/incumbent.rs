@@ -82,9 +82,6 @@ impl Incumbent {
     /// utility is re-evaluated all the same, because what changed may be
     /// its flow count in `tm` (a black-holed aggregate owns no bundles
     /// but still weighs on the averages).
-    ///
-    /// Returns `true` when the affected component covered most of the
-    /// table and everything was re-evaluated from scratch instead.
     pub fn replace(
         &mut self,
         model: &FlowModel<'_>,
@@ -92,7 +89,7 @@ impl Incumbent {
         changes: impl IntoIterator<Item = (AggregateId, Vec<BundleSpec>)>,
         touched_links: &[LinkId],
         scratch: &mut PatchScratch,
-    ) -> bool {
+    ) {
         scratch.named.clear();
         let mut first_resized = None;
         for (id, segment) in changes {
@@ -119,27 +116,22 @@ impl Incumbent {
             }
         }
 
-        let full_recompute = model.apply_delta(
+        model.apply_delta(
             &mut self.eval,
             &mut self.bundles,
             &mut scratch.splice,
             touched_links,
             &mut scratch.model,
         );
-        if full_recompute {
-            self.report = utility_report(tm, &self.bundles, &self.eval.outcome);
-        } else {
-            self.report.patch(
-                tm,
-                &self.bundles,
-                &self.eval.outcome,
-                &self.spans,
-                scratch.model.affected(),
-                &scratch.named,
-                &mut scratch.report,
-            );
-        }
-        full_recompute
+        self.report.patch(
+            tm,
+            &self.bundles,
+            &self.eval.outcome,
+            &self.spans,
+            scratch.model.affected(),
+            &scratch.named,
+            &mut scratch.report,
+        );
     }
 
     /// Compiles the bottleneck component around `link` for candidate
@@ -237,11 +229,8 @@ mod tests {
             let delta =
                 BundleDelta::new(incumbent.bundles(), start as usize, len as usize, segment);
             let mut ws = Workspace::new();
-            let DeltaScore::Partial { affected, rates } =
-                model.score_delta(incumbent.eval(), &delta, &mut ws)
-            else {
-                panic!("the component was the instance");
-            };
+            let DeltaScore { affected, rates } =
+                model.score_delta(incumbent.eval(), &delta, &mut ws);
             let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             let (affected, rates) = (affected.to_vec(), bits(rates));
             let changed = model.changed_link_demand(incumbent.eval(), &delta, &mut ws);

@@ -393,9 +393,9 @@ impl ReportScratch {
 /// is bitwise identical to the one a full [`utility_report`] of the
 /// materialized list would compute.
 ///
-/// `affected`/`rates` are the partial fill's product (ascending spliced
-/// indices and their new rates, from
-/// [`crate::DeltaScore::Partial`]); `prev_outcome` must be the outcome
+/// `affected`/`rates` are the component fill's product (ascending
+/// spliced indices and their new rates, from [`crate::DeltaScore`]);
+/// `prev_outcome` must be the outcome
 /// `delta` splices over; `prev_spans` maps each aggregate to its
 /// `(start, len)` bundle span in the *previous* list, with `moved`'s
 /// span equal to the delta's replaced range.

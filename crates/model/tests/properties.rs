@@ -293,7 +293,6 @@ proptest! {
             spans_of(&segments),
         );
         let mut scratch = PatchScratch::default();
-        let mut partial_steps = 0;
 
         for step in 0..20 {
             // k distinct aggregates, ascending.
@@ -336,8 +335,7 @@ proptest! {
             let before = incumbent.clone();
             let before_bits = before.report().network_utility.to_bits();
             let model = FlowModel::with_defaults(&topo);
-            let full = incumbent.replace(&model, &tm, changes, &touched, &mut scratch);
-            partial_steps += usize::from(!full);
+            incumbent.replace(&model, &tm, changes, &touched, &mut scratch);
 
             let expected = segments.concat();
             let table = incumbent.bundles();
@@ -357,12 +355,6 @@ proptest! {
             prop_assert_eq!(incumbent.report().bitwise_mismatch(&rebuilt), None, "step {}", step);
             prop_assert_eq!(before.report().network_utility.to_bits(), before_bits);
         }
-        // Tiny tables fall back to the full recompute; anything bigger
-        // must actually exercise the patcher.
-        prop_assert!(
-            incumbent.bundles().len() < 12 || partial_steps > 0,
-            "the in-place arm never ran"
-        );
     }
 
     /// The scoring core's touched-link demand bound is an upper bound on
@@ -474,12 +466,7 @@ fn utility_delta_matches_report_of_spliced_table_on_he_candidates() {
             vec![BundleSpec::new(a, &detour, a.flow_count)]
         };
         let delta = BundleDelta::new(incumbent.bundles(), start as usize, 1, &replacement);
-        let DeltaScore::Partial {
-            affected, rates, ..
-        } = model.score_delta(incumbent.eval(), &delta, &mut ws)
-        else {
-            continue; // the component was the instance: nothing to patch
-        };
+        let DeltaScore { affected, rates } = model.score_delta(incumbent.eval(), &delta, &mut ws);
         let fast = score_network_utility_delta(
             &tm,
             &delta,
@@ -646,20 +633,11 @@ fn compiled_fill_matches_adhoc_fill() {
         let (at, len) = (start as usize, len as usize);
         let delta = BundleDelta::new(prepared.bundles(), at, len, &replacement);
         let slow_delta = BundleDelta::new(plain.bundles(), at, len, &replacement);
-        let fast = model.score_delta(prepared.eval(), &delta, &mut fast_ws);
+        let DeltaScore { affected, rates } =
+            model.score_delta(prepared.eval(), &delta, &mut fast_ws);
         let slow = model.score_delta(plain.eval(), &slow_delta, &mut slow_ws);
-        let (
-            DeltaScore::Partial { affected, rates },
-            DeltaScore::Partial {
-                affected: slow_affected,
-                rates: slow_rates,
-            },
-        ) = (fast, slow)
-        else {
-            panic!("round {round}: the component was the instance");
-        };
-        assert_eq!(affected, slow_affected, "round {round}");
-        assert_eq!(bits(rates), bits(slow_rates), "round {round}");
+        assert_eq!(affected, slow.affected, "round {round}");
+        assert_eq!(bits(rates), bits(slow.rates), "round {round}");
         let (affected, rates) = (affected.to_vec(), rates.to_vec());
         let changed_link_demand = model.changed_link_demand(prepared.eval(), &delta, &mut fast_ws);
         let slow_changed = model.changed_link_demand(plain.eval(), &slow_delta, &mut slow_ws);

@@ -213,7 +213,8 @@ impl EventConsumer for SdnConsumer {
             EventKind::FlowArrival { aggregate, count } => {
                 if self.baseline[aggregate.index()] > 0 {
                     let now = self.fabric.flow_count(*aggregate);
-                    self.fabric.set_flow_count(*aggregate, now + count);
+                    self.fabric
+                        .set_flow_count(*aggregate, now.saturating_add(*count));
                 }
             }
             EventKind::FlowDeparture { aggregate, count } => {
@@ -773,6 +774,28 @@ mod tests {
             .find(|r| r.what.starts_with("relax"))
             .unwrap();
         assert_eq!(relaxed.live_flows, before);
+    }
+
+    /// A finite but absurd surge saturates the flow count at `u32::MAX`;
+    /// a churn arrival on top of it must stay there, not overflow.
+    #[test]
+    fn flow_arrival_after_a_saturating_surge_stays_saturated() {
+        let mut engine = build(&ring_spec(""), 1).unwrap();
+        let consumer = engine.consumer_mut();
+        let aggregate = AggregateId(consumer.baseline.iter().position(|&b| b > 0).unwrap() as u32);
+        let surge = EventKind::Surge {
+            aggregate,
+            factor: 1e12,
+        };
+        let arrival = EventKind::FlowArrival {
+            aggregate,
+            count: 5,
+        };
+        for (seq, kind) in [(0, surge), (1, arrival)] {
+            let time = Delay::from_secs(1.0);
+            consumer.on_event(&Event { time, seq, kind });
+        }
+        assert_eq!(consumer.fabric.flow_count(aggregate), u32::MAX);
     }
 
     #[test]
