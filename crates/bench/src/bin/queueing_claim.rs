@@ -7,7 +7,7 @@
 
 use fubar_core::experiments::{paper_inputs, CaseOptions, Scenario};
 use fubar_core::{Allocation, Optimizer, OptimizerConfig};
-use fubar_model::{queueing_report, FlowModel, QueueingConfig};
+use fubar_model::{queueing_report, FlowModel};
 
 fn main() {
     let seed: u64 = std::env::args()
@@ -22,17 +22,16 @@ fn main() {
     ] {
         let (topo, tm) = paper_inputs(scenario, seed, &CaseOptions::default());
         let model = FlowModel::with_defaults(&topo);
-        let cfg = QueueingConfig::default();
 
         let sp = Allocation::all_on_shortest_paths(&topo, &tm);
         let sp_bundles = sp.bundles(&tm);
         let sp_out = model.evaluate(&sp_bundles);
-        let sp_q = queueing_report(&sp_bundles, &sp_out, cfg);
+        let sp_q = queueing_report(&sp_bundles, &sp_out);
 
         let fu = Optimizer::new(&topo, &tm, OptimizerConfig::default()).run();
         let fu_bundles = fu.allocation.bundles(&tm);
         let fu_out = model.evaluate(&fu_bundles);
-        let fu_q = queueing_report(&fu_bundles, &fu_out, cfg);
+        let fu_q = queueing_report(&fu_bundles, &fu_out);
 
         for (system, q, out) in [("shortest-path", &sp_q, &sp_out), ("fubar", &fu_q, &fu_out)] {
             let saturated = (0..topo.link_count())

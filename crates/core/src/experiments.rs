@@ -42,8 +42,6 @@ pub struct CaseOptions {
     /// Fig 6: stretch factor for small aggregates' delay curves
     /// (`Some(2.0)` is the paper's "double the delay parameter").
     pub relax_small_delay: Option<f64>,
-    /// Override the default workload knobs.
-    pub workload: Option<WorkloadConfig>,
 }
 
 /// Builds the paper's topology + traffic matrix for one scenario/seed.
@@ -53,8 +51,7 @@ pub fn paper_inputs(
     options: &CaseOptions,
 ) -> (Topology, TrafficMatrix) {
     let topo = generators::he_core(scenario.capacity());
-    let cfg = options.workload.clone().unwrap_or_default();
-    let mut tm = workload::generate(&topo, &cfg, seed);
+    let mut tm = workload::generate(&topo, &WorkloadConfig::default(), seed);
     if let Some(w) = options.large_priority {
         tm = tm.with_large_priority(w);
     }
@@ -196,7 +193,6 @@ mod tests {
         let opts = CaseOptions {
             large_priority: Some(5.0),
             relax_small_delay: Some(2.0),
-            workload: None,
         };
         let (_, tm) = paper_inputs(Scenario::Underprovisioned, 3, &opts);
         for id in tm.large_ids() {

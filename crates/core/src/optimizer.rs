@@ -111,8 +111,7 @@ use fubar_graph::Path;
 use fubar_graph::{LinkId, LinkSet};
 use fubar_model::{
     score_network_utility_delta, utility_report, BundleDelta, BundleSpec, DeltaScore, FlowModel,
-    Incumbent, ModelConfig, ModelOutcome, PatchScratch, ReportScratch, UtilityReport, Workspace,
-    WorkspaceStats,
+    Incumbent, ModelOutcome, PatchScratch, ReportScratch, UtilityReport, Workspace, WorkspaceStats,
 };
 use fubar_topology::{Bandwidth, Topology};
 use fubar_traffic::{Aggregate, AggregateId, TrafficMatrix};
@@ -142,11 +141,6 @@ pub struct OptimizerConfig {
     /// more flows are moved at a time the faster the algorithm will
     /// converge, but the lower the overall utility", §2.5).
     pub move_fraction: f64,
-    /// Aggregates whose total demand is at or below this are "small" and
-    /// moved in their entirety. `None` (the default) means 2% of the
-    /// topology's mean link capacity — "small" is relative to the pipes
-    /// the aggregate might congest.
-    pub small_demand_threshold: Option<Bandwidth>,
     /// Enable the local-optimum escape (progressively larger moves).
     pub escape: bool,
     /// Hard cap on committed moves (safety valve; effectively unlimited
@@ -156,8 +150,6 @@ pub struct OptimizerConfig {
     pub path_policy: PathPolicy,
     /// What the greedy steps maximize.
     pub objective: Objective,
-    /// Flow-model configuration.
-    pub model: ModelConfig,
     /// Links the optimizer must never route onto (e.g. links the
     /// operator knows are down). The initial allocation avoids them and
     /// the path generator never offers them.
@@ -182,12 +174,10 @@ impl Default for OptimizerConfig {
     fn default() -> Self {
         OptimizerConfig {
             move_fraction: 0.25,
-            small_demand_threshold: None,
             escape: true,
             max_commits: usize::MAX,
             path_policy: PathPolicy::ThreePaths,
             objective: Objective::NetworkUtility,
-            model: ModelConfig::default(),
             excluded_links: LinkSet::new(),
             threads: std::thread::available_parallelism().map_or(1, std::num::NonZero::get),
             incremental: true,
@@ -433,6 +423,10 @@ pub struct Optimizer<'a> {
     tm: &'a TrafficMatrix,
     config: OptimizerConfig,
     model: FlowModel<'a>,
+    /// Aggregates whose total demand is at or below this are "small" and
+    /// moved in their entirety (§2.5): 2% of the topology's mean link
+    /// capacity — "small" is relative to the pipes the aggregate might
+    /// congest.
     small_threshold: Bandwidth,
     /// Scores the memo answered over this optimizer's runs (a
     /// statistic, read by `test_support::memo_hits`).
@@ -443,16 +437,13 @@ impl<'a> Optimizer<'a> {
     /// Creates an optimizer.
     pub fn new(topology: &'a Topology, tm: &'a TrafficMatrix, config: OptimizerConfig) -> Self {
         config.validate();
-        let model = FlowModel::new(topology, config.model);
-        let small_threshold = config.small_demand_threshold.unwrap_or_else(|| {
-            let links = topology.link_count().max(1) as f64;
-            topology.total_capacity() / links * 0.02
-        });
+        let links = topology.link_count().max(1) as f64;
+        let small_threshold = topology.total_capacity() / links * 0.02;
         Optimizer {
             topology,
             tm,
             config,
-            model,
+            model: FlowModel::with_defaults(topology),
             small_threshold,
             memo_hits: AtomicUsize::new(0),
         }
@@ -1342,7 +1333,6 @@ mod tests {
             &tm,
             OptimizerConfig {
                 move_fraction: 0.05,
-                small_demand_threshold: Some(kb(1.0)), // force fractional moves
                 ..Default::default()
             },
         )
@@ -1352,7 +1342,6 @@ mod tests {
             &tm,
             OptimizerConfig {
                 move_fraction: 0.05,
-                small_demand_threshold: Some(kb(1.0)),
                 escape: false,
                 ..Default::default()
             },

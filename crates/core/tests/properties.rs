@@ -403,7 +403,6 @@ fn escape_pressure_instance() -> (Topology, TrafficMatrix, OptimizerConfig) {
     );
     let cfg = OptimizerConfig {
         move_fraction: 0.05,
-        small_demand_threshold: Some(Bandwidth::from_kbps(1.0)),
         max_commits: 80,
         ..Default::default()
     };
@@ -416,6 +415,14 @@ fn incremental_run_matches_oracle_under_escape_pressure() {
     let (inc, full) = run_both(&topo, &tm, cfg);
     assert_runs_identical("escape", &inc, &full, &tm);
     assert!(inc.scratch.fills > 0, "escape: no delta fill ran");
+    // The instance does what it exists for: some commit moved only part
+    // of its aggregate.
+    assert!(
+        inc.moves
+            .iter()
+            .any(|m| m.count < tm.aggregate(m.aggregate).flow_count),
+        "escape: every committed move took its whole aggregate"
+    );
 }
 
 /// The per-incumbent score memo changes no result: where it provably

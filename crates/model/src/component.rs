@@ -20,7 +20,6 @@
 use crate::engine::FreezeKey;
 use crate::spec::{BundleSpec, BundleStatus};
 use fubar_graph::LinkId;
-use fubar_topology::Delay;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
@@ -166,12 +165,7 @@ impl Component {
     /// off the list they index (a slice, or a splice view nobody
     /// materialized). Buffers are reused: past warm-up nothing is
     /// allocated.
-    pub(crate) fn compile<'b>(
-        &mut self,
-        bundle: impl Fn(u32) -> &'b BundleSpec,
-        min_rtt: Delay,
-        caps: &[f64],
-    ) {
+    pub(crate) fn compile<'b>(&mut self, bundle: impl Fn(u32) -> &'b BundleSpec, caps: &[f64]) {
         for &li in &self.slot_link {
             self.slot_of[li as usize] = NONE;
         }
@@ -188,7 +182,7 @@ impl Component {
         self.stream.clear();
         for &gi in &self.members {
             let b = bundle(gi);
-            let (weight, demand) = (b.weight(min_rtt), b.demand().bps());
+            let (weight, demand) = (b.weight(), b.demand().bps());
             debug_assert!(weight > 0.0 && demand > 0.0);
             self.weight.push(weight);
             self.demand.push(demand);
@@ -315,7 +309,6 @@ impl Patch {
         start: u32,
         removed: u32,
         replacement: &[BundleSpec],
-        min_rtt: Delay,
         caps: &[f64],
     ) {
         let (m, n_slots) = (comp.len(), comp.slot_link.len());
@@ -333,7 +326,7 @@ impl Patch {
         self.slots.clear();
         self.new_links.clear();
         for b in replacement {
-            self.weight.push(b.weight(min_rtt));
+            self.weight.push(b.weight());
             self.demand.push(b.demand().bps());
             for l in &b.links {
                 let known = comp.slot_of[l.index()];

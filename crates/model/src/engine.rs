@@ -200,47 +200,13 @@ use crate::outcome::ModelOutcome;
 use crate::spec::{BundleSpec, BundleStatus};
 use crate::splice::{merge_row, repl_row, splice_copy, BundleDelta, Seg, Splice, POOL};
 use fubar_graph::LinkId;
-use fubar_topology::{Bandwidth, Delay, Topology};
+use fubar_topology::{Bandwidth, Topology};
 use std::cmp::Ordering;
-
-/// Tunables of the flow model.
-#[derive(Clone, Copy, Debug)]
-pub struct ModelConfig {
-    /// RTT floor so zero-delay paths get a finite growth rate.
-    pub min_rtt: Delay,
-    /// Fraction of each link's capacity the model may fill (1.0 = all).
-    /// Operators sometimes keep headroom for bursts; the paper's
-    /// evaluation uses the full capacity.
-    pub usable_capacity: f64,
-}
-
-impl Default for ModelConfig {
-    fn default() -> Self {
-        ModelConfig {
-            min_rtt: Delay::from_ms(1.0),
-            usable_capacity: 1.0,
-        }
-    }
-}
-
-impl ModelConfig {
-    fn validate(&self) {
-        assert!(
-            self.min_rtt > Delay::ZERO,
-            "min_rtt must be positive to bound growth weights"
-        );
-        assert!(
-            self.usable_capacity > 0.0 && self.usable_capacity <= 1.0,
-            "usable_capacity must be in (0, 1]"
-        );
-    }
-}
 
 /// The TCP-like traffic model, bound to a topology.
 #[derive(Clone, Debug)]
 pub struct FlowModel<'a> {
     topology: &'a Topology,
-    config: ModelConfig,
 }
 
 /// Relative binding slack: a link counts as *binding* (able to
@@ -362,7 +328,7 @@ pub struct Evaluation {
     /// candidate, and one row per link so an in-place patch rewrites
     /// only the rows a change touches.
     crossers: Vec<Vec<u32>>,
-    /// Usable capacity per link in bps, exactly as the fill consumed it
+    /// Capacity per link in bps, exactly as the fill consumed it
     /// — cached so delta scoring borrows capacities from the incumbent
     /// instead of re-deriving (and re-allocating) them from the
     /// topology per candidate.
@@ -897,16 +863,10 @@ impl FillScratch {
     /// list `bundle` reads: compiles it and fills it as it stands.
     /// Results are left in `self.state`, parallel to `subset` and to
     /// `state.touched_links`.
-    fn fill<'b>(
-        &mut self,
-        bundle: impl Fn(u32) -> &'b BundleSpec,
-        subset: &[u32],
-        min_rtt: Delay,
-        caps: &[f64],
-    ) {
+    fn fill<'b>(&mut self, bundle: impl Fn(u32) -> &'b BundleSpec, subset: &[u32], caps: &[f64]) {
         self.comp.members.clear();
         self.comp.members.extend_from_slice(subset);
-        self.comp.compile(bundle, min_rtt, caps);
+        self.comp.compile(bundle, caps);
         self.state.run(&self.comp, &Patch::EMPTY);
     }
 }
@@ -965,17 +925,10 @@ struct FillWorker {
 /// Together with the serial fill's global-index event tie-breaking this makes
 /// the result **bitwise identical to the serial fill at any worker
 /// count** (property-tested in `crates/model/tests/properties.rs`).
-/// Buffers are epoch-reused like [`Workspace`]'s: after warm-up a fill
-/// through [`ParallelWorkspace::new_inline`] performs zero heap
-/// allocations (enforced by `crates/core/tests/zero_alloc_fill.rs`;
-/// spawning scoped threads allocates, so the threaded mode is outside
-/// that guarantee).
+/// Buffers are reused across fills like [`Workspace`]'s.
 #[derive(Debug)]
 pub struct ParallelWorkspace {
     workers: Vec<FillWorker>,
-    /// When set, worker loops run sequentially on the calling thread —
-    /// bitwise identical output, no thread spawns.
-    inline: bool,
     /// Union–find parent per link, rebuilt per fill.
     parent: Vec<u32>,
     /// Per bundle: normalized component id.
@@ -1005,24 +958,8 @@ impl ParallelWorkspace {
     /// Fills spawn scoped threads when more than one worker exists and
     /// the instance has more than one component.
     pub fn new(workers: usize) -> Self {
-        Self::build(workers, false)
-    }
-
-    /// Like [`ParallelWorkspace::new`], but worker loops always run
-    /// sequentially on the calling thread. The output is bitwise
-    /// identical to the threaded mode (same partition, same per-worker
-    /// component order, same merge); used where thread spawning is
-    /// unwanted — the zero-allocation test harness and single-core
-    /// deployments.
-    pub fn new_inline(workers: usize) -> Self {
-        Self::build(workers, true)
-    }
-
-    fn build(workers: usize, inline: bool) -> Self {
-        let workers = workers.max(1);
         ParallelWorkspace {
-            workers: (0..workers).map(|_| FillWorker::default()).collect(),
-            inline,
+            workers: (0..workers.max(1)).map(|_| FillWorker::default()).collect(),
             parent: Vec::new(),
             comp_of: Vec::new(),
             root_comp: Vec::new(),
@@ -1039,31 +976,6 @@ impl ParallelWorkspace {
             link_demand: Vec::new(),
             congested: Vec::new(),
         }
-    }
-
-    /// Number of fill workers.
-    pub fn worker_count(&self) -> usize {
-        self.workers.len()
-    }
-
-    /// Number of disjoint bottleneck components the last fill found.
-    pub fn component_count(&self) -> usize {
-        self.comp_count
-    }
-
-    /// Merged high-water marks across all workers (peaks by max, fill
-    /// counts by sum).
-    pub fn stats(&self) -> WorkspaceStats {
-        let mut out = WorkspaceStats::default();
-        for w in &self.workers {
-            out.merge(&w.fill.stats());
-        }
-        out
-    }
-
-    /// Merged per-bundle rates (bps) of the last fill, indexed globally.
-    pub fn rates(&self) -> &[f64] {
-        &self.rates
     }
 
     fn find(parent: &mut [u32], mut x: u32) -> u32 {
@@ -1156,7 +1068,6 @@ fn run_worker(
     members: &[u32],
     member_start: &[u32],
     comp_count: usize,
-    min_rtt: Delay,
     caps: &[f64],
 ) {
     w.out_bundles.clear();
@@ -1164,8 +1075,7 @@ fn run_worker(
     let mut c = wi;
     while c < comp_count {
         let subset = &members[member_start[c] as usize..member_start[c + 1] as usize];
-        w.fill
-            .fill(|gi| &bundles[gi as usize], subset, min_rtt, caps);
+        w.fill.fill(|gi| &bundles[gi as usize], subset, caps);
         let fill = &w.fill.state;
         for (local, &gi) in subset.iter().enumerate() {
             w.out_bundles
@@ -1180,15 +1090,10 @@ fn run_worker(
 }
 
 impl<'a> FlowModel<'a> {
-    /// Creates a model over `topology` with the given configuration.
-    pub fn new(topology: &'a Topology, config: ModelConfig) -> Self {
-        config.validate();
-        FlowModel { topology, config }
-    }
-
-    /// Creates a model with default configuration.
+    /// Creates a model over `topology`: every link fills to its full
+    /// capacity (paper §2.3).
     pub fn with_defaults(topology: &'a Topology) -> Self {
-        Self::new(topology, ModelConfig::default())
+        FlowModel { topology }
     }
 
     /// The bound topology.
@@ -1196,17 +1101,12 @@ impl<'a> FlowModel<'a> {
         self.topology
     }
 
-    /// The configuration in use.
-    pub fn config(&self) -> ModelConfig {
-        self.config
-    }
-
-    /// The usable capacity of one link in bps.
+    /// The capacity of one link in bps.
     fn capacity(&self, l: LinkId) -> f64 {
-        self.topology.capacity(l).bps() * self.config.usable_capacity
+        self.topology.capacity(l).bps()
     }
 
-    /// Per-link usable capacities, in the order full evaluation uses.
+    /// Per-link capacities, in the order full evaluation uses.
     fn capacities(&self) -> Vec<f64> {
         self.topology.links().map(|l| self.capacity(l)).collect()
     }
@@ -1231,7 +1131,7 @@ impl<'a> FlowModel<'a> {
         let subset: Vec<u32> = (0..bundles.len() as u32).collect();
         let mut scratch = FillScratch::default();
         let bundle = |gi: u32| &bundles[gi as usize];
-        scratch.fill(bundle, &subset, self.config.min_rtt, &caps);
+        scratch.fill(bundle, &subset, &caps);
         let fill = &scratch.state;
 
         let mut link_frozen = vec![0.0_f64; n_links];
@@ -1310,10 +1210,8 @@ impl<'a> FlowModel<'a> {
     /// The non-assembling parallel fill: partitions `bundles` into
     /// bottleneck components, fills them on `pw`'s workers, and leaves
     /// the merged results in `pw` (rates, statuses, freeze keys,
-    /// per-link loads/demands, sorted congested list). Allocation-free
-    /// in steady state when `pw` runs inline — the kernel the
-    /// zero-allocation test drives directly.
-    pub fn fill_parallel(&self, bundles: &[BundleSpec], pw: &mut ParallelWorkspace) {
+    /// per-link loads/demands, sorted congested list).
+    fn fill_parallel(&self, bundles: &[BundleSpec], pw: &mut ParallelWorkspace) {
         let n = bundles.len();
         let n_links = self.topology.link_count();
         // Global input tables, computed exactly as the serial path does.
@@ -1328,7 +1226,7 @@ impl<'a> FlowModel<'a> {
         // Threads only pay off when there is work to split; either way
         // the iteration shape (worker wi takes components ≡ wi mod
         // stride, ascending) is identical, so so is the output.
-        let threaded = !pw.inline && stride > 1 && pw.comp_count > 1;
+        let threaded = stride > 1 && pw.comp_count > 1;
         {
             let ParallelWorkspace {
                 workers,
@@ -1339,7 +1237,7 @@ impl<'a> FlowModel<'a> {
                 ..
             } = &mut *pw;
             let (members, member_start, caps) = (&*members, &*member_start, &*caps);
-            let (comp_count, min_rtt) = (*comp_count, self.config.min_rtt);
+            let comp_count = *comp_count;
             if threaded {
                 std::thread::scope(|s| {
                     for (wi, w) in workers.iter_mut().enumerate() {
@@ -1352,7 +1250,6 @@ impl<'a> FlowModel<'a> {
                                 members,
                                 member_start,
                                 comp_count,
-                                min_rtt,
                                 caps,
                             )
                         });
@@ -1368,7 +1265,6 @@ impl<'a> FlowModel<'a> {
                         members,
                         member_start,
                         comp_count,
-                        min_rtt,
                         caps,
                     );
                 }
@@ -1573,7 +1469,7 @@ impl<'a> FlowModel<'a> {
         }
         comp.members.sort_unstable();
         comp.members.dedup();
-        comp.compile(|gi| &bundles[gi as usize], self.config.min_rtt, caps);
+        comp.compile(|gi| &bundles[gi as usize], caps);
         comp.presort();
         compiled.live += 1;
     }
@@ -1698,7 +1594,6 @@ impl<'a> FlowModel<'a> {
 
         // The optimistic fill + border-verification loop (see the
         // module docs for the correctness argument).
-        let min_rtt = self.config.min_rtt;
         loop {
             let fill = &mut ws.fill;
             // The first fill only; a component that had to grow
@@ -1711,8 +1606,7 @@ impl<'a> FlowModel<'a> {
                         comp.describes(&prev.demands),
                         "component compiled from another evaluation"
                     );
-                    fill.patch
-                        .build(comp, s.start, s.removed, delta.pool, min_rtt, caps);
+                    fill.patch.build(comp, s.start, s.removed, delta.pool, caps);
                     fill.state.run(comp, &fill.patch);
                     ws.adopt_patched_fill(comp);
                 }
@@ -1721,7 +1615,7 @@ impl<'a> FlowModel<'a> {
                     // Sources were resolved when the members joined the
                     // set, so no fill ever searches the segment list.
                     let src = &ws.src;
-                    fill.fill(|gi| delta.at(src[gi as usize]), &ws.subset, min_rtt, caps);
+                    fill.fill(|gi| delta.at(src[gi as usize]), &ws.subset, caps);
                 }
             }
             ws.begin_verification();
@@ -1937,7 +1831,7 @@ mod tests {
     use super::*;
     use crate::spec::BundleSpec;
     use fubar_graph::NodeId;
-    use fubar_topology::{generators, TopologyBuilder};
+    use fubar_topology::{generators, Delay, TopologyBuilder};
     use fubar_traffic::{Aggregate, AggregateId, TrafficMatrix};
     use fubar_utility::TrafficClass;
 
@@ -2136,20 +2030,6 @@ mod tests {
         let out = m.evaluate(&[]);
         assert!(out.bundle_rates.is_empty());
         assert!(!out.is_congested());
-    }
-
-    #[test]
-    fn usable_capacity_headroom() {
-        let t = pipe(kbps(1000.0), ms(5.0));
-        let m = FlowModel::new(
-            &t,
-            ModelConfig {
-                usable_capacity: 0.5,
-                ..Default::default()
-            },
-        );
-        let out = m.evaluate(&[bundle(0, 10, vec![LinkId(0)], ms(5.0), kbps(100.0))]);
-        assert!((out.bundle_rates[0].kbps() - 500.0).abs() < 1e-6);
     }
 
     #[test]
@@ -2406,20 +2286,10 @@ mod tests {
             assert_outcomes_identical(&par.outcome, &serial.outcome);
             assert_eq!(par.freeze_keys, serial.freeze_keys, "workers={workers}");
             assert_eq!(par.demands, serial.demands, "workers={workers}");
-            assert!(pw.component_count() > 1, "HE must decompose");
-            assert_eq!(pw.stats().fills, pw.component_count());
+            assert!(pw.comp_count > 1, "HE must decompose");
+            let fills: usize = pw.workers.iter().map(|w| w.fill.stats().fills).sum();
+            assert_eq!(fills, pw.comp_count);
         }
-    }
-
-    #[test]
-    fn parallel_fill_inline_matches_threaded() {
-        let (topo, bundles) = he_bundles(mbps(5.0), 9);
-        let m = FlowModel::with_defaults(&topo);
-        let mut threaded = ParallelWorkspace::new(4);
-        let mut inline = ParallelWorkspace::new_inline(4);
-        let a = m.evaluate_traced_parallel(&bundles, &mut threaded);
-        let b = m.evaluate_traced_parallel(&bundles, &mut inline);
-        assert_outcomes_identical(&a.outcome, &b.outcome);
     }
 
     #[test]
@@ -2436,7 +2306,7 @@ mod tests {
         ];
         let par = m.evaluate_traced_parallel(&bundles, &mut pw);
         assert_outcomes_identical(&par.outcome, &m.evaluate(&bundles));
-        assert_eq!(pw.component_count(), 2);
+        assert_eq!(pw.comp_count, 2);
     }
 
     #[test]

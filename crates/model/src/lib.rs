@@ -10,6 +10,11 @@
 //! it. The implementation is event-driven (`O((B + Σ|path|) log B)`) so a
 //! full 961-aggregate evaluation takes well under a millisecond.
 //!
+//! The model has no settings: [`FlowModel::with_defaults`] binds it to a
+//! topology, every link fills to its full capacity (as in the paper's
+//! evaluation), and round-trip times are floored at 1 ms so an intra-POP
+//! bundle still gets a finite growth weight.
+//!
 //! * [`BundleSpec`] — flows of one aggregate pinned to one path;
 //! * [`FlowModel::evaluate`] — run progressive filling, yielding a
 //!   [`ModelOutcome`] (rates, loads, congestion report);
@@ -47,12 +52,10 @@ mod splice;
 
 #[doc(hidden)]
 pub use engine::spliced_demand_bound;
-pub use engine::{
-    DeltaScore, Evaluation, FlowModel, ModelConfig, ParallelWorkspace, Workspace, WorkspaceStats,
-};
+pub use engine::{DeltaScore, Evaluation, FlowModel, ParallelWorkspace, Workspace, WorkspaceStats};
 pub use incumbent::{Incumbent, PatchScratch};
 pub use outcome::{ModelOutcome, UtilizationSummary};
-pub use queueing::{queueing_report, QueueingConfig, QueueingReport};
+pub use queueing::{queueing_report, QueueingReport};
 pub use report::{score_network_utility_delta, utility_report, ReportScratch, UtilityReport};
 pub use spec::{BundleSpec, BundleStatus};
 pub use splice::BundleDelta;

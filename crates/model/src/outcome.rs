@@ -16,7 +16,7 @@ pub struct ModelOutcome {
     /// Offered (unconstrained) demand per directed link: the sum of
     /// crossing bundles' full demands.
     pub link_demand: Vec<Bandwidth>,
-    /// Usable capacity per directed link (after any headroom factor).
+    /// Capacity per directed link.
     pub link_capacity: Vec<Bandwidth>,
     /// Links that saturated while starving at least one bundle, sorted by
     /// descending oversubscription — exactly the order Listing 1 wants.

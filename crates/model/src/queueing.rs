@@ -7,9 +7,8 @@
 //! M/M/1-style queueing estimate on top so those claims can be measured:
 //! a link at utilization ρ with capacity C adds roughly
 //! `S / (C·(1−ρ))` of queueing delay (S = mean packet size in bits),
-//! clamped at a configurable ceiling for saturated links (where the
-//! steady-state formula diverges but real queues are bounded by buffer
-//! depth).
+//! clamped at a ceiling for saturated links (where the steady-state
+//! formula diverges but real queues are bounded by buffer depth).
 //!
 //! The estimate is deliberately coarse — exactly in the spirit of the
 //! paper's "back-of-the-envelope" models — but it orders allocations
@@ -20,24 +19,12 @@ use crate::outcome::ModelOutcome;
 use crate::spec::BundleSpec;
 use fubar_topology::Delay;
 
-/// Parameters of the queueing estimate.
-#[derive(Clone, Copy, Debug)]
-pub struct QueueingConfig {
-    /// Mean packet size in bits (default: 1000 bytes).
-    pub packet_bits: f64,
-    /// Ceiling on any single link's queueing delay (models finite
-    /// buffers; default 500 ms — a deep-buffered core port).
-    pub max_per_link: Delay,
-}
+/// Mean packet size in bits: 1000 bytes.
+const PACKET_BITS: f64 = 8_000.0;
 
-impl Default for QueueingConfig {
-    fn default() -> Self {
-        QueueingConfig {
-            packet_bits: 8_000.0,
-            max_per_link: Delay::from_ms(500.0),
-        }
-    }
-}
+/// Ceiling on any single link's queueing delay in milliseconds (models
+/// finite buffers: a deep-buffered core port).
+const MAX_PER_LINK_MS: f64 = 500.0;
 
 /// Per-link and per-bundle queueing delays derived from a model outcome.
 #[derive(Clone, Debug)]
@@ -54,12 +41,8 @@ pub struct QueueingReport {
 
 /// Estimates queueing delays for `outcome`, which must correspond to
 /// `bundles` (same order).
-pub fn queueing_report(
-    bundles: &[BundleSpec],
-    outcome: &ModelOutcome,
-    config: QueueingConfig,
-) -> QueueingReport {
-    assert!(config.packet_bits > 0.0, "packet size must be positive");
+pub fn queueing_report(bundles: &[BundleSpec], outcome: &ModelOutcome) -> QueueingReport {
+    let max_per_link = Delay::from_ms(MAX_PER_LINK_MS);
     let n_links = outcome.link_load.len();
     let mut link_queueing = Vec::with_capacity(n_links);
     let mut worst = Delay::ZERO;
@@ -71,12 +54,12 @@ pub fn queueing_report(
         } else {
             let rho = (load / cap).min(1.0);
             if rho >= 1.0 - 1e-9 {
-                config.max_per_link
+                max_per_link
             } else {
                 // M/M/1 sojourn-minus-service: S/(C(1-rho)) − S/C, i.e.
                 // the waiting component only.
-                let wait = config.packet_bits / (cap * (1.0 - rho)) - config.packet_bits / cap;
-                Delay::from_secs(wait.max(0.0)).min(config.max_per_link)
+                let wait = PACKET_BITS / (cap * (1.0 - rho)) - PACKET_BITS / cap;
+                Delay::from_secs(wait.max(0.0)).min(max_per_link)
             }
         };
         worst = worst.max(q);
@@ -137,7 +120,7 @@ mod tests {
         let t = pipe(1000.0);
         let bundles = vec![bundle(1, 10.0)]; // 1% utilization
         let out = FlowModel::with_defaults(&t).evaluate(&bundles);
-        let q = queueing_report(&bundles, &out, QueueingConfig::default());
+        let q = queueing_report(&bundles, &out);
         assert!(q.link_queueing[0].ms() < 0.1, "got {}", q.link_queueing[0]);
         assert_eq!(q.link_queueing[1], Delay::ZERO, "unused direction");
     }
@@ -149,7 +132,7 @@ mod tests {
         for demand in [100.0, 500.0, 900.0, 990.0] {
             let bundles = vec![bundle(1, demand)];
             let out = FlowModel::with_defaults(&t).evaluate(&bundles);
-            let q = queueing_report(&bundles, &out, QueueingConfig::default());
+            let q = queueing_report(&bundles, &out);
             assert!(
                 q.link_queueing[0] >= last,
                 "queueing must be monotone in load"
@@ -164,11 +147,11 @@ mod tests {
         let t = pipe(100.0);
         let bundles = vec![bundle(10, 50.0)]; // 500k demand on 100k pipe
         let out = FlowModel::with_defaults(&t).evaluate(&bundles);
-        let cfg = QueueingConfig::default();
-        let q = queueing_report(&bundles, &out, cfg);
-        assert_eq!(q.link_queueing[0], cfg.max_per_link);
-        assert_eq!(q.worst_link, cfg.max_per_link);
-        assert_eq!(q.bundle_queueing[0], cfg.max_per_link);
+        let q = queueing_report(&bundles, &out);
+        let ceiling = Delay::from_ms(500.0);
+        assert_eq!(q.link_queueing[0], ceiling);
+        assert_eq!(q.worst_link, ceiling);
+        assert_eq!(q.bundle_queueing[0], ceiling);
     }
 
     #[test]
@@ -198,7 +181,7 @@ mod tests {
             per_flow_demand: Bandwidth::from_kbps(40.0), // saturates both
         }];
         let out = FlowModel::with_defaults(&t).evaluate(&bundles);
-        let q = queueing_report(&bundles, &out, QueueingConfig::default());
+        let q = queueing_report(&bundles, &out);
         let expected = q.link_queueing[ab.index()] + q.link_queueing[bc.index()];
         assert!((q.bundle_queueing[0].secs() - expected.secs()).abs() < 1e-12);
     }
@@ -208,7 +191,7 @@ mod tests {
         let t = pipe(1000.0);
         let bundles = vec![bundle(9, 100.0), bundle(1, 1.0)];
         let out = FlowModel::with_defaults(&t).evaluate(&bundles);
-        let q = queueing_report(&bundles, &out, QueueingConfig::default());
+        let q = queueing_report(&bundles, &out);
         // Both bundles share the same single link, so the mean equals
         // that link's queueing regardless of weights.
         assert!((q.mean_flow_queueing.secs() - q.link_queueing[0].secs()).abs() < 1e-12);

@@ -4,6 +4,10 @@ use fubar_graph::{LinkId, Path};
 use fubar_topology::{Bandwidth, Delay};
 use fubar_traffic::{Aggregate, AggregateId};
 
+/// RTT floor in seconds, so a zero-delay (intra-POP) path still gets a
+/// finite growth weight: 1 ms, the bits of `Delay::from_ms(1.0)`.
+const MIN_RTT_SECS: f64 = 1e-3;
+
 /// One flow bundle: `flow_count` flows of one aggregate pinned to one
 /// path (paper §2.3: "we don't deal with individual flows, but with
 /// bundles of flows that share the same entry point, exit point, traffic
@@ -64,17 +68,22 @@ impl BundleSpec {
     }
 
     /// Round-trip time used for the growth weight: twice the one-way
-    /// path delay, floored at `min_rtt` so intra-POP bundles don't get
+    /// path delay, floored at 1 ms so intra-POP bundles don't get
     /// infinite growth rate.
-    pub fn rtt(&self, min_rtt: Delay) -> Delay {
-        (self.path_delay * 2.0).max(min_rtt)
+    pub fn rtt(&self) -> Delay {
+        Delay::from_secs(self.rtt_secs())
+    }
+
+    /// [`BundleSpec::rtt`] in seconds.
+    fn rtt_secs(&self) -> f64 {
+        (self.path_delay.secs() * 2.0).max(MIN_RTT_SECS)
     }
 
     /// Growth weight: flows grow inversely proportional to RTT
     /// (paper §2.3), so a bundle of `n` flows grows with weight
     /// `n / rtt`.
-    pub fn weight(&self, min_rtt: Delay) -> f64 {
-        f64::from(self.flow_count) / self.rtt(min_rtt).secs()
+    pub fn weight(&self) -> f64 {
+        f64::from(self.flow_count) / self.rtt_secs()
     }
 }
 
@@ -116,8 +125,12 @@ mod tests {
         let p = Path::trivial(NodeId(0));
         let b = BundleSpec::new(&a, &p, 10);
         assert_eq!(b.demand(), Bandwidth::from_kbps(500.0));
-        // Trivial path: rtt floored at min_rtt.
-        let w = b.weight(Delay::from_ms(1.0));
+        // Trivial path: rtt floored at 1 ms, to the bit.
+        assert_eq!(
+            b.rtt().secs().to_bits(),
+            Delay::from_ms(1.0).secs().to_bits()
+        );
+        let w = b.weight();
         assert!((w - 10.0 / 0.001).abs() < 1e-9);
     }
 
@@ -126,7 +139,7 @@ mod tests {
         let a = agg(1);
         let mut b = BundleSpec::new(&a, &Path::trivial(NodeId(0)), 1);
         b.path_delay = Delay::from_ms(25.0);
-        assert_eq!(b.rtt(Delay::from_ms(1.0)), Delay::from_ms(50.0));
+        assert_eq!(b.rtt(), Delay::from_ms(50.0));
     }
 
     #[test]
@@ -136,8 +149,7 @@ mod tests {
         near.path_delay = Delay::from_ms(5.0);
         let mut far = near.clone();
         far.path_delay = Delay::from_ms(50.0);
-        let min = Delay::from_ms(1.0);
-        assert!(near.weight(min) > far.weight(min));
+        assert!(near.weight() > far.weight());
     }
 
     #[test]

@@ -500,7 +500,6 @@ pub fn inputs_at(
                 scenario.workload.flows.0,
                 scenario.workload.flows.1.max(scenario.workload.flows.0 + 1),
             ),
-            ..WorkloadConfig::default()
         },
         seed,
     );

@@ -59,6 +59,7 @@
 //! [`Display`](std::fmt::Display) impl round-trip exactly.
 
 use fubar_topology::{Bandwidth, Delay};
+use fubar_traffic::MAX_PRIORITY_WEIGHT;
 use std::fmt;
 
 /// A parse failure, with the 1-based line number where it happened.
@@ -658,8 +659,13 @@ impl Scenario {
                         return Err(err(lineno, "usage: large-priority <w>"));
                     }
                     let w: f64 = parse_num(lineno, t[1], "weight")?;
-                    if w <= 0.0 || !w.is_finite() {
-                        return Err(err(lineno, "priority weight must be positive"));
+                    if !(w > 0.0 && w <= MAX_PRIORITY_WEIGHT) {
+                        return Err(err(
+                            lineno,
+                            format!(
+                                "priority weight must be positive and at most {MAX_PRIORITY_WEIGHT:e}"
+                            ),
+                        ));
                     }
                     s.large_priority = Some(w);
                 }
@@ -1129,6 +1135,11 @@ at 90s reoptimize
 
         let e = Scenario::parse("").unwrap_err();
         assert!(e.message.contains("missing"));
+
+        // Finite, but flows × priority would overflow the objective.
+        let e = Scenario::parse("scenario a\nlarge-priority 1e308\n").unwrap_err();
+        assert_eq!(e.line, 2);
+        assert!(e.message.contains("at most 1e288"), "{}", e.message);
 
         for line in [
             "at 5s capacity n0 n1 0bps",

@@ -35,9 +35,7 @@
 
 use crate::rules::{GroupEntry, RuleSet};
 use fubar_graph::{LinkSet, Path};
-use fubar_model::{
-    BundleSpec, FlowModel, Incumbent, ModelConfig, ModelOutcome, PatchScratch, UtilityReport,
-};
+use fubar_model::{BundleSpec, FlowModel, Incumbent, ModelOutcome, PatchScratch, UtilityReport};
 use fubar_topology::{Bandwidth, Delay, Topology};
 use fubar_traffic::{Aggregate, AggregateId, TrafficMatrix};
 use std::borrow::Cow;
@@ -144,7 +142,6 @@ pub struct Fabric {
     counters: Vec<AggregateCounter>,
     epoch: usize,
     epoch_duration: Delay,
-    model: ModelConfig,
     /// When false, every measurement recomputes from scratch (the
     /// oracle mode the equality property tests compare against).
     incremental: bool,
@@ -181,7 +178,6 @@ impl Fabric {
             counters: vec![AggregateCounter::default(); n],
             epoch: 0,
             epoch_duration,
-            model: ModelConfig::default(),
             incremental: true,
             cache: None,
             scratch: PatchScratch::default(),
@@ -546,7 +542,7 @@ impl Fabric {
     /// Rebuilds the cache from scratch.
     fn measure_full(&mut self) {
         let (routes, spans, bundles, fallback_count, blackholed_flows) = self.build_all();
-        let model = FlowModel::new(&self.topology, self.model);
+        let model = FlowModel::with_defaults(&self.topology);
         self.cache = Some(MeasureCache {
             routes,
             incumbent: Incumbent::measure(&model, &self.true_tm, bundles, spans),
@@ -585,7 +581,7 @@ impl Fabric {
             cache.blackholed_flows = cache.blackholed_flows - old.blackholed + blackholed;
             (id, bs)
         });
-        let model = FlowModel::new(&self.topology, self.model);
+        let model = FlowModel::with_defaults(&self.topology);
         cache.incumbent.replace(
             &model,
             &self.true_tm,
@@ -618,7 +614,7 @@ impl Fabric {
     /// This is the oracle [`Fabric::peek`] must match bitwise.
     pub fn peek_full(&self) -> EpochReport<'static> {
         let (_, _, bundles, fallback_count, blackholed_flows) = self.build_all();
-        let model = FlowModel::new(&self.topology, self.model);
+        let model = FlowModel::with_defaults(&self.topology);
         let outcome = model.evaluate(&bundles);
         let report = fubar_model::utility_report(&self.true_tm, &bundles, &outcome);
         EpochReport {

@@ -57,6 +57,15 @@ pub struct Aggregate {
     pub priority_weight: f64,
 }
 
+/// The largest priority weight an aggregate may carry. Every fold sum
+/// of the network-utility objective stays finite under it: an instance
+/// holds at most `u32::MAX` aggregates of at most `u32::MAX` flows each,
+/// so a sum of `flows × weight` terms is below `2^64 × 1e288 < 2^64 ×
+/// 2^957 = 2^1021`, well inside `f64::MAX` (just under `2^1024`). Any
+/// bound below `2^960` would do; a weight near `f64::MAX` overflows one
+/// aggregate's `flows × weight` to infinity, and the objective to NaN.
+pub const MAX_PRIORITY_WEIGHT: f64 = 1e288;
+
 impl Aggregate {
     /// Creates an aggregate with the class's preset utility function and
     /// unit priority.

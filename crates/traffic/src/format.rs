@@ -9,10 +9,11 @@
 //! ```
 //!
 //! where `<class>` is `realtime`, `bulk`, or `large:<peak_mbps>` (e.g.
-//! `large:2`), and node names are resolved against the topology the
-//! matrix is parsed for.
+//! `large:2`), `<w>` is in `(0, 1e288]` ([`crate::MAX_PRIORITY_WEIGHT`]),
+//! and node names are resolved against the topology the matrix is
+//! parsed for.
 
-use crate::aggregate::{Aggregate, AggregateId};
+use crate::aggregate::{Aggregate, AggregateId, MAX_PRIORITY_WEIGHT};
 use crate::matrix::TrafficMatrix;
 use fubar_topology::Topology;
 use fubar_utility::TrafficClass;
@@ -113,8 +114,11 @@ pub fn parse(text: &str, topology: &Topology) -> Result<TrafficMatrix, ParseErro
             let w: f64 = tokens[6]
                 .parse()
                 .map_err(|e| err(lineno, format!("bad priority: {e}")))?;
-            if w <= 0.0 || !w.is_finite() {
-                return Err(err(lineno, "priority must be positive"));
+            if !(w > 0.0 && w <= MAX_PRIORITY_WEIGHT) {
+                return Err(err(
+                    lineno,
+                    format!("priority must be positive and at most {MAX_PRIORITY_WEIGHT:e}"),
+                ));
             }
             agg.priority_weight = w;
         }
@@ -221,6 +225,11 @@ aggregate Denver Houston large:2 3 priority 4.5
 
         let e = parse("aggregate Seattle NewYork bulk 3 weight 2\n", &t).unwrap_err();
         assert!(e.message.contains("priority"));
+
+        // Finite, but flows × priority would overflow the objective.
+        let e = parse("\naggregate Seattle Denver large:2 4 priority 1e308\n", &t).unwrap_err();
+        assert_eq!(e.line, 2);
+        assert!(e.message.contains("at most 1e288"), "{}", e.message);
     }
 
     #[test]

@@ -20,6 +20,6 @@ pub mod format;
 mod matrix;
 pub mod workload;
 
-pub use aggregate::{Aggregate, AggregateId};
+pub use aggregate::{Aggregate, AggregateId, MAX_PRIORITY_WEIGHT};
 pub use matrix::TrafficMatrix;
 pub use workload::WorkloadConfig;

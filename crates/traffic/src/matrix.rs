@@ -1,6 +1,6 @@
 //! The traffic matrix: every aggregate FUBAR is currently routing.
 
-use crate::aggregate::{Aggregate, AggregateId};
+use crate::aggregate::{Aggregate, AggregateId, MAX_PRIORITY_WEIGHT};
 use fubar_graph::NodeId;
 use fubar_topology::Bandwidth;
 use fubar_utility::TrafficClass;
@@ -107,11 +107,12 @@ impl TrafficMatrix {
     ///
     /// # Panics
     ///
-    /// Panics when `weight` is not strictly positive.
+    /// Panics when `weight` is not strictly positive or exceeds
+    /// [`MAX_PRIORITY_WEIGHT`].
     pub fn with_large_priority(&self, weight: f64) -> Self {
         assert!(
-            weight > 0.0 && weight.is_finite(),
-            "priority weight must be positive"
+            weight > 0.0 && weight <= MAX_PRIORITY_WEIGHT,
+            "priority weight must be positive and at most {MAX_PRIORITY_WEIGHT:e}"
         );
         let mut m = self.clone();
         for a in &mut m.aggregates {

@@ -25,6 +25,14 @@ use fubar_utility::TrafficClass;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+/// Probability a (non-large) aggregate is real-time rather than bulk:
+/// the paper picks either "randomly".
+const REAL_TIME_FRACTION: f64 = 0.5;
+
+/// Candidate per-flow demand peaks for large aggregates, Mb/s (paper:
+/// "1 or 2 Mbps").
+const LARGE_PEAKS_MBPS: [f64; 2] = [1.0, 2.0];
+
 /// Tunables for [`generate`].
 #[derive(Clone, Debug)]
 pub struct WorkloadConfig {
@@ -41,13 +49,8 @@ pub struct WorkloadConfig {
     /// congestion. Nodes without `_` are their own region, so on flat
     /// topologies this keeps only intra-POP pairs.
     pub intra_region_only: bool,
-    /// Probability a (non-large) aggregate is real-time rather than bulk.
-    pub real_time_fraction: f64,
     /// Probability an aggregate is a heavy file-transfer one (paper: 2%).
     pub large_probability: f64,
-    /// Candidate per-flow demand peaks for large aggregates, Mb/s
-    /// (paper: 1 or 2).
-    pub large_peaks_mbps: Vec<f64>,
     /// Inclusive range of flow counts for ordinary aggregates.
     pub flow_count: (u32, u32),
     /// Inclusive range of flow counts for large aggregates.
@@ -59,9 +62,7 @@ impl Default for WorkloadConfig {
         WorkloadConfig {
             include_intra_pop: true,
             intra_region_only: false,
-            real_time_fraction: 0.5,
             large_probability: 0.02,
-            large_peaks_mbps: vec![1.0, 2.0],
             flow_count: (8, 30),
             large_flow_count: (2, 5),
         }
@@ -71,16 +72,8 @@ impl Default for WorkloadConfig {
 impl WorkloadConfig {
     fn validate(&self) {
         assert!(
-            (0.0..=1.0).contains(&self.real_time_fraction),
-            "real_time_fraction must be a probability"
-        );
-        assert!(
             (0.0..=1.0).contains(&self.large_probability),
             "large_probability must be a probability"
-        );
-        assert!(
-            !self.large_peaks_mbps.is_empty() && self.large_peaks_mbps.iter().all(|&p| p > 0.0),
-            "need at least one positive large peak"
         );
         assert!(
             self.flow_count.0 >= 1 && self.flow_count.0 <= self.flow_count.1,
@@ -120,13 +113,13 @@ pub fn generate(topology: &Topology, config: &WorkloadConfig, seed: u64) -> Traf
                 continue;
             }
             let (class, flows) = if rng.gen::<f64>() < config.large_probability {
-                let peak = config.large_peaks_mbps[rng.gen_range(0..config.large_peaks_mbps.len())];
+                let peak = LARGE_PEAKS_MBPS[rng.gen_range(0..LARGE_PEAKS_MBPS.len())];
                 (
                     TrafficClass::LargeFile { peak_mbps: peak },
                     rng.gen_range(config.large_flow_count.0..=config.large_flow_count.1),
                 )
             } else {
-                let class = if rng.gen::<f64>() < config.real_time_fraction {
+                let class = if rng.gen::<f64>() < REAL_TIME_FRACTION {
                     TrafficClass::RealTime
                 } else {
                     TrafficClass::BulkTransfer

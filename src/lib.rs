@@ -54,7 +54,7 @@ pub mod prelude {
         Allocation, Objective, OptimizeResult, Optimizer, OptimizerConfig, PathPolicy, Termination,
     };
     pub use fubar_graph::{LinkId, LinkSet, NodeId, Path};
-    pub use fubar_model::{BundleSpec, FlowModel, ModelConfig, UtilityReport};
+    pub use fubar_model::{BundleSpec, FlowModel, UtilityReport};
     pub use fubar_scenario::{Scenario, ScenarioLog};
     pub use fubar_sdn::{Fabric, FubarController, RuleSet};
     pub use fubar_topology::{Bandwidth, Delay, Topology, TopologyBuilder};

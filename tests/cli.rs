@@ -135,6 +135,22 @@ fn parse_errors_exit_65() {
     let out = cli(&["optimize", topo.to_str().unwrap(), tm.to_str().unwrap()]);
     assert_eq!(code(&out), 65, "{}", stderr(&out));
     assert_one_line_error(&out);
+    // A finite priority weight whose flows × priority product overflows
+    // the objective's sums (the utility would print as NaN).
+    std::fs::write(&tm, "# tm\naggregate a b large:2 4 priority 1e308\n").unwrap();
+    let out = cli(&["evaluate", topo.to_str().unwrap(), tm.to_str().unwrap()]);
+    assert_eq!(code(&out), 65, "{}", stderr(&out));
+    assert_one_line_error(&out);
+    assert!(stderr(&out).contains("line 2:"), "{}", stderr(&out));
+    std::fs::write(
+        &scn,
+        "scenario heavy\ntopology ring 5 600kbps 2ms\nlarge-priority 1e308\n",
+    )
+    .unwrap();
+    let out = cli(&["scenario", "run", scn.to_str().unwrap()]);
+    assert_eq!(code(&out), 65, "{}", stderr(&out));
+    assert_one_line_error(&out);
+    assert!(stderr(&out).contains("line 3:"), "{}", stderr(&out));
     let _ = std::fs::remove_file(scn);
     let _ = std::fs::remove_file(topo);
     let _ = std::fs::remove_file(overflow);

@@ -92,7 +92,6 @@ fn prelude_surface_is_usable() {
     let _cfg = OptimizerConfig::default();
     let _policy = PathPolicy::ThreePaths;
     let _obj = Objective::NetworkUtility;
-    let _mc = ModelConfig::default();
     let _wc = WorkloadConfig::default();
     let _fc = FubarController::default();
     let _b = Bandwidth::from_mbps(1.0);
