@@ -41,9 +41,7 @@
 //! reads a sparse changed-link overlay — so, past buffer warm-up, a
 //! scored move performs zero heap allocations (`tests/zero_alloc.rs`
 //! enforces it with a counting allocator), which is what keeps per-move
-//! cost flat as instances grow past HE-961: the CI perf gate requires
-//! the incremental-vs-full speedup on the 4,096-aggregate hypergrowth
-//! tier to *exceed* the HE-961 one.
+//! cost flat as instances grow past HE-961.
 //!
 //! **Nothing is worked out twice while what it depends on stands.**
 //! The greedy loop keeps a memo with two kinds of entry, each dropped

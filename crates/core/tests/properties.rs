@@ -628,9 +628,8 @@ proptest! {
     }
 }
 
-/// The full 4,096-aggregate hypergrowth tier. The workload mirrors
-/// `perf_gate`'s hypergrowth entry so the instance is genuinely
-/// congested.
+/// The full 4,096-aggregate hypergrowth tier, under a workload heavy
+/// enough that the instance is genuinely congested.
 #[test]
 fn indexed_gather_matches_scan_on_hypergrowth_4096() {
     let topo = generators::hypergrowth(8, 8, Bandwidth::from_mbps(60.0));

@@ -225,7 +225,7 @@ pub fn check(root: &Path) -> Result<Vec<Finding>, LintError> {
 
 /// A snake_case ledger citation resolves when a matching `fn` exists in
 /// any non-vendor `.rs` file, or a committed scenario/topology carries
-/// the name, or an `.rs` file stem matches (binaries like `perf_gate`).
+/// the name, or an `.rs` file stem matches (binaries like `fig3_provisioned`).
 fn test_name_resolves(name: &str, prefix: bool, sources: &[(String, String)], root: &Path) -> bool {
     let needle = format!("fn {name}");
     for (rel, src) in sources {

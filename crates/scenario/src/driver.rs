@@ -489,17 +489,15 @@ pub fn inputs_at(
     base: Option<&Path>,
 ) -> Result<(Topology, fubar_traffic::TrafficMatrix), BuildError> {
     let topo = build_topology(&scenario.topology, base)?;
+    let (lo, hi) = scenario.workload.flows;
     let mut tm = workload::generate(
         &topo,
         &WorkloadConfig {
             include_intra_pop: scenario.workload.intra_pop,
             intra_region_only: scenario.workload.intra_region_only,
-            flow_count: scenario.workload.flows,
+            flow_count: (lo, hi),
             large_probability: scenario.workload.large_probability,
-            large_flow_count: (
-                scenario.workload.flows.0,
-                scenario.workload.flows.1.max(scenario.workload.flows.0 + 1),
-            ),
+            large_flow_count: (lo, hi.max(lo.saturating_add(1))),
         },
         seed,
     );
@@ -725,6 +723,15 @@ mod tests {
              {extra}"
         ))
         .unwrap()
+    }
+
+    #[test]
+    fn widest_flow_range_builds_inputs() {
+        // The large-flow range widens the baseline one by a flow; at the
+        // top of `u32` that must saturate, not overflow.
+        let spec = Scenario::parse("scenario w\nworkload flows 4294967295 4294967295\n").unwrap();
+        let (_, tm) = inputs(&spec, 1).unwrap();
+        assert!(!tm.is_empty() && tm.iter().all(|a| a.flow_count == u32::MAX));
     }
 
     #[test]

@@ -57,6 +57,11 @@
 //! each epoch, so with `departures prob` equal to the rate the live
 //! population orbits the baseline. [`Scenario::parse`] and the
 //! [`Display`](std::fmt::Display) impl round-trip exactly.
+//!
+//! A spec fits at most a million epochs, scheduled re-optimizations or
+//! mean failure gaps (`failures … scale`) into its `duration`: the
+//! engine queues each one and stalls once a period drops below the
+//! clock's resolution, so a shorter period is refused on its line.
 
 use fubar_topology::{Bandwidth, Delay};
 use fubar_traffic::MAX_PRIORITY_WEIGHT;
@@ -78,6 +83,9 @@ impl fmt::Display for ParseError {
 }
 
 impl std::error::Error for ParseError {}
+
+/// Most periods of one kind a spec may fit into its duration.
+const MAX_PERIODS: f64 = 1e6;
 
 fn err(line: usize, message: impl Into<String>) -> ParseError {
     ParseError {
@@ -417,6 +425,8 @@ impl Scenario {
     /// Parses the text format described in the module docs.
     pub fn parse(text: &str) -> Result<Scenario, ParseError> {
         let mut scenario: Option<Scenario> = None;
+        // The line each directive was last given on.
+        let mut lines: Vec<(&str, usize)> = Vec::new();
         for (i, raw) in text.lines().enumerate() {
             let lineno = i + 1;
             let line = raw.split('#').next().unwrap_or("").trim();
@@ -454,6 +464,7 @@ impl Scenario {
             let s = scenario
                 .as_mut()
                 .ok_or_else(|| err(lineno, format!("`{}` before `scenario`", t[0])))?;
+            lines.push((t[0], lineno));
             match t[0] {
                 "topology" => {
                     s.topology = match t.get(1).copied() {
@@ -794,7 +805,27 @@ impl Scenario {
                 other => return Err(err(lineno, format!("unknown directive {other:?}"))),
             }
         }
-        scenario.ok_or_else(|| err(1, "missing `scenario` directive"))
+        let s = scenario.ok_or_else(|| err(1, "missing `scenario` directive"))?;
+        let (d, r) = (s.duration.secs(), &s.reoptimize);
+        let gaps = s.failures.as_ref().map_or(0.0, |f| d / f.scale.secs());
+        let reopts = (d - r.warmup.secs()) / r.every.secs();
+        let periods = [
+            ("epoch", d / s.epoch.secs()),
+            ("reoptimize", reopts),
+            ("failures", gaps),
+        ];
+        // NaN is `0s / 0s`: a zero failure scale on a zero duration.
+        let Some(&(what, _)) = periods.iter().find(|p| p.1 > MAX_PERIODS || p.1.is_nan()) else {
+            return Ok(s);
+        };
+        // A period left at its default is blamed on the `duration` line.
+        let last = |d| lines.iter().rev().find(|l| l.0 == d).map(|l| l.1);
+        let line = last(what).or(last("duration")).unwrap_or(1);
+        let duration = fmt_delay(s.duration);
+        Err(err(
+            line,
+            format!("{what}: more than {MAX_PERIODS:e} periods in {duration}"),
+        ))
     }
 }
 
@@ -1155,6 +1186,30 @@ at 90s reoptimize
                 (2, "capacity must be positive")
             );
         }
+
+        // A period too short for the duration is blamed on its own
+        // directive, or on `duration` when left at its default.
+        let f = "failures shape 1 scale";
+        for (spec, line) in [
+            ("epoch 1us\nseed 1", 2),
+            ("seed 1\nduration 1e8s", 3),
+            (
+                "duration 300s\nepoch 300s\nreoptimize every 0.1us warmup 0s",
+                4,
+            ),
+            (&format!("{f} 1e-9s repair-shape 1 repair-scale 1s"), 2),
+            (
+                &format!("duration 0s\n{f} 0s repair-shape 1 repair-scale 1s"),
+                3,
+            ),
+        ] {
+            let e = Scenario::parse(&format!("scenario a\n{spec}\n")).unwrap_err();
+            assert!(
+                e.line == line && e.message.contains("more than 1e6"),
+                "{spec}: {e}"
+            );
+        }
+        assert!(Scenario::parse("scenario a\nduration 1e6s\nepoch 1s\n").is_ok());
     }
 
     #[test]

@@ -147,9 +147,9 @@ pub fn he_core(capacity: Bandwidth) -> Topology {
 /// geographic, so delays derive from fiber distance exactly like
 /// [`he_core`]. The default tier (8 × 8 = 64 POPs, 92 duplex links)
 /// yields a 4,096-aggregate full matrix with intra-POP pairs — the
-/// beyond-HE instance the `perf_gate` hypergrowth gate and the
-/// `hypergrowth` catalog scenario run on, where per-move optimizer cost
-/// must stay component-bound rather than instance-bound.
+/// beyond-HE instance the `hypergrowth` catalog scenario runs on, where
+/// per-move optimizer cost must stay component-bound rather than
+/// instance-bound.
 ///
 /// # Panics
 ///

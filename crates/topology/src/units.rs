@@ -144,7 +144,7 @@ impl Div<f64> for Bandwidth {
 
 impl Sum for Bandwidth {
     fn sum<I: Iterator<Item = Bandwidth>>(iter: I) -> Bandwidth {
-        Bandwidth(iter.map(|b| b.0).sum())
+        Bandwidth(iter.fold(0.0, |acc, b| acc + b.0))
     }
 }
 
@@ -263,7 +263,7 @@ impl Div<f64> for Delay {
 
 impl Sum for Delay {
     fn sum<I: Iterator<Item = Delay>>(iter: I) -> Delay {
-        Delay(iter.map(|d| d.0).sum())
+        Delay(iter.fold(0.0, |acc, d| acc + d.0))
     }
 }
 
@@ -379,6 +379,14 @@ mod tests {
         assert_eq!(total, Bandwidth::from_mbps(6.0));
         let total: Delay = [1.0, 2.0].iter().map(|&m| Delay::from_ms(m)).sum();
         assert_eq!(total, Delay::from_ms(3.0));
+    }
+
+    #[test]
+    fn empty_sums_are_positive_zero() {
+        // `f64`'s own `Sum` starts from -0.0, which prints as `-0.000`.
+        let (bw, d): (Bandwidth, Delay) = (std::iter::empty().sum(), std::iter::empty().sum());
+        assert_eq!((bw.bps().to_bits(), bw.to_string()), (0, "0.000bps".into()));
+        assert_eq!((d.secs().to_bits(), d.to_string()), (0, "0.000us".into()));
     }
 
     #[test]

@@ -113,6 +113,16 @@ fn parse_errors_exit_65() {
         assert_eq!(code(&out), 65, "{args:?}: {}", stderr(&out));
         assert_one_line_error(&out);
     }
+    // Periods too short for the run to finish: parsed, never run.
+    for line in [
+        "epoch 1us",
+        "failures shape 1 scale 1e-9s repair-shape 1 repair-scale 1s",
+    ] {
+        std::fs::write(&scn, format!("scenario short\n{line}\n")).unwrap();
+        let out = cli(&["scenario", "show", scn.to_str().unwrap()]);
+        assert_eq!(code(&out), 65, "{line:?}: {}", stderr(&out));
+        assert!(stderr(&out).starts_with("error: ") && stderr(&out).contains("line 2:"));
+    }
     // A zero capacity parses as a bandwidth; the generators and the
     // fabric assert against it, so the spec parser must refuse it.
     for line in [
