@@ -45,14 +45,39 @@
 //!
 //! **Nothing is worked out twice while what it depends on stands.**
 //! The greedy loop keeps a memo with two kinds of entry, each dropped
-//! when — and only when — one of its inputs moves. *Scores are per
-//! incumbent*: the incumbent is frozen until the next commit, so the
-//! score of a move `(aggregate, from, count, alternative)` is a function
-//! of the incumbent alone — not of the focus link, not of the escape
-//! level — and the same move reached again from a second congested link
-//! its path crosses, or re-gathered at the next escape level with an
-//! unchanged `count`, is looked up instead of re-filled; a commit
-//! changes rates everywhere in a component, so it empties the scores.
+//! when — and only when — one of its inputs moves. *A score stands until
+//! a commit re-fills something its fill read*: the score of a move
+//! `(aggregate, from, count, alternative path)` is a function of the
+//! incumbent alone — not of the focus link, not of the escape level —
+//! so the same move reached again from a second congested link its path
+//! crosses, or re-gathered at the next escape level with an unchanged
+//! `count`, is looked up instead of re-filled. Nor does every commit
+//! change it. A candidate's fill read only the links its final component
+//! crosses and the links its removed and replacement bundles cross
+//! ([`Workspace::filled_links`]), and its network utility is the
+//! incumbent report's summation tree with a few leaves replaced: the
+//! moved aggregate's and those of the aggregates a re-filled bundle of
+//! which came out at a new rate. A commit re-derives the same two kinds
+//! of link for its own move ([`PatchScratch::refilled_links`]), so the
+//! memo stamps each link, and each aggregate owning a re-filled bundle
+//! ([`PatchScratch::refilled_bundles`]) or moved, with the ordinal of
+//! the last commit that re-filled it. A score survives a commit iff no
+//! link it read and no aggregate among its leaves carries a newer stamp:
+//! everything the fill read is then as it was, up to the monotone
+//! renumbering a resized segment leaves behind, which no fill can see.
+//! A surviving score is not reused as a number, because another
+//! component's commit moved other leaves of the tree: its kept leaves
+//! are folded into the current tree
+//! ([`score_network_utility_from_leaves`]), the O(log n) patch a fresh
+//! scoring ends with too; debug builds re-fill the move as well and
+//! assert the same bits. Only network-utility scores survive (min-max
+//! reads every link's demand), only winner-less steps keep scores (every
+//! move of a winning step reads the focus link, which its commit
+//! re-fills), and a score keeps its leaves only if it has at most
+//! `aggregates / work items of its step` of them and the whole memo
+//! then holds at most `aggregates`; any other score dies at the next
+//! commit. Scores are keyed by the alternative path, not by its index,
+//! so they outlive a regeneration of the alternatives.
 //! *Alternatives are per input triple*: an aggregate's three paths
 //! depend on the set of congested-or-excluded links, on the congested
 //! links its own live paths use, and on which of those is the most
@@ -63,8 +88,10 @@
 //! two inputs: a step that finds a different set drops every entry, and
 //! a probe recomputes the aggregate's two inputs — a walk of its own
 //! path links — and runs the three searches again only if they differ.
-//! The memo lives as long as one call of the loop, because a scope's
-//! exclusions are an input too.
+//! Alternatives live as long as one call of the loop, because a scope's
+//! exclusions are an input too; scores live for the run — from one
+//! per-component pass into the next and into the whole-instance loop —
+//! because they depend on the incumbent alone.
 //!
 //! **Workers claim, they are not dealt.** A step's work items are the
 //! focus link's crossing-index entries, one run of entries per
@@ -108,14 +135,16 @@ use crate::shard::{self, CrossingIndex, RegionPartition, ShardRunStats};
 use fubar_graph::Path;
 use fubar_graph::{LinkId, LinkSet};
 use fubar_model::{
-    score_network_utility_delta, utility_report, BundleDelta, BundleSpec, DeltaScore, FlowModel,
-    Incumbent, ModelOutcome, PatchScratch, ReportScratch, UtilityReport, Workspace, WorkspaceStats,
+    score_network_utility_delta, score_network_utility_from_leaves, utility_report, BundleDelta,
+    BundleSpec, DeltaScore, FlowModel, Incumbent, ModelOutcome, PatchScratch, ReportScratch,
+    UtilityReport, Workspace, WorkspaceStats,
 };
 use fubar_topology::{Bandwidth, Topology};
 use fubar_traffic::{Aggregate, AggregateId, TrafficMatrix};
 use std::collections::BTreeMap;
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
 /// Why an optimization run stopped.
@@ -204,9 +233,10 @@ struct Candidate<P = Path> {
 }
 
 /// What the loop has worked out and need not work out again while what
-/// it depends on stands (see the module docs): scores until the next
-/// commit, alternatives until their inputs change. Looked up by key
-/// only, never iterated.
+/// it depends on stands (see the module docs): scores until a commit
+/// re-fills something they read, alternatives until their inputs
+/// change or the call of the loop ends. One per run. Looked up by key;
+/// only a commit walks the scores, to drop the ones it invalidated.
 #[derive(Default)]
 struct Memo {
     /// The `pathgen::congested_or_forbidden` set every entry of `alts`
@@ -214,9 +244,140 @@ struct Memo {
     avoid: LinkSet,
     /// Per aggregate, its generated alternatives.
     alts: BTreeMap<u32, Alternatives>,
-    /// Score of the move `(aggregate, from, count, index into the
-    /// aggregate's alternatives)` against the current incumbent.
-    scores: BTreeMap<(u32, u32, u32, u32), f64>,
+    /// Per aggregate, the scored moves of it that still stand against
+    /// the current incumbent: every entry here is valid (a commit drops
+    /// the ones it invalidates).
+    scores: BTreeMap<u32, Vec<Scored>>,
+    /// Commits this memo has seen: the ordinal of the current
+    /// incumbent.
+    commits: u32,
+    /// Per link and per aggregate, the ordinal of the last commit that
+    /// re-filled it (0: none yet).
+    link_stamp: Vec<u32>,
+    agg_stamp: Vec<u32>,
+    /// Leaves the kept entries hold, together: at most one report's
+    /// worth (the aggregate count).
+    leaves_held: usize,
+}
+
+/// The score of the move of `count` flows of an aggregate off its path
+/// `from` onto `alt`. The path itself is the key, not its index among
+/// the aggregate's alternatives, which a regeneration renumbers.
+struct Scored {
+    from: u32,
+    count: u32,
+    alt: Arc<Path>,
+    /// The ordinal of the incumbent `score` is against.
+    at: u32,
+    score: f64,
+    /// What lets the score outlive its incumbent; without it the entry
+    /// dies at the next commit.
+    kept: Option<Kept>,
+}
+
+/// What a scoring read and what it changed: the links its fill read,
+/// ascending, and its changed fold-tree leaves as `(aggregate,
+/// utility)`. The score stands as long as no commit re-fills one of
+/// those links or any bundle of those aggregates, and is re-derived by
+/// folding the leaves into the current report's tree.
+struct Kept {
+    links: Arc<[u32]>,
+    leaves: Box<[(u32, f64)]>,
+}
+
+/// Copies kept scores out of the workers' scratches, sharing one copy
+/// of a link set among the scores that name the same range of it.
+#[derive(Default)]
+struct KeptCopy {
+    /// Per worker, the range of its scratch copied last, and the copy.
+    last: Vec<Option<Shared>>,
+}
+
+/// A range of a worker's link scratch and the one copy made of it.
+type Shared = (Range<u32>, Arc<[u32]>);
+
+impl KeptCopy {
+    fn take(&mut self, arenas: &[MutexGuard<'_, ScoreScratch>], k: Keepable) -> Kept {
+        let ws = &arenas[k.worker];
+        let range = |r: &Range<u32>| r.start as usize..r.end as usize;
+        self.last.resize(arenas.len(), None);
+        let links = match &self.last[k.worker] {
+            Some((r, links)) if *r == k.links => Arc::clone(links),
+            _ => {
+                let links: Arc<[u32]> = Arc::from(&ws.kept_links[range(&k.links)]);
+                self.last[k.worker] = Some((k.links, Arc::clone(&links)));
+                links
+            }
+        };
+        Kept {
+            links,
+            leaves: ws.kept_leaves[range(&k.leaves)].into(),
+        }
+    }
+}
+
+impl Memo {
+    fn new(links: usize, aggregates: usize) -> Self {
+        Memo {
+            link_stamp: vec![0; links],
+            agg_stamp: vec![0; aggregates],
+            ..Memo::default()
+        }
+    }
+
+    /// The entry for a move, if one stands. An entry scored against the
+    /// same generation of alternatives shares its path.
+    fn score_of(&self, aggregate: u32, from: u32, count: u32, alt: &Arc<Path>) -> Option<&Scored> {
+        (self.scores.get(&aggregate)?.iter()).find(|e| {
+            e.from == from && e.count == count && (Arc::ptr_eq(&e.alt, alt) || e.alt == *alt)
+        })
+    }
+
+    /// Whether `e` read nothing a commit after it re-filled.
+    fn stands(&self, e: &Scored) -> bool {
+        e.kept.as_ref().is_some_and(|k| {
+            k.links.iter().all(|&l| self.link_stamp[l as usize] <= e.at)
+                && (k.leaves.iter()).all(|&(a, _)| self.agg_stamp[a as usize] <= e.at)
+        })
+    }
+
+    /// Stamps what the commit just landed in `state` re-filled — its
+    /// links, the owners of its re-filled bundles and the moved
+    /// aggregate — and drops every score that read any of it.
+    fn note_commit(&mut self, state: &LoopState, moved: AggregateId) {
+        self.commits += 1;
+        let now = self.commits;
+        for l in state.patch.refilled_links() {
+            self.link_stamp[l as usize] = now;
+        }
+        let bundles = state.incumbent.bundles();
+        for &bi in state.patch.refilled_bundles() {
+            self.agg_stamp[bundles[bi as usize].aggregate.index()] = now;
+        }
+        self.agg_stamp[moved.index()] = now;
+        let mut scores = std::mem::take(&mut self.scores);
+        scores.retain(|_, entries| {
+            entries.retain(|e| {
+                let stands = self.stands(e);
+                if !stands {
+                    self.leaves_held -= e.kept.as_ref().map_or(0, |k| k.leaves.len());
+                }
+                stands
+            });
+            !entries.is_empty()
+        });
+        self.scores = scores;
+    }
+
+    /// Adds a score of a move of `aggregate`. The memo keeps at most one
+    /// report's worth of leaves (the aggregate count): a score whose
+    /// leaves do not fit any more is kept for its own incumbent only.
+    fn insert(&mut self, aggregate: u32, mut entry: Scored) {
+        let fits = |k: &Kept| self.leaves_held + k.leaves.len() <= self.agg_stamp.len();
+        entry.kept = entry.kept.filter(fits);
+        self.leaves_held += entry.kept.as_ref().map_or(0, |k| k.leaves.len());
+        self.scores.entry(aggregate).or_default().push(entry);
+    }
 }
 
 /// One aggregate's generated alternatives with the per-aggregate inputs
@@ -224,7 +385,8 @@ struct Memo {
 /// inputs compares equal (and `Memo::avoid` stands).
 struct Alternatives {
     inputs: pathgen::AltInputs,
-    paths: Vec<Path>,
+    /// Shared with the scores of moves onto them.
+    paths: Vec<Arc<Path>>,
 }
 
 /// What every worker of one step reads.
@@ -240,11 +402,16 @@ struct Focus<'s> {
     /// `pathgen::congested_or_forbidden` of the incumbent and
     /// `excluded`: the same for every aggregate, so built once.
     avoid: &'s LinkSet,
+    /// The most leaves a score of this step may keep: the aggregate
+    /// count over the step's work items.
+    leaf_cap: usize,
 }
 
 /// What one worker of a step owns while it claims work: its scoring
 /// scratch and, in oracle mode, its scratch copy of the allocation.
 struct Worker<'p> {
+    /// Its index in the pool, which `ws` is.
+    index: usize,
     ws: MutexGuard<'p, ScoreScratch>,
     copy: Option<Allocation>,
 }
@@ -257,11 +424,34 @@ struct Probed {
     fresh: Option<Alternatives>,
     /// Whether the memo's alternatives were found valid and used.
     reused: bool,
-    /// `(from, count, alternative index, score)` per move, in Listing
-    /// 2's enumeration order.
-    scored: Vec<(u32, u32, u32, f64)>,
-    /// How many of `scored` the memo answered.
+    /// Its moves, in Listing 2's enumeration order.
+    scored: Vec<Scoring>,
+    /// How many of `scored` the memo answered, and how many of those
+    /// with a score kept from an earlier incumbent.
     hits: usize,
+    kept_hits: usize,
+}
+
+/// One move of a probe.
+struct Scoring {
+    from: u32,
+    count: u32,
+    /// Index of the move's path among the aggregate's alternatives.
+    alt: u32,
+    score: f64,
+    /// Whether this probe scored the move (the memo had no score).
+    fresh: bool,
+    /// What would let a fresh score outlive its incumbent, when its
+    /// leaves fit the step's cap.
+    kept: Option<Keepable>,
+}
+
+/// Where in worker `worker`'s scratch a fresh score left the links it
+/// read and its leaves (see `ScoreScratch::kept_links`).
+struct Keepable {
+    worker: usize,
+    links: Range<u32>,
+    leaves: Range<u32>,
 }
 
 /// One evaluation thread's reusable scoring scratch: the flow-model
@@ -274,6 +464,20 @@ struct ScoreScratch {
     model: Workspace,
     report: ReportScratch,
     segment: Vec<BundleSpec>,
+    /// What the keepable scores of the current step read and changed,
+    /// back to back ([`Keepable`] names ranges of them), so the
+    /// scoring path allocates nothing: the links, a run of equal sets
+    /// stored once (the last one stored is `last_links`), and the
+    /// leaves. Reset when a step hands the scratch to a worker.
+    kept_links: Vec<u32>,
+    last_links: Range<u32>,
+    kept_leaves: Vec<(u32, f64)>,
+    /// Sort scratch of the links one score read.
+    read: Vec<u32>,
+    /// Where debug builds re-fill every move whose kept score they
+    /// take, to check it, off the books of the fill counters.
+    #[cfg(debug_assertions)]
+    audit: Option<Box<ScoreScratch>>,
 }
 
 /// The result of one optimization run.
@@ -620,6 +824,7 @@ impl<'a> Optimizer<'a> {
             reused: false,
             scored: Vec::new(),
             hits: 0,
+            kept_hits: 0,
         };
         // The aggregate's live flow paths over the link, each with how
         // many flows a move takes off it.
@@ -658,13 +863,17 @@ impl<'a> Optimizer<'a> {
                     focus.excluded,
                     focus.avoid,
                     &inputs,
-                ),
+                )
+                .into_iter()
+                .map(Arc::new)
+                .collect(),
                 inputs,
             }),
         };
 
         for (from, count) in live {
-            for (alt_idx, alt) in alts.paths.iter().enumerate() {
+            for (alt_idx, shared) in alts.paths.iter().enumerate() {
+                let alt = &**shared;
                 // The alternate path must exclude the congested link and
                 // differ from the source path.
                 if alt.uses_link(focus.link)
@@ -672,11 +881,54 @@ impl<'a> Optimizer<'a> {
                 {
                     continue;
                 }
-                let alt_idx = alt_idx as u32;
-                let score = match focus.memo.scores.get(&(aggregate, from, count, alt_idx)) {
-                    Some(&score) => {
+                let mut scoring = Scoring {
+                    from,
+                    count,
+                    alt: alt_idx as u32,
+                    score: 0.0,
+                    fresh: false,
+                    kept: None,
+                };
+                match focus.memo.score_of(aggregate, from, count, shared) {
+                    Some(e) if e.at == focus.memo.commits => {
                         probed.hits += 1;
-                        score
+                        scoring.score = e.score;
+                    }
+                    Some(e) => {
+                        // Nothing it read has been re-filled since: its
+                        // leaves stand, and the tree they fold into is
+                        // the current one.
+                        probed.hits += 1;
+                        probed.kept_hits += 1;
+                        let kept = e.kept.as_ref().expect("a score past its incumbent is kept");
+                        scoring.score = score_network_utility_from_leaves(
+                            self.tm,
+                            focus.incumbent.report(),
+                            &kept.leaves,
+                            &mut worker.ws.report,
+                        );
+                        #[cfg(debug_assertions)]
+                        {
+                            let c = Candidate {
+                                aggregate: agg_id,
+                                from: from as usize,
+                                count,
+                                alt,
+                            };
+                            let audit = worker.ws.audit.get_or_insert_with(Box::default);
+                            let fresh = self.score_candidate_incremental(
+                                focus.alloc,
+                                focus.incumbent,
+                                c,
+                                audit,
+                            );
+                            assert_eq!(
+                                fresh.to_bits(),
+                                scoring.score.to_bits(),
+                                "kept score of aggregate {aggregate}'s move off path {from} \
+                                 differs from a fresh fill"
+                            );
+                        }
                     }
                     None => {
                         let c = Candidate {
@@ -685,23 +937,59 @@ impl<'a> Optimizer<'a> {
                             count,
                             alt,
                         };
+                        scoring.fresh = true;
                         if self.config.incremental {
-                            self.score_candidate_incremental(
+                            scoring.score = self.score_candidate_incremental(
                                 focus.alloc,
                                 focus.incumbent,
                                 c,
                                 &mut worker.ws,
-                            )
+                            );
+                            scoring.kept = self.keepable(worker, focus.leaf_cap);
                         } else {
                             let copy = worker.copy.get_or_insert_with(|| focus.alloc.clone());
-                            self.score_candidate_full(copy, c)
+                            scoring.score = self.score_candidate_full(copy, c);
                         }
                     }
-                };
-                probed.scored.push((from, count, alt_idx, score));
+                }
+                probed.scored.push(scoring);
             }
         }
         probed
+    }
+
+    /// What the incremental scoring just run on `ws` read and changed,
+    /// copied out, if the score can outlive its incumbent: only a
+    /// network-utility score can (min-max reads every link's demand),
+    /// and only with at most `leaf_cap` changed leaves.
+    /// They stay in `worker`'s scratch until the step decides what to
+    /// keep, so scoring allocates nothing past warm-up. Moves off one
+    /// link mostly re-fill the same component, so a run of scores that
+    /// read the same links stores them once.
+    fn keepable(&self, worker: &mut Worker<'_>, leaf_cap: usize) -> Option<Keepable> {
+        let ws = &mut *worker.ws;
+        let leaves = ws.report.leaves();
+        if self.config.objective != Objective::NetworkUtility || leaves.len() > leaf_cap {
+            return None;
+        }
+        let start = ws.kept_leaves.len() as u32;
+        ws.kept_leaves.extend_from_slice(leaves);
+        let leaves = start..ws.kept_leaves.len() as u32;
+        ws.read.clear();
+        ws.read.extend(ws.model.filled_links());
+        ws.read.sort_unstable();
+        ws.read.dedup();
+        let last = &ws.kept_links[ws.last_links.start as usize..ws.last_links.end as usize];
+        if last != ws.read.as_slice() {
+            let start = ws.kept_links.len() as u32;
+            ws.kept_links.extend_from_slice(&ws.read);
+            ws.last_links = start..ws.kept_links.len() as u32;
+        }
+        Some(Keepable {
+            worker: worker.index,
+            links: ws.last_links.clone(),
+            leaves,
+        })
     }
 
     /// Listing 2: one step focused on `link`. Tries all (flow path ×
@@ -745,6 +1033,9 @@ impl<'a> Optimizer<'a> {
             memo.alts.clear();
             memo.avoid.clone_from(&avoid);
         }
+        // One work item per aggregate is one `alternatives` call per
+        // aggregate.
+        let runs: Vec<&[(u32, u32)]> = index.runs(link).collect();
         let focus = Focus {
             alloc,
             incumbent,
@@ -753,17 +1044,22 @@ impl<'a> Optimizer<'a> {
             escape_level,
             excluded: scope.excluded,
             avoid: &avoid,
+            leaf_cap: self.tm.len() / runs.len().max(1),
         };
         let filled = pool_stats(scope.pool);
-        // One work item per aggregate is one `alternatives` call per
-        // aggregate.
-        let runs: Vec<&[(u32, u32)]> = index.runs(link).collect();
         let probed = map_claimed(
             &runs,
             scope.pool.len(),
-            |worker| Worker {
-                ws: scope.pool[worker].lock().expect("scratch lock poisoned"),
-                copy: None,
+            |index| {
+                let mut ws = scope.pool[index].lock().expect("scratch lock poisoned");
+                ws.kept_links.clear();
+                ws.last_links = 0..0;
+                ws.kept_leaves.clear();
+                Worker {
+                    index,
+                    ws,
+                    copy: None,
+                }
             },
             |worker, run| self.probe(&focus, run, worker),
         );
@@ -777,9 +1073,9 @@ impl<'a> Optimizer<'a> {
         // loop's strict-improvement rule).
         let mut best: Option<(f64, &Probed, usize)> = None;
         for p in &probed {
-            for (i, &(.., score)) in p.scored.iter().enumerate() {
-                if best.is_none_or(|(b, ..)| score.total_cmp(&b).is_gt()) {
-                    best = Some((score, p, i));
+            for (i, s) in p.scored.iter().enumerate() {
+                if best.is_none_or(|(b, ..)| s.score.total_cmp(&b).is_gt()) {
+                    best = Some((s.score, p, i));
                 }
             }
         }
@@ -788,19 +1084,28 @@ impl<'a> Optimizer<'a> {
         let winner = best
             .filter(|&(score, ..)| score > initial_score + IMPROVEMENT_EPS)
             .map(|(_, p, i)| {
-                let (from, count, alt_idx, _) = p.scored[i];
+                let s = &p.scored[i];
                 let alts = p
                     .fresh
                     .as_ref()
                     .unwrap_or_else(|| &focus.memo.alts[&p.aggregate]);
                 Candidate {
                     aggregate: AggregateId(p.aggregate),
-                    from: from as usize,
-                    count,
-                    alt: alts.paths[alt_idx as usize].clone(),
+                    from: s.from as usize,
+                    count: s.count,
+                    alt: Path::clone(&alts.paths[s.alt as usize]),
                 }
             });
 
+        // What the workers left in their scratches: copied out only for
+        // a step that keeps scores.
+        let arenas: Vec<MutexGuard<'_, ScoreScratch>> = match winner {
+            None if self.config.incremental => (scope.pool.iter())
+                .map(|ws| ws.lock().expect("scratch lock poisoned"))
+                .collect(),
+            _ => Vec::new(),
+        };
+        let mut kept_copy = KeptCopy::default();
         for p in probed {
             stats.paths_generated += usize::from(p.fresh.is_some());
             stats.paths_reused += usize::from(p.reused);
@@ -808,9 +1113,22 @@ impl<'a> Optimizer<'a> {
                 continue;
             }
             self.memo_hits.fetch_add(p.hits, Ordering::Relaxed);
-            for (from, count, alt_idx, score) in p.scored {
-                memo.scores
-                    .insert((p.aggregate, from, count, alt_idx), score);
+            stats.scores_kept += p.kept_hits;
+            // Every move of a winning step read the focus link, which
+            // its commit re-fills: none of its scores could outlive it.
+            if winner.is_none() && p.scored.iter().any(|s| s.fresh) {
+                for s in p.scored.into_iter().filter(|s| s.fresh) {
+                    let alts = p.fresh.as_ref().unwrap_or_else(|| &memo.alts[&p.aggregate]);
+                    let entry = Scored {
+                        from: s.from,
+                        count: s.count,
+                        alt: Arc::clone(&alts.paths[s.alt as usize]),
+                        at: memo.commits,
+                        score: s.score,
+                        kept: s.kept.map(|k| kept_copy.take(&arenas, k)),
+                    };
+                    memo.insert(p.aggregate, entry);
+                }
             }
             if let Some(alts) = p.fresh {
                 memo.alts.insert(p.aggregate, alts);
@@ -952,10 +1270,11 @@ impl<'a> Optimizer<'a> {
         // rest of the instance, so a pass leaves every other component's
         // rates, utilities and candidates as they were. The min-max
         // objective does not decompose across components.
+        let mut memo = Memo::new(self.topology.link_count(), self.tm.len());
         if self.config.objective == Objective::NetworkUtility {
-            self.run_passes(&mut state, &whole);
+            self.run_passes(&mut state, &mut memo, &whole);
         }
-        let termination = self.greedy(&mut state, &whole);
+        let termination = self.greedy(&mut state, &mut memo, &whole);
         debug_assert!(state.alloc.validate(self.tm).is_ok());
 
         let (outcome, report) = state.incumbent.into_measurement();
@@ -984,7 +1303,7 @@ impl<'a> Optimizer<'a> {
     /// link-local alternative avoids the most congested of its used or
     /// excluded links, and a pass excludes every link outside its
     /// shard). With no isolated congested shard this is one no-op scan.
-    fn run_passes(&self, state: &mut LoopState, whole: &Scope<'_>) {
+    fn run_passes(&self, state: &mut LoopState, memo: &mut Memo, whole: &Scope<'_>) {
         let shards = shard::isolated_congested_shards(
             whole.partition,
             &state.index,
@@ -1005,7 +1324,7 @@ impl<'a> Optimizer<'a> {
                 excluded: &excluded,
                 ..*whole
             };
-            self.greedy(state, &scope);
+            self.greedy(state, memo, &scope);
         }
     }
 
@@ -1014,10 +1333,11 @@ impl<'a> Optimizer<'a> {
     /// of the first link where progress is made, and escalates the move
     /// size on a local optimum. `max_commits` is read against the state's
     /// whole commit log, so it caps the run, not the call.
-    fn greedy(&self, state: &mut LoopState, scope: &Scope<'_>) -> Termination {
-        // Alternatives depend on the scope's exclusions, so the memo
-        // lives as long as this call.
-        let mut memo = Memo::default();
+    fn greedy(&self, state: &mut LoopState, memo: &mut Memo, scope: &Scope<'_>) -> Termination {
+        // Alternatives depend on the scope's exclusions, so a call starts
+        // without them; scores depend on the incumbent alone, so they
+        // carry over from the call before.
+        memo.alts.clear();
         let mut escape_level: u32 = 0;
         loop {
             let outcome = state.incumbent.outcome();
@@ -1043,7 +1363,7 @@ impl<'a> Optimizer<'a> {
                 let owner = scope.partition.shard_of_link(link);
                 // lint:allow(wall-clock): timing observability only; never feeds a decision
                 let t0 = Instant::now();
-                let found = self.step(state, &mut memo, link, escape_level, scope, owner);
+                let found = self.step(state, memo, link, escape_level, scope, owner);
                 state.shards[owner].score_s += t0.elapsed().as_secs_f64();
                 if let Some(c) = found {
                     winner = Some((c, owner));
@@ -1052,10 +1372,14 @@ impl<'a> Optimizer<'a> {
             }
 
             if let Some((c, owner)) = winner {
+                let moved = c.aggregate;
                 self.commit(state, c, owner, scope.started);
-                // The scores were against the incumbent this replaced;
-                // the alternatives answer for their own validity.
-                memo.scores.clear();
+                // A score survives the commit iff it read nothing the
+                // commit re-filled; the alternatives answer for their
+                // own validity.
+                if self.config.incremental {
+                    memo.note_commit(state, moved);
+                }
                 escape_level = 0;
                 continue;
             }
@@ -1149,9 +1473,11 @@ pub mod test_support {
                 escape_level: 0,
                 excluded,
                 avoid: &pathgen::congested_or_forbidden(incumbent.outcome(), excluded),
+                leaf_cap: 0,
             };
             let scratch = Mutex::new(ScoreScratch::default());
             let mut worker = Worker {
+                index: 0,
                 ws: scratch.lock().expect("fresh lock"),
                 copy: None,
             };
@@ -1160,12 +1486,12 @@ pub mod test_support {
             for run in index.runs(link) {
                 let probed = optimizer.probe(&focus, run, &mut worker);
                 let alts = probed.fresh.map_or(Vec::new(), |alts| alts.paths);
-                for (from, count, alt_idx, _) in probed.scored {
+                for s in probed.scored {
                     candidates.push(Candidate {
                         aggregate: AggregateId(probed.aggregate),
-                        from: from as usize,
-                        count,
-                        alt: alts[alt_idx as usize].clone(),
+                        from: s.from as usize,
+                        count: s.count,
+                        alt: Path::clone(&alts[s.alt as usize]),
                     });
                 }
             }

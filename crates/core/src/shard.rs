@@ -208,6 +208,12 @@ pub struct ShardRunStats {
     /// from the same inputs and took as they were (always 0 under the
     /// full-recompute oracle, which keeps none).
     pub paths_reused: usize,
+    /// Candidate scores a step of this shard took from a score kept
+    /// from an earlier incumbent — re-derived from its leaves instead
+    /// of re-filled, because no commit since re-filled anything its
+    /// fill read. Exact at any thread count; always 0 under the
+    /// full-recompute oracle, which keeps none.
+    pub scores_kept: usize,
     /// Fills and compiled fills the steps focused on this shard's links
     /// ran. The peaks are left at zero: the scoring scratches serve
     /// every shard, so their peaks are the run's
@@ -226,6 +232,7 @@ impl ShardRunStats {
         self.score_s += other.score_s;
         self.paths_generated += other.paths_generated;
         self.paths_reused += other.paths_reused;
+        self.scores_kept += other.scores_kept;
         self.scratch.merge(&other.scratch);
     }
 }

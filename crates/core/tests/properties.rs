@@ -480,6 +480,67 @@ fn score_memo_is_transparent() {
     transparent("escape", &topo, &tm, cfg);
 }
 
+/// Per shard: commits, fills, compiled fills and scores kept.
+fn kept_counters(r: &OptimizeResult) -> Vec<[usize; 4]> {
+    (r.shards.iter())
+        .map(|s| {
+            [
+                s.commits,
+                s.scratch.fills,
+                s.scratch.compiled_fills,
+                s.scores_kept,
+            ]
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// **A score outlives a commit that could not have changed it.** On
+    /// planetary instances whose traffic stays inside its region, so
+    /// that congestion forms several isolated bottleneck components, a
+    /// commit in one component leaves the scores of moves in another
+    /// standing, and they are re-derived from their kept leaves instead
+    /// of re-filled. The default run still equals, move for move, the
+    /// oracle, which keeps no score; the counters are exact at any
+    /// thread count.
+    #[test]
+    fn score_memo_outlives_disjoint_commits(
+        regions in 4usize..6,
+        pops in 5usize..7,
+        tm_seed in any::<u64>(),
+        capacity_mbps in 0.2f64..0.5,
+    ) {
+        let topo = generators::planetary(regions, pops, Bandwidth::from_mbps(capacity_mbps));
+        let tm = workload::generate(
+            &topo,
+            &WorkloadConfig {
+                intra_region_only: true,
+                flow_count: (1, 4),
+                ..Default::default()
+            },
+            tm_seed,
+        );
+        let run = |threads: usize, incremental: bool| {
+            let cfg = OptimizerConfig {
+                threads,
+                incremental,
+                ..Default::default()
+            };
+            Optimizer::new(&topo, &tm, cfg).run()
+        };
+        let (default, oracle) = (run(1, true), run(2, false));
+        assert_runs_identical("disjoint-commits", &default, &oracle, &tm);
+        let kept = |r: &OptimizeResult| r.shards.iter().map(|s| s.scores_kept).sum::<usize>();
+        prop_assert!(kept(&default) >= 1, "no score outlived a commit");
+        prop_assert_eq!(kept(&oracle), 0, "the oracle kept a score");
+        let two = run(2, true);
+        prop_assert_eq!(&two.moves, &default.moves);
+        prop_assert_eq!(kept_counters(&two), kept_counters(&default));
+    }
+}
+
 // ---------------------------------------------------------------------
 // Indexed gather ≡ scan — the crossing index is the loop's only
 // candidate gather, so it must enumerate exactly what the full-matrix

@@ -703,6 +703,20 @@ impl Workspace {
         &self.subset
     }
 
+    /// The links the last delta fill on this workspace read (after
+    /// [`FlowModel::score_delta`]) or re-derived (after an in-place
+    /// patch): every link its final component crosses, then every link
+    /// a removed or replacement bundle crosses — the two may overlap.
+    /// Every closure, border and binding test of the fill lies on one of
+    /// them, and so does every bundle whose rate or demand it read: a
+    /// change that re-derives none of these links cannot change what
+    /// the fill computes.
+    pub fn filled_links(&self) -> impl Iterator<Item = u32> + '_ {
+        (self.fill.state.touched_links.iter())
+            .chain(&self.changed_links)
+            .copied()
+    }
+
     /// Starts a new candidate epoch, growing buffers if the instance
     /// got bigger. Handles stamp wrap-around by a one-off reset.
     fn begin(&mut self, n_bundles: usize, n_links: usize) {

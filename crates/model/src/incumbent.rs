@@ -31,6 +31,25 @@ pub struct PatchScratch {
     named: Vec<u32>,
 }
 
+impl PatchScratch {
+    /// What the last [`Incumbent::replace`] re-filled: the indices, in
+    /// the patched table, of the bundles it re-filled — every
+    /// replacement bundle included. Every other bundle kept its rate,
+    /// status and freeze record.
+    pub fn refilled_bundles(&self) -> &[u32] {
+        self.model.affected()
+    }
+
+    /// The links the last [`Incumbent::replace`] re-derived: every link
+    /// a re-filled bundle crosses, and every link a removed or
+    /// replacement bundle crosses (the list may repeat a link). Every
+    /// other link kept its demand, load, saturation and crossers, up to
+    /// the renumbering a resized segment shifts them by.
+    pub fn refilled_links(&self) -> impl Iterator<Item = u32> + '_ {
+        self.model.filled_links()
+    }
+}
+
 /// A bundle table — every aggregate's bundles concatenated in id order,
 /// with `spans[a]` aggregate `a`'s `(start, len)` range — its traced
 /// flow-model evaluation, and its utility report. Cloneable, so a

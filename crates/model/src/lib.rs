@@ -56,6 +56,9 @@ pub use engine::{DeltaScore, Evaluation, FlowModel, ParallelWorkspace, Workspace
 pub use incumbent::{Incumbent, PatchScratch};
 pub use outcome::{ModelOutcome, UtilizationSummary};
 pub use queueing::{queueing_report, QueueingReport};
-pub use report::{score_network_utility_delta, utility_report, ReportScratch, UtilityReport};
+pub use report::{
+    score_network_utility_delta, score_network_utility_from_leaves, utility_report, ReportScratch,
+    UtilityReport,
+};
 pub use spec::{BundleSpec, BundleStatus};
 pub use splice::BundleDelta;

@@ -351,13 +351,15 @@ impl UtilityReport {
 }
 
 /// Reusable scratch for [`score_network_utility_delta`]: aggregate
-/// dedup stamps and the fold-tree patch buffers. Past warm-up, scoring
-/// a candidate allocates nothing.
+/// dedup stamps, the candidate's changed leaves and the fold-tree patch
+/// buffers. Past warm-up, scoring a candidate allocates nothing.
 #[derive(Debug, Default)]
 pub struct ReportScratch {
     stamp: u32,
     agg_stamp: Vec<u32>,
     affected_aggs: Vec<u32>,
+    /// `(aggregate, utility)` per leaf the last candidate changed.
+    leaves: Vec<(u32, f64)>,
     changed: Vec<(u32, FoldCell)>,
     spare: Vec<(u32, FoldCell)>,
 }
@@ -373,7 +375,16 @@ impl ReportScratch {
             self.agg_stamp.resize(n, 0);
         }
         self.affected_aggs.clear();
-        self.changed.clear();
+        self.leaves.clear();
+    }
+
+    /// The fold-tree leaves the last [`score_network_utility_delta`]
+    /// on this scratch changed, as `(aggregate, utility)`: the moved
+    /// aggregate and every aggregate a re-filled bundle of which came
+    /// out at a new rate. [`score_network_utility_from_leaves`] folds
+    /// them into a report's tree.
+    pub fn leaves(&self) -> &[(u32, f64)] {
+        &self.leaves
     }
 
     fn mark(&mut self, agg: usize) {
@@ -449,7 +460,6 @@ pub fn score_network_utility_delta(
     }
 
     let shift = delta.replacement_len() as i64 - delta.removed() as i64;
-    let base = prev_report.sums.base;
     for k in 0..ws.affected_aggs.len() {
         let ai = ws.affected_aggs[k] as usize;
         let a = tm.aggregate(AggregateId(ai as u32));
@@ -477,13 +487,36 @@ pub fn score_network_utility_delta(
             (delta.get(i), rate)
         });
         let u_agg = aggregate_utility(a, run);
-        ws.changed
-            .push(((base + ai) as u32, FoldCell::leaf(a, u_agg)));
+        ws.leaves.push((ai as u32, u_agg));
     }
+    let leaves = std::mem::take(&mut ws.leaves);
+    let score = score_network_utility_from_leaves(tm, prev_report, &leaves, ws);
+    ws.leaves = leaves;
+    score
+}
+
+/// The network utility of `report` with the given fold-tree leaves
+/// replaced — `(aggregate, utility)` pairs, each aggregate once, in any
+/// order — folded through an O(leaves · log n) patch of its summation
+/// tree without mutating it. [`score_network_utility_delta`] ends here
+/// with the leaves it derived ([`ReportScratch::leaves`]), so a caller
+/// that kept a candidate's leaves re-derives its score against a later
+/// report bit for bit as a fresh scoring would, provided neither the
+/// candidate's fill nor those aggregates' other bundles changed.
+pub fn score_network_utility_from_leaves(
+    tm: &TrafficMatrix,
+    report: &UtilityReport,
+    leaves: &[(u32, f64)],
+    ws: &mut ReportScratch,
+) -> f64 {
+    let base = report.sums.base;
+    ws.changed.clear();
+    ws.changed.extend(leaves.iter().map(|&(ai, u)| {
+        let a = tm.aggregate(AggregateId(ai));
+        ((base + ai as usize) as u32, FoldCell::leaf(a, u))
+    }));
     ws.changed.sort_unstable_by_key(|&(i, _)| i);
-    let root = prev_report
-        .sums
-        .patched_root(&mut ws.changed, &mut ws.spare);
+    let root = report.sums.patched_root(&mut ws.changed, &mut ws.spare);
     if root.obj_den > 0.0 {
         root.obj_num / root.obj_den
     } else {

@@ -123,7 +123,8 @@ impl RunStats {
             for s in shown {
                 out.push_str(&format!(
                     "\nshard {:>3}: aggregates={} links={} commits={} score={:.3}ms \
-                     fills={} compiled-fills={} paths generated={} reused={}",
+                     fills={} compiled-fills={} paths generated={} reused={} \
+                     scores kept={}",
                     s.shard,
                     s.aggregates,
                     s.links,
@@ -133,6 +134,7 @@ impl RunStats {
                     s.scratch.compiled_fills,
                     s.paths_generated,
                     s.paths_reused,
+                    s.scores_kept,
                 ));
             }
         }
@@ -189,6 +191,7 @@ mod tests {
                     score_s: 0.002,
                     paths_generated: 12,
                     paths_reused: 30,
+                    scores_kept: 9,
                     scratch: filled(40, 25),
                 },
                 ShardRunStats {
@@ -213,7 +216,7 @@ mod tests {
         assert!(text.contains("shard score    n=2 "), "{text}");
         assert!(text.contains("shard   0: aggregates=10"), "{text}");
         assert!(
-            text.contains("fills=40 compiled-fills=25 paths generated=12 reused=30"),
+            text.contains("fills=40 compiled-fills=25 paths generated=12 reused=30 scores kept=9"),
             "{text}"
         );
         assert!(

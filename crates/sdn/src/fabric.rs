@@ -39,6 +39,7 @@ use fubar_model::{BundleSpec, FlowModel, Incumbent, ModelOutcome, PatchScratch, 
 use fubar_topology::{Bandwidth, Delay, Topology};
 use fubar_traffic::{Aggregate, AggregateId, TrafficMatrix};
 use std::borrow::Cow;
+use std::collections::BTreeMap;
 
 /// Per-aggregate counters, as an SDN controller would read from
 /// ingress-switch flow rules.
@@ -447,13 +448,14 @@ impl Fabric {
 
     /// Maps one aggregate's true traffic onto its installed group,
     /// honouring failures: `(bundles, used_fallback, blackholed_flows)`.
-    /// Takes the fields it reads, not `&self`, so the measurement can
-    /// route while it patches the cache.
+    /// `live_path` answers the live shortest path a fallback rider takes
+    /// (`None`: partitioned). Takes the fields it reads, not `&self`, so
+    /// the measurement can route while it patches the cache.
     fn route_aggregate(
-        topology: &Topology,
         rules: &RuleSet,
         down: &LinkSet,
         a: &Aggregate,
+        live_path: impl FnOnce(&Aggregate) -> Option<Path>,
     ) -> (Vec<BundleSpec>, bool, u64) {
         if a.flow_count == 0 {
             // Idle aggregate: keeps its rules but sends nothing.
@@ -468,7 +470,7 @@ impl Fabric {
             // utility. An empty group (nothing installed yet) is not a
             // *fallback* — there was no rule to fail.
             let fallback = !group.buckets.is_empty();
-            return match topology.graph().shortest_path(a.ingress, a.egress, down) {
+            return match live_path(a) {
                 Some(p) => (vec![BundleSpec::new(a, &p, a.flow_count)], fallback, 0),
                 None => (Vec::new(), fallback, u64::from(a.flow_count)),
             };
@@ -493,9 +495,11 @@ impl Fabric {
         let mut bundles = Vec::new();
         let mut fallback_count = 0usize;
         let mut blackholed = 0u64;
+        let graph = self.topology.graph();
         for a in self.true_tm.iter() {
-            let (bs, fallback, bh) =
-                Self::route_aggregate(&self.topology, &self.rules, &self.down, a);
+            let (bs, fallback, bh) = Self::route_aggregate(&self.rules, &self.down, a, |a| {
+                graph.shortest_path(a.ingress, a.egress, &self.down)
+            });
             routes.push(AggRoute {
                 fallback,
                 blackholed: bh,
@@ -558,17 +562,21 @@ impl Fabric {
     /// re-routed onto the very bundles it had (a fallback rider a link
     /// flip left alone, a black-holed pair whose flow count moved) is
     /// still named: its utility and its totals may have changed.
+    /// Fallback riders share one on-demand shortest-path search per
+    /// ingress, each answer bitwise the per-pair search's.
     fn measure_dirty(&mut self) {
         let cache = self.cache.as_mut().expect("incremental path has a cache");
         self.dirty_list.sort_unstable();
+        let (graph, down) = (self.topology.graph(), &self.down);
+        let mut trees = BTreeMap::new();
         let changes = self.dirty_list.iter().map(|&i| {
             let id = AggregateId(i);
-            let (bs, fallback, blackholed) = Self::route_aggregate(
-                &self.topology,
-                &self.rules,
-                &self.down,
-                self.true_tm.aggregate(id),
-            );
+            let (bs, fallback, blackholed) =
+                Self::route_aggregate(&self.rules, down, self.true_tm.aggregate(id), |a| {
+                    (trees.entry(a.ingress))
+                        .or_insert_with(|| graph.shortest_path_tree(a.ingress, down))
+                        .path_to(a.egress)
+                });
             let old = std::mem::replace(
                 &mut cache.routes[id.index()],
                 AggRoute {
