@@ -7,17 +7,17 @@
 //! and everything the event loop of [`crate::engine`]'s module docs
 //! touches in component-local indices (per-member link lists over
 //! compact link *slots*, per-slot crossing rows, per-slot initial
-//! sums). A subset met once compiles into reusable scratch and is
-//! filled as it stands. The closure around a previously-saturated link
-//! of an incumbent is compiled once, with its members' satisfaction
-//! events presorted, and each candidate scored against that incumbent
+//! sums), with its members' satisfaction events presorted. A subset met
+//! once compiles into reusable scratch and is filled as it stands. The
+//! closure around a previously-saturated link of an incumbent is
+//! compiled once, and each candidate scored against that incumbent
 //! fills it through a [`Patch`]: which members the candidate removed,
 //! the bundles that replace them, and new sums and rows for the few
 //! links either crosses. `run` is the only event loop; what a patch
 //! changes is where it reads a bundle, a row and the next bundle event
 //! from.
 
-use crate::engine::FreezeKey;
+use crate::engine::{is_binding, FreezeKey};
 use crate::spec::{BundleSpec, BundleStatus};
 use fubar_graph::LinkId;
 use std::cmp::Ordering;
@@ -128,14 +128,18 @@ pub(crate) struct Component {
     /// summed over its crossing members in member order, which is a
     /// full run's order.
     init: Vec<LinkState>,
+    /// Per slot: the load its crossing members carried on it before —
+    /// their rates in the evaluation the list was derived from, summed
+    /// in member order; zero with no evaluation behind the list.
+    prior: Vec<f64>,
     /// Slot `s` is crossed by members `rows[row_start[s]..row_start[s +
     /// 1]]` (local indices, ascending).
     row_start: Vec<u32>,
     rows: Vec<u32>,
     row_pos: Vec<u32>,
     /// `(satisfaction time, local index)` in the event order — filled
-    /// by [`Component::presort`] only; empty means the members' events
-    /// go through the heap.
+    /// by [`Component::presort`], which every fill runs; only a test
+    /// leaves it empty, sending the members' events through the heap.
     stream: Vec<(f64, u32)>,
 }
 
@@ -163,9 +167,15 @@ impl Component {
 
     /// Derives everything from `self.members`; `bundle` reads a member
     /// off the list they index (a slice, or a splice view nobody
-    /// materialized). Buffers are reused: past warm-up nothing is
+    /// materialized), and `prior` its rate in the evaluation that list
+    /// was derived from. Buffers are reused: past warm-up nothing is
     /// allocated.
-    pub(crate) fn compile<'b>(&mut self, bundle: impl Fn(u32) -> &'b BundleSpec, caps: &[f64]) {
+    pub(crate) fn compile<'b>(
+        &mut self,
+        bundle: impl Fn(u32) -> &'b BundleSpec,
+        prior: impl Fn(u32) -> f64,
+        caps: &[f64],
+    ) {
         for &li in &self.slot_link {
             self.slot_of[li as usize] = NONE;
         }
@@ -179,10 +189,11 @@ impl Component {
         self.slots.clear();
         self.slot_link.clear();
         self.init.clear();
+        self.prior.clear();
         self.stream.clear();
         for &gi in &self.members {
             let b = bundle(gi);
-            let (weight, demand) = (b.weight(), b.demand().bps());
+            let (weight, demand, rate) = (b.weight(), b.demand().bps(), prior(gi));
             debug_assert!(weight > 0.0 && demand > 0.0);
             self.weight.push(weight);
             self.demand.push(demand);
@@ -196,9 +207,11 @@ impl Component {
                     self.slot_of[li] = self.slot_link.len() as u32;
                     self.slot_link.push(li as u32);
                     self.init.push(LinkState::idle(caps[li]));
+                    self.prior.push(0.0);
                 }
                 let slot = self.slot_of[li];
                 self.init[slot as usize].admit(weight, demand);
+                self.prior[slot as usize] += rate;
                 self.slots.push(slot);
             }
             self.link_start.push(self.slots.len() as u32);
@@ -244,9 +257,9 @@ impl Component {
 /// of the list it was compiled from gives way to replacement bundles.
 /// The members inside the span start frozen, the replacement bundles
 /// get the local indices past the members', and every link either
-/// crosses gets its row and initial sums again — the row below the
-/// span, the replacement bundles, the row above it, which is the
-/// spliced list's order. `Patch::EMPTY` changes nothing.
+/// crosses gets its row, initial sums and prior load again — the row
+/// below the span, the replacement bundles, the row above it, which is
+/// the spliced list's order. `Patch::EMPTY` changes nothing.
 #[derive(Debug)]
 pub(crate) struct Patch {
     /// Local indices of the members inside the span.
@@ -271,13 +284,15 @@ pub(crate) struct Patch {
 }
 
 /// A link under a [`Patch`]: who crosses it (a range of the patch's
-/// `rows`: local indices, ascending by list index) and its state before
-/// anyone grows.
+/// `rows`: local indices, ascending by list index), its state before
+/// anyone grows, and its crossing members' prior load (see
+/// [`Component`]; the replacement bundles carried nothing).
 #[derive(Clone, Copy, Debug)]
 struct Touched {
     slot: u32,
     row: (u32, u32),
     state: LinkState,
+    prior: f64,
 }
 
 impl Default for Patch {
@@ -302,13 +317,15 @@ impl Patch {
     };
 
     /// Describes the splice of `replacement` over list indices `start..
-    /// start + removed` of the list `comp` was compiled from.
+    /// start + removed` of the list `comp` was compiled from; `prior`
+    /// reads a member's rate as [`Component::compile`]'s does.
     pub(crate) fn build(
         &mut self,
         comp: &Component,
         start: u32,
         removed: u32,
         replacement: &[BundleSpec],
+        prior: impl Fn(u32) -> f64,
         caps: &[f64],
     ) {
         let (m, n_slots) = (comp.len(), comp.slot_link.len());
@@ -384,10 +401,13 @@ impl Patch {
                 rows.extend(std::iter::repeat_n((m + r) as u32, times));
             }
             rows.extend_from_slice(&row[above..]);
-            let mut state = LinkState::idle(capacity);
+            let (mut state, mut carried) = (LinkState::idle(capacity), 0.0);
             for &b in &rows[row_start..] {
                 match (b as usize).checked_sub(m) {
-                    None => state.admit(comp.weight[b as usize], comp.demand[b as usize]),
+                    None => {
+                        state.admit(comp.weight[b as usize], comp.demand[b as usize]);
+                        carried += prior(comp.members[b as usize]);
+                    }
                     Some(r) => state.admit(weight[r], demand[r]),
                 }
             }
@@ -395,6 +415,7 @@ impl Patch {
                 slot: slot as u32,
                 row: (row_start as u32, rows.len() as u32),
                 state,
+                prior: carried,
             });
         }
     }
@@ -493,6 +514,9 @@ pub(crate) struct FillState {
     /// link's state when the fill ended.
     pub(crate) touched_links: Vec<u32>,
     pub(crate) links: Vec<LinkState>,
+    /// Per slot of the last fill: its crossing members' prior load (see
+    /// [`Component`]).
+    pub(crate) prior: Vec<f64>,
     /// Per local bundle of the last fill.
     pub(crate) rates: Vec<f64>,
     pub(crate) status: Vec<BundleStatus>,
@@ -509,6 +533,22 @@ pub(crate) struct FillState {
     pub(crate) peak_heap: usize,
     pub(crate) fills: usize,
     pub(crate) compiled_fills: usize,
+    #[cfg(test)]
+    pub(crate) probe: FillProbe,
+}
+
+/// Switches that restore a fill's earlier rules, and what the current
+/// ones skipped — for the tests that hold the two alike.
+#[cfg(test)]
+#[derive(Debug, Default)]
+pub(crate) struct FillProbe {
+    /// Arm every link with active weight, binding or not.
+    pub(crate) arm_all: bool,
+    /// Leave an unprepared fill's component unsorted, so that its
+    /// members' events go through the heap.
+    pub(crate) heap_bundles: bool,
+    /// Links with active weight that a fill left unarmed.
+    pub(crate) unarmed: usize,
 }
 
 impl FillState {
@@ -554,7 +594,6 @@ impl FillState {
         let m = comp.len();
         let n = m + patch.weight.len();
         self.fills += 1;
-        self.compiled_fills += usize::from(!comp.stream.is_empty());
 
         self.rates.clear();
         self.rates.resize(n, 0.0);
@@ -575,14 +614,19 @@ impl FillState {
         self.links.extend_from_slice(&comp.init);
         self.links
             .resize(self.touched_links.len(), LinkState::idle(0.0));
+        self.prior.clear();
+        self.prior.extend_from_slice(&comp.prior);
+        self.prior.resize(self.touched_links.len(), 0.0);
         let mut idle = 0;
         for t in &patch.touched {
             self.links[t.slot as usize] = t.state;
+            self.prior[t.slot as usize] = t.prior;
             idle += usize::from(t.row.0 == t.row.1);
         }
 
-        // Bundle events: the component's presorted stream if it has
-        // one, the heap otherwise and for the patch's bundles.
+        // Bundle events: the component's presorted stream, and the heap
+        // for the patch's bundles (for all of them if the stream is
+        // empty).
         self.saturated.clear();
         self.heap.clear();
         let heaped = if comp.stream.is_empty() { 0 } else { m };
@@ -592,16 +636,31 @@ impl FillState {
                 self.heap.push(view.satisfaction(b, demand / weight));
             }
         }
+        // Link events: only a link binding over the fill's own crossers
+        // can saturate (its load never passes their summed demand), so
+        // no other link is armed, and none is ever re-armed.
         for (slot, ls) in self.links.iter().enumerate() {
-            if let Some(time) = ls.saturation_time() {
-                self.heap.push(Event {
-                    time,
-                    kind: 1,
-                    idx: self.touched_links[slot],
-                    at: slot as u32,
-                    version: ls.version,
-                });
+            let Some(time) = ls.saturation_time() else {
+                continue;
+            };
+            #[cfg(test)]
+            let armed = self.probe.arm_all || is_binding(ls.demand, ls.capacity);
+            #[cfg(not(test))]
+            let armed = is_binding(ls.demand, ls.capacity);
+            if !armed {
+                #[cfg(test)]
+                {
+                    self.probe.unarmed += 1;
+                }
+                continue;
             }
+            self.heap.push(Event {
+                time,
+                kind: 1,
+                idx: self.touched_links[slot],
+                at: slot as u32,
+                version: ls.version,
+            });
         }
         self.peak_component = self.peak_component.max(remaining);
         self.peak_links = self.peak_links.max(self.links.len() - idle);

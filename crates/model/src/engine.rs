@@ -23,16 +23,23 @@
 //! before saturation, then bundle index or link id — by one loop
 //! (`FillState::run` in `component.rs`). Link events, whose times move,
 //! go through a lazy min-heap; stale ones are detected with per-link
-//! version counters. Bundle events never move: they go through the same
-//! heap, or, for a component compiled once and filled many times (see
-//! *Compiled components* below), come presorted and are merged with it.
+//! version counters. Only a link that is *binding* over the fill's own
+//! crossers — their summed demand reaches its capacity, up to
+//! [`BINDING_SLACK`] — enters the heap: any other link's load stays
+//! below that sum at every water level (observation 1 below), so it can
+//! never saturate, and arming it would only ever pop a stale or a dead
+//! event. Bundle events never move: every fill sorts its members' once
+//! when it compiles them, and merges that stream with the heap, which
+//! holds link events and nothing else — except a patch's replacement
+//! bundles (see *Compiled components* below).
 //! Each event freezes at least one bundle or deactivates one link, so
 //! the loop runs at most `bundles + links` times, and the whole
 //! evaluation is `O((B + Σ path length) log B)` — fast enough for the
 //! optimizer to call thousands of times per run. What the loop fills is
 //! always a `Component`: the bundles in question *compiled* into local
 //! indices — per-bundle link lists over compact link slots, per-slot
-//! crossing rows and initial sums — by every caller alike.
+//! crossing rows and initial sums, presorted satisfaction events — by
+//! every caller alike.
 //!
 //! ### Incremental re-evaluation
 //!
@@ -53,8 +60,9 @@
 //! re-summed entry by entry in the full run's order, + crossing rows of
 //! the dirty links whose load is re-summed), no instance-sized pass.
 //! Scoring sums no touched row it can avoid (*Bounded binding filter*
-//! below), and a dirty link none of whose crossers froze differently
-//! keeps its load (*Kept loads*). A segment that changes
+//! below) and walks no border row its load bound settles (*Bounded
+//! border verification*), and a dirty link none of whose crossers froze
+//! differently keeps its load (*Kept loads*). A segment that changes
 //! length shifts every later bundle's index, so the *tail renumber* is
 //! paid then, and only then: freeze keys and crossing entries behind
 //! the first resized segment are rewritten, and the per-bundle arrays
@@ -139,6 +147,48 @@
 //! ([`FlowModel::changed_link_demand`]) — every touched link is settled
 //! exactly first; network-utility scoring never asks.
 //!
+//! ### Bounded border verification
+//!
+//! Once the binding tests let a border link through, verification needs
+//! its post-fill load — the fold, in spliced row order, of every
+//! crosser's rate: the fill's rate for a member of the fill, the
+//! previous rate for anyone else — for one decision only: whether it
+//! reaches `bar = capacity · (1 − BINDING_SLACK)`. The walk is as long
+//! as the link's crossing row, thousands of entries on a trunk, so the
+//! core first bounds the load from three numbers it already holds:
+//!
+//! ```text
+//! L ≤ B = F + P − C + (F + P + C) · 2nε,   n = 2c + 2
+//! ```
+//!
+//! `F` is the fill's `frozen_load` on the link — the fold of its
+//! crossing members' new rates. `P` is the link's previous load — the
+//! fold of every previous crosser's rate. `C` is the fold of the fill's
+//! crossing members' previous rates; compiling a component sums it per
+//! slot from the evaluation the list came from (a replacement bundle
+//! carried nothing), and a patch re-sums it only for the slots it
+//! touches. Crossers outside the fill carried their previous rates
+//! through it, and removed crossers only lower the true sum, so `F + P −
+//! C` is an upper bound in exact arithmetic. `c` — the previous row's
+//! length plus the replacement crossings — bounds every count involved:
+//! the walked row, the fill's crossers, the previous crossers. With `u
+//! = ε/2`, each fold of `k` non-negative terms lies within `1 ± γ_{k−1}`
+//! of its true sum (Higham, as above), so the walk exceeds `F + P − C`
+//! by at most about `u · (k(F + P) + 2kF + 2pP + qC)` ≤ `3cu · (F + P +
+//! C)` to first order, and forming `B` adds about `3u · (F + P + C)`.
+//! The widening is `(8c + 8)u · (F + P + C)`, which covers both with
+//! `(5c + 5)u` to spare for second-order terms and its own rounding.
+//! So a bound below `bar` proves the walk would find a load below it,
+//! and the link is passed exactly where the walk would pass it; only a
+//! bound at the bar, or a link the fill saturated, pays for the walk —
+//! and for a touched link's exact demand, which the walk's decision
+//! still needs. `P` is read from the evaluation's carried load, which is
+//! the fold capped at capacity: a load below its capacity is the fold
+//! itself, but one at it may be the cap, and a change that moves a
+//! capacity leaves loads capped at the old one, so the bound is not
+//! used in either case. The walks, expansions and bits are therefore
+//! those of the walk-every-link rule.
+//!
 //! ### Kept loads
 //!
 //! A dirty link's load is the fold of its crossers' rates in freeze
@@ -159,9 +209,9 @@
 //! flows off one congested link re-derives the same affected set: the
 //! link's crossers closed over previously-saturating links.
 //! [`FlowModel::prepare_component`] derives it once — members
-//! ascending, compiled as above, satisfaction events presorted — and
-//! keeps it inside the evaluation it describes; [`FlowModel::apply_delta`]
-//! forgets it, so it cannot outlive that evaluation.
+//! ascending, compiled and presorted as above — and keeps it inside the
+//! evaluation it describes; [`FlowModel::apply_delta`] forgets it, so it
+//! cannot outlive that evaluation.
 //! [`FlowModel::score_delta`] then treats a one-segment candidate whose
 //! changed previously-saturated links (at least one) all lie in one
 //! compiled component as a `Patch` of it: the members inside the
@@ -190,7 +240,10 @@
 //!    one plus a constant behind the span — monotone — so the presorted
 //!    members are still in event order, and merging them with a heap
 //!    that holds the link events and the replacement bundles' pops
-//!    exactly what one heap holding everything pops.
+//!    exactly what one heap holding everything pops. An unprepared fill
+//!    is the case with no replacement bundle in the heap: its own
+//!    members' stream, sorted by list index on ties, merged with its
+//!    link events.
 //!
 //! Border verification then runs on the patched fill's results as on any
 //! other, and a component that has to grow re-fills the unprepared way.
@@ -218,7 +271,7 @@ pub struct FlowModel<'a> {
 /// can never make the patched result diverge from a full recompute.
 const BINDING_SLACK: f64 = 1e-9;
 
-fn is_binding(demand: f64, capacity: f64) -> bool {
+pub(crate) fn is_binding(demand: f64, capacity: f64) -> bool {
     demand >= capacity * (1.0 - BINDING_SLACK)
 }
 
@@ -241,6 +294,26 @@ pub fn spliced_demand_bound(
         n += 1;
     }
     sum * (1.0 + 2.0 * n as f64 * f64::EPSILON)
+}
+
+/// An upper bound on a border link's load after a fill, from what the
+/// fill knows without walking the link's crossing row: `filled`, the
+/// load the fill's crossers of the link ended with (their fold);
+/// `prev_load`, the link's uncapped previous load (the fold of every
+/// previous crosser's rate); and `carried`, the fold of the fill's
+/// crossers' previous rates. Crossers outside the fill carried their
+/// previous rates through it, and removed ones are left in. `crossers`
+/// is the previous row's length plus the replacement crossings, at
+/// least the length of the row a walk folds; the result is widened by
+/// `2nε` of the three magnitudes, `n = 2 · crossers + 2`, to cover every
+/// rounding of the four folds and of the bound itself (see *Bounded
+/// border verification* in the module docs). Hidden: the scoring
+/// core's, exposed for its property test.
+#[doc(hidden)]
+pub fn border_load_bound(filled: f64, prev_load: f64, carried: f64, crossers: usize) -> f64 {
+    let n = 2 * crossers + 2;
+    let widen = 2.0 * n as f64 * f64::EPSILON;
+    filled + prev_load - carried + (filled + prev_load + carried) * widen
 }
 
 /// Where in the global freeze sequence a bundle froze — enough to
@@ -588,7 +661,9 @@ pub struct WorkspaceStats {
     pub peak_component: usize,
     /// Most links touched by one component fill.
     pub peak_component_links: usize,
-    /// Largest event-heap population in one fill.
+    /// Largest event-heap population in one fill: armed link events
+    /// and a patch's replacement bundles — a component's own members'
+    /// events come presorted and never enter the heap.
     pub peak_heap: usize,
     /// Total component fills performed — the number of water-filling
     /// passes this workspace ran. Unlike the peaks this is a *count*:
@@ -664,6 +739,10 @@ pub struct Workspace {
     /// Whether every replacement bundle rides the links of the bundle
     /// it replaces, so that no crossing row changes.
     rows_kept: bool,
+    /// Whether every capacity is the one the previous loads were capped
+    /// at — false when the change moved one — so that a previous load
+    /// below its capacity is its uncapped fold.
+    caps_kept: bool,
     /// `(link, new offered demand)` pairs, ascending by link — the
     /// sparse overlay minmax scoring merges over the incumbent.
     changed_demand: Vec<(u32, f64)>,
@@ -769,28 +848,64 @@ impl Workspace {
         }
     }
 
-    /// Whether link `li` is binding under its new offered demand: an
-    /// untouched link by its previous demand, a touched one by its
-    /// upper bound where that suffices and by the exact sum otherwise
-    /// (see *Bounded binding filter* in the module docs).
-    fn binding(&mut self, li: usize, prev: &Evaluation, crossings: &Crossings<'_>) -> bool {
+    /// Whether link `li` may be binding under its new offered demand,
+    /// by what needs no walk: an untouched link's previous demand
+    /// decides, and so does a touched link's exact sum once summed;
+    /// before that, its upper bound settles "not binding" where it
+    /// suffices (see *Bounded binding filter* in the module docs).
+    fn may_bind(&mut self, li: usize, prev: &Evaluation) -> bool {
         let cap = prev.caps[li];
         if self.touched_stamp[li] != self.stamp {
             return is_binding(prev.outcome.link_demand[li].bps(), cap);
         }
-        #[cfg(test)]
-        let bounded = !self.probe.exact_only;
-        #[cfg(not(test))]
-        let bounded = true;
-        if bounded && self.summed[li] != self.stamp {
-            let decided = !is_binding(self.touched_demand[li], cap);
-            #[cfg(test)]
-            self.probe.count_bound(decided);
-            if decided {
-                return false;
-            }
+        if self.summed[li] == self.stamp {
+            return is_binding(self.touched_demand[li], cap);
         }
-        is_binding(self.exact_demand(li, crossings), cap)
+        #[cfg(test)]
+        if self.probe.exact_only {
+            return true;
+        }
+        let decided = !is_binding(self.touched_demand[li], cap);
+        #[cfg(test)]
+        self.probe.count_bound(decided);
+        !decided
+    }
+
+    /// Whether link `li`, which [`Workspace::may_bind`] let through, is
+    /// binding: a touched link's exact sum settles what its bound left
+    /// open.
+    fn binds(&mut self, li: usize, prev: &Evaluation, crossings: &Crossings<'_>) -> bool {
+        self.touched_stamp[li] != self.stamp
+            || is_binding(self.exact_demand(li, crossings), prev.caps[li])
+    }
+
+    /// Whether border link `li` provably ends below `bar` after the
+    /// fill: `filled` and `carried` are its crossing members' new load
+    /// and prior load ([`border_load_bound`]). A previous load at its
+    /// capacity may be a cap, not the fold, and proves nothing.
+    fn load_below(
+        &mut self,
+        li: usize,
+        prev: &Evaluation,
+        crossings: &Crossings<'_>,
+        (filled, carried): (f64, f64),
+        bar: f64,
+    ) -> bool {
+        let prev_load = prev.outcome.link_load[li].bps();
+        if !self.caps_kept || prev_load >= prev.caps[li] {
+            return false;
+        }
+        #[cfg(test)]
+        if self.probe.walk_all {
+            return false;
+        }
+        let crossers = prev.crossers[li].len() + repl_row(crossings.repl, li as u32).len();
+        let below = border_load_bound(filled, prev_load, carried, crossers) < bar;
+        #[cfg(test)]
+        {
+            self.probe.load_decided += usize::from(below);
+        }
+        below
     }
 
     /// The exact new offered demand of touched link `li`, summed over
@@ -874,13 +989,27 @@ impl FillScratch {
     }
 
     /// Progressive filling over `subset` — ascending indices into the
-    /// list `bundle` reads: compiles it and fills it as it stands.
-    /// Results are left in `self.state`, parallel to `subset` and to
-    /// `state.touched_links`.
-    fn fill<'b>(&mut self, bundle: impl Fn(u32) -> &'b BundleSpec, subset: &[u32], caps: &[f64]) {
+    /// list `bundle` reads, whose rates before the change `prior` reads:
+    /// compiles it, presorts its satisfaction events and fills it as it
+    /// stands. Results are left in `self.state`, parallel to `subset`
+    /// and to `state.touched_links`.
+    fn fill<'b>(
+        &mut self,
+        bundle: impl Fn(u32) -> &'b BundleSpec,
+        prior: impl Fn(u32) -> f64,
+        subset: &[u32],
+        caps: &[f64],
+    ) {
         self.comp.members.clear();
         self.comp.members.extend_from_slice(subset);
-        self.comp.compile(bundle, caps);
+        self.comp.compile(bundle, prior, caps);
+        #[cfg(test)]
+        let presorted = !self.state.probe.heap_bundles;
+        #[cfg(not(test))]
+        let presorted = true;
+        if presorted {
+            self.comp.presort();
+        }
         self.state.run(&self.comp, &Patch::EMPTY);
     }
 }
@@ -1089,7 +1218,8 @@ fn run_worker(
     let mut c = wi;
     while c < comp_count {
         let subset = &members[member_start[c] as usize..member_start[c + 1] as usize];
-        w.fill.fill(|gi| &bundles[gi as usize], subset, caps);
+        w.fill
+            .fill(|gi| &bundles[gi as usize], |_| 0.0, subset, caps);
         let fill = &w.fill.state;
         for (local, &gi) in subset.iter().enumerate() {
             w.out_bundles
@@ -1139,13 +1269,17 @@ impl<'a> FlowModel<'a> {
     /// Like [`FlowModel::evaluate`], but also records the freeze trace
     /// so a later [`crate::Incumbent::replace`] can patch the result.
     pub fn evaluate_traced(&self, bundles: &[BundleSpec]) -> Evaluation {
+        self.evaluate_in(bundles, &mut FillScratch::default())
+    }
+
+    /// [`FlowModel::evaluate_traced`] on the given fill scratch.
+    fn evaluate_in(&self, bundles: &[BundleSpec], scratch: &mut FillScratch) -> Evaluation {
         let caps = self.capacities();
         let n_links = caps.len();
         let demands: Vec<f64> = bundles.iter().map(|b| b.demand().bps()).collect();
         let subset: Vec<u32> = (0..bundles.len() as u32).collect();
-        let mut scratch = FillScratch::default();
         let bundle = |gi: u32| &bundles[gi as usize];
-        scratch.fill(bundle, &subset, &caps);
+        scratch.fill(bundle, |_| 0.0, &subset, &caps);
         let fill = &scratch.state;
 
         let mut link_frozen = vec![0.0_f64; n_links];
@@ -1452,6 +1586,7 @@ impl<'a> FlowModel<'a> {
             "`eval` evaluates a different bundle list"
         );
         let Evaluation {
+            outcome,
             crossers,
             caps,
             saturated,
@@ -1483,7 +1618,8 @@ impl<'a> FlowModel<'a> {
         }
         comp.members.sort_unstable();
         comp.members.dedup();
-        comp.compile(|gi| &bundles[gi as usize], caps);
+        let rate = |gi: u32| outcome.bundle_rates[gi as usize].bps();
+        comp.compile(|gi| &bundles[gi as usize], rate, caps);
         comp.presort();
         compiled.live += 1;
     }
@@ -1515,6 +1651,7 @@ impl<'a> FlowModel<'a> {
             "delta splices over a different bundle list than `prev` evaluated"
         );
         ws.begin(n, n_links);
+        ws.caps_kept = touched_links.is_empty();
         let segs = delta.segs();
 
         // The replacement bundles' demands and link crossings; the
@@ -1608,6 +1745,10 @@ impl<'a> FlowModel<'a> {
 
         // The optimistic fill + border-verification loop (see the
         // module docs for the correctness argument).
+        let rate = |src: u32| match src & POOL {
+            0 => prev.outcome.bundle_rates[src as usize].bps(),
+            _ => 0.0, // a replacement bundle carried nothing before
+        };
         loop {
             let fill = &mut ws.fill;
             // The first fill only; a component that had to grow
@@ -1620,8 +1761,10 @@ impl<'a> FlowModel<'a> {
                         comp.describes(&prev.demands),
                         "component compiled from another evaluation"
                     );
-                    fill.patch.build(comp, s.start, s.removed, delta.pool, caps);
+                    fill.patch
+                        .build(comp, s.start, s.removed, delta.pool, rate, caps);
                     fill.state.run(comp, &fill.patch);
+                    fill.state.compiled_fills += 1;
                     ws.adopt_patched_fill(comp);
                 }
                 None => {
@@ -1629,7 +1772,9 @@ impl<'a> FlowModel<'a> {
                     // Sources were resolved when the members joined the
                     // set, so no fill ever searches the segment list.
                     let src = &ws.src;
-                    fill.fill(|gi| delta.at(src[gi as usize]), &ws.subset, caps);
+                    let (bundle, prior) =
+                        (|gi| delta.at(src[gi as usize]), |gi| rate(src[gi as usize]));
+                    fill.fill(bundle, prior, &ws.subset, caps);
                 }
             }
             ws.begin_verification();
@@ -1638,15 +1783,18 @@ impl<'a> FlowModel<'a> {
             // that the delta could have pushed over — partially crossed
             // by the re-filled component, or touched directly — must end
             // strictly below capacity, or the optimism was wrong and the
-            // component grows. Fully-covered links need no check.
+            // component grows. Fully-covered links need no check. The
+            // fill's links come first, each at its slot, so a touched
+            // link the second pass still verifies is one no member of
+            // the fill crosses.
             let mut expanded = false;
             for k in 0..ws.fill.state.touched_links.len() {
                 let li = ws.fill.state.touched_links[k] as usize;
-                verify_border(li, prev, &crossings, ws, &mut expanded);
+                verify_border(li, Some(k), prev, &crossings, ws, &mut expanded);
             }
             for k in 0..ws.changed_links.len() {
                 let li = ws.changed_links[k] as usize;
-                verify_border(li, prev, &crossings, ws, &mut expanded);
+                verify_border(li, None, prev, &crossings, ws, &mut expanded);
             }
             if !expanded {
                 break;
@@ -1659,12 +1807,15 @@ impl<'a> FlowModel<'a> {
     }
 }
 
-/// One border-verification probe of link `li` (see
-/// [`FlowModel::delta_fill_core`]): checks a never-saturated binding
-/// link's true post-fill load and expands the component when the
-/// optimistic assumption fails.
+/// One border-verification probe of link `li`, at `slot` of the fill
+/// if a member crosses it (see [`FlowModel::delta_fill_core`]): checks
+/// a never-saturated binding link's true post-fill load and expands the
+/// component when the optimistic assumption fails. The crossing row is
+/// walked only when neither the binding tests nor the load bound settle
+/// the link (see *Bounded border verification* in the module docs).
 fn verify_border(
     li: usize,
+    slot: Option<usize>,
     prev: &Evaluation,
     crossings: &Crossings<'_>,
     ws: &mut Workspace,
@@ -1675,8 +1826,28 @@ fn verify_border(
         return;
     }
     ws.border_seen[li] = ws.fill_stamp;
-    if !ws.binding(li, prev, crossings) {
+    if !ws.may_bind(li, prev) {
         return;
+    }
+    let fill = &ws.fill.state;
+    let (filled, carried, saturated) = match slot {
+        Some(k) => (
+            fill.links[k].frozen_load,
+            fill.prior[k],
+            fill.links[k].saturated,
+        ),
+        None => (0.0, 0.0, false),
+    };
+    let bar = prev.caps[li] * (1.0 - BINDING_SLACK);
+    if !saturated && ws.load_below(li, prev, crossings, (filled, carried), bar) {
+        return;
+    }
+    if !ws.binds(li, prev, crossings) {
+        return;
+    }
+    #[cfg(test)]
+    {
+        ws.probe.walks += 1;
     }
     // One walk of the link's crossers: whether any lies outside the
     // affected set, and the load they end with. Bundles absorbed
@@ -1701,8 +1872,7 @@ fn verify_border(
     if !partial {
         return;
     }
-    let saturated = ws.fill.state.saturated.contains(&LinkId(li as u32));
-    if saturated || load >= prev.caps[li] * (1.0 - BINDING_SLACK) {
+    if saturated || load >= bar {
         *expanded = true;
         crossings.absorb_crossers(li, ws);
     }
@@ -2378,8 +2548,8 @@ mod tests {
         );
     }
 
-    /// What the bounded binding filter and the kept-load rule did,
-    /// observed through a workspace's private state.
+    /// What the bounded binding filter, the border load bound and the
+    /// kept-load rule did, observed through a workspace's private state.
     #[derive(Debug, Default)]
     pub(super) struct Probe {
         /// Test every touched binding link by its exact demand.
@@ -2390,6 +2560,12 @@ mod tests {
         pub(super) bound_passed: usize,
         /// Dirty links whose load an in-place patch kept.
         pub(super) loads_kept: usize,
+        /// Walk every binding border link's crossing row.
+        pub(super) walk_all: bool,
+        /// Border links the load bound settled, and crossing rows
+        /// border verification walked.
+        pub(super) load_decided: usize,
+        pub(super) walks: usize,
     }
 
     impl Probe {
@@ -2538,6 +2714,236 @@ mod tests {
         }
     }
 
+    /// The three ways a fill skips work, each switched back to the rule
+    /// it replaced: arm every link with active weight, push an
+    /// unprepared fill's bundle events through the heap, walk every
+    /// binding border link's crossing row.
+    const RULES_REPLACED: [&str; 3] = ["arm all", "heap bundles", "walk all"];
+
+    fn by_rule_replaced(rule: &str) -> Workspace {
+        let mut ws = Workspace::new();
+        let probe = &mut ws.fill.state.probe;
+        match rule {
+            "arm all" => probe.arm_all = true,
+            "heap bundles" => probe.heap_bundles = true,
+            _ => ws.probe.walk_all = true,
+        }
+        ws
+    }
+
+    /// A scored candidate and the freeze keys of its fill, bit for bit.
+    fn score_keyed(
+        m: &FlowModel<'_>,
+        prev: &Evaluation,
+        delta: &BundleDelta<'_>,
+        ws: &mut Workspace,
+    ) -> (Scored, Vec<(u64, u8, u32, u32)>) {
+        let scored = score(m, prev, delta, ws);
+        let key = |k: &FreezeKey| (k.time.to_bits(), k.kind, k.primary, k.secondary);
+        (scored, ws.fill.state.keys.iter().map(key).collect())
+    }
+
+    /// Per link a member of the last fill crosses, ascending: its load
+    /// when the fill ended and its crossing members' prior load, bit for
+    /// bit.
+    fn slot_sums(ws: &Workspace) -> Vec<(u32, u64, u64)> {
+        let f = &ws.fill.state;
+        let slots = f.touched_links.iter().zip(&f.links).zip(&f.prior);
+        let mut sums: Vec<_> = (slots.filter(|((_, ls), _)| ls.demand > 0.0))
+            .map(|((&l, ls), p)| (l, ls.frozen_load.to_bits(), p.to_bits()))
+            .collect();
+        sums.sort_unstable();
+        sums
+    }
+
+    /// Binding-only arming, presorted bundle events in every fill and
+    /// the border load bound are transparent: the candidates of
+    /// `bounded_binding_filter_scores_like_the_exact_one` score to the
+    /// same affected set, rates, freeze keys and min-max overlay with
+    /// each switched back to the rule it replaced, and a full
+    /// evaluation under the old arming and heap is the same evaluation.
+    /// A fill through a prepared component ends with the loads and prior
+    /// loads, link for link, of the same candidate's fill against an
+    /// evaluation with nothing prepared. Each shortcut must have run: on each instance some link left
+    /// unarmed and some unprepared fill; on the two together some border
+    /// link settled by the load bound (HE-961's, whose border links have
+    /// room), so that walking every link walks more, and some still
+    /// walked (`planetary(4, 4)`'s, which run full).
+    #[test]
+    fn fill_shortcuts_score_like_the_rules_they_replace() {
+        let (mut load_decided, mut walks, mut walks_saved) = (0, 0, 0);
+        for (topo, tm, bundles) in congested_instances() {
+            let m = FlowModel::with_defaults(&topo);
+            let plain = m.evaluate_traced(&bundles);
+            let mut eval = plain.clone();
+            for l in eval.outcome.congested.clone().into_iter().take(2) {
+                m.prepare_component(&mut eval, &bundles, l);
+            }
+            let (mut fast, mut unprepared) = (Workspace::new(), Workspace::new());
+            let mut replaced = RULES_REPLACED.map(by_rule_replaced);
+            let mut r = xorshift(0x51AB_0BE5);
+            for round in 0..300 {
+                let i = (r() % bundles.len() as u64) as usize;
+                let a = tm.aggregate(AggregateId(i as u32));
+                let Some(repl) = reroute(&topo, a, &bundles[i..=i], &mut r) else {
+                    continue;
+                };
+                let delta = BundleDelta::new(&bundles, i, 1, &repl);
+                let scored = score_keyed(&m, &eval, &delta, &mut fast);
+                score(&m, &plain, &delta, &mut unprepared);
+                let sums = slot_sums(&fast);
+                assert_eq!(
+                    sums,
+                    slot_sums(&unprepared),
+                    "{} round {round}",
+                    topo.name()
+                );
+                for (rule, ws) in RULES_REPLACED.iter().zip(&mut replaced) {
+                    let old = score_keyed(&m, &eval, &delta, ws);
+                    assert_eq!(scored, old, "{} round {round}: {rule}", topo.name());
+                }
+            }
+            let name = topo.name();
+            let stats = fast.stats();
+            assert!(fast.fill.state.probe.unarmed > 0, "{name}: all armed");
+            assert!(stats.fills > stats.compiled_fills, "{name}: all prepared");
+            (load_decided, walks) = (
+                load_decided + fast.probe.load_decided,
+                walks + fast.probe.walks,
+            );
+            let [arm_all, _, walk_all] = &replaced;
+            assert_eq!(arm_all.fill.state.probe.unarmed, 0);
+            assert_eq!(walk_all.probe.load_decided, 0);
+            walks_saved += walk_all.probe.walks - fast.probe.walks;
+
+            let mut old = FillScratch::default();
+            old.state.probe.arm_all = true;
+            old.state.probe.heap_bundles = true;
+            let mut new = FillScratch::default();
+            let full = m.evaluate_in(&bundles, &mut new);
+            assert_eq!(
+                full.bitwise_mismatch(&m.evaluate_in(&bundles, &mut old)),
+                None
+            );
+            assert!(new.state.probe.unarmed > 0, "{name}: all armed in full");
+        }
+        assert!(load_decided > 0, "the load bound never decided");
+        assert!(walks > 0, "nothing was walked");
+        assert!(walks_saved > 0, "walking every link walked no more");
+    }
+
+    /// One changed segment: `(start, removed, new bundles)`, the range
+    /// over the table as it was.
+    type Change = (usize, usize, Vec<BundleSpec>);
+
+    /// One commit of a commit sequence: one or two aggregates crossing
+    /// `eval`'s most congested link rerouted (`segments` takes their new
+    /// bundles) and, every third commit, a random link's capacity
+    /// changed on `topo`. Returns the changes over `table`, which `eval`
+    /// evaluates, and the links whose capacity changed.
+    fn hot_commit(
+        topo: &mut Topology,
+        tm: &TrafficMatrix,
+        segments: &mut [Vec<BundleSpec>],
+        table: &[BundleSpec],
+        eval: &Evaluation,
+        commit: usize,
+        r: &mut impl FnMut() -> u64,
+    ) -> (Vec<Change>, Vec<LinkId>) {
+        let hot = eval.outcome.congested.first().copied();
+        let crossers: Vec<usize> = (0..segments.len())
+            .filter(|&i| {
+                segments[i]
+                    .iter()
+                    .any(|b| hot.is_some_and(|l| b.links.contains(&l)))
+            })
+            .collect();
+        let mut picked: Vec<usize> = (0..1 + r() % 2)
+            .map(|_| match crossers.len() {
+                0 => (r() % segments.len() as u64) as usize,
+                n => crossers[(r() % n as u64) as usize],
+            })
+            .collect();
+        picked.sort_unstable();
+        picked.dedup();
+        let mut touched = Vec::new();
+        if commit % 3 == 2 {
+            let l = LinkId((r() % topo.link_count() as u64) as u32);
+            topo.set_capacity(l, mbps(10.0 + (r() % 60) as f64));
+            touched.push(l);
+        }
+        let mut changes = Vec::new();
+        for &i in &picked {
+            let a = tm.aggregate(AggregateId(i as u32));
+            let Some(new) = reroute(topo, a, &segments[i], r) else {
+                continue;
+            };
+            let start = table.iter().take_while(|b| b.aggregate.index() < i).count();
+            changes.push((start, segments[i].len(), new.clone()));
+            segments[i] = new;
+        }
+        (changes, touched)
+    }
+
+    fn splice_of(changes: &[Change]) -> Splice {
+        let mut splice = Splice::default();
+        for (start, removed, new) in changes {
+            splice.push(*start, *removed, new.clone());
+        }
+        splice
+    }
+
+    /// The same through commits: on HE-961 and `planetary(4, 4)`, sixty
+    /// in-place patches each — one or two aggregates moved or split off
+    /// the most congested link, every third commit with a capacity
+    /// change riding along — land the same evaluation with each fill
+    /// shortcut switched back to the rule it replaced, and that
+    /// evaluation is the full one. Each shortcut must have run.
+    #[test]
+    fn fill_shortcuts_patch_like_the_rules_they_replace() {
+        let (mut unarmed, mut load_decided, mut walks) = (0, 0, 0);
+        let instances = [
+            (generators::he_core(mbps(75.0)), 1),
+            (generators::planetary(4, 4, mbps(20.0)), 5),
+        ];
+        for (mut topo, seed) in instances {
+            let (tm, bundles) = shortest_path_instance(&topo, seed);
+            let mut segments: Vec<Vec<BundleSpec>> = bundles.into_iter().map(|b| vec![b]).collect();
+            let table = segments.concat();
+            let eval = FlowModel::with_defaults(&topo).evaluate_traced(&table);
+            let mut fast = (eval.clone(), table.clone(), Workspace::new());
+            let mut replaced =
+                RULES_REPLACED.map(|rule| (eval.clone(), table.clone(), by_rule_replaced(rule)));
+            let mut r = xorshift(0x0DDB_A115);
+            for commit in 0..60 {
+                let (table, eval) = (&fast.1, &fast.0);
+                let (changes, touched) =
+                    hot_commit(&mut topo, &tm, &mut segments, table, eval, commit, &mut r);
+                let m = FlowModel::with_defaults(&topo);
+                for (eval, table, ws) in std::iter::once(&mut fast).chain(&mut replaced) {
+                    m.apply_delta(eval, table, &mut splice_of(&changes), &touched, ws);
+                }
+                let (name, full) = (topo.name(), m.evaluate_traced(&fast.1));
+                assert_eq!(
+                    fast.0.bitwise_mismatch(&full),
+                    None,
+                    "{name} commit {commit}"
+                );
+                for (rule, (eval, ..)) in RULES_REPLACED.iter().zip(&replaced) {
+                    let old = eval.bitwise_mismatch(&fast.0);
+                    assert_eq!(old, None, "{name} commit {commit}: {rule}");
+                }
+            }
+            let ws = &fast.2;
+            unarmed += ws.fill.state.probe.unarmed;
+            load_decided += ws.probe.load_decided;
+            walks += ws.probe.walks;
+        }
+        assert!(unarmed > 0, "all armed");
+        assert!(load_decided > 0, "the load bound never decided");
+        assert!(walks > 0, "nothing was walked");
+    }
+
     /// The kept-load rule is transparent: through commit sequences on
     /// `planetary(4, 4)` — moves, 1 → 2 splits and 2 → 1 merges (so
     /// segments change length and the tail renumbers), one or two
@@ -2557,42 +2963,13 @@ mod tests {
         let mut r = xorshift(0x0C0F_FEE5);
         let mut resized = 0;
         for commit in 0..60 {
-            // One or two aggregates crossing the most congested link.
-            let hot = eval.outcome.congested.first().copied();
-            let crossers: Vec<usize> = (0..segments.len())
-                .filter(|&i| {
-                    segments[i]
-                        .iter()
-                        .any(|b| hot.is_some_and(|l| b.links.contains(&l)))
-                })
-                .collect();
-            let mut picked: Vec<usize> = (0..1 + r() % 2)
-                .map(|_| match crossers.len() {
-                    0 => (r() % segments.len() as u64) as usize,
-                    n => crossers[(r() % n as u64) as usize],
-                })
-                .collect();
-            picked.sort_unstable();
-            picked.dedup();
-            let mut touched = Vec::new();
-            if commit % 3 == 2 {
-                let l = LinkId((r() % topo.link_count() as u64) as u32);
-                topo.set_capacity(l, mbps(10.0 + (r() % 60) as f64));
-                touched.push(l);
-            }
-            let mut splice = Splice::default();
-            for &i in &picked {
-                let a = tm.aggregate(AggregateId(i as u32));
-                let Some(new) = reroute(&topo, a, &segments[i], &mut r) else {
-                    continue;
-                };
-                // Splice ranges index the table as it was.
-                let start = table.iter().take_while(|b| b.aggregate.index() < i).count();
-                resized += usize::from(new.len() != segments[i].len());
-                splice.push(start, segments[i].len(), new.clone());
-                segments[i] = new;
-            }
+            let (changes, touched) =
+                hot_commit(&mut topo, &tm, &mut segments, &table, &eval, commit, &mut r);
+            resized += (changes.iter())
+                .filter(|(_, removed, new)| new.len() != *removed)
+                .count();
             let m = FlowModel::with_defaults(&topo);
+            let mut splice = splice_of(&changes);
             m.apply_delta(&mut eval, &mut table, &mut splice, &touched, &mut ws);
             let expected = segments.concat();
             assert_eq!(table, expected, "commit {commit}");

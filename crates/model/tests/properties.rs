@@ -10,8 +10,9 @@
 
 use fubar_graph::{LinkId, LinkSet, NodeId};
 use fubar_model::{
-    score_network_utility_delta, spliced_demand_bound, utility_report, BundleDelta, BundleSpec,
-    DeltaScore, FlowModel, Incumbent, PatchScratch, ReportScratch, Workspace,
+    border_load_bound, score_network_utility_delta, spliced_demand_bound, utility_report,
+    BundleDelta, BundleSpec, DeltaScore, FlowModel, Incumbent, PatchScratch, ReportScratch,
+    Workspace,
 };
 use fubar_topology::{generators, Bandwidth, Delay, Topology};
 use fubar_traffic::{Aggregate, AggregateId, TrafficMatrix};
@@ -403,6 +404,81 @@ proptest! {
             bound.to_bits() >= exact.to_bits(),
             "bound {bound:e} below the exact sum {exact:e} (len {len}, -{removed} +{})",
             added.len()
+        );
+    }
+
+    /// The border load bound is an upper bound on the walked load. A
+    /// random crossing row — 1 to 20,000 previous rates from 1 bps to 1
+    /// Pbps over a random span of decades, sorted, reversed or shuffled
+    /// — has its previous load folded in another order (ascending, as
+    /// freezes tend to run). A random share of it is in the fill; a
+    /// one-segment splice removes up to three entries and inserts up to
+    /// three fill members. Half the time the fill's members keep their
+    /// rates, so only rounding separates the bound's three folds from
+    /// the walk; otherwise each gets a fresh one. `border_load_bound` of
+    /// the fill's fold of its members' new rates (descending), the
+    /// previous load, the fold of the members' previous rates and the
+    /// row length plus the insertions must be at least the fold of the
+    /// spliced row in row order, members at their new rates
+    /// (`to_bits`-compared: all are non-negative). Dropping the
+    /// widening fails it.
+    #[test]
+    fn border_load_bound_is_an_upper_bound(
+        len in 1usize..20_000,
+        seed in any::<u64>(),
+        decades in 0.0f64..15.0,
+        order in 0u32..3,
+        share in 0.0f64..1.0,
+        splice in (0.0f64..1.0, 0usize..7, 0usize..4),
+    ) {
+        let mut x = seed | 1;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let floor = (next() % 1000) as f64 / 1000.0 * (15.0 - decades);
+        let rate = |r: u64| 10f64.powf(floor + decades * (r % (1 << 20)) as f64 / (1 << 20) as f64);
+        let mut row: Vec<f64> = (0..len).map(|_| rate(next())).collect();
+        match order {
+            0 => row.sort_by(f64::total_cmp),
+            1 => row.sort_by(|a, b| b.total_cmp(a)),
+            _ => {}
+        }
+        let kept = next() % 2 == 0;
+        // Per entry: its previous rate and, for a fill member, its new one.
+        let entries: Vec<(f64, Option<f64>)> = row
+            .iter()
+            .map(|&r| {
+                let member = (next() % 1_000_000) as f64 / 1_000_000.0 < share;
+                (r, member.then(|| if kept { r } else { rate(next()) }))
+            })
+            .collect();
+        let (at, removed, added) = splice;
+        let start = (at * len as f64) as usize;
+        let removed = removed.saturating_sub(3).min(len - start);
+        let added: Vec<f64> = (0..added).map(|_| rate(next())).collect();
+
+        let fold = |v: &mut dyn Iterator<Item = f64>| v.fold(0.0, |s, d| s + d);
+        let mut ascending = row.clone();
+        ascending.sort_by(f64::total_cmp);
+        let prev_load = fold(&mut ascending.into_iter());
+        let spliced: Vec<(f64, Option<f64>)> = entries[..start]
+            .iter()
+            .copied()
+            .chain(added.iter().map(|&a| (0.0, Some(a))))
+            .chain(entries[start + removed..].iter().copied())
+            .collect();
+        let mut filled: Vec<f64> = spliced.iter().filter_map(|e| e.1).collect();
+        filled.sort_by(|a, b| b.total_cmp(a));
+        let filled = fold(&mut filled.into_iter());
+        let carried = fold(&mut spliced.iter().filter(|e| e.1.is_some()).map(|e| e.0));
+        let walked = fold(&mut spliced.iter().map(|&(prev, new)| new.unwrap_or(prev)));
+        let bound = border_load_bound(filled, prev_load, carried, len + added.len());
+        prop_assert!(
+            bound.to_bits() >= walked.to_bits(),
+            "bound {bound:e} below the walked load {walked:e} (len {len}, kept {kept})"
         );
     }
 }

@@ -734,6 +734,30 @@ mod tests {
         assert!(!tm.is_empty() && tm.iter().all(|a| a.flow_count == u32::MAX));
     }
 
+    /// Departures at `u32::MAX`-scale flow counts: the sampler's cost
+    /// does not grow with the live count, so a spec that once drew one
+    /// uniform per flow per epoch (minutes of CPU) runs to its end, and
+    /// flows do leave.
+    #[test]
+    fn departures_at_the_top_of_u32_run_to_completion() {
+        let spec = Scenario::parse(
+            "scenario big_departures\n\
+             topology ring 5 2Mbps 1ms\n\
+             duration 100s\n\
+             epoch 10s\n\
+             workload flows 1 4294967295\n\
+             reoptimize every 30s warmup 15s\n\
+             departures prob 0.1\n",
+        )
+        .unwrap();
+        let text = log_of(&spec, 1).to_text();
+        assert!(
+            text.contains("epoch 9"),
+            "the run must reach its last epoch"
+        );
+        assert!(text.contains("depart "), "flows must depart");
+    }
+
     #[test]
     fn same_seed_is_byte_identical_different_seed_is_not() {
         let spec = ring_spec("arrivals rate 0.2 max-flows 30\ndepartures prob 0.2\n");

@@ -6,7 +6,8 @@
 //!
 //! * **flow churn** — per aggregate and epoch, Poisson arrivals with
 //!   mean `rate · baseline · diurnal(t)` and Binomial departures, each
-//!   event placed uniformly at random inside the epoch;
+//!   event placed uniformly at random inside the epoch; neither draw's
+//!   cost grows with the flow count past a fixed size;
 //! * **link failures** — Weibull inter-failure and repair times, victims
 //!   drawn uniformly among currently healthy duplex links;
 //! * **diurnal modulation** — a deterministic sinusoid scaling the
@@ -71,9 +72,16 @@ fn sample_poisson<R: Rng>(rng: &mut R, mean: f64, cap: u64) -> u64 {
     }
 }
 
+/// Most live flows [`sample_departures`] draws one uniform each for.
+/// Every committed spec stays far below it (live counts there are in
+/// the hundreds), so their logs keep the per-flow draws.
+const PER_FLOW_DEPARTURES: u64 = 1 << 16;
+
 /// Draws how many of `live` flows depart, each independently with
-/// probability `prob` — Binomial(live, prob) as explicit Bernoulli
-/// trials, one draw per live flow.
+/// probability `prob` — Binomial(live, prob): as explicit Bernoulli
+/// trials, one draw per live flow, up to [`PER_FLOW_DEPARTURES`] flows,
+/// and by [`sample_binomial`], whose cost does not grow with `live`,
+/// above.
 ///
 /// # Panics
 ///
@@ -83,7 +91,80 @@ fn sample_departures<R: Rng>(rng: &mut R, live: u64, prob: f64) -> u64 {
         (0.0..=1.0).contains(&prob),
         "departure probability must be in [0,1]"
     );
-    (0..live).filter(|_| rng.gen::<f64>() < prob).count() as u64
+    if live <= PER_FLOW_DEPARTURES {
+        return (0..live).filter(|_| rng.gen::<f64>() < prob).count() as u64;
+    }
+    sample_binomial(rng, live, prob)
+}
+
+/// Draws Binomial(`n`, `p`) at a cost that does not grow with `n`. For
+/// `p > 1/2` it draws the failures instead. While `np < 10` it counts
+/// successes by their geometric waiting times (about `np + 1` draws);
+/// above, it runs Hörmann's transformed rejection with squeeze, BTRS
+/// ("The generation of binomial random variates", J. Statist. Comput.
+/// Simul. 46, 1993), whose expected number of trials stays near 1.15
+/// pairs of draws at any `n`.
+fn sample_binomial<R: Rng>(rng: &mut R, n: u64, p: f64) -> u64 {
+    if p > 0.5 {
+        return n - sample_binomial(rng, n, 1.0 - p);
+    }
+    let (nf, q) = (n as f64, 1.0 - p);
+    if nf * p < 10.0 {
+        let log_q = (-p).ln_1p();
+        let (mut k, mut at) = (0, 0.0);
+        loop {
+            // 1 − u ∈ (0, 1]: the next success is this many trials on.
+            at += ((1.0 - rng.gen::<f64>()).ln() / log_q).floor() + 1.0;
+            if at > nf {
+                return k;
+            }
+            k += 1;
+        }
+    }
+    let spq = (nf * p * q).sqrt();
+    let b = 1.15 + 2.53 * spq;
+    let a = -0.0873 + 0.0248 * b + 0.01 * p;
+    let c = nf * p + 0.5;
+    let v_r = 0.92 - 4.2 / b;
+    let r = p / q;
+    let alpha = (2.83 + 5.1 / b) * spq;
+    let m = ((nf + 1.0) * p).floor();
+    loop {
+        let u = rng.gen::<f64>() - 0.5;
+        let v = rng.gen::<f64>();
+        let us = 0.5 - u.abs();
+        let k = ((2.0 * a / us + b) * u + c).floor();
+        if !(0.0..=nf).contains(&k) {
+            continue;
+        }
+        if us >= 0.07 && v <= v_r {
+            return k as u64;
+        }
+        let v = (v * alpha / (a / (us * us) + b)).ln();
+        let h = (m + 0.5) * ((m + 1.0) / (r * (nf - m + 1.0))).ln()
+            + (nf + 1.0) * ((nf - m + 1.0) / (nf - k + 1.0)).ln()
+            + (k + 0.5) * (r * (nf - k + 1.0) / (k + 1.0)).ln()
+            + stirling_tail(m)
+            + stirling_tail(nf - m)
+            - stirling_tail(k)
+            - stirling_tail(nf - k);
+        if v <= h {
+            return k as u64;
+        }
+    }
+}
+
+/// `ln k! − ((k + ½) ln(k + 1) − (k + 1) + ½ ln 2π)` for a whole `k ≥
+/// 0`: summed exactly below 10, by its series above.
+fn stirling_tail(k: f64) -> f64 {
+    let k1 = k + 1.0;
+    if k < 10.0 {
+        let ln_fact: f64 = (2..=k as u32).map(|i| f64::from(i).ln()).sum();
+        let ln_sqrt_2pi = 0.5 * (2.0 * std::f64::consts::PI).ln();
+        return ln_fact - ((k + 0.5) * k1.ln() - k1 + ln_sqrt_2pi);
+    }
+    let k1sq = k1 * k1;
+    (1.0 / 12.0 - (1.0 / 360.0 - 1.0 / 1260.0 / k1sq) / k1sq) / k1
 }
 
 /// One sampled churn event, relative to nothing — the engine schedules
@@ -299,6 +380,46 @@ mod tests {
         assert!((observed - 10.0).abs() < 0.5, "observed {observed}");
         assert_eq!(sample_departures(&mut rng, 0, 0.5), 0);
         assert_eq!(sample_departures(&mut rng, 17, 1.0), 17);
+    }
+
+    /// Above the per-flow range the departure count is still
+    /// Binomial-shaped — in both of `sample_binomial`'s regimes and
+    /// through its `p > 1/2` symmetry — and at `u32::MAX` live flows a
+    /// draw takes a handful of uniforms, not four billion.
+    #[test]
+    fn departure_sampler_is_binomial_at_any_live_count() {
+        let mut rng = StdRng::seed_from_u64(12);
+        let live = u64::from(u32::MAX);
+        for (n, p, draws) in [
+            (live, 0.1, 2_000),
+            (live, 1e-9, 20_000),
+            (PER_FLOW_DEPARTURES + 1, 0.9, 2_000),
+            (1 << 24, 3e-7, 20_000),
+        ] {
+            let counts: Vec<f64> = (0..draws)
+                .map(|_| sample_departures(&mut rng, n, p) as f64)
+                .collect();
+            let mean = counts.iter().sum::<f64>() / f64::from(draws);
+            let var = counts.iter().map(|k| (k - mean).powi(2)).sum::<f64>() / f64::from(draws);
+            let (mu, sigma2) = (n as f64 * p, n as f64 * p * (1.0 - p));
+            let se = (sigma2 / f64::from(draws)).sqrt();
+            assert!(
+                (mean - mu).abs() < 5.0 * se,
+                "n {n} p {p}: mean {mean}, want {mu}"
+            );
+            assert!(
+                (var / sigma2 - 1.0).abs() < 0.15,
+                "n {n} p {p}: variance {var}, want {sigma2}"
+            );
+            assert!(counts.iter().all(|&k| k <= n as f64));
+        }
+        assert_eq!(sample_departures(&mut rng, live, 0.0), 0);
+        assert_eq!(sample_departures(&mut rng, live, 1.0), live);
+        // The series and the exact sum meet at 10 (the first term the
+        // series drops is 1 / (1680 · 11⁷) ≈ 3e-11).
+        let exact_10: f64 = (2..=10).map(|i| f64::from(i).ln()).sum::<f64>()
+            - (10.5 * 11f64.ln() - 11.0 + 0.5 * (2.0 * std::f64::consts::PI).ln());
+        assert!((stirling_tail(10.0) - exact_10).abs() < 1e-10);
     }
 
     #[test]
