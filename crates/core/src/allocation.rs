@@ -389,10 +389,15 @@ impl Allocation {
         out
     }
 
-    /// Links used by `agg`'s non-empty paths that are also in
-    /// `congested` — the exclusion set for the paper's *local* path.
-    pub fn congested_links_used_by(&self, agg: AggregateId, congested: &LinkSet) -> LinkSet {
-        let mut used = LinkSet::new();
+    /// Adds to `used` the links of `agg`'s non-empty paths that are also
+    /// in `congested` — the exclusion set for the paper's *local* path.
+    /// Writing into the caller's set lets a scratch set be reused.
+    pub fn congested_links_used_by(
+        &self,
+        agg: AggregateId,
+        congested: &LinkSet,
+        used: &mut LinkSet,
+    ) {
         let fs = &self.flows[agg.index()];
         let ps = &self.path_sets[agg.index()];
         for (idx, &n) in fs.iter().enumerate() {
@@ -405,7 +410,6 @@ impl Allocation {
                 }
             }
         }
-        used
     }
 
     /// Number of distinct paths carrying at least one flow, per
@@ -570,7 +574,8 @@ mod tests {
         let mut congested = LinkSet::new();
         congested.insert(p0.links()[0]);
         congested.insert(LinkId(9999)); // unrelated
-        let used = alloc.congested_links_used_by(AggregateId(0), &congested);
+        let mut used = LinkSet::new();
+        alloc.congested_links_used_by(AggregateId(0), &congested, &mut used);
         assert_eq!(used.len(), 1);
         assert!(used.contains(p0.links()[0]));
     }

@@ -78,20 +78,27 @@
 //! then holds at most `aggregates`; any other score dies at the next
 //! commit. Scores are keyed by the alternative path, not by its index,
 //! so they outlive a regeneration of the alternatives.
-//! *Alternatives are per input triple*: an aggregate's three paths
-//! depend on the set of congested-or-excluded links, on the congested
-//! links its own live paths use, and on which of those is the most
-//! oversubscribed (the dependency list is derived in
-//! [`crate::pathgen`]) — and most commits move flows without flipping
-//! any link's congestion status. The memo remembers the set its
-//! alternatives were generated under and each entry carries the other
-//! two inputs: a step that finds a different set drops every entry, and
-//! a probe recomputes the aggregate's two inputs — a walk of its own
-//! path links — and runs the three searches again only if they differ.
-//! Alternatives live as long as one call of the loop, because a scope's
-//! exclusions are an input too; scores live for the run — from one
-//! per-component pass into the next and into the whole-instance loop —
-//! because they depend on the incumbent alone.
+//! *An alternative stands while what its search read stands*: each of
+//! an aggregate's three paths is one lowest-delay search avoiding a set
+//! of links — the congested-or-excluded ones, the congested ones its
+//! own live paths use, or the most oversubscribed of those (the list is
+//! derived in [`crate::pathgen`]) — and a search reads only the
+//! out-links of the nodes it settles before its target. The memo keeps
+//! every search with what it read (its settled tree and the avoided
+//! links it skipped); a probe recomputes the three avoid sets — a walk
+//! of the aggregate's own path links — and runs a search again only
+//! when a link that flipped in or out of its avoid set is one the
+//! search could have read ([`fubar_graph::SearchRecord::stands`], proved in
+//! [`crate::pathgen`]). A search that would avoid what an earlier one
+//! of the three avoids is not run: the candidate list drops its answer
+//! as a duplicate anyway. Most commits flip no link, and most flips are
+//! far from a given aggregate, so alternatives live for the run like
+//! scores — across commits and changes of the congested set, and from
+//! one per-component pass into the next and into the whole-instance
+//! loop, a pass's exclusions being only more avoided links. The
+//! candidate list is re-derived from the three searches every time —
+//! global, local, link-local, later duplicates dropped — so it is what
+//! three fresh searches would give.
 //!
 //! **Workers claim, they are not dealt.** A step's work items are the
 //! focus link's crossing-index entries, one run of entries per
@@ -100,7 +107,13 @@
 //! shared counter, generate that aggregate's alternatives unless the
 //! memo's still stand, and score its moves (`map_claimed`). Results are placed
 //! by run, so the candidate order — and with it the tie-break, the
-//! winner and the memo — is the sequential one at any thread count.
+//! winner and the memo — is the sequential one at any thread count. A
+//! worker's moves and the searches it ran stay in its own scratch until
+//! the step joins them, and each probe's result goes into a slot made
+//! before the workers start, so past warm-up a step whose alternatives
+//! all stand allocates nothing between a worker's claim and its last
+//! result (`tests/probe_alloc.rs`): the workers never contend for the
+//! allocator.
 //!
 //! **One bottleneck component per focus link.** Every move off a link
 //! takes flows off it, so every candidate of a step re-fills the same
@@ -122,8 +135,8 @@
 //! bitwise identical to a full-recompute run**, move for move.
 //! [`OptimizerConfig::incremental`] selects that oracle: it rebuilds
 //! every bundle and re-runs full water-filling for every candidate of
-//! every step, generates every aggregate's alternatives in every step
-//! that meets it, never writes the memo (so never finds anything in it)
+//! every step, runs every search of every aggregate in every step that
+//! meets it, never writes the memo (so never finds anything in it)
 //! and never prepares a component, so it audits the delta scoring, both
 //! halves of the memo and the patched fills alike.
 
@@ -144,7 +157,7 @@ use fubar_traffic::{Aggregate, AggregateId, TrafficMatrix};
 use std::collections::BTreeMap;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
 
 /// Why an optimization run stopped.
@@ -234,16 +247,14 @@ struct Candidate<P = Path> {
 
 /// What the loop has worked out and need not work out again while what
 /// it depends on stands (see the module docs): scores until a commit
-/// re-fills something they read, alternatives until their inputs
-/// change or the call of the loop ends. One per run. Looked up by key;
-/// only a commit walks the scores, to drop the ones it invalidated.
+/// re-fills something they read, searches for alternatives until a
+/// link they read flips in or out of their avoid set. One per run.
+/// Looked up by key; only a commit walks the scores, to drop the ones
+/// it invalidated.
 #[derive(Default)]
 struct Memo {
-    /// The `pathgen::congested_or_forbidden` set every entry of `alts`
-    /// was generated under; a step that finds another drops them all.
-    avoid: LinkSet,
-    /// Per aggregate, its generated alternatives.
-    alts: BTreeMap<u32, Alternatives>,
+    /// Per aggregate, the searches its alternatives came from.
+    alts: BTreeMap<u32, pathgen::Alternatives>,
     /// Per aggregate, the scored moves of it that still stand against
     /// the current incumbent: every entry here is valid (a commit drops
     /// the ones it invalidates).
@@ -297,7 +308,7 @@ struct KeptCopy {
 type Shared = (Range<u32>, Arc<[u32]>);
 
 impl KeptCopy {
-    fn take(&mut self, arenas: &[MutexGuard<'_, ScoreScratch>], k: Keepable) -> Kept {
+    fn take(&mut self, arenas: &[MutexGuard<'_, ScoreScratch>], k: &Keepable) -> Kept {
         let ws = &arenas[k.worker];
         let range = |r: &Range<u32>| r.start as usize..r.end as usize;
         self.last.resize(arenas.len(), None);
@@ -305,7 +316,7 @@ impl KeptCopy {
             Some((r, links)) if *r == k.links => Arc::clone(links),
             _ => {
                 let links: Arc<[u32]> = Arc::from(&ws.kept_links[range(&k.links)]);
-                self.last[k.worker] = Some((k.links, Arc::clone(&links)));
+                self.last[k.worker] = Some((k.links.clone(), Arc::clone(&links)));
                 links
             }
         };
@@ -380,15 +391,6 @@ impl Memo {
     }
 }
 
-/// One aggregate's generated alternatives with the per-aggregate inputs
-/// they were generated from: valid for as long as a recomputation of the
-/// inputs compares equal (and `Memo::avoid` stands).
-struct Alternatives {
-    inputs: pathgen::AltInputs,
-    /// Shared with the scores of moves onto them.
-    paths: Vec<Arc<Path>>,
-}
-
 /// What every worker of one step reads.
 struct Focus<'s> {
     alloc: &'s Allocation,
@@ -397,14 +399,13 @@ struct Focus<'s> {
     /// The congested link the step moves flows off.
     link: LinkId,
     escape_level: u32,
-    /// Links no alternative may use.
-    excluded: &'s LinkSet,
-    /// `pathgen::congested_or_forbidden` of the incumbent and
-    /// `excluded`: the same for every aggregate, so built once.
-    avoid: &'s LinkSet,
+    /// What the alternatives are generated from; its global avoid set
+    /// is the same for every aggregate, so built once.
+    network: pathgen::Network<'s>,
     /// The most leaves a score of this step may keep: the aggregate
-    /// count over the step's work items.
-    leaf_cap: usize,
+    /// count over the step's work items; `None` when no score of the
+    /// step can outlive its incumbent.
+    leaf_cap: Option<usize>,
 }
 
 /// What one worker of a step owns while it claims work: its scoring
@@ -416,17 +417,36 @@ struct Worker<'p> {
     copy: Option<Allocation>,
 }
 
+impl<'p> Worker<'p> {
+    /// Worker `index` of a step, on scratch `index` of `pool`, emptied
+    /// of what the last step left in it.
+    fn claim(pool: &'p [Mutex<ScoreScratch>], index: usize) -> Self {
+        let mut ws = pool[index].lock().expect("scratch lock poisoned");
+        ws.kept_links.clear();
+        ws.last_links = 0..0;
+        ws.kept_leaves.clear();
+        ws.scorings.clear();
+        ws.paths.begin_step();
+        Worker {
+            index,
+            ws,
+            copy: None,
+        }
+    }
+}
+
 /// One aggregate's part of a step.
 struct Probed {
     aggregate: u32,
-    /// Its alternatives, when they were generated here: the memo had
-    /// none, or had them for other inputs.
-    fresh: Option<Alternatives>,
-    /// Whether the memo's alternatives were found valid and used.
-    reused: bool,
-    /// Its moves, in Listing 2's enumeration order.
-    scored: Vec<Scoring>,
-    /// How many of `scored` the memo answered, and how many of those
+    /// What the probe made of its alternatives; `None` when it had no
+    /// flows to move.
+    resolution: Option<pathgen::Resolution>,
+    /// The worker that probed it, and where its moves are in that
+    /// worker's `ScoreScratch::scorings`, in Listing 2's enumeration
+    /// order.
+    worker: usize,
+    scored: Range<u32>,
+    /// How many of the moves the memo answered, and how many of those
     /// with a score kept from an earlier incumbent.
     hits: usize,
     kept_hits: usize,
@@ -436,7 +456,8 @@ struct Probed {
 struct Scoring {
     from: u32,
     count: u32,
-    /// Index of the move's path among the aggregate's alternatives.
+    /// The move's path: candidate `alt` of the aggregate's resolution
+    /// (`pathgen::Resolution::answer`).
     alt: u32,
     score: f64,
     /// Whether this probe scored the move (the memo had no score).
@@ -474,6 +495,12 @@ struct ScoreScratch {
     kept_leaves: Vec<(u32, f64)>,
     /// Sort scratch of the links one score read.
     read: Vec<u32>,
+    /// The moves this worker scored in the current step, back to back
+    /// ([`Probed::scored`] names its range).
+    scorings: Vec<Scoring>,
+    /// Where the worker resolves alternatives, and the searches it ran
+    /// in the current step.
+    paths: pathgen::PathScratch,
     /// Where debug builds re-fill every move whose kept score they
     /// take, to check it, off the books of the fill counters.
     #[cfg(debug_assertions)]
@@ -565,10 +592,12 @@ fn pool_stats(pool: &[Mutex<ScoreScratch>]) -> WorkspaceStats {
 /// are scoped threads; each builds its own state with `init` (handed its
 /// worker number, so worker `i` can own scratch `i`) and then claims the
 /// next unclaimed item until none is left, so an expensive item delays
-/// one worker, not the items dealt after it. Results are placed by item
-/// index: which worker ran what never shows in the result. A worker's
-/// panic resurfaces on the caller with its own payload.
-fn map_claimed<T: Sync, S, R: Send>(
+/// one worker, not the items dealt after it. Each result goes straight
+/// into its item's slot, made before any worker starts, so a worker's
+/// claims allocate nothing of their own, and which worker ran what never
+/// shows in the result. A worker's panic resurfaces on the caller with
+/// its own payload.
+fn map_claimed<T: Sync, S, R: Send + Sync>(
     items: &[T],
     workers: usize,
     init: impl Fn(usize) -> S + Sync,
@@ -578,45 +607,47 @@ fn map_claimed<T: Sync, S, R: Send>(
     // shared before any thread started and results travel through
     // `join`.
     let next = AtomicUsize::new(0);
+    let slots: Vec<OnceLock<R>> = items.iter().map(|_| OnceLock::new()).collect();
     let run = |worker: usize| {
         let mut state = init(worker);
-        let mut done: Vec<(usize, R)> = Vec::new();
         loop {
             let i = next.fetch_add(1, Ordering::Relaxed);
             let Some(item) = items.get(i) else {
-                return done;
+                return;
             };
-            done.push((i, work(&mut state, item)));
+            let placed = slots[i].set(work(&mut state, item));
+            debug_assert!(placed.is_ok(), "item {i} claimed twice");
         }
     };
     let workers = workers.min(items.len());
     if workers <= 1 {
-        return run(0).into_iter().map(|(_, r)| r).collect();
-    }
-    let mut slots: Vec<Option<R>> = items.iter().map(|_| None).collect();
-    let mut place = |done: Vec<(usize, R)>| {
-        for (i, r) in done {
-            slots[i] = Some(r);
-        }
-    };
-    std::thread::scope(|scope| {
-        let run = &run;
-        let spawned: Vec<_> = (1..workers)
-            .map(|worker| scope.spawn(move || run(worker)))
-            .collect();
-        place(run(0));
-        for handle in spawned {
-            place(
+        run(0);
+    } else {
+        std::thread::scope(|scope| {
+            let run = &run;
+            let spawned: Vec<_> = (1..workers)
+                .map(|worker| scope.spawn(move || run(worker)))
+                .collect();
+            run(0);
+            for handle in spawned {
                 handle
                     .join()
-                    .unwrap_or_else(|payload| std::panic::resume_unwind(payload)),
-            );
-        }
-    });
+                    .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
+            }
+        });
+    }
     slots
         .into_iter()
-        .map(|r| r.expect("every item is claimed exactly once"))
+        .map(|r| r.into_inner().expect("every item is claimed exactly once"))
         .collect()
+}
+
+/// The path of the move `s` of probe `p`: `p`'s candidate `s.alt`,
+/// resolved against the alternatives `memo` kept before the step.
+fn alt_path<'a>(memo: &'a Memo, p: &'a Probed, s: &Scoring) -> &'a Arc<Path> {
+    let resolution = (p.resolution.as_ref()).expect("a probe with moves resolved its paths");
+    (resolution.answer(memo.alts.get(&p.aggregate), s.alt as usize))
+        .expect("a scored move's path is among the candidates")
 }
 
 /// The optimizer, bound to one topology and one traffic matrix.
@@ -688,6 +719,26 @@ impl<'a> Optimizer<'a> {
             demanded_utilization: util.demanded,
             congested_links: outcome.congested.len(),
             congested_bundles: outcome.congested_bundle_count(),
+        }
+    }
+
+    /// What alternatives are generated from under `alloc` and `outcome`
+    /// when no path may use `forbidden`; `avoid` is
+    /// `pathgen::congested_or_forbidden` of the two.
+    fn network<'s>(
+        &'s self,
+        alloc: &'s Allocation,
+        outcome: &'s ModelOutcome,
+        forbidden: &'s LinkSet,
+        avoid: &'s LinkSet,
+    ) -> pathgen::Network<'s> {
+        pathgen::Network {
+            graph: self.topology.graph(),
+            allocation: alloc,
+            outcome,
+            policy: self.config.path_policy,
+            forbidden,
+            avoid,
         }
     }
 
@@ -818,11 +869,12 @@ impl<'a> Optimizer<'a> {
         let aggregate = run[0].0;
         let agg_id = AggregateId(aggregate);
         let agg = self.tm.aggregate(agg_id);
+        let start = worker.ws.scorings.len() as u32;
         let mut probed = Probed {
             aggregate,
-            fresh: None,
-            reused: false,
-            scored: Vec::new(),
+            resolution: None,
+            worker: worker.index,
+            scored: start..start,
             hits: 0,
             kept_hits: 0,
         };
@@ -842,37 +894,12 @@ impl<'a> Optimizer<'a> {
             return probed;
         }
 
-        // The memo's alternatives stand if the inputs they were
-        // generated from still do.
-        let inputs = pathgen::alt_inputs(
-            agg,
-            focus.alloc,
-            focus.incumbent.outcome(),
-            focus.excluded,
-            focus.avoid,
-        );
-        let known = (focus.memo.alts.get(&aggregate)).filter(|known| known.inputs == inputs);
-        probed.reused = known.is_some();
-        let alts = match known {
-            Some(known) => known,
-            None => probed.fresh.insert(Alternatives {
-                paths: pathgen::alternatives_from(
-                    self.topology,
-                    agg,
-                    self.config.path_policy,
-                    focus.excluded,
-                    focus.avoid,
-                    &inputs,
-                )
-                .into_iter()
-                .map(Arc::new)
-                .collect(),
-                inputs,
-            }),
-        };
+        // Each kept search stands while no link it read has flipped.
+        let known = focus.memo.alts.get(&aggregate);
+        let resolution = worker.ws.paths.resolve(&focus.network, agg, known);
 
         for (from, count) in live {
-            for (alt_idx, shared) in alts.paths.iter().enumerate() {
+            for (alt_idx, shared) in resolution.candidates(known) {
                 let alt = &**shared;
                 // The alternate path must exclude the congested link and
                 // differ from the source path.
@@ -945,16 +972,19 @@ impl<'a> Optimizer<'a> {
                                 c,
                                 &mut worker.ws,
                             );
-                            scoring.kept = self.keepable(worker, focus.leaf_cap);
+                            scoring.kept = (focus.leaf_cap)
+                                .and_then(|leaf_cap| self.keepable(worker, leaf_cap));
                         } else {
                             let copy = worker.copy.get_or_insert_with(|| focus.alloc.clone());
                             scoring.score = self.score_candidate_full(copy, c);
                         }
                     }
                 }
-                probed.scored.push(scoring);
+                worker.ws.scorings.push(scoring);
             }
         }
+        probed.scored = start..worker.ws.scorings.len() as u32;
+        probed.resolution = Some(resolution);
         probed
     }
 
@@ -1028,39 +1058,29 @@ impl<'a> Optimizer<'a> {
         let outcome = incumbent.outcome();
         let initial_score = self.config.objective.score(incumbent.report(), outcome);
         let avoid = pathgen::congested_or_forbidden(outcome, scope.excluded);
-        if self.config.incremental && memo.avoid != avoid {
-            // Every kept global path avoided the other set.
-            memo.alts.clear();
-            memo.avoid.clone_from(&avoid);
-        }
-        // One work item per aggregate is one `alternatives` call per
-        // aggregate.
+        // One work item per aggregate is one resolution of its
+        // alternatives per aggregate.
         let runs: Vec<&[(u32, u32)]> = index.runs(link).collect();
+        // When the focus link's component holds every saturated link,
+        // any commit re-fills the focus link, which every fill of this
+        // step read: none of its scores can outlive the incumbent, so
+        // none records what it read.
+        let leaf_cap = (!incumbent.component_holds_every_saturated(link))
+            .then(|| self.tm.len() / runs.len().max(1));
         let focus = Focus {
             alloc,
             incumbent,
             memo,
             link,
             escape_level,
-            excluded: scope.excluded,
-            avoid: &avoid,
-            leaf_cap: self.tm.len() / runs.len().max(1),
+            network: self.network(alloc, outcome, scope.excluded, &avoid),
+            leaf_cap,
         };
         let filled = pool_stats(scope.pool);
         let probed = map_claimed(
             &runs,
             scope.pool.len(),
-            |index| {
-                let mut ws = scope.pool[index].lock().expect("scratch lock poisoned");
-                ws.kept_links.clear();
-                ws.last_links = 0..0;
-                ws.kept_leaves.clear();
-                Worker {
-                    index,
-                    ws,
-                    copy: None,
-                }
-            },
+            |index| Worker::claim(scope.pool, index),
             |worker, run| self.probe(&focus, run, worker),
         );
         let now = pool_stats(scope.pool);
@@ -1068,14 +1088,24 @@ impl<'a> Optimizer<'a> {
         stats.scratch.fills += now.fills - filled.fills;
         stats.scratch.compiled_fills += now.compiled_fills - filled.compiled_fills;
 
+        // What the workers left in their scratches: the moves they
+        // scored, the searches they ran and what scores would keep.
+        let arenas: Vec<MutexGuard<'_, ScoreScratch>> = (scope.pool.iter())
+            .map(|ws| ws.lock().expect("scratch lock poisoned"))
+            .collect();
+        let scorings = |p: &Probed| {
+            let range = p.scored.start as usize..p.scored.end as usize;
+            &arenas[p.worker].scorings[range]
+        };
+
         // Max score; only a strictly better score displaces the best so
         // far, so ties keep the earliest candidate (the sequential
         // loop's strict-improvement rule).
-        let mut best: Option<(f64, &Probed, usize)> = None;
+        let mut best: Option<(f64, &Probed, &Scoring)> = None;
         for p in &probed {
-            for (i, s) in p.scored.iter().enumerate() {
+            for s in scorings(p) {
                 if best.is_none_or(|(b, ..)| s.score.total_cmp(&b).is_gt()) {
-                    best = Some((s.score, p, i));
+                    best = Some((s.score, p, s));
                 }
             }
         }
@@ -1083,32 +1113,21 @@ impl<'a> Optimizer<'a> {
         const IMPROVEMENT_EPS: f64 = 1e-9;
         let winner = best
             .filter(|&(score, ..)| score > initial_score + IMPROVEMENT_EPS)
-            .map(|(_, p, i)| {
-                let s = &p.scored[i];
-                let alts = p
-                    .fresh
-                    .as_ref()
-                    .unwrap_or_else(|| &focus.memo.alts[&p.aggregate]);
-                Candidate {
-                    aggregate: AggregateId(p.aggregate),
-                    from: s.from as usize,
-                    count: s.count,
-                    alt: Path::clone(&alts.paths[s.alt as usize]),
-                }
+            .map(|(_, p, s)| Candidate {
+                aggregate: AggregateId(p.aggregate),
+                from: s.from as usize,
+                count: s.count,
+                alt: Path::clone(alt_path(memo, p, s)),
             });
 
-        // What the workers left in their scratches: copied out only for
-        // a step that keeps scores.
-        let arenas: Vec<MutexGuard<'_, ScoreScratch>> = match winner {
-            None if self.config.incremental => (scope.pool.iter())
-                .map(|ws| ws.lock().expect("scratch lock poisoned"))
-                .collect(),
-            _ => Vec::new(),
-        };
         let mut kept_copy = KeptCopy::default();
-        for p in probed {
-            stats.paths_generated += usize::from(p.fresh.is_some());
-            stats.paths_reused += usize::from(p.reused);
+        for p in &probed {
+            let Some(resolution) = &p.resolution else {
+                continue;
+            };
+            stats.paths_generated += usize::from(resolution.generated);
+            stats.paths_reused += usize::from(!resolution.generated);
+            stats.searches += resolution.searches_run;
             if !self.config.incremental {
                 continue;
             }
@@ -1116,22 +1135,28 @@ impl<'a> Optimizer<'a> {
             stats.scores_kept += p.kept_hits;
             // Every move of a winning step read the focus link, which
             // its commit re-fills: none of its scores could outlive it.
-            if winner.is_none() && p.scored.iter().any(|s| s.fresh) {
-                for s in p.scored.into_iter().filter(|s| s.fresh) {
-                    let alts = p.fresh.as_ref().unwrap_or_else(|| &memo.alts[&p.aggregate]);
+            if winner.is_none() {
+                for s in scorings(p).iter().filter(|s| s.fresh) {
                     let entry = Scored {
                         from: s.from,
                         count: s.count,
-                        alt: Arc::clone(&alts.paths[s.alt as usize]),
+                        alt: Arc::clone(alt_path(memo, p, s)),
                         at: memo.commits,
                         score: s.score,
-                        kept: s.kept.map(|k| kept_copy.take(&arenas, k)),
+                        kept: s.kept.as_ref().map(|k| kept_copy.take(&arenas, k)),
                     };
                     memo.insert(p.aggregate, entry);
                 }
             }
-            if let Some(alts) = p.fresh {
-                memo.alts.insert(p.aggregate, alts);
+        }
+        // The searches the workers ran join the kept alternatives; the
+        // oracle keeps none.
+        if self.config.incremental {
+            for p in probed {
+                if let Some(resolution) = p.resolution {
+                    let ran = &arenas[p.worker].paths;
+                    resolution.keep(&mut memo.alts, p.aggregate, ran);
+                }
             }
         }
         winner
@@ -1334,10 +1359,6 @@ impl<'a> Optimizer<'a> {
     /// size on a local optimum. `max_commits` is read against the state's
     /// whole commit log, so it caps the run, not the call.
     fn greedy(&self, state: &mut LoopState, memo: &mut Memo, scope: &Scope<'_>) -> Termination {
-        // Alternatives depend on the scope's exclusions, so a call starts
-        // without them; scores depend on the incumbent alone, so they
-        // carry over from the call before.
-        memo.alts.clear();
         let mut escape_level: u32 = 0;
         loop {
             let outcome = state.incumbent.outcome();
@@ -1400,9 +1421,11 @@ impl<'a> Optimizer<'a> {
 /// regression test (`tests/zero_alloc.rs`), which builds an incumbent
 /// over a congested instance, enumerates one step's candidates, and
 /// re-scores them on demand through the exact per-candidate path the
-/// inner loop uses; the crossing-index view the `indexed gather ≡
-/// scan` property test reads; and the memo's hit count. Not a public
-/// API — gated behind the `test-support` feature and hidden from docs.
+/// inner loop uses; the probe harness of the fan-out allocation test
+/// (`tests/probe_alloc.rs`), which runs one step's fan-out over and
+/// over; the crossing-index view the `indexed gather ≡ scan` property
+/// test reads; and the memo's hit count. Not a public API — gated
+/// behind the `test-support` feature and hidden from docs.
 #[cfg(feature = "test-support")]
 #[doc(hidden)]
 pub mod test_support {
@@ -1465,37 +1488,35 @@ pub mod test_support {
             // an empty memo.
             incumbent.prepare_component(&optimizer.model, link);
             let excluded = &optimizer.config.excluded_links;
+            let avoid = pathgen::congested_or_forbidden(incumbent.outcome(), excluded);
+            let memo = Memo::default();
             let focus = Focus {
                 alloc: &alloc,
                 incumbent: &incumbent,
-                memo: &Memo::default(),
+                memo: &memo,
                 link,
                 escape_level: 0,
-                excluded,
-                avoid: &pathgen::congested_or_forbidden(incumbent.outcome(), excluded),
-                leaf_cap: 0,
+                network: optimizer.network(&alloc, incumbent.outcome(), excluded, &avoid),
+                leaf_cap: None,
             };
-            let scratch = Mutex::new(ScoreScratch::default());
-            let mut worker = Worker {
-                index: 0,
-                ws: scratch.lock().expect("fresh lock"),
-                copy: None,
-            };
+            let scratch = [Mutex::new(ScoreScratch::default())];
+            let mut worker = Worker::claim(&scratch, 0);
             let index = CrossingIndex::build(topology, tm, &alloc);
             let mut candidates = Vec::new();
             for run in index.runs(link) {
-                let probed = optimizer.probe(&focus, run, &mut worker);
-                let alts = probed.fresh.map_or(Vec::new(), |alts| alts.paths);
-                for s in probed.scored {
+                let p = optimizer.probe(&focus, run, &mut worker);
+                let range = p.scored.start as usize..p.scored.end as usize;
+                for s in &worker.ws.scorings[range] {
                     candidates.push(Candidate {
-                        aggregate: AggregateId(probed.aggregate),
+                        aggregate: AggregateId(p.aggregate),
                         from: s.from as usize,
                         count: s.count,
-                        alt: Path::clone(&alts[s.alt as usize]),
+                        alt: Path::clone(alt_path(&memo, &p, s)),
                     });
                 }
             }
             drop(worker);
+            let [scratch] = scratch;
             assert!(!candidates.is_empty(), "harness needs candidate moves");
             ScoringHarness {
                 optimizer,
@@ -1534,6 +1555,166 @@ pub mod test_support {
                 best = best.max(s);
             }
             best
+        }
+    }
+
+    /// What one [`ProbeHarness::fan_out`] did.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    pub struct FanOut {
+        /// Aggregates whose alternatives were resolved.
+        pub probes: usize,
+        /// How many of those had a search run again or dropped.
+        pub generated: usize,
+        /// Searches run.
+        pub searches: usize,
+        /// Moves scored or looked up.
+        pub moves: usize,
+    }
+
+    /// The fan-out of one step, on the boot state of a congested
+    /// instance and its most oversubscribed link, run as often as asked:
+    /// workers claim the link's aggregates and probe them exactly as
+    /// [`Optimizer::step`] has them do, and the searches they ran join
+    /// the kept alternatives as in a step. Scores are not kept, so every
+    /// fan-out scores every move.
+    pub struct ProbeHarness<'a> {
+        optimizer: Optimizer<'a>,
+        alloc: Allocation,
+        incumbent: Incumbent,
+        index: CrossingIndex,
+        link: LinkId,
+        /// The global search's avoid set: the congested links, until
+        /// [`ProbeHarness::flip`] changes it.
+        avoid: LinkSet,
+        memo: Memo,
+        pool: Vec<Mutex<ScoreScratch>>,
+    }
+
+    /// A worker of a [`ProbeHarness`] fan-out, and the call that closes
+    /// its window when the worker is done.
+    struct Windowed<'p> {
+        worker: Worker<'p>,
+        window: fn(bool),
+    }
+
+    impl Drop for Windowed<'_> {
+        fn drop(&mut self) {
+            (self.window)(false);
+        }
+    }
+
+    impl<'a> ProbeHarness<'a> {
+        /// The harness on `topology` and `tm` with a pool of `threads`
+        /// scoring scratches.
+        ///
+        /// # Panics
+        ///
+        /// Panics when the instance is uncongested.
+        pub fn new(topology: &'a Topology, tm: &'a TrafficMatrix, threads: usize) -> Self {
+            let config = OptimizerConfig {
+                threads,
+                ..OptimizerConfig::default()
+            };
+            let optimizer = Optimizer::new(topology, tm, config);
+            let alloc = optimizer.boot();
+            let mut incumbent = optimizer.measure(&alloc);
+            let outcome = incumbent.outcome();
+            let link = *outcome
+                .congested
+                .first()
+                .expect("harness instance must be congested");
+            let avoid = pathgen::congested_or_forbidden(outcome, &optimizer.config.excluded_links);
+            incumbent.prepare_component(&optimizer.model, link);
+            ProbeHarness {
+                index: CrossingIndex::build(topology, tm, &alloc),
+                pool: (0..threads).map(|_| Mutex::default()).collect(),
+                memo: Memo::new(topology.link_count(), tm.len()),
+                optimizer,
+                alloc,
+                incumbent,
+                link,
+                avoid,
+            }
+        }
+
+        /// Flips `link` in or out of the global search's avoid set, as a
+        /// change of the congested set would: the fan-outs after it check
+        /// the kept searches against the flip.
+        pub fn flip(&mut self, link: LinkId) {
+            if !self.avoid.remove(link) {
+                self.avoid.insert(link);
+            }
+        }
+
+        /// One fan-out on `workers` workers, worker `i` on scratch `i`.
+        /// Each worker calls `window(true)` once it holds its scratch,
+        /// before its first claim, and `window(false)` after its last.
+        pub fn fan_out(&mut self, workers: usize, window: fn(bool)) -> FanOut {
+            self.fan_out_on(workers, |i| i, window)
+        }
+
+        /// One fan-out on each scratch of the pool in turn, by one
+        /// worker, so that each has held everything one worker of a
+        /// fan-out can ask of it. Returns the searches they ran.
+        pub fn warm_up(&mut self) -> usize {
+            (0..self.pool.len())
+                .map(|scratch| self.fan_out_on(1, |_| scratch, |_| {}).searches)
+                .sum()
+        }
+
+        fn fan_out_on(
+            &mut self,
+            workers: usize,
+            scratch: impl Fn(usize) -> usize + Sync,
+            window: fn(bool),
+        ) -> FanOut {
+            let runs: Vec<&[(u32, u32)]> = self.index.runs(self.link).collect();
+            let (opt, memo) = (&self.optimizer, &self.memo);
+            let outcome = self.incumbent.outcome();
+            let focus = Focus {
+                alloc: &self.alloc,
+                incumbent: &self.incumbent,
+                memo,
+                link: self.link,
+                escape_level: 0,
+                network: opt.network(
+                    &self.alloc,
+                    outcome,
+                    &opt.config.excluded_links,
+                    &self.avoid,
+                ),
+                leaf_cap: Some(opt.tm.len() / runs.len().max(1)),
+            };
+            let probed = map_claimed(
+                &runs,
+                workers,
+                |i| {
+                    let worker = Worker::claim(&self.pool, scratch(i));
+                    window(true);
+                    Windowed { worker, window }
+                },
+                |w, run| opt.probe(&focus, run, &mut w.worker),
+            );
+            let arenas: Vec<_> = (self.pool.iter())
+                .map(|ws| ws.lock().expect("scratch lock poisoned"))
+                .collect();
+            let mut done = FanOut {
+                probes: 0,
+                generated: 0,
+                searches: 0,
+                moves: 0,
+            };
+            for p in probed {
+                done.moves += p.scored.len();
+                if let Some(resolution) = p.resolution {
+                    done.probes += 1;
+                    done.generated += usize::from(resolution.generated);
+                    done.searches += resolution.searches_run;
+                    let ran = &arenas[p.worker].paths;
+                    resolution.keep(&mut self.memo.alts, p.aggregate, ran);
+                }
+            }
+            done
         }
     }
 }

@@ -18,30 +18,113 @@
 //!
 //! ### What the alternatives depend on
 //!
-//! Read off the three definitions: for a fixed topology, policy and
-//! `forbidden` set, an aggregate's alternatives are a pure function of
+//! Each of the three is one lowest-delay search from the aggregate's
+//! ingress to its egress avoiding a set of links, and the sets are, with
+//! `forbidden` the links no alternative may use:
 //!
-//! 1. the **set** of congested-or-forbidden links (the global path) —
-//!    the same for every aggregate;
-//! 2. the congested links the aggregate's own live paths use (the local
-//!    path);
-//! 3. which of those is the most oversubscribed (the link-local path) —
-//!    the one place the *order* of congestion enters;
+//! 1. global: every congested link plus `forbidden`
+//!    (`congested_or_forbidden`, the same for every aggregate);
+//! 2. local: the congested links the aggregate's own live paths use,
+//!    plus `forbidden`;
+//! 3. link-local: `forbidden` plus the most oversubscribed of those
+//!    used links — the one place the *order* of congestion enters — and
+//!    no search at all when the aggregate uses none.
 //!
-//! and of nothing else: not the flow counts, not the rates, not the
-//! other aggregates' paths. `alt_inputs` computes 2 and 3,
-//! `alternatives_from` maps the triple to paths. A commit that leaves
-//! all three as they were — most commits move some flows and change no
-//! link's congested/uncongested status — leaves the paths as they were,
-//! so the optimizer keeps an aggregate's alternatives together with the
-//! inputs they came from and searches again only when one differs (see
-//! [`crate::optimizer`]).
+//! Nothing else enters: not the flow counts, not the rates, not the
+//! other aggregates' paths. So the optimizer keeps every search it ran
+//! as a [`SearchRecord`] with its answer (`Search`), and a probe
+//! (`PathScratch::resolve`) recomputes the three avoid sets into
+//! worker scratch and runs a search again only when its record says the
+//! answer could differ. A record outlives commits, changes of the
+//! congested set and the greedy loop's calls alike (a per-component
+//! pass's exclusions are only more avoided links), so alternatives live
+//! for the run. The candidate list is re-derived from the three records
+//! every time — the answers in global, local, link-local order, a later
+//! duplicate of an earlier one dropped — so it is always what three
+//! fresh searches would give. A search avoiding what an earlier one of
+//! the three avoids is not run: its answer would be dropped as a
+//! duplicate. `KShortest` (Yen) depends on `forbidden` alone; its paths
+//! are kept while `forbidden` is the set they were generated under.
+//!
+//! ### When a search's answer stands
+//!
+//! A search avoiding X keeps the answer under another set X' when
+//! every link of X Δ X' is
+//!
+//! * **newly admitted** (in X, not in X') and its tail was not settled
+//!   before the target t; or
+//! * **newly avoided** (in X', not in X) and not in the *settled tree*,
+//!   the link through which each node settled up to and including t was
+//!   reached — or any newly avoided link, when t was unreachable.
+//!
+//! Its record ([`SearchRecord`]) holds exactly what that needs: the
+//! settled tree when t was reached, and the links of X out of the nodes
+//! settled before t. A tree link is not in X (the search went through
+//! it), so a tree link in X' is a newly avoided one; a recorded link of
+//! X missing from X' is a newly admitted one whose tail settled before
+//! t; and no other flip breaks the rule. So the check
+//! ([`SearchRecord::stands`]) walks those two lists and reads X' alone.
+//!
+//! *The loop, read as a function.* `dijkstra.rs`'s relax-and-settle
+//! loop is, step by step: among the unsettled nodes with a finite label,
+//! settle the one whose label has the least key (cost, hops, incoming
+//! link id — the source's id counting as `u32::MAX`); then, for each of
+//! its out-links not in the avoid set whose head is unsettled, lower the
+//! head's label to the extended key if that is less. The heap only
+//! implements the pick: a node's live entry carries its label's key, its
+//! stale entries sort after that one and are dropped once it is settled,
+//! and no two nodes share a key, because an incoming link has one head.
+//! The query ends at the step that settles t, or when no unsettled node
+//! has a finite label (t unreachable). A run is thus a sequence of label
+//! writes, and a link is read only when its tail is settled. Nothing here
+//! asks costs to be positive or sums to round any particular way: a
+//! zero-cost link gives its head its tail's cost, and hops, then link id,
+//! order the two like any other pair.
+//!
+//! *Admitting u→v, u not settled before t.* The two runs, without and
+//! with the link, take the same steps for as long as u is unsettled,
+//! because the link is read only when u settles. The old run settles u
+//! after t or never, so both runs settle t at the same step with the
+//! same labels everywhere they settled: the same path, the same cost
+//! bits. If t was unreachable, the old run ended with u unsettled, the
+//! new run is the same run, and t stays unreachable.
+//!
+//! *Avoiding u→v, no settled node's way in.* Compare the runs step by
+//! step up to the old run's settling of t. Invariant: both have settled
+//! the same nodes with the same labels; every unsettled node other than
+//! v has the same label in both; v's new label is the least of its old
+//! candidates but the one through u→v, so it is no less than its old
+//! label. The old run settles the node y with the unique least key. If
+//! y ≠ v, y's key is the same in the new run and every other node's is
+//! no less than its old key, which exceeds y's, so the new run settles
+//! y too and relaxes the same links, u→v aside, which only touches v.
+//! If y = v, v's old label did not come through u→v, so it is among the
+//! new run's candidates for v and, least among the old ones, v's new
+//! label as well: the new run settles v too. So t settles at the same
+//! step with the same label, and the path to it, made of settled nodes'
+//! ways in, is the same. If t was unreachable, avoiding more links keeps
+//! it so: the set of paths only shrinks.
+//!
+//! *Many flips.* Apply the admissions first, then the avoidances. Each
+//! step leaves the answer, the settled tree and the nodes settled before
+//! t as they were (for a reachable t) or keeps t unreachable with no
+//! more nodes settled, so the conditions, checked against the one
+//! record, hold at every step.
+//!
+//! *Why the tree and not the answer.* With floating-point sums, avoiding
+//! a link off the answer can raise a node's cost by less than a later
+//! sum rounds away; reached over fewer hops, that node then offers t the
+//! same cost in fewer hops, and the answer moves. `dijkstra.rs`'s
+//! `an_avoided_tree_link_off_the_answer_can_move_it` builds such a
+//! graph. In exact arithmetic off-answer would do; here it does not.
 
 use crate::allocation::Allocation;
-use fubar_graph::{yen, LinkId, LinkSet, Path};
+use fubar_graph::{yen, DiGraph, LinkSet, Path, PathSearch, SearchRecord};
 use fubar_model::ModelOutcome;
 use fubar_topology::Topology;
 use fubar_traffic::Aggregate;
+use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Which alternative paths the optimizer may request.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -75,9 +158,18 @@ pub fn alternatives(
     policy: PathPolicy,
     forbidden: &LinkSet,
 ) -> Vec<Path> {
-    let avoid = congested_or_forbidden(outcome, forbidden);
-    let inputs = alt_inputs(aggregate, allocation, outcome, forbidden, &avoid);
-    alternatives_from(topology, aggregate, policy, forbidden, &avoid, &inputs)
+    let network = Network {
+        graph: topology.graph(),
+        allocation,
+        outcome,
+        policy,
+        forbidden,
+        avoid: &congested_or_forbidden(outcome, forbidden),
+    };
+    let resolution = PathScratch::default().resolve(&network, aggregate, None);
+    (resolution.candidates(None))
+        .map(|(_, p)| Path::clone(p))
+        .collect()
 }
 
 /// The global path's exclusion set: every congested link of `outcome`
@@ -89,92 +181,325 @@ pub(crate) fn congested_or_forbidden(outcome: &ModelOutcome, forbidden: &LinkSet
     all
 }
 
-/// What an aggregate's alternatives depend on besides the network-wide
-/// `congested_or_forbidden` set (see the module docs): a walk of the
-/// aggregate's own live paths, cheap next to the searches it may spare.
-#[derive(PartialEq)]
-pub(crate) struct AltInputs {
-    /// The congested links the aggregate's live paths use, plus the
-    /// forbidden ones: what the local path avoids.
-    used_congested: LinkSet,
-    /// The most oversubscribed of them: what the link-local path avoids.
-    most_congested_used: Option<LinkId>,
+/// What the alternatives of every aggregate of one step are generated
+/// from (see the module docs).
+pub(crate) struct Network<'a> {
+    pub(crate) graph: &'a DiGraph,
+    pub(crate) allocation: &'a Allocation,
+    pub(crate) outcome: &'a ModelOutcome,
+    pub(crate) policy: PathPolicy,
+    /// The links no alternative may use.
+    pub(crate) forbidden: &'a LinkSet,
+    /// [`congested_or_forbidden`] of `outcome` and `forbidden`: the
+    /// global search's avoid set.
+    pub(crate) avoid: &'a LinkSet,
 }
 
-/// `aggregate`'s [`AltInputs`] under `allocation` and `outcome`;
-/// `all_congested` is [`congested_or_forbidden`] of the same `outcome`
-/// and `forbidden`.
-pub(crate) fn alt_inputs(
-    aggregate: &Aggregate,
-    allocation: &Allocation,
-    outcome: &ModelOutcome,
-    forbidden: &LinkSet,
-    all_congested: &LinkSet,
-) -> AltInputs {
-    let mut used_congested = allocation.congested_links_used_by(aggregate.id, all_congested);
-    used_congested.union_with(forbidden);
-    // `outcome.congested` is sorted by oversubscription, descending.
-    let most_congested_used =
-        (outcome.congested.iter().copied()).find(|&l| used_congested.contains(l));
-    AltInputs {
-        used_congested,
-        most_congested_used,
-    }
+/// The searches of the three-path design, in the order their answers
+/// are offered: global, local, link-local.
+const SEARCHES: usize = 3;
+
+/// One search of an aggregate's alternatives: what it avoided and read,
+/// and what it answered.
+pub(crate) struct Search {
+    record: SearchRecord,
+    /// Shared with the scores of moves onto it.
+    answer: Option<Arc<Path>>,
 }
 
-/// The alternatives themselves: a function of the arguments alone — no
-/// allocation, no outcome — which is what lets the optimizer keep them
-/// for as long as the arguments compare equal.
-pub(crate) fn alternatives_from(
-    topology: &Topology,
-    aggregate: &Aggregate,
-    policy: PathPolicy,
-    forbidden: &LinkSet,
-    all_congested: &LinkSet,
-    inputs: &AltInputs,
-) -> Vec<Path> {
-    let src = aggregate.ingress;
-    let dst = aggregate.egress;
-    if src == dst {
-        return Vec::new(); // intra-POP traffic never reroutes
+/// An aggregate's alternatives as the optimizer keeps them for the run.
+// The three searches are what every run but the K-shortest ablation
+// keeps, one entry per aggregate: boxing them would only add an
+// allocation per aggregate.
+#[allow(clippy::large_enum_variant)]
+pub(crate) enum Alternatives {
+    /// Global, local and link-local; `None` where the policy runs no such
+    /// search or the aggregate uses no congested link to avoid.
+    Searched([Option<Search>; SEARCHES]),
+    /// `KShortest`: Yen's paths, and the forbidden links they were
+    /// generated under.
+    Enumerated {
+        forbidden: LinkSet,
+        paths: Vec<Arc<Path>>,
+    },
+}
+
+/// What a probe made of one of the three searches.
+enum Resolved {
+    /// As kept: the kept search stands, or none was kept and none is
+    /// due.
+    Kept,
+    /// Run by this probe. Its record is `PathScratch::ran[slot]` of the
+    /// worker that ran it; its answer is
+    /// the kept one, shared, when the search found the same path.
+    Ran {
+        slot: u32,
+        answer: Option<Arc<Path>>,
+    },
+    /// No longer due (no congested link to avoid): the kept search goes.
+    Dropped,
+}
+
+/// What a probe made of an aggregate's alternatives, against the entry
+/// it found kept (`known` below).
+pub(crate) struct Resolution {
+    searches: ResolvedAlts,
+    /// Whether anything differs from the kept entry, or there was none:
+    /// the alternatives were generated rather than reused.
+    pub(crate) generated: bool,
+    /// The searches this probe ran.
+    pub(crate) searches_run: usize,
+}
+
+enum ResolvedAlts {
+    Searched([Resolved; SEARCHES]),
+    /// `None`: the kept paths stand. Otherwise Yen's paths and the
+    /// forbidden links they were generated under.
+    Enumerated(Option<(LinkSet, Vec<Arc<Path>>)>),
+}
+
+impl Resolution {
+    /// Candidate `k`'s path: the answer of search `k`, or Yen's `k`-th.
+    pub(crate) fn answer<'a>(
+        &'a self,
+        known: Option<&'a Alternatives>,
+        k: usize,
+    ) -> Option<&'a Arc<Path>> {
+        match (&self.searches, known) {
+            (ResolvedAlts::Searched(resolved), _) => match (&resolved[k], known) {
+                (Resolved::Ran { answer, .. }, _) => answer.as_ref(),
+                (Resolved::Kept, Some(Alternatives::Searched(kept))) => {
+                    kept[k].as_ref()?.answer.as_ref()
+                }
+                _ => None,
+            },
+            (ResolvedAlts::Enumerated(Some((_, paths))), _) => paths.get(k),
+            (ResolvedAlts::Enumerated(None), Some(Alternatives::Enumerated { paths, .. })) => {
+                paths.get(k)
+            }
+            (ResolvedAlts::Enumerated(None), _) => None,
+        }
     }
-    let g = topology.graph();
-    let mut out: Vec<Path> = Vec::with_capacity(3);
-    let push = |p: Option<Path>, out: &mut Vec<Path>| {
-        if let Some(p) = p {
-            if !out.contains(&p) {
-                out.push(p);
+
+    /// The candidate paths in offer order, each with its index for
+    /// [`Resolution::answer`]; a path equal to an earlier one is left
+    /// out.
+    pub(crate) fn candidates<'a>(
+        &'a self,
+        known: Option<&'a Alternatives>,
+    ) -> impl Iterator<Item = (usize, &'a Arc<Path>)> + 'a {
+        let count = match (&self.searches, known) {
+            (ResolvedAlts::Searched(_), _) => SEARCHES,
+            (ResolvedAlts::Enumerated(Some((_, paths))), _) => paths.len(),
+            (ResolvedAlts::Enumerated(None), Some(Alternatives::Enumerated { paths, .. })) => {
+                paths.len()
+            }
+            (ResolvedAlts::Enumerated(None), _) => 0,
+        };
+        (0..count).filter_map(move |k| {
+            let path = self.answer(known, k)?;
+            let same = |p: &Arc<Path>| Arc::ptr_eq(p, path) || **p == **path;
+            let seen = (0..k).any(|j| self.answer(known, j).is_some_and(same));
+            (!seen).then_some((k, path))
+        })
+    }
+
+    /// Folds this resolution of `aggregate` into the kept alternatives;
+    /// `ran` is the scratch of the worker that resolved it.
+    pub(crate) fn keep(
+        self,
+        alts: &mut BTreeMap<u32, Alternatives>,
+        aggregate: u32,
+        ran: &PathScratch,
+    ) {
+        let resolved = match self.searches {
+            ResolvedAlts::Enumerated(None) => return,
+            ResolvedAlts::Enumerated(Some((forbidden, paths))) => {
+                alts.insert(aggregate, Alternatives::Enumerated { forbidden, paths });
+                return;
+            }
+            ResolvedAlts::Searched(resolved) => resolved,
+        };
+        let entry = alts
+            .entry(aggregate)
+            .or_insert_with(|| Alternatives::Searched([None, None, None]));
+        let Alternatives::Searched(kept) = entry else {
+            unreachable!("a run keeps one path policy");
+        };
+        for (k, resolved) in resolved.into_iter().enumerate() {
+            let (slot, answer) = match resolved {
+                Resolved::Kept => continue,
+                Resolved::Dropped => {
+                    kept[k] = None;
+                    continue;
+                }
+                Resolved::Ran { slot, answer } => (slot, answer),
+            };
+            let record = &ran.ran[slot as usize];
+            match &mut kept[k] {
+                Some(search) => {
+                    search.record.clone_from(record);
+                    search.answer = answer;
+                }
+                None => {
+                    kept[k] = Some(Search {
+                        record: record.clone(),
+                        answer,
+                    })
+                }
             }
         }
-    };
-
-    match policy {
-        PathPolicy::KShortest(k) => {
-            return yen::k_shortest_paths(g, src, dst, k, forbidden);
-        }
-        PathPolicy::ThreePaths | PathPolicy::GlobalOnly | PathPolicy::LinkLocalOnly => {}
     }
-
-    if matches!(policy, PathPolicy::ThreePaths | PathPolicy::GlobalOnly) {
-        // Global: avoid every congested link in the network.
-        push(g.shortest_path(src, dst, all_congested), &mut out);
-    }
-    if matches!(policy, PathPolicy::ThreePaths) {
-        // Local: avoid the congested links this aggregate touches.
-        push(g.shortest_path(src, dst, &inputs.used_congested), &mut out);
-    }
-    if matches!(policy, PathPolicy::ThreePaths | PathPolicy::LinkLocalOnly) {
-        // Link-local: avoid only the most congested link the aggregate
-        // uses.
-        if let Some(link) = inputs.most_congested_used {
-            let mut only: LinkSet = forbidden.clone();
-            only.insert(link);
-            push(g.shortest_path(src, dst, &only), &mut out);
-        }
-    }
-    out
 }
 
+/// One worker's scratch for resolving alternatives: the probed
+/// aggregate's local and link-local avoid sets, the reusable search,
+/// and the record of each search it ran in the current step, which the
+/// step folds into the kept alternatives once its workers are done.
+/// Past warm-up, resolving alternatives that stand allocates nothing.
+#[derive(Default)]
+pub(crate) struct PathScratch {
+    local: LinkSet,
+    link_local: LinkSet,
+    search: PathSearch,
+    /// The first `recorded` are this step's.
+    ran: Vec<SearchRecord>,
+    recorded: usize,
+}
+
+impl PathScratch {
+    /// Forgets the last step's searches, keeping their buffers.
+    pub(crate) fn begin_step(&mut self) {
+        self.recorded = 0;
+    }
+
+    /// `aggregate`'s alternatives under `network`, given the entry kept
+    /// for it: each search whose record stands is taken as it is, and
+    /// the others run again here (see the module docs). Debug builds
+    /// run every kept search again too and assert the same answer.
+    pub(crate) fn resolve(
+        &mut self,
+        network: &Network<'_>,
+        aggregate: &Aggregate,
+        known: Option<&Alternatives>,
+    ) -> Resolution {
+        let (src, dst) = (aggregate.ingress, aggregate.egress);
+        let policy = network.policy;
+        if let PathPolicy::KShortest(k) = policy {
+            let forbidden = network.forbidden;
+            let stands = matches!(known, Some(Alternatives::Enumerated { forbidden: then, .. })
+                if then == forbidden);
+            // Intra-POP traffic never reroutes: no search is due.
+            let due = !stands && src != dst;
+            let paths = (!stands).then(|| {
+                let paths = match due {
+                    true => yen::k_shortest_paths(network.graph, src, dst, k, forbidden),
+                    false => Vec::new(),
+                };
+                (forbidden.clone(), paths.into_iter().map(Arc::new).collect())
+            });
+            return Resolution {
+                generated: !stands,
+                searches_run: usize::from(due),
+                searches: ResolvedAlts::Enumerated(paths),
+            };
+        }
+        let kept: [Option<&Search>; SEARCHES] = match known {
+            Some(Alternatives::Searched(kept)) => [0, 1, 2].map(|k| kept[k].as_ref()),
+            _ => [None; SEARCHES],
+        };
+        let three = policy == PathPolicy::ThreePaths;
+        let forbidden = network.forbidden;
+        let mut most_congested = None;
+        // Intra-POP traffic never reroutes: no search is due.
+        if src != dst && (three || policy == PathPolicy::LinkLocalOnly) {
+            self.local.clear();
+            let allocation = network.allocation;
+            allocation.congested_links_used_by(aggregate.id, network.avoid, &mut self.local);
+            self.local.union_with(forbidden);
+            // `outcome.congested` is sorted by oversubscription, descending.
+            most_congested =
+                (network.outcome.congested.iter().copied()).find(|&l| self.local.contains(l));
+            if let Some(link) = most_congested {
+                self.link_local.clone_from(forbidden);
+                self.link_local.insert(link);
+            }
+        }
+        let mut due = [
+            (src != dst && (three || policy == PathPolicy::GlobalOnly)).then_some(network.avoid),
+            (src != dst && three).then_some(&self.local),
+            most_congested.map(|_| &self.link_local),
+        ];
+        // A search avoiding what an earlier one avoids answers what that
+        // one answers, which the candidate list drops as a duplicate:
+        // it is not due.
+        for k in 1..SEARCHES {
+            if (0..k).any(|j| due[j].is_some() && due[j] == due[k]) {
+                due[k] = None;
+            }
+        }
+        let mut searches_run = 0;
+        // The answers of the searches run here so far: with the kept
+        // ones, the paths a new answer may share.
+        let mut ran: [Option<Arc<Path>>; SEARCHES] = Default::default();
+        let resolved = [0, 1, 2].map(|k| match (due[k], kept[k]) {
+            (None, None) => Resolved::Kept,
+            (None, Some(_)) => Resolved::Dropped,
+            (Some(avoid), Some(kept)) if kept.record.stands(avoid) => {
+                #[cfg(debug_assertions)]
+                {
+                    self.search.run(network.graph, src, dst, avoid);
+                    assert!(
+                        same_answer(&self.search, kept.answer.as_deref()),
+                        "kept search {k} of aggregate {} differs from a fresh search",
+                        aggregate.id.0
+                    );
+                }
+                Resolved::Kept
+            }
+            (Some(avoid), own) => {
+                searches_run += 1;
+                let search = &mut self.search;
+                search.run(network.graph, src, dst, avoid);
+                if self.recorded == self.ran.len() {
+                    self.ran.push(SearchRecord::default());
+                }
+                search.record_into(network.graph, &mut self.ran[self.recorded]);
+                let slot = self.recorded as u32;
+                self.recorded += 1;
+                // This search's last answer first, so that an unchanged
+                // answer keeps its path.
+                let known = (own.into_iter().chain(kept.into_iter().flatten()))
+                    .filter_map(|search| search.answer.as_ref())
+                    .chain(ran.iter().flatten())
+                    .find(|&path| same_answer(search, Some(path)));
+                let answer = match known {
+                    Some(path) => Some(Arc::clone(path)),
+                    None => search.path(network.graph).map(Arc::new),
+                };
+                ran[k].clone_from(&answer);
+                Resolved::Ran { slot, answer }
+            }
+        });
+        let generated = known.is_none() || resolved.iter().any(|r| !matches!(r, Resolved::Kept));
+        Resolution {
+            searches: ResolvedAlts::Searched(resolved),
+            generated,
+            searches_run,
+        }
+    }
+}
+
+/// Whether `search`'s last answer is `path`: the same links and the
+/// same cost bits, or no path for `None`.
+fn same_answer(search: &PathSearch, path: Option<&Path>) -> bool {
+    match path {
+        Some(path) => {
+            search.links() == path.links() && search.cost().to_bits() == path.cost().to_bits()
+        }
+        None => search.links().is_empty() && search.cost().is_infinite(),
+    }
+}
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -332,6 +657,48 @@ mod tests {
     }
 
     #[test]
+    fn kshortest_paths_follow_the_forbidden_set() {
+        // Two calls under the same congested-or-forbidden set, one with
+        // the congested link forbidden too (as in a pass) and one
+        // without: Yen reads the forbidden links alone, so the second
+        // call must not reuse the first one's paths.
+        let (topo, tm) = diamond();
+        let (alloc, out) = run(&topo, &tm);
+        let agg = tm.aggregate(AggregateId(0));
+        let direct = out.congested[0];
+        let open = LinkSet::new();
+        let closed: LinkSet = [direct].into_iter().collect();
+        assert_eq!(congested_or_forbidden(&out, &open), closed);
+        let network = |forbidden| Network {
+            graph: topo.graph(),
+            allocation: &alloc,
+            outcome: &out,
+            policy: PathPolicy::KShortest(3),
+            forbidden,
+            avoid: &closed,
+        };
+        let mut alts = BTreeMap::new();
+        let mut scratch = PathScratch::default();
+        let first = scratch.resolve(&network(&open), agg, None);
+        assert!(first.candidates(None).any(|(_, p)| p.uses_link(direct)));
+        first.keep(&mut alts, 0, &scratch);
+
+        let known = alts.get(&0);
+        let second = scratch.resolve(&network(&closed), agg, known);
+        assert!(second.generated);
+        let paths: Vec<Path> = (second.candidates(known))
+            .map(|(_, p)| Path::clone(p))
+            .collect();
+        let g = topo.graph();
+        let want = yen::k_shortest_paths(g, agg.ingress, agg.egress, 3, &closed);
+        assert_eq!(paths, want);
+        second.keep(&mut alts, 0, &scratch);
+        // The same forbidden links again: the paths stand.
+        let third = scratch.resolve(&network(&closed), agg, alts.get(&0));
+        assert!(!third.generated);
+    }
+
+    #[test]
     fn intra_pop_gets_no_alternatives() {
         let (topo, _) = diamond();
         let tm = TrafficMatrix::new(vec![fubar_traffic::Aggregate::new(
@@ -343,15 +710,15 @@ mod tests {
         )]);
         let (alloc, out) = run(&topo, &tm);
         let agg = tm.aggregate(AggregateId(0));
-        assert!(alternatives(
-            &topo,
-            agg,
-            &alloc,
-            &out,
+        for policy in [
             PathPolicy::ThreePaths,
-            &LinkSet::new()
-        )
-        .is_empty());
+            PathPolicy::GlobalOnly,
+            PathPolicy::LinkLocalOnly,
+            PathPolicy::KShortest(3),
+        ] {
+            let alts = alternatives(&topo, agg, &alloc, &out, policy, &LinkSet::new());
+            assert!(alts.is_empty(), "{policy:?}: {alts:?}");
+        }
     }
 
     #[test]

@@ -200,14 +200,19 @@ pub struct ShardRunStats {
     /// Seconds spent gathering and scoring this shard's candidates.
     pub score_s: f64,
     /// Aggregates whose alternative paths a step of this shard had to
-    /// generate (three shortest-path searches each under the default
-    /// policy). Like the fill counts, a pure function of the instance
-    /// at any thread count.
+    /// generate, in part or in whole: at least one of their searches
+    /// was run again, or dropped. Like the fill counts, a pure function
+    /// of the instance at any thread count.
     pub paths_generated: usize,
-    /// Aggregates whose alternatives a step found already generated
-    /// from the same inputs and took as they were (always 0 under the
+    /// Aggregates whose alternatives a step found kept and standing —
+    /// no link any of their searches read had flipped in or out of its
+    /// avoid set — and took as they were (always 0 under the
     /// full-recompute oracle, which keeps none).
     pub paths_reused: usize,
+    /// Shortest-path searches the steps of this shard ran for
+    /// alternatives (a K-shortest generation counts as one). Exact at
+    /// any thread count.
+    pub searches: usize,
     /// Candidate scores a step of this shard took from a score kept
     /// from an earlier incumbent — re-derived from its leaves instead
     /// of re-filled, because no commit since re-filled anything its
@@ -232,6 +237,7 @@ impl ShardRunStats {
         self.score_s += other.score_s;
         self.paths_generated += other.paths_generated;
         self.paths_reused += other.paths_reused;
+        self.searches += other.searches;
         self.scores_kept += other.scores_kept;
         self.scratch.merge(&other.scratch);
     }

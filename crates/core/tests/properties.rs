@@ -795,16 +795,14 @@ fn congested_sets_along(
     sets
 }
 
-/// **Path memo transparency.** An aggregate's alternatives outlive a
-/// commit exactly when their inputs do. On an instance whose run has
-/// commits of both kinds — some keep the congested set (most entries
-/// survive, re-validated against each aggregate's own congested links
-/// and its most congested one), some change it (every entry goes) — the
-/// default run equals, move for move, the oracle run, which generates
-/// every aggregate's alternatives in every step it meets it. Measured
-/// against mutants of the memo on this instance: comparing an entry's
-/// congested links but not its most congested one diverges from the
-/// oracle, and so does keeping the entries across a changed set.
+/// **Path memo transparency.** Each search behind an aggregate's
+/// alternatives outlives a commit, and a change of the congested set,
+/// exactly when no link it read flipped in or out of its avoid set. On
+/// an instance whose run has commits of both kinds — some keep the
+/// congested set, some change it — the default run equals, move for
+/// move, the oracle run, which runs every search of every aggregate in
+/// every step it meets it (debug builds also re-run every kept search
+/// and compare).
 #[test]
 fn path_memo_is_transparent() {
     let (topo, tm) = build(&Instance {

@@ -10,7 +10,7 @@ use crate::graph::{LinkId, NodeId};
 macro_rules! id_set {
     ($(#[$doc:meta])* $name:ident, $id:ty) => {
         $(#[$doc])*
-        #[derive(Clone, Debug, Default)]
+        #[derive(Debug, Default)]
         pub struct $name {
             words: Vec<u64>,
             len: usize,
@@ -110,6 +110,22 @@ macro_rules! id_set {
             }
         }
 
+        /// `clone_from` reuses the target's words, so copying a set into
+        /// a scratch set allocates nothing once the scratch is as long.
+        impl Clone for $name {
+            fn clone(&self) -> Self {
+                Self {
+                    words: self.words.clone(),
+                    len: self.len,
+                }
+            }
+
+            fn clone_from(&mut self, source: &Self) {
+                self.words.clone_from(&source.words);
+                self.len = source.len;
+            }
+        }
+
         /// Equality of *members*: allocated-but-empty trailing words
         /// (a `with_capacity`, an `insert` later `remove`d) do not
         /// distinguish two sets.
@@ -198,6 +214,17 @@ mod tests {
         let s: LinkSet = ids.iter().map(|&i| LinkId(i)).collect();
         let got: Vec<u32> = s.iter().map(|l| l.0).collect();
         assert_eq!(got, vec![0, 5, 63, 64, 200]);
+    }
+
+    #[test]
+    fn clone_from_keeps_the_targets_words() {
+        let big: LinkSet = [LinkId(600)].into_iter().collect();
+        let small: LinkSet = [LinkId(3)].into_iter().collect();
+        let mut scratch = big.clone();
+        let words = scratch.words.as_ptr();
+        scratch.clone_from(&small);
+        assert_eq!(scratch, small);
+        assert_eq!(scratch.words.as_ptr(), words, "clone_from reallocated");
     }
 
     #[test]

@@ -5,10 +5,13 @@
 //! delay path avoiding set X of links", which is exactly
 //! [`DiGraph::shortest_path`] with a different `X`.
 //!
-//! The relax-and-settle loop exists once, in [`SpTree`]: a search kept
-//! between queries and advanced only as far as the targets asked of it
-//! need. A per-pair query, a node-constrained query and the one-to-all
-//! distances are that search asked for one target, or for everything.
+//! The relax-and-settle loop exists once, in the labels-and-heap state
+//! that [`SpTree`] and [`PathSearch`] share: a search kept between
+//! queries and advanced only as far as the targets asked of it need. A
+//! per-pair query, a node-constrained query and the one-to-all
+//! distances are that search asked for one target, or for everything;
+//! [`PathSearch`] is the per-pair query with reusable buffers, and it
+//! records what each query read ([`SearchRecord`]).
 //!
 //! Determinism: when two tentative paths to a node tie on cost, the one
 //! with fewer hops wins; a remaining tie is broken by the incoming link id.
@@ -90,69 +93,46 @@ fn better(cand_cost: f64, cand_hops: u32, cand_via: Option<LinkId>, cur: &Label)
     }
 }
 
-/// A single-source shortest-path search that settles nodes **on
-/// demand** ([`DiGraph::shortest_path_tree`]): it keeps the labels and
-/// the heap of one Dijkstra run between queries, and a query for a
-/// target not settled yet resumes popping where the last one stopped.
-/// Many targets from one source — every aggregate of one ingress — then
-/// cost one search between them, and a near target still costs only the
-/// few pops an early-exit run would have spent on it.
-///
-/// Why every answer is bit-for-bit [`DiGraph::shortest_path`]'s, in any
-/// query order: that function is this loop stopped at the pop that
-/// settles its target, and stopping changes nothing before it — the heap
-/// order and the `better` tie-break do not depend on the target, and a
-/// settled label is never written again. So an early-exit run is a
-/// *prefix* of the full run, every query here reads a label of that one
-/// full run, and so does the per-pair call.
-pub struct SpTree<'g> {
-    graph: &'g DiGraph,
-    src: NodeId,
-    excluded_links: &'g LinkSet,
-    excluded_nodes: Option<&'g NodeSet>,
+/// The labels and the heap of one Dijkstra run: what [`SpTree`] keeps
+/// between the queries of one search and [`PathSearch`] keeps between
+/// searches, resetting it instead of allocating a new one.
+#[derive(Default)]
+struct Frontier {
     labels: Vec<Label>,
     heap: BinaryHeap<QueueEntry>,
 }
 
-impl<'g> SpTree<'g> {
-    fn new(
-        graph: &'g DiGraph,
-        src: NodeId,
-        excluded_links: &'g LinkSet,
-        excluded_nodes: Option<&'g NodeSet>,
-    ) -> Self {
-        let mut labels = vec![UNREACHED; graph.node_count()];
-        labels[src.index()] = Label {
+impl Frontier {
+    /// Starts a search from `src` over `nodes` nodes, keeping the
+    /// buffers' capacity.
+    fn reset(&mut self, nodes: usize, src: NodeId) {
+        self.labels.clear();
+        self.labels.resize(nodes, UNREACHED);
+        self.labels[src.index()] = Label {
             cost: 0.0,
             hops: 0,
             pred: None,
             settled: false,
         };
-        let mut heap = BinaryHeap::new();
-        heap.push(QueueEntry {
+        self.heap.clear();
+        self.heap.push(QueueEntry {
             cost: 0.0,
             hops: 0,
             node: src,
             via: None,
         });
-        SpTree {
-            graph,
-            src,
-            excluded_links,
-            excluded_nodes,
-            labels,
-            heap,
-        }
-    }
-
-    fn node_excluded(&self, node: NodeId) -> bool {
-        self.excluded_nodes.is_some_and(|set| set.contains(node))
     }
 
     /// The one relax-and-settle loop: pops until `target` has been
     /// settled *and relaxed* (so the search can resume behind it), or,
     /// without a target, until the heap runs dry.
-    fn settle(&mut self, target: Option<NodeId>) {
+    fn settle(
+        &mut self,
+        graph: &DiGraph,
+        excluded_links: &LinkSet,
+        excluded_nodes: Option<&NodeSet>,
+        target: Option<NodeId>,
+    ) {
         if target.is_some_and(|t| self.labels[t.index()].settled) {
             return;
         }
@@ -169,12 +149,12 @@ impl<'g> SpTree<'g> {
             }
             label.settled = true;
             let (cost_here, hops_here) = (label.cost, label.hops);
-            for &lid in self.graph.out_links(entry.node) {
-                if self.excluded_links.contains(lid) {
+            for &lid in graph.out_links(entry.node) {
+                if excluded_links.contains(lid) {
                     continue;
                 }
-                let link = self.graph.link(lid);
-                if self.node_excluded(link.dst) {
+                let link = graph.link(lid);
+                if excluded_nodes.is_some_and(|set| set.contains(link.dst)) {
                     continue;
                 }
                 let next = &mut self.labels[link.dst.index()];
@@ -201,6 +181,71 @@ impl<'g> SpTree<'g> {
         }
     }
 
+    /// Writes the links of the settled path from `src` to `dst` into
+    /// `links`, source first.
+    fn trace(&self, graph: &DiGraph, src: NodeId, dst: NodeId, links: &mut Vec<LinkId>) {
+        links.clear();
+        let mut at = dst;
+        while at != src {
+            let lid = self.labels[at.index()]
+                .pred
+                .expect("settled non-source has pred");
+            links.push(lid);
+            at = graph.link(lid).src;
+        }
+        links.reverse();
+    }
+}
+
+/// A single-source shortest-path search that settles nodes **on
+/// demand** ([`DiGraph::shortest_path_tree`]): it keeps the labels and
+/// the heap of one Dijkstra run between queries, and a query for a
+/// target not settled yet resumes popping where the last one stopped.
+/// Many targets from one source — every aggregate of one ingress — then
+/// cost one search between them, and a near target still costs only the
+/// few pops an early-exit run would have spent on it.
+///
+/// Why every answer is bit-for-bit [`DiGraph::shortest_path`]'s, in any
+/// query order: that function is this loop stopped at the pop that
+/// settles its target, and stopping changes nothing before it — the heap
+/// order and the `better` tie-break do not depend on the target, and a
+/// settled label is never written again. So an early-exit run is a
+/// *prefix* of the full run, every query here reads a label of that one
+/// full run, and so does the per-pair call.
+pub struct SpTree<'g> {
+    graph: &'g DiGraph,
+    src: NodeId,
+    excluded_links: &'g LinkSet,
+    excluded_nodes: Option<&'g NodeSet>,
+    frontier: Frontier,
+}
+
+impl<'g> SpTree<'g> {
+    fn new(
+        graph: &'g DiGraph,
+        src: NodeId,
+        excluded_links: &'g LinkSet,
+        excluded_nodes: Option<&'g NodeSet>,
+    ) -> Self {
+        let mut frontier = Frontier::default();
+        frontier.reset(graph.node_count(), src);
+        SpTree {
+            graph,
+            src,
+            excluded_links,
+            excluded_nodes,
+            frontier,
+        }
+    }
+
+    fn node_excluded(&self, node: NodeId) -> bool {
+        self.excluded_nodes.is_some_and(|set| set.contains(node))
+    }
+
+    fn settle(&mut self, target: Option<NodeId>) {
+        (self.frontier).settle(self.graph, self.excluded_links, self.excluded_nodes, target);
+    }
+
     /// The lowest-cost path from the search's source to `dst` under its
     /// exclusions — exactly what [`DiGraph::shortest_path`] returns for
     /// the pair — or `None` when there is none. Settles only as much of
@@ -214,29 +259,185 @@ impl<'g> SpTree<'g> {
             return Some(Path::trivial(src));
         }
         self.settle(Some(dst));
-        if !self.labels[dst.index()].settled {
+        if !self.frontier.labels[dst.index()].settled {
             return None;
         }
         let mut links = Vec::new();
-        let mut at = dst;
-        while at != src {
-            let lid = self.labels[at.index()]
-                .pred
-                .expect("settled non-source has pred");
-            links.push(lid);
-            at = self.graph.link(lid).src;
+        self.frontier.trace(self.graph, src, dst, &mut links);
+        let cost = self.frontier.labels[dst.index()].cost;
+        Some(path_from_links(self.graph, src, links, cost))
+    }
+}
+
+fn path_from_links(graph: &DiGraph, src: NodeId, links: Vec<LinkId>, cost: f64) -> Path {
+    let mut nodes = Vec::with_capacity(links.len() + 1);
+    nodes.push(src);
+    for &l in &links {
+        nodes.push(graph.link(l).dst);
+    }
+    Path::from_parts_unchecked(links, nodes, cost)
+}
+
+/// [`DiGraph::shortest_path`] as a reusable search: the same loop and
+/// the same answer, bit for bit, but the labels, the heap, the answer's
+/// links and the avoid set stay in the search and are reset between
+/// queries, so past warm-up a query allocates nothing. A query also
+/// leaves behind what it read ([`PathSearch::record_into`]), which is
+/// what lets a caller keep the answer while the links that changed since
+/// are ones the query never looked at ([`SearchRecord::stands`]).
+pub struct PathSearch {
+    frontier: Frontier,
+    src: NodeId,
+    dst: NodeId,
+    found: bool,
+    links: Vec<LinkId>,
+    /// The last query's avoid set.
+    avoided: LinkSet,
+}
+
+impl Default for PathSearch {
+    fn default() -> Self {
+        PathSearch {
+            frontier: Frontier::default(),
+            src: NodeId(0),
+            dst: NodeId(0),
+            found: false,
+            links: Vec::new(),
+            avoided: LinkSet::new(),
         }
-        links.reverse();
-        let mut nodes = Vec::with_capacity(links.len() + 1);
-        nodes.push(src);
-        for &l in &links {
-            nodes.push(self.graph.link(l).dst);
+    }
+}
+
+impl PathSearch {
+    /// An empty search; its buffers grow on first use.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Searches for the lowest-cost path from `src` to `dst` avoiding
+    /// `excluded`; returns whether there is one. Afterwards
+    /// [`PathSearch::links`] and [`PathSearch::cost`] are
+    /// [`DiGraph::shortest_path`]'s answer for the same query.
+    pub fn run(&mut self, graph: &DiGraph, src: NodeId, dst: NodeId, excluded: &LinkSet) -> bool {
+        (self.src, self.dst) = (src, dst);
+        self.avoided.clone_from(excluded);
+        self.links.clear();
+        if src == dst {
+            // The trivial path reads nothing.
+            self.found = true;
+            return true;
         }
-        Some(Path::from_parts_unchecked(
-            links,
-            nodes,
-            self.labels[dst.index()].cost,
-        ))
+        self.frontier.reset(graph.node_count(), src);
+        self.frontier.settle(graph, excluded, None, Some(dst));
+        self.found = self.frontier.labels[dst.index()].settled;
+        if self.found {
+            self.frontier.trace(graph, src, dst, &mut self.links);
+        }
+        self.found
+    }
+
+    /// The links of the last query's path, source first (empty when
+    /// there was none, or for `src == dst`).
+    pub fn links(&self) -> &[LinkId] {
+        &self.links
+    }
+
+    /// The cost of the last query's path (`0.0` for `src == dst`,
+    /// infinite when there was none).
+    pub fn cost(&self) -> f64 {
+        match self.src == self.dst {
+            true => 0.0,
+            false => self.frontier.labels[self.dst.index()].cost,
+        }
+    }
+
+    /// The last query's answer as the [`Path`] `shortest_path` returns.
+    pub fn path(&self, graph: &DiGraph) -> Option<Path> {
+        match (self.found, self.src == self.dst) {
+            (false, _) => None,
+            (true, true) => Some(Path::trivial(self.src)),
+            (true, false) => Some(path_from_links(
+                graph,
+                self.src,
+                self.links.clone(),
+                self.cost(),
+            )),
+        }
+    }
+
+    /// Writes into `record` what the last query read: when it reached
+    /// its target, its settled tree, and the avoided links out of every
+    /// node it settled before its target. The query stops at its
+    /// target, so the nodes it settled are those up to and including
+    /// it. Reuses `record`'s buffers.
+    pub fn record_into(&self, graph: &DiGraph, record: &mut SearchRecord) {
+        record.tree.clear();
+        record.skipped.clear();
+        if self.src == self.dst {
+            return;
+        }
+        let settled = (self.frontier.labels.iter().enumerate()).filter(|(_, l)| l.settled);
+        for (node, label) in settled {
+            if let (true, Some(pred)) = (self.found, label.pred) {
+                record.tree.push(pred.0);
+            }
+            if node != self.dst.index() {
+                let out = graph.out_links(NodeId(node as u32)).iter();
+                let skipped = out.filter(|&&l| self.avoided.contains(l));
+                record.skipped.extend(skipped.map(|l| l.0));
+            }
+        }
+    }
+}
+
+/// What one [`PathSearch`] query read: when it reached its target, its
+/// *settled tree* — the link through which it reached each node it
+/// settled, the target included — and the links of its avoid set out
+/// of the nodes it settled before its target, the ones it skipped.
+/// [`SearchRecord::stands`] says from this alone whether the query,
+/// asked again with some links flipped in or out of its avoid set,
+/// would answer the same; the argument is written out in
+/// `fubar_core::pathgen`'s module docs.
+#[derive(Debug, Default)]
+pub struct SearchRecord {
+    tree: Vec<u32>,
+    skipped: Vec<u32>,
+}
+
+/// `clone_from` reuses the target's buffers.
+impl Clone for SearchRecord {
+    fn clone(&self) -> Self {
+        SearchRecord {
+            tree: self.tree.clone(),
+            skipped: self.skipped.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.tree.clone_from(&source.tree);
+        self.skipped.clone_from(&source.skipped);
+    }
+}
+
+impl SearchRecord {
+    /// Whether the recorded query returns the same path with the same
+    /// cost bits (or again none) when run avoiding `now` instead. It
+    /// does when every link in one avoid set and not the other is
+    ///
+    /// * newly avoided and not in the settled tree (any newly avoided
+    ///   link, when the target was unreachable: avoiding more cannot
+    ///   reach it), or
+    /// * newly admitted, with its tail not settled before the target.
+    ///
+    /// A tree link was not avoided (the query went through it), so one
+    /// in `now` is a newly avoided tree link; a skipped link out of
+    /// `now` is a newly admitted one whose tail settled before the
+    /// target. No other flip can break the rule, so those two walks are
+    /// the whole check.
+    pub fn stands(&self, now: &LinkSet) -> bool {
+        let id = |&l: &u32| LinkId(l);
+        !self.tree.iter().map(id).any(|l| now.contains(l))
+            && self.skipped.iter().map(id).all(|l| now.contains(l))
     }
 }
 
@@ -286,7 +487,7 @@ impl DiGraph {
     pub fn distances(&self, src: NodeId, excluded_links: &LinkSet) -> Vec<f64> {
         let mut tree = self.shortest_path_tree(src, excluded_links);
         tree.settle(None);
-        tree.labels.into_iter().map(|l| l.cost).collect()
+        tree.frontier.labels.into_iter().map(|l| l.cost).collect()
     }
 }
 
@@ -414,6 +615,95 @@ mod tests {
         let dist = g.distances(a, &LinkSet::new());
         assert_eq!(dist[1], f64::INFINITY);
         assert!(g.shortest_path(a, NodeId(1), &LinkSet::new()).is_none());
+    }
+
+    #[test]
+    fn path_search_answers_as_shortest_path_query_after_query() {
+        let (g, [a, b, c, d], [ab, ..]) = diamond();
+        let mut search = PathSearch::new();
+        let excl: LinkSet = [ab].into_iter().collect();
+        for (src, dst, excluded) in [
+            (a, d, LinkSet::new()),
+            (a, d, excl.clone()),
+            (b, a, LinkSet::new()),
+            (c, c, excl),
+        ] {
+            let want = g.shortest_path(src, dst, &excluded);
+            assert_eq!(search.run(&g, src, dst, &excluded), want.is_some());
+            assert_eq!(search.path(&g), want);
+            if let Some(want) = want {
+                assert_eq!(search.links(), want.links());
+                assert_eq!(search.cost().to_bits(), want.cost().to_bits());
+            }
+        }
+    }
+
+    #[test]
+    fn record_keeps_what_the_search_never_read() {
+        // The diamond plus a far node e with a free link into d. From a,
+        // the search settles a, b, c (cost 2, one hop) and then d (cost
+        // 2, two hops, through b); e is reached at 5 and never settled.
+        let (mut g, [a, _, _, d], [ab, bd, ac, _, ad]) = diamond();
+        let e = g.add_node();
+        let ae = g.add_link(a, e, 5.0);
+        let ed = g.add_link(e, d, 0.0);
+        let with = |links: &[LinkId]| links.iter().copied().collect::<LinkSet>();
+        let mut search = PathSearch::new();
+        let mut record = SearchRecord::default();
+        let avoided = with(&[ed]);
+        search.run(&g, a, d, &avoided);
+        search.record_into(&g, &mut record);
+        assert_eq!(search.links(), &[ab, bd]);
+        // e->d admitted: its tail was never settled.
+        assert!(record.stands(&LinkSet::new()));
+        // a->e avoided: it reached no settled node.
+        assert!(record.stands(&with(&[ed, ae])));
+        // a->d avoided: relaxed, but d was settled through b.
+        assert!(record.stands(&with(&[ed, ad])));
+        // a->c avoided: off the answer, but c's way in.
+        assert!(!record.stands(&with(&[ed, ac])));
+        // b->d avoided: on the answer.
+        assert!(!record.stands(&with(&[ed, bd])));
+
+        // Unreachable: every link out of a avoided. Avoiding more stands;
+        // admitting a link out of the settled source does not.
+        let cut = with(&[ab, ac, ad, ae]);
+        assert!(!search.run(&g, a, d, &cut));
+        search.record_into(&g, &mut record);
+        assert!(record.stands(&with(&[ab, ac, ad, ae, bd, ed])));
+        assert!(!record.stands(&with(&[ac, ad, ae])));
+    }
+
+    /// Why a newly avoided link must be off the whole settled tree, not
+    /// just off the answer: rounding can hide a cost difference, so a
+    /// node the avoided link reached more cheaply can offer the target a
+    /// path of equal cost and fewer hops once it is reached otherwise.
+    #[test]
+    fn an_avoided_tree_link_off_the_answer_can_move_it() {
+        let mut g = DiGraph::new();
+        let [s, z1, z2, z3, z4, w, m, q1, q2, q3, p, t] = [(); 12].map(|()| g.add_node());
+        for (x, y) in [(s, z1), (z1, z2), (z2, z3), (z3, z4)] {
+            g.add_link(x, y, 0.0);
+        }
+        let z4w = g.add_link(z4, w, 0.0); // w at cost 0, five hops
+        g.add_link(s, m, 1e-20);
+        g.add_link(m, w, 0.0); // w at cost 1e-20, two hops
+        g.add_link(w, p, 1.0); // 0 + 1 and 1e-20 + 1 both round to 1
+        for (x, y) in [(s, q1), (q1, q2), (q2, q3), (q3, p)] {
+            g.add_link(x, y, 0.25); // p at cost 1, four hops
+        }
+        g.add_link(p, t, 1.0);
+
+        let mut search = PathSearch::new();
+        let mut record = SearchRecord::default();
+        search.run(&g, s, t, &LinkSet::new());
+        search.record_into(&g, &mut record);
+        assert!(!search.links().contains(&z4w));
+        let avoided: LinkSet = [z4w].into_iter().collect();
+        let moved = g.shortest_path(s, t, &avoided).unwrap();
+        assert_ne!(moved.links(), search.links(), "the answer moves");
+        assert_eq!(moved.hop_count(), 4);
+        assert!(!record.stands(&avoided), "the tree rule sees it");
     }
 
     #[test]

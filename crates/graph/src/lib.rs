@@ -11,7 +11,10 @@
 //!   and nodes ([`DiGraph::shortest_path`], used for the paper's
 //!   *global* / *local* / *link-local* alternative paths), one pair at a
 //!   time or many destinations of one source from a single on-demand
-//!   search ([`DiGraph::shortest_path_tree`]);
+//!   search ([`DiGraph::shortest_path_tree`]), or as a reusable search
+//!   that allocates nothing past warm-up and records what it read
+//!   ([`PathSearch`], [`SearchRecord`]), so that a caller can tell when
+//!   a changed exclusion set cannot change the answer;
 //! * K-shortest *simple* path enumeration ([`yen::k_shortest_paths`]),
 //!   used by the path-set ablation experiments and as a building block
 //!   for policy-compliant path generation.
@@ -54,7 +57,7 @@ mod path;
 pub mod yen;
 
 pub use bitset::{LinkSet, NodeSet};
-pub use dijkstra::SpTree;
+pub use dijkstra::{PathSearch, SearchRecord, SpTree};
 pub use graph::{DiGraph, Link, LinkId, NodeId};
 pub use maxflow::{max_flow, MaxFlowResult};
 pub use path::{Path, PathError};

@@ -4,7 +4,9 @@
 //! against the independent Bellman–Ford implementation, and Yen's output
 //! is checked for the defining K-shortest-simple-path invariants.
 
-use fubar_graph::{bellman_ford, yen, DiGraph, LinkId, LinkSet, NodeId, Path};
+use fubar_graph::{
+    bellman_ford, yen, DiGraph, LinkId, LinkSet, NodeId, Path, PathSearch, SearchRecord,
+};
 use proptest::prelude::*;
 
 /// A reproducible random digraph described by value-level data so proptest
@@ -197,6 +199,118 @@ proptest! {
                 for l in alt.links() {
                     prop_assert!(!excl.contains(*l));
                 }
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// **A search's answer stands while what it read stands**: a
+    /// recorded [`PathSearch`] query, asked again under an avoid set that
+    /// differs only in links it never read, answers what a fresh
+    /// `shortest_path` call answers — same links, same cost bits, or
+    /// again no path. The flips the rule allows are derived here without
+    /// the record: the search settles nodes in ascending (cost, hops,
+    /// incoming link id) order, so the nodes settled before the target
+    /// are those whose per-pair answer sorts below the target's, and the
+    /// settled tree is the last link of each of those answers and of the
+    /// target's. Allowed are newly avoided links off that tree (any, when
+    /// the target is unreachable) and newly admitted links whose tail is
+    /// not settled before the target; the record must accept every such
+    /// set, and a single flip exactly when it is allowed. Any other
+    /// flips the record accepts must keep the answer too.
+    /// Half the cases round costs to {0, 1, 2}, so ties and zero-cost
+    /// links decide most paths.
+    #[test]
+    fn search_survives_unread_flips(
+        rg in random_graph(),
+        s in 0usize..12,
+        t in 0usize..12,
+        avoid_bits in proptest::collection::vec(any::<bool>(), 60),
+        allowed_bits in proptest::collection::vec(any::<bool>(), 60),
+        any_bits in proptest::collection::vec(any::<bool>(), 60),
+        tie_heavy in any::<bool>(),
+    ) {
+        let mut rg = rg;
+        if tie_heavy {
+            for e in &mut rg.edges {
+                e.2 = (e.2 as u64 % 3) as f64;
+            }
+        }
+        let g = build(&rg);
+        let src = NodeId((s % rg.nodes) as u32);
+        let dst = NodeId((t % rg.nodes) as u32);
+        let links = || (0..g.link_count()).map(|i| LinkId(i as u32));
+        let avoided: LinkSet = links().filter(|l| l.0 % 3 == 0 && avoid_bits[l.index()]).collect();
+
+        let mut search = PathSearch::new();
+        let mut record = SearchRecord::default();
+        search.run(&g, src, dst, &avoided);
+        search.record_into(&g, &mut record);
+        let answer = search.path(&g);
+        let same = |fresh: &Option<Path>| match (fresh, &answer) {
+            (None, None) => true,
+            (Some(a), Some(b)) => a.links() == b.links() && a.cost().to_bits() == b.cost().to_bits(),
+            _ => false,
+        };
+        prop_assert!(same(&g.shortest_path(src, dst, &avoided)));
+
+        // Each node's settle key, read off its per-pair answer.
+        let key = |v: NodeId| {
+            g.shortest_path(src, v, &avoided).map(|p| {
+                let via = p.links().last().map_or(u32::MAX, |l| l.0);
+                (p.cost(), p.hop_count(), via)
+            })
+        };
+        let before = |a: (f64, usize, u32), b: (f64, usize, u32)| {
+            a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2)).is_lt()
+        };
+        let target = if src == dst { None } else { key(dst) };
+        let settled_before = |v: NodeId| match (src == dst, key(v), target) {
+            (true, ..) | (false, None, _) => false,
+            (false, Some(k), Some(kt)) => before(k, kt),
+            (false, Some(_), None) => true,
+        };
+        let in_tree = |l: LinkId| {
+            let head = g.link(l).dst;
+            target.is_some()
+                && (head == dst || settled_before(head))
+                && g.shortest_path(src, head, &avoided).is_some_and(|p| p.links().last() == Some(&l))
+        };
+        let allowed = |l: LinkId| match avoided.contains(l) {
+            true => !settled_before(g.link(l).src),
+            false => !in_tree(l),
+        };
+        let flipped = |bits: &[bool], only_allowed: bool| -> LinkSet {
+            let mut set = avoided.clone();
+            for l in links().filter(|l| bits[l.index()] && (!only_allowed || allowed(*l))) {
+                if !set.remove(l) {
+                    set.insert(l);
+                }
+            }
+            set
+        };
+
+        let stands = |now: &LinkSet| record.stands(now);
+        let kept = flipped(&allowed_bits, true);
+        prop_assert!(stands(&kept), "the record refused flips it never read");
+        prop_assert!(same(&g.shortest_path(src, dst, &kept)), "allowed flips moved the answer");
+        let any = flipped(&any_bits, false);
+        if stands(&any) {
+            prop_assert!(same(&g.shortest_path(src, dst, &any)), "accepted flips moved the answer");
+        }
+        // Every single flip, the rule's atoms: it stands exactly when
+        // allowed, and then keeps the answer.
+        for l in links() {
+            let mut one = avoided.clone();
+            if !one.remove(l) {
+                one.insert(l);
+            }
+            prop_assert_eq!(stands(&one), allowed(l), "link {}", l.0);
+            if allowed(l) {
+                prop_assert!(same(&g.shortest_path(src, dst, &one)), "link {} moved the answer", l.0);
             }
         }
     }

@@ -463,6 +463,20 @@ impl Compiled {
 }
 
 impl Evaluation {
+    /// Whether the live compiled component holding `link` holds every
+    /// saturated link too.
+    pub(crate) fn component_holds_every_saturated(&self, link: LinkId) -> bool {
+        let of = |l: LinkId| {
+            self.compiled
+                .of_link
+                .get(l.index())
+                .copied()
+                .unwrap_or(NONE)
+        };
+        let id = of(link);
+        id != NONE && self.outcome.congested.iter().all(|&l| of(l) == id)
+    }
+
     /// Builds an evaluation, deriving the crossing lists from the
     /// bundles and the per-link saturation mask from the outcome's
     /// congested list.

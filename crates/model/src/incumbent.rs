@@ -165,6 +165,14 @@ impl Incumbent {
         model.prepare_component(&mut self.eval, &self.bundles, link);
     }
 
+    /// Whether a component compiled around `link`
+    /// ([`Incumbent::prepare_component`]) holds every link that
+    /// saturated: then any change that moves flows off a saturated link
+    /// re-fills all of it.
+    pub fn component_holds_every_saturated(&self, link: LinkId) -> bool {
+        self.eval.component_holds_every_saturated(link)
+    }
+
     /// The bundle table.
     pub fn bundles(&self) -> &[BundleSpec] {
         &self.bundles

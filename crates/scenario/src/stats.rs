@@ -124,7 +124,7 @@ impl RunStats {
                 out.push_str(&format!(
                     "\nshard {:>3}: aggregates={} links={} commits={} score={:.3}ms \
                      fills={} compiled-fills={} paths generated={} reused={} \
-                     scores kept={}",
+                     searches={} scores kept={}",
                     s.shard,
                     s.aggregates,
                     s.links,
@@ -134,6 +134,7 @@ impl RunStats {
                     s.scratch.compiled_fills,
                     s.paths_generated,
                     s.paths_reused,
+                    s.searches,
                     s.scores_kept,
                 ));
             }
@@ -191,6 +192,7 @@ mod tests {
                     score_s: 0.002,
                     paths_generated: 12,
                     paths_reused: 30,
+                    searches: 41,
                     scores_kept: 9,
                     scratch: filled(40, 25),
                 },
@@ -216,7 +218,9 @@ mod tests {
         assert!(text.contains("shard score    n=2 "), "{text}");
         assert!(text.contains("shard   0: aggregates=10"), "{text}");
         assert!(
-            text.contains("fills=40 compiled-fills=25 paths generated=12 reused=30 scores kept=9"),
+            text.contains(
+                "fills=40 compiled-fills=25 paths generated=12 reused=30 searches=41 scores kept=9"
+            ),
             "{text}"
         );
         assert!(
