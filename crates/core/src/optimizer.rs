@@ -71,13 +71,13 @@
 //! ([`score_network_utility_from_leaves`]), the O(log n) patch a fresh
 //! scoring ends with too; debug builds re-fill the move as well and
 //! assert the same bits. Only network-utility scores survive (min-max
-//! reads every link's demand), only winner-less steps keep scores (every
-//! move of a winning step reads the focus link, which its commit
-//! re-fills), and a score keeps its leaves only if it has at most
-//! `aggregates / work items of its step` of them and the whole memo
-//! then holds at most `aggregates`; any other score dies at the next
-//! commit. Scores are keyed by the alternative path, not by its index,
-//! so they outlive a regeneration of the alternatives.
+//! reads every link's demand), and only those of winner-less steps
+//! whose focus component leaves some saturated link out (every move of
+//! a winning step reads the focus link, which its commit re-fills, and
+//! so does every move where one component holds every saturated link);
+//! any other score dies at the next commit. Scores are keyed by the
+//! alternative path, not by its index, so they outlive a regeneration
+//! of the alternatives.
 //! *An alternative stands while what its search read stands*: each of
 //! an aggregate's three paths is one lowest-delay search avoiding a set
 //! of links — the congested-or-excluded ones, the congested ones its
@@ -266,9 +266,6 @@ struct Memo {
     /// re-filled it (0: none yet).
     link_stamp: Vec<u32>,
     agg_stamp: Vec<u32>,
-    /// Leaves the kept entries hold, together: at most one report's
-    /// worth (the aggregate count).
-    leaves_held: usize,
 }
 
 /// The score of the move of `count` flows of an aggregate off its path
@@ -368,25 +365,14 @@ impl Memo {
         self.agg_stamp[moved.index()] = now;
         let mut scores = std::mem::take(&mut self.scores);
         scores.retain(|_, entries| {
-            entries.retain(|e| {
-                let stands = self.stands(e);
-                if !stands {
-                    self.leaves_held -= e.kept.as_ref().map_or(0, |k| k.leaves.len());
-                }
-                stands
-            });
+            entries.retain(|e| self.stands(e));
             !entries.is_empty()
         });
         self.scores = scores;
     }
 
-    /// Adds a score of a move of `aggregate`. The memo keeps at most one
-    /// report's worth of leaves (the aggregate count): a score whose
-    /// leaves do not fit any more is kept for its own incumbent only.
-    fn insert(&mut self, aggregate: u32, mut entry: Scored) {
-        let fits = |k: &Kept| self.leaves_held + k.leaves.len() <= self.agg_stamp.len();
-        entry.kept = entry.kept.filter(fits);
-        self.leaves_held += entry.kept.as_ref().map_or(0, |k| k.leaves.len());
+    /// Adds a score of a move of `aggregate`.
+    fn insert(&mut self, aggregate: u32, entry: Scored) {
         self.scores.entry(aggregate).or_default().push(entry);
     }
 }
@@ -402,10 +388,8 @@ struct Focus<'s> {
     /// What the alternatives are generated from; its global avoid set
     /// is the same for every aggregate, so built once.
     network: pathgen::Network<'s>,
-    /// The most leaves a score of this step may keep: the aggregate
-    /// count over the step's work items; `None` when no score of the
-    /// step can outlive its incumbent.
-    leaf_cap: Option<usize>,
+    /// Whether a score of this step can outlive its incumbent.
+    keeps: bool,
 }
 
 /// What one worker of a step owns while it claims work: its scoring
@@ -972,8 +956,7 @@ impl<'a> Optimizer<'a> {
                                 c,
                                 &mut worker.ws,
                             );
-                            scoring.kept = (focus.leaf_cap)
-                                .and_then(|leaf_cap| self.keepable(worker, leaf_cap));
+                            scoring.kept = focus.keeps.then(|| self.keepable(worker));
                         } else {
                             let copy = worker.copy.get_or_insert_with(|| focus.alloc.clone());
                             scoring.score = self.score_candidate_full(copy, c);
@@ -988,22 +971,16 @@ impl<'a> Optimizer<'a> {
         probed
     }
 
-    /// What the incremental scoring just run on `ws` read and changed,
-    /// copied out, if the score can outlive its incumbent: only a
-    /// network-utility score can (min-max reads every link's demand),
-    /// and only with at most `leaf_cap` changed leaves.
+    /// What the incremental scoring just run on `worker` read and
+    /// changed, copied out for a score that can outlive its incumbent.
     /// They stay in `worker`'s scratch until the step decides what to
     /// keep, so scoring allocates nothing past warm-up. Moves off one
     /// link mostly re-fill the same component, so a run of scores that
     /// read the same links stores them once.
-    fn keepable(&self, worker: &mut Worker<'_>, leaf_cap: usize) -> Option<Keepable> {
+    fn keepable(&self, worker: &mut Worker<'_>) -> Keepable {
         let ws = &mut *worker.ws;
-        let leaves = ws.report.leaves();
-        if self.config.objective != Objective::NetworkUtility || leaves.len() > leaf_cap {
-            return None;
-        }
         let start = ws.kept_leaves.len() as u32;
-        ws.kept_leaves.extend_from_slice(leaves);
+        ws.kept_leaves.extend_from_slice(ws.report.leaves());
         let leaves = start..ws.kept_leaves.len() as u32;
         ws.read.clear();
         ws.read.extend(ws.model.filled_links());
@@ -1015,11 +992,11 @@ impl<'a> Optimizer<'a> {
             ws.kept_links.extend_from_slice(&ws.read);
             ws.last_links = start..ws.kept_links.len() as u32;
         }
-        Some(Keepable {
+        Keepable {
             worker: worker.index,
             links: ws.last_links.clone(),
             leaves,
-        })
+        }
     }
 
     /// Listing 2: one step focused on `link`. Tries all (flow path ×
@@ -1061,12 +1038,13 @@ impl<'a> Optimizer<'a> {
         // One work item per aggregate is one resolution of its
         // alternatives per aggregate.
         let runs: Vec<&[(u32, u32)]> = index.runs(link).collect();
-        // When the focus link's component holds every saturated link,
-        // any commit re-fills the focus link, which every fill of this
-        // step read: none of its scores can outlive the incumbent, so
-        // none records what it read.
-        let leaf_cap = (!incumbent.component_holds_every_saturated(link))
-            .then(|| self.tm.len() / runs.len().max(1));
+        // Only network-utility scores can outlive the incumbent (min-max
+        // reads every link's demand), and none can when the focus link's
+        // component holds every saturated link: any commit then
+        // re-fills the focus link, which every fill of this step read.
+        // A step whose scores cannot outlive it records nothing.
+        let keeps = self.config.objective == Objective::NetworkUtility
+            && !incumbent.component_holds_every_saturated(link);
         let focus = Focus {
             alloc,
             incumbent,
@@ -1074,7 +1052,7 @@ impl<'a> Optimizer<'a> {
             link,
             escape_level,
             network: self.network(alloc, outcome, scope.excluded, &avoid),
-            leaf_cap,
+            keeps,
         };
         let filled = pool_stats(scope.pool);
         let probed = map_claimed(
@@ -1497,7 +1475,7 @@ pub mod test_support {
                 link,
                 escape_level: 0,
                 network: optimizer.network(&alloc, incumbent.outcome(), excluded, &avoid),
-                leaf_cap: None,
+                keeps: false,
             };
             let scratch = [Mutex::new(ScoreScratch::default())];
             let mut worker = Worker::claim(&scratch, 0);
@@ -1683,7 +1661,7 @@ pub mod test_support {
                     &opt.config.excluded_links,
                     &self.avoid,
                 ),
-                leaf_cap: Some(opt.tm.len() / runs.len().max(1)),
+                keeps: opt.config.objective == Objective::NetworkUtility,
             };
             let probed = map_claimed(
                 &runs,

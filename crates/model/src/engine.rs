@@ -59,14 +59,13 @@
 //! crossing rows of the links the change touches, whose demand is
 //! re-summed entry by entry in the full run's order, + crossing rows of
 //! the dirty links whose load is re-summed), no instance-sized pass.
-//! Scoring sums no touched row it can avoid (*Bounded binding filter*
-//! below) and walks no border row its load bound settles (*Bounded
-//! border verification*), and a dirty link none of whose crossers froze
-//! differently keeps its load (*Kept loads*). A segment that changes
-//! length shifts every later bundle's index, so the *tail renumber* is
-//! paid then, and only then: freeze keys and crossing entries behind
-//! the first resized segment are rewritten, and the per-bundle arrays
-//! move their tails.
+//! Scoring walks no border row and sums no touched row its load bound
+//! settles (*Bounded border verification* below), and a dirty link none
+//! of whose crossers froze differently keeps its load (*Kept loads*). A
+//! segment that changes length shifts every later bundle's index, so
+//! the *tail renumber* is paid then, and only then: freeze keys and
+//! crossing entries behind the first resized segment are rewritten, and
+//! the per-bundle arrays move their tails.
 //! Two observations bound the affected set:
 //!
 //! 1. a link whose offered demand is strictly below its capacity can
@@ -113,44 +112,10 @@
 //! (multi-segment changes included: they are one joint fill, never `k`
 //! sequential ones).
 //!
-//! ### Bounded binding filter
-//!
-//! Border verification needs a touched link's new offered demand for
-//! one decision only: whether the link is binding, and so has to be
-//! walked. The exact value is a fold over the link's whole spliced
-//! crossing row — thousands of entries on an inter-region trunk — so
-//! the core first bounds it from above, in O(replacement crossings):
-//!
-//! ```text
-//! D_new ≤ B = (D_prev + Σ demands of the replacement bundles crossing l) · (1 + 2nε),
-//!         n = |previous row| + |replacement crossings| + 1
-//! ```
-//!
-//! Removed bundles only lower the true sum. With `u = ε/2` and
-//! `γ_k = ku / (1 − ku)`, a recursive sum of `k` non-negative terms
-//! lies within a factor `1 ± γ_{k−1}` of the true one (Higham, *Accuracy
-//! and Stability of Numerical Algorithms*, §4.2), so, with `p` and `r`
-//! the two counts: the true previous sum is at most `D_prev / (1 −
-//! γ_p)`, the folded sum `A` under-runs its terms by at most `1 − γ_r`,
-//! and `D_new` over-runs its true value by at most `1 + γ_{p+r}`. Their
-//! ratio is `1 + (p + r)ε` to first order; `2nε` leaves `(p + r + 2)ε`
-//! more, which covers the rounding of the product (`ε/2`) and the
-//! second-order terms (`O((nε)²)`, a vanishing share of `nε` for any
-//! row a computer holds), and the factor itself is exact (`2n` is an
-//! integer, `ε` a power of two). [`is_binding`] is monotone in the
-//! demand, so a bound that is not binding proves the exact sum is not:
-//! the link is skipped exactly where the exact sum would skip it, and
-//! only a bound that says "binding" pays for the fold. Every walk,
-//! expansion and bit is therefore the exact filter's. Where the value
-//! itself is consumed — the in-place patch's link demands, the congested
-//! order, the min-max objective's overlay
-//! ([`FlowModel::changed_link_demand`]) — every touched link is settled
-//! exactly first; network-utility scoring never asks.
-//!
 //! ### Bounded border verification
 //!
-//! Once the binding tests let a border link through, verification needs
-//! its post-fill load — the fold, in spliced row order, of every
+//! Border verification walks a link only if it is binding, and then
+//! needs its post-fill load — the fold, in spliced row order, of every
 //! crosser's rate: the fill's rate for a member of the fill, the
 //! previous rate for anyone else — for one decision only: whether it
 //! reaches `bar = capacity · (1 − BINDING_SLACK)`. The walk is as long
@@ -172,22 +137,30 @@
 //! C` is an upper bound in exact arithmetic. `c` — the previous row's
 //! length plus the replacement crossings — bounds every count involved:
 //! the walked row, the fill's crossers, the previous crossers. With `u
-//! = ε/2`, each fold of `k` non-negative terms lies within `1 ± γ_{k−1}`
-//! of its true sum (Higham, as above), so the walk exceeds `F + P − C`
+//! = ε/2` and `γ_k = ku / (1 − ku)`, each fold of `k` non-negative terms
+//! lies within `1 ± γ_{k−1}` of its true sum (Higham, *Accuracy and
+//! Stability of Numerical Algorithms*, §4.2), so the walk exceeds `F + P − C`
 //! by at most about `u · (k(F + P) + 2kF + 2pP + qC)` ≤ `3cu · (F + P +
 //! C)` to first order, and forming `B` adds about `3u · (F + P + C)`.
 //! The widening is `(8c + 8)u · (F + P + C)`, which covers both with
 //! `(5c + 5)u` to spare for second-order terms and its own rounding.
 //! So a bound below `bar` proves the walk would find a load below it,
 //! and the link is passed exactly where the walk would pass it; only a
-//! bound at the bar, or a link the fill saturated, pays for the walk —
-//! and for a touched link's exact demand, which the walk's decision
-//! still needs. `P` is read from the evaluation's carried load, which is
-//! the fold capped at capacity: a load below its capacity is the fold
-//! itself, but one at it may be the cap, and a change that moves a
-//! capacity leaves loads capped at the old one, so the bound is not
-//! used in either case. The walks, expansions and bits are therefore
-//! those of the walk-every-link rule.
+//! bound at the bar, or a link the fill saturated, pays for the walk.
+//! `P` is read from the evaluation's carried load, which is the fold
+//! capped at capacity: a load below its capacity is the fold itself,
+//! but one at it may be the cap, and a change that moves a capacity
+//! leaves loads capped at the old one, so the bound is not used in
+//! either case. An untouched link keeps its previous offered demand,
+//! which decides whether it is binding for free; a touched link's new
+//! demand is a fold over its whole spliced crossing row, so it is tested
+//! after the load bound, and a touched link is summed only where the
+//! load bound leaves the test open, or where its value is consumed —
+//! the in-place patch's link demands, the congested order, the min-max
+//! objective's overlay ([`FlowModel::changed_link_demand`]), which
+//! settle every touched link exactly first. Both tests only skip a
+//! link, so their order changes nothing, and the walks, expansions and
+//! bits are those of the walk-every-link rule.
 //!
 //! ### Kept loads
 //!
@@ -273,27 +246,6 @@ const BINDING_SLACK: f64 = 1e-9;
 
 pub(crate) fn is_binding(demand: f64, capacity: f64) -> bool {
     demand >= capacity * (1.0 - BINDING_SLACK)
-}
-
-/// An upper bound on a link's offered demand after a splice:
-/// `prev_demand` is the link's previous demand, the recursive sum of
-/// `prev_crossers` non-negative terms, and `added` the demands of the
-/// replacement bundles crossing it. Removed crossers are left in, and
-/// the sum is widened by `1 + 2nε` to cover every rounding of both
-/// folds (see *Bounded binding filter* in the module docs). Hidden: the
-/// scoring core's, exposed for its property test.
-#[doc(hidden)]
-pub fn spliced_demand_bound(
-    prev_demand: f64,
-    prev_crossers: usize,
-    added: impl IntoIterator<Item = f64>,
-) -> f64 {
-    let (mut sum, mut n) = (prev_demand, prev_crossers + 1);
-    for d in added {
-        sum += d;
-        n += 1;
-    }
-    sum * (1.0 + 2.0 * n as f64 * f64::EPSILON)
 }
 
 /// An upper bound on a border link's load after a fill, from what the
@@ -725,8 +677,8 @@ pub struct Workspace {
     /// [`NONE`] when it was absorbed since.
     filled_at: Vec<u32>,
     /// Per link: stamp marking links touched by the change, and their
-    /// new offered demand — an upper bound until the `summed` stamp
-    /// marks it as the exact, re-accumulated sum.
+    /// new offered demand, re-accumulated where the `summed` stamp
+    /// says so.
     touched_stamp: Vec<u32>,
     touched_demand: Vec<f64>,
     summed: Vec<u32>,
@@ -860,37 +812,6 @@ impl Workspace {
             self.touched_stamp[li] = self.stamp;
             self.changed_links.push(li as u32);
         }
-    }
-
-    /// Whether link `li` may be binding under its new offered demand,
-    /// by what needs no walk: an untouched link's previous demand
-    /// decides, and so does a touched link's exact sum once summed;
-    /// before that, its upper bound settles "not binding" where it
-    /// suffices (see *Bounded binding filter* in the module docs).
-    fn may_bind(&mut self, li: usize, prev: &Evaluation) -> bool {
-        let cap = prev.caps[li];
-        if self.touched_stamp[li] != self.stamp {
-            return is_binding(prev.outcome.link_demand[li].bps(), cap);
-        }
-        if self.summed[li] == self.stamp {
-            return is_binding(self.touched_demand[li], cap);
-        }
-        #[cfg(test)]
-        if self.probe.exact_only {
-            return true;
-        }
-        let decided = !is_binding(self.touched_demand[li], cap);
-        #[cfg(test)]
-        self.probe.count_bound(decided);
-        !decided
-    }
-
-    /// Whether link `li`, which [`Workspace::may_bind`] let through, is
-    /// binding: a touched link's exact sum settles what its bound left
-    /// open.
-    fn binds(&mut self, li: usize, prev: &Evaluation, crossings: &Crossings<'_>) -> bool {
-        self.touched_stamp[li] != self.stamp
-            || is_binding(self.exact_demand(li, crossings), prev.caps[li])
     }
 
     /// Whether border link `li` provably ends below `bar` after the
@@ -1695,11 +1616,11 @@ impl<'a> FlowModel<'a> {
         let crossings = Crossings::new(prev, segs, &repl_cross, &seg_demand);
 
         // Touched links (links of removed and replacement bundles,
-        // capacity changes) and an upper bound on their new offered
-        // demand; the exact sum waits until something needs it (see
-        // *Bounded binding filter* in the module docs). Untouched links
-        // keep their previous sums verbatim (same crossers, same
-        // demands, same input order ⇒ the same float sum).
+        // capacity changes); the exact sum of their new offered demand
+        // waits until something needs it (see *Bounded border
+        // verification* in the module docs). Untouched links keep their
+        // previous sums verbatim (same crossers, same demands, same
+        // input order ⇒ the same float sum).
         ws.rows_kept = true;
         for s in segs {
             let removed = &delta.prev[s.start as usize..s.prev_end()];
@@ -1719,15 +1640,6 @@ impl<'a> FlowModel<'a> {
         }
         for l in touched_links {
             ws.touch_link(l.index());
-        }
-        for k in 0..ws.changed_links.len() {
-            let li = ws.changed_links[k] as usize;
-            let added = repl_row(&repl_cross, li as u32).iter();
-            ws.touched_demand[li] = spliced_demand_bound(
-                prev.outcome.link_demand[li].bps(),
-                prev.crossers[li].len(),
-                added.map(|&(.., src)| crossings.demand(src)),
-            );
         }
 
         // A one-segment change whose previously-saturated links all lie
@@ -1840,7 +1752,11 @@ fn verify_border(
         return;
     }
     ws.border_seen[li] = ws.fill_stamp;
-    if !ws.may_bind(li, prev) {
+    // An untouched link keeps its previous offered demand; a touched
+    // link's is summed only if the load bound leaves the link open.
+    let cap = prev.caps[li];
+    let touched = ws.touched_stamp[li] == ws.stamp;
+    if !touched && !is_binding(prev.outcome.link_demand[li].bps(), cap) {
         return;
     }
     let fill = &ws.fill.state;
@@ -1852,11 +1768,11 @@ fn verify_border(
         ),
         None => (0.0, 0.0, false),
     };
-    let bar = prev.caps[li] * (1.0 - BINDING_SLACK);
+    let bar = cap * (1.0 - BINDING_SLACK);
     if !saturated && ws.load_below(li, prev, crossings, (filled, carried), bar) {
         return;
     }
-    if !ws.binds(li, prev, crossings) {
+    if touched && !is_binding(ws.exact_demand(li, crossings), cap) {
         return;
     }
     #[cfg(test)]
@@ -2562,16 +2478,10 @@ mod tests {
         );
     }
 
-    /// What the bounded binding filter, the border load bound and the
-    /// kept-load rule did, observed through a workspace's private state.
+    /// What the border load bound and the kept-load rule did, observed
+    /// through a workspace's private state.
     #[derive(Debug, Default)]
     pub(super) struct Probe {
-        /// Test every touched binding link by its exact demand.
-        pub(super) exact_only: bool,
-        /// Touched-link binding tests the bound settled, and those it
-        /// passed on to the exact sum.
-        pub(super) bound_decided: usize,
-        pub(super) bound_passed: usize,
         /// Dirty links whose load an in-place patch kept.
         pub(super) loads_kept: usize,
         /// Walk every binding border link's crossing row.
@@ -2580,16 +2490,6 @@ mod tests {
         /// border verification walked.
         pub(super) load_decided: usize,
         pub(super) walks: usize,
-    }
-
-    impl Probe {
-        pub(super) fn count_bound(&mut self, decided: bool) {
-            if decided {
-                self.bound_decided += 1;
-            } else {
-                self.bound_passed += 1;
-            }
-        }
     }
 
     fn xorshift(seed: u64) -> impl FnMut() -> u64 {
@@ -2680,54 +2580,6 @@ mod tests {
         (affected, bits, overlay)
     }
 
-    /// The bounded binding filter is transparent: every candidate — on
-    /// HE-961 and on `planetary(4, 4)`, whose trunks carry many
-    /// aggregates; whole moves and 1 → 2 splits; filled through a
-    /// compiled component or ad hoc — scores to the same affected set,
-    /// rates and min-max overlay as with every touched link tested by
-    /// its exact demand. On each instance the bound must have settled
-    /// some test and passed some on to the exact sum.
-    #[test]
-    fn bounded_binding_filter_scores_like_the_exact_one() {
-        for (topo, tm, bundles) in congested_instances() {
-            let m = FlowModel::with_defaults(&topo);
-            let mut eval = m.evaluate_traced(&bundles);
-            assert!(eval.outcome.is_congested(), "{} must congest", topo.name());
-            for l in eval.outcome.congested.clone().into_iter().take(2) {
-                m.prepare_component(&mut eval, &bundles, l);
-            }
-            let (mut bounded, mut exact) = (Workspace::new(), Workspace::new());
-            exact.probe.exact_only = true;
-            let mut r = xorshift(0x51AB_0BE5);
-            let mut scored = 0;
-            for round in 0..300 {
-                let i = (r() % bundles.len() as u64) as usize;
-                let a = tm.aggregate(AggregateId(i as u32));
-                let Some(repl) = reroute(&topo, a, &bundles[i..=i], &mut r) else {
-                    continue;
-                };
-                let delta = BundleDelta::new(&bundles, i, 1, &repl);
-                let fast = score(&m, &eval, &delta, &mut bounded);
-                let slow = score(&m, &eval, &delta, &mut exact);
-                assert_eq!(fast, slow, "{} round {round}", topo.name());
-                scored += 1;
-            }
-            let p = &bounded.probe;
-            assert!(scored > 100, "{}: {scored} candidates scored", topo.name());
-            assert!(
-                p.bound_decided > 0,
-                "{}: the bound never decided",
-                topo.name()
-            );
-            assert!(
-                p.bound_passed > 0,
-                "{}: the bound never fell back",
-                topo.name()
-            );
-            assert_eq!(exact.probe.bound_decided + exact.probe.bound_passed, 0);
-        }
-    }
-
     /// The three ways a fill skips work, each switched back to the rule
     /// it replaced: arm every link with active weight, push an
     /// unprepared fill's bundle events through the heap, walk every
@@ -2771,18 +2623,20 @@ mod tests {
     }
 
     /// Binding-only arming, presorted bundle events in every fill and
-    /// the border load bound are transparent: the candidates of
-    /// `bounded_binding_filter_scores_like_the_exact_one` score to the
-    /// same affected set, rates, freeze keys and min-max overlay with
-    /// each switched back to the rule it replaced, and a full
-    /// evaluation under the old arming and heap is the same evaluation.
-    /// A fill through a prepared component ends with the loads and prior
-    /// loads, link for link, of the same candidate's fill against an
-    /// evaluation with nothing prepared. Each shortcut must have run: on each instance some link left
-    /// unarmed and some unprepared fill; on the two together some border
-    /// link settled by the load bound (HE-961's, whose border links have
-    /// room), so that walking every link walks more, and some still
-    /// walked (`planetary(4, 4)`'s, which run full).
+    /// the border load bound are transparent: every candidate — on
+    /// HE-961 and on `planetary(4, 4)`, whose trunks carry many
+    /// aggregates; whole moves and 1 → 2 splits; filled through a
+    /// compiled component or ad hoc — scores to the same affected set,
+    /// rates, freeze keys and min-max overlay with each switched back
+    /// to the rule it replaced, and a full evaluation under the old
+    /// arming and heap is the same evaluation. A fill through a prepared
+    /// component ends with the loads and prior loads, link for link, of
+    /// the same candidate's fill against an evaluation with nothing
+    /// prepared. Each shortcut must have run: on each instance some link
+    /// left unarmed and some unprepared fill; on the two together some
+    /// border link settled by the load bound (HE-961's, whose border
+    /// links have room), so that walking every link walks more, and some
+    /// still walked (`planetary(4, 4)`'s, which run full).
     #[test]
     fn fill_shortcuts_score_like_the_rules_they_replace() {
         let (mut load_decided, mut walks, mut walks_saved) = (0, 0, 0);
@@ -3051,7 +2905,10 @@ mod tests {
     /// to `u32::MAX - 2` scores candidates across the wrap — the ones
     /// it scored at the stamps the wrap reuses among them — exactly as
     /// a fresh workspace does: affected set, rates and min-max overlay
-    /// (which reads the "exact demand summed" stamp), bit for bit.
+    /// (which reads the "exact demand summed" stamp), bit for bit. So
+    /// does a candidate that lands, right after the wrap, on the stamp
+    /// at which another one summed a link they both touch to another
+    /// demand: it must sum the link afresh.
     #[test]
     fn workspace_scores_alike_across_a_stamp_wrap() {
         let topo = generators::he_core(mbps(75.0));
@@ -3068,6 +2925,9 @@ mod tests {
             }
         }
         let delta = |c: usize| BundleDelta::new(&bundles, candidates[c].0, 1, &candidates[c].1);
+        let fresh: Vec<Scored> = (0..candidates.len())
+            .map(|c| score(&m, &eval, &delta(c), &mut Workspace::new()))
+            .collect();
 
         let mut ws = Workspace::new();
         for c in 0..6 {
@@ -3078,14 +2938,21 @@ mod tests {
         // Stamps u32::MAX - 1 and u32::MAX, then 1, 2, … again.
         let order = [6, 7, 0, 1, 2, 3, 4, 5];
         for (k, &c) in order.iter().enumerate() {
-            let d = delta(c);
-            let fresh = score(&m, &eval, &d, &mut Workspace::new());
-            assert_eq!(
-                score(&m, &eval, &d, &mut ws),
-                fresh,
-                "candidate {k} after the jump"
-            );
+            let scored = score(&m, &eval, &delta(c), &mut ws);
+            assert_eq!(scored, fresh[c], "candidate {k} after the jump");
         }
         assert_eq!(ws.stamp, 6, "the stamp wrapped");
+
+        let clash = |a: usize, b: usize| {
+            (fresh[a].2.iter()).any(|&(l, d)| fresh[b].2.iter().any(|&(k, e)| k == l && e != d))
+        };
+        let pairs = (0..8).flat_map(|a| (0..8).map(move |b| (a, b)));
+        let (a, b) = (pairs.filter(|&(a, b)| a != b).find(|&(a, b)| clash(a, b)))
+            .expect("two candidates sum a common link to different demands");
+        let mut ws = Workspace::new();
+        score(&m, &eval, &delta(a), &mut ws);
+        ws.stamp = u32::MAX;
+        assert_eq!(score(&m, &eval, &delta(b), &mut ws), fresh[b]);
+        assert_eq!(ws.stamp, 1, "the stamp wrapped onto candidate {a}'s");
     }
 }

@@ -51,7 +51,7 @@ mod spec;
 mod splice;
 
 #[doc(hidden)]
-pub use engine::{border_load_bound, spliced_demand_bound};
+pub use engine::border_load_bound;
 pub use engine::{DeltaScore, Evaluation, FlowModel, ParallelWorkspace, Workspace, WorkspaceStats};
 pub use incumbent::{Incumbent, PatchScratch};
 pub use outcome::{ModelOutcome, UtilizationSummary};

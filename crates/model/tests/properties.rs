@@ -10,9 +10,8 @@
 
 use fubar_graph::{LinkId, LinkSet, NodeId};
 use fubar_model::{
-    border_load_bound, score_network_utility_delta, spliced_demand_bound, utility_report,
-    BundleDelta, BundleSpec, DeltaScore, FlowModel, Incumbent, PatchScratch, ReportScratch,
-    Workspace,
+    border_load_bound, score_network_utility_delta, utility_report, BundleDelta, BundleSpec,
+    DeltaScore, FlowModel, Incumbent, PatchScratch, ReportScratch, Workspace,
 };
 use fubar_topology::{generators, Bandwidth, Delay, Topology};
 use fubar_traffic::{Aggregate, AggregateId, TrafficMatrix};
@@ -356,55 +355,6 @@ proptest! {
             prop_assert_eq!(incumbent.report().bitwise_mismatch(&rebuilt), None, "step {}", step);
             prop_assert_eq!(before.report().network_utility.to_bits(), before_bits);
         }
-    }
-
-    /// The scoring core's touched-link demand bound is an upper bound on
-    /// the exact spliced fold. A random crossing row — 1 to 20,000
-    /// demands from 1 bps to 1 Pbps over a random span of decades,
-    /// sorted, reversed or shuffled — is folded as a full run folds it;
-    /// a one-segment splice then removes up to three entries (none about half
-    /// the time, so only rounding separates the two sums) and inserts up
-    /// to three. `spliced_demand_bound` of the previous fold, the row
-    /// length and the inserted demands must be at least the fold of the
-    /// spliced row (`to_bits`-compared: both are non-negative). Dropping
-    /// the `1 + 2nε` widening, or the inserted demands, fails it.
-    #[test]
-    fn spliced_demand_bound_is_an_upper_bound(
-        len in 1usize..20_000,
-        seed in any::<u64>(),
-        decades in 0.0f64..15.0,
-        order in 0u32..3,
-        splice in (0.0f64..1.0, 0usize..7, 0usize..4),
-    ) {
-        let mut x = seed | 1;
-        let mut next = move || {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            x
-        };
-        let floor = (next() % 1000) as f64 / 1000.0 * (15.0 - decades);
-        let mut demand = || 10f64.powf(floor + decades * (next() % (1 << 20)) as f64 / (1 << 20) as f64);
-        let mut row: Vec<f64> = (0..len).map(|_| demand()).collect();
-        match order {
-            0 => row.sort_by(f64::total_cmp),
-            1 => row.sort_by(|a, b| b.total_cmp(a)),
-            _ => {}
-        }
-        let (at, removed, added) = splice;
-        let start = (at * len as f64) as usize;
-        let removed = removed.saturating_sub(3).min(len - start);
-        let added: Vec<f64> = (0..added).map(|_| demand()).collect();
-
-        let fold = |v: &mut dyn Iterator<Item = &f64>| v.fold(0.0, |s, &d| s + d);
-        let prev = fold(&mut row.iter());
-        let exact = fold(&mut row[..start].iter().chain(&added).chain(&row[start + removed..]));
-        let bound = spliced_demand_bound(prev, len, added.iter().copied());
-        prop_assert!(
-            bound.to_bits() >= exact.to_bits(),
-            "bound {bound:e} below the exact sum {exact:e} (len {len}, -{removed} +{})",
-            added.len()
-        );
     }
 
     /// The border load bound is an upper bound on the walked load. A

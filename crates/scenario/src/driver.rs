@@ -758,6 +758,33 @@ mod tests {
         assert!(text.contains("depart "), "flows must depart");
     }
 
+    /// A Weibull draw past every representable time — a tiny shape, or
+    /// a scale near `f64::MAX` — is a failure or repair that does not
+    /// come within the run. The first spec draws one at any seed, the
+    /// second at seeds 6, 7 and 8; each run reaches its last epoch with
+    /// no infinite time in its log.
+    #[test]
+    fn weibull_draws_past_every_representable_time_are_not_within_the_run() {
+        for failures in [
+            "failures shape 0.001 scale 1ms repair-shape 0.001 repair-scale 1ms",
+            "failures shape 1 scale 1e308s repair-shape 1 repair-scale 1s",
+        ] {
+            let spec = Scenario::parse(&format!(
+                "scenario weibull_overflow\n\
+                 topology ring 4 1Mbps 1ms\n\
+                 duration 60s\n\
+                 epoch 10s\n\
+                 {failures}\n"
+            ))
+            .unwrap();
+            for seed in 0..10 {
+                let text = log_of(&spec, seed).to_text();
+                assert!(text.contains("epoch 5"), "{failures} seed {seed}");
+                assert!(!text.contains("inf"), "{failures} seed {seed}");
+            }
+        }
+    }
+
     #[test]
     fn same_seed_is_byte_identical_different_seed_is_not() {
         let spec = ring_spec("arrivals rate 0.2 max-flows 30\ndepartures prob 0.2\n");

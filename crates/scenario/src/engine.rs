@@ -78,6 +78,14 @@ pub trait EventConsumer {
     fn healthy_duplex_links(&self) -> Vec<LinkId>;
 }
 
+/// `from + gap`, or `None` when the gap or the sum lies past every
+/// representable time: a failure or repair that far off is not within
+/// the run.
+fn later(from: Delay, gap: Option<Delay>) -> Option<Delay> {
+    let at = from.secs() + gap?.secs();
+    at.is_finite().then(|| Delay::from_secs(at))
+}
+
 /// The deterministic discrete-event engine.
 pub struct Engine<C: EventConsumer> {
     consumer: C,
@@ -131,7 +139,9 @@ impl<C: EventConsumer> Engine<C> {
         for (at, kind) in timeline {
             queue.push(at, kind);
         }
-        let next_failure = failures.as_mut().map(|f| f.next_failure_in());
+        let next_failure = failures
+            .as_mut()
+            .and_then(|f| later(Delay::ZERO, f.next_failure_in()));
 
         Engine {
             consumer,
@@ -207,12 +217,13 @@ impl<C: EventConsumer> Engine<C> {
                     .collect();
                 if let Some(link) = src.pick_victim(&healthy) {
                     self.queue.push(strike, EventKind::LinkFailure { link });
-                    let back = strike + src.repair_in();
-                    self.queue.push(back, EventKind::LinkRecovery { link });
+                    if let Some(back) = later(strike, src.repair_in()) {
+                        self.queue.push(back, EventKind::LinkRecovery { link });
+                    }
                     self.stochastic_failed.push(link);
                 }
             }
-            self.next_failure = Some(strike + src.next_failure_in());
+            self.next_failure = later(strike, src.next_failure_in());
         }
     }
 

@@ -18,12 +18,15 @@ use fubar_topology::Delay;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Inverse-CDF Weibull draw: `scale · (−ln(1−u))^(1/shape)`.
-pub fn sample_weibull<R: Rng>(rng: &mut R, shape: f64, scale: Delay) -> Delay {
+/// Inverse-CDF Weibull draw: `scale · (−ln(1−u))^(1/shape)`, or `None`
+/// when that overflows — a small shape or a huge scale can draw a time
+/// past every representable one, which no run reaches.
+pub fn sample_weibull<R: Rng>(rng: &mut R, shape: f64, scale: Delay) -> Option<Delay> {
     let u: f64 = rng.gen();
     // 1−u ∈ (0, 1]; clamp away from 0 so ln stays finite.
     let t = (-(1.0 - u).max(1e-12).ln()).powf(1.0 / shape);
-    Delay::from_secs(scale.secs() * t)
+    let secs = scale.secs() * t;
+    secs.is_finite().then(|| Delay::from_secs(secs))
 }
 
 /// The demand multiplier at time `t`: `1 + A·sin(2πt/T)`, or 1 when no
@@ -275,13 +278,15 @@ impl FailureSource {
         }
     }
 
-    /// Time from `now` to the next stochastic failure.
-    pub fn next_failure_in(&mut self) -> Delay {
+    /// Time from `now` to the next stochastic failure; `None` past every
+    /// representable time.
+    pub fn next_failure_in(&mut self) -> Option<Delay> {
         sample_weibull(&mut self.rng, self.spec.shape, self.spec.scale)
     }
 
-    /// How long the next failure stays down.
-    pub fn repair_in(&mut self) -> Delay {
+    /// How long the next failure stays down; `None` past every
+    /// representable time.
+    pub fn repair_in(&mut self) -> Option<Delay> {
         sample_weibull(
             &mut self.rng,
             self.spec.repair_shape,
@@ -316,7 +321,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let n = 20_000;
         let total: f64 = (0..n)
-            .map(|_| sample_weibull(&mut rng, 1.0, Delay::from_secs(100.0)).secs())
+            .map(|_| sample_weibull(&mut rng, 1.0, Delay::from_secs(100.0)))
+            .map(|d| d.expect("finite").secs())
             .sum();
         let mean = total / n as f64;
         assert!((mean - 100.0).abs() < 5.0, "mean {mean}");
@@ -327,7 +333,8 @@ mod tests {
         let draw = |seed| {
             let mut rng = StdRng::seed_from_u64(seed);
             (0..50)
-                .map(|_| sample_weibull(&mut rng, 1.7, Delay::from_secs(30.0)).secs())
+                .map(|_| sample_weibull(&mut rng, 1.7, Delay::from_secs(30.0)))
+                .map(|d| d.expect("finite").secs())
                 .collect::<Vec<_>>()
         };
         let a = draw(7);
