@@ -2,9 +2,10 @@
 //!
 //! The workspace determinism linter and invariant-ledger conformance
 //! checker. Every PR since the incremental-measurement work has staked
-//! this repo on one property — *incremental ≡ oracle, sharded ≡ flat,
-//! parallel ≡ serial, bitwise* — and this crate is the machine that
-//! keeps convention from being the only thing guarding it.
+//! this repo on one property — *incremental ≡ oracle, indexed gather ≡
+//! scan, any thread count ≡ one thread, bitwise* — and this crate is
+//! the machine that keeps convention from being the only thing guarding
+//! it.
 //!
 //! Two passes, exposed as the `fubar-lint` binary:
 //!

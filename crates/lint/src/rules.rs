@@ -1,12 +1,13 @@
 //! The determinism rule engine: crate-scoped rules over a token stream.
 //!
 //! Every rule here guards the repo's signature invariant — *incremental
-//! ≡ oracle, sharded ≡ flat, parallel ≡ serial, bitwise* — against the
-//! classic ways Rust code silently breaks it. The rules fire on the
-//! *capability* (the type or call that could leak nondeterminism), and
-//! a justified `// lint:allow(<rule>): <why>` documents each reviewed
-//! exception in place. An allow without a justification is itself an
-//! error: it would be a disabled check, not a reviewed one.
+//! ≡ oracle, indexed gather ≡ scan, any thread count ≡ one thread,
+//! bitwise* — against the classic ways Rust code silently breaks it.
+//! The rules fire on the *capability* (the type or call that could leak
+//! nondeterminism), and a justified `// lint:allow(<rule>): <why>`
+//! documents each reviewed exception in place. An allow without a
+//! justification is itself an error: it would be a disabled check, not
+//! a reviewed one.
 //!
 //! Rule applicability is crate-scoped: the hot deterministic crates get
 //! the strict set, `crates/bench` and test/bench/example files get a

@@ -1,21 +1,20 @@
 //! Fill-ready bottleneck components, and the one event loop that fills
 //! them.
 //!
-//! Every fill this crate runs — a full evaluation, a worker's share of
-//! a parallel one, the affected subset of a delta — first *compiles*
-//! its bundles into a [`Component`]: members in ascending list order,
-//! and everything the event loop of [`crate::engine`]'s module docs
-//! touches in component-local indices (per-member link lists over
-//! compact link *slots*, per-slot crossing rows, per-slot initial
-//! sums), with its members' satisfaction events presorted. A subset met
-//! once compiles into reusable scratch and is filled as it stands. The
-//! closure around a previously-saturated link of an incumbent is
-//! compiled once, and each candidate scored against that incumbent
-//! fills it through a [`Patch`]: which members the candidate removed,
-//! the bundles that replace them, and new sums and rows for the few
-//! links either crosses. `run` is the only event loop; what a patch
-//! changes is where it reads a bundle, a row and the next bundle event
-//! from.
+//! Every fill this crate runs — a full evaluation or the affected subset
+//! of a delta — first *compiles* its bundles into a [`Component`]:
+//! members in ascending list order, and everything the event loop of
+//! [`crate::engine`]'s module docs touches in component-local indices
+//! (per-member link lists over compact link *slots*, per-slot crossing
+//! rows, per-slot initial sums), with its members' satisfaction events
+//! presorted. A subset met once compiles into reusable scratch and is
+//! filled as it stands. The closure around a previously-saturated link
+//! of an incumbent is compiled once, and each candidate scored against
+//! that incumbent fills it through a [`Patch`]: which members the
+//! candidate removed, the bundles that replace them, and new sums and
+//! rows for the few links either crosses. `run` is the only event loop;
+//! what a patch changes is where it reads a bundle, a row and the next
+//! bundle event from.
 
 use crate::engine::{is_binding, FreezeKey};
 use crate::spec::{BundleSpec, BundleStatus};

@@ -965,206 +965,16 @@ pub struct DeltaScore<'w> {
     pub rates: &'w [f64],
 }
 
-/// One worker's slice of a parallel fill: its own [`FillScratch`] plus
-/// append-only component outputs that the deterministic merge scatters
-/// back into the global result arrays after the join.
+/// Fill scratch for [`FlowModel::evaluate_traced_parallel`]; kept only
+/// because `benchmark/src/adapter.rs` names it, until that call goes.
+#[doc(hidden)]
 #[derive(Debug, Default)]
-struct FillWorker {
-    /// The worker's private fill scratch (stamped like [`Workspace`]'s).
-    fill: FillScratch,
-    /// `(global bundle index, rate, status, freeze key)` per filled
-    /// bundle, in the order this worker's components produced them.
-    out_bundles: Vec<(u32, f64, BundleStatus, FreezeKey)>,
-    /// `(link, frozen load, offered demand, saturated)` per link touched
-    /// by this worker's components.
-    out_links: Vec<(u32, f64, f64, bool)>,
-}
-
-/// Reusable scratch for [`FlowModel::evaluate_traced_parallel`] — the
-/// deterministic parallel water-filling path.
-///
-/// A parallel fill partitions the bundle list into *bottleneck
-/// components* (connected components of the bundle–link graph: two
-/// bundles sharing **any** link are coupled, because the shared link's
-/// load and demand sums depend on both) and fills each component
-/// independently. Determinism is structural, not scheduled:
-///
-/// * component ids are assigned by first appearance over ascending
-///   bundle index, so the partition is a pure function of the input;
-/// * component → worker assignment is `id % workers`, each worker
-///   processing its components in ascending id order — never by
-///   scheduling order;
-/// * per-link and per-bundle results are written by exactly one
-///   component, so the merge is a scatter with **no cross-worker float
-///   accumulation** — no sum is ever reassociated;
-/// * the merged congested list is sorted by the same total order
-///   (oversubscription descending, then link id) the serial path uses.
-///
-/// Together with the serial fill's global-index event tie-breaking this makes
-/// the result **bitwise identical to the serial fill at any worker
-/// count** (property-tested in `crates/model/tests/properties.rs`).
-/// Buffers are reused across fills like [`Workspace`]'s.
-#[derive(Debug)]
-pub struct ParallelWorkspace {
-    workers: Vec<FillWorker>,
-    /// Union–find parent per link, rebuilt per fill.
-    parent: Vec<u32>,
-    /// Per bundle: normalized component id.
-    comp_of: Vec<u32>,
-    /// Per link: component id of the link's DSU root (`u32::MAX` =
-    /// unassigned), rebuilt per fill.
-    root_comp: Vec<u32>,
-    comp_count: usize,
-    /// Bundle indices grouped by component (ascending within each), CSR.
-    members: Vec<u32>,
-    member_start: Vec<u32>,
-    member_pos: Vec<u32>,
-    /// Global input tables, identical to the serial path's.
-    demands: Vec<f64>,
-    caps: Vec<f64>,
-    /// Merged outputs (indexed globally).
-    rates: Vec<f64>,
-    status: Vec<BundleStatus>,
-    keys: Vec<FreezeKey>,
-    link_frozen: Vec<f64>,
-    link_demand: Vec<f64>,
-    congested: Vec<LinkId>,
-}
+pub struct ParallelWorkspace(FillScratch);
 
 impl ParallelWorkspace {
-    /// A workspace with `workers` fill workers (clamped to at least 1).
-    /// Fills spawn scoped threads when more than one worker exists and
-    /// the instance has more than one component.
-    pub fn new(workers: usize) -> Self {
-        ParallelWorkspace {
-            workers: (0..workers.max(1)).map(|_| FillWorker::default()).collect(),
-            parent: Vec::new(),
-            comp_of: Vec::new(),
-            root_comp: Vec::new(),
-            comp_count: 0,
-            members: Vec::new(),
-            member_start: Vec::new(),
-            member_pos: Vec::new(),
-            demands: Vec::new(),
-            caps: Vec::new(),
-            rates: Vec::new(),
-            status: Vec::new(),
-            keys: Vec::new(),
-            link_frozen: Vec::new(),
-            link_demand: Vec::new(),
-            congested: Vec::new(),
-        }
-    }
-
-    fn find(parent: &mut [u32], mut x: u32) -> u32 {
-        while parent[x as usize] != x {
-            let g = parent[parent[x as usize] as usize];
-            parent[x as usize] = g;
-            x = g;
-        }
-        x
-    }
-
-    /// Partitions `bundles` into bottleneck components: union–find over
-    /// links (two links crossed by one bundle are coupled), component
-    /// ids normalized by first appearance over ascending bundle index.
-    /// Bundles with no links are singleton components.
-    fn partition(&mut self, bundles: &[BundleSpec], n_links: usize) {
-        let n = bundles.len();
-        self.parent.clear();
-        self.parent.extend(0..n_links as u32);
-        for b in bundles {
-            for w in b.links.windows(2) {
-                let ra = Self::find(&mut self.parent, w[0].index() as u32);
-                let rb = Self::find(&mut self.parent, w[1].index() as u32);
-                if ra != rb {
-                    // Union by smaller root id: deterministic and keeps
-                    // find paths shallow enough with path halving.
-                    let (lo, hi) = if ra < rb { (ra, rb) } else { (rb, ra) };
-                    self.parent[hi as usize] = lo;
-                }
-            }
-        }
-        self.root_comp.clear();
-        self.root_comp.resize(n_links, u32::MAX);
-        self.comp_of.clear();
-        let mut count = 0u32;
-        for b in bundles {
-            let id = match b.links.first() {
-                None => {
-                    // Trivial path: crosses nothing, couples with
-                    // nothing — its own component.
-                    count += 1;
-                    count - 1
-                }
-                Some(l) => {
-                    let r = Self::find(&mut self.parent, l.index() as u32) as usize;
-                    if self.root_comp[r] == u32::MAX {
-                        self.root_comp[r] = count;
-                        count += 1;
-                    }
-                    self.root_comp[r]
-                }
-            };
-            self.comp_of.push(id);
-        }
-        self.comp_count = count as usize;
-
-        // Member lists in CSR form, ascending bundle index within each
-        // component (the scatter below preserves input order).
-        self.member_start.clear();
-        self.member_start.resize(self.comp_count + 1, 0);
-        for &c in &self.comp_of {
-            self.member_start[c as usize + 1] += 1;
-        }
-        for c in 0..self.comp_count {
-            self.member_start[c + 1] += self.member_start[c];
-        }
-        self.members.clear();
-        self.members.resize(n, 0);
-        self.member_pos.clear();
-        self.member_pos
-            .extend_from_slice(&self.member_start[..self.comp_count]);
-        for (bi, &c) in self.comp_of.iter().enumerate() {
-            let p = &mut self.member_pos[c as usize];
-            self.members[*p as usize] = bi as u32;
-            *p += 1;
-        }
-    }
-}
-
-/// One worker's share of a parallel fill: components `wi, wi + stride,
-/// wi + 2·stride, …` in ascending id order. A free function so scoped
-/// threads can borrow one worker mutably while sharing the read-only
-/// partition and input tables.
-#[allow(clippy::too_many_arguments)]
-fn run_worker(
-    w: &mut FillWorker,
-    wi: usize,
-    stride: usize,
-    bundles: &[BundleSpec],
-    members: &[u32],
-    member_start: &[u32],
-    comp_count: usize,
-    caps: &[f64],
-) {
-    w.out_bundles.clear();
-    w.out_links.clear();
-    let mut c = wi;
-    while c < comp_count {
-        let subset = &members[member_start[c] as usize..member_start[c + 1] as usize];
-        w.fill
-            .fill(|gi| &bundles[gi as usize], |_| 0.0, subset, caps);
-        let fill = &w.fill.state;
-        for (local, &gi) in subset.iter().enumerate() {
-            w.out_bundles
-                .push((gi, fill.rates[local], fill.status[local], fill.keys[local]));
-        }
-        for (&li, ls) in fill.touched_links.iter().zip(&fill.links) {
-            w.out_links
-                .push((li, ls.frozen_load, ls.demand, ls.saturated));
-        }
-        c += stride;
+    /// A fill scratch; the worker count is ignored.
+    pub fn new(_workers: usize) -> Self {
+        ParallelWorkspace::default()
     }
 }
 
@@ -1236,160 +1046,15 @@ impl<'a> FlowModel<'a> {
         Evaluation::assemble(outcome, fill.keys.clone(), demands, bundles, caps)
     }
 
-    /// Like [`FlowModel::evaluate_traced`], but water-fills disjoint
-    /// bottleneck components concurrently on `pw`'s workers. The result
-    /// is **bitwise identical** to the serial path at any worker count:
-    /// the partition, component → worker assignment, and merge are all
-    /// pure functions of the input (see [`ParallelWorkspace`]), and
-    /// the serial fill's event tie-breaking uses global indices throughout.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use fubar_model::{FlowModel, ParallelWorkspace};
-    /// use fubar_topology::{generators, Bandwidth};
-    /// use fubar_traffic::{workload, WorkloadConfig};
-    /// use fubar_model::BundleSpec;
-    ///
-    /// let topo = generators::he_core(Bandwidth::from_mbps(50.0));
-    /// let tm = workload::generate(&topo, &WorkloadConfig::default(), 7);
-    /// let bundles: Vec<BundleSpec> = tm
-    ///     .iter()
-    ///     .map(|a| {
-    ///         let p = topo
-    ///             .graph()
-    ///             .shortest_path(a.ingress, a.egress, &fubar_graph::LinkSet::new())
-    ///             .unwrap();
-    ///         BundleSpec::new(a, &p, a.flow_count)
-    ///     })
-    ///     .collect();
-    /// let model = FlowModel::with_defaults(&topo);
-    /// let mut pw = ParallelWorkspace::new(4);
-    /// let parallel = model.evaluate_traced_parallel(&bundles, &mut pw);
-    /// let serial = model.evaluate_traced(&bundles);
-    /// assert!(parallel
-    ///     .outcome
-    ///     .bitwise_mismatch(&serial.outcome)
-    ///     .is_none());
-    /// ```
+    /// [`FlowModel::evaluate_traced`] on `pw`'s reused scratch; kept only
+    /// because `benchmark/src/adapter.rs` names it, until that call goes.
+    #[doc(hidden)]
     pub fn evaluate_traced_parallel(
         &self,
         bundles: &[BundleSpec],
         pw: &mut ParallelWorkspace,
     ) -> Evaluation {
-        self.fill_parallel(bundles, pw);
-        let outcome = outcome_of(
-            &pw.rates,
-            &pw.status,
-            &pw.link_frozen,
-            &pw.link_demand,
-            &pw.caps,
-            pw.congested.clone(),
-        );
-        let (keys, demands, caps) = (pw.keys.clone(), pw.demands.clone(), pw.caps.clone());
-        Evaluation::assemble(outcome, keys, demands, bundles, caps)
-    }
-
-    /// The non-assembling parallel fill: partitions `bundles` into
-    /// bottleneck components, fills them on `pw`'s workers, and leaves
-    /// the merged results in `pw` (rates, statuses, freeze keys,
-    /// per-link loads/demands, sorted congested list).
-    fn fill_parallel(&self, bundles: &[BundleSpec], pw: &mut ParallelWorkspace) {
-        let n = bundles.len();
-        let n_links = self.topology.link_count();
-        // Global input tables, computed exactly as the serial path does.
-        pw.caps.clear();
-        pw.caps
-            .extend(self.topology.links().map(|l| self.capacity(l)));
-        pw.demands.clear();
-        pw.demands.extend(bundles.iter().map(|b| b.demand().bps()));
-        pw.partition(bundles, n_links);
-
-        let stride = pw.workers.len();
-        // Threads only pay off when there is work to split; either way
-        // the iteration shape (worker wi takes components ≡ wi mod
-        // stride, ascending) is identical, so so is the output.
-        let threaded = stride > 1 && pw.comp_count > 1;
-        {
-            let ParallelWorkspace {
-                workers,
-                members,
-                member_start,
-                comp_count,
-                caps,
-                ..
-            } = &mut *pw;
-            let (members, member_start, caps) = (&*members, &*member_start, &*caps);
-            let comp_count = *comp_count;
-            if threaded {
-                std::thread::scope(|s| {
-                    for (wi, w) in workers.iter_mut().enumerate() {
-                        s.spawn(move || {
-                            run_worker(
-                                w,
-                                wi,
-                                stride,
-                                bundles,
-                                members,
-                                member_start,
-                                comp_count,
-                                caps,
-                            )
-                        });
-                    }
-                });
-            } else {
-                for (wi, w) in workers.iter_mut().enumerate() {
-                    run_worker(
-                        w,
-                        wi,
-                        stride,
-                        bundles,
-                        members,
-                        member_start,
-                        comp_count,
-                        caps,
-                    );
-                }
-            }
-        }
-
-        // Deterministic merge: every bundle and every touched link
-        // belongs to exactly one component, so this is a scatter — no
-        // float sum ever crosses a worker boundary.
-        pw.rates.clear();
-        pw.rates.resize(n, 0.0);
-        pw.status.clear();
-        pw.status.resize(n, BundleStatus::Satisfied);
-        pw.keys.clear();
-        pw.keys.resize(n, FreezeKey::satisfied(0.0, 0));
-        pw.link_frozen.clear();
-        pw.link_frozen.resize(n_links, 0.0);
-        pw.link_demand.clear();
-        pw.link_demand.resize(n_links, 0.0);
-        pw.congested.clear();
-        for w in &pw.workers {
-            for &(gi, rate, st, key) in &w.out_bundles {
-                pw.rates[gi as usize] = rate;
-                pw.status[gi as usize] = st;
-                pw.keys[gi as usize] = key;
-            }
-            for &(li, frozen, demand, saturated) in &w.out_links {
-                pw.link_frozen[li as usize] = frozen;
-                pw.link_demand[li as usize] = demand;
-                if saturated {
-                    pw.congested.push(LinkId(li));
-                }
-            }
-        }
-        // The serial path sorts one fill's saturation-order list with a
-        // stable sort; the key (oversubscription desc, link id asc) is a
-        // total order over distinct links, so an unstable in-place sort
-        // of the concatenation reaches the same unique permutation —
-        // independent of worker count, and allocation-free.
-        let (link_demand, caps) = (&pw.link_demand, &pw.caps);
-        pw.congested
-            .sort_unstable_by(|&a, &b| congestion_order(a, b, &|l| link_demand[l.index()], caps));
+        self.evaluate_in(bundles, &mut pw.0)
     }
 
     /// Patches `eval` — the traced evaluation of `bundles` — and the
@@ -2371,8 +2036,8 @@ mod tests {
         assert!(bounded > 0, "no churn re-filled less than the whole table");
     }
 
-    /// HE-core bundle table on shortest paths — the shared parallel-fill
-    /// fixture: many independent pipes ⇒ many components.
+    /// HE-core bundle table on shortest paths: many independent pipes ⇒
+    /// many components.
     fn he_bundles(cap: Bandwidth, seed: u64) -> (Topology, Vec<BundleSpec>) {
         use fubar_traffic::{workload, WorkloadConfig};
         let topo = generators::he_core(cap);
@@ -2389,38 +2054,19 @@ mod tests {
     }
 
     #[test]
-    fn parallel_fill_matches_serial_at_any_worker_count() {
-        let (topo, bundles) = he_bundles(mbps(5.0), 3); // scarce: congested
-        let m = FlowModel::with_defaults(&topo);
-        let serial = m.evaluate_traced(&bundles);
-        assert!(serial.outcome.is_congested(), "fixture must contend");
-        for workers in [1, 2, 4, 8] {
-            let mut pw = ParallelWorkspace::new(workers);
-            let par = m.evaluate_traced_parallel(&bundles, &mut pw);
-            assert_outcomes_identical(&par.outcome, &serial.outcome);
-            assert_eq!(par.freeze_keys, serial.freeze_keys, "workers={workers}");
-            assert_eq!(par.demands, serial.demands, "workers={workers}");
-            assert!(pw.comp_count > 1, "HE must decompose");
-            let fills: usize = pw.workers.iter().map(|w| w.fill.stats().fills).sum();
-            assert_eq!(fills, pw.comp_count);
-        }
-    }
-
-    #[test]
     fn parallel_fill_handles_empty_and_trivial_bundles() {
         let t = pipe(kbps(300.0), ms(5.0));
         let m = FlowModel::with_defaults(&t);
         let mut pw = ParallelWorkspace::new(4);
         let empty = m.evaluate_traced_parallel(&[], &mut pw);
         assert!(empty.outcome.bundle_rates.is_empty());
-        // A linkless bundle is its own singleton component.
+        // The scratch is reused, and a linkless bundle fills like any other.
         let bundles = vec![
             bundle(0, 10, vec![LinkId(0)], ms(5.0), kbps(50.0)),
             bundle(1, 100, vec![], Delay::ZERO, mbps(10.0)),
         ];
         let par = m.evaluate_traced_parallel(&bundles, &mut pw);
         assert_outcomes_identical(&par.outcome, &m.evaluate(&bundles));
-        assert_eq!(pw.comp_count, 2);
     }
 
     #[test]

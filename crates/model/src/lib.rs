@@ -33,12 +33,7 @@
 //!   materializes the candidates it rejects — and, after
 //!   [`Incumbent::prepare_component`] has compiled the bottleneck
 //!   component around the congested link they all move flows off, fills
-//!   each one by patching that component instead of deriving its own;
-//! * [`FlowModel::evaluate_traced_parallel`] / [`ParallelWorkspace`] —
-//!   a component-partitioned full fill, bitwise identical to the serial
-//!   one at any worker count. No run selects it: every full evaluation
-//!   above this crate is [`FlowModel::evaluate_traced`]; the kernel
-//!   stays because the repository benchmark's layer replay times it.
+//!   each one by patching that component instead of deriving its own.
 #![forbid(unsafe_code)]
 
 mod component;

@@ -174,30 +174,6 @@ proptest! {
         prop_assert_eq!(a.congested, b.congested);
     }
 
-    /// The parallel fill is bitwise identical to the serial one at
-    /// every worker count — the `parallel ≡ serial` invariant on random
-    /// topologies and bundle sets, not just curated fixtures.
-    #[test]
-    fn parallel_fill_is_bitwise_serial_at_any_worker_count(w in workload()) {
-        let cap = Bandwidth::from_kbps(w.capacity_kbps);
-        let (topo, bundles) = build(&w, cap);
-        let m = FlowModel::with_defaults(&topo);
-        let serial = m.evaluate_traced(&bundles);
-        let serial_bits: Vec<u64> =
-            serial.outcome.bundle_rates.iter().map(|r| r.bps().to_bits()).collect();
-        let max_workers = std::thread::available_parallelism().map_or(8, |n| n.get().max(2));
-        for workers in [1usize, 2, 4, max_workers] {
-            let mut pw = fubar_model::ParallelWorkspace::new(workers);
-            let par = m.evaluate_traced_parallel(&bundles, &mut pw);
-            let par_bits: Vec<u64> =
-                par.outcome.bundle_rates.iter().map(|r| r.bps().to_bits()).collect();
-            prop_assert_eq!(&par_bits, &serial_bits, "workers={}", workers);
-            prop_assert_eq!(&par.outcome.congested, &serial.outcome.congested);
-            prop_assert_eq!(&par.outcome.link_load, &serial.outcome.link_load);
-            prop_assert_eq!(&par.outcome.bundle_status, &serial.outcome.bundle_status);
-        }
-    }
-
     /// The in-place patcher against the full recompute, on the shapes
     /// that shift indices: a random table (each aggregate owning a
     /// contiguous segment of 0–3 bundles) takes 20 chained k-segment

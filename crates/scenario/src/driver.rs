@@ -758,6 +758,27 @@ mod tests {
         assert!(text.contains("depart "), "flows must depart");
     }
 
+    /// Arrivals at means far past any flow ceiling: the sampler's cost
+    /// does not grow with the mean, so specs that once drew one uniform
+    /// per arrival (seconds per run, more at a `u32::MAX` ceiling) run
+    /// to their end, and flows do arrive.
+    #[test]
+    fn arrivals_at_the_top_of_u32_run_to_completion() {
+        for max_flows in [100_000_000u32, u32::MAX] {
+            let spec = Scenario::parse(&format!(
+                "scenario big_arrivals\n\
+                 topology ring 4 1Mbps 1ms\n\
+                 duration 60s\n\
+                 epoch 10s\n\
+                 arrivals rate 1e9 max-flows {max_flows}\n"
+            ))
+            .unwrap();
+            let text = log_of(&spec, 1).to_text();
+            assert!(text.contains("epoch 5"), "max-flows {max_flows}");
+            assert!(text.contains("arrive "), "max-flows {max_flows}");
+        }
+    }
+
     /// A Weibull draw past every representable time — a tiny shape, or
     /// a scale near `f64::MAX` — is a failure or repair that does not
     /// come within the run. The first spec draws one at any seed, the

@@ -40,37 +40,58 @@ pub fn diurnal_factor(spec: Option<&DiurnalSpec>, t: Delay) -> f64 {
     }
 }
 
-/// Largest mean [`sample_poisson`] hands to one run of Knuth's product
-/// method. `exp(-mean)` underflows to zero past mean ≈ 745 and the draw
-/// would saturate there; 500 keeps the limit a normal float.
-const POISSON_CHUNK: f64 = 500.0;
+/// Largest mean [`sample_poisson`] draws by Knuth's product method.
+/// `exp(-mean)` underflows to zero past mean ≈ 745, and the method's
+/// cost grows with the mean. Every committed spec's means stay far
+/// below it, so their logs keep Knuth's draws.
+const KNUTH_MAX_MEAN: f64 = 500.0;
 
 /// Draws a Poisson variate with the given mean — the memoryless law of
-/// flow arrivals. Knuth's product method, exact; a mean above
-/// [`POISSON_CHUNK`] is drawn as a sum of chunk-sized variates (Poisson
-/// additivity), so a mean at or below it consumes exactly one run's
-/// draws. Stops between chunks once the total reaches `cap`: the
-/// caller turns away everything beyond it, and cost stays O(cap)
-/// however large the mean.
+/// flow arrivals. Knuth's product method, exact, up to
+/// [`KNUTH_MAX_MEAN`]; above it, Hörmann's transformed rejection,
+/// PTRS ("The transformed rejection method for generating Poisson
+/// random variables", Insurance: Math. Econ. 12, 1993), whose expected
+/// number of trials stays near 1.15 pairs of draws at any mean. A draw
+/// past `u64::MAX` saturates to it.
 ///
 /// # Panics
 ///
 /// Panics on a negative or non-finite mean.
-fn sample_poisson<R: Rng>(rng: &mut R, mean: f64, cap: u64) -> u64 {
+fn sample_poisson<R: Rng>(rng: &mut R, mean: f64) -> u64 {
     assert!(mean >= 0.0 && mean.is_finite(), "mean must be non-negative");
-    let mut k = 0u64;
-    let mut rest = mean;
-    loop {
-        let step = rest.min(POISSON_CHUNK);
-        let limit = (-step).exp();
+    if mean <= KNUTH_MAX_MEAN {
+        let limit = (-mean).exp();
+        let mut k = 0;
         let mut product = rng.gen::<f64>();
         while product > limit {
             k += 1;
             product *= rng.gen::<f64>();
         }
-        rest -= step;
-        if rest <= 0.0 || k >= cap {
-            return k;
+        return k;
+    }
+    let b = 0.931 + 2.53 * mean.sqrt();
+    let a = -0.059 + 0.02483 * b;
+    let inv_alpha = 1.1239 + 1.1328 / (b - 3.4);
+    let v_r = 0.9277 - 3.6224 / (b - 2.0);
+    let ln_sqrt_2pi = 0.5 * (2.0 * std::f64::consts::PI).ln();
+    loop {
+        let u = rng.gen::<f64>() - 0.5;
+        let v = rng.gen::<f64>();
+        let us = 0.5 - u.abs();
+        let k = ((2.0 * a / us + b) * u + mean + 0.43).floor();
+        if us >= 0.07 && v <= v_r {
+            return k as u64;
+        }
+        if k < 0.0 || (us < 0.013 && v > us) {
+            continue;
+        }
+        // ln(meanᵏ e^−mean / k!), with ln k! through `stirling_tail`,
+        // so that nothing overflows at any finite mean.
+        let k1 = k + 1.0;
+        let ln_p =
+            k * (mean / k1).ln() - 0.5 * k1.ln() + (k1 - mean) - ln_sqrt_2pi - stirling_tail(k);
+        if (v * inv_alpha / (a / (us * us) + b)).ln() <= ln_p {
+            return k as u64;
         }
     }
 }
@@ -248,7 +269,7 @@ impl ChurnSource {
                 // Cap at the configured ceiling (arrivals beyond it are
                 // turned away by admission control).
                 let room = u64::from(a.max_flows.saturating_sub(cur));
-                let n = sample_poisson(&mut self.rng, mean, room).min(room);
+                let n = sample_poisson(&mut self.rng, mean).min(room);
                 if n > 0 {
                     let offset = epoch * self.rng.gen::<f64>();
                     draws.push(ChurnDraw {
@@ -355,27 +376,44 @@ mod tests {
         assert_eq!(diurnal_factor(None, Delay::from_secs(3.0)), 1.0);
     }
 
+    /// The Poisson draw has mean and variance `mean` on both sides of
+    /// [`KNUTH_MAX_MEAN`]; past `exp(-mean)`'s underflow, where Knuth's
+    /// method saturated near 745; and at `u32::MAX`-scale means (an
+    /// aggregate's flow ceiling) and beyond, where a draw takes a
+    /// handful of uniforms, not one per arrival.
     #[test]
     fn poisson_sampler_has_the_right_mean() {
         let mut rng = StdRng::seed_from_u64(9);
-        // 2,000 is past exp(-mean)'s underflow, where the single-run
-        // method saturated near 745; the chunked sum must not.
-        for (mean, n, tolerance) in [
-            (0.5, 20_000, 0.15),
-            (2.0, 20_000, 0.3),
-            (8.0, 20_000, 1.2),
-            (2_000.0, 200, 100.0),
+        for (mean, draws) in [
+            (0.5, 20_000),
+            (2.0, 20_000),
+            (8.0, 20_000),
+            (KNUTH_MAX_MEAN - 1.0, 20_000),
+            (KNUTH_MAX_MEAN, 20_000),
+            (KNUTH_MAX_MEAN + 1.0, 200_000),
+            (2_000.0, 200_000),
+            (f64::from(u32::MAX), 200_000),
+            (1e15, 200_000),
         ] {
-            let total: u64 = (0..n)
-                .map(|_| sample_poisson(&mut rng, mean, u64::MAX))
-                .sum();
-            let observed = total as f64 / f64::from(n);
+            let counts: Vec<f64> = (0..draws)
+                .map(|_| sample_poisson(&mut rng, mean) as f64)
+                .collect();
+            let n = f64::from(draws);
+            let observed = counts.iter().sum::<f64>() / n;
+            let var = counts.iter().map(|k| (k - observed).powi(2)).sum::<f64>() / n;
             assert!(
-                (observed - mean).abs() < tolerance,
+                (observed - mean).abs() < 5.0 * (mean / n).sqrt(),
                 "poisson mean {mean}: observed {observed}"
             );
+            // The sample variance's relative standard error is
+            // sqrt((2 + 1/mean) / draws) for a Poisson law.
+            assert!(
+                (var / mean - 1.0).abs() < 5.0 * ((2.0 + 1.0 / mean) / n).sqrt(),
+                "poisson mean {mean}: variance {var}"
+            );
         }
-        assert_eq!(sample_poisson(&mut rng, 0.0, u64::MAX), 0);
+        assert_eq!(sample_poisson(&mut rng, 0.0), 0);
+        assert_eq!(sample_poisson(&mut rng, f64::MAX), u64::MAX);
     }
 
     #[test]
