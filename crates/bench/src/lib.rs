@@ -4,9 +4,11 @@
 //! of the paper's §3). The binaries print self-describing CSV/markdown
 //! to stdout so the series can be diffed against the paper's plots; CI
 //! runs them and compares their `#` summary lines — pure functions of
-//! the seed — to `ci/figures.expected`, and the whole stdout of the
+//! the seed — to `ci/figures.expected`, the whole stdout of the
 //! slow ones (fig. 7, the ablations, the capacity sweep) to
-//! `ci/figures_slow.expected`.
+//! `ci/figures_slow.expected`, and that of the tables (the baseline
+//! comparison, the queueing claim, the diagnosis) to
+//! `ci/tables.expected`.
 #![forbid(unsafe_code)]
 
 use fubar_core::experiments::CaseReport;
