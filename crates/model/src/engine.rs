@@ -74,7 +74,6 @@ pub struct FlowModel<'a> {
 /// can never make the patched result diverge from a full recompute.
 const BINDING_SLACK: f64 = 1e-9;
 
-#[inline]
 pub(crate) fn is_binding(demand: f64, capacity: f64) -> bool {
     demand >= capacity * (1.0 - BINDING_SLACK)
 }

@@ -70,7 +70,6 @@ use crate::splice::{merge_row, BundleDelta, Seg, POOL};
 /// border verification* in the module docs). Hidden: the scoring
 /// core's, exposed for its property test.
 #[doc(hidden)]
-#[inline]
 pub fn border_load_bound(filled: f64, prev_load: f64, carried: f64, crossers: usize) -> f64 {
     let n = 2 * crossers + 2;
     let widen = 2.0 * n as f64 * f64::EPSILON;
@@ -207,7 +206,6 @@ impl<'a> Crossings<'a> {
     }
 
     /// The demand of the bundle a source tag names.
-    #[inline]
     pub(super) fn demand(&self, src: u32) -> f64 {
         if src & POOL != 0 {
             self.seg_demand[(src ^ POOL) as usize]
@@ -223,7 +221,6 @@ impl<'a> Crossings<'a> {
     }
 
     /// Adds every crosser of link `li` to the affected set.
-    #[inline]
     pub(super) fn absorb_crossers(&self, li: usize, ws: &mut Workspace) {
         self.walk(li, |i, src| ws.absorb(i, src));
     }

@@ -24,7 +24,6 @@ pub struct FreezeKey {
 }
 
 impl FreezeKey {
-    #[inline]
     pub(crate) fn satisfied(time: f64, bundle: u32) -> Self {
         FreezeKey {
             time,
@@ -34,7 +33,6 @@ impl FreezeKey {
         }
     }
 
-    #[inline]
     pub(crate) fn congested(time: f64, link: u32, bundle: u32) -> Self {
         FreezeKey {
             time,
@@ -46,7 +44,6 @@ impl FreezeKey {
 
     /// The same freeze event with the bundle renumbered — used when a
     /// previous evaluation's bundles shift position in a new input list.
-    #[inline]
     pub(super) fn with_bundle(self, bundle: u32) -> Self {
         if self.kind == 0 {
             FreezeKey {
@@ -64,7 +61,6 @@ impl FreezeKey {
     /// The key's rank in the engine's event-processing order — water
     /// level (in `f64::total_cmp` order), then kind, primary, secondary
     /// — packed so that one integer comparison sorts by it.
-    #[inline]
     pub(super) fn rank(&self) -> u128 {
         debug_assert!(self.kind <= 1 && self.primary < 1 << 31);
         let bits = self.time.to_bits() as i64;

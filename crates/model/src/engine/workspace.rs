@@ -199,7 +199,6 @@ impl Workspace {
     }
 
     /// Marks link `li` as touched by the change (idempotent).
-    #[inline]
     pub(super) fn touch_link(&mut self, li: usize) {
         if self.touched_stamp[li] != self.stamp {
             self.touched_stamp[li] = self.stamp;
@@ -211,7 +210,6 @@ impl Workspace {
     /// fill: `filled` and `carried` are its crossing members' new load
     /// and prior load ([`border_load_bound`]). A previous load at its
     /// capacity may be a cap, not the fold, and proves nothing.
-    #[inline]
     pub(super) fn load_below(
         &mut self,
         li: usize,
@@ -239,7 +237,6 @@ impl Workspace {
 
     /// The exact new offered demand of touched link `li`, summed over
     /// its spliced crossing row on first request.
-    #[inline]
     pub(super) fn exact_demand(&mut self, li: usize, crossings: &Crossings<'_>) -> f64 {
         if self.summed[li] != self.stamp {
             self.summed[li] = self.stamp;
@@ -286,7 +283,6 @@ impl Workspace {
 
     /// Adds bundle `gi`, which comes from `src`, to the affected set
     /// (idempotent).
-    #[inline]
     pub(super) fn absorb(&mut self, gi: u32, src: u32) {
         if self.in_set[gi as usize] != self.stamp {
             self.in_set[gi as usize] = self.stamp;
